@@ -97,13 +97,10 @@ fn bench_alignment(c: &mut Criterion) {
 fn bench_load_workers(c: &mut Criterion) {
     // Parallel atom loading (the paper's loading-efficiency future work):
     // sweep reader threads for one target rank's load plan.
-    use ucp_core::load::{gen_ucp_metadata, load_with_plan_workers, DEFAULT_ALIGNMENT};
-    use ucp_storage::layout;
+    use ucp_core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 
     let (dir, _) = prepare("load_workers", 8);
-    convert_checkpoint(&dir, 1, &ConvertOptions::default()).expect("convert");
-    let universal = layout::universal_dir(&dir, 1);
-    let manifest = ucp_core::manifest::UcpManifest::load(&universal).expect("manifest");
+    let (manifest, _) = convert_checkpoint(&dir, 1, &ConvertOptions::default()).expect("convert");
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
     let plan = gen_ucp_metadata(&manifest, &target, 0, DEFAULT_ALIGNMENT).expect("plan");
 
@@ -111,7 +108,13 @@ fn bench_load_workers(c: &mut Criterion) {
     group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| load_with_plan_workers(&universal, &plan, w).expect("load"))
+            // A session per iteration: every load reads from disk, none
+            // from a warm atom cache.
+            b.iter(|| {
+                LoadSession::open(&dir, 1, LoadOptions::with_workers(w))
+                    .and_then(|session| session.load_plan(&plan))
+                    .expect("load")
+            })
         });
     }
     group.finish();

@@ -27,7 +27,8 @@ USAGE:
       checkpoint tier: each save, every rank pushes its shard to K
       successor ranks, and a supervised recovery serves the resume state
       from surviving RAM copies before falling back to disk. Takes
-      K >= 1 and K < world size (0 is rejected rather than clamped).
+      K >= 1 and K < world size (0 is rejected rather than clamped), and
+      composes with --overlapped.
       --overlapped snapshots each checkpoint in memory and persists it on
       background writer threads; the writers also run the born-universal
       save pipeline, so latest_universal is published at save time and a
@@ -62,7 +63,8 @@ USAGE:
   ucp chaos --dir <work-dir> --model <preset> --tp T --pp P --dp D [--sp S]
       [--iters I] [--save-every K] [--seed S] [--kill-steps 2,3,4]
       [--kinds panic,hang] [--targets 1x1x2;1x1x1] [--deadline-ms MS]
-      [--hot-replicas K] [--faults-per-cell N] [--report-out <path>]
+      [--hot-replicas K] [--faults-per-cell N] [--overlapped]
+      [--no-universal-save] [--report-out <path>]
       Sweep a rank-kill schedule: for every kill step x fault kind, train
       under the source topology, kill a rank at that step, and let the
       supervisor resume from the latest committed checkpoint under the
@@ -72,7 +74,9 @@ USAGE:
       clean. --hot-replicas K arms the in-memory hot tier and records
       per-cell which tier (peer vs disk) served the recovery;
       --faults-per-cell N kills the top N ranks simultaneously at the
-      kill step (N > K is expected to fall back to disk). --report-out
+      kill step (N > K is expected to fall back to disk). --overlapped
+      (and --no-universal-save) run every cell under that save policy,
+      as in `ucp train`. --report-out
       writes a ucp-chaos-v1 JSON report; exits non-zero if any cell
       fails to recover, diverges, or recovers from the wrong tier.
   ucp status --dir <ckpt-base> [--metrics <report.json>] [--json]

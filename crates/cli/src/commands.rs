@@ -3,16 +3,14 @@
 use ucp_core::checkpoint::{load_model_states, load_optim_states};
 use ucp_core::convert::{convert_to_universal, ConvertOptions};
 use ucp_core::language::UcpSpec;
-use ucp_core::load::{
-    gen_ucp_metadata, load_with_plan_device, LoadOptions, LoadSession, DEFAULT_ALIGNMENT,
-};
+use ucp_core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_core::manifest::UcpManifest;
 use ucp_model::ModelConfig;
 use ucp_parallel::{ParallelConfig, ZeroStage};
 use ucp_storage::{layout, retention, Container, Device};
 use ucp_trainer::{
-    supervise, train_run, train_run_overlapped, train_run_overlapped_with, OverlappedOptions,
-    ResumeMode, SupervisorOptions, TrainConfig, TrainPlan,
+    supervise, train_run_overlapped, Persist, ResumeMode, SavePolicy, SupervisorOptions,
+    TrainConfig, TrainPlan,
 };
 
 use serde_json::Value;
@@ -223,6 +221,18 @@ pub fn load(p: &Parsed) -> Result<(), String> {
     metrics_end(p, "load")
 }
 
+/// The save policy `--overlapped` / `--no-universal-save` select.
+fn save_policy(p: &Parsed) -> SavePolicy {
+    if p.overlapped {
+        SavePolicy {
+            persist: Persist::Overlapped,
+            universal: !p.no_universal_save,
+        }
+    } else {
+        SavePolicy::default()
+    }
+}
+
 /// `ucp train`: run the training simulator with periodic native
 /// checkpointing — the quickest way to produce a native tree for
 /// `convert` / `load` to chew on.
@@ -244,33 +254,10 @@ pub fn train(p: &Parsed) -> Result<(), String> {
                 .to_string(),
         );
     }
-    // Same convention as --save-every: 0 is a contradiction (a hot tier
-    // with no replicas), and a factor that reaches the world size would
-    // wrap the placement ring back onto the source rank — reject both
-    // rather than clamp.
-    if p.hot_replicas == Some(0) {
-        return Err(
-            "--hot-replicas must be >= 1 (each rank pushes its shard to that many peers; to \
-             train without the hot tier, drop --hot-replicas)"
-                .to_string(),
-        );
-    }
-    if let Some(k) = p.hot_replicas {
-        if k >= target.world_size() {
-            return Err(format!(
-                "--hot-replicas ({k}) must be < the world size ({}): the placement ring needs \
-                 that many distinct successor ranks per shard",
-                target.world_size()
-            ));
-        }
-        if p.overlapped {
-            return Err(
-                "--hot-replicas runs under the restart supervisor and cannot be combined with \
-                 --overlapped yet; drop one of the two flags"
-                    .to_string(),
-            );
-        }
-    }
+    // Same convention for --hot-replicas: 0 (a hot tier with no replicas)
+    // and a factor that reaches the world size are rejected, not clamped.
+    let save = save_policy(p);
+    save.validate(p.hot_replicas, target.world_size())?;
     let plan = TrainPlan {
         config,
         until_iteration: iters,
@@ -280,26 +267,17 @@ pub fn train(p: &Parsed) -> Result<(), String> {
     };
     metrics_begin(p);
     trace_begin(p);
-    let result = if let Some(k) = p.hot_replicas {
-        // The hot tier is a supervisor feature: replication rides the save
-        // boundary and recovery consults the replica banks, so the run goes
-        // through `supervise` (faults only fire if UCP_RANK_FAULTS arms
-        // them).
-        let opts = SupervisorOptions {
-            hot_replicas: Some(k),
-            ..SupervisorOptions::default()
-        };
-        supervise(&plan, &opts)
-            .map(|mut rep| rep.segments.pop().expect("supervise returns >=1 segment"))
-    } else if p.overlapped {
-        let opts = OverlappedOptions {
-            universal_save: !p.no_universal_save,
-        };
-        train_run_overlapped_with(&plan, &opts)
-    } else {
-        train_run(&plan)
-    }
-    .map_err(|e| format!("{e:?}"))?;
+    // Every run goes through the restart supervisor: the hot tier's
+    // recovery lives there, and faults only fire if UCP_RANK_FAULTS arms
+    // them.
+    let opts = SupervisorOptions {
+        hot_replicas: p.hot_replicas,
+        save,
+        ..SupervisorOptions::default()
+    };
+    let result = supervise(&plan, &opts)
+        .map(|mut rep| rep.segments.pop().expect("supervise returns >=1 segment"))
+        .map_err(|e| format!("{e:?}"))?;
     for (iter, loss) in &result.losses {
         println!("iter {iter}: loss {loss:.6}");
     }
@@ -308,7 +286,7 @@ pub fn train(p: &Parsed) -> Result<(), String> {
         result.save_secs,
         dir.display()
     );
-    if p.overlapped && !p.no_universal_save {
+    if save.universal {
         match layout::read_latest_universal(&dir) {
             Some(step) => println!(
                 "universal checkpoint published at save time: step {step} (resume under any \
@@ -608,12 +586,11 @@ pub fn trace(p: &Parsed) -> Result<(), String> {
     };
     convert_to_universal(&dir, step, &opts).map_err(|e| e.to_string())?;
     // 3. Universal load for every rank of the same strategy.
-    let universal = layout::universal_dir(&dir, step);
-    let manifest = UcpManifest::load(&universal).map_err(|e| e.to_string())?;
+    let session = LoadSession::open(&dir, step, LoadOptions::with_workers(workers))
+        .map_err(|e| e.to_string())?;
     for rank in 0..parallel.world_size() {
-        let rank_plan = gen_ucp_metadata(&manifest, &parallel, rank, DEFAULT_ALIGNMENT)
-            .map_err(|e| e.to_string())?;
-        load_with_plan_device(&universal, &rank_plan, workers, &Device::unlimited())
+        session
+            .load_rank(&parallel, rank, DEFAULT_ALIGNMENT)
             .map_err(|e| e.to_string())?;
     }
 
@@ -913,23 +890,13 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
     for t in &targets {
         model.validate(t.tp)?;
     }
-    if p.hot_replicas == Some(0) {
-        return Err(
-            "--hot-replicas must be >= 1 (drop the flag for disk-only recovery cells)".to_string(),
-        );
-    }
-    if let Some(k) = p.hot_replicas {
-        let min_world = std::iter::once(&source)
-            .chain(targets.iter())
-            .map(|t| t.world_size())
-            .min()
-            .unwrap_or(1);
-        if k >= min_world {
-            return Err(format!(
-                "--hot-replicas ({k}) must be < the smallest topology in the sweep ({min_world})"
-            ));
-        }
-    }
+    let save = save_policy(p);
+    let min_world = std::iter::once(&source)
+        .chain(targets.iter())
+        .map(|t| t.world_size())
+        .min()
+        .unwrap_or(1);
+    save.validate(p.hot_replicas, min_world)?;
     let faults_per_cell = match p.faults_per_cell {
         Some(0) => {
             return Err(
@@ -1004,6 +971,7 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
                     ladder: vec![target],
                     faults,
                     hot_replicas: p.hot_replicas,
+                    save,
                 };
                 let t0 = Instant::now();
                 let cell = match ucp_trainer::supervise(&plan, &opts) {

@@ -3,17 +3,13 @@
 //! The save pipeline's overlapped writers assemble universal atoms across
 //! ranks *while training continues*, so they cannot borrow the cluster's
 //! [`crate::Comm`] endpoints (those belong to the training threads and
-//! carry the SPMD collective traffic). Two flavors are provided:
-//!
-//! * [`endpoints`] builds a disposable all-to-all mesh of per-pair FIFO
-//!   channels for a single exchange round (used e.g. by fleet metric
-//!   gathering).
-//! * [`Mesh`] is a *persistent* all-to-all fabric whose O(world²) channels
-//!   are created once and reused across many exchange rounds. Each round
-//!   (a save step) claims an [`EpochLease`] tagged with a monotonically
-//!   increasing epoch; messages of different epochs share the underlying
-//!   channels and are demultiplexed at the receiving port, so per-pair
-//!   FIFO order holds *within* an epoch regardless of interleaving.
+//! carry the SPMD collective traffic). They exchange over a [`Mesh`]: a
+//! *persistent* all-to-all fabric whose O(world²) channels are created
+//! once and reused across many exchange rounds. Each round (a save step)
+//! claims an [`EpochLease`] tagged with a monotonically increasing epoch;
+//! messages of different epochs share the underlying channels and are
+//! demultiplexed at the receiving port, so per-pair FIFO order holds
+//! *within* an epoch regardless of interleaving.
 //!
 //! Failure semantics mirror the main fabric: when a writer dies, the hangup
 //! of its channel endpoints surfaces at every peer as
@@ -23,74 +19,11 @@
 //! peers see `Disconnected` promptly instead of waiting out the deadline.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::CommError;
-
-/// One rank's endpoint of a disposable all-to-all exchange: a sender to
-/// every rank and a receiver from every rank (including itself — self
-/// channels keep send/receive code uniform and are FIFO like any other).
-pub struct Endpoint<M> {
-    rank: usize,
-    txs: Vec<Sender<M>>,
-    rxs: Vec<Receiver<M>>,
-}
-
-/// Build the endpoints of a `world`-rank exchange. Endpoint `r` belongs to
-/// rank `r`; the vector is indexed by rank.
-pub fn endpoints<M: Send>(world: usize) -> Vec<Endpoint<M>> {
-    let mut txs: Vec<Vec<Sender<M>>> = (0..world).map(|_| Vec::with_capacity(world)).collect();
-    let mut rxs: Vec<Vec<Receiver<M>>> = (0..world).map(|_| Vec::with_capacity(world)).collect();
-    for dst_rxs in rxs.iter_mut() {
-        for src_txs in txs.iter_mut() {
-            let (tx, rx) = channel();
-            src_txs.push(tx);
-            dst_rxs.push(rx);
-        }
-    }
-    txs.into_iter()
-        .zip(rxs)
-        .enumerate()
-        .map(|(rank, (txs, rxs))| Endpoint { rank, txs, rxs })
-        .collect()
-}
-
-impl<M> Endpoint<M> {
-    /// The owning rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the exchange.
-    pub fn world(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Send `msg` to rank `to`. Never blocks (channels are unbounded);
-    /// fails with [`CommError::Disconnected`] if the destination endpoint
-    /// was dropped (its writer died or never ran).
-    pub fn send(&self, to: usize, msg: M) -> Result<(), CommError> {
-        self.txs[to]
-            .send(msg)
-            .map_err(|_| CommError::Disconnected { peer: to })
-    }
-
-    /// Receive the next message rank `from` sent to this rank, waiting at
-    /// most `deadline`. Per-pair channels are FIFO, so messages from one
-    /// peer arrive in its send order regardless of interleaving with other
-    /// peers.
-    pub fn recv_from(&self, from: usize, deadline: Duration) -> Result<M, CommError> {
-        self.rxs[from].recv_timeout(deadline).map_err(|e| match e {
-            RecvTimeoutError::Timeout => CommError::Timeout {
-                peer: from,
-                waited_ms: deadline.as_millis() as u64,
-            },
-            RecvTimeoutError::Disconnected => CommError::Disconnected { peer: from },
-        })
-    }
-}
 
 /// How long a blocked [`EpochLease::recv_from`] sleeps between checks of
 /// its underlying channel when no doorbell rings. Sends and aborts notify
@@ -281,9 +214,9 @@ impl<M: Send> Mesh<M> {
     }
 }
 
-/// One rank's claim on a [`Mesh`] for a single exchange round. API mirrors
-/// [`Endpoint`]: unbounded FIFO sends, deadline receives addressed by
-/// source rank. Dropping the lease without calling
+/// One rank's claim on a [`Mesh`] for a single exchange round: unbounded
+/// FIFO sends (a self channel included, so send/receive code stays
+/// uniform), deadline receives addressed by source rank. Dropping the lease without calling
 /// [`finish`](EpochLease::finish) broadcasts an abort so peers waiting on
 /// this epoch fail with [`CommError::Disconnected`] promptly.
 pub struct EpochLease<M> {
@@ -367,70 +300,9 @@ mod tests {
     const TICK: Duration = Duration::from_secs(5);
 
     #[test]
-    fn roundtrip_across_threads() {
-        let mut eps = endpoints::<(usize, String)>(3);
-        let e2 = eps.pop().unwrap();
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        let t1 = std::thread::spawn(move || {
-            e1.send(0, (1, "from one".into())).unwrap();
-        });
-        let t2 = std::thread::spawn(move || {
-            e2.send(0, (2, "from two".into())).unwrap();
-        });
-        // Receives are addressed by source, so arrival interleaving across
-        // peers doesn't matter.
-        let (r2, m2) = e0.recv_from(2, TICK).unwrap();
-        let (r1, m1) = e0.recv_from(1, TICK).unwrap();
-        assert_eq!((r1, m1.as_str()), (1, "from one"));
-        assert_eq!((r2, m2.as_str()), (2, "from two"));
-        t1.join().unwrap();
-        t2.join().unwrap();
-    }
-
-    #[test]
-    fn self_channel_is_fifo() {
-        let mut eps = endpoints::<u32>(1);
-        let e = eps.pop().unwrap();
-        e.send(0, 7).unwrap();
-        e.send(0, 8).unwrap();
-        assert_eq!(e.recv_from(0, TICK).unwrap(), 7);
-        assert_eq!(e.recv_from(0, TICK).unwrap(), 8);
-    }
-
-    #[test]
-    fn dropped_peer_surfaces_as_disconnected() {
-        let mut eps = endpoints::<u32>(2);
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        drop(e1);
-        assert_eq!(
-            e0.recv_from(1, TICK).unwrap_err(),
-            CommError::Disconnected { peer: 1 }
-        );
-        assert_eq!(
-            e0.send(1, 3).unwrap_err(),
-            CommError::Disconnected { peer: 1 }
-        );
-    }
-
-    #[test]
-    fn silent_peer_surfaces_as_timeout() {
-        let eps = endpoints::<u32>(2);
-        let err = eps[0].recv_from(1, Duration::from_millis(10)).unwrap_err();
-        assert_eq!(
-            err,
-            CommError::Timeout {
-                peer: 1,
-                waited_ms: 10
-            }
-        );
-    }
-
-    #[test]
     fn mesh_reuse_preserves_fifo_across_consecutive_epochs() {
         // One mesh, many save rounds: per-pair FIFO must hold within each
-        // epoch exactly as it did with disposable endpoints.
+        // epoch.
         let mesh = Mesh::<(u64, u32)>::new(2);
         for epoch in 1..=5u64 {
             let tx_lease = mesh.lease(1, epoch);

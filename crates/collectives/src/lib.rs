@@ -23,7 +23,6 @@ pub mod group;
 
 pub use cluster::{Cluster, ClusterOptions, RankFailure};
 pub use comm::{Comm, Payload};
-pub use exchange::Endpoint;
 pub use group::Group;
 
 /// Errors surfaced by the communication layer.

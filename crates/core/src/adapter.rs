@@ -332,7 +332,7 @@ impl SourceAdapter for HfSimAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::{gen_ucp_metadata, load_with_plan, DEFAULT_ALIGNMENT};
+    use crate::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
     use ucp_parallel::{ParallelConfig, ZeroStage};
     use ucp_tensor::DetRng;
 
@@ -370,10 +370,10 @@ mod tests {
 
         // Load as a TP=2, DP=2 target and verify a sharded parameter.
         let target = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1);
-        let universal = layout::universal_dir(&base, 500);
+        let session = LoadSession::open(&base, 500, LoadOptions::default()).unwrap();
         for rank in 0..target.world_size() {
             let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-            let state = load_with_plan(&universal, &plan).unwrap();
+            let state = session.load_plan(&plan).unwrap();
             assert_eq!(state.fp32.len(), plan.layout.chunk);
             // The lm_head shard must equal the top/bottom half of the
             // original.

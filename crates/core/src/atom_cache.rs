@@ -66,7 +66,7 @@ struct AtomEntry {
 type EntryMap = HashMap<(String, AtomFile), Arc<Mutex<AtomEntry>>>;
 
 /// Shared cache of atom contents for one load session. Cheap to create;
-/// share one across the ranks of a `load_universal` fan-out via
+/// share one across the ranks of a load fan-out via
 /// [`crate::load::LoadSession`].
 #[derive(Default)]
 pub struct AtomCache {

@@ -83,30 +83,38 @@ impl OptimShard {
     }
 }
 
-/// Write a (tp, pp) slice's model-states file.
+/// A borrowed [`OptimShard`]: what [`save_optim_states`] writes, so the
+/// trainer persists straight out of its live buffers.
+#[derive(Debug, Clone, Copy)]
+pub struct OptimShardRef<'a> {
+    /// DP rank that owns this chunk.
+    pub dp: usize,
+    /// Flat layout of the whole (tp, pp) slice this chunk belongs to.
+    pub layout: &'a FlatLayout,
+    /// fp32 master chunk.
+    pub fp32: &'a [f32],
+    /// Adam first-moment chunk.
+    pub exp_avg: &'a [f32],
+    /// Adam second-moment chunk.
+    pub exp_avg_sq: &'a [f32],
+}
+
+impl<'a> From<&'a OptimShard> for OptimShardRef<'a> {
+    fn from(s: &'a OptimShard) -> OptimShardRef<'a> {
+        OptimShardRef {
+            dp: s.dp,
+            layout: &s.layout,
+            fp32: &s.fp32,
+            exp_avg: &s.exp_avg,
+            exp_avg_sq: &s.exp_avg_sq,
+        }
+    }
+}
+
+/// Write a (tp, pp) slice's model-states file. `durable` adds an `fsync`
+/// before returning, so telemetry splits serialization (`storage/write`)
+/// from durability (`storage/fsync`).
 pub fn save_model_states(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    params: &ParamStore,
-) -> Result<()> {
-    save_model_states_impl(step_dir, common, tp, pp, params, false)
-}
-
-/// [`save_model_states`] with an `fsync` before returning, so telemetry
-/// splits serialization (`storage/write`) from durability (`storage/fsync`).
-pub fn save_model_states_durable(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    params: &ParamStore,
-) -> Result<()> {
-    save_model_states_impl(step_dir, common, tp, pp, params, true)
-}
-
-fn save_model_states_impl(
     step_dir: &Path,
     common: &CommonState,
     tp: usize,
@@ -123,11 +131,14 @@ fn save_model_states_impl(
     for (name, t) in params.iter() {
         c.push(name.clone(), t.clone());
     }
-    let path = layout::model_states_path(step_dir, tp, pp);
+    write_container(&c, &layout::model_states_path(step_dir, tp, pp), durable)
+}
+
+fn write_container(c: &Container, path: &Path, durable: bool) -> Result<()> {
     if durable {
-        c.write_file_durable(&path)?;
+        c.write_file_durable(path)?;
     } else {
-        c.write_file(&path)?;
+        c.write_file(path)?;
     }
     Ok(())
 }
@@ -152,37 +163,18 @@ pub fn load_model_states(
     ))
 }
 
-/// Write one (dp, tp, pp) rank's optimizer-states file.
-pub fn save_optim_states(
+/// Write one (dp, tp, pp) rank's optimizer-states file from borrowed
+/// buffers (an `&OptimShard` converts). `durable` as in
+/// [`save_model_states`].
+pub fn save_optim_states<'a>(
     step_dir: &Path,
     common: &CommonState,
     tp: usize,
     pp: usize,
-    shard: &OptimShard,
-) -> Result<()> {
-    save_optim_states_impl(step_dir, common, tp, pp, shard, false)
-}
-
-/// [`save_optim_states`] with an `fsync` before returning, so telemetry
-/// splits serialization (`storage/write`) from durability (`storage/fsync`).
-pub fn save_optim_states_durable(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    shard: &OptimShard,
-) -> Result<()> {
-    save_optim_states_impl(step_dir, common, tp, pp, shard, true)
-}
-
-fn save_optim_states_impl(
-    step_dir: &Path,
-    common: &CommonState,
-    tp: usize,
-    pp: usize,
-    shard: &OptimShard,
+    shard: impl Into<OptimShardRef<'a>>,
     durable: bool,
 ) -> Result<()> {
+    let shard = shard.into();
     let header = serde_json::to_string(&OptimStatesHeader {
         common: common.clone(),
         dp: shard.dp,
@@ -193,22 +185,20 @@ fn save_optim_states_impl(
     let mut c = Container::new(header);
     let chunk = shard.fp32.len();
     for (key, data) in [
-        ("fp32", &shard.fp32),
-        ("exp_avg", &shard.exp_avg),
-        ("exp_avg_sq", &shard.exp_avg_sq),
+        ("fp32", shard.fp32),
+        ("exp_avg", shard.exp_avg),
+        ("exp_avg_sq", shard.exp_avg_sq),
     ] {
         c.push(
             key,
-            Tensor::from_vec(data.clone(), [chunk]).map_err(UcpError::Tensor)?,
+            Tensor::from_vec(data.to_vec(), [chunk]).map_err(UcpError::Tensor)?,
         );
     }
-    let path = layout::optim_states_path(step_dir, shard.dp, tp, pp);
-    if durable {
-        c.write_file_durable(&path)?;
-    } else {
-        c.write_file(&path)?;
-    }
-    Ok(())
+    write_container(
+        &c,
+        &layout::optim_states_path(step_dir, shard.dp, tp, pp),
+        durable,
+    )
 }
 
 /// Read one (dp, tp, pp) rank's optimizer-states file.
@@ -285,7 +275,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("a.weight", Tensor::randn([4, 2], 1.0, &rng.derive("a")));
         store.insert("b.weight", Tensor::randn([3], 1.0, &rng.derive("b")));
-        save_model_states(&dir, &common(), 1, 0, &store).unwrap();
+        save_model_states(&dir, &common(), 1, 0, &store, false).unwrap();
         let (c, params) = load_model_states(&dir, 1, 0).unwrap();
         assert_eq!(c, common());
         assert_eq!(params.len(), 2);
@@ -304,7 +294,7 @@ mod tests {
             exp_avg: vec![2.0; layout.chunk],
             exp_avg_sq: vec![3.0; layout.chunk],
         };
-        save_optim_states(&dir, &common(), 0, 1, &shard).unwrap();
+        save_optim_states(&dir, &common(), 0, 1, &shard, false).unwrap();
         let (c, back) = load_optim_states(&dir, 1, 0, 1).unwrap();
         assert_eq!(c.iteration, 100);
         assert_eq!(back, shard);
@@ -316,7 +306,7 @@ mod tests {
     fn wrong_coordinates_detected() {
         let dir = tmp("coords");
         let store = ParamStore::new();
-        save_model_states(&dir, &common(), 0, 0, &store).unwrap();
+        save_model_states(&dir, &common(), 0, 0, &store, false).unwrap();
         // Copy the file to a wrong location and load from there.
         let src = layout::model_states_path(&dir, 0, 0);
         let dst = layout::model_states_path(&dir, 1, 0);

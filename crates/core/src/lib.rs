@@ -45,14 +45,11 @@ pub mod util;
 
 pub use assemble::{build_manifest, write_atom_file, StageAssembler, StageAtoms};
 pub use atom_cache::AtomCache;
-pub use checkpoint::{CommonState, OptimShard};
+pub use checkpoint::{CommonState, OptimShard, OptimShardRef};
 pub use convert::{convert_to_universal, ConvertOptions, ConvertStats};
 pub use fsck::{fsck, FsckOptions, FsckProblem, FsckReport};
 pub use language::{UcpSpec, UcpSpecBuilder};
-pub use load::{
-    gen_ucp_metadata, load_universal, load_with_plan, load_with_plan_device, load_with_plan_opts,
-    load_with_plan_workers, LoadOptions, LoadPlan, LoadSession, RankState,
-};
+pub use load::{gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState};
 pub use manifest::{AtomMeta, UcpManifest};
 pub use memory::{HotShard, MemoryCheckpoint};
 pub use pattern::{FragmentSpec, ParamPattern};

@@ -4,7 +4,7 @@
 //! configuration, [`gen_ucp_metadata`] computes, per rank, the new
 //! partition metadata — which slice of which atom lands where in the
 //! rank's flat ZeRO chunk, with alignment padding re-introduced — and
-//! [`load_with_plan`] executes the reads.
+//! [`LoadSession`] executes the reads.
 //!
 //! The default *ranged* load path reads only the bytes a rank needs: each
 //! entry's shard is translated into element runs of the flattened atom
@@ -159,8 +159,13 @@ impl LoadSession {
         rank: usize,
         alignment: usize,
     ) -> Result<RankState> {
-        let plan = gen_ucp_metadata(&self.manifest, target, rank, alignment)?;
-        execute_plan(&self.universal, &plan, &self.opts, &self.cache)
+        self.load_plan(&gen_ucp_metadata(&self.manifest, target, rank, alignment)?)
+    }
+
+    /// `Load` alone: execute a precomputed plan (from [`gen_ucp_metadata`]
+    /// over this session's manifest) against the shared cache.
+    pub fn load_plan(&self, plan: &LoadPlan) -> Result<RankState> {
+        execute_plan(&self.universal, plan, &self.opts, &self.cache)
     }
 }
 
@@ -266,55 +271,6 @@ fn read_atom(universal_dir: &Path, name: &str, file: AtomFile, device: &Device) 
     c.get(file.state_key())
         .cloned()
         .ok_or_else(|| UcpError::Inconsistent(format!("atom {name} missing {}", file.state_key())))
-}
-
-/// Execute a load plan against a universal checkpoint directory (the `Load`
-/// operation). Returns this rank's reconstructed state.
-pub fn load_with_plan(universal_dir: &Path, plan: &LoadPlan) -> Result<RankState> {
-    load_with_plan_workers(universal_dir, plan, 1)
-}
-
-/// [`load_with_plan`] with the atom reads fanned out over `workers`
-/// threads — the loading-efficiency improvement the paper lists as future
-/// work. Produces identical state to the serial path (asserted by tests);
-/// the ablation bench measures the speedup.
-pub fn load_with_plan_workers(
-    universal_dir: &Path,
-    plan: &LoadPlan,
-    workers: usize,
-) -> Result<RankState> {
-    load_with_plan_opts(universal_dir, plan, &LoadOptions::with_workers(workers))
-}
-
-/// [`load_with_plan_workers`] reading every atom through a bandwidth-
-/// throttled [`Device`] — the CLI and benches use this to emulate
-/// fixed-bandwidth storage; with an unlimited device it is the identity.
-pub fn load_with_plan_device(
-    universal_dir: &Path,
-    plan: &LoadPlan,
-    workers: usize,
-    device: &Device,
-) -> Result<RankState> {
-    load_with_plan_opts(
-        universal_dir,
-        plan,
-        &LoadOptions {
-            workers,
-            device: *device,
-            ranged: true,
-        },
-    )
-}
-
-/// [`load_with_plan`] with full control over workers, device, and the
-/// ranged/full read strategy. Uses a fresh single-rank atom cache; share
-/// reads across ranks with [`LoadSession`] instead.
-pub fn load_with_plan_opts(
-    universal_dir: &Path,
-    plan: &LoadPlan,
-    opts: &LoadOptions,
-) -> Result<RankState> {
-    execute_plan(universal_dir, plan, opts, &AtomCache::new())
 }
 
 /// Per-entry phase-1 output: the fp32 shard of the whole parameter plus
@@ -544,18 +500,4 @@ pub(crate) fn scatter(chunk: &mut [f32], shard_flat: &[f32], fragments: &[FlatFr
         chunk[f.chunk_offset..f.chunk_offset + f.len]
             .copy_from_slice(&shard_flat[f.param_offset..f.param_offset + f.len]);
     }
-}
-
-/// Convenience: `GenUcpMetadata` + `Load` for one rank, reading the
-/// manifest from disk.
-pub fn load_universal(
-    base: &Path,
-    step: u64,
-    target: &ParallelConfig,
-    rank: usize,
-    alignment: usize,
-) -> Result<(UcpManifest, RankState)> {
-    let session = LoadSession::open(base, step, LoadOptions::default())?;
-    let state = session.load_rank(target, rank, alignment)?;
-    Ok((session.manifest.clone(), state))
 }

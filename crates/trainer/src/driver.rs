@@ -1,17 +1,26 @@
 //! Run drivers: complete train → checkpoint → reconfigure → resume flows.
 //!
-//! These wrap [`crate::RankEngine`] in [`ucp_collectives::Cluster`] runs
-//! and are the entry points used by the figure harness, integration tests,
-//! and examples.
+//! One segment runner wraps [`crate::RankEngine`] in a
+//! [`ucp_collectives::Cluster`] run — one fan-out, one step loop — and acts
+//! on a [`SavePolicy`] at each save boundary. [`train_run`],
+//! [`train_run_overlapped`] and [`crate::supervisor::supervise`] are named
+//! presets over it: the entry points used by the figure harness,
+//! integration tests, and examples.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use ucp_collectives::Cluster;
+use ucp_collectives::{Cluster, ClusterOptions, Comm, RankFailure};
 use ucp_core::convert::{convert_to_universal, ConvertOptions, ConvertStats};
 use ucp_core::load::{LoadOptions, LoadSession};
 use ucp_core::manifest::UcpManifest;
+use ucp_storage::JournalEvent;
+use ucp_telemetry::fleet::{aggregate, RankSnapshot};
+use ucp_telemetry::trace::{self, TraceCat};
+use ucp_telemetry::{Recorder, Report};
 
-use crate::engine::{RankEngine, TrainConfig};
+use crate::engine::{RankEngine, TrainConfig, UniversalSource};
+use crate::snapshot::{PendingSave, SnapshotPool};
 use crate::TrainError;
 
 /// How a run obtains its initial state.
@@ -91,330 +100,470 @@ pub struct RunResult {
     pub metrics: Vec<crate::engine::IterStats>,
 }
 
-/// Execute a training plan on an in-process cluster. Returns the per-rank
-/// agreed result (losses are identical on every rank; rank 0's copy is
-/// returned).
-pub fn train_run(plan: &TrainPlan) -> Result<RunResult, TrainError> {
-    plan.config.validate().map_err(TrainError::Config)?;
-    let world = plan.config.parallel.world_size();
-    // One load session for the whole fan-out: ranks needing the same atom
-    // ranges (all DP replicas of a (tp, pp) slice) share the cached bytes
-    // instead of each re-reading them.
-    let session = open_resume_session(&plan.resume)?;
-    // Fleet metric mesh: per-rank recorders gathered to rank 0 at run end
-    // (only when telemetry is on — the mesh itself is cheap, but skipping
-    // it keeps the disabled path allocation-free).
-    let fleet = ucp_telemetry::enabled().then(|| crate::fleet::FleetMesh::new(world));
-    let results = Cluster::run(world, |comm| -> Result<RunResult, String> {
-        let t_load = std::time::Instant::now();
-        let rank = comm.rank();
-        let mut engine = match &plan.resume {
-            ResumeMode::Fresh => RankEngine::fresh(plan.config.clone(), comm),
-            ResumeMode::Native { dir, step } => {
-                RankEngine::resume_native(plan.config.clone(), comm, dir, *step)
-            }
-            ResumeMode::Universal { .. } => RankEngine::resume_universal_session(
-                plan.config.clone(),
-                comm,
-                session.as_ref().expect("session opened for Universal"),
+/// Where a save boundary persists the rank's files.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Persist {
+    /// On the training thread: every rank writes its files, then the
+    /// world barriers and rank 0 commits `latest`.
+    #[default]
+    Sync,
+    /// CheckFreq/Gemini-style: the rank takes an in-memory snapshot — the
+    /// only blocking cost — and a background thread writes the files while
+    /// training continues. A step's `latest` is published once its writers
+    /// have drained (at the next boundary, or at run end).
+    Overlapped,
+}
+
+/// What happens at a save boundary. The presets ([`train_run`],
+/// [`train_run_overlapped`]) and the supervisor all run the same step
+/// loop; this is the only thing they differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SavePolicy {
+    /// Where the native files are written.
+    pub persist: Persist,
+    /// Run the born-universal save pipeline ([`crate::pipeline`]): the
+    /// background writers assemble universal atom checkpoints while
+    /// persisting, and rank 0's writer publishes `latest_universal` once
+    /// its manifest is durable and the step's native `latest` has been
+    /// committed — resume needs no convert pass.
+    pub universal: bool,
+}
+
+impl SavePolicy {
+    /// Overlapped persist with the born-universal pipeline.
+    pub const BORN_UNIVERSAL: SavePolicy = SavePolicy {
+        persist: Persist::Overlapped,
+        universal: true,
+    };
+
+    /// The one place a combination of save policy and hot-tier factor is
+    /// rejected. `min_world` is the smallest world size the run can reach
+    /// (the plan's, or the smallest ladder rung under supervision).
+    pub fn validate(&self, hot_replicas: Option<usize>, min_world: usize) -> Result<(), String> {
+        if self.persist == Persist::Sync && self.universal {
+            return Err(
+                "SavePolicy { persist: Sync, universal: true } is not supported: `universal` \
+                 assembles atoms on the background writers only `persist: Overlapped` spawns — \
+                 a synchronous save would put atom assembly on the training thread (convert \
+                 after the fact instead)"
+                    .to_string(),
+            );
+        }
+        match hot_replicas {
+            Some(0) => Err(
+                "hot_replicas must be >= 1: each rank pushes its shard to that many peers \
+                 (disable the hot tier by not setting it)"
+                    .to_string(),
             ),
-            ResumeMode::Hot { checkpoint } => RankEngine::resume_universal_source(
-                plan.config.clone(),
-                comm,
-                &crate::engine::UniversalSource::Memory(checkpoint.as_ref()),
-            ),
-        }
-        .map_err(|e| e.to_string())?;
-        let load_secs = t_load.elapsed().as_secs_f64();
-
-        let start_iteration = engine.iteration;
-        let local = fleet.as_ref().map(|_| ucp_telemetry::Recorder::new());
-        let mut losses = Vec::new();
-        let mut metrics = Vec::new();
-        let mut save_secs = 0.0f64;
-        while engine.iteration < plan.until_iteration {
-            let it = engine.iteration;
-            let t_it = local.as_ref().map(|_| std::time::Instant::now());
-            let loss = engine.train_iteration().map_err(|e| e.to_string())?;
-            if let (Some(loc), Some(t)) = (&local, t_it) {
-                loc.count("rank/iterations", 1);
-                loc.observe("rank/step_us", t.elapsed().as_micros() as u64);
-            }
-            losses.push((it + 1, loss));
-            metrics.extend(engine.last_stats);
-            if let (Some(every), Some(dir)) = (plan.checkpoint_every, &plan.checkpoint_dir) {
-                if engine.iteration % every == 0 {
-                    let t0 = std::time::Instant::now();
-                    let step = engine.iteration;
-                    if rank == 0 {
-                        journal(dir, &ucp_storage::JournalEvent::SaveStarted { step })?;
-                    }
-                    engine.save_checkpoint(dir).map_err(|e| e.to_string())?;
-                    // The save barriers internally: when rank 0 returns,
-                    // every rank's files and the `latest` marker are
-                    // published.
-                    if rank == 0 {
-                        journal(dir, &ucp_storage::JournalEvent::NativePersisted { step })?;
-                    }
-                    save_secs += t0.elapsed().as_secs_f64();
-                    if let Some(loc) = &local {
-                        loc.observe("rank/save_block_us", t0.elapsed().as_micros() as u64);
-                    }
-                }
-            }
-        }
-        if let (Some(mesh), Some(loc)) = (fleet.as_ref(), local.as_ref()) {
-            crate::fleet::gather(mesh, rank, loc);
-        }
-        Ok(RunResult {
-            losses,
-            start_iteration,
-            save_secs,
-            load_secs,
-            metrics,
-        })
-    });
-
-    collect_results(results)
-}
-
-/// Append a run-journal event under `dir`, mapping the error into the
-/// cluster closure's `String` error space.
-fn journal(dir: &Path, event: &ucp_storage::JournalEvent) -> Result<(), String> {
-    ucp_storage::journal::append(dir, event).map_err(|e| e.to_string())
-}
-
-/// Options for the overlapped training driver.
-#[derive(Debug, Clone)]
-pub struct OverlappedOptions {
-    /// Run the born-universal save pipeline: background writers assemble
-    /// universal atom checkpoints while persisting, and rank 0's writer
-    /// publishes `latest_universal` as soon as its manifest is durable and
-    /// the step's native `latest` has been committed — resume needs no
-    /// convert pass and training never blocks on atom assembly. Off, the
-    /// driver matches the pre-pipeline behavior (native files and
-    /// `latest` only).
-    pub universal_save: bool,
-}
-
-impl Default for OverlappedOptions {
-    fn default() -> OverlappedOptions {
-        OverlappedOptions {
-            universal_save: true,
+            // The factor must leave room for K distinct successor ranks in
+            // *every* topology the run can degrade to, or a late rung would
+            // wrap the placement ring onto the source rank itself.
+            Some(k) if k >= min_world => Err(format!(
+                "hot_replicas ({k}) must be < the smallest world size the run can reach \
+                 ({min_world}): the placement ring needs that many distinct successor ranks"
+            )),
+            _ => Ok(()),
         }
     }
 }
 
-/// Like [`train_run`], but checkpoint persistence overlaps training
-/// (CheckFreq/Gemini-style): at each checkpoint boundary the rank takes an
-/// in-memory snapshot — the only blocking cost — and a background thread
-/// writes the files while training continues. The writers also run the
-/// born-universal save pipeline ([`crate::pipeline`]), so each step's
-/// universal atom checkpoints are assembled during the overlapped persist.
-/// The `latest` and `latest_universal` markers for a step are published as
-/// soon as that step's writers have drained (at the next checkpoint
-/// boundary, or at run end), so a crash mid-run resumes from the newest
-/// completed save — under *any* target strategy, with no convert pass.
-/// The native on-disk checkpoints are byte-identical to the synchronous
-/// path.
-pub fn train_run_overlapped(plan: &TrainPlan) -> Result<RunResult, TrainError> {
-    train_run_overlapped_with(plan, &OverlappedOptions::default())
+/// Execute a training plan on an in-process cluster with synchronous
+/// native saves. Returns the per-rank agreed result (losses are identical
+/// on every rank; rank 0's copy is returned).
+pub fn train_run(plan: &TrainPlan) -> Result<RunResult, TrainError> {
+    run_unsupervised(plan, SavePolicy::default())
 }
 
-/// [`train_run_overlapped`] with explicit [`OverlappedOptions`].
-pub fn train_run_overlapped_with(
-    plan: &TrainPlan,
-    opts: &OverlappedOptions,
-) -> Result<RunResult, TrainError> {
+/// Like [`train_run`], but under [`SavePolicy::BORN_UNIVERSAL`]: checkpoint
+/// persistence overlaps training and each step's universal atom
+/// checkpoints are assembled during the overlapped persist, so a crash
+/// mid-run resumes from the newest completed save — under *any* target
+/// strategy, with no convert pass. The native on-disk checkpoints are
+/// byte-identical to the synchronous path.
+pub fn train_run_overlapped(plan: &TrainPlan) -> Result<RunResult, TrainError> {
+    run_unsupervised(plan, SavePolicy::BORN_UNIVERSAL)
+}
+
+fn run_unsupervised(plan: &TrainPlan, policy: SavePolicy) -> Result<RunResult, TrainError> {
+    let segment = Segment {
+        policy,
+        deadline: ClusterOptions::default().deadline,
+        step_hook: None,
+        hot: None,
+    };
+    run_segment(plan, &segment).map_err(|e| match e {
+        SegmentError::Hard(e) => e,
+        SegmentError::Failure(failure) => TrainError::Config(failure.to_string()),
+    })
+}
+
+/// Called by every rank before each iteration, with the iteration about to
+/// run (the supervisor's fault injector; it may sleep or panic).
+pub(crate) type StepHook<'a> = &'a (dyn Fn(&Comm, u64) + Sync);
+
+/// What one cluster run of the step loop is armed with, besides the plan.
+pub(crate) struct Segment<'a> {
+    /// What a save boundary does.
+    pub policy: SavePolicy,
+    /// Watchdog deadline for the run's collectives and hot-tier pushes.
+    pub deadline: Duration,
+    /// The per-iteration hook, if any.
+    pub step_hook: Option<StepHook<'a>>,
+    /// Peer-replicate every save into this tier.
+    pub hot: Option<&'a crate::hot::HotTier>,
+}
+
+/// Why a segment did not complete.
+pub(crate) enum SegmentError {
+    /// A rank died; recoverable under supervision.
+    Failure(RankFailure),
+    /// A non-failure error (bad config, unreadable checkpoint, ...).
+    Hard(TrainError),
+}
+
+/// Reject plans the step loop cannot run. `checkpoint_every: Some(0)`
+/// would divide by zero at the first boundary check, and a cadence with
+/// nowhere to save would silently train without checkpoints.
+fn validate_plan(plan: &TrainPlan) -> Result<(), TrainError> {
     plan.config.validate().map_err(TrainError::Config)?;
+    match (plan.checkpoint_every, &plan.checkpoint_dir) {
+        (Some(0), _) => Err(TrainError::Config(
+            "checkpoint_every must be >= 1 (use None to disable periodic saving)".into(),
+        )),
+        (Some(_), None) => Err(TrainError::Config(
+            "checkpoint_every is set but checkpoint_dir is None: nowhere to save".into(),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The segment runner: one cluster fan-out, one step loop. Every entry
+/// point — the presets above and each segment of
+/// [`crate::supervisor::supervise`] — is this function under a different
+/// [`Segment`].
+pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResult, SegmentError> {
+    validate_plan(plan).map_err(SegmentError::Hard)?;
     let world = plan.config.parallel.world_size();
-    let session = open_resume_session(&plan.resume)?;
+    // Resolve the resume mode once, before the fan-out. A universal
+    // resume opens one load session for all ranks: those needing the same
+    // atom ranges (all DP replicas of a (tp, pp) slice) share the cached
+    // bytes instead of each re-reading them.
+    let session;
+    let start = match &plan.resume {
+        ResumeMode::Fresh => Start::Fresh,
+        ResumeMode::Native { dir, step } => Start::Native(dir, *step),
+        ResumeMode::Universal { dir, step } => {
+            session = LoadSession::open(dir, *step, LoadOptions::default())
+                .map_err(|e| SegmentError::Hard(TrainError::Ucp(e)))?;
+            Start::Universal(UniversalSource::Session(&session))
+        }
+        ResumeMode::Hot { checkpoint } => {
+            Start::Universal(UniversalSource::Memory(checkpoint.as_ref()))
+        }
+    };
     // One persistent exchange mesh for the whole run, wired before the
     // fan-out so every rank's background writer leases the same fabric.
     // Each save step claims an epoch-tagged lease instead of paying for a
     // fresh O(world²) mesh — the fixed cost that dominates at
     // per-iteration cadence.
-    let pipelines = opts
-        .universal_save
+    let pipelines = seg
+        .policy
+        .universal
         .then(|| crate::pipeline::SavePipelines::new(world));
-    let fleet = ucp_telemetry::enabled().then(|| crate::fleet::FleetMesh::new(world));
-    let results = Cluster::run(world, |comm| -> Result<RunResult, String> {
-        let t_load = std::time::Instant::now();
-        let rank = comm.rank();
-        let mut engine = match &plan.resume {
-            ResumeMode::Fresh => RankEngine::fresh(plan.config.clone(), comm),
-            ResumeMode::Native { dir, step } => {
-                RankEngine::resume_native(plan.config.clone(), comm, dir, *step)
-            }
-            ResumeMode::Universal { .. } => RankEngine::resume_universal_session(
-                plan.config.clone(),
-                comm,
-                session.as_ref().expect("session opened for Universal"),
-            ),
-            ResumeMode::Hot { checkpoint } => RankEngine::resume_universal_source(
-                plan.config.clone(),
-                comm,
-                &crate::engine::UniversalSource::Memory(checkpoint.as_ref()),
-            ),
+    if let Some(tier) = seg.hot {
+        // Fresh mesh + empty replica banks for the new topology: epochs
+        // restart per segment, and stale replicas from a previous shape
+        // cannot masquerade as current ones.
+        tier.begin_segment(world);
+    }
+    let parked = parking_lot::Mutex::new(Vec::new());
+    let rank_run = RankRun {
+        plan,
+        seg,
+        start,
+        pipelines: pipelines.as_ref(),
+        parked: &parked,
+    };
+    let cluster_opts = ClusterOptions {
+        deadline: seg.deadline,
+    };
+    let joined = Cluster::try_run_with(world, &cluster_opts, |comm| rank_run.run(comm));
+    // Writers still in flight on a rank that failed were parked, not
+    // joined. Dropping the pipelines releases rank 0's un-notified
+    // publishers (and hangs up leases no peer will ever claim), so these
+    // joins cannot deadlock; whatever failed the run reports the error.
+    drop(pipelines);
+    for writer in parked.into_inner() {
+        let _ = writer.wait();
+    }
+    let mut snapshots = Vec::new();
+    let results = joined
+        .map_err(SegmentError::Failure)?
+        .into_iter()
+        .enumerate()
+        .map(|(rank, r)| {
+            r.map(|(result, report)| {
+                snapshots.extend(report.map(|report| RankSnapshot { rank, report }));
+                result
+            })
+        })
+        .collect();
+    // Fleet metrics: signals that genuinely differ per rank (iteration
+    // wall time, save stall) ride each rank's return value and fold into
+    // the global recorder as `fleet/*` aggregates.
+    if !snapshots.is_empty() {
+        ucp_telemetry::global().absorb(&aggregate(&snapshots));
+    }
+    collect_results(results).map_err(SegmentError::Hard)
+}
+
+/// A rank's in-flight background writers. Dropped on any exit — error
+/// return or unwind — it parks them with the segment, which joins them
+/// once the cluster is down: no writer outlives [`run_segment`].
+struct InFlight<'a> {
+    /// The newest writer, not yet drained.
+    pending: Option<PendingSave>,
+    /// Drained writers still assembling universal atoms; joined (and
+    /// their errors surfaced) at run end. Bounded so a pipeline that
+    /// can't keep up with the save cadence applies backpressure instead
+    /// of accumulating snapshots.
+    tail: Vec<PendingSave>,
+    parked: &'a parking_lot::Mutex<Vec<PendingSave>>,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let left = self.pending.take().into_iter().chain(self.tail.drain(..));
+        self.parked.lock().extend(left);
+    }
+}
+
+/// A [`ResumeMode`] resolved to what a rank builds its engine from.
+enum Start<'a> {
+    Fresh,
+    Native(&'a Path, u64),
+    Universal(UniversalSource<'a>),
+}
+
+/// Everything a rank's body borrows from [`run_segment`].
+struct RankRun<'a> {
+    plan: &'a TrainPlan,
+    seg: &'a Segment<'a>,
+    start: Start<'a>,
+    pipelines: Option<&'a crate::pipeline::SavePipelines>,
+    parked: &'a parking_lot::Mutex<Vec<PendingSave>>,
+}
+
+impl RankRun<'_> {
+    fn run(&self, comm: &Comm) -> Result<(RunResult, Option<Report>), String> {
+        let plan = self.plan;
+        let t_load = Instant::now();
+        let cfg = plan.config.clone();
+        let mut engine = match &self.start {
+            Start::Fresh => RankEngine::fresh(cfg, comm),
+            Start::Native(dir, step) => RankEngine::resume_native(cfg, comm, dir, *step),
+            Start::Universal(source) => RankEngine::resume_universal_source(cfg, comm, source),
         }
         .map_err(|e| e.to_string())?;
         let load_secs = t_load.elapsed().as_secs_f64();
 
-        // Drain the previous background writer only as far as its native
-        // persist and commit the native `latest` marker. The writer keeps
-        // assembling universal atoms in the background and publishes
-        // `latest_universal` itself once rank 0's training thread reports
-        // the native marker durable — atom assembly never blocks
-        // training. The writer handle is returned so the run can join it
-        // (and surface its errors) at the end.
-        let drain = |engine: &RankEngine,
-                     prev: crate::snapshot::PendingSave,
-                     dir: &Path|
-         -> Result<crate::snapshot::PendingSave, String> {
-            let step = prev.step;
-            let t_drain = ucp_telemetry::enabled().then(std::time::Instant::now);
-            {
-                let _drain =
-                    ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "drain");
-                prev.wait_persisted().map_err(|e| e.to_string())?;
-            }
-            if let Some(t) = t_drain {
-                ucp_telemetry::global().record_span("save/drain", t.elapsed());
-            }
-            // The drained step's native files are complete on every rank:
-            // publish `latest` now, so a crash later in the run loses one
-            // interval, not the whole run.
-            engine
-                .publish_markers(dir, step, false)
-                .map_err(|e| e.to_string())?;
-            // Native marker durable (the publish barrier guarantees it on
-            // every rank): clear the step's writer to publish the
-            // universal marker whenever its manifest lands.
-            if rank == 0 {
-                journal(dir, &ucp_storage::JournalEvent::NativePersisted { step })?;
-                if let Some(p) = pipelines.as_ref() {
-                    p.notify_native_published(step);
-                }
-            }
-            Ok(prev)
-        };
-
         let start_iteration = engine.iteration;
-        let local = fleet.as_ref().map(|_| ucp_telemetry::Recorder::new());
+        let local = ucp_telemetry::enabled().then(Recorder::new);
         let mut losses = Vec::new();
         let mut metrics = Vec::new();
         let mut save_secs = 0.0f64;
-        let mut pending: Option<crate::snapshot::PendingSave> = None;
-        // Drained writers still assembling universal atoms; joined (and
-        // their errors surfaced) at run end. Bounded so a pipeline that
-        // can't keep up with the save cadence applies backpressure
-        // instead of accumulating snapshots.
-        let mut tail: Vec<crate::snapshot::PendingSave> = Vec::new();
+        let mut writers = InFlight {
+            pending: None,
+            tail: Vec::new(),
+            parked: self.parked,
+        };
         // Snapshots come from a bounded pool of reusable buffers sized to
         // the writers the tail bound allows in flight: capturing one is a
         // memcpy into recycled capacity, and a lagging pipeline blocks the
         // next capture instead of growing memory without bound.
-        let snapshot_pool =
-            crate::snapshot::SnapshotPool::new(crate::pipeline::SNAPSHOT_POOL_CAPACITY);
+        let pool = SnapshotPool::new(crate::pipeline::SNAPSHOT_POOL_CAPACITY);
+        let boundary = plan.checkpoint_every.zip(plan.checkpoint_dir.as_deref());
         while engine.iteration < plan.until_iteration {
             let it = engine.iteration;
-            let t_it = local.as_ref().map(|_| std::time::Instant::now());
+            comm.set_step(it);
+            if let Some(hook) = self.seg.step_hook {
+                hook(comm, it);
+            }
+            let t_it = Instant::now();
             let loss = engine.train_iteration().map_err(|e| e.to_string())?;
-            if let (Some(loc), Some(t)) = (&local, t_it) {
+            if let Some(loc) = &local {
                 loc.count("rank/iterations", 1);
-                loc.observe("rank/step_us", t.elapsed().as_micros() as u64);
+                loc.observe("rank/step_us", t_it.elapsed().as_micros() as u64);
             }
             losses.push((it + 1, loss));
             metrics.extend(engine.last_stats);
-            if let (Some(every), Some(dir)) = (plan.checkpoint_every, &plan.checkpoint_dir) {
+            if let Some((every, dir)) = boundary {
                 if engine.iteration % every == 0 {
-                    let t0 = std::time::Instant::now();
-                    if rank == 0 {
-                        journal(
-                            dir,
-                            &ucp_storage::JournalEvent::SaveStarted {
-                                step: engine.iteration,
-                            },
-                        )?;
-                    }
-                    // Only the drain of the previous writer's persist and
-                    // the snapshot block training.
-                    if let Some(prev) = pending.take() {
-                        tail.push(drain(&engine, prev, dir)?);
-                    }
-                    while tail.len() > 2 {
-                        tail.remove(0).wait().map_err(|e| e.to_string())?;
-                    }
-                    let t_snap = ucp_telemetry::enabled().then(std::time::Instant::now);
-                    let snapshot = engine.snapshot_pooled(&snapshot_pool);
-                    if let Some(t) = t_snap {
-                        ucp_telemetry::global().record_span("save/snapshot", t.elapsed());
-                    }
+                    let t0 = Instant::now();
+                    self.save(&mut engine, comm, dir, &pool, &mut writers)?;
                     save_secs += t0.elapsed().as_secs_f64();
                     if let Some(loc) = &local {
                         loc.observe("rank/save_block_us", t0.elapsed().as_micros() as u64);
                     }
-                    let task = pipelines
-                        .as_ref()
-                        .and_then(|p| p.take(engine.iteration, rank));
-                    pending = Some(crate::snapshot::PendingSave::spawn_with(
-                        snapshot,
-                        dir.clone(),
-                        task,
-                    ));
                 }
             }
         }
-        if let Some(prev) = pending.take() {
-            if let Some(dir) = &plan.checkpoint_dir {
-                tail.push(drain(&engine, prev, dir)?);
-            } else {
-                prev.wait().map_err(|e| e.to_string())?;
-            }
+        // (A pending writer implies the boundary that spawned it.)
+        if let (Some(prev), Some((_, dir))) = (writers.pending.take(), boundary) {
+            let drained = self.drain(&engine, comm, prev, dir)?;
+            writers.tail.push(drained);
         }
         // Join every outstanding writer. This is shutdown latency, not a
         // training stall (there is no more training to overlap with), so
         // it lands on its own span.
-        let t_final = ucp_telemetry::enabled().then(std::time::Instant::now);
-        {
-            let _sp =
-                ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "final_drain");
-            for prev in tail {
-                prev.wait().map_err(|e| e.to_string())?;
+        if !writers.tail.is_empty() {
+            let t_final = ucp_telemetry::enabled().then(Instant::now);
+            let _sp = trace::span(TraceCat::Checkpoint, "final_drain");
+            // One at a time, so an error leaves the rest in the guard.
+            while !writers.tail.is_empty() {
+                writers.tail.remove(0).wait().map_err(|e| e.to_string())?;
+            }
+            if let Some(t) = t_final {
+                ucp_telemetry::global().record_span("save/final_drain", t.elapsed());
             }
         }
-        if let Some(t) = t_final {
-            ucp_telemetry::global().record_span("save/final_drain", t.elapsed());
-        }
-        if let (Some(mesh), Some(loc)) = (fleet.as_ref(), local.as_ref()) {
-            crate::fleet::gather(mesh, rank, loc);
-        }
-        Ok(RunResult {
-            losses,
-            start_iteration,
-            save_secs,
-            load_secs,
-            metrics,
-        })
-    });
+        let report = local.map(|loc| loc.report(&format!("rank{}", comm.rank())));
+        Ok((
+            RunResult {
+                losses,
+                start_iteration,
+                save_secs,
+                load_secs,
+                metrics,
+            },
+            report,
+        ))
+    }
 
-    collect_results(results)
-}
+    /// One save boundary at `engine.iteration`.
+    fn save(
+        &self,
+        engine: &mut RankEngine<'_>,
+        comm: &Comm,
+        dir: &Path,
+        pool: &std::sync::Arc<SnapshotPool>,
+        writers: &mut InFlight<'_>,
+    ) -> Result<(), String> {
+        let (rank, step) = (comm.rank(), engine.iteration);
+        if rank == 0 {
+            journal(dir, &JournalEvent::SaveStarted { step })?;
+        }
+        // The hot push below replicates what this boundary captured, so it
+        // needs the dirty runs drained here — one tracker drain per
+        // boundary, shared by the disk save and the RAM push.
+        let dirty = match self.seg.policy.persist {
+            Persist::Sync => {
+                engine.save_checkpoint(dir).map_err(|e| e.to_string())?;
+                // The save barriers internally: when rank 0 returns, every
+                // rank's files and the `latest` marker are published.
+                if rank == 0 {
+                    journal(dir, &JournalEvent::NativePersisted { step })?;
+                }
+                self.seg.hot.map(|_| engine.take_dirty())
+            }
+            Persist::Overlapped => {
+                // Only the drain of the previous writer's persist and the
+                // snapshot block training.
+                if let Some(prev) = writers.pending.take() {
+                    let drained = self.drain(engine, comm, prev, dir)?;
+                    writers.tail.push(drained);
+                }
+                while writers.tail.len() > 2 {
+                    writers.tail.remove(0).wait().map_err(|e| e.to_string())?;
+                }
+                let t_snap = ucp_telemetry::enabled().then(Instant::now);
+                let snapshot = engine.snapshot_pooled(pool);
+                if let Some(t) = t_snap {
+                    ucp_telemetry::global().record_span("save/snapshot", t.elapsed());
+                }
+                let dirty = self.seg.hot.and_then(|_| snapshot.get().dirty.clone());
+                let task = self.pipelines.and_then(|p| p.take(step, rank));
+                writers.pending = Some(PendingSave::spawn_with(snapshot, dir.to_path_buf(), task));
+                dirty
+            }
+        };
+        let (Some(tier), Some(dirty)) = (self.seg.hot, dirty) else {
+            return Ok(());
+        };
+        // Replicate the freshly captured shard into K peer banks. All ranks
+        // save at the same boundary, so the wave completes before any fault
+        // can fire. A push failure degrades to disk-only recovery for this
+        // generation — never fails the run.
+        match tier.replicate(rank, step, engine.hot_shard(), &dirty, self.seg.deadline) {
+            Ok(bytes) if rank == 0 => journal(
+                dir,
+                &JournalEvent::HotReplicated {
+                    step,
+                    ranks: comm.world_size() as u64,
+                    bytes,
+                },
+            ),
+            Ok(_) => Ok(()),
+            Err(e) => {
+                ucp_telemetry::count("hot/replica_errors", 1);
+                eprintln!(
+                    "hot tier: rank {rank} replication at step {step} failed ({e}); this \
+                     generation recovers from disk"
+                );
+                Ok(())
+            }
+        }
+    }
 
-/// Open the shared [`LoadSession`] a universal resume needs (`None` for
-/// the other modes). Opening it before the cluster fan-out is what lets
-/// every rank load through one atom cache.
-pub(crate) fn open_resume_session(resume: &ResumeMode) -> Result<Option<LoadSession>, TrainError> {
-    match resume {
-        ResumeMode::Universal { dir, step } => Ok(Some(
-            LoadSession::open(dir, *step, LoadOptions::default()).map_err(TrainError::Ucp)?,
-        )),
-        _ => Ok(None),
+    /// Drain a background writer only as far as its native persist and
+    /// commit the native `latest` marker. The writer keeps assembling
+    /// universal atoms in the background and publishes `latest_universal`
+    /// itself once rank 0's training thread reports the native marker
+    /// durable — atom assembly never blocks training. The writer handle is
+    /// returned so the run can join it (and surface its errors) later.
+    fn drain(
+        &self,
+        engine: &RankEngine<'_>,
+        comm: &Comm,
+        prev: PendingSave,
+        dir: &Path,
+    ) -> Result<PendingSave, String> {
+        let step = prev.step;
+        let t_drain = ucp_telemetry::enabled().then(Instant::now);
+        {
+            let _drain = trace::span(TraceCat::Checkpoint, "drain");
+            prev.wait_persisted().map_err(|e| e.to_string())?;
+        }
+        if let Some(t) = t_drain {
+            ucp_telemetry::global().record_span("save/drain", t.elapsed());
+        }
+        // The drained step's native files are complete on every rank:
+        // publish `latest` now, so a crash later in the run loses one
+        // interval, not the whole run.
+        engine
+            .publish_markers(dir, step, false)
+            .map_err(|e| e.to_string())?;
+        // Native marker durable (the publish barrier guarantees it on
+        // every rank): clear the step's writer to publish the universal
+        // marker whenever its manifest lands.
+        if comm.rank() == 0 {
+            journal(dir, &JournalEvent::NativePersisted { step })?;
+            if let Some(p) = self.pipelines {
+                p.notify_native_published(step);
+            }
+        }
+        Ok(prev)
     }
 }
 
+/// Append a run-journal event under `dir`, mapping the error into the
+/// cluster closure's `String` error space.
+fn journal(dir: &Path, event: &JournalEvent) -> Result<(), String> {
+    ucp_storage::journal::append(dir, event).map_err(|e| e.to_string())
+}
+
 /// Merge per-rank results, surfacing the most informative error.
-pub(crate) fn collect_results(
+fn collect_results(
     results: Vec<std::result::Result<RunResult, String>>,
 ) -> Result<RunResult, TrainError> {
     let mut out: Option<RunResult> = None;

@@ -15,11 +15,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ucp_collectives::{Comm, Group};
-use ucp_core::checkpoint::{
-    load_optim_states, save_model_states, save_model_states_durable, save_optim_states,
-    save_optim_states_durable, CommonState, OptimShard,
-};
-use ucp_core::load::{LoadOptions, LoadSession};
+use ucp_core::checkpoint::{load_optim_states, CommonState, OptimShard, OptimShardRef};
+use ucp_core::load::LoadSession;
 use ucp_model::{GradStore, ModelConfig, Partition, Stage, StageIn, StageLayout, StageOut};
 use ucp_optim::{clip_scale, AdamConfig, AdamState, LrSchedule};
 use ucp_parallel::{FlatLayout, ParallelConfig, RankCoord};
@@ -315,22 +312,7 @@ impl<'a> RankEngine<'a> {
     }
 
     /// Resume from a *universal* checkpoint under an arbitrary new
-    /// strategy (the headline capability). Opens a private load session;
-    /// when several ranks resume together, share one with
-    /// [`RankEngine::resume_universal_session`] so they share an atom
-    /// cache.
-    pub fn resume_universal(
-        cfg: TrainConfig,
-        comm: &'a Comm,
-        base: &Path,
-        step: u64,
-    ) -> Result<RankEngine<'a>, TrainError> {
-        let session =
-            LoadSession::open(base, step, LoadOptions::default()).map_err(TrainError::Ucp)?;
-        Self::resume_universal_session(cfg, comm, &session)
-    }
-
-    /// [`RankEngine::resume_universal`] against an already-open
+    /// strategy (the headline capability), through an open
     /// [`LoadSession`]. Ranks loading through the same session read each
     /// atom byte range from disk once and serve the rest from the shared
     /// cache.
@@ -733,9 +715,10 @@ impl<'a> RankEngine<'a> {
     /// Capture this rank's state as a hot-tier shard: the peer-replication
     /// payload (common metadata plus a clone of the flat optimizer chunk).
     /// Unlike [`RankEngine::snapshot`] this does not drain the dirty
-    /// tracker — the hot tier drains it explicitly via
-    /// [`RankEngine::take_dirty`] so full and delta pushes share one
-    /// capture path.
+    /// tracker: the save boundary drains it once — via
+    /// [`RankEngine::take_dirty`] after a synchronous save, or as part of
+    /// the snapshot an overlapped save captures — and hands the same runs
+    /// to the push.
     pub fn hot_shard(&self) -> ucp_core::HotShard {
         ucp_core::HotShard {
             common: self.common_state(),
@@ -800,19 +783,13 @@ impl<'a> RankEngine<'a> {
         }
     }
 
-    /// Barrier the world, then let rank 0 record the `latest` marker for
-    /// `step` (split out so overlapped saves can defer it).
-    pub fn publish_latest(&self, base: &Path, step: u64) -> Result<(), TrainError> {
-        self.publish_markers(base, step, false)
-    }
-
     /// Publish a drained save: barrier the world, then let rank 0 commit
     /// the native `latest` marker — and, when `universal` is set, the
     /// step's `latest_universal` right after it (see
     /// `ucp_storage::layout::publish_step_markers` for the ordering
     /// invariant). The entry barrier is what upholds the commit ordering:
     /// every rank's files for the step are durable before a marker lands.
-    /// The overlapped driver always passes `universal: false` — the
+    /// The overlapped save policy always passes `universal: false` — the
     /// born-universal pipeline publishes `latest_universal` from rank 0's
     /// background writer instead, keyed off this publish completing.
     pub fn publish_markers(
@@ -840,52 +817,25 @@ impl<'a> RankEngine<'a> {
     /// additionally records the `latest` marker after a barrier.
     pub fn save_checkpoint(&self, base: &Path) -> Result<(), TrainError> {
         let _save_span = trace::span(TraceCat::Checkpoint, "save");
-        let persist_span = trace::span(TraceCat::Checkpoint, "persist");
-        let t_persist = ucp_telemetry::enabled().then(std::time::Instant::now);
-        let step_dir = disk::step_dir(base, self.iteration);
-        let common = self.common_state();
         let zi = self.zero_index();
-        let durable = self.cfg.durable_saves;
-        // One model-states file per (tp, pp), written by the zi=0 replica.
-        if zi == 0 {
-            if durable {
-                save_model_states_durable(
-                    &step_dir,
-                    &common,
-                    self.coord.tp,
-                    self.coord.pp,
-                    &self.stage.params,
-                )
-            } else {
-                save_model_states(
-                    &step_dir,
-                    &common,
-                    self.coord.tp,
-                    self.coord.pp,
-                    &self.stage.params,
-                )
-            }
-            .map_err(TrainError::Ucp)?;
-        }
-        let shard = OptimShard {
-            dp: zi,
-            layout: self.layout.clone(),
-            fp32: self.master.clone(),
-            exp_avg: self.adam.exp_avg.clone(),
-            exp_avg_sq: self.adam.exp_avg_sq.clone(),
-        };
-        if durable {
-            save_optim_states_durable(&step_dir, &common, self.coord.tp, self.coord.pp, &shard)
-        } else {
-            save_optim_states(&step_dir, &common, self.coord.tp, self.coord.pp, &shard)
-        }
-        .map_err(TrainError::Ucp)?;
-        // Persist time only — the barriers below measure stragglers, not I/O.
-        drop(persist_span);
-        if let Some(t) = t_persist {
-            ucp_telemetry::global().record_span("save/persist", t.elapsed());
-            ucp_telemetry::count("save/snapshots", 1);
-        }
+        // Persist time only — the barriers below measure stragglers, not
+        // I/O. One model-states file per (tp, pp), written by the zi=0
+        // replica.
+        crate::snapshot::persist_rank_files(
+            base,
+            &self.common_state(),
+            self.coord.tp,
+            self.coord.pp,
+            (zi == 0).then_some(&self.stage.params),
+            OptimShardRef {
+                dp: zi,
+                layout: &self.layout,
+                fp32: &self.master,
+                exp_avg: &self.adam.exp_avg,
+                exp_avg_sq: &self.adam.exp_avg_sq,
+            },
+            self.cfg.durable_saves,
+        )?;
         let _publish_span = trace::span(TraceCat::Checkpoint, "publish");
         let world = Group::world(self.comm.world_size());
         self.comm.barrier(&world).map_err(TrainError::Comm)?;

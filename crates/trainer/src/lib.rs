@@ -19,7 +19,6 @@ pub mod data;
 pub mod dirty;
 pub mod driver;
 pub mod engine;
-pub mod fleet;
 pub mod hot;
 pub mod pipeline;
 pub mod snapshot;
@@ -28,8 +27,8 @@ pub mod supervisor;
 pub use comm_group::CommGroup;
 pub use dirty::{DirtyMap, DirtyTracker};
 pub use driver::{
-    convert_checkpoint, resume_run, run_elastic, train_run, train_run_overlapped,
-    train_run_overlapped_with, ElasticPhase, OverlappedOptions, ResumeMode, RunResult, TrainPlan,
+    convert_checkpoint, resume_run, run_elastic, train_run, train_run_overlapped, ElasticPhase,
+    Persist, ResumeMode, RunResult, SavePolicy, TrainPlan,
 };
 pub use engine::{IterStats, PipelineSchedule, RankEngine, TrainConfig, UniversalSource};
 pub use hot::HotTier;

@@ -1,8 +1,10 @@
 //! The born-universal save pipeline: save → convert → publish as one
 //! overlapped background flow.
 //!
-//! At every checkpoint boundary of [`crate::driver::train_run_overlapped`]
-//! each rank's background writer first persists its native fragments
+//! At every checkpoint boundary of a run whose
+//! [`SavePolicy`](crate::driver::SavePolicy) sets `universal` (the
+//! [`train_run_overlapped`](crate::driver::train_run_overlapped) preset, or
+//! a supervised run asked to) each rank's background writer first persists its native fragments
 //! (unchanged), then — instead of leaving consolidation to a later offline
 //! `convert` pass — feeds its extracted flat fragments to a per-stage
 //! [`StageAssembler`], so the universal atom checkpoints materialize

@@ -6,7 +6,7 @@
 //! orthogonal to this optimization — the background writer emits the exact
 //! same native distributed checkpoint — so the two compose: this module
 //! provides the snapshot/writer machinery behind
-//! [`crate::driver::train_run_overlapped`].
+//! the `Overlapped` save policy of [`crate::driver`].
 //!
 //! At per-iteration cadence the snapshot clone itself becomes the fixed
 //! cost, so snapshots are drawn from a bounded [`SnapshotPool`]: a small
@@ -22,8 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use ucp_core::checkpoint::{
-    save_model_states, save_model_states_durable, save_optim_states, save_optim_states_durable,
-    CommonState, OptimShard,
+    save_model_states, save_optim_states, CommonState, OptimShard, OptimShardRef,
 };
 use ucp_model::ParamStore;
 use ucp_storage::layout as disk;
@@ -72,29 +71,44 @@ impl CheckpointSnapshot {
 
     /// Persist the snapshot under `base/global_step<iteration>`.
     pub fn persist(&self, base: &Path) -> Result<(), TrainError> {
-        let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "persist");
-        let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-        let step_dir = disk::step_dir(base, self.common.iteration);
-        if let Some(model) = &self.model {
-            if self.durable {
-                save_model_states_durable(&step_dir, &self.common, self.tp, self.pp, model)
-            } else {
-                save_model_states(&step_dir, &self.common, self.tp, self.pp, model)
-            }
-            .map_err(TrainError::Ucp)?;
-        }
-        if self.durable {
-            save_optim_states_durable(&step_dir, &self.common, self.tp, self.pp, &self.shard)
-        } else {
-            save_optim_states(&step_dir, &self.common, self.tp, self.pp, &self.shard)
-        }
-        .map_err(TrainError::Ucp)?;
-        if let Some(t) = t {
-            ucp_telemetry::global().record_span("save/persist", t.elapsed());
-            ucp_telemetry::count("save/snapshots", 1);
-        }
-        Ok(())
+        persist_rank_files(
+            base,
+            &self.common,
+            self.tp,
+            self.pp,
+            self.model.as_ref(),
+            (&self.shard).into(),
+            self.durable,
+        )
     }
+}
+
+/// Write one rank's files of the native checkpoint for `common.iteration`
+/// — the (tp, pp) slice's model states when this rank carries them, and
+/// its optimizer chunk — out of borrowed buffers. The one persist body:
+/// the synchronous save calls it on the engine's live state, background
+/// writers on their snapshot.
+pub(crate) fn persist_rank_files(
+    base: &Path,
+    common: &CommonState,
+    tp: usize,
+    pp: usize,
+    model: Option<&ParamStore>,
+    shard: OptimShardRef<'_>,
+    durable: bool,
+) -> Result<(), TrainError> {
+    let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "persist");
+    let t = ucp_telemetry::enabled().then(std::time::Instant::now);
+    let step_dir = disk::step_dir(base, common.iteration);
+    if let Some(model) = model {
+        save_model_states(&step_dir, common, tp, pp, model, durable).map_err(TrainError::Ucp)?;
+    }
+    save_optim_states(&step_dir, common, tp, pp, shard, durable).map_err(TrainError::Ucp)?;
+    if let Some(t) = t {
+        ucp_telemetry::global().record_span("save/persist", t.elapsed());
+        ucp_telemetry::count("save/snapshots", 1);
+    }
+    Ok(())
 }
 
 /// A bounded pool of reusable snapshot buffers.
@@ -209,17 +223,13 @@ impl PendingSave {
     /// Spawn the background writer for a snapshot. The step is pinned
     /// against retention pruning before the thread starts and stays
     /// pinned until the writer finishes, so `prune` can never delete a
-    /// directory that is still materializing.
-    pub fn spawn(snapshot: impl Into<PooledSnapshot>, base: PathBuf) -> PendingSave {
-        PendingSave::spawn_with(snapshot, base, None)
-    }
-
-    /// Like [`PendingSave::spawn`], but after the native persist succeeds
+    /// directory that is still materializing. Given a `pipeline` task,
     /// the writer also runs its part of the born-universal save pipeline
-    /// ([`crate::pipeline`]) — still on the same background thread, so
-    /// atom assembly stays off the training critical path and its trace
-    /// spans land on the owning rank's "saver" track. The snapshot's
-    /// buffers (pooled or not) are released only when the writer finishes.
+    /// ([`crate::pipeline`]) after the native persist succeeds — still on
+    /// the same background thread, so atom assembly stays off the
+    /// training critical path and its trace spans land on the owning
+    /// rank's "saver" track. The snapshot's buffers (pooled or not) are
+    /// released only when the writer finishes.
     pub fn spawn_with(
         snapshot: impl Into<PooledSnapshot>,
         base: PathBuf,
@@ -230,7 +240,7 @@ impl PendingSave {
         let guard = ucp_storage::retention::begin_save(&base, step);
         let owner = pooled.get().owner_rank();
         let (persisted_tx, persisted) = std::sync::mpsc::channel();
-        let handle = std::thread::spawn(move || {
+        let writer = move || {
             // The writer appears as a second thread on the owning rank's
             // trace timeline, making the overlap visible (no-op when
             // tracing is disabled).
@@ -270,7 +280,12 @@ impl PendingSave {
                     panic_message(payload.as_ref())
                 ))),
             }
-        });
+        };
+        // Named so a leaked writer is findable (`/proc/<pid>/task/*/comm`).
+        let handle = std::thread::Builder::new()
+            .name("ucp-saver".into())
+            .spawn(writer)
+            .expect("spawn checkpoint writer thread");
         PendingSave {
             step,
             handle,
@@ -407,7 +422,7 @@ mod tests {
         let base = std::env::temp_dir().join("ucp_snapshot_test");
         std::fs::remove_dir_all(&base).ok();
         std::fs::create_dir_all(&base).unwrap();
-        let pending = PendingSave::spawn(snapshot(7), base.clone());
+        let pending = PendingSave::spawn_with(snapshot(7), base.clone(), None);
         assert_eq!(pending.step, 7);
         pending.wait().unwrap();
         let step_dir = disk::step_dir(&base, 7);
@@ -441,7 +456,7 @@ mod tests {
     fn writer_error_surfaces_at_wait() {
         // An unwritable base propagates the I/O error to wait().
         let base = PathBuf::from("/proc/definitely/not/writable");
-        let pending = PendingSave::spawn(snapshot(1), base);
+        let pending = PendingSave::spawn_with(snapshot(1), base, None);
         assert!(pending.wait().is_err());
     }
 
@@ -461,7 +476,7 @@ mod tests {
         // only while the writer lives — the panic must release the pin,
         // not leak it for the rest of the run.
         PANIC_NEXT_PERSIST.store(true, std::sync::atomic::Ordering::SeqCst);
-        let pending = PendingSave::spawn(snapshot(8), base.clone());
+        let pending = PendingSave::spawn_with(snapshot(8), base.clone(), None);
         let err = pending.wait().unwrap_err();
         assert!(
             err.to_string().contains("panicked: injected writer panic"),

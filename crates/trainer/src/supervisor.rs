@@ -8,13 +8,15 @@
 //!   storage crate's `FaultPlan`): panic / hang / slow-down a chosen rank
 //!   at a chosen step boundary, armed programmatically or via the
 //!   `UCP_RANK_FAULTS` environment variable;
-//! - a **supervisor** ([`supervise`]) that runs a training plan under
-//!   [`Cluster::try_run_with`], and on a [`RankFailure`] tears the cluster
-//!   down, consults the checkpoint directory for the latest committed
-//!   step, degrades the topology to the next rung of a caller-provided
-//!   ladder, converts the checkpoint to universal form if needed, and
-//!   resumes — repeating until the plan completes or the restart budget is
-//!   exhausted.
+//! - a **supervisor** ([`supervise`]) that runs a training plan through
+//!   the driver's segment runner with the fault hook armed, and on a
+//!   [`RankFailure`] — the cluster is down and every background writer
+//!   joined by then — consults the hot tier and the checkpoint directory
+//!   for the latest recoverable step, degrades the topology to the next
+//!   rung of a caller-provided ladder, converts the checkpoint to
+//!   universal form if the save policy did not already publish one, and
+//!   resumes — repeating until the plan completes or the restart budget
+//!   is exhausted.
 //!
 //! Because resuming replays the loss trajectory deterministically, a
 //! supervised run that survives faults is bitwise-comparable to a
@@ -24,14 +26,15 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use ucp_collectives::{Cluster, ClusterOptions, Comm, RankFailure};
+use ucp_collectives::{ClusterOptions, Comm, RankFailure};
 use ucp_core::convert::ConvertOptions;
 use ucp_parallel::ParallelConfig;
 use ucp_storage::layout;
 use ucp_telemetry::trace::{self, TraceCat};
 
-use crate::driver::{collect_results, open_resume_session, ResumeMode, RunResult, TrainPlan};
-use crate::engine::RankEngine;
+use crate::driver::{
+    run_segment, ResumeMode, RunResult, SavePolicy, Segment, SegmentError, TrainPlan,
+};
 use crate::TrainError;
 
 /// What an injected fault does to its rank at the step boundary.
@@ -152,8 +155,8 @@ struct ArmedFault {
 
 /// The injection hook: called by the supervised training loop at every
 /// step boundary, on every rank. Panics (by design) when a `Panic` or
-/// `Hang` fault fires — [`Cluster::try_run_with`] converts the unwind into
-/// a structured [`RankFailure`].
+/// `Hang` fault fires — the cluster converts the unwind into a structured
+/// [`RankFailure`].
 fn fault_point(armed: &[ArmedFault], comm: &Comm, step: u64, segment: usize) {
     for a in armed {
         if a.fault.rank != comm.rank() || a.fault.step != step {
@@ -235,6 +238,10 @@ pub struct SupervisorOptions {
     /// pre-hot behaviour). Must be ≥ 1 and < the smallest world size the
     /// run can degrade to.
     pub hot_replicas: Option<usize>,
+    /// What every segment does at a save boundary. The default —
+    /// synchronous native saves — pays a convert pass on disk recovery;
+    /// [`SavePolicy::BORN_UNIVERSAL`] recovers without one.
+    pub save: SavePolicy,
 }
 
 impl Default for SupervisorOptions {
@@ -245,6 +252,7 @@ impl Default for SupervisorOptions {
             ladder: Vec::new(),
             faults: Vec::new(),
             hot_replicas: None,
+            save: SavePolicy::default(),
         }
     }
 }
@@ -312,31 +320,15 @@ pub fn supervise(
         })
         .collect();
 
-    let hot = match opts.hot_replicas {
-        None => None,
-        Some(0) => {
-            return Err(TrainError::Config(
-                "hot_replicas must be >= 1 (use None to disable the hot tier)".to_string(),
-            ))
-        }
-        Some(k) => {
-            // The factor must leave room for K distinct successor ranks in
-            // *every* topology the run can degrade to, or a late rung would
-            // wrap the placement ring onto the source rank itself.
-            let min_world = std::iter::once(plan.config.parallel)
-                .chain(opts.ladder.iter().copied())
-                .map(|p| p.world_size())
-                .min()
-                .unwrap_or(1);
-            if k >= min_world {
-                return Err(TrainError::Config(format!(
-                    "hot_replicas ({k}) must be < the smallest world size the run \
-                     can degrade to ({min_world})"
-                )));
-            }
-            Some(crate::hot::HotTier::new(k))
-        }
-    };
+    let min_world = std::iter::once(plan.config.parallel)
+        .chain(opts.ladder.iter().copied())
+        .map(|p| p.world_size())
+        .min()
+        .unwrap_or(1);
+    opts.save
+        .validate(opts.hot_replicas, min_world)
+        .map_err(TrainError::Config)?;
+    let hot = opts.hot_replicas.map(crate::hot::HotTier::new);
 
     let mut current = plan.clone();
     let mut ladder = opts.ladder.iter();
@@ -346,7 +338,17 @@ pub fn supervise(
     };
     loop {
         let segment = report.restarts.len();
-        match supervised_segment(&current, opts.deadline, &armed, segment, hot.as_ref()) {
+        // The training math is identical with or without the hook — it
+        // only sleeps or panics — so surviving segments stay
+        // bitwise-comparable to unsupervised runs.
+        let hook = |comm: &Comm, step: u64| fault_point(&armed, comm, step, segment);
+        let armed_segment = Segment {
+            policy: opts.save,
+            deadline: opts.deadline,
+            step_hook: Some(&hook),
+            hot: hot.as_ref(),
+        };
+        match run_segment(&current, &armed_segment) {
             Ok(result) => {
                 report.segments.push(result);
                 return Ok(report);
@@ -524,139 +526,6 @@ fn recovery_resume(
     }
 }
 
-enum SegmentError {
-    /// A rank died; recoverable.
-    Failure(RankFailure),
-    /// A non-failure error (bad config, unreadable checkpoint, ...).
-    Hard(TrainError),
-}
-
-/// One supervised cluster run: [`crate::train_run`] with the watchdog
-/// deadline applied and [`fault_point`] consulted at every step boundary.
-/// The training math is identical to `train_run` — the hook only sleeps
-/// or panics — so surviving segments stay bitwise-comparable to
-/// unsupervised runs.
-fn supervised_segment(
-    plan: &TrainPlan,
-    deadline: Duration,
-    armed: &[ArmedFault],
-    segment: usize,
-    hot: Option<&crate::hot::HotTier>,
-) -> Result<RunResult, SegmentError> {
-    plan.config
-        .validate()
-        .map_err(|e| SegmentError::Hard(TrainError::Config(e)))?;
-    let world = plan.config.parallel.world_size();
-    let session = open_resume_session(&plan.resume).map_err(SegmentError::Hard)?;
-    if let Some(tier) = hot {
-        // Fresh mesh + empty replica banks for the new topology: epochs
-        // restart per segment, and stale replicas from a previous shape
-        // cannot masquerade as current ones.
-        tier.begin_segment(world);
-    }
-    let cluster_opts = ClusterOptions { deadline };
-    let results =
-        Cluster::try_run_with(world, &cluster_opts, |comm| -> Result<RunResult, String> {
-            let _resume = trace::span(TraceCat::Recovery, "segment");
-            let t_load = Instant::now();
-            let mut engine = match &plan.resume {
-                ResumeMode::Fresh => RankEngine::fresh(plan.config.clone(), comm),
-                ResumeMode::Native { dir, step } => {
-                    RankEngine::resume_native(plan.config.clone(), comm, dir, *step)
-                }
-                ResumeMode::Universal { .. } => RankEngine::resume_universal_session(
-                    plan.config.clone(),
-                    comm,
-                    session.as_ref().expect("session opened for Universal"),
-                ),
-                ResumeMode::Hot { checkpoint } => RankEngine::resume_universal_source(
-                    plan.config.clone(),
-                    comm,
-                    &crate::engine::UniversalSource::Memory(checkpoint.as_ref()),
-                ),
-            }
-            .map_err(|e| e.to_string())?;
-            let load_secs = t_load.elapsed().as_secs_f64();
-
-            let start_iteration = engine.iteration;
-            let mut losses = Vec::new();
-            let mut metrics = Vec::new();
-            let mut save_secs = 0.0f64;
-            while engine.iteration < plan.until_iteration {
-                let it = engine.iteration;
-                comm.set_step(it);
-                fault_point(armed, comm, it, segment);
-                let loss = engine.train_iteration().map_err(|e| e.to_string())?;
-                losses.push((it + 1, loss));
-                metrics.extend(engine.last_stats);
-                if let (Some(every), Some(dir)) = (plan.checkpoint_every, &plan.checkpoint_dir) {
-                    if engine.iteration % every == 0 {
-                        let t0 = Instant::now();
-                        let step = engine.iteration;
-                        if comm.rank() == 0 {
-                            journal(dir, &ucp_storage::JournalEvent::SaveStarted { step })
-                                .map_err(|e| e.to_string())?;
-                        }
-                        engine.save_checkpoint(dir).map_err(|e| e.to_string())?;
-                        if comm.rank() == 0 {
-                            journal(dir, &ucp_storage::JournalEvent::NativePersisted { step })
-                                .map_err(|e| e.to_string())?;
-                        }
-                        if let Some(tier) = hot {
-                            // Replicate the freshly saved shard into K peer
-                            // banks. All ranks save at the same boundary, so
-                            // the wave completes before any fault can fire.
-                            // A push failure degrades to disk-only recovery
-                            // for this generation — never fails the run.
-                            let dirty = engine.take_dirty();
-                            match tier.replicate(
-                                comm.rank(),
-                                step,
-                                engine.hot_shard(),
-                                &dirty,
-                                deadline,
-                            ) {
-                                Ok(bytes) => {
-                                    if comm.rank() == 0 {
-                                        journal(
-                                            dir,
-                                            &ucp_storage::JournalEvent::HotReplicated {
-                                                step,
-                                                ranks: comm.world_size() as u64,
-                                                bytes,
-                                            },
-                                        )
-                                        .map_err(|e| e.to_string())?;
-                                    }
-                                }
-                                Err(e) => {
-                                    ucp_telemetry::count("hot/replica_errors", 1);
-                                    eprintln!(
-                                        "hot tier: rank {} replication at step {step} \
-                                         failed ({e}); this generation recovers from disk",
-                                        comm.rank()
-                                    );
-                                }
-                            }
-                        }
-                        save_secs += t0.elapsed().as_secs_f64();
-                    }
-                }
-            }
-            Ok(RunResult {
-                losses,
-                start_iteration,
-                save_secs,
-                load_secs,
-                metrics,
-            })
-        });
-    match results {
-        Ok(per_rank) => collect_results(per_rank).map_err(SegmentError::Hard),
-        Err(failure) => Err(SegmentError::Failure(failure)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,6 +626,7 @@ mod tests {
                 kind: FaultKind::Panic,
             }],
             hot_replicas: None,
+            save: SavePolicy::default(),
         };
         let report = supervise(&plan, &opts).unwrap();
         assert_eq!(report.restarts.len(), 1, "exactly one recovery cycle");
@@ -836,6 +706,7 @@ mod tests {
                 },
             ],
             hot_replicas: None,
+            save: SavePolicy::default(),
         };
         let err = supervise(&plan, &opts).unwrap_err();
         assert!(

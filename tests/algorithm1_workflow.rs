@@ -9,7 +9,7 @@
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::language::UcpSpec;
-use ucp_repro::core::load::{gen_ucp_metadata, load_with_plan, DEFAULT_ALIGNMENT};
+use ucp_repro::core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_repro::core::manifest::UcpManifest;
 use ucp_repro::core::ops::{extract_flat, union_flat, union_tp};
 use ucp_repro::core::pattern::ParamPattern;
@@ -126,6 +126,7 @@ fn reshard_roundtrip_is_bitwise_exact() {
     let (dir, step) = make_checkpoint(source_parallel, "roundtrip");
     let (manifest, _) = convert_to_universal(&dir, step, &ConvertOptions::default()).unwrap();
     let universal = layout::universal_dir(&dir, step);
+    let session = LoadSession::open(&dir, step, LoadOptions::default()).unwrap();
     let model = manifest.model.clone();
     let specs = param_specs(&model);
 
@@ -148,7 +149,7 @@ fn reshard_roundtrip_is_bitwise_exact() {
                     tp,
                 });
                 let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-                let state = load_with_plan(&universal, &plan).unwrap();
+                let state = session.load_plan(&plan).unwrap();
                 for (name, t) in state.model_params {
                     per_param_shards
                         .entry(name.to_string())

@@ -3,18 +3,72 @@
 
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::trainer::{train_run, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{
+    supervise, train_run, Persist, SavePolicy, SupervisorOptions, TrainConfig, TrainError,
+    TrainPlan,
+};
 
-fn expect_config_error(mut mutate: impl FnMut(&mut TrainConfig), needle: &str) {
-    let mut cfg = TrainConfig::quick(
+fn expect_plan_error(mut mutate: impl FnMut(&mut TrainPlan), needle: &str) {
+    let cfg = TrainConfig::quick(
         ModelConfig::gpt3_tiny(),
         ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
         1,
     );
-    mutate(&mut cfg);
-    let err = train_run(&TrainPlan::simple(cfg, 1)).unwrap_err();
+    let mut plan = TrainPlan::simple(cfg, 1);
+    mutate(&mut plan);
+    let err = train_run(&plan).unwrap_err();
+    assert!(
+        matches!(err, TrainError::Config(_)),
+        "not a config error: {err:?}"
+    );
     let msg = err.to_string();
     assert!(msg.contains(needle), "expected '{needle}' in: {msg}");
+}
+
+fn expect_config_error(mut mutate: impl FnMut(&mut TrainConfig), needle: &str) {
+    expect_plan_error(|plan| mutate(&mut plan.config), needle);
+}
+
+/// A zero cadence used to reach `iteration % every` on a rank thread.
+#[test]
+fn zero_checkpoint_cadence_rejected() {
+    expect_plan_error(
+        |p| {
+            p.checkpoint_every = Some(0);
+            p.checkpoint_dir = Some(std::env::temp_dir().join("ucp_cfg_zero_cadence"));
+        },
+        "checkpoint_every must be >= 1",
+    );
+}
+
+/// A cadence with nowhere to save used to train silently without saving.
+#[test]
+fn cadence_without_a_directory_rejected() {
+    expect_plan_error(|p| p.checkpoint_every = Some(1), "checkpoint_dir is None");
+}
+
+/// The born-universal pipeline runs on the background writers only an
+/// overlapped persist spawns; asking for it with synchronous saves is
+/// rejected, naming both fields.
+#[test]
+fn universal_saves_require_overlapped_persist() {
+    let policy = SavePolicy {
+        persist: Persist::Sync,
+        universal: true,
+    };
+    let msg = policy.validate(None, 2).unwrap_err();
+    assert!(
+        msg.contains("persist") && msg.contains("universal"),
+        "{msg}"
+    );
+    // ...and the supervisor refuses the run up front.
+    let cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), ParallelConfig::single(), 1);
+    let opts = SupervisorOptions {
+        save: policy,
+        ..SupervisorOptions::default()
+    };
+    let err = supervise(&TrainPlan::simple(cfg, 1), &opts).unwrap_err();
+    assert!(err.to_string().contains("persist: Sync"), "{err}");
 }
 
 #[test]

@@ -14,8 +14,9 @@ use std::time::{Duration, Instant};
 use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
+use ucp_repro::storage::layout;
 use ucp_repro::trainer::supervisor::{supervise, FaultKind, RankFault, SupervisorOptions};
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run, ResumeMode, SavePolicy, TrainConfig, TrainPlan};
 
 const ITERS: u64 = 6;
 const SAVE_EVERY: u64 = 2;
@@ -55,14 +56,134 @@ fn degraded_targets() -> Vec<ParallelConfig> {
     ]
 }
 
+/// Names of this process's live threads (Linux `comm` values).
+fn live_thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .map(|tasks| {
+            tasks
+                .flatten()
+                .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+                .map(|name| name.trim().to_string())
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// One chaos cell: train under the source topology saving with `save`,
+/// kill the highest rank at `kill_step`, and let the supervisor resume
+/// under `target`. Asserts what every cell must satisfy — one recovery
+/// cycle with exact attribution, resume from `expected_resume`, losses
+/// bitwise-equal to a fault-free reference, markers ordered, no writer
+/// thread left behind, `fsck` clean.
+fn recover_cell(
+    label: &str,
+    kill_step: u64,
+    kind: FaultKind,
+    target: ParallelConfig,
+    save: SavePolicy,
+    expected_resume: u64,
+) {
+    let source = source_topology();
+    let kill_rank = source.world_size() - 1;
+    let dir = tmp(label);
+    let plan = TrainPlan {
+        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
+        until_iteration: ITERS,
+        resume: ResumeMode::Fresh,
+        checkpoint_every: Some(SAVE_EVERY),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let opts = SupervisorOptions {
+        deadline: DEADLINE,
+        hot_replicas: None,
+        max_restarts: 2,
+        ladder: vec![target],
+        faults: vec![RankFault {
+            rank: kill_rank,
+            step: kill_step,
+            kind,
+        }],
+        save,
+    };
+    let t0 = Instant::now();
+    let report =
+        supervise(&plan, &opts).unwrap_or_else(|e| panic!("cell {label} did not recover: {e}"));
+    let elapsed = t0.elapsed();
+    // Every background writer is joined before `supervise` returns (the
+    // tests in this file run one at a time, so any saver is ours).
+    let threads = live_thread_names();
+    assert!(
+        !threads.iter().any(|t| t == "ucp-saver"),
+        "cell {label} left a writer thread alive: {threads:?}"
+    );
+    // No collective may block past the watchdog deadline: even
+    // the hang cells must finish in bounded time (training +
+    // recovery + one deadline), far under this ceiling.
+    assert!(
+        elapsed < Duration::from_secs(120),
+        "cell {label} took {elapsed:?}"
+    );
+
+    assert_eq!(report.restarts.len(), 1, "exactly one recovery cycle");
+    let restart = &report.restarts[0];
+    assert_eq!(restart.rank, kill_rank);
+    assert_eq!(restart.step, kill_step);
+    assert!(
+        restart.payload.contains("injected fault"),
+        "unexpected payload: {}",
+        restart.payload
+    );
+    assert_eq!(restart.parallel, target);
+    assert_eq!(restart.resume_step, Some(expected_resume));
+    assert_eq!(restart.lost_steps, kill_step - expected_resume);
+
+    // Post-resume trajectory must be bitwise-equal to a
+    // fault-free run resumed from the same committed
+    // checkpoint under the same degraded topology.
+    let reference = train_run(&TrainPlan {
+        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), target, SEED),
+        until_iteration: ITERS,
+        resume: ResumeMode::Universal {
+            dir: dir.clone(),
+            step: expected_resume,
+        },
+        checkpoint_every: None,
+        checkpoint_dir: None,
+    })
+    .unwrap();
+    let resumed = &report.final_segment().losses;
+    assert_eq!(resumed.len(), reference.losses.len());
+    for ((ia, la), (ib, lb)) in resumed.iter().zip(&reference.losses) {
+        assert_eq!(ia, ib);
+        assert_eq!(
+            la.to_bits(),
+            lb.to_bits(),
+            "cell {label} iteration {ia}: resumed {la} != reference {lb}"
+        );
+    }
+
+    // Marker ordering: the universal marker never runs ahead of the
+    // native one.
+    let latest = layout::read_latest(&dir).expect("the run committed a checkpoint");
+    assert!(
+        layout::read_latest_universal(&dir).is_none_or(|u| u <= latest),
+        "cell {label}: latest_universal ahead of latest ({latest})"
+    );
+    // The tree must be fsck-clean after the recovery.
+    let fsck_report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
+    assert!(
+        fsck_report.clean(),
+        "cell {label} left a dirty tree: {fsck_report:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The chaos matrix: 3 kill steps x {panic, hang} x 2 degraded targets.
 /// Every cell replays a fault-free reference from its own checkpoint
 /// tree and compares loss trajectories bit for bit.
 #[test]
 fn chaos_matrix_recovers_bitwise_under_reduced_parallelism() {
     let _guard = test_guard();
-    let source = source_topology();
-    let kill_rank = source.world_size() - 1;
     let mut cells_run = 0usize;
     for kill_step in [3u64, 4, 5] {
         for kind in [FaultKind::Panic, FaultKind::Hang] {
@@ -72,92 +193,47 @@ fn chaos_matrix_recovers_bitwise_under_reduced_parallelism() {
                     FaultKind::Hang => "hang",
                     FaultKind::SlowMs(_) => unreachable!(),
                 };
-                let dir = tmp(&format!("s{kill_step}_{kind_label}_t{ti}"));
-                let plan = TrainPlan {
-                    config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
-                    until_iteration: ITERS,
-                    resume: ResumeMode::Fresh,
-                    checkpoint_every: Some(SAVE_EVERY),
-                    checkpoint_dir: Some(dir.clone()),
-                };
-                let opts = SupervisorOptions {
-                    deadline: DEADLINE,
-                    hot_replicas: None,
-                    max_restarts: 2,
-                    ladder: vec![target],
-                    faults: vec![RankFault {
-                        rank: kill_rank,
-                        step: kill_step,
-                        kind,
-                    }],
-                };
-                let t0 = Instant::now();
-                let report = supervise(&plan, &opts).unwrap_or_else(|e| {
-                    panic!("cell s{kill_step}/{kind_label}/t{ti} did not recover: {e}")
-                });
-                let elapsed = t0.elapsed();
-                // No collective may block past the watchdog deadline: even
-                // the hang cells must finish in bounded time (training +
-                // recovery + one deadline), far under this ceiling.
-                assert!(
-                    elapsed < Duration::from_secs(120),
-                    "cell s{kill_step}/{kind_label}/t{ti} took {elapsed:?}"
-                );
-
-                assert_eq!(report.restarts.len(), 1, "exactly one recovery cycle");
-                let restart = &report.restarts[0];
-                assert_eq!(restart.rank, kill_rank);
-                assert_eq!(restart.step, kill_step);
-                assert!(
-                    restart.payload.contains("injected fault"),
-                    "unexpected payload: {}",
-                    restart.payload
-                );
-                assert_eq!(restart.parallel, target);
                 // Checkpoints land at steps 2, 4, 6; the latest committed
                 // step before the kill is the resume point.
                 let expected_resume = (kill_step / SAVE_EVERY) * SAVE_EVERY;
-                assert_eq!(restart.resume_step, Some(expected_resume));
-                assert_eq!(restart.lost_steps, kill_step - expected_resume);
-
-                // Post-resume trajectory must be bitwise-equal to a
-                // fault-free run resumed from the same committed
-                // checkpoint under the same degraded topology.
-                let reference = train_run(&TrainPlan {
-                    config: TrainConfig::quick(ModelConfig::gpt3_tiny(), target, SEED),
-                    until_iteration: ITERS,
-                    resume: ResumeMode::Universal {
-                        dir: dir.clone(),
-                        step: expected_resume,
-                    },
-                    checkpoint_every: None,
-                    checkpoint_dir: None,
-                })
-                .unwrap();
-                let resumed = &report.final_segment().losses;
-                assert_eq!(resumed.len(), reference.losses.len());
-                for ((ia, la), (ib, lb)) in resumed.iter().zip(&reference.losses) {
-                    assert_eq!(ia, ib);
-                    assert_eq!(
-                        la.to_bits(),
-                        lb.to_bits(),
-                        "cell s{kill_step}/{kind_label}/t{ti} iteration {ia}: \
-                         resumed {la} != reference {lb}"
-                    );
-                }
-
-                // The tree must be fsck-clean after the recovery.
-                let fsck_report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
-                assert!(
-                    fsck_report.clean(),
-                    "cell s{kill_step}/{kind_label}/t{ti} left a dirty tree: {fsck_report:?}"
+                recover_cell(
+                    &format!("s{kill_step}_{kind_label}_t{ti}"),
+                    kill_step,
+                    kind,
+                    target,
+                    SavePolicy::default(),
+                    expected_resume,
                 );
                 cells_run += 1;
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }
     assert_eq!(cells_run, 12);
+}
+
+/// Supervised x overlapped born-universal: the same cell under
+/// [`SavePolicy::BORN_UNIVERSAL`]. An overlapped save commits `latest` one
+/// boundary late (step 4's writers are still in flight when rank 3 dies
+/// at step 5), so the disk tier resumes from step 2 — whose universal
+/// tree the save pipeline already published, so recovery skips the
+/// convert pass.
+#[test]
+fn supervised_overlapped_recovery_skips_the_convert() {
+    let _guard = test_guard();
+    let rec = ucp_repro::telemetry::global();
+    rec.reset();
+    rec.set_enabled(true);
+    recover_cell(
+        "overlapped",
+        5,
+        FaultKind::Panic,
+        degraded_targets()[0],
+        SavePolicy::BORN_UNIVERSAL,
+        2,
+    );
+    let metrics = rec.report("supervised_overlapped");
+    rec.set_enabled(false);
+    assert_eq!(metrics.counter("recovery/convert_skipped"), Some(1));
 }
 
 /// A kill before the first committed checkpoint restarts fresh under the
@@ -186,6 +262,7 @@ fn kill_before_first_checkpoint_restarts_fresh() {
             step: 1,
             kind: FaultKind::Panic,
         }],
+        save: SavePolicy::default(),
     };
     let report = supervise(&plan, &opts).unwrap();
     assert_eq!(report.restarts.len(), 1);
@@ -242,6 +319,7 @@ fn repeated_failures_walk_down_the_ladder() {
                 kind: FaultKind::Hang,
             },
         ],
+        save: SavePolicy::default(),
     };
     let report = supervise(&plan, &opts).unwrap();
     assert_eq!(report.restarts.len(), 2);
@@ -300,6 +378,7 @@ fn recovery_counters_are_recorded() {
             step: 3,
             kind: FaultKind::Panic,
         }],
+        save: SavePolicy::default(),
     };
     let rec = ucp_repro::telemetry::global();
     rec.reset();

@@ -27,7 +27,7 @@ use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::journal;
 use ucp_repro::trainer::supervisor::{supervise, FaultKind, RankFault, SupervisorOptions};
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run, ResumeMode, SavePolicy, TrainConfig, TrainPlan};
 
 const ITERS: u64 = 6;
 const SAVE_EVERY: u64 = 2;
@@ -71,6 +71,7 @@ fn hot_opts(target: ParallelConfig, faults: Vec<RankFault>) -> SupervisorOptions
         ladder: vec![target],
         faults,
         hot_replicas: Some(1),
+        save: SavePolicy::default(),
     }
 }
 
@@ -119,14 +120,26 @@ fn assert_bitwise_equal(resumed: &[(u64, f64)], reference: &[(u64, f64)], label:
 /// trip to disk entirely (no convert pass), and replay bitwise-equal to a
 /// disk-resumed reference — including under a *reconfigured* (degraded)
 /// topology, which exercises the shard remapping of the in-memory
-/// universal checkpoint.
+/// universal checkpoint. The last cell runs the tier under the overlapped
+/// born-universal policy: the push then rides the snapshot the background
+/// writers persist, and the replicas are one save ahead of `latest`.
 #[test]
 fn single_kill_recovers_from_peer_memory_bitwise() {
     let _guard = test_guard();
     let source = source_topology();
-    for (ti, target) in [
-        ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
-        ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+    for (ti, (target, save)) in [
+        (
+            ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
+            SavePolicy::default(),
+        ),
+        (
+            ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+            SavePolicy::default(),
+        ),
+        (
+            ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
+            SavePolicy::BORN_UNIVERSAL,
+        ),
     ]
     .into_iter()
     .enumerate()
@@ -135,18 +148,16 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
         let rec = ucp_repro::telemetry::global();
         rec.reset();
         rec.set_enabled(true);
-        let report = supervise(
-            &hot_plan(&dir),
-            &hot_opts(
-                target,
-                vec![RankFault {
-                    rank: source.world_size() - 1,
-                    step: 3,
-                    kind: FaultKind::Panic,
-                }],
-            ),
-        )
-        .unwrap();
+        let mut opts = hot_opts(
+            target,
+            vec![RankFault {
+                rank: source.world_size() - 1,
+                step: 3,
+                kind: FaultKind::Panic,
+            }],
+        );
+        opts.save = save;
+        let report = supervise(&hot_plan(&dir), &opts).unwrap();
         let metrics = rec.report("hot_single");
         rec.set_enabled(false);
 
@@ -168,6 +179,14 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
         assert_eq!(counter("recovery/fallback_disk"), 0);
         // The peer path never ran the convert pass.
         assert_eq!(counter("recovery/convert_skipped"), 0);
+        // Supervised segments report their per-rank step time and save
+        // stall — what `ucp status --max-save-stall-ms` reads.
+        for name in ["fleet/rank/step_us", "fleet/rank/save_block_us"] {
+            assert!(
+                metrics.hist(name).is_some_and(|h| h.count > 0),
+                "supervised run recorded no {name}"
+            );
+        }
 
         // Bitwise equivalence against the disk tier (converted on demand).
         let reference = disk_reference(&dir, target, 2);

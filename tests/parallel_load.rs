@@ -3,11 +3,10 @@
 
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::load::{
-    gen_ucp_metadata, load_with_plan, load_with_plan_workers, DEFAULT_ALIGNMENT,
+    gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, DEFAULT_ALIGNMENT,
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
 #[test]
@@ -29,14 +28,19 @@ fn parallel_load_matches_serial_bitwise() {
     })
     .unwrap();
     let (manifest, _) = convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
-    let universal = layout::universal_dir(&dir, 2);
+    // A private session (fresh atom cache) per worker count.
+    let load = |workers: usize, plan: &LoadPlan| {
+        LoadSession::open(&dir, 2, LoadOptions::with_workers(workers))
+            .and_then(|session| session.load_plan(plan))
+            .unwrap()
+    };
 
     let target = ParallelConfig::new(1, 2, 2, 1, ZeroStage::Zero2);
     for rank in 0..target.world_size() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-        let serial = load_with_plan(&universal, &plan).unwrap();
+        let serial = load(1, &plan);
         for workers in [2usize, 8] {
-            let parallel = load_with_plan_workers(&universal, &plan, workers).unwrap();
+            let parallel = load(workers, &plan);
             assert_eq!(parallel.fp32, serial.fp32, "rank {rank} fp32");
             assert_eq!(parallel.exp_avg, serial.exp_avg, "rank {rank} exp_avg");
             assert_eq!(

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::core::load::{
-    gen_ucp_metadata, load_with_plan_opts, LoadOptions, LoadSession, RankState, DEFAULT_ALIGNMENT,
+    gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState, DEFAULT_ALIGNMENT,
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
@@ -67,25 +67,35 @@ fn assert_states_identical(a: &RankState, b: &RankState, ctx: &str) {
     }
 }
 
+/// `Load` of a precomputed plan through a private session over step 2 of
+/// `base`: a fresh atom cache per call, so every read reaches the disk.
+fn load_plan(
+    base: &std::path::Path,
+    plan: &LoadPlan,
+    opts: LoadOptions,
+) -> ucp_repro::core::Result<RankState> {
+    LoadSession::open(base, 2, opts)?.load_plan(plan)
+}
+
 /// Load every rank of `target` both ways and demand bitwise equality.
 fn check_equivalence(base: &std::path::Path, target: ParallelConfig) {
     let universal = layout::universal_dir(base, 2);
     let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
     for rank in 0..target.world_size() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-        let ranged = load_with_plan_opts(
-            &universal,
+        let ranged = load_plan(
+            base,
             &plan,
-            &LoadOptions {
+            LoadOptions {
                 ranged: true,
                 ..LoadOptions::with_workers(2)
             },
         )
         .unwrap();
-        let full = load_with_plan_opts(
-            &universal,
+        let full = load_plan(
+            base,
             &plan,
-            &LoadOptions {
+            LoadOptions {
                 ranged: false,
                 ..LoadOptions::with_workers(2)
             },
@@ -183,7 +193,7 @@ fn v1_atoms_fall_back_to_whole_section_reads() {
     let before: Vec<RankState> = (0..target.world_size())
         .map(|rank| {
             let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-            load_with_plan_opts(&universal, &plan, &LoadOptions::default()).unwrap()
+            load_plan(&dir, &plan, LoadOptions::default()).unwrap()
         })
         .collect();
     let converted = downgrade_containers_to_v1(&universal);
@@ -193,7 +203,7 @@ fn v1_atoms_fall_back_to_whole_section_reads() {
     // and produce the identical state; fsck still verifies the tree.
     for (rank, expected) in before.iter().enumerate() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-        let loaded = load_with_plan_opts(&universal, &plan, &LoadOptions::default()).unwrap();
+        let loaded = load_plan(&dir, &plan, LoadOptions::default()).unwrap();
         assert_states_identical(&loaded, expected, &format!("v1 fallback rank {rank}"));
         check_equivalence(&dir, target);
     }
@@ -231,7 +241,7 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
     let before: Vec<RankState> = (0..target.world_size())
         .map(|rank| {
             let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-            load_with_plan_opts(&universal, &plan, &LoadOptions::default()).unwrap()
+            load_plan(&dir, &plan, LoadOptions::default()).unwrap()
         })
         .collect();
 
@@ -254,7 +264,7 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
     rec.set_enabled(true);
     for (rank, expected) in before.iter().enumerate() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-        let loaded = load_with_plan_opts(&universal, &plan, &LoadOptions::default()).unwrap();
+        let loaded = load_plan(&dir, &plan, LoadOptions::default()).unwrap();
         assert_states_identical(&loaded, expected, &format!("table-fallback rank {rank}"));
     }
     let report = rec.report("table_fallback");
@@ -271,7 +281,7 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
     std::fs::write(&atom, &bytes).unwrap();
     let plan = gen_ucp_metadata(&manifest, &target, 0, DEFAULT_ALIGNMENT).unwrap();
     assert!(
-        load_with_plan_opts(&universal, &plan, &LoadOptions::default()).is_err(),
+        load_plan(&dir, &plan, LoadOptions::default()).is_err(),
         "corrupt payload must fail the load"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -6,11 +6,9 @@
 use std::sync::OnceLock;
 
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::load::{gen_ucp_metadata, load_with_plan, DEFAULT_ALIGNMENT};
-use ucp_repro::core::manifest::UcpManifest;
+use ucp_repro::core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout;
 use ucp_repro::telemetry::json::Json;
 use ucp_repro::telemetry::trace::{self, EventKind, TraceSession, DRIVER_PID};
 use ucp_repro::trainer::{train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
@@ -47,11 +45,11 @@ fn recorded_trace() -> &'static str {
             spec_override: None,
         };
         convert_to_universal(&dir, 4, &opts).unwrap();
-        let universal = layout::universal_dir(&dir, 4);
-        let manifest = UcpManifest::load(&universal).unwrap();
+        let session = LoadSession::open(&dir, 4, LoadOptions::default()).unwrap();
         for rank in 0..parallel.world_size() {
-            let plan = gen_ucp_metadata(&manifest, &parallel, rank, DEFAULT_ALIGNMENT).unwrap();
-            load_with_plan(&universal, &plan).unwrap();
+            let plan =
+                gen_ucp_metadata(session.manifest(), &parallel, rank, DEFAULT_ALIGNMENT).unwrap();
+            session.load_plan(&plan).unwrap();
         }
         tracer.set_enabled(false);
         let text = tracer.take_session().to_chrome_json();

@@ -3,7 +3,7 @@
 
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::load::{gen_ucp_metadata, load_with_plan, DEFAULT_ALIGNMENT};
+use ucp_repro::core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, RankCoord, ZeroStage};
 use ucp_repro::storage::layout;
@@ -78,12 +78,12 @@ fn parameters_straddle_chunks_at_high_dp() {
     assert!(straddlers > 0, "test premise: some parameter must straddle");
 
     let (manifest, _) = convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
-    let universal = layout::universal_dir(&dir, 2);
     // Reload under dp=1 and check the straddled params match the
     // all-gathered flat source.
     let target = ParallelConfig::single();
     let plan = gen_ucp_metadata(&manifest, &target, 0, DEFAULT_ALIGNMENT).unwrap();
-    let state = load_with_plan(&universal, &plan).unwrap();
+    let session = LoadSession::open(&dir, 2, LoadOptions::default()).unwrap();
+    let state = session.load_plan(&plan).unwrap();
 
     // Reassemble source flat from the four chunks.
     let mut source_flat = Vec::new();
