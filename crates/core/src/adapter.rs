@@ -12,14 +12,18 @@
 //! `optim.<name>.exp_avg_sq` keys, no sharding) — proving that a foreign
 //! layout converts into UCP and resumes under any parallelism.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 use ucp_model::{param_specs, ModelConfig};
+use ucp_parallel::{ParallelConfig, ZeroStage};
 use ucp_storage::layout::{self, AtomFile};
 use ucp_storage::Container;
 use ucp_tensor::Tensor;
 
+use crate::assemble::{build_manifest, commit_universal, write_atom_file};
+use crate::checkpoint::CommonState;
 use crate::manifest::{AtomMeta, UcpManifest};
 use crate::pattern::ParamPattern;
 use crate::{Result, UcpError};
@@ -32,6 +36,74 @@ pub trait SourceAdapter {
     /// Convert the checkpoint at `src` into a universal checkpoint under
     /// `base/global_step<step>_universal`, returning the manifest.
     fn convert(&self, src: &Path, base: &Path, step: u64) -> Result<UcpManifest>;
+}
+
+/// Algorithm 1's tail for a consolidated foreign source, shared by every
+/// adapter: `tensor_of(param, file)` is already the atom (each parameter
+/// is uniquely owned — the `unique_params` pattern), so each goes through
+/// the one durable atom writer and the tree is published by the one
+/// commit tail, exactly like a native conversion.
+fn publish_atoms<'t>(
+    base: &Path,
+    step: u64,
+    common: &CommonState,
+    source_label: String,
+    tensor_of: impl Fn(&str, AtomFile) -> Result<&'t Tensor>,
+) -> Result<UcpManifest> {
+    let universal = layout::universal_dir(base, step);
+    std::fs::create_dir_all(&universal)?;
+    let pattern = ParamPattern::Unique;
+    let mut atoms = Vec::new();
+    for spec in param_specs(&common.model) {
+        for file in AtomFile::ALL {
+            let t = tensor_of(&spec.name, file)?;
+            if t.shape() != &spec.shape {
+                return Err(UcpError::Inconsistent(format!(
+                    "{source_label} {} {}: shape {} != spec {}",
+                    spec.name,
+                    file.state_key(),
+                    t.shape(),
+                    spec.shape
+                )));
+            }
+            write_atom_file(
+                &universal,
+                &spec.name,
+                &pattern,
+                file,
+                t.clone(),
+                "convert/atom_write",
+            )?;
+        }
+        atoms.push(AtomMeta {
+            name: spec.name,
+            shape: spec.shape,
+            pattern: pattern.clone(),
+        });
+    }
+    let mut manifest = build_manifest(common, atoms);
+    manifest.source_label = source_label;
+    commit_universal(base, step, &manifest)?;
+    Ok(manifest)
+}
+
+/// A consolidated checkpoint's run state: one unsharded copy of everything.
+fn consolidated(
+    iteration: u64,
+    seed: u64,
+    data_cursor: u64,
+    adam_step: u64,
+    model: ModelConfig,
+) -> CommonState {
+    CommonState {
+        iteration,
+        seed,
+        data_cursor,
+        adam_step,
+        model,
+        parallel: ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero0),
+        params_to_average: Vec::new(),
+    }
 }
 
 #[derive(Serialize, Deserialize)]
@@ -95,63 +167,25 @@ impl SourceAdapter for LitSimAdapter {
                 header.framework
             )));
         }
-        let universal = layout::universal_dir(base, step);
-        std::fs::create_dir_all(&universal)?;
-
-        let mut atoms = Vec::new();
-        for spec in param_specs(&header.model) {
-            let keys = [
-                (AtomFile::Fp32, format!("model.{}", spec.name)),
-                (AtomFile::ExpAvg, format!("optim.{}.exp_avg", spec.name)),
-                (
-                    AtomFile::ExpAvgSq,
-                    format!("optim.{}.exp_avg_sq", spec.name),
-                ),
-            ];
-            // A consolidated checkpoint's tensors are already atoms: each
-            // parameter is uniquely owned — the `unique_params` pattern.
-            let pattern = ParamPattern::Unique;
-            for (file, key) in &keys {
-                let t = c.get(key).ok_or_else(|| {
-                    UcpError::Inconsistent(format!("litsim checkpoint missing key {key}"))
-                })?;
-                if t.shape() != &spec.shape {
-                    return Err(UcpError::Inconsistent(format!(
-                        "litsim {key}: shape {} != spec {}",
-                        t.shape(),
-                        spec.shape
-                    )));
+        let common = consolidated(
+            header.iteration,
+            header.seed,
+            header.data_cursor,
+            header.adam_step,
+            header.model,
+        );
+        let label = format!("{}(consolidated)", self.framework());
+        publish_atoms(base, step, &common, label, |name, file| {
+            let key = match file {
+                AtomFile::Fp32 => format!("model.{name}"),
+                AtomFile::ExpAvg | AtomFile::ExpAvgSq => {
+                    format!("optim.{name}.{}", file.state_key())
                 }
-                let meta_json = serde_json::to_string(&AtomMeta {
-                    name: spec.name.clone(),
-                    shape: spec.shape.clone(),
-                    pattern: pattern.clone(),
-                })?;
-                let mut atom = Container::new(meta_json);
-                atom.push(file.state_key(), t.clone());
-                atom.write_file(&layout::atom_path(&universal, &spec.name, *file))?;
-            }
-            atoms.push(AtomMeta {
-                name: spec.name.clone(),
-                shape: spec.shape.clone(),
-                pattern,
-            });
-        }
-
-        atoms.sort_by(|a, b| a.name.cmp(&b.name));
-        let manifest = UcpManifest {
-            version: UcpManifest::VERSION,
-            iteration: header.iteration,
-            seed: header.seed,
-            data_cursor: header.data_cursor,
-            adam_step: header.adam_step,
-            model: header.model,
-            source_label: format!("{}(consolidated)", self.framework()),
-            params: atoms,
-        };
-        manifest.save(&universal)?;
-        layout::write_latest_universal(base, step)?;
-        Ok(manifest)
+            };
+            c.get(&key).ok_or_else(|| {
+                UcpError::Inconsistent(format!("litsim checkpoint missing key {key}"))
+            })
+        })
     }
 }
 
@@ -164,7 +198,7 @@ struct HfSimIndex {
     adam_step: u64,
     model: ModelConfig,
     /// Parameter name → model shard file holding its fp32 weights.
-    weight_map: std::collections::BTreeMap<String, String>,
+    weight_map: BTreeMap<String, String>,
 }
 
 /// Write an hfsim-flavor checkpoint: HuggingFace-accelerate style, with
@@ -184,7 +218,7 @@ pub fn save_hfsim_checkpoint(
     shard_budget_bytes: usize,
 ) -> Result<()> {
     std::fs::create_dir_all(dir)?;
-    let mut weight_map = std::collections::BTreeMap::new();
+    let mut weight_map = BTreeMap::new();
     let mut shards: Vec<Container> = Vec::new();
     let mut current = Container::new("{}");
     let mut current_bytes = 0usize;
@@ -247,85 +281,37 @@ impl SourceAdapter for HfSimAdapter {
                 index.framework
             )));
         }
-        let universal = layout::universal_dir(base, step);
-        std::fs::create_dir_all(&universal)?;
-
         // Open each model shard file once.
-        let mut shard_cache: std::collections::BTreeMap<String, Container> = Default::default();
+        let mut shards: BTreeMap<&str, Container> = BTreeMap::new();
+        for file in index.weight_map.values() {
+            if !shards.contains_key(file.as_str()) {
+                shards.insert(file, Container::read_file(&src.join(file))?);
+            }
+        }
         let optim = Container::read_file(&src.join("optimizer.ucpt"))?;
 
-        let mut atoms = Vec::new();
-        for spec in param_specs(&index.model) {
-            let file = index.weight_map.get(&spec.name).ok_or_else(|| {
-                UcpError::Inconsistent(format!("hfsim index missing {}", spec.name))
-            })?;
-            if !shard_cache.contains_key(file) {
-                shard_cache.insert(file.clone(), Container::read_file(&src.join(file))?);
+        let common = consolidated(
+            index.iteration,
+            index.seed,
+            index.data_cursor,
+            index.adam_step,
+            index.model.clone(),
+        );
+        let label = format!("{}(sharded+index)", self.framework());
+        publish_atoms(base, step, &common, label, |name, file| match file {
+            AtomFile::Fp32 => {
+                let shard = index
+                    .weight_map
+                    .get(name)
+                    .ok_or_else(|| UcpError::Inconsistent(format!("hfsim index missing {name}")))?;
+                shards[shard.as_str()]
+                    .get(name)
+                    .ok_or_else(|| UcpError::Inconsistent(format!("{shard} lacks {name}")))
             }
-            let weights = shard_cache[file]
-                .get(&spec.name)
-                .ok_or_else(|| UcpError::Inconsistent(format!("{file} lacks {}", spec.name)))?;
-            let pattern = ParamPattern::Unique;
-            let entries = [
-                (AtomFile::Fp32, weights.clone()),
-                (
-                    AtomFile::ExpAvg,
-                    optim
-                        .get(&format!("{}.exp_avg", spec.name))
-                        .ok_or_else(|| {
-                            UcpError::Inconsistent(format!("optimizer lacks {}", spec.name))
-                        })?
-                        .clone(),
-                ),
-                (
-                    AtomFile::ExpAvgSq,
-                    optim
-                        .get(&format!("{}.exp_avg_sq", spec.name))
-                        .ok_or_else(|| {
-                            UcpError::Inconsistent(format!("optimizer lacks {}", spec.name))
-                        })?
-                        .clone(),
-                ),
-            ];
-            for (file, tensor) in entries {
-                if tensor.shape() != &spec.shape {
-                    return Err(UcpError::Inconsistent(format!(
-                        "hfsim {}: shape {} != spec {}",
-                        spec.name,
-                        tensor.shape(),
-                        spec.shape
-                    )));
-                }
-                let meta_json = serde_json::to_string(&AtomMeta {
-                    name: spec.name.clone(),
-                    shape: spec.shape.clone(),
-                    pattern: pattern.clone(),
-                })?;
-                let mut atom = Container::new(meta_json);
-                atom.push(file.state_key(), tensor);
-                atom.write_file(&layout::atom_path(&universal, &spec.name, file))?;
-            }
-            atoms.push(AtomMeta {
-                name: spec.name.clone(),
-                shape: spec.shape.clone(),
-                pattern,
-            });
-        }
-
-        atoms.sort_by(|a, b| a.name.cmp(&b.name));
-        let manifest = UcpManifest {
-            version: UcpManifest::VERSION,
-            iteration: index.iteration,
-            seed: index.seed,
-            data_cursor: index.data_cursor,
-            adam_step: index.adam_step,
-            model: index.model,
-            source_label: format!("{}(sharded+index)", self.framework()),
-            params: atoms,
-        };
-        manifest.save(&universal)?;
-        layout::write_latest_universal(base, step)?;
-        Ok(manifest)
+            AtomFile::ExpAvg | AtomFile::ExpAvgSq => optim
+                .get(&format!("{name}.{}", file.state_key()))
+                .ok_or_else(|| UcpError::Inconsistent(format!("optimizer lacks {name}"))),
+        })
     }
 }
 

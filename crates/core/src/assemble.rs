@@ -83,6 +83,23 @@ pub fn build_manifest(common: &CommonState, mut atoms: Vec<AtomMeta>) -> UcpMani
     }
 }
 
+/// Publish a universal checkpoint whose atoms are already durable under
+/// `base/global_step<step>_universal`: manifest, then the
+/// `latest_universal` marker, then the `UniversalPublished` journal
+/// record. The one commit tail of every offline producer (the converter
+/// and the cross-framework adapters); a crash anywhere in it leaves at
+/// worst an unreferenced universal dir, never a marker naming a
+/// half-written one.
+pub fn commit_universal(base: &Path, step: u64, manifest: &UcpManifest) -> Result<()> {
+    manifest.save(&layout::universal_dir(base, step))?;
+    layout::write_latest_universal(base, step)?;
+    ucp_storage::journal::append(
+        base,
+        &ucp_storage::JournalEvent::UniversalPublished { step },
+    )?;
+    Ok(())
+}
+
 /// The atoms one pipeline stage produced: manifest entries plus volume
 /// accounting (the publisher merges these across stages). Manifest entries
 /// cover *every* parameter of the stage — skipped (clean) atoms are

@@ -15,21 +15,28 @@
 //! 4. Write one atom checkpoint per parameter (`fp32` / `exp_avg` /
 //!    `exp_avg_sq` files, §3.1) plus the manifest.
 //!
+//! Steps 1–3 are [`consolidate`], written once over a [`ChunkSource`] (the
+//! step's optimizer files, or hot-tier shards already in RAM) and an
+//! [`AtomSink`] (atom files, or [`crate::memory::MemoryCheckpoint`]'s map).
+//!
 //! `ConvertOptions::spill_fragments` reproduces the paper's
 //! memory-bounded variant where Extract persists fragment files to disk and
 //! Union reads them back (Table 2 notes the memory/parallelism trade-off;
 //! the ablation bench measures it).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use ucp_model::{param_specs, ParamSpec};
 use ucp_storage::layout::AtomFile;
 use ucp_storage::{layout, Container};
 use ucp_tensor::Tensor;
 
-use crate::checkpoint::{load_model_states, load_optim_states};
+use crate::assemble::{commit_universal, write_atom_file};
+use crate::checkpoint::{load_optim_states, CommonState, OptimShard};
 use crate::language::UcpSpec;
 use crate::manifest::{AtomMeta, UcpManifest};
 use crate::ops::{extract_flat, strip_padding, union_flat, union_tp, Fragment};
@@ -82,109 +89,163 @@ pub struct ConvertStats {
 /// tensors, indexed `[fp32, exp_avg, exp_avg_sq]`.
 type SliceStates = BTreeMap<String, [Tensor; 3]>;
 
-/// Reassemble one (tp, pp) slice's per-parameter state tensors from its DP
-/// optimizer chunks (Extract + flat Union).
+/// Where a (tp, pp) slice's ZeRO chunks come from.
+pub(crate) enum ChunkSource<'a> {
+    /// Native optimizer-states files under a step directory.
+    Files {
+        step_dir: &'a Path,
+        /// Memory-bounded mode: extracted fragments are parked under this
+        /// directory between Extract and Union.
+        spill: Option<&'a Path>,
+        /// The (0, 0, 0) shard the caller already read for its
+        /// `CommonState`, handed to whoever extracts that coordinate so no
+        /// file is opened twice.
+        first: Mutex<Option<OptimShard>>,
+    },
+    /// Shards already in RAM (the hot tier), keyed `(tp, pp, zero index)`.
+    Memory(&'a BTreeMap<(usize, usize, usize), OptimShard>),
+}
+
+impl ChunkSource<'_> {
+    fn chunk(&self, zi: usize, tp: usize, pp: usize) -> Result<Cow<'_, OptimShard>> {
+        match self {
+            ChunkSource::Files {
+                step_dir, first, ..
+            } => {
+                if (zi, tp, pp) == (0, 0, 0) {
+                    if let Some(shard) = first.lock().take() {
+                        return Ok(Cow::Owned(shard));
+                    }
+                }
+                Ok(Cow::Owned(load_optim_states(step_dir, zi, tp, pp)?.1))
+            }
+            ChunkSource::Memory(shards) => {
+                shards.get(&(tp, pp, zi)).map(Cow::Borrowed).ok_or_else(|| {
+                    UcpError::Inconsistent(format!("no shard for (tp {tp}, pp {pp}, zero {zi})"))
+                })
+            }
+        }
+    }
+
+    /// Where the spilling file source parks one extracted fragment.
+    fn spill_path(
+        &self,
+        name: &str,
+        tp: usize,
+        pp: usize,
+        ki: usize,
+        zi: usize,
+    ) -> Option<PathBuf> {
+        match self {
+            ChunkSource::Files {
+                spill: Some(dir), ..
+            } => Some(dir.join(format!("{name}.tp{tp}.pp{pp}.k{ki}.dp{zi}.frag"))),
+            _ => None,
+        }
+    }
+}
+
+/// Persist a fragment's payload at `path`, keeping only its identity.
+fn park(path: &Path, frag: Fragment) -> Result<Fragment> {
+    let mut c = Container::new(format!(r#"{{"param_offset": {}}}"#, frag.param_offset));
+    let len = frag.data.len();
+    c.push("frag", Tensor::from_vec(frag.data, [len])?);
+    ucp_telemetry::count("convert/spill_bytes", c.encoded_len() as u64);
+    c.write_file(path)?;
+    Ok(Fragment {
+        param_offset: frag.param_offset,
+        data: Vec::new(),
+    })
+}
+
+/// Read a parked fragment's payload back.
+fn unpark(path: &Path, frag: Fragment) -> Result<Fragment> {
+    let c = Container::read_file(path)?;
+    let data = c
+        .get("frag")
+        .ok_or_else(|| UcpError::Inconsistent("missing frag section".into()))?
+        .as_slice()
+        .to_vec();
+    Ok(Fragment {
+        param_offset: frag.param_offset,
+        data,
+    })
+}
+
+/// Reassemble one (tp, pp) slice's per-parameter state tensors from its
+/// ZeRO chunks (Extract + flat Union).
 fn assemble_slice(
-    step_dir: &Path,
-    dp_degree: usize,
+    source: &ChunkSource<'_>,
+    zero: usize,
     tp: usize,
     pp: usize,
-    opts: &ConvertOptions,
-    spill_dir: Option<&Path>,
+    workers: usize,
 ) -> Result<SliceStates> {
-    // Extract phase: parallel over the dp checkpoint files. Telemetry
+    // Extract phase: parallel over the slice's ZeRO chunks. Telemetry
     // spans use absolute paths ("convert/...") because this runs on
     // par_map worker threads, which have no parent span on their stack.
     let t_extract = ucp_telemetry::enabled().then(Instant::now);
-    let extracted = par_map(dp_degree, opts.workers, |dp| {
+    let extracted = par_map(zero, workers, |zi| {
         let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "extract");
-        let (_, shard) = load_optim_states(step_dir, dp, tp, pp)?;
-        let keys: [(&str, &[f32]); 3] = [
-            ("fp32", &shard.fp32),
-            ("exp_avg", &shard.exp_avg),
-            ("exp_avg_sq", &shard.exp_avg_sq),
-        ];
+        let shard = source.chunk(zi, tp, pp)?;
+        let keys: [&[f32]; 3] = [&shard.fp32, &shard.exp_avg, &shard.exp_avg_sq];
         let mut out: Vec<(String, usize, Fragment)> = Vec::new();
-        for (ki, (_, chunk)) in keys.iter().enumerate() {
-            for (name, frag) in extract_flat(&shard.layout, dp, chunk) {
+        for (ki, chunk) in keys.iter().enumerate() {
+            if chunk.len() != shard.layout.chunk {
+                return Err(UcpError::Inconsistent(format!(
+                    "(tp {tp}, pp {pp}, zero {zi}) key {ki} has {} elements, layout chunk is {}",
+                    chunk.len(),
+                    shard.layout.chunk
+                )));
+            }
+            for (name, frag) in extract_flat(&shard.layout, zi, chunk) {
+                let frag = match source.spill_path(&name, tp, pp, ki, zi) {
+                    Some(path) => park(&path, frag)?,
+                    None => frag,
+                };
                 out.push((name, ki, frag));
             }
         }
-        // Memory-bounded mode: persist fragments and return only their
-        // identity; the union phase reads them back.
-        if let Some(spill) = spill_dir {
-            let mut spilled = Vec::with_capacity(out.len());
-            for (name, ki, frag) in out {
-                let path = spill.join(format!("{name}.tp{tp}.pp{pp}.k{ki}.dp{dp}.frag"));
-                let mut c = Container::new(format!(r#"{{"param_offset": {}}}"#, frag.param_offset));
-                let len = frag.data.len();
-                c.push(
-                    "frag",
-                    Tensor::from_vec(frag.data, [len]).map_err(UcpError::Tensor)?,
-                );
-                ucp_telemetry::count("convert/spill_bytes", c.encoded_len() as u64);
-                c.write_file(&path)?;
-                // Keep only the identity; union reads the payload back.
-                spilled.push((
-                    name,
-                    ki,
-                    Fragment {
-                        param_offset: frag.param_offset,
-                        data: Vec::new(),
-                    },
-                ));
-            }
-            return Ok(spilled);
-        }
-        Ok(out)
+        // Every chunk of a slice carries the slice's flat layout; the
+        // union below takes it from the first.
+        Ok(((zi == 0).then(|| shard.layout.clone()), out))
     })?;
     if let Some(t) = t_extract {
         ucp_telemetry::global().record_span("convert/extract", t.elapsed());
-        let fragments: usize = extracted.iter().map(Vec::len).sum();
+        let fragments: usize = extracted.iter().map(|(_, frags)| frags.len()).sum();
         ucp_telemetry::count("convert/fragments", fragments as u64);
     }
 
-    // Reload one header for the flat layout (headers are tiny).
-    let flat_layout = load_optim_states(step_dir, 0, tp, pp)?.1.layout;
-
     let t_union = ucp_telemetry::enabled().then(Instant::now);
     let _union_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "union_flat");
+    let mut flat_layout = None;
     let mut grouped: BTreeMap<(String, usize), Vec<Fragment>> = BTreeMap::new();
-    for (dp, per_file) in extracted.into_iter().enumerate() {
-        for (name, ki, frag) in per_file {
-            let frag = if let Some(spill) = spill_dir {
-                // Read the spilled fragment back.
-                let path = spill.join(format!("{name}.tp{tp}.pp{pp}.k{ki}.dp{dp}.frag"));
-                let c = Container::read_file(&path)?;
-                let data = c
-                    .get("frag")
-                    .ok_or_else(|| UcpError::Inconsistent("missing frag section".into()))?
-                    .as_slice()
-                    .to_vec();
-                Fragment {
-                    param_offset: frag.param_offset,
-                    data,
-                }
-            } else {
-                frag
+    for (zi, (layout, per_chunk)) in extracted.into_iter().enumerate() {
+        flat_layout = flat_layout.or(layout);
+        for (name, ki, frag) in per_chunk {
+            let frag = match source.spill_path(&name, tp, pp, ki, zi) {
+                Some(path) => unpark(&path, frag)?,
+                None => frag,
             };
             grouped.entry((name, ki)).or_default().push(frag);
         }
     }
+    let flat_layout = flat_layout
+        .ok_or_else(|| UcpError::Inconsistent(format!("(tp {tp}, pp {pp}) has no ZeRO chunks")))?;
 
     // Flat union per (param, key).
     let mut states: SliceStates = BTreeMap::new();
     for slot in &flat_layout.slots {
-        let mut tensors: Vec<Tensor> = Vec::with_capacity(3);
-        for ki in 0..3 {
+        let mut flat = |ki: usize| -> Result<Tensor> {
             let frags = grouped.remove(&(slot.name.clone(), ki)).ok_or_else(|| {
                 UcpError::Inconsistent(format!("no fragments for {} key {ki}", slot.name))
             })?;
-            let flat = union_flat(slot.len, &frags)?;
-            tensors.push(Tensor::from_vec(flat, slot.shape.clone()).map_err(UcpError::Tensor)?);
-        }
-        let [a, b, c]: [Tensor; 3] = tensors.try_into().expect("three keys");
-        states.insert(slot.name.clone(), [a, b, c]);
+            Ok(Tensor::from_vec(
+                union_flat(slot.len, &frags)?,
+                slot.shape.clone(),
+            )?)
+        };
+        states.insert(slot.name.clone(), [flat(0)?, flat(1)?, flat(2)?]);
     }
     if let Some(t) = t_union {
         ucp_telemetry::global().record_span("convert/union_flat", t.elapsed());
@@ -192,30 +253,21 @@ fn assemble_slice(
     Ok(states)
 }
 
-/// Convert the native distributed checkpoint at `base/global_step<step>`
-/// into a universal checkpoint at `base/global_step<step>_universal`.
-///
-/// Returns the manifest and conversion statistics.
-pub fn convert_to_universal(
-    base: &Path,
-    step: u64,
-    opts: &ConvertOptions,
-) -> Result<(UcpManifest, ConvertStats)> {
-    let t_total = Instant::now();
-    let _convert_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "convert");
-    let step_dir = layout::step_dir(base, step);
-    let universal = layout::universal_dir(base, step);
-    std::fs::create_dir_all(&universal)?;
-    let spill_dir = if opts.spill_fragments {
-        let d = universal.join("_extract_tmp");
-        std::fs::create_dir_all(&d)?;
-        Some(d)
-    } else {
-        None
-    };
+/// Where a finished `[fp32, exp_avg, exp_avg_sq]` atom goes; returns the
+/// bytes it wrote.
+pub(crate) type AtomSink<'a> = dyn Fn(&str, &ParamPattern, [Tensor; 3]) -> Result<u64> + Sync + 'a;
 
-    // Source metadata from the first model-states file.
-    let (common, _) = load_model_states(&step_dir, 0, 0)?;
+/// Algorithm 1's body, the only consolidation in the crate: Extract → flat
+/// Union → pattern-dispatched TP Union → StripPadding for every parameter
+/// of the checkpoint `common` describes, chunks taken from `source`, atoms
+/// handed to `sink`. The offline converter and the RAM hot tier differ
+/// only in those two ends, which is what makes their atoms bitwise-equal.
+pub(crate) fn consolidate(
+    common: &CommonState,
+    source: &ChunkSource<'_>,
+    opts: &ConvertOptions,
+    sink: &AtomSink<'_>,
+) -> Result<(UcpManifest, ConvertStats)> {
     let src = common.parallel;
     let derived = UcpSpec::from_model(&common.model, src.tp, &common.params_to_average);
     let all_specs = param_specs(&common.model);
@@ -230,22 +282,15 @@ pub fn convert_to_universal(
             // ZeRO partitions over the combined dp × sp group (Ulysses
             // composes sequence parallelism into the ZeRO axis), so one
             // optimizer chunk exists per (dp, sp) replica.
-            assemble_slice(
-                &step_dir,
-                src.dp * src.sp,
-                tp,
-                pp,
-                opts,
-                spill_dir.as_deref(),
-            )
+            assemble_slice(source, src.dp * src.sp, tp, pp, opts.workers)
         })?;
         stats.extract_secs += t0.elapsed().as_secs_f64();
 
-        // TP union + atom writes, parallel at individual-parameter level.
+        // TP union + atom sink, parallel at individual-parameter level.
         let t1 = Instant::now();
-        let names: Vec<String> = slices[0].keys().cloned().collect();
+        let names: Vec<&String> = slices.first().into_iter().flat_map(|s| s.keys()).collect();
         let written = par_map(names.len(), opts.workers, |i| {
-            let name = &names[i];
+            let name = names[i];
             // User rules take precedence; the derived spec is the fallback.
             let pattern = opts
                 .spec_override
@@ -263,9 +308,7 @@ pub fn convert_to_universal(
                     &format!("union:{}", pattern.paper_name()),
                 )
             });
-            let mut metas = Vec::with_capacity(3);
-            let mut bytes = 0u64;
-            for (ki, file) in AtomFile::ALL.iter().enumerate() {
+            let union_key = |ki: usize| -> Result<Tensor> {
                 let t_tp = ucp_telemetry::enabled().then(Instant::now);
                 let shards: Vec<Tensor> = slices
                     .iter()
@@ -299,50 +342,79 @@ pub fn convert_to_universal(
                 if let Some(t) = t_tp {
                     ucp_telemetry::global().record_span("convert/union_tp", t.elapsed());
                 }
-                // Shared with the born-universal save pipeline: both paths
-                // commit atoms through the same writer, which is what keeps
-                // their on-disk trees byte-identical.
-                bytes += crate::assemble::write_atom_file(
-                    &universal,
-                    name,
-                    &pattern,
-                    *file,
-                    atom,
-                    "convert/atom_write",
-                )?;
-                if ki == 0 {
-                    metas.push(AtomMeta {
-                        name: name.clone(),
-                        shape: spec_entry.shape.clone(),
-                        pattern: pattern.clone(),
-                    });
-                }
-            }
-            Ok((metas, bytes))
+                Ok(atom)
+            };
+            let bytes = sink(
+                name,
+                &pattern,
+                [union_key(0)?, union_key(1)?, union_key(2)?],
+            )?;
+            let meta = AtomMeta {
+                name: name.clone(),
+                shape: spec_entry.shape.clone(),
+                pattern,
+            };
+            Ok((meta, bytes))
         })?;
         stats.union_secs += t1.elapsed().as_secs_f64();
-        for (metas, bytes) in written {
-            stats.atoms_written += metas.len();
+        for (meta, bytes) in written {
+            stats.atoms_written += 1;
             stats.bytes_written += bytes;
-            atoms.extend(metas);
+            atoms.push(meta);
         }
     }
+    Ok((crate::assemble::build_manifest(common, atoms), stats))
+}
+
+/// Convert the native distributed checkpoint at `base/global_step<step>`
+/// into a universal checkpoint at `base/global_step<step>_universal`.
+///
+/// Returns the manifest and conversion statistics.
+pub fn convert_to_universal(
+    base: &Path,
+    step: u64,
+    opts: &ConvertOptions,
+) -> Result<(UcpManifest, ConvertStats)> {
+    let t_total = Instant::now();
+    let _convert_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "convert");
+    let step_dir = layout::step_dir(base, step);
+    let universal = layout::universal_dir(base, step);
+    std::fs::create_dir_all(&universal)?;
+    let spill_dir = opts.spill_fragments.then(|| universal.join("_extract_tmp"));
+    if let Some(d) = &spill_dir {
+        std::fs::create_dir_all(d)?;
+    }
+
+    // Every optimizer header carries the run's common state; the shard
+    // read for it is handed on to the extract phase.
+    let (common, first) = load_optim_states(&step_dir, 0, 0, 0)?;
+    let source = ChunkSource::Files {
+        step_dir: &step_dir,
+        spill: spill_dir.as_deref(),
+        first: Mutex::new(Some(first)),
+    };
+    // Shared with the born-universal save pipeline: both paths commit
+    // atoms through the same writer, which is what keeps their on-disk
+    // trees byte-identical.
+    let (manifest, stats) = consolidate(&common, &source, opts, &|name, pattern, atom| {
+        let mut bytes = 0u64;
+        for (file, tensor) in AtomFile::ALL.into_iter().zip(atom) {
+            bytes += write_atom_file(
+                &universal,
+                name,
+                pattern,
+                file,
+                tensor,
+                "convert/atom_write",
+            )?;
+        }
+        Ok(bytes)
+    })?;
 
     if let Some(spill) = &spill_dir {
         std::fs::remove_dir_all(spill).ok();
     }
-
-    let manifest = crate::assemble::build_manifest(&common, atoms);
-    // The manifest is written only after every atom is durable, and the
-    // marker only after the manifest: a crash anywhere in between leaves
-    // at worst an unreferenced universal dir, never a loadable half-
-    // converted one.
-    manifest.save(&universal)?;
-    layout::write_latest_universal(base, step)?;
-    ucp_storage::journal::append(
-        base,
-        &ucp_storage::JournalEvent::UniversalPublished { step },
-    )?;
+    commit_universal(base, step, &manifest)?;
     if ucp_telemetry::enabled() {
         ucp_telemetry::count("convert/atoms_written", stats.atoms_written as u64);
         ucp_telemetry::count("convert/bytes_written", stats.bytes_written);

@@ -23,11 +23,14 @@
 //! - [`manifest`] — the universal checkpoint manifest (training state +
 //!   atom index).
 //! - [`convert`] — Algorithm 1: parallel extract → pattern-dispatched union
-//!   → strip padding → atom files.
+//!   → strip padding → atom files; the one consolidation, which the RAM
+//!   tier ([`memory`]) also runs over shards held in memory.
 //! - [`load`] — target-side metadata generation and atom loading for an
-//!   arbitrary new parallelism configuration.
+//!   arbitrary new parallelism configuration; the one plan executor,
+//!   serving disk sessions and [`memory`] alike.
 //! - [`adapter`] — cross-framework sources (a PyTorch-Lightning-style
-//!   consolidated checkpoint flavor) converted through the same pipeline.
+//!   consolidated checkpoint flavor) written through the same atom writer
+//!   and commit tail ([`assemble::commit_universal`]) as a conversion.
 
 pub mod adapter;
 pub mod assemble;
@@ -43,7 +46,7 @@ pub mod ops;
 pub mod pattern;
 pub mod util;
 
-pub use assemble::{build_manifest, write_atom_file, StageAssembler, StageAtoms};
+pub use assemble::{build_manifest, commit_universal, write_atom_file, StageAssembler, StageAtoms};
 pub use atom_cache::AtomCache;
 pub use checkpoint::{CommonState, OptimShard, OptimShardRef};
 pub use convert::{convert_to_universal, ConvertOptions, ConvertStats};

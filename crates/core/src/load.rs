@@ -16,6 +16,8 @@
 //! `LoadOptions { ranged: false }` (CLI `--no-ranged-load`) falls back to
 //! reading whole atom files.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -165,7 +167,46 @@ impl LoadSession {
     /// `Load` alone: execute a precomputed plan (from [`gen_ucp_metadata`]
     /// over this session's manifest) against the shared cache.
     pub fn load_plan(&self, plan: &LoadPlan) -> Result<RankState> {
-        execute_plan(&self.universal, plan, &self.opts, &self.cache)
+        execute_plan(
+            plan,
+            &AtomSource::Disk {
+                universal: &self.universal,
+                opts: &self.opts,
+                cache: &self.cache,
+            },
+        )
+    }
+}
+
+/// Where [`execute_plan`] takes its atoms from.
+pub(crate) enum AtomSource<'a> {
+    /// A universal directory on disk, read as `opts` says through the
+    /// session's shared cache.
+    Disk {
+        universal: &'a Path,
+        opts: &'a LoadOptions,
+        cache: &'a AtomCache,
+    },
+    /// Atoms already consolidated in RAM (a
+    /// [`crate::memory::MemoryCheckpoint`]'s map), indexed
+    /// `[fp32, exp_avg, exp_avg_sq]` — [`AtomFile::ALL`] order.
+    Memory(&'a BTreeMap<String, [Tensor; 3]>),
+}
+
+impl AtomSource<'_> {
+    /// One whole atom tensor, for the full-read strategy.
+    fn atom(&self, name: &str, file: AtomFile) -> Result<Cow<'_, Tensor>> {
+        match self {
+            AtomSource::Disk {
+                universal, opts, ..
+            } => read_atom(universal, name, file, &opts.device).map(Cow::Owned),
+            AtomSource::Memory(atoms) => atoms
+                .get(name)
+                .map(|states| Cow::Borrowed(&states[file as usize]))
+                .ok_or_else(|| {
+                    UcpError::Inconsistent(format!("hot checkpoint has no atom for {name}"))
+                }),
+        }
     }
 }
 
@@ -282,12 +323,9 @@ enum MomentData {
     Runs(Vec<(usize, Vec<f32>)>, Vec<(usize, Vec<f32>)>),
 }
 
-fn execute_plan(
-    universal_dir: &Path,
-    plan: &LoadPlan,
-    opts: &LoadOptions,
-    cache: &AtomCache,
-) -> Result<RankState> {
+/// `Load`: execute `plan` against `source`. The only builder of a
+/// [`RankState`], so every tier reconstructs a rank the same way.
+pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<RankState> {
     let _load_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "load");
     let t_total = ucp_telemetry::enabled().then(std::time::Instant::now);
     let chunk = plan.layout.chunk;
@@ -298,14 +336,21 @@ fn execute_plan(
     // Phase 1 (parallel): read and slice the atoms each entry needs.
     // Per-entry busy time accumulates into `load/worker_busy_ns`;
     // utilization over the read phase is busy / (span × workers).
-    let pieces = par_map(plan.entries.len(), opts.workers, |i| {
+    let workers = match source {
+        AtomSource::Disk { opts, .. } => opts.workers,
+        AtomSource::Memory(_) => 1,
+    };
+    let pieces = par_map(plan.entries.len(), workers, |i| {
         let _read_sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "read_entry");
         let t_busy = ucp_telemetry::enabled().then(std::time::Instant::now);
         let entry = &plan.entries[i];
-        let piece = if opts.ranged {
-            read_entry_ranged(universal_dir, plan, entry, opts, cache)?
-        } else {
-            read_entry_full(universal_dir, plan, entry, opts)?
+        let piece = match source {
+            AtomSource::Disk {
+                universal,
+                opts,
+                cache,
+            } if opts.ranged => read_entry_ranged(universal, plan, entry, opts, cache)?,
+            _ => read_entry_full(plan, entry, source)?,
         };
         if let Some(t) = t_busy {
             ucp_telemetry::count(
@@ -359,16 +404,15 @@ fn execute_plan(
     })
 }
 
-/// Full-read strategy: open each atom container and decode all of it, then
-/// slice out this rank's TP shard in memory.
+/// Full-read strategy: take each whole atom (decoding its container, or
+/// borrowing it from RAM), then slice out this rank's TP shard in memory.
 fn read_entry_full(
-    universal_dir: &Path,
     plan: &LoadPlan,
     entry: &LoadEntry,
-    opts: &LoadOptions,
+    source: &AtomSource<'_>,
 ) -> Result<(Tensor, Option<MomentData>)> {
     // Model copy always needs the fp32 shard of every owned parameter.
-    let atom_fp32 = read_atom(universal_dir, &entry.name, AtomFile::Fp32, &opts.device)?;
+    let atom_fp32 = source.atom(&entry.name, AtomFile::Fp32)?;
     if atom_fp32.shape() != &entry.full_shape {
         return Err(UcpError::Inconsistent(format!(
             "atom {} has shape {}, expected {}",
@@ -385,12 +429,14 @@ fn read_entry_full(
     let moments = if entry.fragments.is_empty() {
         None
     } else {
-        let mut out = Vec::with_capacity(2);
-        for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
-            let atom = read_atom(universal_dir, &entry.name, file, &opts.device)?;
-            out.push(entry.partition.shard(&atom, plan.target.tp, plan.coord.tp));
-        }
-        Some(MomentData::Full(out.remove(0), out.remove(0)))
+        let shard = |file| -> Result<Tensor> {
+            let atom = source.atom(&entry.name, file)?;
+            Ok(entry.partition.shard(&atom, plan.target.tp, plan.coord.tp))
+        };
+        Some(MomentData::Full(
+            shard(AtomFile::ExpAvg)?,
+            shard(AtomFile::ExpAvgSq)?,
+        ))
     };
     Ok((shard_fp32, moments))
 }
@@ -495,7 +541,7 @@ fn fragment_runs(
 }
 
 /// Copy `fragments` of the flattened shard into the chunk buffer.
-pub(crate) fn scatter(chunk: &mut [f32], shard_flat: &[f32], fragments: &[FlatFragment]) {
+fn scatter(chunk: &mut [f32], shard_flat: &[f32], fragments: &[FlatFragment]) {
     for f in fragments {
         chunk[f.chunk_offset..f.chunk_offset + f.len]
             .copy_from_slice(&shard_flat[f.param_offset..f.param_offset + f.len]);

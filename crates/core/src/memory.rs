@@ -1,29 +1,25 @@
-//! In-memory universal checkpoints: the consolidation and load path of
-//! the RAM-resident hot checkpoint tier.
+//! In-memory universal checkpoints: the RAM-resident hot checkpoint tier.
 //!
 //! A [`MemoryCheckpoint`] is a universal checkpoint that never touches
 //! disk: per-parameter atom tensors plus a manifest, assembled from the
-//! optimizer shards peers replicated into RAM ([`HotShard`]). Assembly
-//! runs the exact same transformation operations as the on-disk convert
-//! pass (`Extract` → flat `Union` → pattern-dispatched TP `Union` →
-//! `StripPadding`), and loading runs the exact same `GenUcpMetadata` +
-//! shard/scatter path as [`crate::load`] — so a rank resumed from peer
-//! memory reconstructs bitwise-identical state to one resumed from the
-//! converted disk checkpoint, under *any* target parallelism strategy.
+//! optimizer shards peers replicated into RAM ([`HotShard`]). It owns no
+//! transformation of its own: assembly is [`crate::convert`]'s one
+//! consolidation with the shards as its chunk source and a map as its
+//! atom sink, and loading is [`crate::load`]'s one plan executor with
+//! that map as its atom source — so a rank resumed from peer memory
+//! reconstructs bitwise-identical state to one resumed from the converted
+//! disk checkpoint, under *any* target parallelism strategy.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use ucp_model::param_specs;
+use parking_lot::Mutex;
 use ucp_parallel::ParallelConfig;
 use ucp_tensor::Tensor;
 
 use crate::checkpoint::{CommonState, OptimShard};
-use crate::language::UcpSpec;
-use crate::load::{gen_ucp_metadata, scatter, RankState};
-use crate::manifest::{AtomMeta, UcpManifest};
-use crate::ops::{extract_flat, strip_padding, union_flat, union_tp, Fragment};
-use crate::pattern::{FragmentSpec, ParamPattern};
+use crate::convert::{consolidate, ChunkSource, ConvertOptions};
+use crate::load::{execute_plan, gen_ucp_metadata, AtomSource, RankState};
+use crate::manifest::UcpManifest;
 use crate::{Result, UcpError};
 
 /// One rank's contribution to the hot tier: the training state it would
@@ -50,10 +46,6 @@ impl HotShard {
     }
 }
 
-/// Per-parameter consolidated state for one (tp, pp) slice, indexed
-/// `[fp32, exp_avg, exp_avg_sq]`.
-type SliceStates = BTreeMap<String, [Tensor; 3]>;
-
 /// A fully consolidated universal checkpoint held in memory.
 #[derive(Debug, Clone)]
 pub struct MemoryCheckpoint {
@@ -64,13 +56,9 @@ pub struct MemoryCheckpoint {
 
 impl MemoryCheckpoint {
     /// Consolidate a complete set of hot shards — one per (tp, pp, zero)
-    /// coordinate of the source strategy — into per-parameter atoms.
-    ///
-    /// This is Algorithm 1 with the file reads replaced by the in-memory
-    /// shards: the tensors it produces are identical to what
-    /// [`crate::convert::convert_to_universal`] would write for the same
-    /// step, which is what makes hot recovery bitwise-equal to disk
-    /// recovery.
+    /// coordinate of the source strategy — into per-parameter atoms: the
+    /// tensors [`crate::convert::convert_to_universal`] would write for
+    /// the same step.
     pub fn assemble(shards: Vec<HotShard>) -> Result<MemoryCheckpoint> {
         let first = shards
             .first()
@@ -82,8 +70,9 @@ impl MemoryCheckpoint {
         let zero = src.dp * src.sp;
 
         // Index shards by coordinate, rejecting mixed steps, duplicates,
-        // and out-of-range coordinates up front.
-        let mut by_slice: BTreeMap<(usize, usize), BTreeMap<usize, OptimShard>> = BTreeMap::new();
+        // and out-of-range coordinates up front; a missing coordinate
+        // surfaces from the consolidation's lookup.
+        let mut by_coord: BTreeMap<(usize, usize, usize), OptimShard> = BTreeMap::new();
         for s in shards {
             if s.common.iteration != common.iteration {
                 return Err(UcpError::Inconsistent(format!(
@@ -91,100 +80,34 @@ impl MemoryCheckpoint {
                     s.common.iteration, common.iteration
                 )));
             }
+            let coord = (s.tp, s.pp, s.shard.dp);
             if s.tp >= src.tp || s.pp >= src.pp || s.shard.dp >= zero {
                 return Err(UcpError::Inconsistent(format!(
-                    "hot assemble: shard (tp {}, pp {}, zero {}) outside source {}",
-                    s.tp,
-                    s.pp,
-                    s.shard.dp,
+                    "hot assemble: shard (tp, pp, zero) {coord:?} outside source {}",
                     src.label()
                 )));
             }
-            let zi = s.shard.dp;
-            if by_slice
-                .entry((s.tp, s.pp))
-                .or_default()
-                .insert(zi, s.shard)
-                .is_some()
-            {
+            if by_coord.insert(coord, s.shard).is_some() {
                 return Err(UcpError::Inconsistent(format!(
-                    "hot assemble: duplicate shard (tp {}, pp {}, zero {zi})",
-                    s.tp, s.pp
+                    "hot assemble: duplicate shard (tp, pp, zero) {coord:?}"
                 )));
             }
         }
 
-        let derived = UcpSpec::from_model(&common.model, src.tp, &common.params_to_average);
-        let all_specs = param_specs(&common.model);
-        let mut metas: Vec<AtomMeta> = Vec::new();
-        let mut atoms: BTreeMap<String, [Tensor; 3]> = BTreeMap::new();
-
-        for pp in 0..src.pp {
-            // Extract + flat union for every TP shard of this stage.
-            let mut slices: Vec<SliceStates> = Vec::with_capacity(src.tp);
-            for tp in 0..src.tp {
-                let chunks = by_slice.remove(&(tp, pp)).ok_or_else(|| {
-                    UcpError::Inconsistent(format!(
-                        "hot assemble: no shards for (tp {tp}, pp {pp})"
-                    ))
-                })?;
-                if chunks.len() != zero {
-                    return Err(UcpError::Inconsistent(format!(
-                        "hot assemble: (tp {tp}, pp {pp}) has {}/{zero} ZeRO chunks",
-                        chunks.len()
-                    )));
-                }
-                slices.push(assemble_slice(&chunks)?);
-            }
-
-            // TP union per parameter, exactly as the disk convert pass.
-            let names: Vec<String> = slices[0].keys().cloned().collect();
-            for name in &names {
-                let pattern = derived.pattern_of(name).cloned().ok_or_else(|| {
-                    UcpError::Inconsistent(format!("no pattern rule matches {name}"))
-                })?;
-                let spec_entry = all_specs
-                    .iter()
-                    .find(|s| &s.name == name)
-                    .ok_or_else(|| UcpError::Inconsistent(format!("unknown parameter {name}")))?;
-                let mut triple: Vec<Tensor> = Vec::with_capacity(3);
-                for ki in 0..3 {
-                    let tp_shards: Vec<Tensor> = slices
-                        .iter()
-                        .map(|s| {
-                            s.get(name).map(|t| t[ki].clone()).ok_or_else(|| {
-                                UcpError::Inconsistent(format!("{name} missing in a TP slice"))
-                            })
-                        })
-                        .collect::<Result<_>>()?;
-                    let mut atom = union_tp(&pattern, &tp_shards, true)?;
-                    if matches!(
-                        pattern,
-                        ParamPattern::Fragment(FragmentSpec::PaddedDim { .. })
-                    ) {
-                        atom = strip_padding(&atom, &spec_entry.shape)?;
-                    }
-                    if atom.shape() != &spec_entry.shape {
-                        return Err(UcpError::Inconsistent(format!(
-                            "atom {name}: consolidated shape {} != spec shape {}",
-                            atom.shape(),
-                            spec_entry.shape
-                        )));
-                    }
-                    triple.push(atom);
-                }
-                let triple: [Tensor; 3] = triple.try_into().expect("three state keys");
-                atoms.insert(name.clone(), triple);
-                metas.push(AtomMeta {
-                    name: name.clone(),
-                    shape: spec_entry.shape.clone(),
-                    pattern,
-                });
-            }
-        }
-
-        let manifest = crate::assemble::build_manifest(&common, metas);
-        Ok(MemoryCheckpoint { manifest, atoms })
+        let atoms = Mutex::new(BTreeMap::new());
+        let (manifest, _) = consolidate(
+            &common,
+            &ChunkSource::Memory(&by_coord),
+            &ConvertOptions::default(),
+            &|name, _, atom| {
+                atoms.lock().insert(name.to_string(), atom);
+                Ok(0)
+            },
+        )?;
+        Ok(MemoryCheckpoint {
+            manifest,
+            atoms: atoms.into_inner(),
+        })
     }
 
     /// The checkpoint's manifest.
@@ -198,8 +121,6 @@ impl MemoryCheckpoint {
     }
 
     /// `GenUcpMetadata` + `Load` for one target rank, served from memory.
-    /// Mirrors the disk load path's full-read strategy operation for
-    /// operation, so the reconstructed state is bitwise-identical.
     pub fn load_rank(
         &self,
         target: &ParallelConfig,
@@ -207,75 +128,6 @@ impl MemoryCheckpoint {
         alignment: usize,
     ) -> Result<RankState> {
         let plan = gen_ucp_metadata(&self.manifest, target, rank, alignment)?;
-        let chunk = plan.layout.chunk;
-        let mut fp32 = vec![0.0f32; chunk];
-        let mut exp_avg = vec![0.0f32; chunk];
-        let mut exp_avg_sq = vec![0.0f32; chunk];
-        let mut model_params = Vec::with_capacity(plan.entries.len());
-        for entry in &plan.entries {
-            let [atom_fp32, atom_m, atom_v] =
-                self.atoms.get(entry.name.as_ref()).ok_or_else(|| {
-                    UcpError::Inconsistent(format!("hot checkpoint has no atom for {}", entry.name))
-                })?;
-            if atom_fp32.shape() != &entry.full_shape {
-                return Err(UcpError::Inconsistent(format!(
-                    "atom {} has shape {}, expected {}",
-                    entry.name,
-                    atom_fp32.shape(),
-                    entry.full_shape
-                )));
-            }
-            let shard_fp32 = entry
-                .partition
-                .shard(atom_fp32, plan.target.tp, plan.coord.tp);
-            if !entry.fragments.is_empty() {
-                let m = entry.partition.shard(atom_m, plan.target.tp, plan.coord.tp);
-                let v = entry.partition.shard(atom_v, plan.target.tp, plan.coord.tp);
-                scatter(&mut fp32, shard_fp32.as_slice(), &entry.fragments);
-                scatter(&mut exp_avg, m.flatten().as_slice(), &entry.fragments);
-                scatter(&mut exp_avg_sq, v.flatten().as_slice(), &entry.fragments);
-            }
-            model_params.push((entry.name.clone(), shard_fp32));
-        }
-        Ok(RankState {
-            layout: Arc::clone(&plan.layout),
-            fp32,
-            exp_avg,
-            exp_avg_sq,
-            model_params,
-        })
+        execute_plan(&plan, &AtomSource::Memory(&self.atoms))
     }
-}
-
-/// Reassemble one (tp, pp) slice's per-parameter state tensors from its
-/// ZeRO chunks (Extract + flat Union, in memory).
-fn assemble_slice(chunks: &BTreeMap<usize, OptimShard>) -> Result<SliceStates> {
-    let layout = &chunks
-        .values()
-        .next()
-        .expect("caller checked coverage")
-        .layout;
-    let mut grouped: BTreeMap<(String, usize), Vec<Fragment>> = BTreeMap::new();
-    for (&zi, shard) in chunks {
-        let keys: [&[f32]; 3] = [&shard.fp32, &shard.exp_avg, &shard.exp_avg_sq];
-        for (ki, chunk) in keys.iter().enumerate() {
-            for (name, frag) in extract_flat(&shard.layout, zi, chunk) {
-                grouped.entry((name, ki)).or_default().push(frag);
-            }
-        }
-    }
-    let mut states: SliceStates = BTreeMap::new();
-    for slot in &layout.slots {
-        let mut tensors: Vec<Tensor> = Vec::with_capacity(3);
-        for ki in 0..3 {
-            let frags = grouped.remove(&(slot.name.clone(), ki)).ok_or_else(|| {
-                UcpError::Inconsistent(format!("no fragments for {} key {ki}", slot.name))
-            })?;
-            let flat = union_flat(slot.len, &frags)?;
-            tensors.push(Tensor::from_vec(flat, slot.shape.clone()).map_err(UcpError::Tensor)?);
-        }
-        let [a, b, c]: [Tensor; 3] = tensors.try_into().expect("three keys");
-        states.insert(slot.name.clone(), [a, b, c]);
-    }
-    Ok(states)
 }

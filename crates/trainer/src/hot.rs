@@ -26,8 +26,9 @@
 //! [`HotTier::try_recover`] for the newest step at which *every* source
 //! rank still has a CRC-valid replica in a surviving bank. If one exists,
 //! the shards are consolidated in memory ([`MemoryCheckpoint::assemble`] —
-//! the exact convert-pass operations, so the result is bitwise-identical
-//! to the disk checkpoint of the same step) and served to the restarted
+//! the convert pass's own consolidation over shards in RAM, so the result
+//! is bitwise-identical to the disk checkpoint of the same step) and
+//! served to the restarted
 //! topology; otherwise recovery falls back to the latest committed disk
 //! checkpoint.
 

@@ -5,8 +5,11 @@
 //! pipeline-published tree therefore needs no convert pass and lands on
 //! exactly the state the offline path would load.
 
+use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::fsck::{fsck, FsckOptions};
+use ucp_repro::core::load::{LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
+use ucp_repro::core::{HotShard, MemoryCheckpoint, UcpError};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
@@ -61,6 +64,86 @@ fn plan(
     }
 }
 
+/// The third producer of a universal checkpoint: the RAM hot tier. Hot
+/// shards rebuilt from `off`'s native step files must assemble into a
+/// checkpoint whose `load_rank` is bitwise-equal to the offline-converted
+/// tree's, for every rank of a TP1 and a TP2·DP2 target, against both
+/// disk read strategies — and malformed shard sets must be refused with a
+/// typed error.
+fn assert_memory_matches_disk(
+    name: &str,
+    off: &std::path::Path,
+    step: u64,
+    source: ParallelConfig,
+) {
+    let step_dir = layout::step_dir(off, step);
+    let mut shards = Vec::new();
+    for pp in 0..source.pp {
+        for tp in 0..source.tp {
+            for zi in 0..source.dp * source.sp {
+                let (common, shard) = load_optim_states(&step_dir, zi, tp, pp).unwrap();
+                shards.push(HotShard {
+                    common,
+                    tp,
+                    pp,
+                    shard,
+                });
+            }
+        }
+    }
+
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let ram = MemoryCheckpoint::assemble(shards.clone()).unwrap();
+    for target in [
+        ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
+        ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
+    ] {
+        for ranged in [true, false] {
+            let opts = LoadOptions {
+                ranged,
+                ..LoadOptions::default()
+            };
+            let disk = LoadSession::open(off, step, opts).unwrap();
+            for rank in 0..target.world_size() {
+                let ctx = format!(
+                    "{name} step {step}: target {} rank {rank} ranged {ranged}",
+                    target.label()
+                );
+                let a = ram.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+                let b = disk.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+                assert_eq!(a.layout, b.layout, "{ctx}");
+                assert_eq!(bits(&a.fp32), bits(&b.fp32), "{ctx}: fp32");
+                assert_eq!(bits(&a.exp_avg), bits(&b.exp_avg), "{ctx}: exp_avg");
+                assert_eq!(
+                    bits(&a.exp_avg_sq),
+                    bits(&b.exp_avg_sq),
+                    "{ctx}: exp_avg_sq"
+                );
+                assert_eq!(a.model_params.len(), b.model_params.len(), "{ctx}");
+                for ((na, ta), (nb, tb)) in a.model_params.iter().zip(&b.model_params) {
+                    assert_eq!(na, nb, "{ctx}: param order");
+                    assert!(ta.bitwise_eq(tb), "{ctx}: model param {na}");
+                }
+            }
+        }
+    }
+
+    let reject = |what: &str, edit: &dyn Fn(&mut Vec<HotShard>)| {
+        let mut bad = shards.clone();
+        edit(&mut bad);
+        match MemoryCheckpoint::assemble(bad).map(|c| c.step()) {
+            Err(UcpError::Inconsistent(_)) => {}
+            other => panic!("{name}: {what} must be Inconsistent, got {other:?}"),
+        }
+    };
+    reject("no shards", &|s| s.clear());
+    reject("mixed steps", &|s| s[0].common.iteration += 1);
+    reject("duplicate coordinate", &|s| s.push(s[0].clone()));
+    reject("missing coordinate", &|s| drop(s.pop()));
+    reject("out-of-range coordinate", &|s| s[0].tp = source.tp);
+    reject("truncated chunk", &|s| s[0].shard.exp_avg.truncate(1));
+}
+
 /// The whole contract for one source configuration:
 ///
 /// 1. an overlapped run publishes `latest_universal` at save time;
@@ -69,7 +152,9 @@ fn plan(
 /// 3. the pipeline-written repository is fsck-clean;
 /// 4. a reconfigured resume straight off the pipeline tree — no convert
 ///    pass anywhere — yields losses identical to resuming off the
-///    offline-converted tree.
+///    offline-converted tree;
+/// 5. the same native shards assembled in RAM load bitwise-equal to the
+///    offline-converted tree ([`assert_memory_matches_disk`]).
 fn assert_born_universal(name: &str, model: ModelConfig, source: ParallelConfig, dtype: DType) {
     assert_born_universal_every(name, model, source, dtype, 2);
 }
@@ -99,6 +184,7 @@ fn assert_born_universal_every(
     assert_eq!(pipe_run.losses, off_run.losses, "{name}: training diverged");
     for &step in &steps {
         convert_to_universal(&off, step, &ConvertOptions::default()).unwrap();
+        assert_memory_matches_disk(name, &off, step, source);
     }
 
     // At per-iteration cadence the pipeline patches dirty atoms in carried

@@ -1,6 +1,6 @@
 //! Crash-replay harness for the commit protocol: kill the writer at a
-//! sweep of points through save and convert, then assert the tree always
-//! resumes.
+//! sweep of points through save and convert (native and cross-framework),
+//! then assert the tree always resumes.
 //!
 //! The fault layer (`storage::io::fault`) counts every buffered write and
 //! every commit gate (pre-publish fsync, rename, parent-dir sync) under a
@@ -15,12 +15,15 @@
 //! - after `fsck` quarantines partial trees, simply retrying the
 //!   interrupted operation converges.
 
+use ucp_repro::core::adapter::{save_litsim_checkpoint, LitSimAdapter, SourceAdapter};
+use ucp_repro::core::assemble::{commit_universal, write_atom_file};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::{fsck, FsckOptions};
-use ucp_repro::model::ModelConfig;
+use ucp_repro::core::{fsck, FsckOptions, ParamPattern};
+use ucp_repro::model::{param_specs, ModelConfig};
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::io::fault;
-use ucp_repro::storage::layout;
+use ucp_repro::storage::layout::{self, AtomFile};
+use ucp_repro::tensor::{DetRng, Tensor};
 use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -144,16 +147,20 @@ fn save_crash_replay_sweeps_kill_points() {
     }
 }
 
-#[test]
-fn convert_crash_replay_sweeps_kill_points() {
-    // One native checkpoint; each scenario converts a fresh copy of it.
-    let base = scratch("conv_base");
-    baseline(&base);
+/// Sweep kill points through one offline producer of the step-2 universal
+/// checkpoint (`produce(dir)`, run on fresh copies of the `seed` tree) and
+/// check the commit protocol's promises after every crash. Returns the
+/// producer's kill-point count.
+fn sweep_universal_producer(
+    tag: &str,
+    seed: &std::path::Path,
+    produce: &dyn Fn(&std::path::Path) -> Result<(), String>,
+) -> u64 {
     let total = {
-        let cal = scratch("conv_cal");
-        copy_tree(&base, &cal);
+        let cal = scratch(&format!("{tag}_cal"));
+        copy_tree(seed, &cal);
         let armed = fault::arm(fault::FaultPlan::count_only(&cal));
-        convert_to_universal(&cal, 2, &ConvertOptions::default()).unwrap();
+        produce(&cal).unwrap();
         let hits = armed.hits();
         drop(armed);
         std::fs::remove_dir_all(&cal).ok();
@@ -163,36 +170,42 @@ fn convert_crash_replay_sweeps_kill_points() {
     let kill_points = spread(total, 12);
     assert!(
         kill_points.len() >= 10,
-        "convert exposed only {total} kill points"
+        "{tag} exposed only {total} kill points"
     );
     for &k in &kill_points {
-        let dir = scratch(&format!("conv_k{k}"));
-        copy_tree(&base, &dir);
+        let dir = scratch(&format!("{tag}_k{k}"));
+        copy_tree(seed, &dir);
         let err = {
             let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
-            convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap_err()
+            produce(&dir).unwrap_err()
         };
-        assert!(
-            err.to_string().contains("injected crash"),
-            "kill {k}: {err}"
-        );
+        assert!(err.contains("injected crash"), "{tag} kill {k}: {err}");
 
+        // `latest_universal` is absent or names a tree fsck accepts.
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
         assert!(
             report.markers_repaired.is_empty(),
-            "kill {k}: marker referenced an incomplete universal step: {:?}",
+            "{tag} kill {k}: marker referenced an incomplete universal step: {:?}",
             report.markers_repaired
         );
-        // The native source is untouched by a convert crash.
-        assert_eq!(layout::read_latest(&dir), Some(2), "kill {k}");
+        // Whatever native state the seed tree had is untouched by the crash.
+        assert_eq!(
+            layout::read_latest(&dir),
+            layout::read_latest(seed),
+            "{tag} kill {k}"
+        );
 
         // Either the conversion committed (marker present ⇒ complete) or
         // it can simply be retried after fsck swept the debris.
         if layout::read_latest_universal(&dir).is_none() {
-            convert_to_universal(&dir, 2, &ConvertOptions::default())
-                .unwrap_or_else(|e| panic!("kill {k}: retry after fsck failed: {e}"));
+            produce(&dir)
+                .unwrap_or_else(|e| panic!("{tag} kill {k}: retry after fsck failed: {e}"));
         }
-        assert_eq!(layout::read_latest_universal(&dir), Some(2), "kill {k}");
+        assert_eq!(
+            layout::read_latest_universal(&dir),
+            Some(2),
+            "{tag} kill {k}"
+        );
         let resumed = train_run(&TrainPlan {
             config: config(),
             until_iteration: 4,
@@ -203,11 +216,83 @@ fn convert_crash_replay_sweeps_kill_points() {
             checkpoint_every: None,
             checkpoint_dir: None,
         })
-        .unwrap_or_else(|e| panic!("kill {k}: universal resume failed: {e}"));
+        .unwrap_or_else(|e| panic!("{tag} kill {k}: universal resume failed: {e}"));
         assert_eq!(resumed.start_iteration, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
+    total
+}
+
+#[test]
+fn convert_crash_replay_sweeps_kill_points() {
+    // One native checkpoint; each scenario converts a fresh copy of it.
+    let base = scratch("conv_base");
+    baseline(&base);
+    sweep_universal_producer("conv", &base, &|dir| {
+        convert_to_universal(dir, 2, &ConvertOptions::default())
+            .map(drop)
+            .map_err(|e| e.to_string())
+    });
     std::fs::remove_dir_all(&base).ok();
+
+    // A foreign consolidated checkpoint through the cross-framework
+    // adapter: same protocol, same promises. The source file sits outside
+    // the fault scope; the destination tree starts empty.
+    let model = ModelConfig::gpt3_tiny();
+    let rng = DetRng::new(91);
+    let states: Vec<(String, Tensor, Tensor, Tensor)> = param_specs(&model)
+        .into_iter()
+        .map(|s| {
+            let zeros = Tensor::zeros(s.shape.clone());
+            (
+                s.name.clone(),
+                s.materialize_full(&rng),
+                zeros.clone(),
+                zeros,
+            )
+        })
+        .collect();
+    let src = scratch("lit_src");
+    let ckpt = src.join("litsim.ckpt");
+    save_litsim_checkpoint(&ckpt, &model, 2, 91, 16, 2, &states).unwrap();
+    let empty = scratch("lit_base");
+    let total = sweep_universal_producer("lit", &empty, &|dir| {
+        LitSimAdapter
+            .convert(&ckpt, dir, 2)
+            .map(drop)
+            .map_err(|e| e.to_string())
+    });
+
+    // The adapter's atoms pass every gate a lone `write_atom_file` of the
+    // same tensor does (data writes, fsync, rename, dir sync), and its
+    // tail is the shared commit tail: the counts add up exactly.
+    let reference = scratch("lit_ref");
+    let manifest = LitSimAdapter.convert(&ckpt, &empty, 2).unwrap();
+    let armed = fault::arm(fault::FaultPlan::count_only(&reference));
+    let universal = layout::universal_dir(&reference, 2);
+    for (name, w, m, v) in &states {
+        for (file, t) in AtomFile::ALL.into_iter().zip([w, m, v]) {
+            write_atom_file(
+                &universal,
+                name,
+                &ParamPattern::Unique,
+                file,
+                t.clone(),
+                "t",
+            )
+            .unwrap();
+        }
+    }
+    commit_universal(&reference, 2, &manifest).unwrap();
+    assert_eq!(
+        total,
+        armed.hits(),
+        "adapter atoms skipped commit gates a lone write_atom_file passes"
+    );
+    drop(armed);
+    for dir in [src, empty, reference] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

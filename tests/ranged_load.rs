@@ -16,8 +16,8 @@ use ucp_repro::storage::{layout, Container};
 use ucp_repro::tensor::DType;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
-/// The cache-accounting test reads the global telemetry recorder, so the
-/// tests in this binary run one at a time.
+/// The convert-open and cache-accounting assertions read the global
+/// telemetry recorder, so the tests in this binary run one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -44,7 +44,20 @@ fn universal_checkpoint(parallel: ParallelConfig, name: &str, dtype: DType) -> s
         checkpoint_dir: Some(dir.clone()),
     })
     .unwrap();
+    // Convert takes the run metadata and each slice's flat layout from
+    // the optimizer shards it extracts: one open per optimizer-states
+    // file, and no model-states file.
+    let rec = ucp_repro::telemetry::global();
+    rec.reset();
+    rec.set_enabled(true);
     convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
+    let opens = rec.report("convert_opens").counter("storage/open");
+    rec.set_enabled(false);
+    assert_eq!(
+        opens,
+        Some(parallel.world_size() as u64),
+        "{name}: convert must open each optimizer file exactly once"
+    );
     dir
 }
 
