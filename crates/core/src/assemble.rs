@@ -826,6 +826,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A small atom is a single-write file (write 0, fsync 1, rename 2,
+    /// dirsync 3): a survivable failure at the write or the rename unlinks
+    /// the staging file and leaves the published atom alone; an injected
+    /// crash at the same index leaves the remnant for fsck.
+    #[test]
+    fn failed_atom_write_cleans_tmp_crash_leaves_it() {
+        use ucp_storage::io::fault::{self, FaultPlan};
+        let dir = tmp("atom_enospc");
+        let write = |v: f32| {
+            write_atom_file(
+                &dir,
+                "p",
+                &ParamPattern::Unique,
+                AtomFile::Fp32,
+                Tensor::full([5], v),
+                "t",
+            )
+        };
+        let path = layout::atom_path(&dir, "p", AtomFile::Fp32);
+        let staged = ucp_storage::commit::tmp_path(&path);
+        write(1.0).unwrap();
+        let old = std::fs::read(&path).unwrap();
+        for k in [0, 2] {
+            let armed = fault::arm(FaultPlan {
+                full_disk: true,
+                ..FaultPlan::kill_at(k, &dir)
+            });
+            let err = write(2.0).unwrap_err();
+            drop(armed);
+            assert!(err.to_string().contains("no space left"), "{k}: {err}");
+            assert!(!staged.exists(), "{k}: failed atom write leaked its .tmp");
+
+            let armed = fault::arm(FaultPlan::kill_at(k, &dir));
+            let err = write(2.0).unwrap_err();
+            drop(armed);
+            assert!(err.to_string().contains("injected crash"), "{k}: {err}");
+            assert!(staged.exists(), "{k}: a crash cannot clean up");
+            assert_eq!(std::fs::read(&path).unwrap(), old, "{k}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn manifest_build_sorts_and_dedups() {
         let parallel = ParallelConfig::new(1, 2, 1, 1, ZeroStage::Zero1);

@@ -24,19 +24,11 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use ucp_storage::layout::{self, AtomFile};
-use ucp_storage::{ContainerIndex, Device, RangeScratch};
+use ucp_storage::{container, ContainerIndex, Device, RangeScratch};
 use ucp_tensor::{DType, Shape};
 
 use crate::util::par_map;
 use crate::{Result, UcpError};
-
-/// Tick the file-open counter (`storage/open`): cache-miss fetches open
-/// one handle per pool worker, so the counter makes handle churn visible.
-fn count_open() {
-    if ucp_telemetry::enabled() {
-        ucp_telemetry::count("storage/open", 1);
-    }
-}
 
 /// What fetching one coalesced gap produced.
 enum GapOutcome {
@@ -99,9 +91,7 @@ impl AtomCache {
         let key = file.state_key();
 
         if entry.index.is_none() {
-            count_open();
-            let f = std::fs::File::open(&path)?;
-            let mut r = device.reader(std::io::BufReader::new(f));
+            let mut r = device.reader(container::open(&path)?);
             entry.index = Some(ContainerIndex::read_from(&mut r)?);
         }
         let info = entry
@@ -184,9 +174,7 @@ impl AtomCache {
             let info = index.get(key).expect("section checked above");
             let gaps = &coalesced;
             let stripes = par_map(pool, pool, |w| {
-                count_open();
-                let f = std::fs::File::open(&path)?;
-                let mut r = device.reader(std::io::BufReader::new(f));
+                let mut r = device.reader(container::open(&path)?);
                 let mut scratch = RangeScratch::default();
                 let mut out = Vec::new();
                 for (i, gap) in gaps.iter().enumerate().skip(w).step_by(pool) {
@@ -239,9 +227,7 @@ impl AtomCache {
                 if ucp_telemetry::enabled() {
                     ucp_telemetry::count("load/ranged_fallback", 1);
                 }
-                count_open();
-                let f = std::fs::File::open(&path)?;
-                let mut r = device.reader(std::io::BufReader::new(f));
+                let mut r = device.reader(container::open(&path)?);
                 let full = {
                     let index = entry.index.as_ref().expect("index populated above");
                     index.read_section_lenient(&mut r, key)?

@@ -19,8 +19,8 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use ucp_model::{ModelConfig, ParamStore};
 use ucp_parallel::{FlatLayout, ParallelConfig};
-use ucp_storage::{layout, Container};
-use ucp_tensor::Tensor;
+use ucp_storage::{container, layout, Container, SectionRef};
+use ucp_tensor::{DType, Tensor};
 
 use crate::{Result, UcpError};
 
@@ -127,20 +127,17 @@ pub fn save_model_states(
         tp,
         pp,
     })?;
-    let mut c = Container::new(header);
-    for (name, t) in params.iter() {
-        c.push(name.clone(), t.clone());
-    }
-    write_container(&c, &layout::model_states_path(step_dir, tp, pp), durable)
-}
-
-fn write_container(c: &Container, path: &Path, durable: bool) -> Result<()> {
-    if durable {
-        c.write_file_durable(path)?;
-    } else {
-        c.write_file(path)?;
-    }
-    Ok(())
+    let sections: Vec<SectionRef<'_>> = params
+        .iter()
+        .map(|(name, t)| SectionRef {
+            name,
+            dtype: t.dtype(),
+            dims: t.shape().dims(),
+            data: t.as_slice(),
+        })
+        .collect();
+    let path = layout::model_states_path(step_dir, tp, pp);
+    Ok(container::write_file(&path, &header, &sections, durable)?)
 }
 
 /// Read a model-states file: `(common, tp, pp, named shards)`.
@@ -182,23 +179,20 @@ pub fn save_optim_states<'a>(
         pp,
         layout: shard.layout.clone(),
     })?;
-    let mut c = Container::new(header);
-    let chunk = shard.fp32.len();
-    for (key, data) in [
+    let dims = [shard.fp32.len()];
+    let sections = [
         ("fp32", shard.fp32),
         ("exp_avg", shard.exp_avg),
         ("exp_avg_sq", shard.exp_avg_sq),
-    ] {
-        c.push(
-            key,
-            Tensor::from_vec(data.to_vec(), [chunk]).map_err(UcpError::Tensor)?,
-        );
-    }
-    write_container(
-        &c,
-        &layout::optim_states_path(step_dir, shard.dp, tp, pp),
-        durable,
-    )
+    ]
+    .map(|(name, data)| SectionRef {
+        name,
+        dtype: DType::F32,
+        dims: &dims,
+        data,
+    });
+    let path = layout::optim_states_path(step_dir, shard.dp, tp, pp);
+    Ok(container::write_file(&path, &header, &sections, durable)?)
 }
 
 /// Read one (dp, tp, pp) rank's optimizer-states file.
@@ -299,6 +293,24 @@ mod tests {
         assert_eq!(c.iteration, 100);
         assert_eq!(back, shard);
         assert_eq!(back.range(), layout.chunk..2 * layout.chunk);
+
+        // Writing from the borrowed shard produces the same file as the
+        // equivalent owned container.
+        let path = layout::optim_states_path(&dir, 1, 0, 1);
+        let mut owned = Container::new(Container::read_file(&path).unwrap().header);
+        for (key, data) in [
+            ("fp32", &shard.fp32),
+            ("exp_avg", &shard.exp_avg),
+            ("exp_avg_sq", &shard.exp_avg_sq),
+        ] {
+            owned.push(key, Tensor::from_vec(data.clone(), [data.len()]).unwrap());
+        }
+        let owned_path = dir.join("owned.ucpt");
+        owned.write_file(&owned_path).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&owned_path).unwrap()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use ucp_model::{param_specs, ModelConfig, Partition, ShardSegment};
 use ucp_parallel::{FlatFragment, FlatLayout, ParallelConfig, RankCoord};
 use ucp_storage::layout::{self, AtomFile};
-use ucp_storage::{Container, Device};
+use ucp_storage::{container, Container, Device};
 use ucp_tensor::{Shape, Tensor};
 
 use crate::atom_cache::AtomCache;
@@ -293,11 +293,7 @@ fn validate_target(model: &ModelConfig, target: &ParallelConfig) -> Result<()> {
 fn read_atom(universal_dir: &Path, name: &str, file: AtomFile, device: &Device) -> Result<Tensor> {
     let path = layout::atom_path(universal_dir, name, file);
     let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-    if t.is_some() {
-        ucp_telemetry::count("storage/open", 1);
-    }
-    let f = std::fs::File::open(&path)?;
-    let mut r = device.reader(std::io::BufReader::new(f));
+    let mut r = device.reader(container::open(&path)?);
     let c = Container::read_from(&mut r)?;
     if let Some(t) = t {
         ucp_telemetry::observe(

@@ -13,16 +13,20 @@
 //! one, never a torn write. A crash before step 3 leaves only a `.tmp`
 //! remnant, which loaders ignore and `ucp fsck` sweeps away.
 //!
-//! Each step registers a kill point with [`crate::io::fault`], so the
-//! crash-replay harness can kill the process (in effect) at any write,
-//! fsync, or rename and assert recovery.
+//! `staged` is the one implementation of the protocol; what fills the
+//! staging file — written bytes ([`publish`]) or a hard link
+//! ([`link_file_durable`]) — is its argument. Each step registers a kill
+//! point with [`crate::io::fault`] (a data write counts once per buffer
+//! that reaches the file), so the crash-replay harness can kill the process
+//! (in effect) at any write, fsync, or rename and assert recovery.
 
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use crate::io::fault::{self, FaultWriter};
-use crate::Result;
+use crate::{Result, StorageError};
 
 /// Suffix staged files carry until they are renamed into place.
 pub const TMP_SUFFIX: &str = ".tmp";
@@ -47,104 +51,82 @@ pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// A file being staged for atomic publication. Create, fill via
-/// [`AtomicFile::writer`], then [`AtomicFile::commit`]. Dropping without
-/// committing leaves the `.tmp` remnant behind — exactly what a crash
-/// would leave, and what `ucp fsck` cleans up.
-pub struct AtomicFile {
-    tmp: PathBuf,
-    dest: PathBuf,
-    file: Option<File>,
-}
-
-impl AtomicFile {
-    /// Start staging a new version of `dest` (parent directories are
-    /// created as needed).
-    pub fn create(dest: &Path) -> Result<AtomicFile> {
-        if let Some(parent) = dest.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = tmp_path(dest);
-        let file = File::create(&tmp)?;
-        Ok(AtomicFile {
-            tmp,
-            dest: dest.to_path_buf(),
-            file: Some(file),
-        })
-    }
-
-    /// Buffered, fault-injecting writer for the staging file. Flush (or
-    /// drop) the writer before calling [`AtomicFile::commit`].
-    pub fn writer(&self) -> FaultWriter<BufWriter<&File>> {
-        FaultWriter::new(
-            BufWriter::new(self.file.as_ref().expect("AtomicFile already committed")),
-            &self.tmp,
-        )
-    }
-
-    /// fsync the staged data, rename it over the destination, and fsync
-    /// the parent directory. After this returns the new contents are
-    /// durable under the destination name.
-    pub fn commit(mut self) -> Result<()> {
-        let file = self.file.take().expect("AtomicFile already committed");
-        fault::gate("commit.fsync", &self.tmp)?;
-        file.sync_all()?;
-        drop(file);
-        fault::gate("commit.rename", &self.dest)?;
-        fs::rename(&self.tmp, &self.dest)?;
-        if let Some(parent) = self.dest.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fsync_dir(parent)?;
-        }
-        Ok(())
-    }
-}
-
-impl AtomicFile {
-    /// Rename the staged file into place *without* the fsyncs: atomic
-    /// against concurrent readers, but not durable across power loss.
-    /// Crash-critical artifacts must use [`AtomicFile::commit`].
-    pub fn publish_unsynced(mut self) -> Result<()> {
-        let file = self.file.take().expect("AtomicFile already committed");
-        drop(file);
-        fault::gate("commit.rename", &self.dest)?;
-        fs::rename(&self.tmp, &self.dest)?;
-        Ok(())
-    }
-}
-
-/// Atomically publish `bytes` at `path` via the full staged protocol.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
-    atomic_write_with(path, |w| w.write_all(bytes))
-}
-
-/// Atomically publish a file whose contents are produced by `fill`
-/// streaming into a buffered writer.
+/// The staged-rename skeleton: create `dest`'s parent directories, let
+/// `stage` produce `<dest>.tmp`, rename it over `dest` and — when
+/// `durable` — fsync the parent directory.
 ///
-/// On a genuine write failure (ENOSPC, permission errors, ...) the staged
-/// `.tmp` file is unlinked best-effort so failed writes do not leak
-/// stale staging files. *Injected crashes* from [`crate::io::fault`] are
-/// exempt: they simulate the process dying mid-commit, where nothing gets
-/// to clean up, and the crash-replay tests assert the remnant survives.
-pub fn atomic_write_with<F>(path: &Path, fill: F) -> Result<()>
-where
-    F: FnOnce(&mut dyn Write) -> std::io::Result<()>,
-{
-    let staged = AtomicFile::create(path)?;
-    let result = (|| {
-        {
-            let mut w = staged.writer();
-            fill(&mut w)?;
-            w.flush()?;
+/// On a genuine failure anywhere in that sequence (ENOSPC, permission
+/// errors, ...) the staging file is unlinked best-effort, so failed
+/// publishes do not leak stale `.tmp` files. *Injected crashes* from
+/// [`crate::io::fault`] are exempt: they simulate the process dying
+/// mid-commit, where nothing gets to clean up, and the crash-replay tests
+/// assert the remnant survives (for `ucp fsck` to sweep).
+fn staged(dest: &Path, durable: bool, stage: impl FnOnce(&Path) -> Result<()>) -> Result<()> {
+    let parent = dest.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = parent {
+        fs::create_dir_all(parent)?;
+    }
+    let tmp = tmp_path(dest);
+    let result = stage(&tmp).and_then(|()| {
+        fault::gate("commit.rename", dest)?;
+        fs::rename(&tmp, dest)?;
+        match parent {
+            Some(parent) if durable => Ok(fsync_dir(parent)?),
+            _ => Ok(()),
         }
-        staged.commit()
-    })();
+    });
     if let Err(e) = &result {
-        let crashed = matches!(e, crate::StorageError::Io(io) if fault::is_injected(io));
+        let crashed = matches!(e, StorageError::Io(io) if fault::is_injected(io));
         if !crashed {
-            let _ = fs::remove_file(tmp_path(path));
+            let _ = fs::remove_file(&tmp);
         }
     }
     result
+}
+
+/// Atomically publish a file whose contents `fill` streams into a
+/// buffered writer: readers see the old file or the complete new one.
+/// `durable` adds the two fsyncs (staged data, parent directory) that
+/// make it survive power loss.
+///
+/// Kill points: one per buffer the `BufWriter` hands to the file (a torn
+/// write lands exactly a prefix of it), then `commit.fsync`,
+/// `commit.rename`, `commit.dirsync`. Serialization and durability cost
+/// are recorded as the absolute spans `storage/write` and `storage/fsync`
+/// (the split reads the same whatever phase is open above), the file size
+/// under `storage/bytes_written`.
+pub fn publish(
+    dest: &Path,
+    durable: bool,
+    fill: impl FnOnce(&mut dyn Write) -> Result<()>,
+) -> Result<()> {
+    let started = ucp_telemetry::enabled().then(Instant::now);
+    let mut flushed = None;
+    staged(dest, durable, |tmp| {
+        let file = File::create(tmp)?;
+        let mut w = BufWriter::new(FaultWriter::new(&file, tmp));
+        fill(&mut w)?;
+        w.flush()?;
+        if let Some(t) = started {
+            ucp_telemetry::global().record_span("storage/write", t.elapsed());
+            ucp_telemetry::count("storage/bytes_written", file.metadata()?.len());
+            flushed = durable.then(Instant::now);
+        }
+        if durable {
+            fault::gate("commit.fsync", tmp)?;
+            file.sync_all()?;
+        }
+        Ok(())
+    })?;
+    if let Some(t) = flushed {
+        ucp_telemetry::global().record_span("storage/fsync", t.elapsed());
+    }
+    Ok(())
+}
+
+/// Durably publish `bytes` at `path` via the full staged protocol.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
+    publish(path, true, |w| Ok(w.write_all(bytes)?))
 }
 
 /// Durably publish `dst` as a hard link to the existing file `src`,
@@ -160,33 +142,17 @@ where
 /// or a complete, valid atom: hard links are atomic at the namespace
 /// level, and both names resolve to the same verified inode.
 ///
-/// Two kill points: `commit.link` (the staging link) and `commit.rename`,
-/// plus the shared `commit.dirsync` inside [`fsync_dir`].
+/// Three kill points: `commit.link` (the staging link), `commit.rename`,
+/// `commit.dirsync`.
 pub fn link_file_durable(src: &Path, dst: &Path) -> Result<()> {
-    if let Some(parent) = dst.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::create_dir_all(parent)?;
-    }
-    let tmp = tmp_path(dst);
-    let result = (|| -> Result<()> {
+    staged(dst, true, |tmp| {
         // A stale staging link from an interrupted earlier attempt would
         // make the fresh hard_link fail; sweep it first.
-        let _ = fs::remove_file(&tmp);
-        fault::gate("commit.link", &tmp)?;
-        fs::hard_link(src, &tmp)?;
-        fault::gate("commit.rename", dst)?;
-        fs::rename(&tmp, dst)?;
-        if let Some(parent) = dst.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fsync_dir(parent)?;
-        }
+        let _ = fs::remove_file(tmp);
+        fault::gate("commit.link", tmp)?;
+        fs::hard_link(src, tmp)?;
         Ok(())
-    })();
-    if let Err(e) = &result {
-        let crashed = matches!(e, crate::StorageError::Io(io) if fault::is_injected(io));
-        if !crashed {
-            let _ = fs::remove_file(&tmp);
-        }
-    }
-    result
+    })
 }
 
 /// Crash-consistently append one `line` (no trailing newline) to the file
@@ -336,52 +302,85 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The publishers the failure-path tests run over — a marker-sized
+    /// `atomic_write` and a durable container write, both single-write
+    /// files (write 0, fsync 1, rename 2, dirsync 3). `seed` varies the
+    /// contents.
+    type Publisher = fn(&Path, u8) -> Result<()>;
+    const PUBLISHERS: [(&str, Publisher); 2] = [
+        ("atomic_write", |path, seed| atomic_write(path, &[seed; 13])),
+        ("container", |path, seed| {
+            let mut c = crate::Container::new("{}");
+            c.push("w", ucp_tensor::Tensor::full([5], seed as f32));
+            c.write_file_durable(path)
+        }),
+    ];
+
     #[test]
     fn torn_disk_full_write_cleans_up_tmp() {
-        let dir = temp_dir("enospc");
-        let path = dir.join("marker");
-        // A survivable failure (torn write, then ENOSPC) — unlike an
-        // injected crash, the process lives, so the staging file must go.
-        let armed = fault::arm(FaultPlan {
-            kill_after: Some(0),
-            truncate_to: Some(3),
-            full_disk: true,
-            scope: Some(dir.clone()),
-        });
-        let err = atomic_write(&path, b"global_step99").unwrap_err();
-        drop(armed);
-        assert!(err.to_string().contains("no space left"), "{err}");
-        match err {
-            crate::StorageError::Io(io) => assert!(!fault::is_injected(&io)),
-            other => panic!("expected an Io error, got {other:?}"),
+        for (tag, publish) in PUBLISHERS {
+            let dir = temp_dir(&format!("enospc_{tag}"));
+            let path = dir.join("file");
+            // A survivable failure (torn write, then ENOSPC) — unlike an
+            // injected crash, the process lives, so the staging file must go.
+            let torn = FaultPlan {
+                truncate_to: Some(3),
+                ..FaultPlan::kill_at(0, &dir)
+            };
+            let armed = fault::arm(FaultPlan {
+                full_disk: true,
+                ..torn.clone()
+            });
+            let err = publish(&path, 9).unwrap_err();
+            drop(armed);
+            assert!(err.to_string().contains("no space left"), "{tag}: {err}");
+            match err {
+                crate::StorageError::Io(io) => assert!(!fault::is_injected(&io)),
+                other => panic!("{tag}: expected an Io error, got {other:?}"),
+            }
+            assert!(!path.exists());
+            assert!(
+                !tmp_path(&path).exists(),
+                "{tag}: failed write leaked the .tmp staging file"
+            );
+            // The same strike as a *crash* leaves exactly the torn prefix.
+            let armed = fault::arm(torn);
+            let err = publish(&path, 9).unwrap_err();
+            drop(armed);
+            assert!(err.to_string().contains("injected crash"), "{tag}: {err}");
+            assert_eq!(fs::read(tmp_path(&path)).unwrap().len(), 3, "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
         }
-        assert!(!path.exists());
-        assert!(
-            !tmp_path(&path).exists(),
-            "failed write leaked the .tmp staging file"
-        );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn disk_full_at_rename_cleans_tmp_and_keeps_old_contents() {
-        let dir = temp_dir("enospc_rename");
-        let path = dir.join("marker");
-        atomic_write(&path, b"old").unwrap();
-        // Kill point 2 is the rename gate; a genuine failure there must
-        // leave the published file untouched and remove the staging file.
-        let armed = fault::arm(FaultPlan {
-            kill_after: Some(2),
-            truncate_to: None,
-            full_disk: true,
-            scope: Some(dir.clone()),
-        });
-        let err = atomic_write(&path, b"new").unwrap_err();
-        drop(armed);
-        assert!(err.to_string().contains("no space left"), "{err}");
-        assert_eq!(fs::read(&path).unwrap(), b"old");
-        assert!(!tmp_path(&path).exists());
-        fs::remove_dir_all(&dir).unwrap();
+        for (tag, publish) in PUBLISHERS {
+            let dir = temp_dir(&format!("enospc_rename_{tag}"));
+            let path = dir.join("file");
+            publish(&path, 1).unwrap();
+            let old = fs::read(&path).unwrap();
+            // Kill point 2 is the rename gate; a genuine failure there must
+            // leave the published file untouched and remove the staging file.
+            let armed = fault::arm(FaultPlan {
+                full_disk: true,
+                ..FaultPlan::kill_at(2, &dir)
+            });
+            let err = publish(&path, 2).unwrap_err();
+            drop(armed);
+            assert!(err.to_string().contains("no space left"), "{tag}: {err}");
+            assert_eq!(fs::read(&path).unwrap(), old, "{tag}");
+            assert!(!tmp_path(&path).exists(), "{tag}");
+            // An injected crash at the same gate leaves the complete
+            // staged file behind — nothing got to clean up.
+            let armed = fault::arm(FaultPlan::kill_at(2, &dir));
+            let err = publish(&path, 2).unwrap_err();
+            drop(armed);
+            assert!(err.to_string().contains("injected crash"), "{tag}: {err}");
+            assert_eq!(fs::read(&path).unwrap(), old, "{tag}");
+            assert!(tmp_path(&path).exists(), "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

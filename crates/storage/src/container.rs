@@ -34,13 +34,14 @@
 //! remain fully readable; range reads of v1 sections fall back to reading
 //! and verifying the whole section before slicing.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 
 use ucp_tensor::{DType, Shape, Tensor};
 
-use crate::commit::AtomicFile;
+use crate::commit;
 use crate::crc::{crc32c, BlockCrc, Crc32c};
 use crate::{Result, StorageError};
 
@@ -132,12 +133,211 @@ pub struct RangeScratch {
     table: Vec<u8>,
 }
 
-/// Tick the file-open counter: every `File::open` on a container path goes
-/// through here so `storage/open` reflects real handle churn.
-fn count_open() {
+/// Open the container file at `path` for reading. Every container open in
+/// the workspace goes through here, so the `storage/open` counter reflects
+/// real handle churn.
+pub fn open(path: &Path) -> std::io::Result<BufReader<File>> {
     if ucp_telemetry::enabled() {
         ucp_telemetry::count("storage/open", 1);
     }
+    Ok(BufReader::new(File::open(path)?))
+}
+
+/// A section to write, borrowed from wherever its values live — an
+/// in-memory [`Container`], a parameter store, a live optimizer buffer —
+/// so persisting never copies a payload first.
+#[derive(Debug, Clone, Copy)]
+pub struct SectionRef<'a> {
+    /// Section name (parameter name or state key).
+    pub name: &'a str,
+    /// Logical dtype the values are stored in.
+    pub dtype: DType,
+    /// Tensor dimensions; their product is `data.len()`.
+    pub dims: &'a [usize],
+    /// Row-major values, already quantized to `dtype`.
+    pub data: &'a [f32],
+}
+
+/// The one UCPT encoder: preamble, then per section its metadata, the
+/// payload streamed in fixed-size chunks, and the checksum trailer.
+fn encode<W: Write + ?Sized>(
+    w: &mut W,
+    version: u32,
+    header: &str,
+    sections: &[SectionRef<'_>],
+) -> Result<()> {
+    w.write_all(MAGIC)?;
+    w.write_all(&version.to_le_bytes())?;
+    let header = header.as_bytes();
+    w.write_all(&(header.len() as u32).to_le_bytes())?;
+    w.write_all(header)?;
+    w.write_all(&crc32c(header).to_le_bytes())?;
+    w.write_all(&(sections.len() as u32).to_le_bytes())?;
+    // One scratch buffer reused across all sections: payloads are
+    // encoded and hashed in fixed-size chunks, so the writer's memory
+    // high-water mark is one chunk, not the largest section.
+    let mut scratch = Vec::with_capacity(ENCODE_CHUNK_ELEMS * 4);
+    for s in sections {
+        if s.dims.iter().product::<usize>() != s.data.len() {
+            return Err(StorageError::Malformed(format!(
+                "section {}: {} values do not fill dims {:?}",
+                s.name,
+                s.data.len(),
+                s.dims
+            )));
+        }
+        let name = s.name.as_bytes();
+        w.write_all(&(name.len() as u16).to_le_bytes())?;
+        w.write_all(name)?;
+        w.write_all(&[s.dtype.tag(), s.dims.len() as u8])?;
+        for d in s.dims {
+            w.write_all(&(*d as u64).to_le_bytes())?;
+        }
+        let payload_len = (s.data.len() * s.dtype.size_bytes()) as u64;
+        w.write_all(&payload_len.to_le_bytes())?;
+        if version >= 2 {
+            w.write_all(&RANGE_CRC_BLOCK.to_le_bytes())?;
+        }
+        // Stream the payload: each chunk of elements is encoded into
+        // the scratch buffer, written out, and fed to the hashers in a
+        // single pass — the block-CRC table and the whole-payload CRC
+        // come out of the same traversal that wrote the bytes.
+        let mut block = BlockCrc::new(RANGE_CRC_BLOCK as usize);
+        let mut whole = Crc32c::new();
+        for values in s.data.chunks(ENCODE_CHUNK_ELEMS) {
+            scratch.clear();
+            s.dtype.encode(values, &mut scratch);
+            w.write_all(&scratch)?;
+            if version >= 2 {
+                block.update(&scratch);
+            } else {
+                whole.update(&scratch);
+            }
+        }
+        // The trailer goes out as one write. v2: the block table, then a
+        // whole-payload CRC independent of it — the redundancy that lets
+        // a reader with a damaged table fall back to a verified
+        // whole-section read ([`ContainerIndex::read_section_lenient`]).
+        scratch.clear();
+        let whole = if version >= 2 {
+            let (table, whole) = block.finish();
+            scratch.extend(table.iter().flat_map(|crc| crc.to_le_bytes()));
+            whole
+        } else {
+            whole.finish()
+        };
+        scratch.extend_from_slice(&whole.to_le_bytes());
+        w.write_all(&scratch)?;
+    }
+    Ok(())
+}
+
+/// Write `header` and `sections` to `path` as a current-version container,
+/// staged to `<path>.tmp` and renamed into place ([`commit::publish`]), so
+/// readers see either the old file or the complete new one. `durable` adds
+/// the fsyncs that make it survive power loss.
+pub fn write_file(
+    path: &Path,
+    header: &str,
+    sections: &[SectionRef<'_>],
+    durable: bool,
+) -> Result<()> {
+    commit::publish(path, durable, |w| encode(w, VERSION, header, sections))
+}
+
+/// Parse the file preamble — magic, version, the length-capped and
+/// CRC-checked JSON header, section count — leaving `r` at the first
+/// section. Returns `(version, header, section_count)`.
+fn parse_preamble<R: Read>(r: &mut R) -> Result<(u32, String, usize)> {
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(StorageError::BadMagic);
+    }
+    let version = read_u32(r)?;
+    if version != VERSION && version != VERSION_V1 {
+        return Err(StorageError::BadVersion(version));
+    }
+    let header_len = read_u32(r)? as usize;
+    if header_len > MAX_HEADER_LEN {
+        return Err(StorageError::Malformed(format!(
+            "header length {header_len} exceeds cap {MAX_HEADER_LEN}"
+        )));
+    }
+    let header = read_bytes_bounded(r, header_len, "header")?;
+    let header_crc = read_u32(r)?;
+    if crc32c(&header) != header_crc {
+        return Err(StorageError::ChecksumMismatch {
+            what: "header".into(),
+        });
+    }
+    let header = String::from_utf8(header)
+        .map_err(|_| StorageError::Malformed("header is not UTF-8".into()))?;
+    Ok((version, header, read_u32(r)? as usize))
+}
+
+/// Parse one section's metadata, leaving `r` at its first payload byte.
+/// Everything a payload reader later computes with is validated here, once:
+/// the dims product and `payload_len == elements × dtype size` in checked
+/// arithmetic, and the declared CRC block size. `payload_offset` is left 0
+/// for the indexer, which alone knows where `r` stands in the file.
+fn parse_section_meta<R: Read>(r: &mut R, version: u32) -> Result<SectionInfo> {
+    let name_len = read_u16(r)? as usize;
+    let name = read_bytes_bounded(r, name_len, "section name")?;
+    let name = String::from_utf8(name)
+        .map_err(|_| StorageError::Malformed("section name is not UTF-8".into()))?;
+    let mut tag = [0u8; 2];
+    r.read_exact(&mut tag)?;
+    let dtype = DType::from_tag(tag[0])
+        .ok_or_else(|| StorageError::Malformed(format!("bad dtype tag {}", tag[0])))?;
+    let rank = tag[1] as usize;
+    let mut dims = Vec::with_capacity(rank.min(64));
+    let mut elems: usize = 1;
+    for _ in 0..rank {
+        let d = usize::try_from(read_u64(r)?).map_err(|_| {
+            StorageError::Malformed(format!("section {name}: dimension exceeds usize"))
+        })?;
+        elems = elems
+            .checked_mul(d)
+            .ok_or_else(|| StorageError::Malformed(format!("section {name}: shape overflows")))?;
+        dims.push(d);
+    }
+    let expected = elems.checked_mul(dtype.size_bytes()).ok_or_else(|| {
+        StorageError::Malformed(format!("section {name}: payload size overflows"))
+    })?;
+    let payload_len = read_u64(r)?;
+    let shape = Shape::new(dims);
+    if payload_len != expected as u64 {
+        return Err(StorageError::Malformed(format!(
+            "section {name}: payload {payload_len} bytes, shape {shape} implies {expected}"
+        )));
+    }
+    let crc_block = if version >= 2 {
+        let b = read_u32(r)?;
+        check_crc_block(&name, b)?;
+        b
+    } else {
+        0
+    };
+    Ok(SectionInfo {
+        name,
+        dtype,
+        shape,
+        payload_len,
+        payload_offset: 0,
+        crc_block,
+    })
+}
+
+/// Decode verified payload `bytes` of section `name` into a tensor of
+/// `shape` in the section dtype.
+fn decode_tensor(name: &str, dtype: DType, bytes: &[u8], shape: Shape) -> Result<Tensor> {
+    let values = dtype
+        .decode(bytes, shape.num_elements())
+        .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
+    let tensor =
+        Tensor::from_vec(values, shape).map_err(|e| StorageError::Malformed(e.to_string()))?;
+    Ok(tensor.cast(dtype))
 }
 
 /// A named tensor inside a container.
@@ -195,147 +395,40 @@ impl Container {
         n
     }
 
+    fn section_refs(&self) -> Vec<SectionRef<'_>> {
+        self.sections
+            .iter()
+            .map(|s| SectionRef {
+                name: &s.name,
+                dtype: s.tensor.dtype(),
+                dims: s.tensor.shape().dims(),
+                data: s.tensor.as_slice(),
+            })
+            .collect()
+    }
+
     /// Serialize into a writer (current v2 layout, block-CRC tables).
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
-        self.write_to_version(w, VERSION)
+        encode(w, VERSION, &self.header, &self.section_refs())
     }
 
     /// Serialize in the legacy v1 layout (whole-payload CRCs, no block
     /// table). Kept so format-compatibility tests and tooling can produce
     /// v1 files; new files should use [`Container::write_to`].
     pub fn write_to_v1<W: Write>(&self, w: &mut W) -> Result<()> {
-        self.write_to_version(w, VERSION_V1)
-    }
-
-    fn write_to_version<W: Write>(&self, w: &mut W, version: u32) -> Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&version.to_le_bytes())?;
-        let header = self.header.as_bytes();
-        w.write_all(&(header.len() as u32).to_le_bytes())?;
-        w.write_all(header)?;
-        w.write_all(&crc32c(header).to_le_bytes())?;
-        w.write_all(&(self.sections.len() as u32).to_le_bytes())?;
-        // One scratch buffer reused across all sections: payloads are
-        // encoded and hashed in fixed-size chunks, so the writer's memory
-        // high-water mark is one chunk, not the largest section.
-        let mut scratch = Vec::with_capacity(ENCODE_CHUNK_ELEMS * 4);
-        for s in &self.sections {
-            let name = s.name.as_bytes();
-            w.write_all(&(name.len() as u16).to_le_bytes())?;
-            w.write_all(name)?;
-            w.write_all(&[s.tensor.dtype().tag()])?;
-            let dims = s.tensor.shape().dims();
-            w.write_all(&[dims.len() as u8])?;
-            for d in dims {
-                w.write_all(&(*d as u64).to_le_bytes())?;
-            }
-            let dtype = s.tensor.dtype();
-            let payload_len = (s.tensor.num_elements() * dtype.size_bytes()) as u64;
-            w.write_all(&payload_len.to_le_bytes())?;
-            if version >= 2 {
-                w.write_all(&RANGE_CRC_BLOCK.to_le_bytes())?;
-            }
-            // Stream the payload: each chunk of elements is encoded into
-            // the scratch buffer, written out, and fed to the hashers in a
-            // single pass — the block-CRC table and the whole-payload CRC
-            // come out of the same traversal that wrote the bytes.
-            let mut block = BlockCrc::new(RANGE_CRC_BLOCK as usize);
-            let mut whole = Crc32c::new();
-            for values in s.tensor.as_slice().chunks(ENCODE_CHUNK_ELEMS) {
-                scratch.clear();
-                dtype.encode(values, &mut scratch);
-                w.write_all(&scratch)?;
-                if version >= 2 {
-                    block.update(&scratch);
-                } else {
-                    whole.update(&scratch);
-                }
-            }
-            if version >= 2 {
-                let (table, whole) = block.finish();
-                for crc in table {
-                    w.write_all(&crc.to_le_bytes())?;
-                }
-                // Whole-payload CRC, independent of the block table: the
-                // redundancy that lets a reader with a damaged table fall
-                // back to a verified whole-section read
-                // ([`ContainerIndex::read_section_lenient`]).
-                w.write_all(&whole.to_le_bytes())?;
-            } else {
-                w.write_all(&whole.finish().to_le_bytes())?;
-            }
-        }
-        Ok(())
+        encode(w, VERSION_V1, &self.header, &self.section_refs())
     }
 
     /// Deserialize from a reader, verifying all checksums. Accepts both
-    /// the current v2 layout and legacy v1 files.
+    /// the current v2 layout and legacy v1 files. One forward pass.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Container> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(StorageError::BadMagic);
-        }
-        let version = read_u32(r)?;
-        if version != VERSION && version != VERSION_V1 {
-            return Err(StorageError::BadVersion(version));
-        }
-        let header_len = read_u32(r)? as usize;
-        if header_len > MAX_HEADER_LEN {
-            return Err(StorageError::Malformed(format!(
-                "header length {header_len} exceeds cap {MAX_HEADER_LEN}"
-            )));
-        }
-        let header = read_bytes_bounded(r, header_len, "header")?;
-        let header_crc = read_u32(r)?;
-        if crc32c(&header) != header_crc {
-            return Err(StorageError::ChecksumMismatch {
-                what: "header".into(),
-            });
-        }
-        let header = String::from_utf8(header)
-            .map_err(|_| StorageError::Malformed("header is not UTF-8".into()))?;
-        let count = read_u32(r)? as usize;
+        let (version, header, count) = parse_preamble(r)?;
         // Do not trust `count` for the allocation either; grow on demand.
         let mut sections = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
-            let name_len = read_u16(r)? as usize;
-            let name = read_bytes_bounded(r, name_len, "section name")?;
-            let name = String::from_utf8(name)
-                .map_err(|_| StorageError::Malformed("section name is not UTF-8".into()))?;
-            let mut tag = [0u8; 2];
-            r.read_exact(&mut tag)?;
-            let dtype = DType::from_tag(tag[0])
-                .ok_or_else(|| StorageError::Malformed(format!("bad dtype tag {}", tag[0])))?;
-            let rank = tag[1] as usize;
-            let mut dims = Vec::with_capacity(rank.min(64));
-            let mut elems: usize = 1;
-            for _ in 0..rank {
-                let d = usize::try_from(read_u64(r)?).map_err(|_| {
-                    StorageError::Malformed(format!("section {name}: dimension exceeds usize"))
-                })?;
-                elems = elems.checked_mul(d).ok_or_else(|| {
-                    StorageError::Malformed(format!("section {name}: shape overflows"))
-                })?;
-                dims.push(d);
-            }
-            let expected = elems.checked_mul(dtype.size_bytes()).ok_or_else(|| {
-                StorageError::Malformed(format!("section {name}: payload size overflows"))
-            })?;
-            let payload_len = read_u64(r)? as usize;
-            let shape = Shape::new(dims);
-            if payload_len != expected {
-                return Err(StorageError::Malformed(format!(
-                    "section {name}: payload {payload_len} bytes, shape {shape} implies {expected}"
-                )));
-            }
-            let crc_block = if version >= 2 {
-                let b = read_u32(r)?;
-                check_crc_block(&name, b)?;
-                Some(b as usize)
-            } else {
-                None
-            };
+            let info = parse_section_meta(r, version)?;
+            let name = info.name;
+            let payload_len = info.payload_len as usize;
             // Stream the payload through the hashers in fixed-size blocks:
             // checksums are computed in the same pass as the read, and the
             // buffer only grows as real file bytes arrive, so a corrupt
@@ -347,7 +440,8 @@ impl Container {
             let mut block = [0u8; CRC_BLOCK];
             let mut remaining = payload_len;
             let mut whole_hasher = Crc32c::new();
-            let mut block_hasher = crc_block.map(BlockCrc::new);
+            let mut block_hasher =
+                (info.crc_block > 0).then(|| BlockCrc::new(info.crc_block as usize));
             let timing = ucp_telemetry::enabled();
             let mut crc_ns = 0u64;
             while remaining > 0 {
@@ -377,9 +471,6 @@ impl Container {
                 }
                 Some(h) => {
                     let (computed_table, computed_whole) = h.finish();
-                    let cb = crc_block.unwrap_or(1);
-                    let n_blocks = block_count(payload_len as u64, cb as u32) as usize;
-                    debug_assert_eq!(computed_table.len(), n_blocks);
                     for (i, computed) in computed_table.iter().enumerate() {
                         let stored = read_u32(r)?;
                         if stored != *computed {
@@ -396,12 +487,7 @@ impl Container {
                     }
                 }
             }
-            let values = dtype
-                .decode(&payload, shape.num_elements())
-                .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
-            let tensor = Tensor::from_vec(values, shape)
-                .map_err(|e| StorageError::Malformed(e.to_string()))?
-                .cast(dtype);
+            let tensor = decode_tensor(&name, info.dtype, &payload, info.shape)?;
             sections.push(Section { name, tensor });
         }
         Ok(Container { header, sections })
@@ -413,7 +499,7 @@ impl Container {
     /// skips the fsyncs (atomic against concurrent readers, not against
     /// power loss).
     pub fn write_file(&self, path: &Path) -> Result<()> {
-        self.write_file_impl(path, false)
+        write_file(path, &self.header, &self.section_refs(), false)
     }
 
     /// Write to a file path through the full crash-consistent commit
@@ -421,40 +507,12 @@ impl Container {
     /// serialization cost and the durability cost show up as separate
     /// telemetry spans (`storage/write` vs `storage/fsync`).
     pub fn write_file_durable(&self, path: &Path) -> Result<()> {
-        self.write_file_impl(path, true)
-    }
-
-    fn write_file_impl(&self, path: &Path, durable: bool) -> Result<()> {
-        let staged = AtomicFile::create(path)?;
-        // Absolute span paths (via record_span) so the serialize/fsync
-        // split reads the same no matter which phase is open above us.
-        let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-        {
-            let mut w = staged.writer();
-            self.write_to(&mut w)?;
-            w.flush()?;
-        }
-        if let Some(t) = t {
-            ucp_telemetry::global().record_span("storage/write", t.elapsed());
-            ucp_telemetry::count("storage/bytes_written", self.encoded_len() as u64);
-        }
-        if durable {
-            let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-            staged.commit()?;
-            if let Some(t) = t {
-                ucp_telemetry::global().record_span("storage/fsync", t.elapsed());
-            }
-        } else {
-            staged.publish_unsynced()?;
-        }
-        Ok(())
+        write_file(path, &self.header, &self.section_refs(), true)
     }
 
     /// Read from a file path.
     pub fn read_file(path: &Path) -> Result<Container> {
-        count_open();
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-        Container::read_from(&mut r)
+        Container::read_from(&mut open(path)?)
     }
 }
 
@@ -467,7 +525,8 @@ pub struct SectionInfo {
     pub dtype: DType,
     /// Tensor shape.
     pub shape: Shape,
-    /// Payload bytes on disk.
+    /// Payload bytes on disk (always `num_elements() × dtype.size_bytes()`:
+    /// the parser rejects anything else).
     pub payload_len: u64,
     /// Absolute file offset of the first payload byte.
     pub payload_offset: u64,
@@ -516,86 +575,33 @@ pub struct ContainerIndex {
 impl ContainerIndex {
     /// Read the index from a seekable reader.
     pub fn read_from<R: Read + Seek>(r: &mut R) -> Result<ContainerIndex> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(StorageError::BadMagic);
-        }
-        let version = read_u32(r)?;
-        if version != VERSION && version != VERSION_V1 {
-            return Err(StorageError::BadVersion(version));
-        }
-        let header_len = read_u32(r)? as usize;
-        if header_len > MAX_HEADER_LEN {
-            return Err(StorageError::Malformed(format!(
-                "header length {header_len} exceeds cap {MAX_HEADER_LEN}"
-            )));
-        }
-        let header = read_bytes_bounded(r, header_len, "header")?;
-        let header_crc = read_u32(r)?;
-        if crc32c(&header) != header_crc {
-            return Err(StorageError::ChecksumMismatch {
-                what: "header".into(),
-            });
-        }
-        let header = String::from_utf8(header)
-            .map_err(|_| StorageError::Malformed("header is not UTF-8".into()))?;
-        let count = read_u32(r)? as usize;
+        let (version, header, count) = parse_preamble(r)?;
         let mut sections = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
-            let name_len = read_u16(r)? as usize;
-            let name = read_bytes_bounded(r, name_len, "section name")?;
-            let name = String::from_utf8(name)
-                .map_err(|_| StorageError::Malformed("section name is not UTF-8".into()))?;
-            let mut tag = [0u8; 2];
-            r.read_exact(&mut tag)?;
-            let dtype = DType::from_tag(tag[0])
-                .ok_or_else(|| StorageError::Malformed(format!("bad dtype tag {}", tag[0])))?;
-            let rank = tag[1] as usize;
-            let mut dims = Vec::with_capacity(rank.min(64));
-            for _ in 0..rank {
-                let d = usize::try_from(read_u64(r)?).map_err(|_| {
-                    StorageError::Malformed(format!("section {name}: dimension exceeds usize"))
-                })?;
-                dims.push(d);
-            }
-            let payload_len = read_u64(r)?;
-            let crc_block = if version >= 2 {
-                let b = read_u32(r)?;
-                check_crc_block(&name, b)?;
-                b
-            } else {
-                0
-            };
-            let payload_offset = r.stream_position()?;
+            let mut info = parse_section_meta(r, version)?;
+            info.payload_offset = r.stream_position()?;
             // Skip the payload and its checksum(s): v2 carries a per-block
             // table plus a trailing whole-payload CRC, v1 just the whole
             // CRC. A corrupt length must not wrap negative when cast for
             // the relative seek.
-            let checksums = if crc_block > 0 {
-                block_count(payload_len, crc_block)
+            let checksums = if info.crc_block > 0 {
+                block_count(info.payload_len, info.crc_block)
                     .checked_mul(4)
                     .and_then(|t| t.checked_add(4))
             } else {
                 Some(4)
             };
             let skip = checksums
-                .and_then(|c| payload_len.checked_add(c))
+                .and_then(|c| info.payload_len.checked_add(c))
                 .and_then(|n| i64::try_from(n).ok())
                 .ok_or_else(|| {
                     StorageError::Malformed(format!(
-                        "section {name}: payload length {payload_len} overflows seek"
+                        "section {}: payload length {} overflows seek",
+                        info.name, info.payload_len
                     ))
                 })?;
             r.seek(SeekFrom::Current(skip))?;
-            sections.push(SectionInfo {
-                name,
-                dtype,
-                shape: Shape::new(dims),
-                payload_len,
-                payload_offset,
-                crc_block,
-            });
+            sections.push(info);
         }
         // Relative seeks past EOF succeed silently, so a truncated final
         // payload would otherwise index as present — verify the cursor
@@ -614,14 +620,17 @@ impl ContainerIndex {
 
     /// Read the index from a file.
     pub fn read_file(path: &Path) -> Result<ContainerIndex> {
-        count_open();
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-        ContainerIndex::read_from(&mut r)
+        ContainerIndex::read_from(&mut open(path)?)
     }
 
     /// Find a section by name.
     pub fn get(&self, name: &str) -> Option<&SectionInfo> {
         self.sections.iter().find(|s| s.name == name)
+    }
+
+    fn section(&self, name: &str) -> Result<&SectionInfo> {
+        self.get(name)
+            .ok_or_else(|| StorageError::Malformed(format!("container has no section {name}")))
     }
 
     /// Read elements `elems` of `section` from the same reader the index
@@ -652,9 +661,7 @@ impl ContainerIndex {
         elems: Range<usize>,
         scratch: &mut RangeScratch,
     ) -> Result<Tensor> {
-        let info = self.get(section).ok_or_else(|| {
-            StorageError::Malformed(format!("container has no section {section}"))
-        })?;
+        let info = self.section(section)?;
         let total = info.num_elements();
         if elems.start > elems.end || elems.end > total {
             return Err(StorageError::Malformed(format!(
@@ -663,22 +670,12 @@ impl ContainerIndex {
             )));
         }
         let esize = info.dtype.size_bytes();
-        let expected = total as u64 * esize as u64;
-        if info.payload_len != expected {
-            return Err(StorageError::Malformed(format!(
-                "section {section}: payload {} bytes, shape {} implies {expected}",
-                info.payload_len, info.shape
-            )));
-        }
         let n = elems.end - elems.start;
-        if n == 0 {
-            let t = Tensor::from_vec(Vec::new(), Shape::new([0]))
-                .map_err(|e| StorageError::Malformed(e.to_string()))?;
-            return Ok(t.cast(info.dtype));
-        }
         let bstart = elems.start * esize;
         let bend = elems.end * esize;
-        let bytes: &[u8] = if info.crc_block == 0 {
+        let bytes: &[u8] = if n == 0 {
+            &[]
+        } else if info.crc_block == 0 {
             // v1: no block table — read and verify the whole payload,
             // then slice the requested bytes out of it.
             r.seek(SeekFrom::Start(info.payload_offset))?;
@@ -715,13 +712,7 @@ impl ContainerIndex {
             self.count_range_read((data_len + scratch.table.len()) as u64);
             &scratch.data[bstart - b0 * cb..bend - b0 * cb]
         };
-        let values = info
-            .dtype
-            .decode(bytes, n)
-            .ok_or_else(|| StorageError::Malformed(format!("section {section}: short payload")))?;
-        let tensor = Tensor::from_vec(values, Shape::new([n]))
-            .map_err(|e| StorageError::Malformed(e.to_string()))?;
-        Ok(tensor.cast(info.dtype))
+        decode_tensor(section, info.dtype, bytes, Shape::new([n]))
     }
 
     /// Read the *whole* payload of `section`, verified against its
@@ -732,17 +723,7 @@ impl ContainerIndex {
     /// bytes here (and a corrupt payload still fails).
     /// Returns a 1-D tensor of the full section in the section dtype.
     pub fn read_section_lenient<R: Read + Seek>(&self, r: &mut R, section: &str) -> Result<Tensor> {
-        let info = self.get(section).ok_or_else(|| {
-            StorageError::Malformed(format!("container has no section {section}"))
-        })?;
-        let total = info.num_elements();
-        let expected = total as u64 * info.dtype.size_bytes() as u64;
-        if info.payload_len != expected {
-            return Err(StorageError::Malformed(format!(
-                "section {section}: payload {} bytes, shape {} implies {expected}",
-                info.payload_len, info.shape
-            )));
-        }
+        let info = self.section(section)?;
         r.seek(SeekFrom::Start(info.payload_offset))?;
         let payload = read_bytes_bounded(r, info.payload_len as usize, section)?;
         // Seek past the block table (v2); for v1 the next u32 already is
@@ -762,13 +743,12 @@ impl ContainerIndex {
             });
         }
         self.count_range_read(payload.len() as u64 + 4);
-        let values = info
-            .dtype
-            .decode(&payload, total)
-            .ok_or_else(|| StorageError::Malformed(format!("section {section}: short payload")))?;
-        let tensor = Tensor::from_vec(values, Shape::new([total]))
-            .map_err(|e| StorageError::Malformed(e.to_string()))?;
-        Ok(tensor.cast(info.dtype))
+        decode_tensor(
+            section,
+            info.dtype,
+            &payload,
+            Shape::new([info.num_elements()]),
+        )
     }
 
     fn count_range_read(&self, bytes: u64) {
@@ -777,16 +757,6 @@ impl ContainerIndex {
             ucp_telemetry::count("storage/range_bytes_read", bytes);
         }
     }
-}
-
-/// Convenience: open the container at `path` and read elements `elems` of
-/// `section` through a verified range read (see
-/// [`ContainerIndex::read_section_range`]).
-pub fn read_section_range(path: &Path, section: &str, elems: Range<usize>) -> Result<Tensor> {
-    count_open();
-    let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-    let index = ContainerIndex::read_from(&mut r)?;
-    index.read_section_range(&mut r, section, elems)
 }
 
 fn read_u16<R: Read>(r: &mut R) -> Result<u16> {
@@ -1222,22 +1192,6 @@ mod tests {
         assert_eq!(info.range_read_bytes(&(7..7)), 0);
     }
 
-    #[test]
-    fn free_function_reads_range_from_file() {
-        let dir = std::env::temp_dir().join("ucpt_range_free_fn");
-        let path = dir.join("c.ucpt");
-        let c = big_sample();
-        c.write_file(&path).unwrap();
-        let t = read_section_range(&path, "h", 10..20).unwrap();
-        assert_eq!(t.num_elements(), 10);
-        assert_eq!(t.dtype(), DType::F16);
-        let full: Vec<f32> = c.sections[1].tensor.flatten().as_slice().to_vec();
-        for (got, want) in t.as_slice().iter().zip(&full[10..20]) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Hand-rolled container bytes with attacker-controlled geometry:
     /// one F32 section named "w" with the given dims and payload length
     /// (and no payload bytes at all).
@@ -1285,6 +1239,21 @@ mod tests {
         let buf = raw_container(&[u64::MAX, u64::MAX], 16);
         assert!(matches!(
             Container::read_from(&mut buf.as_slice()),
+            Err(StorageError::Malformed(_))
+        ));
+        // Dims that fit a usize each but not multiplied, over a payload,
+        // block table and trailing CRC that really are 16 + 4 + 4 bytes:
+        // the skip-seek stays inside the file, so only the checked dims
+        // product stands between the index and an overflowing
+        // `num_elements()` in the first range read.
+        let mut buf = raw_container(&[1 << 40, 1 << 40], 16);
+        buf.extend_from_slice(&[0u8; 16 + 4 + 4]);
+        assert!(matches!(
+            Container::read_from(&mut buf.as_slice()),
+            Err(StorageError::Malformed(_))
+        ));
+        assert!(matches!(
+            ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
             Err(StorageError::Malformed(_))
         ));
     }
@@ -1435,10 +1404,43 @@ mod tests {
                 let mut mutated = buf.clone();
                 mutated[i] ^= 0xFF;
                 // Any single corrupt byte must produce Ok or a typed error —
-                // never a panic or an absurd allocation.
+                // never a panic or an absurd allocation — from the full
+                // read, the index, and a range read through that index.
                 let _ = Container::read_from(&mut mutated.as_slice());
-                let _ = ContainerIndex::read_from(&mut std::io::Cursor::new(&mutated));
+                let mut cur = std::io::Cursor::new(&mutated);
+                if let Ok(index) = ContainerIndex::read_from(&mut cur) {
+                    let first = &index.sections[0];
+                    let _ = index.read_section_range(&mut cur, &first.name, 0..1);
+                }
             }
         }
+    }
+
+    /// Format pin: the encoded bytes of `sample()` are fixed (constants
+    /// recorded before the shared encoder existed), so writer and reader
+    /// cannot drift together unnoticed.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let c = sample();
+        let mut v2 = Vec::new();
+        c.write_to(&mut v2).unwrap();
+        assert_eq!((v2.len(), crc32c(&v2)), (246, 0x86fe_229f));
+        let mut v1 = Vec::new();
+        c.write_to_v1(&mut v1).unwrap();
+        assert_eq!((v1.len(), crc32c(&v1)), (222, 0x64a9_fd0f));
+    }
+
+    #[test]
+    fn encoder_rejects_values_that_do_not_fill_dims() {
+        let section = SectionRef {
+            name: "w",
+            dtype: DType::F32,
+            dims: &[3],
+            data: &[1.0, 2.0],
+        };
+        assert!(matches!(
+            encode(&mut Vec::new(), VERSION, "{}", &[section]),
+            Err(StorageError::Malformed(_))
+        ));
     }
 }

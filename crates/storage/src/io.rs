@@ -6,17 +6,15 @@
 //! [`Device`] that meters bytes and sleeps to emulate a fixed-bandwidth
 //! device. With no bandwidth set the device is a transparent pass-through.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::time::{Duration, Instant};
 
-/// A simulated storage device with optional read/write bandwidth caps
+/// A simulated storage device with an optional read bandwidth cap
 /// (bytes per second).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Device {
     /// Sequential read bandwidth in bytes/s (`None` = unlimited).
     pub read_bps: Option<u64>,
-    /// Sequential write bandwidth in bytes/s (`None` = unlimited).
-    pub write_bps: Option<u64>,
     /// Concurrent range-fetch workers the load path may run against this
     /// device (`None` = pick from the bandwidth profile; see
     /// [`Device::fetch_pool`]).
@@ -29,12 +27,10 @@ impl Device {
         Device::default()
     }
 
-    /// Device with symmetric bandwidth in MiB/s.
+    /// Device with a read bandwidth of `mibps` MiB/s.
     pub fn with_mibps(mibps: u64) -> Device {
-        let bps = mibps * 1024 * 1024;
         Device {
-            read_bps: Some(bps),
-            write_bps: Some(bps),
+            read_bps: Some(mibps * 1024 * 1024),
             ..Device::default()
         }
     }
@@ -59,11 +55,6 @@ impl Device {
             None if self.read_bps.is_some() => 1,
             None => 4,
         }
-    }
-
-    /// Wrap a writer with this device's write throttle.
-    pub fn writer<W: Write>(&self, inner: W) -> Throttled<W> {
-        Throttled::new(inner, self.write_bps)
     }
 
     /// Wrap a reader with this device's read throttle.
@@ -94,11 +85,6 @@ impl<T> Throttled<T> {
         }
     }
 
-    /// Unwrap the inner stream.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// Bytes transferred so far.
     pub fn bytes_transferred(&self) -> u64 {
         self.bytes
@@ -125,49 +111,31 @@ impl<T> Throttled<T> {
     }
 }
 
-fn observe_op(op_hist: &'static str, bytes_ctr: &'static str, started: Option<Instant>, n: usize) {
-    if let Some(t) = started {
-        ucp_telemetry::observe(op_hist, t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        ucp_telemetry::count(bytes_ctr, n as u64);
-    }
-}
-
-fn observe_sleep(slept: Duration) {
-    if !slept.is_zero() {
-        ucp_telemetry::observe(
-            "io/throttle_sleep_ns",
-            slept.as_nanos().min(u64::MAX as u128) as u64,
-        );
-    }
-}
-
-impl<W: Write> Write for Throttled<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let t = ucp_telemetry::enabled().then(Instant::now);
-        let n = self.inner.write(buf)?;
-        observe_op("io/write_op_ns", "io/bytes_written", t, n);
-        observe_sleep(self.account(n));
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 impl<R: Read> Read for Throttled<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let t = ucp_telemetry::enabled().then(Instant::now);
         let n = self.inner.read(buf)?;
-        observe_op("io/read_op_ns", "io/bytes_read", t, n);
-        observe_sleep(self.account(n));
+        if let Some(t) = t {
+            ucp_telemetry::observe(
+                "io/read_op_ns",
+                t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            );
+            ucp_telemetry::count("io/bytes_read", n as u64);
+        }
+        let slept = self.account(n);
+        if !slept.is_zero() {
+            ucp_telemetry::observe(
+                "io/throttle_sleep_ns",
+                slept.as_nanos().min(u64::MAX as u128) as u64,
+            );
+        }
         Ok(n)
     }
 }
 
 /// Seeking repositions the stream without transferring data, so it passes
-/// through unmetered — only bytes actually read or written count against
-/// the simulated bandwidth. This is what lets range reads seek across the
+/// through unmetered — only bytes actually read count against the
+/// simulated bandwidth. This is what lets range reads seek across the
 /// parts of a section they skip.
 impl<T: std::io::Seek> std::io::Seek for Throttled<T> {
     fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
@@ -178,8 +146,9 @@ impl<T: std::io::Seek> std::io::Seek for Throttled<T> {
 /// Deterministic fault injection for crash-consistency testing.
 ///
 /// The commit protocol in [`crate::commit`] registers a *kill point* at
-/// every crash-relevant operation: each buffered data write, the data
-/// fsync, the rename into place, and the parent-directory fsync. A test
+/// every crash-relevant operation: each data write that reaches the file
+/// (one per flushed buffer, not one per serializer call), the data fsync,
+/// the rename into place, and the parent-directory fsync. A test
 /// (or an operator, via the `UCP_FAULTS` environment variable) arms a
 /// [`FaultPlan`] naming which kill point should fail; when that point is
 /// reached the operation returns an injected I/O error, leaving the
@@ -315,15 +284,12 @@ pub mod fault {
         e.to_string().contains("injected crash at kill point")
     }
 
-    /// The error a [`FaultPlan::full_disk`] strike surfaces as: shaped
-    /// like a real ENOSPC so production error paths cannot tell it apart.
-    pub fn disk_full(point: &str) -> std::io::Error {
-        std::io::Error::other(format!("no space left on device (at {point})"))
-    }
-
+    /// What a fatal strike surfaces as. A [`FaultPlan::full_disk`] strike
+    /// is shaped like a real ENOSPC so production error paths cannot tell
+    /// it apart.
     fn strike_error(plan: &FaultPlan, point: &str) -> std::io::Error {
         if plan.full_disk {
-            disk_full(point)
+            std::io::Error::other(format!("no space left on device (at {point})"))
         } else {
             injected_crash(point)
         }
@@ -357,6 +323,8 @@ pub mod fault {
 
     /// Writer wrapper registering one kill point per `write` call; a
     /// fatal strike lands `truncate_to` bytes (a torn write) and fails.
+    /// It wraps the file itself, *under* any buffering, so a kill point is
+    /// a physical write and what lands is exactly a prefix of it.
     pub struct FaultWriter<W: Write> {
         inner: W,
         path: PathBuf,
@@ -387,18 +355,12 @@ pub mod fault {
                     if torn > 0 {
                         let _ = self.inner.write_all(&buf[..torn]);
                     }
-                    // Push whatever landed through any buffering so the
-                    // on-disk state matches a crash mid-write.
-                    let _ = self.inner.flush();
                     Err(strike_error(&plan, "data write"))
                 }
             }
         }
 
         fn flush(&mut self) -> std::io::Result<()> {
-            if self.dead {
-                return Err(injected_crash("flush after injected crash"));
-            }
             self.inner.flush()
         }
     }
@@ -411,33 +373,26 @@ mod tests {
     #[test]
     fn unlimited_is_transparent() {
         let dev = Device::unlimited();
-        let mut out = Vec::new();
-        {
-            let mut w = dev.writer(&mut out);
-            w.write_all(b"hello").unwrap();
-            w.flush().unwrap();
-        }
-        assert_eq!(out, b"hello");
-        let mut r = dev.reader(&out[..]);
+        let mut r = dev.reader(&b"hello"[..]);
         let mut buf = String::new();
         r.read_to_string(&mut buf).unwrap();
         assert_eq!(buf, "hello");
     }
 
     #[test]
-    fn throttled_write_takes_proportional_time() {
+    fn throttled_read_takes_proportional_time() {
         // 1 MiB/s device, 64 KiB payload → ≥ ~60 ms.
         let dev = Device::with_mibps(1);
         let payload = vec![0u8; 64 * 1024];
         let start = Instant::now();
-        let mut w = dev.writer(std::io::sink());
-        w.write_all(&payload).unwrap();
+        let mut r = dev.reader(&payload[..]);
+        std::io::copy(&mut r, &mut std::io::sink()).unwrap();
         let elapsed = start.elapsed();
         assert!(
             elapsed >= Duration::from_millis(50),
             "only {elapsed:?} for 64 KiB at 1 MiB/s"
         );
-        assert_eq!(w.bytes_transferred(), 64 * 1024);
+        assert_eq!(r.bytes_transferred(), 64 * 1024);
     }
 
     #[test]
@@ -446,18 +401,17 @@ mod tests {
         rec.set_enabled(true);
         let dev = Device::with_mibps(1);
         let payload = vec![0u8; 64 * 1024];
-        let mut w = dev.writer(std::io::sink());
-        w.write_all(&payload).unwrap();
+        std::io::copy(&mut dev.reader(&payload[..]), &mut std::io::sink()).unwrap();
         rec.set_enabled(false);
         let report = rec.report("io");
         let sleep = report
             .hist("io/throttle_sleep_ns")
             .expect("sleep histogram");
         assert!(sleep.count >= 1, "no throttle sleep recorded");
-        assert!(report.counter("io/bytes_written").unwrap_or(0) >= 64 * 1024);
-        assert!(report.hist("io/write_op_ns").is_some(), "op histogram");
-        // 64 KiB at 1 MiB/s is ~62 ms of simulated device time; the sink
-        // write itself is microseconds, so nearly all of it is sleep.
+        assert!(report.counter("io/bytes_read").unwrap_or(0) >= 64 * 1024);
+        assert!(report.hist("io/read_op_ns").is_some(), "op histogram");
+        // 64 KiB at 1 MiB/s is ~62 ms of simulated device time; the slice
+        // read itself is microseconds, so nearly all of it is sleep.
         // (Absolute bound: other tests sharing the global recorder can
         // add op time but cannot shrink this test's recorded sleep.)
         assert!(
@@ -471,7 +425,6 @@ mod tests {
     fn read_throttle_counts_bytes() {
         let dev = Device {
             read_bps: Some(u64::MAX),
-            write_bps: None,
             ..Device::default()
         };
         let data = vec![1u8; 1000];

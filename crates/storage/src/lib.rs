@@ -4,7 +4,7 @@
 //! them through DeepNVMe at near-peak NVMe bandwidth. This crate provides
 //! the equivalents: a self-describing binary container with a JSON header
 //! and CRC-32C-checksummed tensor sections ([`container`]), an optional
-//! rate-limited reader/writer that simulates a storage device for the
+//! rate-limited reader that simulates a storage device for the
 //! efficiency benches ([`io`]), and the on-disk directory layouts for both
 //! native distributed checkpoints and universal (atom) checkpoints
 //! ([`layout`]). Every durable file lands through the crash-consistent
@@ -20,8 +20,7 @@ pub mod layout;
 pub mod retention;
 
 pub use container::{
-    read_section_range, Container, ContainerIndex, RangeScratch, Section, SectionInfo,
-    RANGE_CRC_BLOCK,
+    Container, ContainerIndex, RangeScratch, Section, SectionInfo, SectionRef, RANGE_CRC_BLOCK,
 };
 pub use io::Device;
 pub use journal::{Journal, JournalEvent, JournalRecord};

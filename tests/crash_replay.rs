@@ -2,18 +2,22 @@
 //! sweep of points through save and convert (native and cross-framework),
 //! then assert the tree always resumes.
 //!
-//! The fault layer (`storage::io::fault`) counts every buffered write and
-//! every commit gate (pre-publish fsync, rename, parent-dir sync) under a
-//! scoped directory. Each sweep first runs a calibration pass to count the
-//! kill points of the operation, then replays the operation with an
-//! injected crash at indices spread across that range. After every crash
-//! the invariants the protocol promises are checked:
+//! The fault layer (`storage::io::fault`) counts every write that reaches a
+//! file and every commit gate (pre-publish fsync, rename, parent-dir sync)
+//! under a scoped directory. Each sweep first runs a calibration pass to
+//! count the kill points of the operation, then replays the operation with
+//! an injected crash at every index (or, for a long operation, at indices
+//! spread across the range) and records which kind of kill point each crash
+//! hit, so a sweep that never reaches the commit gates fails. After every
+//! crash the invariants the protocol promises are checked:
 //!
 //! - `latest` / `latest_universal` never reference an incomplete step —
 //!   `fsck` finds no dangling marker to repair;
 //! - resume from the newest marker always succeeds;
 //! - after `fsck` quarantines partial trees, simply retrying the
 //!   interrupted operation converges.
+
+use std::collections::BTreeSet;
 
 use ucp_repro::core::adapter::{save_litsim_checkpoint, LitSimAdapter, SourceAdapter};
 use ucp_repro::core::assemble::{commit_universal, write_atom_file};
@@ -68,15 +72,43 @@ fn save_segment(dir: &std::path::Path) -> Result<ucp_repro::trainer::RunResult, 
     .map_err(|e| e.to_string())
 }
 
-/// `want` kill indices spread over `[0, total)`, ends included.
-fn spread(total: u64, want: u64) -> Vec<u64> {
+/// The kill indices to sweep over `[0, total)`: every one when the
+/// operation is short, else `want` of them spread evenly plus every index
+/// of the last ten. An operation's tail is its commit sequence (manifest,
+/// marker, journal record), which runs after all worker threads have
+/// joined: unlike the parallel middle, index `k` there names the same
+/// write or gate in every run, so the tail is swept exhaustively.
+fn kill_indices(total: u64, want: u64) -> Vec<u64> {
     assert!(total > 1, "operation exposed too few kill points: {total}");
-    let want = want.min(total);
+    if total < 200 {
+        return (0..total).collect();
+    }
     let mut ks: Vec<u64> = (0..want)
         .map(|i| i * (total - 1) / (want - 1).max(1))
+        .chain(total - 10..total)
         .collect();
+    ks.sort_unstable();
     ks.dedup();
     ks
+}
+
+/// The kill-point kind an injected-crash error names: `data write`,
+/// `commit.fsync`, `commit.rename`, `commit.dirsync`, `commit.link`, ...
+fn kill_kind(err: &str) -> String {
+    let (_, kind) = err
+        .split_once("injected crash at kill point: ")
+        .unwrap_or_else(|| panic!("not an injected crash: {err}"));
+    kind.to_string()
+}
+
+/// Assert a sweep's crashes covered every kind in `want`.
+fn assert_kinds_hit(tag: &str, hit: &BTreeSet<String>, want: &[&str]) {
+    for kind in want {
+        assert!(
+            hit.contains(*kind),
+            "{tag}: sweep never crashed at a `{kind}` kill point (hit {hit:?})"
+        );
+    }
 }
 
 fn copy_tree(src: &std::path::Path, dst: &std::path::Path) {
@@ -103,11 +135,12 @@ fn save_crash_replay_sweeps_kill_points() {
     };
     std::fs::remove_dir_all(&cal).ok();
 
-    let kill_points = spread(total, 12);
+    let kill_points = kill_indices(total, 12);
     assert!(
         kill_points.len() >= 10,
         "save exposed only {total} kill points"
     );
+    let mut kinds = BTreeSet::new();
     for &k in &kill_points {
         let dir = scratch(&format!("save_k{k}"));
         baseline(&dir);
@@ -115,7 +148,7 @@ fn save_crash_replay_sweeps_kill_points() {
             let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
             save_segment(&dir).unwrap_err()
         };
-        assert!(err.contains("injected crash"), "kill {k}: {err}");
+        kinds.insert(kill_kind(&err));
 
         // fsck may quarantine the partial step-4 tree, but must find the
         // markers sound: a marker is only ever published after its step
@@ -145,6 +178,7 @@ fn save_crash_replay_sweeps_kill_points() {
         assert_eq!(resumed.start_iteration, latest);
         std::fs::remove_dir_all(&dir).ok();
     }
+    assert_kinds_hit("save", &kinds, &["data write", "commit.rename"]);
 }
 
 /// Sweep kill points through one offline producer of the step-2 universal
@@ -167,11 +201,12 @@ fn sweep_universal_producer(
         hits
     };
 
-    let kill_points = spread(total, 12);
+    let kill_points = kill_indices(total, 12);
     assert!(
         kill_points.len() >= 10,
         "{tag} exposed only {total} kill points"
     );
+    let mut kinds = BTreeSet::new();
     for &k in &kill_points {
         let dir = scratch(&format!("{tag}_k{k}"));
         copy_tree(seed, &dir);
@@ -179,7 +214,7 @@ fn sweep_universal_producer(
             let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
             produce(&dir).unwrap_err()
         };
-        assert!(err.contains("injected crash"), "{tag} kill {k}: {err}");
+        kinds.insert(kill_kind(&err));
 
         // `latest_universal` is absent or names a tree fsck accepts.
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
@@ -220,6 +255,16 @@ fn sweep_universal_producer(
         assert_eq!(resumed.start_iteration, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
+    assert_kinds_hit(
+        tag,
+        &kinds,
+        &[
+            "data write",
+            "commit.fsync",
+            "commit.rename",
+            "commit.dirsync",
+        ],
+    );
     total
 }
 
@@ -314,7 +359,7 @@ fn overlapped_mid_run_kill_resumes_from_published_marker() {
         hits
     };
 
-    for &k in &spread(total, 6) {
+    for &k in &kill_indices(total, 6) {
         let dir = scratch(&format!("ovl_k{k}"));
         let result = {
             let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
