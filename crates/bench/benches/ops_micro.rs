@@ -100,8 +100,25 @@ fn bench_telemetry_disabled(c: &mut Criterion) {
     group.bench_function("observe", |b| {
         b.iter(|| ucp_telemetry::observe("bench/noop_ns", 1234))
     });
+    // A `save/` path: one that would also trace, so both loads are paid.
     group.bench_function("span_guard", |b| {
-        b.iter(|| ucp_telemetry::span("bench/noop_span"))
+        b.iter(|| ucp_telemetry::span("save/noop_span"))
+    });
+    // The twin with only the tracer armed (the `ucp trace` configuration):
+    // what a phase costs when it lands on the timeline but not in a report.
+    group.bench_function("span_guard_trace_only", |b| {
+        let rec = ucp_telemetry::Recorder::new_disabled();
+        let tracer = ucp_telemetry::Tracer::new();
+        let mut opened = 0u32;
+        b.iter(|| {
+            drop(ucp_telemetry::Span::open(&rec, &tracer, "save/noop_span"));
+            opened += 1;
+            if opened.is_multiple_of(4096) {
+                // Bound the buffer: drop what was recorded and rebind.
+                tracer.start();
+                tracer.register(ucp_telemetry::trace::DRIVER_PID, "bench");
+            }
+        })
     });
     // The tracing layer shares the contract: while the global tracer is
     // disabled (the default), recording spans, collectives, and comm

@@ -112,13 +112,12 @@ USAGE:
   ucp help
       Show this message.
 
-  Any of convert / load / train / fsck / chaos accept --metrics-out
-  <path>: enable telemetry and write a ucp-metrics-v1 JSON report of the
-  run's phase timings, counters, and histograms to <path>. convert /
-  load / train / fsck also accept --trace-out <path>: record a
-  distributed trace of the run and write it as Chrome Trace Format JSON.
-  Both flags create missing parent directories and publish the file
-  atomically.";
+  Every command accepts --metrics-out <path>: enable telemetry and write
+  a ucp-metrics-v1 JSON report of the run's phase timings, counters, and
+  histograms to <path>; and --trace-out <path>: record a distributed
+  trace of the run and write it as Chrome Trace Format JSON. Both are
+  written whether the command succeeds or fails, create missing parent
+  directories and publish the file atomically.";
 
 /// Parsed flags (a flat bag; each command reads what it needs).
 #[derive(Debug, Default)]

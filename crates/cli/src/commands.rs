@@ -22,63 +22,79 @@ fn require_dir(p: &Parsed) -> Result<std::path::PathBuf, String> {
     p.dir.clone().ok_or_else(|| "--dir is required".into())
 }
 
-/// When `--metrics-out` is set, wipe and enable the global recorder so the
-/// command's hot paths are measured from a clean slate.
-fn metrics_begin(p: &Parsed) {
-    if p.metrics_out.is_some() {
-        let rec = ucp_telemetry::global();
+/// Run subcommand `cmd` under one telemetry capture: both channels are
+/// armed before the command and their artifacts written after it whether
+/// it returned `Ok` or `Err` — a failed run is the one whose report is
+/// needed. The recorder is armed for `--metrics-out` (and always for
+/// `load`, which prints its read-amplification summary from the
+/// counters), the tracer for `--trace-out` (and always for `ucp trace`'s
+/// run mode, whose default output is `<dir>/trace.json`).
+pub fn dispatch(cmd: &str, p: &Parsed) -> Result<(), String> {
+    let run: fn(&Parsed) -> Result<(), String> = match cmd {
+        "convert" => convert,
+        "load" => load,
+        "train" => train,
+        "inspect" => inspect,
+        "plan" => plan,
+        "verify" => verify,
+        "fsck" => fsck,
+        "prune" => prune,
+        "spec" => spec,
+        "diff" => diff,
+        "trace" => trace,
+        "chaos" => chaos,
+        "bench" => bench,
+        "status" => crate::status::status,
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    let trace_out = match cmd {
+        "trace" if p.trace_in.is_some() => None,
+        "trace" => p
+            .trace_out
+            .clone()
+            .or_else(|| p.dir.as_ref().map(|d| d.join("trace.json"))),
+        _ => p.trace_out.clone(),
+    };
+    let rec = ucp_telemetry::global();
+    let tracer = ucp_telemetry::trace::global();
+    if p.metrics_out.is_some() || cmd == "load" {
         rec.reset();
         rec.set_enabled(true);
     }
-}
-
-/// When `--metrics-out` is set, snapshot the recorder into a
-/// `ucp-metrics-v1` JSON report at the requested path and disable it
-/// again. The file is published through the staged-commit protocol
-/// (parent directories created, write + rename atomic) so a crash or a
-/// concurrent reader never observes torn JSON.
-fn metrics_end(p: &Parsed, label: &str) -> Result<(), String> {
-    let Some(path) = &p.metrics_out else {
-        return Ok(());
-    };
-    let rec = ucp_telemetry::global();
-    let report = rec.report(label);
-    rec.set_enabled(false);
-    ucp_storage::commit::atomic_write(path, report.to_json().as_bytes())
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("metrics report written to {}", path.display());
-    Ok(())
-}
-
-/// When `--trace-out` is set, wipe the global tracer, enable it, and bind
-/// the calling thread as the driver timeline, so the command records from
-/// a clean slate.
-fn trace_begin(p: &Parsed) {
-    if p.trace_out.is_some() {
-        ucp_telemetry::trace::global().start();
+    if trace_out.is_some() {
+        tracer.start();
         ucp_telemetry::trace::register_thread(ucp_telemetry::trace::DRIVER_PID, "driver");
     }
-}
-
-/// When `--trace-out` is set, merge the per-thread buffers and publish
-/// the Chrome Trace Format JSON atomically at the requested path.
-/// Returns the merged session so callers can also analyze it.
-fn trace_end(p: &Parsed) -> Result<Option<ucp_telemetry::TraceSession>, String> {
-    let Some(path) = &p.trace_out else {
-        return Ok(None);
-    };
-    let tracer = ucp_telemetry::trace::global();
+    let result = run(p);
+    rec.set_enabled(false);
     tracer.set_enabled(false);
-    let session = tracer.take_session();
-    ucp_storage::commit::atomic_write(path, session.to_chrome_json().as_bytes())
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!(
-        "trace written to {} ({} events, {} rank(s))",
-        path.display(),
-        session.event_count(),
-        session.ranks().len()
-    );
-    Ok(Some(session))
+    // Both files go through the staged-commit protocol (parent
+    // directories created, write + rename atomic) so a crash or a
+    // concurrent reader never observes torn JSON.
+    let write = |path: &std::path::Path, text: String| {
+        ucp_storage::commit::atomic_write(path, text.as_bytes())
+            .map_err(|e| format!("writing {}: {e}", path.display()))
+    };
+    let traced = trace_out.as_deref().map_or(Ok(()), |path| {
+        let session = tracer.take_session();
+        write(path, session.to_chrome_json())?;
+        println!(
+            "trace written to {} ({} events, {} rank(s))",
+            path.display(),
+            session.event_count(),
+            session.ranks().len()
+        );
+        if cmd == "trace" && (p.summary || p.json) {
+            print_trace_summary(&session, p.json)?;
+        }
+        Ok(())
+    });
+    let measured = p.metrics_out.as_deref().map_or(Ok(()), |path| {
+        write(path, rec.report(cmd).to_json())?;
+        println!("metrics report written to {}", path.display());
+        Ok(())
+    });
+    result.and(traced).and(measured)
 }
 
 fn target_parallel(p: &Parsed) -> Result<ParallelConfig, String> {
@@ -120,8 +136,6 @@ pub fn convert(p: &Parsed) -> Result<(), String> {
         opts.spill_fragments,
         opts.verify_replicas
     );
-    metrics_begin(p);
-    trace_begin(p);
     let (manifest, stats) = convert_to_universal(&dir, step, &opts).map_err(|e| e.to_string())?;
     println!(
         "done: {} atoms, {} bytes written, extract {:.3}s, union {:.3}s",
@@ -132,8 +146,7 @@ pub fn convert(p: &Parsed) -> Result<(), String> {
         layout::universal_dir(&dir, step).display(),
         manifest.source_label
     );
-    trace_end(p)?;
-    metrics_end(p, "convert")
+    Ok(())
 }
 
 /// `ucp load`: execute the universal load for one rank (or every rank of
@@ -166,16 +179,6 @@ pub fn load(p: &Parsed) -> Result<(), String> {
         Some(r) => vec![r],
         None => (0..target.world_size()).collect(),
     };
-    metrics_begin(p);
-    trace_begin(p);
-    // The read-amplification summary comes from telemetry counters, so
-    // measure even when no --metrics-out report was requested.
-    let rec = ucp_telemetry::global();
-    let private_metrics = p.metrics_out.is_none();
-    if private_metrics {
-        rec.reset();
-        rec.set_enabled(true);
-    }
     let session = LoadSession::open(&dir, step, opts).map_err(|e| e.to_string())?;
     let mut total_elems = 0usize;
     for &rank in &ranks {
@@ -195,7 +198,8 @@ pub fn load(p: &Parsed) -> Result<(), String> {
         target.label(),
         if ranged { "ranged" } else { "full-file" }
     );
-    let report = rec.report("load");
+    // The summary comes from the telemetry counters `dispatch` arms.
+    let report = ucp_telemetry::global().report("load");
     let counter = |name: &str| {
         report
             .counters
@@ -214,11 +218,7 @@ pub fn load(p: &Parsed) -> Result<(), String> {
             counter("load/cache_hit_bytes"),
         );
     }
-    if private_metrics {
-        rec.set_enabled(false);
-    }
-    trace_end(p)?;
-    metrics_end(p, "load")
+    Ok(())
 }
 
 /// The save policy `--overlapped` / `--no-universal-save` select.
@@ -265,8 +265,6 @@ pub fn train(p: &Parsed) -> Result<(), String> {
         checkpoint_every: Some(p.save_every.unwrap_or(iters).max(1)),
         checkpoint_dir: Some(dir.clone()),
     };
-    metrics_begin(p);
-    trace_begin(p);
     // Every run goes through the restart supervisor: the hot tier's
     // recovery lives there, and faults only fire if UCP_RANK_FAULTS arms
     // them.
@@ -295,8 +293,7 @@ pub fn train(p: &Parsed) -> Result<(), String> {
             None => println!("no universal checkpoint published (no save boundary reached)"),
         }
     }
-    trace_end(p)?;
-    metrics_end(p, "train")
+    Ok(())
 }
 
 /// `ucp inspect`: summarize a checkpoint tree.
@@ -477,12 +474,7 @@ pub fn fsck(p: &Parsed) -> Result<(), String> {
     let opts = ucp_core::FsckOptions {
         repair: !p.no_repair,
     };
-    metrics_begin(p);
-    trace_begin(p);
-    let report = {
-        let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "fsck");
-        ucp_core::fsck(&dir, &opts).map_err(|e| e.to_string())?
-    };
+    let report = ucp_core::fsck(&dir, &opts).map_err(|e| e.to_string())?;
     if p.json {
         println!("{}", report.to_json());
     } else {
@@ -505,8 +497,6 @@ pub fn fsck(p: &Parsed) -> Result<(), String> {
             eprintln!("PROBLEM {}: {}", problem.path, problem.detail);
         }
     }
-    metrics_end(p, "fsck")?;
-    trace_end(p)?;
     if report.clean() {
         if !p.json {
             println!("clean");
@@ -528,11 +518,12 @@ pub fn fsck(p: &Parsed) -> Result<(), String> {
 /// `ucp trace`: record a traced workload (or ingest a saved trace with
 /// `--trace-in`) and analyze it.
 ///
-/// Run mode executes the full hot path under one recording session — a
-/// TP=2 × PP=2 train with overlapped background saves, the universal
-/// conversion of the final step, and the universal load for every rank —
-/// then publishes Chrome Trace Format JSON (one pid per rank; open it in
-/// Perfetto or `chrome://tracing`).
+/// Run mode executes the full hot path — a TP=2 × PP=2 train with
+/// overlapped background saves, the universal conversion of the final
+/// step, and the universal load for every rank — under the recording
+/// session [`dispatch`] arms, which then publishes Chrome Trace Format
+/// JSON (one pid per rank; open it in Perfetto or `chrome://tracing`) and
+/// prints the `--summary`.
 pub fn trace(p: &Parsed) -> Result<(), String> {
     // Ingest mode: analyze a previously recorded trace.
     if let Some(path) = &p.trace_in {
@@ -564,15 +555,7 @@ pub fn trace(p: &Parsed) -> Result<(), String> {
         checkpoint_every: Some(p.save_every.unwrap_or(2).max(1)),
         checkpoint_dir: Some(dir.clone()),
     };
-    let out = p
-        .trace_out
-        .clone()
-        .unwrap_or_else(|| dir.join("trace.json"));
     let workers = p.workers.unwrap_or(2);
-
-    let tracer = ucp_telemetry::trace::global();
-    tracer.start();
-    ucp_telemetry::trace::register_thread(ucp_telemetry::trace::DRIVER_PID, "driver");
 
     // 1. Train with overlapped background checkpointing.
     train_run_overlapped(&plan).map_err(|e| format!("{e:?}"))?;
@@ -592,20 +575,6 @@ pub fn trace(p: &Parsed) -> Result<(), String> {
         session
             .load_rank(&parallel, rank, DEFAULT_ALIGNMENT)
             .map_err(|e| e.to_string())?;
-    }
-
-    tracer.set_enabled(false);
-    let session = tracer.take_session();
-    ucp_storage::commit::atomic_write(&out, session.to_chrome_json().as_bytes())
-        .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
-        "trace written to {} ({} events, {} rank(s))",
-        out.display(),
-        session.event_count(),
-        session.ranks().len()
-    );
-    if p.summary || p.json {
-        print_trace_summary(&session, p.json)?;
     }
     Ok(())
 }
@@ -914,8 +883,6 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
         None => 1,
     };
 
-    metrics_begin(p);
-    trace_begin(p);
     println!(
         "chaos sweep: source {}, {} kill step(s) x {} kind(s) x {} target(s), deadline {:?}{}",
         source.label(),
@@ -1128,8 +1095,6 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!("chaos report written to {}", path.display());
     }
-    trace_end(p)?;
-    metrics_end(p, "chaos")?;
     if failed > 0 {
         return Err(format!("{failed}/{} chaos cell(s) failed", cells.len()));
     }

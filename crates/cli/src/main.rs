@@ -14,10 +14,11 @@
 //!             [--max-stale-steps N] [--max-recovery-ms MS]
 //! ```
 //!
-//! `convert`, `load`, `train`, `fsck`, and `chaos` accept
-//! `--metrics-out <path>` to dump a `ucp-metrics-v1` telemetry report of
-//! the run; `status` joins such a report with the checkpoint tree's run
-//! journal into an SLO-checked health report.
+//! Every command accepts `--metrics-out <path>` / `--trace-out <path>` to
+//! dump a `ucp-metrics-v1` telemetry report / Chrome trace of the run,
+//! written whether it succeeded or failed; `status` joins such a report
+//! with the checkpoint tree's run journal into an SLO-checked health
+//! report.
 
 use std::process::ExitCode;
 
@@ -36,28 +37,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "convert" => commands::convert(&parsed),
-        "load" => commands::load(&parsed),
-        "train" => commands::train(&parsed),
-        "inspect" => commands::inspect(&parsed),
-        "plan" => commands::plan(&parsed),
-        "verify" => commands::verify(&parsed),
-        "fsck" => commands::fsck(&parsed),
-        "prune" => commands::prune(&parsed),
-        "spec" => commands::spec(&parsed),
-        "diff" => commands::diff(&parsed),
-        "trace" => commands::trace(&parsed),
-        "chaos" => commands::chaos(&parsed),
-        "bench" => commands::bench(&parsed),
-        "status" => ucp_cli::status::status(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", args::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", args::USAGE);
+        return ExitCode::SUCCESS;
+    }
+    match commands::dispatch(cmd, &parsed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

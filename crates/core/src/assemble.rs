@@ -17,7 +17,6 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use ucp_model::{param_specs, LayerRole, Partition, ShardSegment};
 use ucp_storage::layout::{self, AtomFile};
@@ -54,14 +53,11 @@ pub fn write_atom_file(
     c.push(file.state_key(), atom);
     let path = layout::atom_path(universal_dir, name, file);
     let bytes = c.encoded_len() as u64;
-    let t = ucp_telemetry::enabled().then(Instant::now);
+    let _sp = ucp_telemetry::span(span_path);
     // Commit ordering: every atom must be durable before the manifest
     // that references it is written, which in turn precedes the
     // `latest_universal` marker.
     c.write_file_durable(&path)?;
-    if let Some(t) = t {
-        ucp_telemetry::global().record_span(span_path, t.elapsed());
-    }
     Ok(bytes)
 }
 
@@ -461,16 +457,13 @@ impl StageAssembler {
             // the retained buffers hold the same bits.)
             if b.complete && !b.touched {
                 if let Some(prev) = link_from {
-                    let t = ucp_telemetry::enabled().then(Instant::now);
+                    let _sp = ucp_telemetry::span("save/atom_link");
                     let mut linked = 0u64;
                     for file in AtomFile::ALL {
                         let src = layout::atom_path(prev, name, file);
                         let dst = layout::atom_path(&universal, name, file);
                         linked += std::fs::metadata(&src)?.len();
                         ucp_storage::commit::link_file_durable(&src, &dst)?;
-                    }
-                    if let Some(t) = t {
-                        ucp_telemetry::global().record_span("save/atom_link", t.elapsed());
                     }
                     return Ok((meta, 0u64, linked));
                 }

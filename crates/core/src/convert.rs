@@ -181,10 +181,8 @@ fn assemble_slice(
     pp: usize,
     workers: usize,
 ) -> Result<SliceStates> {
-    // Extract phase: parallel over the slice's ZeRO chunks. Telemetry
-    // spans use absolute paths ("convert/...") because this runs on
-    // par_map worker threads, which have no parent span on their stack.
-    let t_extract = ucp_telemetry::enabled().then(Instant::now);
+    // Extract phase: parallel over the slice's ZeRO chunks.
+    let extract_span = ucp_telemetry::span("convert/extract");
     let extracted = par_map(zero, workers, |zi| {
         let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "extract");
         let shard = source.chunk(zi, tp, pp)?;
@@ -210,14 +208,13 @@ fn assemble_slice(
         // union below takes it from the first.
         Ok(((zi == 0).then(|| shard.layout.clone()), out))
     })?;
-    if let Some(t) = t_extract {
-        ucp_telemetry::global().record_span("convert/extract", t.elapsed());
+    drop(extract_span);
+    if ucp_telemetry::enabled() {
         let fragments: usize = extracted.iter().map(|(_, frags)| frags.len()).sum();
         ucp_telemetry::count("convert/fragments", fragments as u64);
     }
 
-    let t_union = ucp_telemetry::enabled().then(Instant::now);
-    let _union_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "union_flat");
+    let _union_span = ucp_telemetry::span("convert/union_flat");
     let mut flat_layout = None;
     let mut grouped: BTreeMap<(String, usize), Vec<Fragment>> = BTreeMap::new();
     for (zi, (layout, per_chunk)) in extracted.into_iter().enumerate() {
@@ -246,9 +243,6 @@ fn assemble_slice(
             )?)
         };
         states.insert(slot.name.clone(), [flat(0)?, flat(1)?, flat(2)?]);
-    }
-    if let Some(t) = t_union {
-        ucp_telemetry::global().record_span("convert/union_flat", t.elapsed());
     }
     Ok(states)
 }
@@ -309,7 +303,7 @@ pub(crate) fn consolidate(
                 )
             });
             let union_key = |ki: usize| -> Result<Tensor> {
-                let t_tp = ucp_telemetry::enabled().then(Instant::now);
+                let _tp_span = ucp_telemetry::span("convert/union_tp");
                 let shards: Vec<Tensor> = slices
                     .iter()
                     .map(|s| {
@@ -338,9 +332,6 @@ pub(crate) fn consolidate(
                         atom.shape(),
                         spec_entry.shape
                     )));
-                }
-                if let Some(t) = t_tp {
-                    ucp_telemetry::global().record_span("convert/union_tp", t.elapsed());
                 }
                 Ok(atom)
             };
@@ -375,8 +366,7 @@ pub fn convert_to_universal(
     step: u64,
     opts: &ConvertOptions,
 ) -> Result<(UcpManifest, ConvertStats)> {
-    let t_total = Instant::now();
-    let _convert_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Convert, "convert");
+    let _total_span = ucp_telemetry::span("convert/total");
     let step_dir = layout::step_dir(base, step);
     let universal = layout::universal_dir(base, step);
     std::fs::create_dir_all(&universal)?;
@@ -415,11 +405,8 @@ pub fn convert_to_universal(
         std::fs::remove_dir_all(spill).ok();
     }
     commit_universal(base, step, &manifest)?;
-    if ucp_telemetry::enabled() {
-        ucp_telemetry::count("convert/atoms_written", stats.atoms_written as u64);
-        ucp_telemetry::count("convert/bytes_written", stats.bytes_written);
-        ucp_telemetry::global().record_span("convert/total", t_total.elapsed());
-    }
+    ucp_telemetry::count("convert/atoms_written", stats.atoms_written as u64);
+    ucp_telemetry::count("convert/bytes_written", stats.bytes_written);
     Ok((manifest, stats))
 }
 

@@ -301,7 +301,7 @@ fn check_journal(base: &Path, opts: &FsckOptions, report: &mut FsckReport) -> Re
 
 /// Run fsck over the checkpoint tree at `base`.
 pub fn fsck(base: &Path, opts: &FsckOptions) -> Result<FsckReport> {
-    let t = ucp_telemetry::enabled().then(std::time::Instant::now);
+    let _sp = ucp_telemetry::span("fsck/total");
     let mut report = FsckReport::default();
     sweep_tmp(base, &mut report);
 
@@ -356,9 +356,6 @@ pub fn fsck(base: &Path, opts: &FsckOptions) -> Result<FsckReport> {
         ucp_telemetry::count("fsck/problems", report.problems.len() as u64);
         ucp_telemetry::count("fsck/quarantined", report.quarantined.len() as u64);
         ucp_telemetry::count("fsck/tmp_removed", report.tmp_removed as u64);
-        if let Some(t) = t {
-            ucp_telemetry::global().record_span("fsck/total", t.elapsed());
-        }
     }
     Ok(report)
 }

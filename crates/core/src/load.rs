@@ -322,8 +322,7 @@ enum MomentData {
 /// `Load`: execute `plan` against `source`. The only builder of a
 /// [`RankState`], so every tier reconstructs a rank the same way.
 pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<RankState> {
-    let _load_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "load");
-    let t_total = ucp_telemetry::enabled().then(std::time::Instant::now);
+    let _total_span = ucp_telemetry::span("load/total");
     let chunk = plan.layout.chunk;
     let mut fp32 = vec![0.0f32; chunk];
     let mut exp_avg = vec![0.0f32; chunk];
@@ -336,6 +335,7 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
         AtomSource::Disk { opts, .. } => opts.workers,
         AtomSource::Memory(_) => 1,
     };
+    let read_span = ucp_telemetry::span("load/read");
     let pieces = par_map(plan.entries.len(), workers, |i| {
         let _read_sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "read_entry");
         let t_busy = ucp_telemetry::enabled().then(std::time::Instant::now);
@@ -356,13 +356,10 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
         }
         Ok(piece)
     })?;
-    if let Some(t) = t_total {
-        ucp_telemetry::global().record_span("load/read", t.elapsed());
-    }
+    drop(read_span);
 
     // Phase 2 (serial): scatter fragments into the flat chunks.
-    let _scatter_span = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "scatter");
-    let t_scatter = ucp_telemetry::enabled().then(std::time::Instant::now);
+    let _scatter_span = ucp_telemetry::span("load/scatter");
     let mut model_params = Vec::with_capacity(plan.entries.len());
     for (entry, (shard_fp32, moments)) in plan.entries.iter().zip(pieces) {
         match moments {
@@ -383,12 +380,6 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
             None => {}
         }
         model_params.push((entry.name.clone(), shard_fp32));
-    }
-    if let Some(t) = t_scatter {
-        ucp_telemetry::global().record_span("load/scatter", t.elapsed());
-    }
-    if let Some(t) = t_total {
-        ucp_telemetry::global().record_span("load/total", t.elapsed());
     }
 
     Ok(RankState {

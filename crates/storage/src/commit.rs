@@ -23,7 +23,6 @@
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crate::io::fault::{self, FaultWriter};
 use crate::{Result, StorageError};
@@ -92,36 +91,33 @@ fn staged(dest: &Path, durable: bool, stage: impl FnOnce(&Path) -> Result<()>) -
 /// Kill points: one per buffer the `BufWriter` hands to the file (a torn
 /// write lands exactly a prefix of it), then `commit.fsync`,
 /// `commit.rename`, `commit.dirsync`. Serialization and durability cost
-/// are recorded as the absolute spans `storage/write` and `storage/fsync`
-/// (the split reads the same whatever phase is open above), the file size
-/// under `storage/bytes_written`.
+/// are recorded as the spans `storage/write` and `storage/fsync`, the
+/// file size under `storage/bytes_written`.
 pub fn publish(
     dest: &Path,
     durable: bool,
     fill: impl FnOnce(&mut dyn Write) -> Result<()>,
 ) -> Result<()> {
-    let started = ucp_telemetry::enabled().then(Instant::now);
-    let mut flushed = None;
+    let write_span = ucp_telemetry::span("storage/write");
+    // Opened once the bytes are flushed; closes after the rename and the
+    // directory sync.
+    let mut fsync_span = None;
     staged(dest, durable, |tmp| {
         let file = File::create(tmp)?;
         let mut w = BufWriter::new(FaultWriter::new(&file, tmp));
         fill(&mut w)?;
         w.flush()?;
-        if let Some(t) = started {
-            ucp_telemetry::global().record_span("storage/write", t.elapsed());
+        drop(write_span);
+        if ucp_telemetry::enabled() {
             ucp_telemetry::count("storage/bytes_written", file.metadata()?.len());
-            flushed = durable.then(Instant::now);
         }
         if durable {
+            fsync_span = Some(ucp_telemetry::span("storage/fsync"));
             fault::gate("commit.fsync", tmp)?;
             file.sync_all()?;
         }
         Ok(())
-    })?;
-    if let Some(t) = flushed {
-        ucp_telemetry::global().record_span("storage/fsync", t.elapsed());
-    }
-    Ok(())
+    })
 }
 
 /// Durably publish `bytes` at `path` via the full staged protocol.

@@ -1,11 +1,11 @@
 //! Fleet-wide metric aggregation: merging per-rank recorder snapshots
 //! into cross-rank aggregates.
 //!
-//! Each rank keeps a small local [`crate::Recorder`] for signals that
-//! genuinely differ per rank (iteration wall time, save-stall blocking).
-//! At run end the ranks ship their snapshots to rank 0 over the
-//! collectives layer (the transport lives in the trainer crate — this
-//! module is pure data), and rank 0 folds [`aggregate`]'s output into the
+//! Each rank records into a small local [`crate::Recorder`] the signals
+//! that genuinely differ per rank (iteration wall time, save-stall
+//! blocking). The trainer's segment runner owns those recorders (this
+//! module is pure data) and, once the rank threads are joined — cleanly
+//! or after a rank failure — folds [`aggregate`]'s output into the
 //! process-global recorder so the cross-rank view rides the existing
 //! `ucp-metrics-v1` JSON and Prometheus exports.
 //!
@@ -15,7 +15,7 @@
 
 use crate::report::{CounterStat, Report, SpanStat};
 
-/// One rank's metrics snapshot, as shipped to rank 0.
+/// One rank's metrics snapshot.
 #[derive(Debug, Clone)]
 pub struct RankSnapshot {
     /// Originating cluster rank.

@@ -2,11 +2,12 @@
 //!
 //! Three primitives, one report:
 //!
-//! - **Spans** — scoped timers with slash-separated phase paths
-//!   (`convert/extract`), aggregated by path (count / total / min / max).
-//!   Nesting follows lexical scope per thread; worker threads spawned by
-//!   `par_map` start with an empty stack, so hot-path instrumentation
-//!   uses absolute paths.
+//! - **Spans** — one guard, [`span`], times a phase under an absolute
+//!   slash path (`convert/extract`). On drop it aggregates the elapsed
+//!   time by path (count / total / min / max) *and* brackets the scope on
+//!   the [`trace`] timeline under the same name, so a phase is one
+//!   greppable string in both artifacts. It records however the scope
+//!   ends — fallthrough, `?`, or unwind.
 //! - **Counters** — monotonic `u64` accumulators (`convert/bytes_written`).
 //! - **Histograms** — log2-bucketed `u64` distributions for latencies and
 //!   byte volumes (`load/atom_read_ns`).
@@ -17,8 +18,9 @@
 //! exposition.
 //!
 //! The process-global recorder ([`global()`]) starts **disabled**; when
-//! disabled every instrumentation call is a single relaxed atomic load,
-//! so the hot paths carry no measurable overhead by default.
+//! disabled every instrumentation call is a single relaxed atomic load
+//! (two for a span: recorder and tracer), so the hot paths carry no
+//! measurable overhead by default.
 //!
 //! The [`trace`] module adds the per-rank distributed tracing layer
 //! (typed event timelines, Chrome Trace Format export, busy/wait
@@ -28,14 +30,17 @@
 //! report schema.
 //!
 //! ```
-//! let rec = ucp_telemetry::Recorder::new();
+//! use ucp_telemetry::{Recorder, Span, Tracer};
+//!
+//! let (rec, tracer) = (Recorder::new(), Tracer::new());
 //! {
-//!     let _phase = rec.span("convert");
-//!     let _sub = rec.span("extract");
+//!     let _phase = Span::open(&rec, &tracer, "convert/extract");
 //!     rec.count("convert/fragments", 4);
 //!     rec.observe("load/atom_read_ns", 12_500);
 //! }
 //! let report = rec.report("demo");
+//! assert_eq!(report.span("convert/extract").unwrap().count, 1);
+//! assert_eq!(tracer.take_session().event_count(), 2); // Begin + End
 //! assert_eq!(report.counter("convert/fragments"), Some(4));
 //! let json = report.to_json();
 //! let back = ucp_telemetry::Report::from_json(&json).unwrap();
@@ -47,19 +52,22 @@ pub mod hist;
 pub mod json;
 pub mod recorder;
 pub mod report;
+pub mod span;
 pub mod trace;
 
 pub use fleet::RankSnapshot;
 pub use hist::Histogram;
 pub use json::Json;
-pub use recorder::{global, Recorder, Span};
+pub use recorder::{global, Recorder};
 pub use report::{BucketStat, CounterStat, HistStat, Report, SpanStat, SCHEMA};
+pub use span::Span;
 pub use trace::{TraceCat, TraceSession, TraceSummary, Tracer};
 
-/// Convenience: open a span on the global recorder.
+/// Time a phase under `path` on the global recorder and the global
+/// tracer — the one way production code instruments a phase.
 #[inline]
-pub fn span(label: &str) -> Span<'static> {
-    global().span(label)
+pub fn span(path: &str) -> Span<'_> {
+    Span::open(global(), trace::global(), path)
 }
 
 /// Convenience: bump a counter on the global recorder.

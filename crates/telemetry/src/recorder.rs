@@ -1,5 +1,5 @@
-//! The thread-safe metrics recorder: scoped span timers, monotonic
-//! counters, and value histograms.
+//! The thread-safe metrics recorder: span aggregates, monotonic counters,
+//! and value histograms. (The guard that times a phase is [`crate::Span`].)
 //!
 //! A [`Recorder`] is cheap to consult when disabled — one relaxed atomic
 //! load — so instrumentation can stay compiled into the hot paths
@@ -8,11 +8,10 @@
 //! instrumented code records per *phase*, *file*, or *atom*, never per
 //! element, so contention stays negligible next to the work being timed.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::hist::Histogram;
 use crate::report::{CounterStat, HistStat, Report, SpanStat};
@@ -42,13 +41,6 @@ struct State {
 pub struct Recorder {
     enabled: AtomicBool,
     state: Mutex<State>,
-}
-
-thread_local! {
-    /// Per-thread stack of open spans: `(recorder identity, full path)`.
-    /// The identity keys the stack so independent recorders (e.g. a test's
-    /// local recorder next to the process-global one) nest separately.
-    static SPAN_STACK: RefCell<Vec<(usize, String)>> = const { RefCell::new(Vec::new()) };
 }
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
@@ -92,10 +84,6 @@ impl Recorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn identity(&self) -> usize {
-        self as *const Recorder as usize
-    }
-
     /// Lock the state, recovering it if a panicking thread poisoned the
     /// mutex. Every update is a self-contained map operation, so the
     /// state is never left half-written by a panic mid-update; recovering
@@ -129,16 +117,13 @@ impl Recorder {
             .record(value);
     }
 
-    /// Record a span duration directly under `path` (no nesting).
+    /// Record one completed span of `duration` under `path`.
     #[inline]
     pub fn record_span(&self, path: &str, duration: Duration) {
         if !self.is_enabled() {
             return;
         }
-        self.record_span_ns(path, duration.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    fn record_span_ns(&self, path: &str, ns: u64) {
+        let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
         let mut state = self.state();
         let agg = state.spans.entry(path.to_string()).or_default();
         if agg.count == 0 {
@@ -150,40 +135,6 @@ impl Recorder {
         }
         agg.count += 1;
         agg.total_ns += ns;
-    }
-
-    /// Open a scoped timer. The span's path is `parent-path/label` when
-    /// another span of this recorder is open on the current thread, else
-    /// `label` itself; the elapsed time is recorded when the returned
-    /// guard drops. Guards must drop in LIFO order (the natural result of
-    /// scoping) for nested paths to attribute correctly.
-    ///
-    /// When the recorder is disabled this is one atomic load and returns
-    /// an inert guard.
-    #[must_use = "a span records on drop; binding it to _ discards it immediately"]
-    pub fn span(&self, label: &str) -> Span<'_> {
-        if !self.is_enabled() {
-            return Span {
-                rec: self,
-                path: String::new(),
-                start: None,
-            };
-        }
-        let id = self.identity();
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.iter().rev().find(|(rid, _)| *rid == id) {
-                Some((_, parent)) => format!("{parent}/{label}"),
-                None => label.to_string(),
-            };
-            stack.push((id, path.clone()));
-            path
-        });
-        Span {
-            rec: self,
-            path,
-            start: Some(Instant::now()),
-        }
     }
 
     /// Wipe all recorded data (the enabled flag is untouched).
@@ -261,42 +212,6 @@ impl Recorder {
     }
 }
 
-/// A scoped span timer; records its elapsed time on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    rec: &'a Recorder,
-    path: String,
-    /// `None` when the recorder was disabled at creation (inert guard).
-    start: Option<Instant>,
-}
-
-impl Span<'_> {
-    /// The full path this span records under (empty for inert guards).
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let id = self.rec.identity();
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // LIFO pop of this recorder's innermost entry; out-of-order
-            // drops only mis-parent later siblings, never panic.
-            if let Some(i) = stack
-                .iter()
-                .rposition(|(rid, p)| *rid == id && *p == self.path)
-            {
-                stack.remove(i);
-            }
-        });
-        self.rec.record_span_ns(&self.path, ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,9 +221,7 @@ mod tests {
         let r = Recorder::new_disabled();
         r.count("c", 5);
         r.observe("h", 10);
-        {
-            let _s = r.span("phase");
-        }
+        r.record_span("phase", Duration::from_nanos(1));
         let report = r.report("test");
         assert!(report.spans.is_empty());
         assert!(report.counters.is_empty());
@@ -325,78 +238,6 @@ mod tests {
         assert_eq!(report.counter("bytes"), Some(150));
         assert_eq!(report.counter("files"), Some(1));
         assert_eq!(report.counter("missing"), None);
-    }
-
-    #[test]
-    fn spans_nest_into_paths() {
-        let r = Recorder::new();
-        {
-            let _outer = r.span("convert");
-            {
-                let _inner = r.span("extract");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            {
-                let _inner = r.span("union");
-            }
-        }
-        let report = r.report("t");
-        let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
-        assert_eq!(paths, vec!["convert", "convert/extract", "convert/union"]);
-    }
-
-    #[test]
-    fn nested_span_timing_is_monotonic() {
-        let r = Recorder::new();
-        {
-            let _outer = r.span("parent");
-            for _ in 0..3 {
-                let _inner = r.span("child");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let report = r.report("t");
-        let parent = report.span("parent").unwrap();
-        let child = report.span("parent/child").unwrap();
-        assert_eq!(parent.count, 1);
-        assert_eq!(child.count, 3);
-        assert!(
-            parent.total_secs >= child.total_secs,
-            "parent {} < children {}",
-            parent.total_secs,
-            child.total_secs
-        );
-        assert!(child.min_secs <= child.max_secs);
-        assert!(child.total_secs >= child.max_secs);
-    }
-
-    #[test]
-    fn spans_on_fresh_threads_are_top_level() {
-        let r = Recorder::new();
-        let _outer = r.span("main_phase");
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _w = r.span("worker_phase");
-            });
-        });
-        drop(_outer);
-        let report = r.report("t");
-        assert!(report.span("worker_phase").is_some());
-        assert!(report.span("main_phase/worker_phase").is_none());
-    }
-
-    #[test]
-    fn two_recorders_nest_independently() {
-        let a = Recorder::new();
-        let b = Recorder::new();
-        let _oa = a.span("a_outer");
-        let _ob = b.span("b_outer");
-        {
-            let ia = a.span("inner");
-            let ib = b.span("inner");
-            assert_eq!(ia.path(), "a_outer/inner");
-            assert_eq!(ib.path(), "b_outer/inner");
-        }
     }
 
     #[test]
@@ -436,7 +277,7 @@ mod tests {
                 let r = &r;
                 s.spawn(move || {
                     for i in 0..per_thread {
-                        let _sp = r.span("work");
+                        r.record_span("work", Duration::from_nanos(i + 1));
                         r.count("ops", 2);
                         r.observe("latency", (t + 1) * 10);
                         r.observe("latency", i);
@@ -509,19 +350,15 @@ mod tests {
             panic!("rank thread dies mid-flush");
         }));
         assert!(r.state.is_poisoned());
-        // All five lock sites must keep working on the recovered state.
+        // All lock sites must keep working on the recovered state.
         r.count("after", 2);
         r.observe("h", 7);
         r.record_span("p", Duration::from_nanos(5));
-        {
-            let _s = r.span("scoped");
-        }
         let report = r.report("t");
         assert_eq!(report.counter("before"), Some(1));
         assert_eq!(report.counter("after"), Some(2));
         assert!(report.hist("h").is_some());
         assert!(report.span("p").is_some());
-        assert!(report.span("scoped").is_some());
         r.reset();
         assert!(r.report("t").counters.is_empty());
     }

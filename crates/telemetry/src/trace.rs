@@ -6,9 +6,11 @@
 //! overlapped checkpointing actually overlaps. This module records typed,
 //! timestamped events into per-thread buffers:
 //!
-//! - **Spans** (`Begin`/`End`) — compute phases (`step`, `forward`),
-//!   checkpoint phases (`snapshot`, `persist`, `drain`), convert work
-//!   items (`extract`, `union:<pattern>`), load phases.
+//! - **Spans** (`Begin`/`End`) — every phase timed by a [`crate::Span`]
+//!   guard, under its metric path (`save/persist`, `convert/total`,
+//!   `load/read`), plus the trace-only ones: compute phases (`step`,
+//!   `forward`) and per-work-item spans (`extract`, `union:<pattern>`,
+//!   `read_entry`).
 //! - **Collectives** — one event per collective call per rank, carrying
 //!   `enter ≤ ready ≤ exit` timestamps so *wait time* (blocked on peers,
 //!   `ready − enter`) is separable from *transfer/reduce time*
@@ -91,6 +93,19 @@ impl TraceCat {
             "convert" => TraceCat::Convert,
             "load" => TraceCat::Load,
             "comm" => TraceCat::Comm,
+            "recovery" => TraceCat::Recovery,
+            _ => return None,
+        })
+    }
+
+    /// The category a metric span path traces under, chosen by its first
+    /// segment; `None` for name spaces that stay metrics-only
+    /// (`storage/`, `io/`, `bench/`).
+    pub fn of_path(path: &str) -> Option<TraceCat> {
+        Some(match path.split_once('/')?.0 {
+            "save" | "fsck" => TraceCat::Checkpoint,
+            "convert" => TraceCat::Convert,
+            "load" => TraceCat::Load,
             "recovery" => TraceCat::Recovery,
             _ => return None,
         })
@@ -301,9 +316,12 @@ impl Tracer {
     /// replacing any previous binding for this tracer. No-op while
     /// disabled.
     pub fn register(&self, pid: u64, label: &str) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.bind(pid, label);
         }
+    }
+
+    fn bind(&self, pid: u64, label: &str) -> Arc<ThreadBuffer> {
         let buf = Arc::new(ThreadBuffer {
             pid,
             tid: self.next_tid.fetch_add(1, Ordering::Relaxed),
@@ -318,12 +336,15 @@ impl Tracer {
         TLS_BUFFERS.with(|tls| {
             let mut tls = tls.borrow_mut();
             tls.retain(|(tid, _)| *tid != id);
-            tls.push((id, buf));
+            tls.push((id, Arc::clone(&buf)));
         });
+        buf
     }
 
-    /// The current thread's buffer, auto-registering unbound threads as
-    /// driver threads (worker pools, background writers).
+    /// The current thread's buffer, auto-binding unbound threads as
+    /// driver threads (worker pools, background writers) — whether or not
+    /// the tracer is still enabled: an event that passed the enabled check
+    /// must land somewhere even if recording stops a moment later.
     fn buffer(&self) -> Arc<ThreadBuffer> {
         let id = self.identity();
         let existing = TLS_BUFFERS.with(|tls| {
@@ -332,17 +353,7 @@ impl Tracer {
                 .find(|(tid, _)| *tid == id)
                 .map(|(_, b)| Arc::clone(b))
         });
-        if let Some(buf) = existing {
-            return buf;
-        }
-        self.register(DRIVER_PID, "worker");
-        TLS_BUFFERS.with(|tls| {
-            tls.borrow()
-                .iter()
-                .find(|(tid, _)| *tid == id)
-                .map(|(_, b)| Arc::clone(b))
-                .expect("just registered")
-        })
+        existing.unwrap_or_else(|| self.bind(DRIVER_PID, "worker"))
     }
 
     fn push(&self, kind: EventKind) {
@@ -1349,5 +1360,20 @@ mod tests {
             &session.tracks[0].events[0].kind,
             EventKind::Mark { name, .. } if name == "new"
         ));
+    }
+
+    #[test]
+    fn guard_outliving_the_recording_still_lands_its_event() {
+        // A guard opened on an unbound thread, dropped after recording
+        // stopped: its event must bind a buffer, not panic in `Drop`.
+        let t = Tracer::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let guard = t.collective("barrier", "0-1", 0);
+                t.set_enabled(false);
+                drop(guard);
+            });
+        });
+        assert_eq!(t.take_session().event_count(), 1);
     }
 }

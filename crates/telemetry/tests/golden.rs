@@ -121,9 +121,9 @@ fn golden_json_parses_back_to_the_fixture() {
 #[test]
 fn end_to_end_recorder_to_file() {
     let rec = ucp_telemetry::Recorder::new();
+    let tracer = ucp_telemetry::Tracer::new_disabled();
     {
-        let _outer = rec.span("convert");
-        let _inner = rec.span("extract");
+        let _phase = ucp_telemetry::Span::open(&rec, &tracer, "convert/extract");
         rec.count("convert/bytes_written", 4096);
         rec.observe("load/atom_read_ns", 250_000);
     }

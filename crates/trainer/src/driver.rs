@@ -16,8 +16,7 @@ use ucp_core::load::{LoadOptions, LoadSession};
 use ucp_core::manifest::UcpManifest;
 use ucp_storage::JournalEvent;
 use ucp_telemetry::fleet::{aggregate, RankSnapshot};
-use ucp_telemetry::trace::{self, TraceCat};
-use ucp_telemetry::{Recorder, Report};
+use ucp_telemetry::Recorder;
 
 use crate::engine::{RankEngine, TrainConfig, UniversalSource};
 use crate::snapshot::{PendingSave, SnapshotPool};
@@ -277,12 +276,22 @@ pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResu
         tier.begin_segment(world);
     }
     let parked = parking_lot::Mutex::new(Vec::new());
+    // Signals that genuinely differ per rank (iteration wall time, save
+    // stall) go to one recorder per rank, owned here rather than by the
+    // rank's thread so a rank that dies keeps what it measured.
+    let new_local: fn() -> Recorder = if ucp_telemetry::enabled() {
+        Recorder::new
+    } else {
+        Recorder::new_disabled
+    };
+    let locals: Vec<Recorder> = (0..world).map(|_| new_local()).collect();
     let rank_run = RankRun {
         plan,
         seg,
         start,
         pipelines: pipelines.as_ref(),
         parked: &parked,
+        locals: &locals,
     };
     let cluster_opts = ClusterOptions {
         deadline: seg.deadline,
@@ -296,25 +305,21 @@ pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResu
     for writer in parked.into_inner() {
         let _ = writer.wait();
     }
-    let mut snapshots = Vec::new();
-    let results = joined
-        .map_err(SegmentError::Failure)?
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| {
-            r.map(|(result, report)| {
-                snapshots.extend(report.map(|report| RankSnapshot { rank, report }));
-                result
+    // Fleet metrics: the per-rank recorders fold into the global one as
+    // `fleet/*` aggregates — before the failure path returns, so a segment
+    // that died still contributes the iterations it ran.
+    if ucp_telemetry::enabled() {
+        let snapshots: Vec<RankSnapshot> = locals
+            .iter()
+            .enumerate()
+            .map(|(rank, local)| RankSnapshot {
+                rank,
+                report: local.report(&format!("rank{rank}")),
             })
-        })
-        .collect();
-    // Fleet metrics: signals that genuinely differ per rank (iteration
-    // wall time, save stall) ride each rank's return value and fold into
-    // the global recorder as `fleet/*` aggregates.
-    if !snapshots.is_empty() {
+            .collect();
         ucp_telemetry::global().absorb(&aggregate(&snapshots));
     }
-    collect_results(results).map_err(SegmentError::Hard)
+    collect_results(joined.map_err(SegmentError::Failure)?).map_err(SegmentError::Hard)
 }
 
 /// A rank's in-flight background writers. Dropped on any exit — error
@@ -352,11 +357,14 @@ struct RankRun<'a> {
     start: Start<'a>,
     pipelines: Option<&'a crate::pipeline::SavePipelines>,
     parked: &'a parking_lot::Mutex<Vec<PendingSave>>,
+    /// One per-rank recorder, indexed by rank.
+    locals: &'a [Recorder],
 }
 
 impl RankRun<'_> {
-    fn run(&self, comm: &Comm) -> Result<(RunResult, Option<Report>), String> {
+    fn run(&self, comm: &Comm) -> Result<RunResult, String> {
         let plan = self.plan;
+        let local = &self.locals[comm.rank()];
         let t_load = Instant::now();
         let cfg = plan.config.clone();
         let mut engine = match &self.start {
@@ -368,7 +376,6 @@ impl RankRun<'_> {
         let load_secs = t_load.elapsed().as_secs_f64();
 
         let start_iteration = engine.iteration;
-        let local = ucp_telemetry::enabled().then(Recorder::new);
         let mut losses = Vec::new();
         let mut metrics = Vec::new();
         let mut save_secs = 0.0f64;
@@ -391,10 +398,8 @@ impl RankRun<'_> {
             }
             let t_it = Instant::now();
             let loss = engine.train_iteration().map_err(|e| e.to_string())?;
-            if let Some(loc) = &local {
-                loc.count("rank/iterations", 1);
-                loc.observe("rank/step_us", t_it.elapsed().as_micros() as u64);
-            }
+            local.count("rank/iterations", 1);
+            local.observe("rank/step_us", t_it.elapsed().as_micros() as u64);
             losses.push((it + 1, loss));
             metrics.extend(engine.last_stats);
             if let Some((every, dir)) = boundary {
@@ -402,9 +407,7 @@ impl RankRun<'_> {
                     let t0 = Instant::now();
                     self.save(&mut engine, comm, dir, &pool, &mut writers)?;
                     save_secs += t0.elapsed().as_secs_f64();
-                    if let Some(loc) = &local {
-                        loc.observe("rank/save_block_us", t0.elapsed().as_micros() as u64);
-                    }
+                    local.observe("rank/save_block_us", t0.elapsed().as_micros() as u64);
                 }
             }
         }
@@ -417,27 +420,19 @@ impl RankRun<'_> {
         // training stall (there is no more training to overlap with), so
         // it lands on its own span.
         if !writers.tail.is_empty() {
-            let t_final = ucp_telemetry::enabled().then(Instant::now);
-            let _sp = trace::span(TraceCat::Checkpoint, "final_drain");
+            let _sp = ucp_telemetry::span("save/final_drain");
             // One at a time, so an error leaves the rest in the guard.
             while !writers.tail.is_empty() {
                 writers.tail.remove(0).wait().map_err(|e| e.to_string())?;
             }
-            if let Some(t) = t_final {
-                ucp_telemetry::global().record_span("save/final_drain", t.elapsed());
-            }
         }
-        let report = local.map(|loc| loc.report(&format!("rank{}", comm.rank())));
-        Ok((
-            RunResult {
-                losses,
-                start_iteration,
-                save_secs,
-                load_secs,
-                metrics,
-            },
-            report,
-        ))
+        Ok(RunResult {
+            losses,
+            start_iteration,
+            save_secs,
+            load_secs,
+            metrics,
+        })
     }
 
     /// One save boundary at `engine.iteration`.
@@ -476,11 +471,10 @@ impl RankRun<'_> {
                 while writers.tail.len() > 2 {
                     writers.tail.remove(0).wait().map_err(|e| e.to_string())?;
                 }
-                let t_snap = ucp_telemetry::enabled().then(Instant::now);
-                let snapshot = engine.snapshot_pooled(pool);
-                if let Some(t) = t_snap {
-                    ucp_telemetry::global().record_span("save/snapshot", t.elapsed());
-                }
+                let snapshot = {
+                    let _sp = ucp_telemetry::span("save/snapshot");
+                    engine.snapshot_pooled(pool)
+                };
                 let dirty = self.seg.hot.and_then(|_| snapshot.get().dirty.clone());
                 let task = self.pipelines.and_then(|p| p.take(step, rank));
                 writers.pending = Some(PendingSave::spawn_with(snapshot, dir.to_path_buf(), task));
@@ -529,13 +523,9 @@ impl RankRun<'_> {
         dir: &Path,
     ) -> Result<PendingSave, String> {
         let step = prev.step;
-        let t_drain = ucp_telemetry::enabled().then(Instant::now);
         {
-            let _drain = trace::span(TraceCat::Checkpoint, "drain");
+            let _sp = ucp_telemetry::span("save/drain");
             prev.wait_persisted().map_err(|e| e.to_string())?;
-        }
-        if let Some(t) = t_drain {
-            ucp_telemetry::global().record_span("save/drain", t.elapsed());
         }
         // The drained step's native files are complete on every rank:
         // publish `latest` now, so a crash later in the run loses one

@@ -692,7 +692,6 @@ impl<'a> RankEngine<'a> {
     /// snapshot without saving it therefore loses dirtiness — callers must
     /// hand every snapshot to the save path (the driver does).
     pub fn snapshot(&mut self) -> crate::snapshot::CheckpointSnapshot {
-        let _sp = trace::span(TraceCat::Checkpoint, "snapshot");
         let zi = self.zero_index();
         let dirty = self.dirty.take();
         crate::snapshot::CheckpointSnapshot {
@@ -758,7 +757,6 @@ impl<'a> RankEngine<'a> {
     fn snapshot_into(&mut self, slot: &mut Option<crate::snapshot::CheckpointSnapshot>) {
         match slot {
             Some(prev) => {
-                let _sp = trace::span(TraceCat::Checkpoint, "snapshot");
                 let zi = self.zero_index();
                 prev.common = self.common_state();
                 prev.tp = self.coord.tp;
@@ -798,8 +796,7 @@ impl<'a> RankEngine<'a> {
         step: u64,
         universal: bool,
     ) -> Result<(), TrainError> {
-        let _sp = trace::span(TraceCat::Checkpoint, "publish");
-        let t = ucp_telemetry::enabled().then(std::time::Instant::now);
+        let _sp = ucp_telemetry::span("save/publish");
         let world = Group::world(self.comm.world_size());
         self.comm.barrier(&world).map_err(TrainError::Comm)?;
         if self.comm.rank() == 0 {
@@ -807,9 +804,6 @@ impl<'a> RankEngine<'a> {
                 .map_err(|e| TrainError::Ucp(e.into()))?;
         }
         self.comm.barrier(&world).map_err(TrainError::Comm)?;
-        if let Some(t) = t {
-            ucp_telemetry::global().record_span("save/publish", t.elapsed());
-        }
         Ok(())
     }
 

@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ucp_collectives::exchange::{EpochLease, Mesh};
 use ucp_core::assemble::{build_manifest, StageAssembler, StageAtoms};
@@ -65,7 +65,6 @@ use ucp_core::ops::{extract_flat, Fragment};
 use ucp_parallel::{ParallelConfig, RankCoord};
 use ucp_storage::layout as disk;
 use ucp_storage::retention::InFlightGuard;
-use ucp_telemetry::{trace, TraceCat};
 
 use crate::dirty::DirtyMap;
 use crate::snapshot::CheckpointSnapshot;
@@ -326,9 +325,8 @@ pub(crate) fn run_writer(
     // sub-ranges, and contribute them to the stage's assembler. The
     // contribution is sent even when everything is clean — the assembler
     // counts arrivals, not bytes.
-    let t_ex = ucp_telemetry::enabled().then(Instant::now);
     {
-        let _sp = trace::span(TraceCat::Checkpoint, "exchange");
+        let _sp = ucp_telemetry::span("save/exchange");
         let shard = &snapshot.shard;
         let keys: [&[f32]; 3] = [&shard.fp32, &shard.exp_avg, &shard.exp_avg_sq];
         let mut fragments = Vec::new();
@@ -341,9 +339,7 @@ pub(crate) fn run_writer(
                 }
             }
         }
-        if ucp_telemetry::enabled() {
-            ucp_telemetry::count("save/exchange_bytes", sent_elems * 4);
-        }
+        ucp_telemetry::count("save/exchange_bytes", sent_elems * 4);
         let params: Vec<String> = shard.layout.slots.iter().map(|s| s.name.clone()).collect();
         lease
             .send(
@@ -357,9 +353,6 @@ pub(crate) fn run_writer(
                 },
             )
             .map_err(TrainError::Comm)?;
-    }
-    if let Some(t) = t_ex {
-        ucp_telemetry::global().record_span("save/exchange", t.elapsed());
     }
 
     // Stage assembler: absorb every (tp, zero) contribution of this stage
@@ -386,9 +379,8 @@ pub(crate) fn run_writer(
             Arc::clone(chains.entry(snapshot.pp).or_default())
         };
         let mut state = chain.inner.lock();
-        let t_as = ucp_telemetry::enabled().then(Instant::now);
         {
-            let _sp = trace::span(TraceCat::Checkpoint, "assemble");
+            let _sp = ucp_telemetry::span("save/assemble");
             if let Some(asm) = state.asm.as_mut() {
                 asm.begin_step(&universal).map_err(TrainError::Ucp)?;
             }
@@ -427,37 +419,32 @@ pub(crate) fn run_writer(
                 }
             }
         }
-        if let Some(t) = t_as {
-            ucp_telemetry::global().record_span("save/assemble", t.elapsed());
-        }
-        let t_at = ucp_telemetry::enabled().then(Instant::now);
         let atoms = {
-            let _sp = trace::span(TraceCat::Checkpoint, "atoms");
+            let _sp = ucp_telemetry::span("save/atoms");
             let link_from = state.prev.as_ref().map(|prev| prev.dir.clone());
             let asm = state
                 .asm
                 .as_mut()
                 .ok_or_else(|| TrainError::Config("save pipeline: stage has no ranks".into()))?;
-            asm.finalize_step(ATOM_WRITE_WORKERS, "save/atom_write", link_from.as_deref())
-                .map_err(TrainError::Ucp)?
+            let atoms = asm
+                .finalize_step(ATOM_WRITE_WORKERS, "save/atom_write", link_from.as_deref())
+                .map_err(TrainError::Ucp)?;
+            // Rotate the hard-link source: this step's atoms must survive
+            // retention pruning until the *next* step finalizes against them.
+            state.prev = Some(PrevStep {
+                dir: universal.clone(),
+                _pin: ucp_storage::retention::begin_save(base, step),
+            });
+            atoms
         };
-        // Rotate the hard-link source: this step's atoms must survive
-        // retention pruning until the *next* step finalizes against them.
-        state.prev = Some(PrevStep {
-            dir: universal.clone(),
-            _pin: ucp_storage::retention::begin_save(base, step),
-        });
         drop(state);
-        if let Some(t) = t_at {
-            ucp_telemetry::global().record_span("save/atoms", t.elapsed());
-            ucp_telemetry::count(
-                "save/universal_atoms",
-                (atoms.atoms_written + atoms.atoms_skipped) as u64,
-            );
-            ucp_telemetry::count("save/universal_bytes", atoms.bytes_written);
-            ucp_telemetry::count("save/atoms_written", atoms.atoms_written as u64);
-            ucp_telemetry::count("save/atoms_skipped", atoms.atoms_skipped as u64);
-        }
+        ucp_telemetry::count(
+            "save/universal_atoms",
+            (atoms.atoms_written + atoms.atoms_skipped) as u64,
+        );
+        ucp_telemetry::count("save/universal_bytes", atoms.bytes_written);
+        ucp_telemetry::count("save/atoms_written", atoms.atoms_written as u64);
+        ucp_telemetry::count("save/atoms_skipped", atoms.atoms_skipped as u64);
         lease
             .send(
                 0,
@@ -476,8 +463,7 @@ pub(crate) fn run_writer(
     // writer thread: training never blocks on the universal half.
     if rank == 0 {
         {
-            let t_m = ucp_telemetry::enabled().then(Instant::now);
-            let _sp = trace::span(TraceCat::Checkpoint, "manifest");
+            let _sp = ucp_telemetry::span("save/manifest");
             let mut metas = Vec::new();
             for pp in 0..p.pp {
                 let src = assembler_rank(&p, pp);
@@ -493,15 +479,11 @@ pub(crate) fn run_writer(
             }
             let manifest = build_manifest(&snapshot.common, metas);
             manifest.save(&universal).map_err(TrainError::Ucp)?;
-            if let Some(t) = t_m {
-                ucp_telemetry::global().record_span("save/manifest", t.elapsed());
-            }
         }
         let publish = publish.ok_or_else(|| {
             TrainError::Config("save pipeline: rank 0 task missing its publish duty".into())
         })?;
-        let t_p = ucp_telemetry::enabled().then(Instant::now);
-        let _sp = trace::span(TraceCat::Checkpoint, "publish_universal");
+        let _sp = ucp_telemetry::span("save/publish_universal");
         match publish.native_published.recv_timeout(EXCHANGE_DEADLINE) {
             Ok(()) => {
                 // Serialize against other steps' writers and never move
@@ -529,9 +511,6 @@ pub(crate) fn run_writer(
                     "save pipeline: timed out waiting for the native publish".into(),
                 ));
             }
-        }
-        if let Some(t) = t_p {
-            ucp_telemetry::global().record_span("save/publish_universal", t.elapsed());
         }
     }
     // Clean completion: retire the epoch without broadcasting aborts, and

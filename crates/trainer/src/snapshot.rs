@@ -97,17 +97,13 @@ pub(crate) fn persist_rank_files(
     shard: OptimShardRef<'_>,
     durable: bool,
 ) -> Result<(), TrainError> {
-    let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Checkpoint, "persist");
-    let t = ucp_telemetry::enabled().then(std::time::Instant::now);
+    let _sp = ucp_telemetry::span("save/persist");
     let step_dir = disk::step_dir(base, common.iteration);
     if let Some(model) = model {
         save_model_states(&step_dir, common, tp, pp, model, durable).map_err(TrainError::Ucp)?;
     }
     save_optim_states(&step_dir, common, tp, pp, shard, durable).map_err(TrainError::Ucp)?;
-    if let Some(t) = t {
-        ucp_telemetry::global().record_span("save/persist", t.elapsed());
-        ucp_telemetry::count("save/snapshots", 1);
-    }
+    ucp_telemetry::count("save/snapshots", 1);
     Ok(())
 }
 

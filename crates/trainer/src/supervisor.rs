@@ -30,7 +30,6 @@ use ucp_collectives::{ClusterOptions, Comm, RankFailure};
 use ucp_core::convert::ConvertOptions;
 use ucp_parallel::ParallelConfig;
 use ucp_storage::layout;
-use ucp_telemetry::trace::{self, TraceCat};
 
 use crate::driver::{
     run_segment, ResumeMode, RunResult, SavePolicy, Segment, SegmentError, TrainPlan,
@@ -356,7 +355,6 @@ pub fn supervise(
             Err(SegmentError::Hard(e)) => return Err(e),
             Err(SegmentError::Failure(failure)) => {
                 let t_recover = Instant::now();
-                let _detect = trace::span(TraceCat::Recovery, "recover");
                 if ucp_telemetry::enabled() {
                     ucp_telemetry::count("recovery/failures", 1);
                 }
@@ -404,7 +402,11 @@ pub fn supervise(
                         &dir,
                         &ucp_storage::JournalEvent::HotRecoveryBegin { step: failure.step },
                     )?;
-                    let hot_resume = tier.try_recover().filter(|(ckpt, _)| {
+                    let located = {
+                        let _sp = ucp_telemetry::span("recovery/locate");
+                        tier.try_recover()
+                    };
+                    let hot_resume = located.filter(|(ckpt, _)| {
                         // A committed disk checkpoint newer than the hot copy
                         // wins — survivors only retain the last few saves, so
                         // a long demotion backlog cannot happen, but a disk
@@ -506,7 +508,7 @@ fn recovery_resume(
         Some(step) => {
             let universal = layout::universal_dir(dir, step);
             if !layout::manifest_path(&universal).exists() {
-                let _convert = trace::span(TraceCat::Recovery, "convert");
+                let _sp = ucp_telemetry::span("recovery/convert");
                 crate::driver::convert_checkpoint(dir, step, &ConvertOptions::default())?;
             } else {
                 // Born-universal tree: the save pipeline already published

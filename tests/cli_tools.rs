@@ -143,6 +143,51 @@ fn fsck_clean_tree_succeeds_and_corrupt_tree_fails() {
 }
 
 #[test]
+fn failed_command_still_writes_its_metrics_and_trace() {
+    use ucp_repro::storage::layout::AtomFile;
+    use ucp_repro::telemetry::{Json, Report};
+
+    let dir = make_checkpoint("err_report");
+    let dir_s = dir.to_string_lossy().to_string();
+    commands::convert(&flags(&["--dir", &dir_s])).unwrap();
+    // Truncate one atom: the session opens (manifest intact), the load
+    // fails part-way through real work.
+    let universal = layout::universal_dir(&dir, 2);
+    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    let victim = layout::atom_path(&universal, &manifest.params[0].name, AtomFile::Fp32);
+    std::fs::write(&victim, b"UCPT").unwrap();
+
+    let metrics = dir.join("out/metrics.json");
+    let trace = dir.join("out/trace.json");
+    let load = [
+        "--dir",
+        &dir_s,
+        "--step",
+        "2",
+        "--tp",
+        "1",
+        "--pp",
+        "1",
+        "--dp",
+        "1",
+        "--metrics-out",
+        &metrics.to_string_lossy(),
+        "--trace-out",
+        &trace.to_string_lossy(),
+    ];
+    commands::dispatch("load", &flags(&load)).unwrap_err();
+
+    let report = Report::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert_eq!(report.label, "load");
+    // The phase that failed is in the report: the guard records on `?`.
+    assert_eq!(report.span("load/total").unwrap().count, 1);
+    let doc = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    assert!(doc.get("traceEvents").and_then(Json::as_arr).is_some());
+    assert!(commands::dispatch("no-such-command", &flags(&[])).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fsck_no_repair_leaves_tree_alone() {
     let dir = make_checkpoint("fsck_norepair");
     let dir_s = dir.to_string_lossy().to_string();

@@ -188,6 +188,20 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
             );
         }
 
+        // The killed segment keeps its per-rank metrics. Every source rank
+        // finished the 2 iterations before the save barrier; the 3rd is
+        // counted by the victim and by each survivor whose last collective
+        // returned before the death was noticed; none can finish a 4th
+        // without rank 3. Every target rank ran the 4 after the resume.
+        let resumed = target.world_size() as u64 * (ITERS - 2);
+        let killed = source.world_size() as u64;
+        let steps = metrics.hist("fleet/rank/step_us").unwrap().count;
+        assert!(
+            (killed * 2 + 1 + resumed..=killed * 3 + resumed).contains(&steps),
+            "{steps} iterations recorded; the dead segment's are missing"
+        );
+        assert_eq!(metrics.counter("fleet/rank/iterations/sum"), Some(steps));
+
         // Bitwise equivalence against the disk tier (converted on demand).
         let reference = disk_reference(&dir, target, 2);
         assert_bitwise_equal(
