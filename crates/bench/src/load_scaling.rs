@@ -7,8 +7,10 @@
 //! bandwidth-throttled device — once per read strategy — under one
 //! [`LoadSession`] per run, so the bytes-moved difference shows up as
 //! wall-clock time. The telemetry counters give the exact read
-//! amplification: `load/bytes_read / load/bytes_needed`, which the CI
-//! perf gate asserts stays ≤ 1.15 on the ranged path.
+//! amplification two ways, both gated in CI on the ranged path:
+//! `load/bytes_read / load/bytes_needed` ≤ 1.15 (hits count as needed, so
+//! it sees over-fetch but not re-reads) and `load/bytes_read` ≤ 1.05 × the
+//! tree's payload bytes (a session reads each atom once).
 
 use ucp_core::convert::ConvertOptions;
 use ucp_core::load::{LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
@@ -27,6 +29,20 @@ const MIBPS: u64 = 64;
 /// Iterations before the measured checkpoint.
 const SOURCE_ITERS: u64 = 2;
 
+/// Source model: `gpt3_tiny` widened until a TP4 shard of a `[256, 256]`
+/// weight is strided at CRC-block granularity (one 256-byte block per run).
+/// At hidden 32 every run shares its block with its peers' and no target
+/// exercises the many-short-runs pattern.
+fn source_model() -> ModelConfig {
+    ModelConfig {
+        hidden_size: 256,
+        ffn_size: 512,
+        num_layers: 2,
+        max_seq_len: 8,
+        ..ModelConfig::gpt3_tiny()
+    }
+}
+
 /// One target strategy's measurements.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
@@ -44,6 +60,8 @@ pub struct ScaleRow {
     pub ranged_bytes_needed: u64,
     /// Full path: bytes read (whole atom files).
     pub full_bytes_read: u64,
+    /// Payload bytes of the universal tree (three fp32 states per element).
+    pub tree_bytes: u64,
     /// Ranged path: atom-cache hits across the session.
     pub cache_hits: u64,
     /// Ranged path: atom-cache misses across the session.
@@ -135,6 +153,7 @@ impl Fig13Result {
                 ("ranged_bytes_read", r.ranged_bytes_read),
                 ("ranged_bytes_needed", r.ranged_bytes_needed),
                 ("full_bytes_read", r.full_bytes_read),
+                ("tree_bytes", r.tree_bytes),
                 ("cache_hits", r.cache_hits),
                 ("cache_misses", r.cache_misses),
             ] {
@@ -188,7 +207,7 @@ fn timed_session_load(
 pub fn fig13(fast: bool) -> Fig13Result {
     let dir = scratch_dir("fig13");
     let source = ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1);
-    let cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), source, 21);
+    let cfg = TrainConfig::quick(source_model(), source, 21);
     train_run(&TrainPlan {
         config: cfg,
         until_iteration: SOURCE_ITERS,
@@ -198,6 +217,12 @@ pub fn fig13(fast: bool) -> Fig13Result {
     })
     .expect("fig13 source run");
     convert_checkpoint(&dir, SOURCE_ITERS, &ConvertOptions::default()).expect("fig13 conversion");
+    let session = LoadSession::open(&dir, SOURCE_ITERS, LoadOptions::default()).expect("manifest");
+    let atoms = &session.manifest().params;
+    let tree_bytes = atoms
+        .iter()
+        .map(|a| 12 * a.shape.num_elements() as u64)
+        .sum();
 
     let mut targets = vec![
         ParallelConfig::new(1, 1, 4, 1, ZeroStage::Zero1),
@@ -222,6 +247,7 @@ pub fn fig13(fast: bool) -> Fig13Result {
             ranged_bytes_read: counter(&ranged_rep, "load/bytes_read"),
             ranged_bytes_needed: counter(&ranged_rep, "load/bytes_needed"),
             full_bytes_read: counter(&full_rep, "load/bytes_read"),
+            tree_bytes,
             cache_hits: counter(&ranged_rep, "load/cache_hits"),
             cache_misses: counter(&ranged_rep, "load/cache_misses"),
         });
@@ -245,6 +271,7 @@ mod tests {
                 ranged_bytes_read: 1100,
                 ranged_bytes_needed: 1000,
                 full_bytes_read: 4000,
+                tree_bytes: 1080,
                 cache_hits: 7,
                 cache_misses: 3,
             }],

@@ -1,7 +1,8 @@
-//! The parallel atom-fetch pool must be invisible except for speed: any
-//! pool width produces bitwise-identical rank state and identical
-//! `load/bytes_read` accounting to the serial path, including through a
-//! bandwidth-throttled device.
+//! Entry-level load parallelism (`LoadOptions.workers`) must be invisible
+//! except for speed: any worker count produces bitwise-identical rank state
+//! and identical `load/bytes_read` accounting to the serial path, including
+//! through a bandwidth-throttled device — and a fetch opens its atom file
+//! once if it touches disk, never on a cache hit.
 
 use ucp_bench::report::scratch_dir;
 use ucp_core::convert::ConvertOptions;
@@ -26,38 +27,71 @@ fn universal_checkpoint(dir: &std::path::Path, step: u64) {
     convert_checkpoint(dir, step, &ConvertOptions::default()).expect("conversion");
 }
 
-/// Load every rank of `target` through one session on `device`, returning
-/// the states plus the session's `load/bytes_read` and `storage/open`
-/// counters.
+/// What one session's loads recorded.
+struct Counts {
+    bytes_read: u64,
+    opens: u64,
+    range_reads: u64,
+}
+
+/// Load every rank of `target` through one session with `workers` entry
+/// workers on a 64 MiB/s device, returning the states plus the session's
+/// counters; then load every rank again and demand the warm cache serves
+/// it without touching the disk.
 fn session_load(
     dir: &std::path::Path,
     step: u64,
     target: &ParallelConfig,
-    device: Device,
-) -> (Vec<RankState>, u64, u64) {
+    workers: usize,
+) -> (Vec<RankState>, Counts) {
+    let opts = LoadOptions {
+        workers,
+        device: Device::with_mibps(64),
+        ranged: true,
+    };
+    // Opened before recording starts, so the manifest read is not among
+    // the opens counted below.
+    let session = LoadSession::open(dir, step, opts).expect("open universal checkpoint");
     let rec = ucp_telemetry::global();
     rec.reset();
     rec.set_enabled(true);
-    let opts = LoadOptions {
-        workers: 2,
-        device,
-        ranged: true,
+    let load_all = || -> Vec<RankState> {
+        (0..target.world_size())
+            .map(|rank| {
+                session
+                    .load_rank(target, rank, DEFAULT_ALIGNMENT)
+                    .expect("load rank")
+            })
+            .collect()
     };
-    let session = LoadSession::open(dir, step, opts).expect("open universal checkpoint");
-    let states = (0..target.world_size())
-        .map(|rank| {
-            session
-                .load_rank(target, rank, DEFAULT_ALIGNMENT)
-                .expect("load rank")
-        })
-        .collect();
-    let report = rec.report("parallel_fetch");
+    let counts = || {
+        let report = rec.report("parallel_fetch");
+        let counter = |name: &str| report.counter(name).unwrap_or(0);
+        assert_eq!(
+            counter("io/bytes_read"),
+            counter("load/bytes_read"),
+            "the throttled device and the load path must count the same bytes"
+        );
+        Counts {
+            bytes_read: counter("load/bytes_read"),
+            opens: counter("storage/open"),
+            range_reads: counter("storage/range_reads"),
+        }
+    };
+    let states = load_all();
+    let cold = counts();
+    let again = load_all();
+    let warm = counts();
     rec.set_enabled(false);
-    (
-        states,
-        report.counter("load/bytes_read").unwrap_or(0),
-        report.counter("storage/open").unwrap_or(0),
-    )
+    for (rank, (a, b)) in states.iter().zip(&again).enumerate() {
+        assert_states_identical(&format!("warm reload rank={rank}"), a, b);
+    }
+    assert_eq!(warm.opens, cold.opens, "a cache hit must not open a file");
+    assert_eq!(
+        warm.bytes_read, cold.bytes_read,
+        "a cache hit must not read"
+    );
+    (states, cold)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -87,12 +121,12 @@ fn assert_states_identical(label: &str, a: &RankState, b: &RankState) {
     }
 }
 
-/// Pool widths {1, 2, 8} all reconstruct the exact serial-path state and
+/// Worker counts {1, 2, 8} all reconstruct the exact serial-path state and
 /// account the exact serial-path bytes, for a DP-heavy target (atom-cache
-/// sharing) and a TP-heavy target (re-sharded ranges), through a 64 MiB/s
-/// throttled device.
+/// sharing) and a TP-heavy target (strided shards widened to one span),
+/// through a 64 MiB/s throttled device.
 #[test]
-fn fetch_pool_widths_are_bitwise_invisible() {
+fn load_worker_counts_are_bitwise_invisible() {
     let dir = scratch_dir("parallel_fetch");
     let step = 2;
     universal_checkpoint(&dir, step);
@@ -102,31 +136,38 @@ fn fetch_pool_widths_are_bitwise_invisible() {
         ParallelConfig::new(4, 1, 1, 1, ZeroStage::Zero1),
     ] {
         let label = format!("tp{}_pp{}_dp{}", target.tp, target.pp, target.dp);
-        // Serial reference: a throttled device with no explicit pool runs
-        // one fetch worker (parallel workers would each get their own
-        // throttle clock and multiply the simulated bandwidth).
-        let serial = Device::with_mibps(64);
-        assert_eq!(serial.fetch_pool(), 1);
-        let (ref_states, ref_bytes, ref_opens) = session_load(&dir, step, &target, serial);
-        assert!(ref_bytes > 0, "{label}: serial path read nothing");
-        assert!(ref_opens > 0, "{label}: no storage/open ticks recorded");
+        let (ref_states, reference) = session_load(&dir, step, &target, 1);
+        assert!(
+            reference.bytes_read > 0,
+            "{label}: serial path read nothing"
+        );
+        // One open per fetch that touches disk: a contiguous fetch is one
+        // range read, a strided one may be several over the same handle.
+        assert!(
+            reference.opens > 0,
+            "{label}: no storage/open ticks recorded"
+        );
+        if target.tp == 1 {
+            assert_eq!(reference.opens, reference.range_reads, "{label}");
+        } else {
+            assert!(reference.opens <= reference.range_reads, "{label}");
+        }
 
-        for pool in [1usize, 2, 8] {
-            let device = Device::with_mibps(64).with_fetch_workers(pool);
-            assert_eq!(device.fetch_pool(), pool);
-            let (states, bytes, _) = session_load(&dir, step, &target, device);
+        for workers in [1usize, 2, 8] {
+            let (states, counts) = session_load(&dir, step, &target, workers);
             assert_eq!(
                 states.len(),
                 ref_states.len(),
-                "{label} pool={pool}: rank count"
+                "{label} workers={workers}: rank count"
             );
             for (rank, (a, b)) in ref_states.iter().zip(&states).enumerate() {
-                assert_states_identical(&format!("{label} pool={pool} rank={rank}"), a, b);
+                assert_states_identical(&format!("{label} workers={workers} rank={rank}"), a, b);
             }
             assert_eq!(
-                bytes, ref_bytes,
-                "{label} pool={pool}: load/bytes_read diverged from serial"
+                counts.bytes_read, reference.bytes_read,
+                "{label} workers={workers}: load/bytes_read diverged from serial"
             );
+            assert_eq!(counts.opens, reference.opens, "{label} workers={workers}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

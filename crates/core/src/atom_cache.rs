@@ -2,54 +2,51 @@
 //! `(parameter, atom file)` and filled by verified section-range reads.
 //!
 //! The ranged load path asks for exactly the element runs a rank's shard
-//! needs. This cache turns those requests into block-aligned disk reads
-//! ([`ucp_storage::ContainerIndex::read_section_range`]) and remembers the
-//! decoded values, so when several ranks of one load session need the same
-//! atom ranges — every DP replica of a (tp, pp) slice reads the same fp32
-//! shard — the bytes are fetched once and served from memory afterwards.
+//! needs. This cache turns those requests into positioned, block-aligned
+//! disk reads ([`ucp_storage::SectionInfo::read_range_at`]) and remembers
+//! the decoded values, so when several ranks of one load session need the
+//! same atom — every DP replica of a (tp, pp) slice reads the same fp32
+//! shard, TP peers interleave their runs in the same rows — each byte is
+//! fetched once and served from memory afterwards.
 //!
 //! Bookkeeping (telemetry counters, see `docs` in DESIGN.md):
 //!
 //! - `load/bytes_needed` — exact bytes of every requested range, hits
 //!   included. The denominator of the read-amplification ratio.
-//! - `load/bytes_read` — bytes actually fetched from disk (block-aligned
-//!   payload spans plus their CRC table entries). The numerator.
+//! - `load/bytes_read` — bytes the fetches asked the kernel for: index
+//!   reads, block-aligned payload spans and their CRC table entries (what
+//!   `/proc/self/io` counts). The numerator.
 //! - `load/cache_hits` / `load/cache_misses` — requests served entirely
 //!   from memory vs. requests that touched disk.
 //! - `load/cache_hit_bytes` — exact bytes of the fully-cached requests.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use ucp_storage::container::{self, Verified};
+use ucp_storage::io::Throttled;
 use ucp_storage::layout::{self, AtomFile};
-use ucp_storage::{container, ContainerIndex, Device, RangeScratch};
+use ucp_storage::{ContainerIndex, Device, RangeScratch, StorageError};
 use ucp_tensor::{DType, Shape};
 
-use crate::util::par_map;
 use crate::{Result, UcpError};
 
-/// What fetching one coalesced gap produced.
-enum GapOutcome {
-    /// Decoded values, plus the bytes the fetch cost on disk (payload
-    /// span + CRC table entries).
-    Fetched(Vec<f32>, u64),
-    /// Block-granular checksum mismatch — not fatal: the orchestrator
-    /// falls back to one whole-section read verified against the
-    /// independent whole-payload CRC.
-    Mismatch(String),
-}
+/// Decoded, disjoint element intervals of one atom section: start element
+/// → values. Every boundary is CRC-block-aligned (or clamped to the section
+/// end), so uncovered gaps are block-aligned too and a fetch never re-reads
+/// cached bytes.
+#[derive(Default)]
+struct Intervals(BTreeMap<usize, Vec<f32>>);
 
-/// Decoded, disjoint, non-adjacent element intervals of one atom section,
-/// plus the container index needed to fetch more of it.
+/// One atom section's cached intervals, plus the container index needed to
+/// fetch more of it (built on first touch).
+#[derive(Default)]
 struct AtomEntry {
-    /// Lazily-built index of the atom's container file.
     index: Option<ContainerIndex>,
-    /// Cached intervals: start element → decoded values. Every boundary is
-    /// CRC-block-aligned (or clamped to the section end), so uncovered
-    /// gaps are block-aligned too and fetches never re-read cached bytes.
-    intervals: BTreeMap<usize, Vec<f32>>,
+    cached: Intervals,
 }
 
 /// Atom entries keyed by (parameter name, atom file kind), each behind
@@ -57,48 +54,66 @@ struct AtomEntry {
 /// serialize on each other.
 type EntryMap = HashMap<(String, AtomFile), Arc<Mutex<AtomEntry>>>;
 
-/// Shared cache of atom contents for one load session. Cheap to create;
-/// share one across the ranks of a load fan-out via
-/// [`crate::load::LoadSession`].
-#[derive(Default)]
+/// Shared cache of atom contents for one load session over one universal
+/// directory; [`crate::load::LoadSession`] owns it and loads every rank of
+/// a target through it.
 pub struct AtomCache {
+    universal: PathBuf,
+    device: Device,
     entries: Mutex<EntryMap>,
 }
 
 impl AtomCache {
-    /// An empty cache.
-    pub fn new() -> AtomCache {
-        AtomCache::default()
+    /// An empty cache over `universal_dir`, reading through `device`.
+    pub fn new(universal_dir: &Path, device: Device) -> AtomCache {
+        AtomCache {
+            universal: universal_dir.to_path_buf(),
+            device,
+            entries: Mutex::default(),
+        }
     }
 
-    /// Fetch `ranges` (element ranges of the flattened atom) of `file` for
-    /// parameter `name`, reading through `device` whatever is not cached
-    /// yet. Returns the section dtype and one decoded vector per requested
-    /// range, in order. `expected_shape` is checked against the section
-    /// header before anything is decoded.
+    /// Copy `runs` of `file` for parameter `name` into `dst`, reading
+    /// whatever is not cached yet. A run is `(offset in dst, element range
+    /// of the flattened atom)`. Returns the section dtype.
+    /// `expected_shape` is checked against the section header before
+    /// anything is read.
+    ///
+    /// A fetch that is one contiguous piece reads exactly its block-aligned
+    /// range. A fetch left with several gaps is a strided shard — the gaps
+    /// between its runs are its TP peers' runs, and the session serves them
+    /// too — so it reads the span that covers the runs and one stride
+    /// either side, minus what is cached, and caches all of it: the peers
+    /// hit memory. Either way a piece is one data read, one table read and
+    /// one CRC pass straight into the interval that caches it, never more
+    /// than the section, and nothing unverified is ever served.
     pub fn fetch(
         &self,
-        universal_dir: &Path,
         name: &str,
         file: AtomFile,
         expected_shape: &Shape,
-        ranges: &[Range<usize>],
-        device: &Device,
-    ) -> Result<(DType, Vec<Vec<f32>>)> {
+        runs: &[(usize, Range<usize>)],
+        dst: &mut [f32],
+    ) -> Result<DType> {
         let entry = self.entry(name, file);
         let mut entry = entry.lock().expect("atom cache entry poisoned");
-        let path = layout::atom_path(universal_dir, name, file);
         let key = file.state_key();
+        // The fetch's file handle, opened on the first byte it needs from
+        // disk: one open and one throttle clock per fetch that touches
+        // disk, none on a cache hit.
+        let open = || -> Result<Throttled<File>> {
+            let path = layout::atom_path(&self.universal, name, file);
+            Ok(self.device.reader(container::open_file(&path)?))
+        };
+        let mut handle = None;
 
         if entry.index.is_none() {
-            let mut r = device.reader(container::open(&path)?);
-            entry.index = Some(ContainerIndex::read_from(&mut r)?);
+            entry.index = Some(ContainerIndex::read_head(handle.insert(open()?))?);
         }
-        let info = entry
-            .index
+        let AtomEntry { index, cached } = &mut *entry;
+        let info = index
             .as_ref()
-            .expect("index populated above")
-            .get(key)
+            .and_then(|index| index.get(key))
             .ok_or_else(|| UcpError::Inconsistent(format!("atom {name} missing {key}")))?;
         if &info.shape != expected_shape {
             return Err(UcpError::Inconsistent(format!(
@@ -120,12 +135,9 @@ impl AtomCache {
         // Plan: align each requested range outward to block boundaries and
         // subtract what the cache already holds, then coalesce the missing
         // pieces so adjacent/overlapping requests become one disk read.
-        let mut needed_bytes = 0u64;
-        let mut hits = 0u64;
-        let mut hit_bytes = 0u64;
-        let mut misses = 0u64;
+        let (mut needed_bytes, mut hits, mut hit_bytes, mut misses) = (0u64, 0u64, 0u64, 0u64);
         let mut missing: Vec<Range<usize>> = Vec::new();
-        for r in ranges {
+        for (_, r) in runs {
             if r.start >= r.end {
                 continue;
             }
@@ -141,7 +153,7 @@ impl AtomCache {
                     .div_ceil(block_elems)
                     .saturating_mul(block_elems)
                     .min(total);
-            let gaps = entry.uncovered(&aligned);
+            let gaps = cached.uncovered(&aligned);
             if gaps.is_empty() {
                 hits += 1;
                 hit_bytes += (r.end - r.start) as u64 * esize;
@@ -151,146 +163,103 @@ impl AtomCache {
             }
         }
         missing.sort_by_key(|r| r.start);
-        missing.dedup();
-        let mut coalesced: Vec<Range<usize>> = Vec::new();
+        let mut pieces: Vec<Range<usize>> = Vec::new();
         for r in missing {
-            match coalesced.last_mut() {
+            match pieces.last_mut() {
                 Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
-                _ => coalesced.push(r),
+                _ => pieces.push(r),
             }
         }
+        if pieces.len() > 1 {
+            let n = pieces.len();
+            let lead = pieces[1].start - pieces[0].end;
+            let trail = pieces[n - 1].start - pieces[n - 2].end;
+            let span = pieces[0].start.saturating_sub(lead)..(pieces[n - 1].end + trail).min(total);
+            pieces = cached.uncovered(&span);
+        }
 
-        if !coalesced.is_empty() {
+        if !pieces.is_empty() {
             let _sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "atom_fetch");
-            let payload_len = info.payload_len;
-
-            // Fan the coalesced gaps out over the device's fetch pool.
-            // Each worker holds one file handle and one scratch buffer for
-            // its whole stripe of gaps; every gap is attempted regardless
-            // of pool size, so decoded state and `load/bytes_read` are
-            // identical from the serial path to any pool width.
-            let pool = device.fetch_pool().min(coalesced.len()).max(1);
-            let index = entry.index.as_ref().expect("index populated above");
-            let info = index.get(key).expect("section checked above");
-            let gaps = &coalesced;
-            let stripes = par_map(pool, pool, |w| {
-                let mut r = device.reader(container::open(&path)?);
-                let mut scratch = RangeScratch::default();
-                let mut out = Vec::new();
-                for (i, gap) in gaps.iter().enumerate().skip(w).step_by(pool) {
-                    // Payload span plus the CRC table entries covering it.
-                    let gap_bytes = info.range_read_bytes(gap)
-                        + if info.crc_block == 0 {
-                            4
-                        } else {
-                            4 * ((gap.end as u64 * esize).div_ceil(info.crc_block as u64)
-                                - gap.start as u64 * esize / info.crc_block as u64)
-                        };
-                    match index.read_section_range_with(&mut r, key, gap.clone(), &mut scratch) {
-                        Ok(tensor) => out.push((
-                            i,
-                            GapOutcome::Fetched(tensor.as_slice().to_vec(), gap_bytes),
-                        )),
-                        Err(ucp_storage::StorageError::ChecksumMismatch { what }) => {
-                            out.push((i, GapOutcome::Mismatch(what)));
-                        }
-                        Err(e) => return Err(e.into()),
+            let r = match &mut handle {
+                Some(r) => r,
+                None => handle.insert(open()?),
+            };
+            let mut scratch = RangeScratch::default();
+            for piece in pieces {
+                let mut start = piece.start;
+                let mut vals = vec![0.0f32; piece.len()];
+                let mut verified = info.read_range_at(r, piece.clone(), &mut scratch, &mut vals);
+                if matches!(verified, Err(StorageError::ChecksumMismatch { .. }))
+                    && piece.len() < total
+                {
+                    // Graceful degradation: a block mismatch on part of a
+                    // section may mean the *table* is damaged, not the
+                    // data. Read the whole section, where the read body
+                    // settles a mismatch against the independent
+                    // whole-payload CRC; only if that fails too is the
+                    // atom truly corrupt.
+                    (start, vals) = (0, vec![0.0f32; total]);
+                    verified = info.read_range_at(r, 0..total, &mut scratch, &mut vals);
+                }
+                if verified? == Verified::Whole && info.crc_block != 0 {
+                    eprintln!(
+                        "warning: atom {name} {key}: block CRCs disagree but the \
+                         whole-payload CRC holds; served from a whole-section read"
+                    );
+                    if ucp_telemetry::enabled() {
+                        ucp_telemetry::count("load/ranged_fallback", 1);
                     }
                 }
-                Ok(out)
-            })?;
-            let mut outcomes: Vec<Option<GapOutcome>> =
-                (0..coalesced.len()).map(|_| None).collect();
-            for (i, o) in stripes.into_iter().flatten() {
-                outcomes[i] = Some(o);
-            }
-            let mut read_bytes: u64 = outcomes
-                .iter()
-                .map(|o| match o {
-                    Some(GapOutcome::Fetched(_, b)) => *b,
-                    _ => 0,
-                })
-                .sum();
-            let mismatch = outcomes.iter().find_map(|o| match o {
-                Some(GapOutcome::Mismatch(what)) => Some(what.clone()),
-                _ => None,
-            });
-            if let Some(what) = mismatch {
-                // Graceful degradation: a block-granular mismatch may mean
-                // the *table* is damaged, not the data. Re-read the whole
-                // section verified against its independent whole-payload
-                // CRC; only if that fails too is the atom truly corrupt.
-                eprintln!(
-                    "warning: atom {name} {key}: ranged read failed \
-                     ({what}); falling back to a whole-section read"
-                );
-                if ucp_telemetry::enabled() {
-                    ucp_telemetry::count("load/ranged_fallback", 1);
+                if vals.len() == total {
+                    // The whole section supersedes every cached interval
+                    // and every remaining piece.
+                    cached.0.clear();
+                    cached.0.insert(0, vals);
+                    break;
                 }
-                let mut r = device.reader(container::open(&path)?);
-                let full = {
-                    let index = entry.index.as_ref().expect("index populated above");
-                    index.read_section_lenient(&mut r, key)?
-                };
-                read_bytes += payload_len + 4;
-                entry.intervals.clear();
-                entry.insert(0, full.as_slice().to_vec());
-            } else {
-                for (gap, o) in coalesced.iter().zip(outcomes) {
-                    if let Some(GapOutcome::Fetched(vals, _)) = o {
-                        entry.insert(gap.start, vals);
-                    }
-                }
-            }
-            if ucp_telemetry::enabled() {
-                ucp_telemetry::count("load/bytes_read", read_bytes);
+                cached.0.insert(start, vals);
             }
         }
         if ucp_telemetry::enabled() {
+            // What this fetch asked the kernel for — index, payload spans
+            // and table slices — is what its handle transferred.
+            let read = handle.as_ref().map_or(0, Throttled::bytes_transferred);
+            ucp_telemetry::count("load/bytes_read", read);
             ucp_telemetry::count("load/bytes_needed", needed_bytes);
             ucp_telemetry::count("load/cache_hits", hits);
             ucp_telemetry::count("load/cache_misses", misses);
             ucp_telemetry::count("load/cache_hit_bytes", hit_bytes);
         }
 
-        // Assemble the answers from cached intervals.
-        let mut out = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            out.push(entry.gather(r));
+        for (offset, r) in runs.iter().filter(|(_, r)| !r.is_empty()) {
+            cached.gather(r, &mut dst[*offset..*offset + r.len()]);
         }
-        Ok((dtype, out))
+        Ok(dtype)
     }
 
     fn entry(&self, name: &str, file: AtomFile) -> Arc<Mutex<AtomEntry>> {
         let mut map = self.entries.lock().expect("atom cache poisoned");
-        map.entry((name.to_string(), file))
-            .or_insert_with(|| {
-                Arc::new(Mutex::new(AtomEntry {
-                    index: None,
-                    intervals: BTreeMap::new(),
-                }))
-            })
-            .clone()
+        Arc::clone(map.entry((name.to_string(), file)).or_default())
     }
 }
 
-impl AtomEntry {
+impl Intervals {
+    /// Cached intervals that may overlap `r`, ascending: from the last one
+    /// starting at or before `r.start` to the last one starting inside `r`.
+    fn overlapping(&self, r: &Range<usize>) -> impl Iterator<Item = (usize, &[f32])> {
+        let from = (self.0.range(..=r.start).next_back()).map_or(r.start, |(&start, _)| start);
+        (self.0.range(from..r.end)).map(|(&start, vals)| (start, &vals[..]))
+    }
+
     /// Sub-ranges of `r` not covered by any cached interval.
     fn uncovered(&self, r: &Range<usize>) -> Vec<Range<usize>> {
         let mut gaps = Vec::new();
         let mut cursor = r.start;
-        for (&start, vals) in self.intervals.range(..r.end) {
-            let end = start + vals.len();
-            if end <= cursor {
-                continue;
-            }
+        for (start, vals) in self.overlapping(r) {
             if start > cursor {
-                gaps.push(cursor..start.min(r.end));
+                gaps.push(cursor..start);
             }
-            cursor = cursor.max(end);
-            if cursor >= r.end {
-                break;
-            }
+            cursor = cursor.max(start + vals.len());
         }
         if cursor < r.end {
             gaps.push(cursor..r.end);
@@ -298,44 +267,16 @@ impl AtomEntry {
         gaps
     }
 
-    /// Insert a fetched interval, merging with adjacent cached neighbours
-    /// so the map stays disjoint and non-adjacent.
-    fn insert(&mut self, start: usize, mut vals: Vec<f32>) {
-        let mut start = start;
-        // Merge with a predecessor that touches our start.
-        if let Some((&ps, pv)) = self.intervals.range(..=start).next_back() {
-            if ps + pv.len() == start {
-                let mut merged = self.intervals.remove(&ps).expect("present");
-                merged.append(&mut vals);
-                start = ps;
-                vals = merged;
-            }
-        }
-        // Merge with a successor that starts at our end.
-        if let Some(mut next) = self.intervals.remove(&(start + vals.len())) {
-            vals.append(&mut next);
-        }
-        self.intervals.insert(start, vals);
-    }
-
-    /// Copy `r` out of the cached intervals. Callers only gather ranges
-    /// whose aligned cover was fetched above, so coverage is total.
-    fn gather(&self, r: &Range<usize>) -> Vec<f32> {
-        let n = r.end.saturating_sub(r.start);
-        let mut out = vec![0.0f32; n];
-        if n == 0 {
-            return out;
-        }
-        for (&start, vals) in self.intervals.range(..r.end) {
-            let end = start + vals.len();
-            if end <= r.start {
-                continue;
-            }
+    /// Copy `r` out of the cached intervals into `out`. Callers only gather
+    /// ranges whose aligned cover was fetched above, so coverage is total.
+    fn gather(&self, r: &Range<usize>, out: &mut [f32]) {
+        for (start, vals) in self.overlapping(r) {
             let lo = r.start.max(start);
-            let hi = r.end.min(end);
-            out[lo - r.start..hi - r.start].copy_from_slice(&vals[lo - start..hi - start]);
+            let hi = r.end.min(start + vals.len());
+            if lo < hi {
+                out[lo - r.start..hi - r.start].copy_from_slice(&vals[lo - start..hi - start]);
+            }
         }
-        out
     }
 }
 
@@ -343,21 +284,14 @@ impl AtomEntry {
 mod tests {
     use super::*;
 
-    fn entry_with(intervals: &[(usize, usize)]) -> AtomEntry {
-        let mut e = AtomEntry {
-            index: None,
-            intervals: BTreeMap::new(),
-        };
-        for &(start, len) in intervals {
-            e.intervals
-                .insert(start, (start..start + len).map(|v| v as f32).collect());
-        }
-        e
+    fn intervals(spans: &[(usize, usize)]) -> Intervals {
+        let filled = |&(start, len)| (start, (start..start + len).map(|v| v as f32).collect());
+        Intervals(spans.iter().map(filled).collect())
     }
 
     #[test]
     fn uncovered_finds_gaps_between_intervals() {
-        let e = entry_with(&[(10, 10), (30, 10)]);
+        let e = intervals(&[(10, 10), (30, 10)]);
         assert_eq!(e.uncovered(&(0..50)), vec![0..10, 20..30, 40..50]);
         assert_eq!(e.uncovered(&(12..18)), Vec::<Range<usize>>::new());
         assert_eq!(e.uncovered(&(15..35)), vec![20..30]);
@@ -365,20 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_merges_adjacent_intervals() {
-        let mut e = entry_with(&[(0, 10), (20, 10)]);
-        e.insert(10, (10..20).map(|v| v as f32).collect());
-        assert_eq!(e.intervals.len(), 1);
-        let vals = &e.intervals[&0];
-        assert_eq!(vals.len(), 30);
-        assert!(vals.iter().enumerate().all(|(i, v)| *v == i as f32));
-    }
-
-    #[test]
-    fn gather_stitches_across_intervals() {
-        let mut e = entry_with(&[(0, 10)]);
-        e.insert(10, (10..25).map(|v| v as f32).collect());
-        let got = e.gather(&(5..20));
+    fn gather_stitches_across_adjacent_intervals() {
+        let e = intervals(&[(0, 10), (10, 15), (40, 5)]);
+        assert_eq!(e.uncovered(&(5..25)), Vec::<Range<usize>>::new());
+        let mut got = vec![0.0; 15];
+        e.gather(&(5..20), &mut got);
         assert_eq!(got, (5..20).map(|v| v as f32).collect::<Vec<_>>());
     }
 }

@@ -6,13 +6,13 @@
 //! rank's flat ZeRO chunk, with alignment padding re-introduced — and
 //! [`LoadSession`] executes the reads.
 //!
-//! The default *ranged* load path reads only the bytes a rank needs: each
-//! entry's shard is translated into element runs of the flattened atom
-//! ([`Partition::shard_segments`]), adjacent runs are coalesced, and the
-//! runs are fetched through verified section-range reads
-//! ([`ucp_storage::ContainerIndex::read_section_range`]) into a
-//! per-session [`AtomCache`] shared across ranks — DP replicas of a
-//! (tp, pp) slice hit the cache instead of re-reading the same bytes.
+//! The default *ranged* load path reads only the bytes a target needs:
+//! each entry's shard is translated into element runs of the flattened atom
+//! ([`Partition::shard_segments`]) and the runs are copied out of the
+//! session's [`AtomCache`], which fetches what it lacks through verified
+//! positioned range reads. A session serves a *target*, not a rank: DP
+//! replicas of a (tp, pp) slice and the TP peers of a strided shard hit the
+//! cache instead of re-reading, so each atom byte is read once per session.
 //! `LoadOptions { ranged: false }` (CLI `--no-ranged-load`) falls back to
 //! reading whole atom files.
 
@@ -22,11 +22,12 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use ucp_model::{param_specs, ModelConfig, Partition, ShardSegment};
 use ucp_parallel::{FlatFragment, FlatLayout, ParallelConfig, RankCoord};
 use ucp_storage::layout::{self, AtomFile};
 use ucp_storage::{container, Container, Device};
-use ucp_tensor::{Shape, Tensor};
+use ucp_tensor::{DType, Shape, Tensor};
 
 use crate::atom_cache::AtomCache;
 use crate::manifest::UcpManifest;
@@ -127,13 +128,13 @@ impl LoadOptions {
 /// One open universal checkpoint plus the atom cache its loads share.
 ///
 /// Load every target rank through the same session and ranks that need
-/// the same atom ranges (all DP replicas of a (tp, pp) slice do) fetch
-/// the bytes once.
+/// the same atoms (DP replicas of a (tp, pp) slice, TP peers of a strided
+/// shard) fetch the bytes once.
 pub struct LoadSession {
     universal: PathBuf,
     manifest: UcpManifest,
     opts: LoadOptions,
-    cache: Arc<AtomCache>,
+    cache: AtomCache,
 }
 
 impl LoadSession {
@@ -142,10 +143,10 @@ impl LoadSession {
         let universal = layout::universal_dir(base, step);
         let manifest = UcpManifest::load(&universal)?;
         Ok(LoadSession {
+            cache: AtomCache::new(&universal, opts.device),
             universal,
             manifest,
             opts,
-            cache: Arc::new(AtomCache::new()),
         })
     }
 
@@ -310,13 +311,39 @@ fn read_atom(universal_dir: &Path, name: &str, file: AtomFile, device: &Device) 
         .ok_or_else(|| UcpError::Inconsistent(format!("atom {name} missing {}", file.state_key())))
 }
 
-/// Per-entry phase-1 output: the fp32 shard of the whole parameter plus
-/// whatever optimizer-moment data this rank's fragments need.
-enum MomentData {
-    /// Full-read path: sharded moment tensors, scattered by fragment.
-    Full(Tensor, Tensor),
-    /// Ranged path: `(chunk_offset, values)` runs, copied directly.
-    Runs(Vec<(usize, Vec<f32>)>, Vec<(usize, Vec<f32>)>),
+/// One entry's windows of the rank's `[fp32, exp_avg, exp_avg_sq]` chunks
+/// ([`AtomFile::ALL`] order): where its fragments land.
+type Windows<'a> = [&'a mut [f32]; 3];
+
+/// Split the rank's three chunks into one [`Windows`] per entry. A
+/// parameter's slot is contiguous in the flat space, so an entry's
+/// fragments occupy one span of the chunk and the spans ascend with the
+/// entries — disjoint windows, which the parallel read phase fills
+/// directly instead of returning pieces for a serial scatter.
+fn chunk_windows<'a>(
+    chunks: &'a mut [Vec<f32>; 3],
+    entries: &[LoadEntry],
+) -> Result<Vec<Mutex<Windows<'a>>>> {
+    let mut rest = chunks.each_mut().map(|c| &mut c[..]);
+    let mut taken = 0;
+    let mut windows = Vec::with_capacity(entries.len());
+    for entry in entries {
+        let lo = entry.fragments.first().map_or(taken, |f| f.chunk_offset);
+        let hi = (entry.fragments.last()).map_or(lo, |f| f.chunk_offset + f.len);
+        if lo < taken || hi < lo || hi - taken > rest[0].len() {
+            return Err(UcpError::Inconsistent(format!(
+                "{}: fragments {lo}..{hi} are not an ascending window of the chunk",
+                entry.name
+            )));
+        }
+        windows.push(Mutex::new(rest.each_mut().map(|r| {
+            let (window, tail) = std::mem::take(r)[lo - taken..].split_at_mut(hi - lo);
+            *r = tail;
+            window
+        })));
+        taken = hi;
+    }
+    Ok(windows)
 }
 
 /// `Load`: execute `plan` against `source`. The only builder of a
@@ -324,29 +351,27 @@ enum MomentData {
 pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<RankState> {
     let _total_span = ucp_telemetry::span("load/total");
     let chunk = plan.layout.chunk;
-    let mut fp32 = vec![0.0f32; chunk];
-    let mut exp_avg = vec![0.0f32; chunk];
-    let mut exp_avg_sq = vec![0.0f32; chunk];
+    let mut chunks = [(); 3].map(|()| vec![0.0f32; chunk]);
+    let windows = chunk_windows(&mut chunks, &plan.entries)?;
 
-    // Phase 1 (parallel): read and slice the atoms each entry needs.
-    // Per-entry busy time accumulates into `load/worker_busy_ns`;
-    // utilization over the read phase is busy / (span × workers).
+    // Read (parallel over entries): build each entry's fp32 shard and fill
+    // its chunk windows. Per-entry busy time accumulates into
+    // `load/worker_busy_ns`; utilization is busy / (span × workers).
     let workers = match source {
         AtomSource::Disk { opts, .. } => opts.workers,
         AtomSource::Memory(_) => 1,
     };
     let read_span = ucp_telemetry::span("load/read");
-    let pieces = par_map(plan.entries.len(), workers, |i| {
+    let model_params = par_map(plan.entries.len(), workers, |i| {
         let _read_sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "read_entry");
         let t_busy = ucp_telemetry::enabled().then(std::time::Instant::now);
         let entry = &plan.entries[i];
-        let piece = match source {
-            AtomSource::Disk {
-                universal,
-                opts,
-                cache,
-            } if opts.ranged => read_entry_ranged(universal, plan, entry, opts, cache)?,
-            _ => read_entry_full(plan, entry, source)?,
+        let mut windows = windows[i].lock();
+        let shard_fp32 = match source {
+            AtomSource::Disk { opts, cache, .. } if opts.ranged => {
+                read_entry_ranged(plan, entry, cache, &mut windows)?
+            }
+            _ => read_entry_full(plan, entry, source, &mut windows)?,
         };
         if let Some(t) = t_busy {
             ucp_telemetry::count(
@@ -354,34 +379,12 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
                 t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             );
         }
-        Ok(piece)
+        Ok((entry.name.clone(), shard_fp32))
     })?;
     drop(read_span);
+    drop(windows);
 
-    // Phase 2 (serial): scatter fragments into the flat chunks.
-    let _scatter_span = ucp_telemetry::span("load/scatter");
-    let mut model_params = Vec::with_capacity(plan.entries.len());
-    for (entry, (shard_fp32, moments)) in plan.entries.iter().zip(pieces) {
-        match moments {
-            Some(MomentData::Full(m, v)) => {
-                scatter(&mut fp32, shard_fp32.as_slice(), &entry.fragments);
-                scatter(&mut exp_avg, m.flatten().as_slice(), &entry.fragments);
-                scatter(&mut exp_avg_sq, v.flatten().as_slice(), &entry.fragments);
-            }
-            Some(MomentData::Runs(m_runs, v_runs)) => {
-                scatter(&mut fp32, shard_fp32.as_slice(), &entry.fragments);
-                for (off, vals) in m_runs {
-                    exp_avg[off..off + vals.len()].copy_from_slice(&vals);
-                }
-                for (off, vals) in v_runs {
-                    exp_avg_sq[off..off + vals.len()].copy_from_slice(&vals);
-                }
-            }
-            None => {}
-        }
-        model_params.push((entry.name.clone(), shard_fp32));
-    }
-
+    let [fp32, exp_avg, exp_avg_sq] = chunks;
     Ok(RankState {
         layout: Arc::clone(&plan.layout),
         fp32,
@@ -397,46 +400,46 @@ fn read_entry_full(
     plan: &LoadPlan,
     entry: &LoadEntry,
     source: &AtomSource<'_>,
-) -> Result<(Tensor, Option<MomentData>)> {
-    // Model copy always needs the fp32 shard of every owned parameter.
-    let atom_fp32 = source.atom(&entry.name, AtomFile::Fp32)?;
-    if atom_fp32.shape() != &entry.full_shape {
-        return Err(UcpError::Inconsistent(format!(
-            "atom {} has shape {}, expected {}",
-            entry.name,
-            atom_fp32.shape(),
-            entry.full_shape
-        )));
-    }
-    let shard_fp32 = entry
-        .partition
-        .shard(&atom_fp32, plan.target.tp, plan.coord.tp);
-    // Optimizer moments are only read when this rank's chunk intersects
-    // the parameter.
-    let moments = if entry.fragments.is_empty() {
-        None
-    } else {
-        let shard = |file| -> Result<Tensor> {
-            let atom = source.atom(&entry.name, file)?;
-            Ok(entry.partition.shard(&atom, plan.target.tp, plan.coord.tp))
-        };
-        Some(MomentData::Full(
-            shard(AtomFile::ExpAvg)?,
-            shard(AtomFile::ExpAvgSq)?,
-        ))
+    windows: &mut Windows<'_>,
+) -> Result<Tensor> {
+    let shard = |file: AtomFile| -> Result<Tensor> {
+        let atom = source.atom(&entry.name, file)?;
+        if atom.shape() != &entry.full_shape {
+            return Err(UcpError::Inconsistent(format!(
+                "atom {} has shape {}, expected {}",
+                entry.name,
+                atom.shape(),
+                entry.full_shape
+            )));
+        }
+        Ok(entry.partition.shard(&atom, plan.target.tp, plan.coord.tp))
     };
-    Ok((shard_fp32, moments))
+    // Model copy always needs the fp32 shard of every owned parameter;
+    // the optimizer moments are only read when this rank's chunk
+    // intersects the parameter.
+    let shard_fp32 = shard(AtomFile::Fp32)?;
+    if !entry.fragments.is_empty() {
+        scatter(windows[0], shard_fp32.as_slice(), &entry.fragments);
+        for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
+            scatter(
+                windows[file as usize],
+                shard(file)?.as_slice(),
+                &entry.fragments,
+            );
+        }
+    }
+    Ok(shard_fp32)
 }
 
-/// Ranged strategy: fetch only the element runs the shard and fragments
-/// touch, through the shared atom cache.
+/// Ranged strategy: copy only the element runs the shard and fragments
+/// touch out of the session's atom cache, straight into the shard and the
+/// chunk windows.
 fn read_entry_ranged(
-    universal_dir: &Path,
     plan: &LoadPlan,
     entry: &LoadEntry,
-    opts: &LoadOptions,
     cache: &AtomCache,
-) -> Result<(Tensor, Option<MomentData>)> {
+    windows: &mut Windows<'_>,
+) -> Result<Tensor> {
     let segments = entry
         .partition
         .shard_segments(&entry.full_shape, plan.target.tp, plan.coord.tp);
@@ -444,70 +447,49 @@ fn read_entry_ranged(
         .partition
         .shard_shape(&entry.full_shape, plan.target.tp);
 
-    // The model copy needs the whole fp32 shard: one range per segment
-    // with an on-disk source; padding segments stay zero.
-    let fp32_ranges: Vec<Range<usize>> = segments
+    // The model copy needs the whole fp32 shard: one run per segment with
+    // an on-disk source; padding segments stay zero.
+    let shard_runs: Vec<(usize, Range<usize>)> = segments
         .iter()
-        .filter_map(|s| s.src_offset.map(|o| o..o + s.len))
+        .filter_map(|s| s.src_offset.map(|o| (s.shard_offset, o..o + s.len)))
         .collect();
-    let (dtype, parts) = cache.fetch(
-        universal_dir,
+    let mut shard_flat = vec![0.0f32; shard_shape.num_elements()];
+    let dtype = cache.fetch(
         &entry.name,
         AtomFile::Fp32,
         &entry.full_shape,
-        &fp32_ranges,
-        &opts.device,
+        &shard_runs,
+        &mut shard_flat,
     )?;
-    let mut shard_flat = vec![0.0f32; shard_shape.num_elements()];
-    let mut part = parts.into_iter();
-    for seg in &segments {
-        if seg.src_offset.is_some() {
-            let vals = part.next().expect("one part per sourced segment");
-            shard_flat[seg.shard_offset..seg.shard_offset + seg.len].copy_from_slice(&vals);
+    // An fp32 atom's shard is already the tensor; only a 16-bit atom's
+    // needs its dtype tag (a quantizing copy of exactly-representable values).
+    let mut shard_fp32 = Tensor::from_vec(shard_flat, shard_shape)?;
+    if dtype != DType::F32 {
+        shard_fp32 = shard_fp32.cast(dtype);
+    }
+    scatter(windows[0], shard_fp32.as_slice(), &entry.fragments);
+
+    // Moments: only the exact fragment intersections.
+    let runs = fragment_runs(&segments, &entry.fragments);
+    if !runs.is_empty() {
+        for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
+            let window = &mut *windows[file as usize];
+            cache.fetch(&entry.name, file, &entry.full_shape, &runs, window)?;
         }
     }
-    let shard_fp32 = Tensor::from_vec(shard_flat, shard_shape)?.cast(dtype);
-
-    // Moments: only the exact fragment intersections, as sparse runs.
-    let moments = if entry.fragments.is_empty() {
-        None
-    } else {
-        let runs = fragment_runs(&segments, &entry.fragments);
-        let src: Vec<Range<usize>> = runs.iter().map(|(_, r)| r.clone()).collect();
-        let offs: Vec<usize> = runs.iter().map(|(o, _)| *o).collect();
-        let (_, m) = cache.fetch(
-            universal_dir,
-            &entry.name,
-            AtomFile::ExpAvg,
-            &entry.full_shape,
-            &src,
-            &opts.device,
-        )?;
-        let (_, v) = cache.fetch(
-            universal_dir,
-            &entry.name,
-            AtomFile::ExpAvgSq,
-            &entry.full_shape,
-            &src,
-            &opts.device,
-        )?;
-        Some(MomentData::Runs(
-            offs.iter().copied().zip(m).collect(),
-            offs.into_iter().zip(v).collect(),
-        ))
-    };
-    Ok((shard_fp32, moments))
+    Ok(shard_fp32)
 }
 
 /// Intersect this rank's ZeRO fragments (shard-space) with the shard's
 /// source segments (atom-space): each overlap with an on-disk source
-/// becomes a `(chunk_offset, atom element range)` run. Padding overlaps
+/// becomes a `(window offset, atom element range)` run. Padding overlaps
 /// are dropped — the chunk buffers start zeroed, which is exactly what the
 /// full-read path scatters there.
 fn fragment_runs(
     segments: &[ShardSegment],
     fragments: &[FlatFragment],
 ) -> Vec<(usize, Range<usize>)> {
+    let base = fragments.first().map_or(0, |f| f.chunk_offset);
     let mut runs = Vec::new();
     for f in fragments {
         let fstart = f.param_offset;
@@ -520,17 +502,19 @@ fn fragment_runs(
             }
             if let Some(src) = seg.src_offset {
                 let s = src + (lo - seg.shard_offset);
-                runs.push((f.chunk_offset + (lo - fstart), s..s + (hi - lo)));
+                runs.push((f.chunk_offset - base + (lo - fstart), s..s + (hi - lo)));
             }
         }
     }
     runs
 }
 
-/// Copy `fragments` of the flattened shard into the chunk buffer.
-fn scatter(chunk: &mut [f32], shard_flat: &[f32], fragments: &[FlatFragment]) {
+/// Copy `fragments` of the flattened shard into the entry's chunk window
+/// (which starts at its first fragment).
+fn scatter(window: &mut [f32], shard_flat: &[f32], fragments: &[FlatFragment]) {
+    let base = fragments.first().map_or(0, |f| f.chunk_offset);
     for f in fragments {
-        chunk[f.chunk_offset..f.chunk_offset + f.len]
-            .copy_from_slice(&shard_flat[f.param_offset..f.param_offset + f.len]);
+        let at = f.chunk_offset - base;
+        window[at..at + f.len].copy_from_slice(&shard_flat[f.param_offset..f.param_offset + f.len]);
     }
 }

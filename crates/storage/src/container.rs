@@ -43,6 +43,7 @@ use ucp_tensor::{DType, Shape, Tensor};
 
 use crate::commit;
 use crate::crc::{crc32c, BlockCrc, Crc32c};
+use crate::io::ReadAt;
 use crate::{Result, StorageError};
 
 const MAGIC: &[u8; 4] = b"UCPT";
@@ -85,62 +86,79 @@ fn check_crc_block(name: &str, crc_block: u32) -> Result<()> {
     Ok(())
 }
 
-/// Number of CRC blocks covering `payload_len` bytes at `crc_block`.
-fn block_count(payload_len: u64, crc_block: u32) -> u64 {
-    payload_len.div_ceil(crc_block as u64)
-}
-
 /// Read exactly `len` declared bytes without trusting `len` for the
 /// allocation: the buffer grows only as data actually arrives (via
 /// [`Read::take`]), so a corrupt length field hits EOF long before it
 /// can exhaust memory.
 fn read_bytes_bounded<R: Read>(r: &mut R, len: usize, what: &str) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
-    read_bytes_bounded_into(r, len, what, &mut buf)?;
-    Ok(buf)
-}
-
-/// [`read_bytes_bounded`] into a caller-owned buffer, so repeated reads
-/// (e.g. one per coalesced gap of a ranged load) reuse the same allocation
-/// instead of churning a fresh `Vec` per call. The buffer is cleared but
-/// keeps its capacity; growth is still driven by actual arriving data, not
-/// the declared length.
-fn read_bytes_bounded_into<R: Read>(
-    r: &mut R,
-    len: usize,
-    what: &str,
-    buf: &mut Vec<u8>,
-) -> Result<()> {
-    buf.clear();
-    r.take(len as u64).read_to_end(buf)?;
+    r.take(len as u64).read_to_end(&mut buf)?;
     if buf.len() != len {
         return Err(StorageError::Malformed(format!(
             "{what}: declared {len} bytes, file ends after {}",
             buf.len()
         )));
     }
-    Ok(())
+    Ok(buf)
 }
 
-/// Reusable buffers for [`ContainerIndex::read_section_range_with`]: one
-/// for block-aligned payload data, one for the CRC-table slice. A caller
-/// issuing many range reads (the atom cache's gap loop, a fetch-pool
-/// worker) holds one of these per thread and amortizes the allocations to
-/// the high-water mark of its largest read.
+/// Reusable buffers for [`SectionInfo::read_range_at`]: one for
+/// block-aligned payload data that cannot land in the caller's `f32`
+/// storage directly (16-bit dtypes, ranges cut mid-block), one for the
+/// CRC-table slice. A caller issuing many range reads holds one of these
+/// and amortizes the allocations to the high-water mark of its largest read.
 #[derive(Debug, Default)]
 pub struct RangeScratch {
     data: Vec<u8>,
     table: Vec<u8>,
 }
 
-/// Open the container file at `path` for reading. Every container open in
-/// the workspace goes through here, so the `storage/open` counter reflects
-/// real handle churn.
-pub fn open(path: &Path) -> std::io::Result<BufReader<File>> {
+/// How a range read vouched for the bytes it returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verified {
+    /// Every block the range touches matched its block-table entry.
+    Blocks,
+    /// The whole payload matched the trailing whole-payload CRC: v1
+    /// sections (which have nothing else), and whole-section reads of a v2
+    /// section whose block table disagreed with intact data.
+    Whole,
+}
+
+/// Any seekable reader as a [`ReadAt`]: seek, then `read_exact`.
+struct SeekAt<'a, R>(&'a mut R);
+
+impl<R: Read + Seek> ReadAt for SeekAt<'_, R> {
+    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.0.seek(SeekFrom::Start(offset))?;
+        self.0.read_exact(buf)
+    }
+}
+
+/// `f32` storage viewed as bytes, so a little-endian fp32 payload is read
+/// straight into the values it decodes to.
+fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    // SAFETY: every bit pattern is a valid `f32` and `u8` has alignment 1;
+    // the byte length is exactly the slice's.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), values.len() * 4) }
+}
+
+/// Read-ahead for parsing an index through [`ContainerIndex::read_head`]:
+/// an atom file's preamble and section metadata (≈ 150–300 bytes) fit in
+/// one fill.
+const INDEX_READAHEAD: usize = 512;
+
+/// Open the file at `path`. Every container open in the workspace goes
+/// through here, so the `storage/open` counter reflects real handle churn.
+pub fn open_file(path: &Path) -> std::io::Result<File> {
     if ucp_telemetry::enabled() {
         ucp_telemetry::count("storage/open", 1);
     }
-    Ok(BufReader::new(File::open(path)?))
+    File::open(path)
+}
+
+/// [`open_file`] behind a buffer, for the forward-streaming full reads.
+pub fn open(path: &Path) -> std::io::Result<BufReader<File>> {
+    Ok(BufReader::new(open_file(path)?))
 }
 
 /// A section to write, borrowed from wherever its values live — an
@@ -329,17 +347,6 @@ fn parse_section_meta<R: Read>(r: &mut R, version: u32) -> Result<SectionInfo> {
     })
 }
 
-/// Decode verified payload `bytes` of section `name` into a tensor of
-/// `shape` in the section dtype.
-fn decode_tensor(name: &str, dtype: DType, bytes: &[u8], shape: Shape) -> Result<Tensor> {
-    let values = dtype
-        .decode(bytes, shape.num_elements())
-        .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
-    let tensor =
-        Tensor::from_vec(values, shape).map_err(|e| StorageError::Malformed(e.to_string()))?;
-    Ok(tensor.cast(dtype))
-}
-
 /// A named tensor inside a container.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Section {
@@ -487,7 +494,11 @@ impl Container {
                     }
                 }
             }
-            let tensor = decode_tensor(&name, info.dtype, &payload, info.shape)?;
+            let values = (info.dtype.decode(&payload, info.shape.num_elements()))
+                .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
+            let tensor = Tensor::from_vec(values, info.shape)
+                .map_err(|e| StorageError::Malformed(e.to_string()))?
+                .cast(info.dtype);
             sections.push(Section { name, tensor });
         }
         Ok(Container { header, sections })
@@ -557,6 +568,99 @@ impl SectionInfo {
         let bend = (elems.end as u64 * esize).div_ceil(cb) * cb;
         bend.min(self.payload_len) - bstart
     }
+
+    /// Read elements `elems` of this section into `out` through positioned
+    /// reads, verifying integrity of exactly what is read — the one ranged
+    /// read body.
+    ///
+    /// The kernel is asked for two things, once each: the block-aligned
+    /// payload span covering the range and the CRC-table slice for those
+    /// blocks. Corruption outside the span goes unread and undetected,
+    /// corruption inside it is [`StorageError::ChecksumMismatch`]. A v1
+    /// section has no table, so its span is the whole payload, checked
+    /// against the whole-payload CRC. A read that covers the whole section
+    /// takes that trailing CRC along with the table: if a block disagrees
+    /// the payload is already in hand, and the independent whole-payload
+    /// CRC settles whether the data or only the table is damaged.
+    pub fn read_range_at<A: ReadAt>(
+        &self,
+        r: &mut A,
+        elems: Range<usize>,
+        scratch: &mut RangeScratch,
+        out: &mut [f32],
+    ) -> Result<Verified> {
+        let name = &self.name;
+        let total = self.num_elements();
+        if elems.start > elems.end || elems.end > total || out.len() != elems.len() {
+            return Err(StorageError::Malformed(format!(
+                "section {name}: range {}..{} into {} values out of bounds for {total} elements",
+                elems.start,
+                elems.end,
+                out.len()
+            )));
+        }
+        if elems.is_empty() {
+            return Ok(Verified::Blocks);
+        }
+        let esize = self.dtype.size_bytes();
+        let payload_len = self.payload_len as usize;
+        let v1 = self.crc_block == 0;
+        let whole = v1 || elems.len() == total;
+        let cb = if v1 {
+            payload_len
+        } else {
+            self.crc_block as usize
+        };
+        let (b0, b1) = (elems.start * esize / cb, (elems.end * esize).div_ceil(cb));
+        let span = b0 * cb..(b1 * cb).min(payload_len);
+        // A little-endian fp32 span that is exactly the range lands in
+        // `out`; anything else is staged in the scratch and decoded.
+        let direct = cfg!(target_endian = "little")
+            && self.dtype == DType::F32
+            && span.len() == out.len() * 4;
+        let data = if direct {
+            f32_bytes_mut(out)
+        } else {
+            scratch.data.resize(span.len(), 0);
+            &mut scratch.data[..]
+        };
+        r.read_exact_at(data, self.payload_offset + span.start as u64)?;
+        let table_len = if v1 { 0 } else { (b1 - b0) * 4 };
+        scratch
+            .table
+            .resize(table_len + if whole { 4 } else { 0 }, 0);
+        r.read_exact_at(
+            &mut scratch.table,
+            self.payload_offset + self.payload_len + (b0 * 4) as u64,
+        )?;
+        let (table, whole_crc) = scratch.table.split_at(table_len);
+        let bad_block = (data.chunks(cb).zip(table.chunks_exact(4)))
+            .position(|(block, stored)| crc32c(block).to_le_bytes() != stored);
+        let verified = match bad_block {
+            None if !v1 => Verified::Blocks,
+            _ if whole && crc32c(data).to_le_bytes() == whole_crc => Verified::Whole,
+            Some(i) => {
+                let what = format!("{name} (block {})", b0 + i);
+                return Err(StorageError::ChecksumMismatch { what });
+            }
+            None => {
+                let what = format!("{name} (whole payload)");
+                return Err(StorageError::ChecksumMismatch { what });
+            }
+        };
+        if ucp_telemetry::enabled() {
+            ucp_telemetry::count("storage/range_reads", 1);
+            let bytes = span.len() + scratch.table.len();
+            ucp_telemetry::count("storage/range_bytes_read", bytes as u64);
+        }
+        if !direct {
+            let skip = elems.start * esize - span.start;
+            let values = (self.dtype.decode(&scratch.data[skip..], out.len()))
+                .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
+            out.copy_from_slice(&values);
+        }
+        Ok(verified)
+    }
 }
 
 /// A container's header and section index, read by *skipping* payloads —
@@ -585,7 +689,7 @@ impl ContainerIndex {
             // CRC. A corrupt length must not wrap negative when cast for
             // the relative seek.
             let checksums = if info.crc_block > 0 {
-                block_count(info.payload_len, info.crc_block)
+                (info.payload_len.div_ceil(info.crc_block as u64))
                     .checked_mul(4)
                     .and_then(|t| t.checked_add(4))
             } else {
@@ -633,15 +737,18 @@ impl ContainerIndex {
             .ok_or_else(|| StorageError::Malformed(format!("container has no section {name}")))
     }
 
+    /// [`ContainerIndex::read_from`] through a small read-ahead over an
+    /// unbuffered handle: the kernel is asked for half a kilobyte per
+    /// single-section file, and the handle stays usable for positioned
+    /// range reads afterwards.
+    pub fn read_head<R: Read + Seek>(r: &mut R) -> Result<ContainerIndex> {
+        ContainerIndex::read_from(&mut BufReader::with_capacity(INDEX_READAHEAD, r))
+    }
+
     /// Read elements `elems` of `section` from the same reader the index
-    /// was built from, verifying integrity of exactly what is read.
-    ///
-    /// For v2 sections only the CRC blocks the byte range touches are
-    /// fetched and checked — corruption outside the range goes unread and
-    /// undetected, corruption inside it surfaces as
-    /// [`StorageError::ChecksumMismatch`]. v1 sections have no block
-    /// table, so the whole payload is read and verified before slicing.
-    /// Returns a 1-D tensor of `elems.len()` values in the section dtype.
+    /// was built from, verifying integrity of exactly what is read
+    /// ([`SectionInfo::read_range_at`] behind a seek per read). Returns a
+    /// 1-D tensor of `elems.len()` values in the section dtype.
     pub fn read_section_range<R: Read + Seek>(
         &self,
         r: &mut R,
@@ -652,8 +759,7 @@ impl ContainerIndex {
     }
 
     /// [`ContainerIndex::read_section_range`] with caller-owned scratch
-    /// buffers: repeated calls (one per coalesced gap of a ranged load)
-    /// reuse the same allocations instead of churning fresh `Vec`s.
+    /// buffers, so repeated calls reuse the same allocations.
     pub fn read_section_range_with<R: Read + Seek>(
         &self,
         r: &mut R,
@@ -662,100 +768,13 @@ impl ContainerIndex {
         scratch: &mut RangeScratch,
     ) -> Result<Tensor> {
         let info = self.section(section)?;
-        let total = info.num_elements();
-        if elems.start > elems.end || elems.end > total {
-            return Err(StorageError::Malformed(format!(
-                "section {section}: range {}..{} out of bounds for {total} elements",
-                elems.start, elems.end
-            )));
-        }
-        let esize = info.dtype.size_bytes();
-        let n = elems.end - elems.start;
-        let bstart = elems.start * esize;
-        let bend = elems.end * esize;
-        let bytes: &[u8] = if n == 0 {
-            &[]
-        } else if info.crc_block == 0 {
-            // v1: no block table — read and verify the whole payload,
-            // then slice the requested bytes out of it.
-            r.seek(SeekFrom::Start(info.payload_offset))?;
-            read_bytes_bounded_into(r, info.payload_len as usize, section, &mut scratch.data)?;
-            let crc = read_u32(r)?;
-            if crc32c(&scratch.data) != crc {
-                return Err(StorageError::ChecksumMismatch {
-                    what: section.to_string(),
-                });
-            }
-            self.count_range_read(scratch.data.len() as u64 + 4);
-            &scratch.data[bstart..bend]
-        } else {
-            let cb = info.crc_block as usize;
-            let b0 = bstart / cb;
-            let b1 = bend.div_ceil(cb);
-            let data_off = info.payload_offset + (b0 * cb) as u64;
-            let data_len = (b1 * cb).min(info.payload_len as usize) - b0 * cb;
-            r.seek(SeekFrom::Start(data_off))?;
-            read_bytes_bounded_into(r, data_len, section, &mut scratch.data)?;
-            r.seek(SeekFrom::Start(
-                info.payload_offset + info.payload_len + (b0 * 4) as u64,
-            ))?;
-            read_bytes_bounded_into(r, (b1 - b0) * 4, "block crc table", &mut scratch.table)?;
-            for (i, chunk) in scratch.data.chunks(cb).enumerate() {
-                let stored =
-                    u32::from_le_bytes(scratch.table[i * 4..i * 4 + 4].try_into().unwrap());
-                if crc32c(chunk) != stored {
-                    return Err(StorageError::ChecksumMismatch {
-                        what: format!("{section} (block {})", b0 + i),
-                    });
-                }
-            }
-            self.count_range_read((data_len + scratch.table.len()) as u64);
-            &scratch.data[bstart - b0 * cb..bend - b0 * cb]
-        };
-        decode_tensor(section, info.dtype, bytes, Shape::new([n]))
-    }
-
-    /// Read the *whole* payload of `section`, verified against its
-    /// whole-payload CRC only — the per-block table is skipped, not
-    /// trusted. This is the graceful-degradation path for a damaged block
-    /// table: the table and the trailing CRC are independent redundancy,
-    /// so a corrupt table with an intact payload still yields correct
-    /// bytes here (and a corrupt payload still fails).
-    /// Returns a 1-D tensor of the full section in the section dtype.
-    pub fn read_section_lenient<R: Read + Seek>(&self, r: &mut R, section: &str) -> Result<Tensor> {
-        let info = self.section(section)?;
-        r.seek(SeekFrom::Start(info.payload_offset))?;
-        let payload = read_bytes_bounded(r, info.payload_len as usize, section)?;
-        // Seek past the block table (v2); for v1 the next u32 already is
-        // the whole-payload CRC.
-        let table_bytes = if info.crc_block == 0 {
-            0
-        } else {
-            block_count(info.payload_len, info.crc_block) * 4
-        };
-        if table_bytes > 0 {
-            r.seek(SeekFrom::Current(table_bytes as i64))?;
-        }
-        let crc = read_u32(r)?;
-        if crc32c(&payload) != crc {
-            return Err(StorageError::ChecksumMismatch {
-                what: format!("{section} (whole payload)"),
-            });
-        }
-        self.count_range_read(payload.len() as u64 + 4);
-        decode_tensor(
-            section,
-            info.dtype,
-            &payload,
-            Shape::new([info.num_elements()]),
-        )
-    }
-
-    fn count_range_read(&self, bytes: u64) {
-        if ucp_telemetry::enabled() {
-            ucp_telemetry::count("storage/range_reads", 1);
-            ucp_telemetry::count("storage/range_bytes_read", bytes);
-        }
+        // Out-of-bounds ranges get no allocation; the body rejects them.
+        let n = elems.len().min(info.num_elements());
+        let mut values = vec![0.0f32; n];
+        info.read_range_at(&mut SeekAt(r), elems, scratch, &mut values)?;
+        let tensor = Tensor::from_vec(values, Shape::new([n]))
+            .map_err(|e| StorageError::Malformed(e.to_string()))?;
+        Ok(tensor.cast(info.dtype))
     }
 }
 
@@ -1085,56 +1104,93 @@ mod tests {
     }
 
     #[test]
-    fn lenient_read_survives_damaged_block_table() {
+    fn whole_section_read_survives_damaged_block_table() {
         let c = big_sample();
         let mut buf = Vec::new();
         c.write_to(&mut buf).unwrap();
         let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        let info = index.get("w").unwrap().clone();
-        // Damage a block-table entry: the ranged read and strict full read
-        // fail, the lenient read still yields the correct bytes.
+        let info = index.get("w").unwrap();
+        let total = info.num_elements();
+        // Damage a block-table entry: the strict full read fails (and a
+        // partial ranged read, above), a whole-section read settles the
+        // mismatch against the whole-payload CRC and yields the right bytes.
         let table_off = (info.payload_offset + info.payload_len) as usize;
         buf[table_off] ^= 1;
-        let mut cur = std::io::Cursor::new(&buf);
-        assert!(matches!(
-            index.read_section_range(&mut cur, "w", 0..10),
-            Err(StorageError::ChecksumMismatch { .. })
-        ));
         assert!(Container::read_from(&mut buf.as_slice()).is_err());
-        let t = index.read_section_lenient(&mut cur, "w").unwrap();
-        let want = c.sections[0].tensor.flatten();
-        assert!(t.bitwise_eq(&want), "lenient read returned wrong bytes");
-    }
-
-    #[test]
-    fn lenient_read_still_fails_on_damaged_payload() {
-        let c = big_sample();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        let info = index.get("w").unwrap().clone();
+        let (mut scratch, mut out) = (RangeScratch::default(), vec![0.0; total]);
+        let mut cur = std::io::Cursor::new(&buf);
+        let how = info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch, &mut out);
+        assert_eq!(how.unwrap(), Verified::Whole, "table damaged, not data");
+        assert_eq!(out, c.sections[0].tensor.as_slice());
+        // A damaged payload defeats the whole-payload CRC too.
+        buf[table_off] ^= 1;
         buf[info.payload_offset as usize + 5] ^= 1;
         let mut cur = std::io::Cursor::new(&buf);
         assert!(matches!(
-            index.read_section_lenient(&mut cur, "w"),
+            info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch, &mut out),
             Err(StorageError::ChecksumMismatch { .. })
         ));
     }
 
+    /// Range reads of every section of the container encoded in `buf`: the
+    /// positioned body over a real file against the seek adapter, bit for bit.
+    fn assert_positioned_matches_seek(buf: &[u8], tag: &str) {
+        let path = std::env::temp_dir().join(format!("ucpt_positioned_{tag}.ucpt"));
+        std::fs::write(&path, buf).unwrap();
+        let mut file = open_file(&path).unwrap();
+        let index = ContainerIndex::read_head(&mut file).unwrap();
+        let mut cur = std::io::Cursor::new(buf);
+        assert_eq!(index, ContainerIndex::read_from(&mut cur).unwrap());
+        let mut scratch = RangeScratch::default();
+        for info in &index.sections {
+            let total = info.num_elements();
+            let block = (info.crc_block as usize / info.dtype.size_bytes()).max(1);
+            // Whole (short last block), empty, cut mid-block at both ends,
+            // exactly one block, aligned into the short last block.
+            let ranges = [
+                0..total,
+                0..0,
+                3..block + 5,
+                block..2 * block,
+                2 * block..total,
+            ];
+            for range in ranges {
+                let mut out = vec![f32::NAN; range.len()];
+                let how = info.read_range_at(&mut file, range.clone(), &mut scratch, &mut out);
+                let v1_read = info.crc_block == 0 && !range.is_empty();
+                let want = [Verified::Blocks, Verified::Whole][v1_read as usize];
+                assert_eq!(how.unwrap(), want, "{tag} {} {range:?}", info.name);
+                let seek = index
+                    .read_section_range_with(&mut cur, &info.name, range, &mut scratch)
+                    .unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(seek.as_slice()), "{tag} {}", info.name);
+            }
+            // Out of bounds, reversed, or a destination of the wrong length.
+            #[allow(clippy::reversed_empty_ranges)]
+            for (range, len) in [(0..total + 1, total + 1), (5..2, 0), (0..4, 3)] {
+                let bad = info.read_range_at(&mut file, range, &mut scratch, &mut vec![0.0; len]);
+                assert!(matches!(bad, Err(StorageError::Malformed(_))));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
-    fn lenient_read_of_v1_section_verifies_whole_crc() {
-        let c = big_sample();
-        let mut buf = Vec::new();
-        c.write_to_v1(&mut buf).unwrap();
-        let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        let mut cur = std::io::Cursor::new(&buf);
-        let t = index.read_section_lenient(&mut cur, "h").unwrap();
-        assert!(t.bitwise_eq(&c.sections[1].tensor.flatten()));
-        // And corruption is still caught.
-        let info = index.get("h").unwrap().clone();
-        buf[info.payload_offset as usize] ^= 1;
-        let mut cur = std::io::Cursor::new(&buf);
-        assert!(index.read_section_lenient(&mut cur, "h").is_err());
+    fn positioned_body_matches_seek_adapter() {
+        let rng = DetRng::new(31);
+        let mut c = Container::new("{}");
+        for dtype in [DType::F32, DType::BF16, DType::F16] {
+            c.push(
+                dtype.to_string(),
+                Tensor::randn([13, 31], 1.0, &rng).cast(dtype),
+            );
+        }
+        let (mut v2, mut v1) = (Vec::new(), Vec::new());
+        c.write_to(&mut v2).unwrap();
+        c.write_to_v1(&mut v1).unwrap();
+        assert_positioned_matches_seek(&v2, "v2");
+        assert_positioned_matches_seek(&v1, "v1");
     }
 
     #[test]

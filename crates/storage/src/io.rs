@@ -6,7 +6,8 @@
 //! [`Device`] that meters bytes and sleeps to emulate a fixed-bandwidth
 //! device. With no bandwidth set the device is a transparent pass-through.
 
-use std::io::Read;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::time::{Duration, Instant};
 
 /// A simulated storage device with an optional read bandwidth cap
@@ -15,10 +16,6 @@ use std::time::{Duration, Instant};
 pub struct Device {
     /// Sequential read bandwidth in bytes/s (`None` = unlimited).
     pub read_bps: Option<u64>,
-    /// Concurrent range-fetch workers the load path may run against this
-    /// device (`None` = pick from the bandwidth profile; see
-    /// [`Device::fetch_pool`]).
-    pub fetch_workers: Option<usize>,
 }
 
 impl Device {
@@ -31,42 +28,39 @@ impl Device {
     pub fn with_mibps(mibps: u64) -> Device {
         Device {
             read_bps: Some(mibps * 1024 * 1024),
-            ..Device::default()
-        }
-    }
-
-    /// This device with an explicit range-fetch pool size (clamped to at
-    /// least 1).
-    pub fn with_fetch_workers(mut self, workers: usize) -> Device {
-        self.fetch_workers = Some(workers.max(1));
-        self
-    }
-
-    /// Concurrent range-fetch workers the load path should use. An
-    /// explicit [`Device::fetch_workers`] always wins. Otherwise the
-    /// bandwidth profile decides: a throttled device gets 1 (each worker
-    /// owns an independent throttle clock, so parallel workers would
-    /// multiply the simulated bandwidth instead of sharing it), an
-    /// unlimited device gets a small pool that overlaps syscall latency
-    /// with CRC verification and decode.
-    pub fn fetch_pool(&self) -> usize {
-        match self.fetch_workers {
-            Some(n) => n.max(1),
-            None if self.read_bps.is_some() => 1,
-            None => 4,
         }
     }
 
     /// Wrap a reader with this device's read throttle.
-    pub fn reader<R: Read>(&self, inner: R) -> Throttled<R> {
+    pub fn reader<R>(&self, inner: R) -> Throttled<R> {
         Throttled::new(inner, self.read_bps)
+    }
+}
+
+/// Positioned exact reads: fill `buf` from `offset`, wherever the stream's
+/// cursor stands. The one primitive the ranged read path asks of a file.
+pub trait ReadAt {
+    /// Read exactly `buf.len()` bytes starting at byte `offset`.
+    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+}
+
+impl ReadAt for File {
+    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        #[cfg(unix)]
+        return std::os::unix::fs::FileExt::read_exact_at(self, buf, offset);
+        #[cfg(not(unix))]
+        {
+            self.seek(SeekFrom::Start(offset))?;
+            self.read_exact(buf)
+        }
     }
 }
 
 /// A bandwidth-throttled stream wrapper.
 ///
-/// Accounts bytes against an ideal schedule from the first operation and
-/// sleeps whenever actual progress runs ahead of the simulated device.
+/// Counts every byte the wrapped stream is asked for, accounts them against
+/// an ideal schedule from the first operation and sleeps whenever actual
+/// progress runs ahead of the simulated device.
 #[derive(Debug)]
 pub struct Throttled<T> {
     inner: T,
@@ -90,31 +84,16 @@ impl<T> Throttled<T> {
         self.bytes
     }
 
-    /// Account `n` transferred bytes against the bandwidth schedule,
-    /// sleeping if ahead of it. Returns the time slept so telemetry can
-    /// separate simulated device time from actual I/O time.
-    fn account(&mut self, n: usize) -> Duration {
-        let Some(bps) = self.bps else {
-            return Duration::ZERO;
-        };
-        let start = *self.started.get_or_insert_with(Instant::now);
-        self.bytes += n as u64;
-        let ideal = Duration::from_secs_f64(self.bytes as f64 / bps as f64);
-        let elapsed = start.elapsed();
-        if ideal > elapsed {
-            let pause = ideal - elapsed;
-            std::thread::sleep(pause);
-            pause
-        } else {
-            Duration::ZERO
-        }
-    }
-}
-
-impl<R: Read> Read for Throttled<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// Run one transfer on the wrapped stream: time it and count its bytes
+    /// (`io/read_op_ns`, `io/bytes_read`), then pace it — sleep if the
+    /// stream is ahead of the bandwidth schedule (`io/throttle_sleep_ns`,
+    /// so telemetry separates simulated device time from actual I/O time).
+    fn transfer(
+        &mut self,
+        op: impl FnOnce(&mut T) -> std::io::Result<usize>,
+    ) -> std::io::Result<usize> {
         let t = ucp_telemetry::enabled().then(Instant::now);
-        let n = self.inner.read(buf)?;
+        let n = op(&mut self.inner)?;
         if let Some(t) = t {
             ucp_telemetry::observe(
                 "io/read_op_ns",
@@ -122,23 +101,43 @@ impl<R: Read> Read for Throttled<R> {
             );
             ucp_telemetry::count("io/bytes_read", n as u64);
         }
-        let slept = self.account(n);
-        if !slept.is_zero() {
+        self.bytes += n as u64;
+        let Some(bps) = self.bps else {
+            return Ok(n);
+        };
+        let start = *self.started.get_or_insert_with(Instant::now);
+        let ideal = Duration::from_secs_f64(self.bytes as f64 / bps as f64);
+        if let Some(pause) = ideal.checked_sub(start.elapsed()) {
+            std::thread::sleep(pause);
             ucp_telemetry::observe(
                 "io/throttle_sleep_ns",
-                slept.as_nanos().min(u64::MAX as u128) as u64,
+                pause.as_nanos().min(u64::MAX as u128) as u64,
             );
         }
         Ok(n)
     }
 }
 
+impl<R: Read> Read for Throttled<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.transfer(|r| r.read(buf))
+    }
+}
+
+/// A positioned read transfers exactly `buf.len()` bytes and is metered
+/// like any other read.
+impl<T: ReadAt> ReadAt for Throttled<T> {
+    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.transfer(|r| r.read_exact_at(buf, offset).map(|()| buf.len()))?;
+        Ok(())
+    }
+}
+
 /// Seeking repositions the stream without transferring data, so it passes
 /// through unmetered — only bytes actually read count against the
-/// simulated bandwidth. This is what lets range reads seek across the
-/// parts of a section they skip.
-impl<T: std::io::Seek> std::io::Seek for Throttled<T> {
-    fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
+/// simulated bandwidth.
+impl<T: Seek> Seek for Throttled<T> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
         self.inner.seek(pos)
     }
 }
@@ -425,22 +424,11 @@ mod tests {
     fn read_throttle_counts_bytes() {
         let dev = Device {
             read_bps: Some(u64::MAX),
-            ..Device::default()
         };
         let data = vec![1u8; 1000];
         let mut r = dev.reader(&data[..]);
         let mut sink = Vec::new();
         r.read_to_end(&mut sink).unwrap();
         assert_eq!(r.bytes_transferred(), 1000);
-    }
-
-    #[test]
-    fn fetch_pool_follows_profile() {
-        // Unlimited → small default pool; throttled → serial (workers
-        // would each get their own throttle clock); explicit wins always.
-        assert_eq!(Device::unlimited().fetch_pool(), 4);
-        assert_eq!(Device::with_mibps(64).fetch_pool(), 1);
-        assert_eq!(Device::with_mibps(64).with_fetch_workers(8).fetch_pool(), 8);
-        assert_eq!(Device::unlimited().with_fetch_workers(0).fetch_pool(), 1);
     }
 }

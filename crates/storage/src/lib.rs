@@ -20,9 +20,10 @@ pub mod layout;
 pub mod retention;
 
 pub use container::{
-    Container, ContainerIndex, RangeScratch, Section, SectionInfo, SectionRef, RANGE_CRC_BLOCK,
+    Container, ContainerIndex, RangeScratch, Section, SectionInfo, SectionRef, Verified,
+    RANGE_CRC_BLOCK,
 };
-pub use io::Device;
+pub use io::{Device, ReadAt};
 pub use journal::{Journal, JournalEvent, JournalRecord};
 pub use retention::{prune, InFlightGuard, PruneReport, RetentionPolicy};
 

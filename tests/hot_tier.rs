@@ -18,7 +18,7 @@
 //!   `hot_recovery_end` lifecycle and attributes `recovery_end` to the
 //!   tier that actually served.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -54,13 +54,13 @@ fn source_topology() -> ParallelConfig {
     ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1)
 }
 
-fn hot_plan(dir: &PathBuf) -> TrainPlan {
+fn hot_plan(dir: &Path) -> TrainPlan {
     TrainPlan {
         config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source_topology(), SEED),
         until_iteration: ITERS,
         resume: ResumeMode::Fresh,
         checkpoint_every: Some(SAVE_EVERY),
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(dir.to_path_buf()),
     }
 }
 
@@ -80,7 +80,7 @@ fn hot_opts(target: ParallelConfig, faults: Vec<RankFault>) -> SupervisorOptions
 /// universal tree is missing (a peer-memory recovery never touches it),
 /// which makes the bitwise comparison a direct RAM-vs-disk equivalence
 /// proof.
-fn disk_reference(dir: &PathBuf, target: ParallelConfig, step: u64) -> Vec<(u64, f64)> {
+fn disk_reference(dir: &Path, target: ParallelConfig, step: u64) -> Vec<(u64, f64)> {
     let universal = ucp_repro::storage::layout::universal_dir(dir, step);
     if !ucp_repro::storage::layout::manifest_path(&universal).exists() {
         ucp_repro::trainer::convert_checkpoint(
@@ -94,7 +94,7 @@ fn disk_reference(dir: &PathBuf, target: ParallelConfig, step: u64) -> Vec<(u64,
         config: TrainConfig::quick(ModelConfig::gpt3_tiny(), target, SEED),
         until_iteration: ITERS,
         resume: ResumeMode::Universal {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             step,
         },
         checkpoint_every: None,
@@ -248,7 +248,6 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
 #[test]
 fn double_fault_falls_back_to_disk_bitwise() {
     let _guard = test_guard();
-    let source = source_topology();
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
     let dir = tmp("double_fault");
     let rec = ucp_repro::telemetry::global();

@@ -33,8 +33,30 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 /// Train, checkpoint at step 2, and convert; returns the base dir.
 fn universal_checkpoint(parallel: ParallelConfig, name: &str, dtype: DType) -> std::path::PathBuf {
+    universal_checkpoint_of(ModelConfig::gpt3_tiny(), parallel, name, dtype)
+}
+
+/// A model whose row-split shards are strided at CRC-block granularity
+/// (gpt3_tiny's 16-element runs all share one 256-byte block): hidden 256,
+/// so a TP4 run of a `[256, 256]` weight is exactly one block.
+fn wide_model() -> ModelConfig {
+    ModelConfig {
+        hidden_size: 256,
+        ffn_size: 512,
+        num_layers: 2,
+        max_seq_len: 8,
+        ..ModelConfig::gpt3_tiny()
+    }
+}
+
+fn universal_checkpoint_of(
+    model: ModelConfig,
+    parallel: ParallelConfig,
+    name: &str,
+    dtype: DType,
+) -> std::path::PathBuf {
     let dir = scratch(name);
-    let mut cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 71);
+    let mut cfg = TrainConfig::quick(model, parallel, 71);
     cfg.dtype = dtype;
     train_run(&TrainPlan {
         config: cfg,
@@ -331,5 +353,151 @@ fn session_cache_shares_bytes_across_dp_replicas() {
         "cache sharing should make bytes read ({read}) less than bytes \
          needed ({needed}) when four DP replicas load the same slice"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Load every rank of `target` through one session over step 2 of `dir`,
+/// returning the counters those loads recorded.
+fn full_target_counters(
+    dir: &std::path::Path,
+    target: &ParallelConfig,
+) -> ucp_repro::telemetry::Report {
+    let session = LoadSession::open(dir, 2, LoadOptions::default()).unwrap();
+    let rec = ucp_repro::telemetry::global();
+    rec.reset();
+    rec.set_enabled(true);
+    for rank in 0..target.world_size() {
+        session.load_rank(target, rank, DEFAULT_ALIGNMENT).unwrap();
+    }
+    let report = rec.report("full_target");
+    rec.set_enabled(false);
+    report
+}
+
+/// The entries of `plan` whose shard is strided in the atom (row-split
+/// weights: one run per row, the TP peers' runs in between).
+fn strided_entries(plan: &LoadPlan) -> LoadPlan {
+    let mut plan = plan.clone();
+    plan.entries.retain(|e| {
+        let segments = e
+            .partition
+            .shard_segments(&e.full_shape, plan.target.tp, plan.coord.tp);
+        segments.len() > 1
+    });
+    assert!(!plan.entries.is_empty(), "test premise: strided shards");
+    plan
+}
+
+#[test]
+fn a_session_reads_each_atom_once_for_a_whole_tp_target() {
+    let _g = serial();
+    let source = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
+    let dir = universal_checkpoint_of(wide_model(), source, "once", DType::F32);
+    let universal = layout::universal_dir(&dir, 2);
+    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    let tree_bytes: u64 = (manifest.params.iter())
+        .map(|atom| 12 * atom.shape.num_elements() as u64)
+        .sum();
+
+    for target in [
+        ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
+        ParallelConfig::new(4, 1, 2, 1, ZeroStage::Zero1),
+    ] {
+        // The whole target through one session: index, payload and table
+        // bytes together stay within 5 % of the tree's payload.
+        let read = full_target_counters(&dir, &target)
+            .counter("load/bytes_read")
+            .unwrap_or(0);
+        assert!(
+            read > tree_bytes / 2 && read as f64 <= 1.05 * tree_bytes as f64,
+            "{}: read {read} B of a {tree_bytes} B tree",
+            target.label()
+        );
+
+        // After TP rank 0, its peer's strided shards are all in memory.
+        let session = LoadSession::open(&dir, 2, LoadOptions::default()).unwrap();
+        session.load_rank(&target, 0, DEFAULT_ALIGNMENT).unwrap();
+        let peer = gen_ucp_metadata(&manifest, &target, 1, DEFAULT_ALIGNMENT).unwrap();
+        assert_eq!((peer.coord.tp, peer.coord.pp, peer.coord.dp), (1, 0, 0));
+        let rec = ucp_repro::telemetry::global();
+        rec.reset();
+        rec.set_enabled(true);
+        session.load_plan(&strided_entries(&peer)).unwrap();
+        let report = rec.report("tp_peer");
+        rec.set_enabled(false);
+        assert_eq!(report.counter("load/cache_misses").unwrap_or(0), 0);
+        assert_eq!(report.counter("load/bytes_read").unwrap_or(0), 0);
+        assert!(report.counter("load/cache_hits").unwrap_or(0) > 0);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `rchar` of `/proc/self/io`: bytes this process asked `read`-family
+/// syscalls for.
+#[cfg(target_os = "linux")]
+fn rchar() -> u64 {
+    let io = std::fs::read_to_string("/proc/self/io").unwrap();
+    let line = io.lines().find_map(|l| l.strip_prefix("rchar:")).unwrap();
+    line.trim().parse().unwrap()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn load_bytes_read_is_what_the_kernel_was_asked_for() {
+    let _g = serial();
+    let source = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
+    let dir = universal_checkpoint_of(wide_model(), source, "rchar", DType::F32);
+    let target = ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1);
+    let before = rchar();
+    let counted = full_target_counters(&dir, &target)
+        .counter("load/bytes_read")
+        .unwrap_or(0) as f64;
+    // The window also holds the manifest read and the two reads of
+    // /proc/self/io itself — well inside the tolerance.
+    let kernel = (rchar() - before) as f64;
+    assert!(
+        (counted - kernel).abs() <= 0.01 * kernel,
+        "load/bytes_read {counted} vs rchar delta {kernel}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corruption_in_a_peers_part_of_a_span_fails_the_fetch_that_read_it() {
+    let _g = serial();
+    let source = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
+    let dir = universal_checkpoint_of(wide_model(), source, "spanfault", DType::F32);
+    let universal = layout::universal_dir(&dir, 2);
+    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    let target = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
+    let plans: Vec<LoadPlan> = (0..2)
+        .map(|rank| gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap())
+        .map(|plan| strided_entries(&plan))
+        .collect();
+
+    // Flip one payload byte of a row-split fp32 atom inside TP rank 1's
+    // first run: rank 0 never asks for it, but the span it fetches does.
+    let victim = &plans[1].entries[0];
+    let first_run = victim
+        .partition
+        .shard_segments(&victim.full_shape, 2, 1)
+        .iter()
+        .find_map(|s| s.src_offset)
+        .unwrap();
+    let atom = layout::atom_path(&universal, &victim.name, layout::AtomFile::Fp32);
+    let mut bytes = std::fs::read(&atom).unwrap();
+    let index =
+        ucp_repro::storage::ContainerIndex::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
+    let info = index.get("fp32").unwrap();
+    bytes[info.payload_offset as usize + 4 * first_run + 1] ^= 0x10;
+    std::fs::write(&atom, &bytes).unwrap();
+
+    // Rank 0's fetch reads and verifies the span, so it is the one that
+    // fails — typed — and the peer is never served the flipped byte.
+    let session = LoadSession::open(&dir, 2, LoadOptions::default()).unwrap();
+    for plan in &plans {
+        let err = session.load_plan(plan).unwrap_err().to_string();
+        assert!(err.contains("checksum mismatch"), "untyped failure: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
