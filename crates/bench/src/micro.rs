@@ -6,7 +6,9 @@
 //! gate derives throughput from) plus a counter holding the bytes one
 //! pass moves. The probes:
 //!
-//! - `bench/crc_sliced` — the production slicing-by-8 CRC-32C kernel.
+//! - `bench/crc_sliced` — the production CRC-32C kernel, through its
+//!   dispatcher: SSE4.2 `crc32` where the CPU has it, slicing-by-8
+//!   elsewhere (the span keeps the name it was baselined under).
 //! - `bench/crc_bytewise` — the classic byte-at-a-time loop (a local
 //!   copy; the production oracle is `#[cfg(test)]`). The ratio of the two
 //!   is the `crc_speedup` metric the acceptance gate holds ≥ 3×.
@@ -37,7 +39,7 @@ const REPEATS: usize = 5;
 
 /// The byte-at-a-time reference loop, kept here (not in `ucp-storage`,
 /// where the oracle is test-only) so the microbench can measure the
-/// speedup the slicing kernel buys on this exact machine.
+/// speedup the production kernel buys on this exact machine.
 fn crc32c_bytewise(bytes: &[u8]) -> u32 {
     const POLY: u32 = 0x82F6_3B78;
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();

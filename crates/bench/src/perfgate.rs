@@ -8,7 +8,8 @@
 //! (default 25%, sized for shared CI runners), plus optional absolute
 //! floors that hold regardless of what the baseline says — the CRC
 //! speedup floor of 3× is the repo's acceptance criterion for the
-//! slicing-by-8 kernel. Re-baselining after an intentional change is
+//! production kernel (set when that was slicing-by-8; the hardware kernel
+//! clears it with room). Re-baselining after an intentional change is
 //! documented in DESIGN.md ("Hot paths and perf gates").
 
 use ucp_telemetry::Report;

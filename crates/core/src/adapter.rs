@@ -18,11 +18,12 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use ucp_model::{param_specs, ModelConfig};
 use ucp_parallel::{ParallelConfig, ZeroStage};
+use ucp_storage::commit::Group;
 use ucp_storage::layout::{self, AtomFile};
 use ucp_storage::Container;
 use ucp_tensor::Tensor;
 
-use crate::assemble::{build_manifest, commit_universal, write_atom_file};
+use crate::assemble::{build_manifest, commit_universal, stage_atom};
 use crate::checkpoint::CommonState;
 use crate::manifest::{AtomMeta, UcpManifest};
 use crate::pattern::ParamPattern;
@@ -40,9 +41,9 @@ pub trait SourceAdapter {
 
 /// Algorithm 1's tail for a consolidated foreign source, shared by every
 /// adapter: `tensor_of(param, file)` is already the atom (each parameter
-/// is uniquely owned — the `unique_params` pattern), so each goes through
-/// the one durable atom writer and the tree is published by the one
-/// commit tail, exactly like a native conversion.
+/// is uniquely owned — the `unique_params` pattern), so each is staged by
+/// the one atom encoder and the tree is published by the one commit tail,
+/// exactly like a native conversion.
 fn publish_atoms<'t>(
     base: &Path,
     step: u64,
@@ -52,38 +53,40 @@ fn publish_atoms<'t>(
 ) -> Result<UcpManifest> {
     let universal = layout::universal_dir(base, step);
     std::fs::create_dir_all(&universal)?;
-    let pattern = ParamPattern::Unique;
+    let group = Group::new(true);
     let mut atoms = Vec::new();
     for spec in param_specs(&common.model) {
+        let meta = AtomMeta {
+            name: spec.name,
+            shape: spec.shape,
+            pattern: ParamPattern::Unique,
+        };
         for file in AtomFile::ALL {
-            let t = tensor_of(&spec.name, file)?;
-            if t.shape() != &spec.shape {
+            let t = tensor_of(&meta.name, file)?;
+            if t.shape() != &meta.shape {
                 return Err(UcpError::Inconsistent(format!(
                     "{source_label} {} {}: shape {} != spec {}",
-                    spec.name,
+                    meta.name,
                     file.state_key(),
                     t.shape(),
-                    spec.shape
+                    meta.shape
                 )));
             }
-            write_atom_file(
+            stage_atom(
+                &group,
                 &universal,
-                &spec.name,
-                &pattern,
+                &meta,
                 file,
-                t.clone(),
+                t.dtype(),
+                t.as_slice(),
                 "convert/atom_write",
             )?;
         }
-        atoms.push(AtomMeta {
-            name: spec.name,
-            shape: spec.shape,
-            pattern: pattern.clone(),
-        });
+        atoms.push(meta);
     }
     let mut manifest = build_manifest(common, atoms);
     manifest.source_label = source_label;
-    commit_universal(base, step, &manifest)?;
+    commit_universal(base, step, group, &manifest)?;
     Ok(manifest)
 }
 

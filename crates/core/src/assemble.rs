@@ -13,15 +13,18 @@
 //! buffer per TP rank and finalizes with the same f64-accumulate-in-rank-
 //! order mean as [`crate::ops::union_tp`], so the written atoms are
 //! bitwise identical to the offline result by construction: both paths
-//! move the same f32 values and commit them through [`write_atom_file`].
+//! move the same f32 values, encode them through [`stage_atom`] and commit
+//! a step's files as one [`Group`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use ucp_model::{param_specs, LayerRole, Partition, ShardSegment};
+use ucp_storage::commit::Group;
+use ucp_storage::container::{self, SectionRef};
 use ucp_storage::layout::{self, AtomFile};
-use ucp_storage::Container;
-use ucp_tensor::{Shape, Tensor};
+use ucp_tensor::{DType, Shape, Tensor};
 
 use crate::checkpoint::CommonState;
 use crate::language::UcpSpec;
@@ -31,11 +34,37 @@ use crate::pattern::{FragmentSpec, ParamPattern};
 use crate::util::par_map;
 use crate::{Result, UcpError};
 
-/// Serialize one atom checkpoint (header + single state section) and
-/// commit it durably. This is the only writer of atom files: the offline
-/// converter and the save pipeline both go through it, which is what makes
-/// their on-disk trees byte-identical. Returns the encoded size; the
-/// write latency is recorded under `span_path`.
+/// Serialize one atom checkpoint (header + single state section) into
+/// `atoms`, the group its step commits as one. This is the only encoder
+/// of atom files: the offline converter, the adapters and the save
+/// pipeline all stage through it, which is what makes their on-disk trees
+/// byte-identical. `data` is borrowed from wherever the consolidated
+/// values live. Returns the encoded size; the staging latency is recorded
+/// under `span_path`.
+pub fn stage_atom(
+    atoms: &Group,
+    universal_dir: &Path,
+    meta: &AtomMeta,
+    file: AtomFile,
+    dtype: DType,
+    data: &[f32],
+    span_path: &str,
+) -> Result<u64> {
+    let header = serde_json::to_string(meta)?;
+    let sections = [SectionRef {
+        name: file.state_key(),
+        dtype,
+        dims: meta.shape.dims(),
+        data,
+    }];
+    let path = layout::atom_path(universal_dir, &meta.name, file);
+    let _sp = ucp_telemetry::span(span_path);
+    container::stage_file(atoms, &path, &header, &sections)?;
+    Ok(container::encoded_len(&header, &sections) as u64)
+}
+
+/// [`stage_atom`] and commit of a single atom file on its own: durable
+/// when this returns.
 pub fn write_atom_file(
     universal_dir: &Path,
     name: &str,
@@ -44,20 +73,22 @@ pub fn write_atom_file(
     atom: Tensor,
     span_path: &str,
 ) -> Result<u64> {
-    let header = serde_json::to_string(&AtomMeta {
+    let meta = AtomMeta {
         name: name.to_string(),
         shape: atom.shape().clone(),
         pattern: pattern.clone(),
-    })?;
-    let mut c = Container::new(header);
-    c.push(file.state_key(), atom);
-    let path = layout::atom_path(universal_dir, name, file);
-    let bytes = c.encoded_len() as u64;
-    let _sp = ucp_telemetry::span(span_path);
-    // Commit ordering: every atom must be durable before the manifest
-    // that references it is written, which in turn precedes the
-    // `latest_universal` marker.
-    c.write_file_durable(&path)?;
+    };
+    let group = Group::new(true);
+    let bytes = stage_atom(
+        &group,
+        universal_dir,
+        &meta,
+        file,
+        atom.dtype(),
+        atom.as_slice(),
+        span_path,
+    )?;
+    group.commit()?;
     Ok(bytes)
 }
 
@@ -79,14 +110,21 @@ pub fn build_manifest(common: &CommonState, mut atoms: Vec<AtomMeta>) -> UcpMani
     }
 }
 
-/// Publish a universal checkpoint whose atoms are already durable under
-/// `base/global_step<step>_universal`: manifest, then the
-/// `latest_universal` marker, then the `UniversalPublished` journal
-/// record. The one commit tail of every offline producer (the converter
-/// and the cross-framework adapters); a crash anywhere in it leaves at
-/// worst an unreferenced universal dir, never a marker naming a
-/// half-written one.
-pub fn commit_universal(base: &Path, step: u64, manifest: &UcpManifest) -> Result<()> {
+/// Publish the universal checkpoint whose atom files are staged in
+/// `atoms` under `base/global_step<step>_universal`: commit the atoms,
+/// then the manifest, then the `latest_universal` marker, then the
+/// `UniversalPublished` journal record. The one commit tail of every
+/// offline producer (the converter and the cross-framework adapters); a
+/// crash anywhere in it leaves at worst an unreferenced universal dir,
+/// never a manifest naming an atom that is not durable or a marker naming
+/// a half-written tree.
+pub fn commit_universal(
+    base: &Path,
+    step: u64,
+    atoms: Group,
+    manifest: &UcpManifest,
+) -> Result<()> {
+    atoms.commit()?;
     manifest.save(&layout::universal_dir(base, step))?;
     layout::write_latest_universal(base, step)?;
     ucp_storage::journal::append(
@@ -240,13 +278,13 @@ impl ParamBuilder {
         Ok(())
     }
 
-    /// Materialize the three consolidated state buffers. The accumulators
-    /// are retained (the assembler reuses them across save steps), so
-    /// buffers are cloned out. `Average` reproduces `union_tp` exactly:
-    /// f64 accumulation in TP-rank order, divide, cast.
-    fn states(&self) -> [Vec<f32>; 3] {
-        [&self.keys[0], &self.keys[1], &self.keys[2]].map(|k| match k {
-            KeyAcc::Scatter(buf) | KeyAcc::Replicate(buf) => buf.clone(),
+    /// The consolidated buffer of state key `ki`, borrowed from the
+    /// accumulator the assembler keeps across save steps. Only `Average`
+    /// has to materialize anything: its mean reproduces `union_tp` exactly
+    /// — f64 accumulation in TP-rank order, divide, cast.
+    fn state(&self, ki: usize) -> Cow<'_, [f32]> {
+        match &self.keys[ki] {
+            KeyAcc::Scatter(buf) | KeyAcc::Replicate(buf) => Cow::Borrowed(buf),
             KeyAcc::Average(bufs) => {
                 let n = bufs.len() as f64;
                 let mut acc = vec![0.0f64; bufs[0].len()];
@@ -255,9 +293,9 @@ impl ParamBuilder {
                         *a += f64::from(*v);
                     }
                 }
-                acc.into_iter().map(|v| (v / n) as f32).collect()
+                Cow::Owned(acc.into_iter().map(|v| (v / n) as f32).collect())
             }
-        })
+        }
     }
 }
 
@@ -410,13 +448,15 @@ impl StageAssembler {
         self.finalize_step(workers, span_path, None)
     }
 
-    /// Verify coverage, then publish this step's atoms (parallel over
-    /// parameters, write latency under `span_path`): touched parameters
-    /// are rewritten from the patched consolidated buffers; clean ones
-    /// (complete from an earlier step, no fragments this step) are hard
-    /// linked from `link_from` — the previous universal step's directory —
-    /// instead of being rewritten. Skipped (other-stage-owned) parameters
-    /// are accounted but never published.
+    /// Verify coverage, then publish this step's atoms: touched
+    /// parameters are rewritten from the patched consolidated buffers;
+    /// clean ones (complete from an earlier step, no fragments this step)
+    /// are hard linked from `link_from` — the previous universal step's
+    /// directory — instead of being rewritten. Skipped (other-stage-owned)
+    /// parameters are accounted but never published. The workers
+    /// (parallel over parameters, staging latency under `span_path`) only
+    /// stage; writes and links alike are committed as one group before
+    /// this returns, so the caller may write the manifest next.
     ///
     /// Coverage rules: a parameter that has never been complete must be
     /// fully covered this step (first save sends everything); once
@@ -445,6 +485,9 @@ impl StageAssembler {
         let universal = self.universal_dir.clone();
         let entries: Vec<(&String, &ParamBuilder)> =
             self.params.iter().filter(|(_, b)| !b.skip).collect();
+        // The workers only stage; the step's writes and hard links become
+        // durable together below.
+        let atoms = Group::new(true);
         let published = par_map(entries.len(), workers, |i| {
             let (name, b) = entries[i];
             let meta = AtomMeta {
@@ -463,19 +506,27 @@ impl StageAssembler {
                         let src = layout::atom_path(prev, name, file);
                         let dst = layout::atom_path(&universal, name, file);
                         linked += std::fs::metadata(&src)?.len();
-                        ucp_storage::commit::link_file_durable(&src, &dst)?;
+                        atoms.link(&src, &dst)?;
                     }
                     return Ok((meta, 0u64, linked));
                 }
             }
-            let states = b.states();
             let mut bytes = 0u64;
-            for (file, data) in AtomFile::ALL.into_iter().zip(states) {
-                let atom = Tensor::from_vec(data, b.shape.clone()).map_err(UcpError::Tensor)?;
-                bytes += write_atom_file(&universal, name, &meta.pattern, file, atom, span_path)?;
+            for (ki, file) in AtomFile::ALL.into_iter().enumerate() {
+                let data = b.state(ki);
+                bytes += stage_atom(
+                    &atoms,
+                    &universal,
+                    &meta,
+                    file,
+                    DType::F32,
+                    &data,
+                    span_path,
+                )?;
             }
             Ok((meta, bytes, 0u64))
         })?;
+        atoms.commit()?;
         // Every parameter now has a full image (in the buffers and, for
         // non-skip ones, on disk): later steps may patch partially.
         for b in self.params.values_mut() {
@@ -508,6 +559,7 @@ mod tests {
     use crate::ops::{extract_flat, strip_padding, union_tp};
     use ucp_model::{ModelConfig, ParamSpec};
     use ucp_parallel::{FlatLayout, ParallelConfig, ZeroStage};
+    use ucp_storage::Container;
     use ucp_tensor::DetRng;
 
     fn common(parallel: ParallelConfig) -> CommonState {
@@ -704,14 +756,13 @@ mod tests {
                 .unwrap();
             }
         }
-        let states = b.states();
         let shards: Vec<Tensor> = copies
             .iter()
             .map(|d| Tensor::from_vec(d.clone(), shape.clone()).unwrap())
             .collect();
         let expect = union_tp(&ParamPattern::ToAverage, &shards, false).unwrap();
-        for s in states {
-            let t = Tensor::from_vec(s, shape.clone()).unwrap();
+        for ki in 0..3 {
+            let t = Tensor::from_vec(b.state(ki).into_owned(), shape.clone()).unwrap();
             assert!(t.bitwise_eq(&expect));
         }
     }

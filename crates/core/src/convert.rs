@@ -31,11 +31,12 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use ucp_model::{param_specs, ParamSpec};
+use ucp_storage::commit::Group;
 use ucp_storage::layout::AtomFile;
 use ucp_storage::{layout, Container};
 use ucp_tensor::Tensor;
 
-use crate::assemble::{commit_universal, write_atom_file};
+use crate::assemble::{commit_universal, stage_atom};
 use crate::checkpoint::{load_optim_states, CommonState, OptimShard};
 use crate::language::UcpSpec;
 use crate::manifest::{AtomMeta, UcpManifest};
@@ -249,7 +250,7 @@ fn assemble_slice(
 
 /// Where a finished `[fp32, exp_avg, exp_avg_sq]` atom goes; returns the
 /// bytes it wrote.
-pub(crate) type AtomSink<'a> = dyn Fn(&str, &ParamPattern, [Tensor; 3]) -> Result<u64> + Sync + 'a;
+pub(crate) type AtomSink<'a> = dyn Fn(&AtomMeta, [Tensor; 3]) -> Result<u64> + Sync + 'a;
 
 /// Algorithm 1's body, the only consolidation in the crate: Extract → flat
 /// Union → pattern-dispatched TP Union → StripPadding for every parameter
@@ -335,16 +336,13 @@ pub(crate) fn consolidate(
                 }
                 Ok(atom)
             };
-            let bytes = sink(
-                name,
-                &pattern,
-                [union_key(0)?, union_key(1)?, union_key(2)?],
-            )?;
+            let atom = [union_key(0)?, union_key(1)?, union_key(2)?];
             let meta = AtomMeta {
                 name: name.clone(),
                 shape: spec_entry.shape.clone(),
                 pattern,
             };
+            let bytes = sink(&meta, atom)?;
             Ok((meta, bytes))
         })?;
         stats.union_secs += t1.elapsed().as_secs_f64();
@@ -383,18 +381,20 @@ pub fn convert_to_universal(
         spill: spill_dir.as_deref(),
         first: Mutex::new(Some(first)),
     };
-    // Shared with the born-universal save pipeline: both paths commit
-    // atoms through the same writer, which is what keeps their on-disk
-    // trees byte-identical.
-    let (manifest, stats) = consolidate(&common, &source, opts, &|name, pattern, atom| {
+    // Shared with the born-universal save pipeline: both paths stage
+    // atoms through the same encoder and commit them as one group, which
+    // is what keeps their on-disk trees byte-identical.
+    let atoms = Group::new(true);
+    let (manifest, stats) = consolidate(&common, &source, opts, &|meta, atom| {
         let mut bytes = 0u64;
-        for (file, tensor) in AtomFile::ALL.into_iter().zip(atom) {
-            bytes += write_atom_file(
+        for (file, tensor) in AtomFile::ALL.into_iter().zip(&atom) {
+            bytes += stage_atom(
+                &atoms,
                 &universal,
-                name,
-                pattern,
+                meta,
                 file,
-                tensor,
+                tensor.dtype(),
+                tensor.as_slice(),
                 "convert/atom_write",
             )?;
         }
@@ -404,7 +404,7 @@ pub fn convert_to_universal(
     if let Some(spill) = &spill_dir {
         std::fs::remove_dir_all(spill).ok();
     }
-    commit_universal(base, step, &manifest)?;
+    commit_universal(base, step, atoms, &manifest)?;
     ucp_telemetry::count("convert/atoms_written", stats.atoms_written as u64);
     ucp_telemetry::count("convert/bytes_written", stats.bytes_written);
     Ok((manifest, stats))

@@ -29,7 +29,7 @@
 //!   arbitrary new parallelism configuration; the one plan executor,
 //!   serving disk sessions and [`memory`] alike.
 //! - [`adapter`] — cross-framework sources (a PyTorch-Lightning-style
-//!   consolidated checkpoint flavor) written through the same atom writer
+//!   consolidated checkpoint flavor) written through the same atom encoder
 //!   and commit tail ([`assemble::commit_universal`]) as a conversion.
 
 pub mod adapter;
@@ -46,7 +46,9 @@ pub mod ops;
 pub mod pattern;
 pub mod util;
 
-pub use assemble::{build_manifest, commit_universal, write_atom_file, StageAssembler, StageAtoms};
+pub use assemble::{
+    build_manifest, commit_universal, stage_atom, write_atom_file, StageAssembler, StageAtoms,
+};
 pub use atom_cache::AtomCache;
 pub use checkpoint::{CommonState, OptimShard, OptimShardRef};
 pub use convert::{convert_to_universal, ConvertOptions, ConvertStats};

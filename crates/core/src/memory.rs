@@ -99,8 +99,8 @@ impl MemoryCheckpoint {
             &common,
             &ChunkSource::Memory(&by_coord),
             &ConvertOptions::default(),
-            &|name, _, atom| {
-                atoms.lock().insert(name.to_string(), atom);
+            &|meta, atom| {
+                atoms.lock().insert(meta.name.clone(), atom);
                 Ok(0)
             },
         )?;

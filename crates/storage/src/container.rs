@@ -142,6 +142,19 @@ fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), values.len() * 4) }
 }
 
+/// The mirror of [`f32_bytes_mut`] for the write side: on a little-endian
+/// target an fp32 payload *is* its values' memory, so it is written and
+/// hashed from there with no encode pass. `None` on a big-endian target,
+/// where the payload has to be encoded.
+pub(crate) fn f32_le_bytes(values: &[f32]) -> Option<&[u8]> {
+    // SAFETY: `f32` has no padding and every byte of an initialized `f32`
+    // is an initialized `u8`; `u8` has alignment 1; the byte length is
+    // exactly the slice's and the view shares its lifetime, so the values
+    // cannot be written or freed while it is alive.
+    cfg!(target_endian = "little")
+        .then(|| unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), values.len() * 4) })
+}
+
 /// Read-ahead for parsing an index through [`ContainerIndex::read_head`]:
 /// an atom file's preamble and section metadata (≈ 150–300 bytes) fit in
 /// one fill.
@@ -216,20 +229,28 @@ fn encode<W: Write + ?Sized>(
         if version >= 2 {
             w.write_all(&RANGE_CRC_BLOCK.to_le_bytes())?;
         }
-        // Stream the payload: each chunk of elements is encoded into
-        // the scratch buffer, written out, and fed to the hashers in a
-        // single pass — the block-CRC table and the whole-payload CRC
-        // come out of the same traversal that wrote the bytes.
+        // Stream the payload: each chunk of elements is written out and
+        // fed to the hashers in a single pass — the block-CRC table and
+        // the whole-payload CRC come out of the same traversal that wrote
+        // the bytes. A 16-bit chunk is encoded into the scratch buffer
+        // first; a little-endian fp32 chunk goes out as it lies in memory.
         let mut block = BlockCrc::new(RANGE_CRC_BLOCK as usize);
         let mut whole = Crc32c::new();
         for values in s.data.chunks(ENCODE_CHUNK_ELEMS) {
-            scratch.clear();
-            s.dtype.encode(values, &mut scratch);
-            w.write_all(&scratch)?;
+            let in_place = match s.dtype {
+                DType::F32 => f32_le_bytes(values),
+                DType::F16 | DType::BF16 => None,
+            };
+            let bytes = in_place.unwrap_or_else(|| {
+                scratch.clear();
+                s.dtype.encode(values, &mut scratch);
+                &scratch
+            });
+            w.write_all(bytes)?;
             if version >= 2 {
-                block.update(&scratch);
+                block.update(bytes);
             } else {
-                whole.update(&scratch);
+                whole.update(bytes);
             }
         }
         // The trailer goes out as one write. v2: the block table, then a
@@ -248,6 +269,31 @@ fn encode<W: Write + ?Sized>(
         w.write_all(&scratch)?;
     }
     Ok(())
+}
+
+/// Serialized size in bytes of a current-version container holding
+/// `header` and `sections` (what [`stage_file`] will write).
+pub fn encoded_len(header: &str, sections: &[SectionRef<'_>]) -> usize {
+    let mut n = 4 + 4 + 4 + header.len() + 4 + 4;
+    for s in sections {
+        let payload = s.data.len() * s.dtype.size_bytes();
+        n += 2 + s.name.len() + 1 + 1 + 8 * s.dims.len() + 8 + 4;
+        // Payload, per-block CRC table, trailing whole-payload CRC.
+        n += payload + 4 * payload.div_ceil(RANGE_CRC_BLOCK as usize) + 4;
+    }
+    n
+}
+
+/// Stage `header` and `sections` into `group` as a current-version
+/// container at `path`; it becomes visible (and, for a durable group,
+/// durable) with the rest of the group at [`commit::Group::commit`].
+pub fn stage_file(
+    group: &commit::Group,
+    path: &Path,
+    header: &str,
+    sections: &[SectionRef<'_>],
+) -> Result<()> {
+    group.stage(path, |w| encode(w, VERSION, header, sections))
 }
 
 /// Write `header` and `sections` to `path` as a current-version container,
@@ -392,14 +438,7 @@ impl Container {
 
     /// Serialized size in bytes (what [`Container::write_to`] will write).
     pub fn encoded_len(&self) -> usize {
-        let mut n = 4 + 4 + 4 + self.header.len() + 4 + 4;
-        for s in &self.sections {
-            let payload = s.tensor.num_elements() * s.tensor.dtype().size_bytes();
-            n += 2 + s.name.len() + 1 + 1 + 8 * s.tensor.shape().rank() + 8 + 4;
-            // Payload, per-block CRC table, trailing whole-payload CRC.
-            n += payload + 4 * payload.div_ceil(RANGE_CRC_BLOCK as usize) + 4;
-        }
-        n
+        encoded_len(&self.header, &self.section_refs())
     }
 
     fn section_refs(&self) -> Vec<SectionRef<'_>> {
@@ -1484,6 +1523,36 @@ mod tests {
         let mut v1 = Vec::new();
         c.write_to_v1(&mut v1).unwrap();
         assert_eq!((v1.len(), crc32c(&v1)), (222, 0x64a9_fd0f));
+    }
+
+    /// Sections longer than one encode chunk, in each dtype: the payload
+    /// the chunked encoder wrote (fp32 from the byte view, 16-bit a chunk
+    /// at a time) equals the elements encoded one by one (`DType::encode`
+    /// is itself held to `to_le_bytes()` in `ucp-tensor`), and reads back
+    /// bit for bit.
+    #[test]
+    fn multi_chunk_sections_match_the_per_element_encoding() {
+        let n = 2 * ENCODE_CHUNK_ELEMS + 4321;
+        let mut c = Container::new("{}");
+        for dtype in [DType::F32, DType::BF16, DType::F16] {
+            let t = Tensor::randn([n], 3.0, &DetRng::new(77).derive(&dtype.to_string()));
+            c.push(dtype.to_string(), t.cast(dtype));
+        }
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
+        for (info, section) in index.sections.iter().zip(&c.sections) {
+            let mut want = Vec::new();
+            for v in section.tensor.as_slice() {
+                info.dtype.encode(std::slice::from_ref(v), &mut want);
+            }
+            let at = info.payload_offset as usize;
+            assert!(buf[at..at + want.len()] == want[..], "{}", info.name);
+        }
+        let back = Container::read_from(&mut buf.as_slice()).unwrap();
+        for (orig, read) in c.sections.iter().zip(&back.sections) {
+            assert!(orig.tensor.bitwise_eq(&read.tensor), "{}", orig.name);
+        }
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! CRC-32C (Castagnoli) checksums for checkpoint integrity.
 //!
 //! The hot loops here sit on the checkpoint critical path: every payload
-//! byte written or verified flows through them, once for the per-block
-//! table and once for the whole-payload checksum. The update kernel uses
-//! *slicing-by-8* — eight interleaved 256-entry tables consuming 8 input
-//! bytes per step — which runs several times faster than the classic
-//! byte-at-a-time loop (the CI perf gate asserts ≥ 3×; see
-//! `results/BENCH_baseline.json`). The byte-wise loop survives as a
-//! `#[cfg(test)]` reference oracle that the property tests compare
-//! against.
+//! byte written or verified flows through them. Two kernels advance the
+//! same register. On x86-64 with SSE4.2 (detected at run time) the `crc32`
+//! instruction consumes 8 input bytes per step; everywhere else
+//! *slicing-by-8* — eight interleaved 256-entry tables — does. The sliced
+//! kernel is also the oracle: the property tests call both kernels
+//! directly and hold each to the byte-at-a-time loop, which survives as a
+//! `#[cfg(test)]` reference. (AArch64 has `crc32c*` instructions too; that
+//! kernel waits for a runner that can execute it.)
+//!
+//! A v2 section needs two checksums of every byte — its block's and the
+//! whole payload's. [`BlockCrc`] advances both registers over each word in
+//! one loop: the two dependency chains are independent, so on the hardware
+//! kernel the second hash hides in the first one's latency.
 
 /// The Castagnoli polynomial (reflected form).
 const POLY: u32 = 0x82F6_3B78;
 
-/// Input bytes consumed per slicing step.
+/// Input bytes consumed per step, by either kernel.
 const SLICE: usize = 8;
 
 /// Lazily-built slicing-by-8 lookup tables. `TABLES[0]` is the classic
@@ -49,8 +54,7 @@ fn tables() -> &'static [[u32; 256]; SLICE] {
 /// Advance `state` over `bytes` with the slicing-by-8 kernel. The state is
 /// the *internal* (pre-inversion) CRC register, so updates compose across
 /// arbitrary split points.
-#[inline]
-fn update_state(mut state: u32, bytes: &[u8]) -> u32 {
+fn update_sliced(mut state: u32, bytes: &[u8]) -> u32 {
     let t = tables();
     let mut chunks = bytes.chunks_exact(SLICE);
     for c in &mut chunks {
@@ -69,6 +73,64 @@ fn update_state(mut state: u32, bytes: &[u8]) -> u32 {
         state = (state >> 8) ^ t[0][((state ^ u32::from(b)) & 0xFF) as usize];
     }
     state
+}
+
+/// The SSE4.2 kernel, or `None` where the instruction is missing.
+/// Advances two registers over the same bytes (see the module docs); a
+/// caller with one checksum to compute passes it twice.
+#[cfg(target_arch = "x86_64")]
+fn update_pair_hw(a: u32, b: u32, bytes: &[u8]) -> Option<(u32, u32)> {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+
+    /// # Safety
+    /// The CPU must support SSE4.2.
+    #[target_feature(enable = "sse4.2")]
+    unsafe fn kernel(a: u32, b: u32, bytes: &[u8]) -> (u32, u32) {
+        let (mut a, mut b) = (u64::from(a), u64::from(b));
+        let mut chunks = bytes.chunks_exact(SLICE);
+        for c in &mut chunks {
+            let word = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+            a = _mm_crc32_u64(a, word);
+            b = _mm_crc32_u64(b, word);
+        }
+        // The instruction leaves the upper half of its result zero.
+        let (mut a, mut b) = (a as u32, b as u32);
+        for &byte in chunks.remainder() {
+            a = _mm_crc32_u8(a, byte);
+            b = _mm_crc32_u8(b, byte);
+        }
+        (a, b)
+    }
+
+    // The macro caches its CPUID probe: after the first call this is one
+    // relaxed load.
+    if !std::arch::is_x86_feature_detected!("sse4.2") {
+        return None;
+    }
+    // SAFETY: SSE4.2 was detected on the line above.
+    Some(unsafe { kernel(a, b, bytes) })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn update_pair_hw(_: u32, _: u32, _: &[u8]) -> Option<(u32, u32)> {
+    None
+}
+
+/// Advance the registers `a` and `b` over the same `bytes`, on the
+/// hardware kernel where there is one.
+#[inline]
+fn update_pair(a: u32, b: u32, bytes: &[u8]) -> (u32, u32) {
+    update_pair_hw(a, b, bytes)
+        .unwrap_or_else(|| (update_sliced(a, bytes), update_sliced(b, bytes)))
+}
+
+/// Advance one register over `bytes` (the fallback walks them once).
+#[inline]
+fn update_state(state: u32, bytes: &[u8]) -> u32 {
+    match update_pair_hw(state, state, bytes) {
+        Some((advanced, _)) => advanced,
+        None => update_sliced(state, bytes),
+    }
 }
 
 /// Streaming CRC-32C hasher.
@@ -105,6 +167,22 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     !update_state(!0, bytes)
 }
 
+/// One-shot checksum of `values`' little-endian bytes — what a container
+/// stores for an fp32 section — without building them: on a little-endian
+/// target the values' own memory is hashed.
+pub fn crc32c_f32(values: &[f32]) -> u32 {
+    if let Some(bytes) = crate::container::f32_le_bytes(values) {
+        return crc32c(bytes);
+    }
+    let (mut hasher, mut bytes) = (Crc32c::new(), Vec::new());
+    for chunk in values.chunks(16 * 1024) {
+        bytes.clear();
+        ucp_tensor::DType::F32.encode(chunk, &mut bytes);
+        hasher.update(&bytes);
+    }
+    hasher.finish()
+}
+
 /// Per-block checksums: one CRC-32C per `block`-byte chunk of `data` (the
 /// final chunk may be short; empty data yields an empty table). This is
 /// the checksum granularity that lets a reader verify an arbitrary byte
@@ -113,7 +191,7 @@ pub fn crc32c_blocks(data: &[u8], block: usize) -> Vec<u32> {
     data.chunks(block.max(1)).map(crc32c).collect()
 }
 
-/// Single-pass combined hasher for the v2 section layout: feeds each byte
+/// Single-pass combined hasher for the v2 section layout: reads each byte
 /// once and yields both the per-`block` CRC table and the independent
 /// whole-payload CRC. The container codec streams payloads through this in
 /// fixed-size chunks, so neither writing nor verifying a section ever
@@ -122,8 +200,10 @@ pub fn crc32c_blocks(data: &[u8], block: usize) -> Vec<u32> {
 pub struct BlockCrc {
     block: usize,
     fill: usize,
-    block_hasher: Crc32c,
-    whole_hasher: Crc32c,
+    /// Registers (pre-inversion) of the block in progress and of the
+    /// whole payload.
+    block_state: u32,
+    whole_state: u32,
     table: Vec<u32>,
 }
 
@@ -133,8 +213,8 @@ impl BlockCrc {
         BlockCrc {
             block: block.max(1),
             fill: 0,
-            block_hasher: Crc32c::new(),
-            whole_hasher: Crc32c::new(),
+            block_state: !0,
+            whole_state: !0,
             table: Vec::new(),
         }
     }
@@ -142,18 +222,18 @@ impl BlockCrc {
     /// Absorb payload bytes (any chunking; block boundaries are tracked
     /// internally).
     pub fn update(&mut self, bytes: &[u8]) {
-        self.whole_hasher.update(bytes);
         let mut rest = bytes;
         while !rest.is_empty() {
-            let take = (self.block - self.fill).min(rest.len());
-            self.block_hasher.update(&rest[..take]);
-            self.fill += take;
+            let (head, tail) = rest.split_at((self.block - self.fill).min(rest.len()));
+            (self.block_state, self.whole_state) =
+                update_pair(self.block_state, self.whole_state, head);
+            self.fill += head.len();
             if self.fill == self.block {
-                self.table.push(self.block_hasher.finish());
-                self.block_hasher = Crc32c::new();
+                self.table.push(!self.block_state);
+                self.block_state = !0;
                 self.fill = 0;
             }
-            rest = &rest[take..];
+            rest = tail;
         }
     }
 
@@ -161,9 +241,9 @@ impl BlockCrc {
     /// the whole-payload CRC.
     pub fn finish(mut self) -> (Vec<u32>, u32) {
         if self.fill > 0 {
-            self.table.push(self.block_hasher.finish());
+            self.table.push(!self.block_state);
         }
-        (self.table, self.whole_hasher.finish())
+        (self.table, !self.whole_state)
     }
 }
 
@@ -171,41 +251,54 @@ impl BlockCrc {
 mod tests {
     use super::*;
 
-    /// The pre-slicing byte-at-a-time loop, kept as the reference oracle
-    /// the optimized kernel is validated against.
-    fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+    /// The byte-at-a-time loop, kept as the reference oracle both kernels
+    /// are validated against.
+    fn update_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
         let t = &tables()[0];
-        let mut state = !0u32;
         for &b in bytes {
             state = (state >> 8) ^ t[((state ^ u32::from(b)) & 0xFF) as usize];
         }
-        !state
+        state
+    }
+
+    fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+        !update_bytewise(!0, bytes)
+    }
+
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// Every kernel this machine can run, called directly rather than
+    /// through the dispatcher: slicing-by-8 always, the hardware one where
+    /// the instruction exists (so on such a runner the fallback every
+    /// other target depends on is still exercised).
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut out: Vec<(&'static str, Kernel)> = vec![("sliced", update_sliced)];
+        if update_pair_hw(0, 0, &[]).is_some() {
+            out.push(("hw", |s, b| update_pair_hw(s, s, b).expect("detected").0));
+        }
+        out
     }
 
     #[test]
     fn known_vectors() {
-        // RFC 3720 test vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
-        // The iSCSI "32 bytes incrementing" and "32 bytes decrementing"
-        // vectors, also from RFC 3720 §B.4.
+        // RFC 3720 §B.4 test vectors, the "32 bytes incrementing" and
+        // "32 bytes decrementing" iSCSI ones included.
         let inc: Vec<u8> = (0u8..32).collect();
-        assert_eq!(crc32c(&inc), 0x46DD_794E);
         let dec: Vec<u8> = (0u8..32).rev().collect();
-        assert_eq!(crc32c(&dec), 0x113F_DB5C);
-    }
-
-    #[test]
-    fn known_vectors_match_bytewise_oracle() {
-        for data in [
-            &b""[..],
-            &b"123456789"[..],
-            &[0u8; 32][..],
-            &[0xFFu8; 32][..],
-        ] {
-            assert_eq!(crc32c(data), crc32c_bytewise(data));
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+            (&inc, 0x46DD_794E),
+            (&dec, 0x113F_DB5C),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(crc32c(data), want);
+            assert_eq!(crc32c_bytewise(data), want);
+            for (name, kernel) in kernels() {
+                assert_eq!(!kernel(!0, data), want, "{name}");
+            }
         }
     }
 
@@ -221,13 +314,28 @@ mod tests {
     #[test]
     fn unaligned_lengths_and_offsets_agree_with_oracle() {
         // Exercise every remainder length and a misaligned start, so both
-        // the 8-byte kernel and the byte-wise tail are covered.
+        // the 8-byte step and the byte-wise tail of each kernel are covered.
         let data: Vec<u8> = (0..64u32).map(|i| (i * 7 + 13) as u8).collect();
         for start in 0..9 {
             for end in start..data.len() {
                 let s = &data[start..end];
-                assert_eq!(crc32c(s), crc32c_bytewise(s), "slice {start}..{end}");
+                let want = crc32c_bytewise(s);
+                assert_eq!(crc32c(s), want, "slice {start}..{end}");
+                for (name, kernel) in kernels() {
+                    assert_eq!(!kernel(!0, s), want, "{name} slice {start}..{end}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn f32_checksum_is_the_checksum_of_the_le_bytes() {
+        let values: Vec<f32> = (0..20_000)
+            .map(|i| f32::from_bits(0x9E37_79B9u32.wrapping_mul(i)))
+            .collect();
+        for n in [0, 1, 3, 1024, 20_000] {
+            let bytes: Vec<u8> = values[..n].iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(crc32c_f32(&values[..n]), crc32c(&bytes), "{n} values");
         }
     }
 
@@ -271,16 +379,20 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Slicing-by-8 one-shot, the streaming hasher over arbitrary
-            /// `update()` split points, and the byte-wise reference oracle
-            /// all agree on arbitrary inputs.
+            /// The dispatched one-shot, the streaming hasher and each
+            /// kernel called directly — over arbitrary `update()` split
+            /// points and from an unaligned start — all agree with the
+            /// byte-wise reference oracle on arbitrary inputs; the pair
+            /// kernel keeps two different registers apart.
             #[test]
             fn prop_sliced_streaming_and_bytewise_agree(
                 data in prop::collection::vec((0u16..256).prop_map(|v| v as u8), 0..2048),
                 splits in prop::collection::vec(0.0f64..1.0, 0..6),
+                skew in 0usize..8,
             ) {
-                let oracle = crc32c_bytewise(&data);
-                prop_assert_eq!(crc32c(&data), oracle);
+                let data = &data[skew.min(data.len())..];
+                let oracle = crc32c_bytewise(data);
+                prop_assert_eq!(crc32c(data), oracle);
 
                 let mut cuts: Vec<usize> = splits
                     .iter()
@@ -295,9 +407,22 @@ mod tests {
                     h.update(&data[w[0]..w[1]]);
                 }
                 prop_assert_eq!(h.finish(), oracle);
+
+                for (name, kernel) in kernels() {
+                    prop_assert_eq!(!kernel(!0, data), oracle, "{}", name);
+                    let split = cuts.windows(2).fold(!0, |s, w| kernel(s, &data[w[0]..w[1]]));
+                    prop_assert_eq!(!split, oracle, "{} over {:?}", name, &cuts);
+                }
+                let other = 0x1234_5678;
+                let want = (update_bytewise(!0, data), update_bytewise(other, data));
+                prop_assert_eq!(update_pair(!0, other, data), want);
+                if let Some(pair) = update_pair_hw(!0, other, data) {
+                    prop_assert_eq!(pair, want);
+                }
             }
 
-            /// The single-pass block hasher matches the per-chunk oracle
+            /// The single-pass block hasher matches the per-chunk oracle —
+            /// and the two-pass `crc32c_blocks` + `crc32c` it replaces —
             /// for any block size and any update chunking.
             #[test]
             fn prop_block_crc_matches_oracle(
@@ -311,8 +436,10 @@ mod tests {
                 }
                 let (table, whole) = h.finish();
                 let want: Vec<u32> = data.chunks(block).map(crc32c_bytewise).collect();
-                prop_assert_eq!(table, want);
+                prop_assert_eq!(&table, &want);
                 prop_assert_eq!(whole, crc32c_bytewise(&data));
+                prop_assert_eq!(table, crc32c_blocks(&data, block));
+                prop_assert_eq!(whole, crc32c(&data));
             }
         }
     }

@@ -39,7 +39,7 @@ use std::time::Duration;
 use ucp_collectives::exchange::Mesh;
 use ucp_core::checkpoint::CommonState;
 use ucp_core::{HotShard, MemoryCheckpoint};
-use ucp_storage::crc::crc32c;
+use ucp_storage::crc::crc32c_f32;
 
 use crate::dirty::DirtyMap;
 
@@ -165,9 +165,9 @@ impl HotTier {
             (mesh, s.world, first)
         };
         let crc = [
-            crc_f32(&shard.shard.fp32),
-            crc_f32(&shard.shard.exp_avg),
-            crc_f32(&shard.shard.exp_avg_sq),
+            crc32c_f32(&shard.shard.fp32),
+            crc32c_f32(&shard.shard.exp_avg),
+            crc32c_f32(&shard.shard.exp_avg_sq),
         ];
         let msg = if first {
             HotMsg::Full {
@@ -223,9 +223,9 @@ impl HotTier {
         let replica = match msg {
             HotMsg::Full { shard, crc } => {
                 let got = [
-                    crc_f32(&shard.shard.fp32),
-                    crc_f32(&shard.shard.exp_avg),
-                    crc_f32(&shard.shard.exp_avg_sq),
+                    crc32c_f32(&shard.shard.fp32),
+                    crc32c_f32(&shard.shard.exp_avg),
+                    crc32c_f32(&shard.shard.exp_avg_sq),
                 ];
                 if got != crc {
                     ucp_telemetry::count("hot/replica_rejected", 1);
@@ -256,9 +256,9 @@ impl HotTier {
                 patch_runs(&mut shard.shard.exp_avg, &runs, &data[1]);
                 patch_runs(&mut shard.shard.exp_avg_sq, &runs, &data[2]);
                 let got = [
-                    crc_f32(&shard.shard.fp32),
-                    crc_f32(&shard.shard.exp_avg),
-                    crc_f32(&shard.shard.exp_avg_sq),
+                    crc32c_f32(&shard.shard.fp32),
+                    crc32c_f32(&shard.shard.exp_avg),
+                    crc32c_f32(&shard.shard.exp_avg_sq),
                 ];
                 if got != crc {
                     ucp_telemetry::count("hot/replica_rejected", 1);
@@ -337,9 +337,9 @@ impl HotTier {
                     .expect("holder chosen because it has the step");
                 // Guard against in-memory rot between install and serve.
                 let got = [
-                    crc_f32(&replica.shard.shard.fp32),
-                    crc_f32(&replica.shard.shard.exp_avg),
-                    crc_f32(&replica.shard.shard.exp_avg_sq),
+                    crc32c_f32(&replica.shard.shard.fp32),
+                    crc32c_f32(&replica.shard.shard.exp_avg),
+                    crc32c_f32(&replica.shard.shard.exp_avg_sq),
                 ];
                 if got != replica.crc {
                     ucp_telemetry::count("hot/replica_rejected", 1);
@@ -381,15 +381,6 @@ impl HotTier {
             .map(|r| r.shard.payload_bytes())
             .sum()
     }
-}
-
-/// CRC-32C over an f32 slice's little-endian bytes.
-fn crc_f32(xs: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(xs.len() * 4);
-    for x in xs {
-        bytes.extend_from_slice(&x.to_le_bytes());
-    }
-    crc32c(&bytes)
 }
 
 /// Intersect the dirty tracker's parameter-space ranges with this rank's
@@ -451,6 +442,24 @@ fn patch_runs(chunk: &mut [f32], runs: &[(usize, usize)], data: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A replica's tags are the CRC-32C of each chunk's little-endian
+    /// bytes. They are now hashed from the values in place; what they
+    /// mean must not move, so hold them to the byte vector they used to be
+    /// computed from.
+    #[test]
+    fn replica_tags_are_the_crc_of_the_le_byte_image() {
+        let chunk: Vec<f32> = (0..4099u32)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)))
+            .collect();
+        for xs in [&chunk[..], &chunk[..1], &chunk[3..1030], &[]] {
+            let mut bytes = Vec::with_capacity(xs.len() * 4);
+            for x in xs {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            assert_eq!(crc32c_f32(xs), ucp_storage::crc::crc32c(&bytes));
+        }
+    }
 
     /// The ring placement invariants behind the recovery guarantee: K + 1
     /// distinct copies per source, holders/wards are inverse relations,

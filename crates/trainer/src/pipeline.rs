@@ -20,8 +20,9 @@
 //!                 (filtered to the snapshot's dirty ranges)
 //! stage assembler (tp=0, zero=0 rank of each pp stage) absorb every
 //!                 (tp, zero) contribution in order, patch them into the
-//!                 stage's carried atom builders, rewrite dirty atoms and
-//!                 hard-link clean ones, send StageDone to the publisher
+//!                 stage's carried atom builders, stage dirty atoms'
+//!                 rewrites and clean ones' hard links, commit them as one
+//!                 group, send StageDone to the publisher
 //! publisher       (cluster rank 0) collect StageDone from every stage,
 //!                 write the manifest durably
 //! ```
@@ -358,7 +359,8 @@ pub(crate) fn run_writer(
     // Stage assembler: absorb every (tp, zero) contribution of this stage
     // — ascending tp, so replicated copies verify against the tp-0 one —
     // then publish the stage's atoms: dirty ones rewritten from the
-    // patched buffers, clean ones hard-linked from the previous step.
+    // patched buffers, clean ones hard-linked from the previous step, all
+    // of them durable (one group commit) when `finalize_step` returns.
     if rank == assembler_rank(&p, snapshot.pp) {
         // Consecutive steps patch the same carried buffers, so they must
         // finalize in step order: wait for this rank's previous writer

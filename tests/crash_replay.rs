@@ -22,9 +22,10 @@ use std::collections::BTreeSet;
 use ucp_repro::core::adapter::{save_litsim_checkpoint, LitSimAdapter, SourceAdapter};
 use ucp_repro::core::assemble::{commit_universal, write_atom_file};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::{fsck, FsckOptions, ParamPattern};
+use ucp_repro::core::{fsck, FsckOptions, ParamPattern, UcpManifest};
 use ucp_repro::model::{param_specs, ModelConfig};
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
+use ucp_repro::storage::commit::Group;
 use ucp_repro::storage::io::fault;
 use ucp_repro::storage::layout::{self, AtomFile};
 use ucp_repro::tensor::{DetRng, Tensor};
@@ -181,31 +182,62 @@ fn save_crash_replay_sweeps_kill_points() {
     assert_kinds_hit("save", &kinds, &["data write", "commit.rename"]);
 }
 
+/// Kill points of `commit_universal` once its atoms are committed: the
+/// manifest, the `latest_universal` marker and the journal record.
+fn commit_tail_points(manifest: &UcpManifest) -> u64 {
+    let dir = scratch("tail_cal");
+    let armed = fault::arm(fault::FaultPlan::count_only(&dir));
+    commit_universal(&dir, 2, Group::new(true), manifest).unwrap();
+    let hits = armed.hits();
+    drop(armed);
+    std::fs::remove_dir_all(&dir).ok();
+    hits
+}
+
 /// Sweep kill points through one offline producer of the step-2 universal
 /// checkpoint (`produce(dir)`, run on fresh copies of the `seed` tree) and
 /// check the commit protocol's promises after every crash. Returns the
 /// producer's kill-point count.
+///
+/// A producer stages every atom, then commits them as one group: after the
+/// (parallel, so unordered) data writes its gates lie in three contiguous
+/// blocks — one `commit.fsync` per atom file, one `commit.rename` per atom
+/// file, one `commit.dirsync` per atom directory — followed by the commit
+/// tail. An even spread can step over a block, so the sweep adds the
+/// middle of each and checks it crashed where the layout says.
 fn sweep_universal_producer(
     tag: &str,
     seed: &std::path::Path,
     produce: &dyn Fn(&std::path::Path) -> Result<(), String>,
 ) -> u64 {
-    let total = {
+    let (total, manifest) = {
         let cal = scratch(&format!("{tag}_cal"));
         copy_tree(seed, &cal);
         let armed = fault::arm(fault::FaultPlan::count_only(&cal));
         produce(&cal).unwrap();
         let hits = armed.hits();
         drop(armed);
+        let manifest = UcpManifest::load(&layout::universal_dir(&cal, 2)).unwrap();
         std::fs::remove_dir_all(&cal).ok();
-        hits
+        (hits, manifest)
     };
+    let dirs = manifest.params.len() as u64;
+    let files = dirs * AtomFile::ALL.len() as u64;
+    let dirsync_block = total - commit_tail_points(&manifest) - dirs;
+    let blocks = [
+        ("commit.fsync", dirsync_block - 2 * files + files / 2),
+        ("commit.rename", dirsync_block - files + files / 2),
+        ("commit.dirsync", dirsync_block + dirs / 2),
+    ];
 
-    let kill_points = kill_indices(total, 12);
+    let mut kill_points = kill_indices(total, 12);
     assert!(
         kill_points.len() >= 10,
         "{tag} exposed only {total} kill points"
     );
+    kill_points.extend(blocks.iter().map(|&(_, k)| k));
+    kill_points.sort_unstable();
+    kill_points.dedup();
     let mut kinds = BTreeSet::new();
     for &k in &kill_points {
         let dir = scratch(&format!("{tag}_k{k}"));
@@ -214,7 +246,11 @@ fn sweep_universal_producer(
             let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
             produce(&dir).unwrap_err()
         };
-        kinds.insert(kill_kind(&err));
+        let kind = kill_kind(&err);
+        if let Some((want, _)) = blocks.iter().find(|&&(_, at)| at == k) {
+            assert_eq!(&kind, want, "{tag} kill {k}: the group's gates moved");
+        }
+        kinds.insert(kind);
 
         // `latest_universal` is absent or names a tree fsck accepts.
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
@@ -308,9 +344,11 @@ fn convert_crash_replay_sweeps_kill_points() {
             .map_err(|e| e.to_string())
     });
 
-    // The adapter's atoms pass every gate a lone `write_atom_file` of the
-    // same tensor does (data writes, fsync, rename, dir sync), and its
-    // tail is the shared commit tail: the counts add up exactly.
+    // As members of one group the adapter's atoms pass every gate a lone
+    // `write_atom_file` of the same tensor does — its data writes, its
+    // fsync, its rename — except that a directory holding three atom files
+    // is synced once, not three times; the tail is the shared commit tail.
+    // The counts add up exactly.
     let reference = scratch("lit_ref");
     let manifest = LitSimAdapter.convert(&ckpt, &empty, 2).unwrap();
     let armed = fault::arm(fault::FaultPlan::count_only(&reference));
@@ -328,10 +366,11 @@ fn convert_crash_replay_sweeps_kill_points() {
             .unwrap();
         }
     }
-    commit_universal(&reference, 2, &manifest).unwrap();
+    commit_universal(&reference, 2, Group::new(true), &manifest).unwrap();
+    let (files, dirs) = (3 * states.len() as u64, states.len() as u64);
     assert_eq!(
         total,
-        armed.hits(),
+        armed.hits() - files + dirs,
         "adapter atoms skipped commit gates a lone write_atom_file passes"
     );
     drop(armed);
@@ -359,13 +398,19 @@ fn overlapped_mid_run_kill_resumes_from_published_marker() {
         hits
     };
 
+    let mut kinds = BTreeSet::new();
     for &k in &kill_indices(total, 6) {
         let dir = scratch(&format!("ovl_k{k}"));
         let result = {
             let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
-            train_run_overlapped(&plan(&dir))
+            train_run_overlapped(&plan(&dir)).map_err(|e| e.to_string())
         };
-        assert!(result.is_err(), "kill {k}: run should have crashed");
+        let err = result.expect_err(&format!("kill {k}: run should have crashed"));
+        // Whichever rank or writer reports first names the kill point,
+        // unless a survivor's poisoned collective beats it to the report.
+        if let Some((_, kind)) = err.split_once("injected crash at kill point: ") {
+            kinds.insert(kind.to_string());
+        }
 
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
         assert!(
@@ -431,4 +476,14 @@ fn overlapped_mid_run_kill_resumes_from_published_marker() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+    assert_kinds_hit(
+        "overlapped",
+        &kinds,
+        &[
+            "data write",
+            "commit.fsync",
+            "commit.rename",
+            "commit.dirsync",
+        ],
+    );
 }
