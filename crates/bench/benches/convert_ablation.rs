@@ -2,8 +2,6 @@
 //!
 //! - **Union parallelism**: Table 2 notes that "more parallelism leads to
 //!   faster speed but is also more memory intensive" — sweep worker counts.
-//! - **Fragment spilling**: the memory-bounded Extract-to-disk variant vs
-//!   in-memory hand-off.
 //! - **Alignment quantum**: ZeRO padding overhead vs conversion cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,29 +41,6 @@ fn bench_workers(c: &mut Criterion) {
                     1,
                     &ConvertOptions {
                         workers: w,
-                        ..ConvertOptions::default()
-                    },
-                )
-                .expect("convert")
-            })
-        });
-    }
-    group.finish();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn bench_spill(c: &mut Criterion) {
-    let (dir, _) = prepare("spill", 8);
-    let mut group = c.benchmark_group("convert_fragment_spill");
-    group.sample_size(10);
-    for (label, spill) in [("in_memory", false), ("spill_to_disk", true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &spill, |b, &s| {
-            b.iter(|| {
-                convert_checkpoint(
-                    &dir,
-                    1,
-                    &ConvertOptions {
-                        spill_fragments: s,
                         ..ConvertOptions::default()
                     },
                 )
@@ -121,11 +96,5 @@ fn bench_load_workers(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(
-    benches,
-    bench_workers,
-    bench_spill,
-    bench_alignment,
-    bench_load_workers
-);
+criterion_group!(benches, bench_workers, bench_alignment, bench_load_workers);
 criterion_main!(benches);

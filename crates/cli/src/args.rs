@@ -7,7 +7,7 @@ pub const USAGE: &str = "\
 ucp — universal checkpoint tools
 
 USAGE:
-  ucp convert --dir <ckpt-base> [--step N] [--workers W] [--spill] [--no-verify]
+  ucp convert --dir <ckpt-base> [--step N] [--workers W] [--no-verify]
       Convert a native distributed checkpoint into a universal checkpoint.
   ucp load --dir <ckpt-base> --step N --tp T --pp P --dp D [--sp S] [--rank R]
       [--workers W] [--mibps M] [--no-ranged-load]
@@ -128,8 +128,6 @@ pub struct Parsed {
     pub step: Option<u64>,
     /// `--workers`.
     pub workers: Option<usize>,
-    /// `--spill`.
-    pub spill: bool,
     /// `--no-verify`.
     pub no_verify: bool,
     /// `--tp`, `--pp`, `--dp`, `--sp`.
@@ -245,7 +243,6 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             "--dir" => p.dir = Some(PathBuf::from(value(&mut i)?)),
             "--step" => p.step = Some(parse_num(&value(&mut i)?)?),
             "--workers" => p.workers = Some(parse_num(&value(&mut i)?)? as usize),
-            "--spill" => p.spill = true,
             "--no-verify" => p.no_verify = true,
             "--tp" => p.tp = Some(parse_num(&value(&mut i)?)? as usize),
             "--pp" => p.pp = Some(parse_num(&value(&mut i)?)? as usize),
@@ -316,20 +313,10 @@ mod tests {
 
     #[test]
     fn parses_convert_flags() {
-        let p = parse(&sv(&[
-            "--dir",
-            "/ckpt",
-            "--step",
-            "100",
-            "--workers",
-            "8",
-            "--spill",
-        ]))
-        .unwrap();
+        let p = parse(&sv(&["--dir", "/ckpt", "--step", "100", "--workers", "8"])).unwrap();
         assert_eq!(p.dir.unwrap(), PathBuf::from("/ckpt"));
         assert_eq!(p.step, Some(100));
         assert_eq!(p.workers, Some(8));
-        assert!(p.spill);
         assert!(!p.no_verify);
     }
 

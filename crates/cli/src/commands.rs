@@ -125,15 +125,13 @@ pub fn convert(p: &Parsed) -> Result<(), String> {
     let step = resolve_step(&dir, p.step)?;
     let opts = ConvertOptions {
         workers: p.workers.unwrap_or(4),
-        spill_fragments: p.spill,
         verify_replicas: !p.no_verify,
         spec_override: None,
     };
     println!(
-        "converting {} step {step} (workers={}, spill={}, verify={})",
+        "converting {} step {step} (workers={}, verify={})",
         dir.display(),
         opts.workers,
-        opts.spill_fragments,
         opts.verify_replicas
     );
     let (manifest, stats) = convert_to_universal(&dir, step, &opts).map_err(|e| e.to_string())?;
@@ -563,7 +561,6 @@ pub fn trace(p: &Parsed) -> Result<(), String> {
     let step = resolve_step(&dir, None)?;
     let opts = ConvertOptions {
         workers,
-        spill_fragments: false,
         verify_replicas: false,
         spec_override: None,
     };

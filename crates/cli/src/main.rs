@@ -3,7 +3,7 @@
 //! The Rust counterpart of DeepSpeed's `ds_to_universal.py`:
 //!
 //! ```text
-//! ucp convert --dir <ckpt-base> [--step N] [--workers W] [--spill] [--no-verify]
+//! ucp convert --dir <ckpt-base> [--step N] [--workers W] [--no-verify]
 //! ucp load    --dir <ckpt-base> --step N --tp T --pp P --dp D [--rank R] [--mibps M]
 //! ucp train   --dir <ckpt-base> --model <preset> --tp T --pp P --dp D [--iters I]
 //! ucp inspect --dir <ckpt-base> [--step N]

@@ -1,32 +1,40 @@
-//! Incremental per-parameter atom builders — Algorithm 1 as a streaming
-//! library, shared by the offline [`crate::convert`] pass and the
-//! born-universal save pipeline in the trainer.
+//! Algorithm 1 (Extract → Union → StripPadding) as a streaming library: the
+//! one consolidation body in the workspace.
 //!
-//! The offline converter materializes every (tp, pp) slice before the TP
-//! union. A [`StageAssembler`] inverts that: it accepts one rank's
-//! extracted flat fragments at a time (in ascending `(tp, zero-index)`
-//! order, the order the save pipeline delivers them) and scatters each
-//! fragment straight into the consolidated true-shape buffer through the
+//! A [`StageAssembler`] holds one [`ParamBuilder`] per parameter of a
+//! pipeline stage and scatters every flat fragment it is fed straight into
+//! the consolidated true-shape buffer through the
 //! [`Partition::shard_segments`] run map. Alignment padding runs have no
 //! destination (`src_offset == None`) and are dropped on the way in, so no
 //! separate `StripPadding` pass is needed. `params_to_average` keeps one
-//! buffer per TP rank and finalizes with the same f64-accumulate-in-rank-
-//! order mean as [`crate::ops::union_tp`], so the written atoms are
-//! bitwise identical to the offline result by construction: both paths
-//! move the same f32 values, encode them through [`stage_atom`] and commit
-//! a step's files as one [`Group`].
+//! buffer per TP rank and finishes with the same f64-accumulate-in-rank-
+//! order mean as [`crate::ops::union_tp`].
+//!
+//! It has three feeds — the save pipeline's mesh fragments, filtered by
+//! dirtiness ([`StageAssembler::absorb`]); a step's optimizer files and the
+//! hot tier's shards, whole chunks borrowed where they lie
+//! ([`StageAssembler::absorb_chunks`], driven by
+//! [`crate::convert::assemble_stages`]) — and two sinks: atom files staged
+//! into the caller's [`Group`] ([`StageAssembler::finalize_step`]) or the
+//! buffers themselves ([`StageAssembler::into_tensors`]). Every producer
+//! moves the same f32 values through [`ParamBuilder::apply`] and encodes
+//! them through [`stage_atom`], which is what makes their trees
+//! byte-identical. [`crate::ops`] keeps Table 2's operators by name;
+//! composed naively they are the oracle the tests hold this module to.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use parking_lot::Mutex;
 use ucp_model::{param_specs, LayerRole, Partition, ShardSegment};
+use ucp_parallel::{FlatFragment, ParamSlot};
 use ucp_storage::commit::Group;
 use ucp_storage::container::{self, SectionRef};
 use ucp_storage::layout::{self, AtomFile};
 use ucp_tensor::{DType, Shape, Tensor};
 
-use crate::checkpoint::CommonState;
+use crate::checkpoint::{CommonState, OptimShard};
 use crate::language::UcpSpec;
 use crate::manifest::{AtomMeta, UcpManifest};
 use crate::ops::Fragment;
@@ -92,9 +100,9 @@ pub fn write_atom_file(
     Ok(bytes)
 }
 
-/// Assemble the universal manifest from per-stage atom metadata. A
-/// pipeline-shared parameter (tied embeddings) is consolidated once per
-/// owning stage; sorting then deduplicating by name keeps one entry.
+/// Assemble the universal manifest from per-stage atom metadata, sorted
+/// by name (a pipeline-shared parameter is listed by its one owning
+/// stage; a duplicate name keeps one entry).
 pub fn build_manifest(common: &CommonState, mut atoms: Vec<AtomMeta>) -> UcpManifest {
     atoms.sort_by(|a, b| a.name.cmp(&b.name));
     atoms.dedup_by(|a, b| a.name == b.name);
@@ -136,7 +144,7 @@ pub fn commit_universal(
 
 /// The atoms one pipeline stage produced: manifest entries plus volume
 /// accounting (the publisher merges these across stages). Manifest entries
-/// cover *every* parameter of the stage — skipped (clean) atoms are
+/// cover *every* parameter the stage owns — skipped (clean) atoms are
 /// published as hard links to the prior universal step's files and appear
 /// in the manifest exactly like rewritten ones.
 #[derive(Debug, Clone)]
@@ -166,14 +174,46 @@ enum KeyAcc {
     Average(Vec<Vec<f32>>),
 }
 
+impl KeyAcc {
+    /// The consolidated buffer, borrowed from the accumulator the
+    /// assembler keeps across save steps. Only `Average` has to
+    /// materialize anything: its mean reproduces `union_tp` exactly — f64
+    /// accumulation in TP-rank order, divide, cast.
+    fn state(&self) -> Cow<'_, [f32]> {
+        match self {
+            KeyAcc::Scatter(buf) | KeyAcc::Replicate(buf) => Cow::Borrowed(buf),
+            KeyAcc::Average(bufs) => {
+                let n = bufs.len() as f64;
+                let mut acc = vec![0.0f64; bufs[0].len()];
+                for buf in bufs {
+                    for (a, v) in acc.iter_mut().zip(buf) {
+                        *a += f64::from(*v);
+                    }
+                }
+                Cow::Owned(acc.into_iter().map(|v| (v / n) as f32).collect())
+            }
+        }
+    }
+
+    /// The consolidated buffer, moved out.
+    fn into_state(self) -> Vec<f32> {
+        match self {
+            KeyAcc::Scatter(buf) | KeyAcc::Replicate(buf) => buf,
+            average => average.state().into_owned(),
+        }
+    }
+}
+
 struct ParamBuilder {
     /// True consolidated shape (padding already absent).
     shape: Shape,
     pattern: ParamPattern,
-    /// Owned by a different pipeline stage (tied embedding on the first
-    /// stage): absorbed for completeness accounting but never written.
+    /// Owned by a different pipeline stage (a tied embedding belongs to the
+    /// last stage): absorbed for completeness accounting, never published.
     skip: bool,
-    /// Flattened per-TP-rank shard length (including alignment padding).
+    /// Per-TP-rank shard shape the pattern implies (alignment padding
+    /// included) and its element count.
+    shard_shape: Shape,
     shard_len: usize,
     /// Per-TP-rank run maps into the consolidated buffer (`Scatter` only).
     segments: Vec<Vec<ShardSegment>>,
@@ -193,17 +233,18 @@ impl ParamBuilder {
     fn new(shape: Shape, pattern: ParamPattern, skip: bool, tp: usize) -> Result<ParamBuilder> {
         let numel = shape.num_elements();
         type MkAcc = fn(usize, usize) -> KeyAcc;
-        let (shard_len, segments, mk): (usize, Vec<Vec<ShardSegment>>, MkAcc) = match &pattern {
+        let replicate: MkAcc = |n, _| KeyAcc::Replicate(vec![0.0; n]);
+        let (shard_shape, segments, mk): (Shape, Vec<Vec<ShardSegment>>, MkAcc) = match &pattern {
             ParamPattern::Unique => {
                 if tp != 1 {
                     return Err(UcpError::Inconsistent(format!(
                         "unique_params with {tp} shards"
                     )));
                 }
-                (numel, Vec::new(), |n, _| KeyAcc::Replicate(vec![0.0; n]))
+                (shape.clone(), Vec::new(), replicate)
             }
-            ParamPattern::Replicated => (numel, Vec::new(), |n, _| KeyAcc::Replicate(vec![0.0; n])),
-            ParamPattern::ToAverage => (numel, Vec::new(), |n, tp| {
+            ParamPattern::Replicated => (shape.clone(), Vec::new(), replicate),
+            ParamPattern::ToAverage => (shape.clone(), Vec::new(), |n, tp| {
                 KeyAcc::Average((0..tp).map(|_| vec![0.0; n]).collect())
             }),
             ParamPattern::Fragment(spec) => {
@@ -223,18 +264,20 @@ impl ParamBuilder {
                         ))
                     }
                 };
-                let shard_len = partition.shard_shape(&shape, tp).num_elements();
                 let segments = (0..tp)
                     .map(|r| partition.shard_segments(&shape, tp, r))
                     .collect();
-                (shard_len, segments, |n, _| KeyAcc::Scatter(vec![0.0; n]))
+                (partition.shard_shape(&shape, tp), segments, |n, _| {
+                    KeyAcc::Scatter(vec![0.0; n])
+                })
             }
         };
         Ok(ParamBuilder {
             shape,
             pattern,
             skip,
-            shard_len,
+            shard_len: shard_shape.num_elements(),
+            shard_shape,
             segments,
             keys: [mk(numel, tp), mk(numel, tp), mk(numel, tp)],
             got: [vec![0; tp], vec![0; tp], vec![0; tp]],
@@ -243,8 +286,37 @@ impl ParamBuilder {
         })
     }
 
-    fn apply(&mut self, ki: usize, tp: usize, frag: &Fragment, verify: bool) -> Result<()> {
-        let end = frag.param_offset + frag.data.len();
+    /// A flat-layout slot comes from a file header or a peer, and the
+    /// builder sees only flat data: a slot that disagrees with the shard
+    /// the pattern implies (a rule naming the wrong dim, a doctored
+    /// length) would scatter through the wrong run map without a trace.
+    fn check_slot(&self, slot: &ParamSlot) -> Result<()> {
+        if slot.shape != self.shard_shape || slot.len != self.shard_len {
+            return Err(UcpError::Inconsistent(format!(
+                "atom {}: layout slot has shape {} and {} elements, {} implies shard shape {} \
+                 ({} elements)",
+                slot.name,
+                slot.shape,
+                slot.len,
+                self.pattern.paper_name(),
+                self.shard_shape,
+                self.shard_len
+            )));
+        }
+        Ok(())
+    }
+
+    /// The single place a fragment — `data`, at `param_offset` of TP rank
+    /// `tp`'s flattened shard — meets a consolidated buffer.
+    fn apply(
+        &mut self,
+        ki: usize,
+        tp: usize,
+        param_offset: usize,
+        data: &[f32],
+        verify: bool,
+    ) -> Result<()> {
+        let end = param_offset + data.len();
         if end > self.shard_len {
             return Err(UcpError::Inconsistent(format!(
                 "fragment ends at {end}, shard has {} elements",
@@ -252,59 +324,35 @@ impl ParamBuilder {
             )));
         }
         match &mut self.keys[ki] {
-            KeyAcc::Scatter(buf) => scatter_segments(&self.segments[tp], frag, buf),
+            KeyAcc::Scatter(buf) => scatter_segments(&self.segments[tp], param_offset, data, buf),
             KeyAcc::Replicate(buf) => {
                 if tp == 0 {
-                    buf[frag.param_offset..end].copy_from_slice(&frag.data);
+                    buf[param_offset..end].copy_from_slice(data);
                 } else if verify {
-                    for (i, (a, b)) in buf[frag.param_offset..end]
-                        .iter()
-                        .zip(&frag.data)
-                        .enumerate()
-                    {
+                    for (i, (a, b)) in buf[param_offset..end].iter().zip(data).enumerate() {
                         if a.to_bits() != b.to_bits() {
                             return Err(UcpError::Inconsistent(format!(
                                 "replicated_params copies diverge (rank 0 vs rank {tp}) \
                                  at element {}",
-                                frag.param_offset + i
+                                param_offset + i
                             )));
                         }
                     }
                 }
             }
-            KeyAcc::Average(bufs) => bufs[tp][frag.param_offset..end].copy_from_slice(&frag.data),
+            KeyAcc::Average(bufs) => bufs[tp][param_offset..end].copy_from_slice(data),
         }
-        self.got[ki][tp] += frag.data.len();
+        self.got[ki][tp] += data.len();
+        self.touched = true;
         Ok(())
-    }
-
-    /// The consolidated buffer of state key `ki`, borrowed from the
-    /// accumulator the assembler keeps across save steps. Only `Average`
-    /// has to materialize anything: its mean reproduces `union_tp` exactly
-    /// — f64 accumulation in TP-rank order, divide, cast.
-    fn state(&self, ki: usize) -> Cow<'_, [f32]> {
-        match &self.keys[ki] {
-            KeyAcc::Scatter(buf) | KeyAcc::Replicate(buf) => Cow::Borrowed(buf),
-            KeyAcc::Average(bufs) => {
-                let n = bufs.len() as f64;
-                let mut acc = vec![0.0f64; bufs[0].len()];
-                for buf in bufs {
-                    for (a, v) in acc.iter_mut().zip(buf) {
-                        *a += f64::from(*v);
-                    }
-                }
-                Cow::Owned(acc.into_iter().map(|v| (v / n) as f32).collect())
-            }
-        }
     }
 }
 
 /// Copy a flat shard fragment into the consolidated buffer through the
 /// shard's run map. Runs are ascending in shard offset; padding runs
 /// (`src_offset == None`) have no bytes in the consolidated tensor.
-fn scatter_segments(segments: &[ShardSegment], frag: &Fragment, buf: &mut [f32]) {
-    let fs = frag.param_offset;
-    let fe = fs + frag.data.len();
+fn scatter_segments(segments: &[ShardSegment], fs: usize, data: &[f32], buf: &mut [f32]) {
+    let fe = fs + data.len();
     for seg in segments {
         let ss = seg.shard_offset;
         let se = ss + seg.len;
@@ -318,29 +366,27 @@ fn scatter_segments(segments: &[ShardSegment], frag: &Fragment, buf: &mut [f32])
         let hi = fe.min(se);
         if let Some(src) = seg.src_offset {
             let dst = src + (lo - ss);
-            buf[dst..dst + (hi - lo)].copy_from_slice(&frag.data[lo - fs..hi - fs]);
+            buf[dst..dst + (hi - lo)].copy_from_slice(&data[lo - fs..hi - fs]);
         }
     }
 }
 
 /// Incremental consolidation of one pipeline stage's parameters into
-/// universal atom checkpoints, reusable across consecutive save steps.
+/// universal atoms, reusable across consecutive save steps.
 ///
-/// Feed it every `(tp, zero-index)` contribution of the stage via
-/// [`StageAssembler::absorb`] — in ascending TP order, because replicated
-/// parameters verify later copies against the tp-0 one — then call
-/// [`StageAssembler::finalize`] to write the atoms durably.
+/// Feed it every `(tp, zero-index)` contribution of the stage — in
+/// ascending TP order, because replicated parameters verify later copies
+/// against the tp-0 one — then finish with
+/// [`StageAssembler::finalize_step`] or [`StageAssembler::into_tensors`].
 ///
 /// For per-iteration cadence the assembler persists across saves: call
-/// [`StageAssembler::begin_step`] with the next step's universal
-/// directory, absorb only the *dirty* fragments (the consolidated buffers
-/// retain last step's image, so partial contributions patch it), then
-/// [`StageAssembler::finalize_step`]. A parameter that received no
-/// fragments at all is clean; its three atom files are published as hard
-/// links to the previous universal step's files instead of being
-/// rewritten, so save bytes scale with what actually changed.
+/// [`StageAssembler::begin_step`], absorb only the *dirty* fragments (the
+/// consolidated buffers retain last step's image, so partial contributions
+/// patch it), then [`StageAssembler::finalize_step`]. A parameter that
+/// received no fragments at all is clean; its three atom files are
+/// published as hard links to the previous universal step's files instead
+/// of being rewritten, so save bytes scale with what actually changed.
 pub struct StageAssembler {
-    universal_dir: PathBuf,
     tp_degree: usize,
     verify_replicas: bool,
     last_tp: usize,
@@ -348,24 +394,26 @@ pub struct StageAssembler {
 }
 
 impl StageAssembler {
-    /// Set up builders for every parameter of stage `pp` (named by
-    /// `params`, the stage's flat-layout slot order), deriving each
-    /// pattern from the model exactly as the offline converter does.
+    /// Set up builders for every parameter of stage `pp` from `slots`, the
+    /// stage's flat layout. Each pattern is the user rule in
+    /// `spec_override` if one matches, else the one derived from the
+    /// model; each slot must be the shard that pattern implies.
     pub fn new(
-        universal_dir: &Path,
         common: &CommonState,
         pp: usize,
-        params: &[String],
+        slots: &[ParamSlot],
         verify_replicas: bool,
+        spec_override: Option<&UcpSpec>,
     ) -> Result<StageAssembler> {
         let parallel = common.parallel;
         let derived = UcpSpec::from_model(&common.model, parallel.tp, &common.params_to_average);
         let all_specs = param_specs(&common.model);
-        std::fs::create_dir_all(universal_dir)?;
         let mut builders = BTreeMap::new();
-        for name in params {
-            let pattern = derived
-                .pattern_of(name)
+        for slot in slots {
+            let name = &slot.name;
+            let pattern = spec_override
+                .and_then(|s| s.pattern_of(name))
+                .or_else(|| derived.pattern_of(name))
                 .cloned()
                 .ok_or_else(|| UcpError::Inconsistent(format!("no pattern rule matches {name}")))?;
             let spec = all_specs
@@ -373,20 +421,16 @@ impl StageAssembler {
                 .find(|s| &s.name == name)
                 .ok_or_else(|| UcpError::Inconsistent(format!("unknown parameter {name}")))?;
             // A tied embedding is assembled on both pipeline-end stages;
-            // only the last one writes it (matching the offline
-            // converter, where the ascending-pp loop makes the last
-            // stage's copy win), so the two assemblers never race on the
-            // same atom path.
+            // only the last one publishes it, so its atom is written once
+            // and two stages' assemblers never race on one atom path.
             let skip = matches!(spec.role, LayerRole::SharedEmbedding)
                 && parallel.pp > 1
                 && pp + 1 != parallel.pp;
-            builders.insert(
-                name.clone(),
-                ParamBuilder::new(spec.shape.clone(), pattern, skip, parallel.tp)?,
-            );
+            let builder = ParamBuilder::new(spec.shape.clone(), pattern, skip, parallel.tp)?;
+            builder.check_slot(slot)?;
+            builders.insert(name.clone(), builder);
         }
         Ok(StageAssembler {
-            universal_dir: universal_dir.to_path_buf(),
             tp_degree: parallel.tp,
             verify_replicas,
             last_tp: 0,
@@ -394,13 +438,11 @@ impl StageAssembler {
         })
     }
 
-    /// Start assembling the next save step into `universal_dir`: resets
-    /// the per-step coverage accounting and the ascending-TP cursor while
-    /// keeping the consolidated buffers (last step's image) so dirty
-    /// fragments can patch them in place.
-    pub fn begin_step(&mut self, universal_dir: &Path) -> Result<()> {
-        std::fs::create_dir_all(universal_dir)?;
-        self.universal_dir = universal_dir.to_path_buf();
+    /// Start assembling the next save step: resets the per-step coverage
+    /// accounting and the ascending-TP cursor while keeping the
+    /// consolidated buffers (last step's image) so dirty fragments can
+    /// patch them in place.
+    pub fn begin_step(&mut self) {
         self.last_tp = 0;
         for b in self.params.values_mut() {
             b.touched = false;
@@ -408,14 +450,10 @@ impl StageAssembler {
                 per_tp.iter_mut().for_each(|g| *g = 0);
             }
         }
-        Ok(())
     }
 
-    /// Absorb one rank's extracted flat fragments: `fragments` are
-    /// `(param name, state key index, fragment)` from that rank's ZeRO
-    /// chunk of TP slice `tp`. Contributions must arrive in ascending
-    /// `tp` order.
-    pub fn absorb(&mut self, tp: usize, fragments: Vec<(String, usize, Fragment)>) -> Result<()> {
+    /// Advance the ascending-TP cursor to a contribution from `tp`.
+    fn admit(&mut self, tp: usize) -> Result<()> {
         if tp >= self.tp_degree {
             return Err(UcpError::Inconsistent(format!(
                 "contribution from tp {tp}, stage has {} TP ranks",
@@ -430,43 +468,91 @@ impl StageAssembler {
             )));
         }
         self.last_tp = tp;
+        Ok(())
+    }
+
+    /// Absorb one rank's extracted flat fragments: `fragments` are
+    /// `(param name, state key index, fragment)` from that rank's ZeRO
+    /// chunk of TP slice `tp`. Contributions must arrive in ascending
+    /// `tp` order.
+    pub fn absorb(&mut self, tp: usize, fragments: Vec<(String, usize, Fragment)>) -> Result<()> {
+        self.admit(tp)?;
         for (name, ki, frag) in fragments {
             let b = self
                 .params
                 .get_mut(&name)
                 .ok_or_else(|| UcpError::Inconsistent(format!("fragment for unknown {name}")))?;
-            b.touched = true;
-            b.apply(ki, tp, &frag, self.verify_replicas)?;
+            b.apply(ki, tp, frag.param_offset, &frag.data, self.verify_replicas)?;
         }
         Ok(())
     }
 
-    /// Verify every parameter is fully covered, then write this stage's
-    /// atoms durably. One-shot variant of [`StageAssembler::finalize_step`]
-    /// for callers that use a fresh assembler per save.
-    pub fn finalize(mut self, workers: usize, span_path: &str) -> Result<StageAtoms> {
-        self.finalize_step(workers, span_path, None)
+    /// Absorb whole ZeRO chunks — `(tp, chunk)` pairs in ascending TP
+    /// order, each contributing the fragments its `dp` index owns —
+    /// straight from the chunk buffers. The builders are independent, so
+    /// the work fans out over parameters on up to `workers` threads, each
+    /// parameter walking the chunks in the order given.
+    pub fn absorb_chunks(&mut self, chunks: &[(usize, &OptimShard)], workers: usize) -> Result<()> {
+        // Plan: which runs of which chunk belong to which parameter. Every
+        // chunk's header is checked here, before any value moves.
+        let mut work: BTreeMap<&str, Vec<(usize, FlatFragment)>> = BTreeMap::new();
+        for (ci, &(tp, shard)) in chunks.iter().enumerate() {
+            self.admit(tp)?;
+            let flat = &shard.layout;
+            let keys = shard.keys();
+            if flat.chunk == 0 || keys.iter().any(|k| k.len() != flat.chunk) {
+                return Err(UcpError::Inconsistent(format!(
+                    "(tp {tp}, zero {}) chunk keys have {:?} elements, layout chunk is {}",
+                    shard.dp,
+                    keys.map(<[f32]>::len),
+                    flat.chunk
+                )));
+            }
+            for slot in &flat.slots {
+                self.params
+                    .get(&slot.name)
+                    .ok_or_else(|| {
+                        UcpError::Inconsistent(format!("fragment for unknown {}", slot.name))
+                    })?
+                    .check_slot(slot)?;
+                let mine = flat.fragments_of(slot);
+                work.entry(&slot.name).or_default().extend(
+                    mine.into_iter()
+                        .filter(|f| f.dp_rank == shard.dp)
+                        .map(|f| (ci, f)),
+                );
+            }
+        }
+        if ucp_telemetry::enabled() {
+            let fragments: usize = work.values().map(Vec::len).sum();
+            ucp_telemetry::count("convert/fragments", 3 * fragments as u64);
+        }
+        let verify = self.verify_replicas;
+        // One uncontended lock per job: each index is taken by one worker.
+        let jobs: Vec<_> = self
+            .params
+            .iter_mut()
+            .filter_map(|(name, b)| Some(Mutex::new((b, work.remove(name.as_str())?))))
+            .collect();
+        par_map(jobs.len(), workers, |i| {
+            let mut job = jobs[i].lock();
+            let (b, runs) = &mut *job;
+            for &(ci, f) in runs.iter() {
+                let (tp, shard) = chunks[ci];
+                let run = f.chunk_offset..f.chunk_offset + f.len;
+                for (ki, key) in shard.keys().into_iter().enumerate() {
+                    b.apply(ki, tp, f.param_offset, &key[run.clone()], verify)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(())
     }
 
-    /// Verify coverage, then publish this step's atoms: touched
-    /// parameters are rewritten from the patched consolidated buffers;
-    /// clean ones (complete from an earlier step, no fragments this step)
-    /// are hard linked from `link_from` — the previous universal step's
-    /// directory — instead of being rewritten. Skipped (other-stage-owned)
-    /// parameters are accounted but never published. The workers
-    /// (parallel over parameters, staging latency under `span_path`) only
-    /// stage; writes and links alike are committed as one group before
-    /// this returns, so the caller may write the manifest next.
-    ///
     /// Coverage rules: a parameter that has never been complete must be
     /// fully covered this step (first save sends everything); once
     /// complete, any partial patch keeps it complete.
-    pub fn finalize_step(
-        &mut self,
-        workers: usize,
-        span_path: &str,
-        link_from: Option<&Path>,
-    ) -> Result<StageAtoms> {
+    fn check_coverage(&self) -> Result<()> {
         for (name, b) in &self.params {
             if b.complete {
                 continue;
@@ -482,12 +568,31 @@ impl StageAssembler {
                 }
             }
         }
-        let universal = self.universal_dir.clone();
+        Ok(())
+    }
+
+    /// Verify coverage, then stage this step's atoms under
+    /// `universal_dir` into `atoms`: touched parameters are rewritten from
+    /// the patched consolidated buffers; clean ones (complete from an
+    /// earlier step, no fragments this step) are hard linked from
+    /// `link_from` — the previous universal step's directory — instead of
+    /// being rewritten. Skipped (other-stage-owned) parameters are
+    /// accounted but never published. The workers (parallel over
+    /// parameters, staging latency under `span_path`) only stage; nothing
+    /// is visible or durable until the caller commits `atoms`, and a
+    /// caller whose commit fails must drop the assembler rather than
+    /// patch it further (its `link_from` image would be missing this step).
+    pub fn finalize_step(
+        &mut self,
+        universal_dir: &Path,
+        atoms: &Group,
+        workers: usize,
+        span_path: &str,
+        link_from: Option<&Path>,
+    ) -> Result<StageAtoms> {
+        self.check_coverage()?;
         let entries: Vec<(&String, &ParamBuilder)> =
             self.params.iter().filter(|(_, b)| !b.skip).collect();
-        // The workers only stage; the step's writes and hard links become
-        // durable together below.
-        let atoms = Group::new(true);
         let published = par_map(entries.len(), workers, |i| {
             let (name, b) = entries[i];
             let meta = AtomMeta {
@@ -504,7 +609,7 @@ impl StageAssembler {
                     let mut linked = 0u64;
                     for file in AtomFile::ALL {
                         let src = layout::atom_path(prev, name, file);
-                        let dst = layout::atom_path(&universal, name, file);
+                        let dst = layout::atom_path(universal_dir, name, file);
                         linked += std::fs::metadata(&src)?.len();
                         atoms.link(&src, &dst)?;
                     }
@@ -512,23 +617,21 @@ impl StageAssembler {
                 }
             }
             let mut bytes = 0u64;
-            for (ki, file) in AtomFile::ALL.into_iter().enumerate() {
-                let data = b.state(ki);
+            for (file, key) in AtomFile::ALL.into_iter().zip(&b.keys) {
                 bytes += stage_atom(
-                    &atoms,
-                    &universal,
+                    atoms,
+                    universal_dir,
                     &meta,
                     file,
                     DType::F32,
-                    &data,
+                    &key.state(),
                     span_path,
                 )?;
             }
             Ok((meta, bytes, 0u64))
         })?;
-        atoms.commit()?;
-        // Every parameter now has a full image (in the buffers and, for
-        // non-skip ones, on disk): later steps may patch partially.
+        // Every parameter now has a full image in the buffers: later
+        // steps may patch partially.
         for b in self.params.values_mut() {
             b.complete = true;
         }
@@ -551,13 +654,37 @@ impl StageAssembler {
         }
         Ok(out)
     }
+
+    /// Verify coverage, then hand the consolidated buffers over as
+    /// in-memory atoms `[fp32, exp_avg, exp_avg_sq]` — moved, not cloned —
+    /// for every parameter this stage owns.
+    pub fn into_tensors(self) -> Result<Vec<(AtomMeta, [Tensor; 3])>> {
+        self.check_coverage()?;
+        let mut out = Vec::new();
+        for (name, b) in self.params {
+            if b.skip {
+                continue;
+            }
+            let [w, m, v] = b
+                .keys
+                .map(|key| Tensor::from_vec(key.into_state(), b.shape.clone()));
+            let meta = AtomMeta {
+                name,
+                shape: b.shape,
+                pattern: b.pattern,
+            };
+            out.push((meta, [w?, m?, v?]));
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::{extract_flat, strip_padding, union_tp};
-    use ucp_model::{ModelConfig, ParamSpec};
+    use std::path::PathBuf;
+    use ucp_model::ModelConfig;
     use ucp_parallel::{FlatLayout, ParallelConfig, ZeroStage};
     use ucp_storage::Container;
     use ucp_tensor::DetRng;
@@ -580,39 +707,40 @@ mod tests {
         dir
     }
 
-    /// Feed a full TP×ZeRO fan-out of gpt3-tiny through the assembler and
-    /// check every written atom bitwise against the offline union path.
-    #[test]
-    fn assembled_atoms_match_offline_union_bitwise() {
-        let tp = 2;
-        let zero = 2;
-        let parallel = ParallelConfig::new(tp, 1, zero, 1, ZeroStage::Zero1);
-        let c = common(parallel);
+    /// The flat-layout slots a rank of `c` holds for `names`.
+    fn slots_of(c: &CommonState, names: &[&str]) -> Vec<ParamSlot> {
         let specs = param_specs(&c.model);
-        let rng = DetRng::new(5);
-        let full: Vec<(&ParamSpec, Tensor)> = specs
+        let shapes: Vec<(String, Shape)> = names
             .iter()
-            .map(|s| {
-                let t = Tensor::randn(s.shape.clone(), 1.0, &rng.derive(&s.name));
-                (s, t)
+            .map(|n| {
+                let s = specs.iter().find(|s| s.name == *n).unwrap();
+                let shard = s.partition.shard_shape(&s.shape, c.parallel.tp);
+                (s.name.clone(), shard)
             })
             .collect();
-        let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
+        FlatLayout::build(&shapes, 1, 1).slots
+    }
 
-        let dir = tmp("bitwise");
-        let mut asm = StageAssembler::new(&dir, &c, 0, &names, true).unwrap();
-        // Per TP rank: shard every param, flatten ZeRO-style, extract per
-        // zero index — the exact data flow of a training rank's snapshot.
-        let mut shards_by_name: BTreeMap<String, Vec<Tensor>> = BTreeMap::new();
-        for r in 0..tp {
-            let sharded: Vec<(String, Tensor)> = full
+    /// Each parameter's TP shards, by name.
+    type TpShards = BTreeMap<String, Vec<Tensor>>;
+
+    /// One stage's `(tp, chunk)` pairs as training ranks would snapshot
+    /// them — every gpt3-tiny parameter drawn at random, sharded `tp`
+    /// ways, flattened ZeRO-style over `zero` ranks, the Adam moments 0.5×
+    /// and 0.25× the master — plus each parameter's TP shards.
+    fn stage_chunks(c: &CommonState, zero: usize) -> (Vec<(usize, OptimShard)>, TpShards) {
+        let rng = DetRng::new(5);
+        let mut chunks = Vec::new();
+        let mut shards_by_name = TpShards::new();
+        for r in 0..c.parallel.tp {
+            let sharded: Vec<(String, Tensor)> = param_specs(&c.model)
                 .iter()
-                .map(|(s, t)| (s.name.clone(), s.partition.shard(t, tp, r)))
+                .map(|s| {
+                    let full = Tensor::randn(s.shape.clone(), 1.0, &rng.derive(&s.name));
+                    (s.name.clone(), s.partition.shard(&full, c.parallel.tp, r))
+                })
                 .collect();
-            for (n, t) in &sharded {
-                shards_by_name.entry(n.clone()).or_default().push(t.clone());
-            }
-            let shapes: Vec<(String, ucp_tensor::Shape)> = sharded
+            let shapes: Vec<(String, Shape)> = sharded
                 .iter()
                 .map(|(n, t)| (n.clone(), t.shape().clone()))
                 .collect();
@@ -624,26 +752,75 @@ mod tests {
                     .map(|(_, t)| t)
                     .expect("all stage params sharded")
             });
+            for (n, t) in sharded {
+                shards_by_name.entry(n).or_default().push(t);
+            }
             for zi in 0..zero {
-                let chunk = &flat[layout.rank_range(zi)];
-                let mut frags = Vec::new();
-                for (ki, scale) in [1.0f32, 0.5, 0.25].into_iter().enumerate() {
-                    for (name, mut frag) in extract_flat(&layout, zi, chunk) {
-                        for v in &mut frag.data {
-                            *v *= scale;
-                        }
-                        frags.push((name, ki, frag));
-                    }
-                }
-                asm.absorb(r, frags).unwrap();
+                let fp32 = flat[layout.rank_range(zi)].to_vec();
+                let shard = OptimShard {
+                    dp: zi,
+                    layout: layout.clone(),
+                    exp_avg: fp32.iter().map(|v| v * 0.5).collect(),
+                    exp_avg_sq: fp32.iter().map(|v| v * 0.25).collect(),
+                    fp32,
+                };
+                chunks.push((r, shard));
             }
         }
-        let stage = asm.finalize(2, "save/atom_write").unwrap();
-        assert_eq!(stage.atoms_written, specs.len());
+        (chunks, shards_by_name)
+    }
+
+    fn by_ref(chunks: &[(usize, OptimShard)]) -> Vec<(usize, &OptimShard)> {
+        chunks.iter().map(|(tp, s)| (*tp, s)).collect()
+    }
+
+    /// `extract_flat` every key of `shard`: the owned-fragments feed.
+    fn fragments_of(shard: &OptimShard) -> Vec<(String, usize, Fragment)> {
+        let mut out = Vec::new();
+        for (ki, key) in shard.keys().into_iter().enumerate() {
+            for (name, frag) in extract_flat(&shard.layout, shard.dp, key) {
+                out.push((name, ki, frag));
+            }
+        }
+        out
+    }
+
+    /// Feed a full TP×ZeRO fan-out of gpt3-tiny through both feeds and
+    /// both sinks and check every atom bitwise against the offline union.
+    #[test]
+    fn assembled_atoms_match_offline_union_bitwise() {
+        let tp = 2;
+        let c = common(ParallelConfig::new(tp, 1, 2, 1, ZeroStage::Zero1));
+        let (chunks, shards_by_name) = stage_chunks(&c, 2);
+        let slots = &chunks[0].1.layout.slots;
+
+        // Owned fragments in, atom files out.
+        let dir = tmp("bitwise");
+        let mut asm = StageAssembler::new(&c, 0, slots, true, None).unwrap();
+        for (r, shard) in &chunks {
+            asm.absorb(*r, fragments_of(shard)).unwrap();
+        }
+        let group = Group::new(true);
+        let stage = asm
+            .finalize_step(&dir, &group, 2, "save/atom_write", None)
+            .unwrap();
+        group.commit().unwrap();
+        assert_eq!(stage.atoms_written, slots.len());
         assert!(stage.bytes_written > 0);
 
+        // Borrowed chunks in, tensors out.
+        let mut asm = StageAssembler::new(&c, 0, slots, true, None).unwrap();
+        asm.absorb_chunks(&by_ref(&chunks), 2).unwrap();
+        let in_memory: BTreeMap<String, [Tensor; 3]> = asm
+            .into_tensors()
+            .unwrap()
+            .into_iter()
+            .map(|(meta, atom)| (meta.name, atom))
+            .collect();
+        assert_eq!(in_memory.len(), slots.len());
+
         let derived = UcpSpec::from_model(&c.model, tp, &[]);
-        for spec in &specs {
+        for spec in &param_specs(&c.model) {
             let pattern = derived.pattern_of(&spec.name).unwrap();
             for (ki, (file, scale)) in AtomFile::ALL
                 .into_iter()
@@ -671,7 +848,12 @@ mod tests {
                     .clone();
                 assert!(
                     written.bitwise_eq(&expect),
-                    "{} key {ki} diverges from offline union",
+                    "{} key {ki}: files diverge from offline union",
+                    spec.name
+                );
+                assert!(
+                    in_memory[&spec.name][ki].bitwise_eq(&expect),
+                    "{} key {ki}: tensors diverge from offline union",
                     spec.name
                 );
             }
@@ -679,17 +861,94 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A rule naming the wrong fragment dim describes a shard with the
+    /// same element count, so only the slot's shape can expose it: when
+    /// the assembler is built from a contribution's slots (the fragment
+    /// feed) and for every later chunk's own header (the chunk feed).
+    #[test]
+    fn wrong_dim_rule_is_a_shape_error_through_both_feeds() {
+        let c = common(ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1));
+        let (mut chunks, _) = stage_chunks(&c, 1);
+        let slots = chunks[0].1.layout.slots.clone();
+        // Truly sharded along dim 1; claim dim 0.
+        let bad_rule = crate::language::UcpSpecBuilder::new()
+            .rule(
+                "layers.*.attention.dense.weight",
+                ParamPattern::Fragment(FragmentSpec::Dim { dim: 0 }),
+            )
+            .build();
+        let err = StageAssembler::new(&c, 0, &slots, true, Some(&bad_rule))
+            .err()
+            .expect("misdescribed sharding must be refused");
+        assert!(matches!(err, UcpError::Inconsistent(_)), "{err}");
+        assert!(err.to_string().contains("shape"), "{err}");
+
+        // The derived rules, but tp 1's header claims the dim-0 shard.
+        let slot = chunks[1]
+            .1
+            .layout
+            .slots
+            .iter_mut()
+            .find(|s| s.name.ends_with("attention.dense.weight"))
+            .unwrap();
+        let dims = slot.shape.dims().to_vec();
+        slot.shape = Shape::new([dims[0] / 2, dims[1] * 2]);
+        let mut asm = StageAssembler::new(&c, 0, &slots, true, None).unwrap();
+        let err = asm.absorb_chunks(&by_ref(&chunks), 2).unwrap_err();
+        assert!(matches!(err, UcpError::Inconsistent(_)), "{err}");
+        assert!(err.to_string().contains("shape"), "{err}");
+    }
+
+    #[test]
+    fn doctored_slot_len_and_wrong_length_chunk_are_refused() {
+        let c = common(ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1));
+        let (mut chunks, _) = stage_chunks(&c, 2);
+        let mut slots = chunks[0].1.layout.slots.clone();
+        slots[0].len -= 1;
+        let err = StageAssembler::new(&c, 0, &slots, true, None)
+            .err()
+            .expect("slot length must match its shape");
+        assert!(matches!(err, UcpError::Inconsistent(_)), "{err}");
+
+        let mut asm = StageAssembler::new(&c, 0, &chunks[0].1.layout.slots, true, None).unwrap();
+        chunks[1].1.exp_avg.pop();
+        let err = asm.absorb_chunks(&by_ref(&chunks), 1).unwrap_err();
+        assert!(matches!(err, UcpError::Inconsistent(_)), "{err}");
+        assert!(err.to_string().contains("layout chunk"), "{err}");
+    }
+
+    #[test]
+    fn chunk_fed_twice_or_missing_fails_coverage() {
+        let c = common(ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1));
+        let (chunks, _) = stage_chunks(&c, 2);
+        let slots = &chunks[0].1.layout.slots;
+        let all = by_ref(&chunks);
+        for (what, feed) in [
+            ("missing", [&all[..3], &[]]),
+            ("fed twice", [&all[..], &all[3..]]),
+        ] {
+            let mut asm = StageAssembler::new(&c, 0, slots, true, None).unwrap();
+            for part in feed {
+                asm.absorb_chunks(part, 2).unwrap();
+            }
+            let err = asm.into_tensors().expect_err(what);
+            assert!(matches!(err, UcpError::Inconsistent(_)), "{what}: {err}");
+            assert!(err.to_string().contains("contributed"), "{what}: {err}");
+        }
+    }
+
     #[test]
     fn incomplete_stage_fails_finalize() {
         let parallel = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
         let c = common(parallel);
-        let names = vec!["final_layernorm.weight".to_string()];
+        let slots = slots_of(&c, &["final_layernorm.weight"]);
         let dir = tmp("incomplete");
-        let asm = StageAssembler::new(&dir, &c, 0, &names, true).unwrap();
+        let mut asm = StageAssembler::new(&c, 0, &slots, true, None).unwrap();
         // No contributions at all: finalize must refuse.
-        let err = asm.finalize(1, "save/atom_write").unwrap_err();
+        let err = asm
+            .finalize_step(&dir, &Group::new(true), 1, "save/atom_write", None)
+            .unwrap_err();
         assert!(err.to_string().contains("contributed 0"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -698,37 +957,27 @@ mod tests {
         let parallel = ParallelConfig::new(tp, 1, 1, 1, ZeroStage::Zero1);
         let c = common(parallel);
         let name = "final_layernorm.weight".to_string();
-        let spec_shape = param_specs(&c.model)
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap()
-            .shape
-            .clone();
-        let n = spec_shape.num_elements();
-        let dir = tmp("diverge");
-        let mut asm = StageAssembler::new(&dir, &c, 0, std::slice::from_ref(&name), true).unwrap();
+        let slots = slots_of(&c, &[&name]);
+        let mut asm = StageAssembler::new(&c, 0, &slots, true, None).unwrap();
         let frag = |v: f32| Fragment {
             param_offset: 0,
-            data: vec![v; n],
+            data: vec![v; slots[0].len],
         };
         asm.absorb(0, vec![(name.clone(), 0, frag(1.0))]).unwrap();
         let err = asm
             .absorb(1, vec![(name.clone(), 0, frag(2.0))])
             .unwrap_err();
         assert!(err.to_string().contains("diverge"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn absorb_rejects_descending_tp_order() {
         let parallel = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
         let c = common(parallel);
-        let dir = tmp("order");
-        let mut asm = StageAssembler::new(&dir, &c, 0, &[], true).unwrap();
+        let mut asm = StageAssembler::new(&c, 0, &[], true, None).unwrap();
         asm.absorb(1, Vec::new()).unwrap();
         let err = asm.absorb(0, Vec::new()).unwrap_err();
         assert!(err.to_string().contains("ascending TP order"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -744,16 +993,7 @@ mod tests {
         ];
         for (tp, data) in copies.iter().enumerate() {
             for ki in 0..3 {
-                b.apply(
-                    ki,
-                    tp,
-                    &Fragment {
-                        param_offset: 0,
-                        data: data.clone(),
-                    },
-                    true,
-                )
-                .unwrap();
+                b.apply(ki, tp, 0, data, true).unwrap();
             }
         }
         let shards: Vec<Tensor> = copies
@@ -761,8 +1001,8 @@ mod tests {
             .map(|d| Tensor::from_vec(d.clone(), shape.clone()).unwrap())
             .collect();
         let expect = union_tp(&ParamPattern::ToAverage, &shards, false).unwrap();
-        for ki in 0..3 {
-            let t = Tensor::from_vec(b.state(ki).into_owned(), shape.clone()).unwrap();
+        for key in b.keys {
+            let t = Tensor::from_vec(key.into_state(), shape.clone()).unwrap();
             assert!(t.bitwise_eq(&expect));
         }
     }
@@ -777,13 +1017,8 @@ mod tests {
         let c = common(parallel);
         let dirty_name = "final_layernorm.weight".to_string();
         let clean_name = "final_layernorm.bias".to_string();
-        let names = vec![dirty_name.clone(), clean_name.clone()];
-        let n = param_specs(&c.model)
-            .iter()
-            .find(|s| s.name == dirty_name)
-            .unwrap()
-            .shape
-            .num_elements();
+        let slots = slots_of(&c, &[&dirty_name, &clean_name]);
+        let n = slots[0].len;
         let base = tmp("incr_link");
         let step1 = base.join("global_step1_universal");
         let step2 = base.join("global_step2_universal");
@@ -791,19 +1026,27 @@ mod tests {
             param_offset: 0,
             data: vec![v; n],
         };
+        let finalize = |asm: &mut StageAssembler, dir: &Path, prev: Option<&Path>| {
+            let group = Group::new(true);
+            let stage = asm
+                .finalize_step(dir, &group, 2, "save/atom_write", prev)
+                .unwrap();
+            group.commit().unwrap();
+            stage
+        };
 
-        let mut asm = StageAssembler::new(&step1, &c, 0, &names, true).unwrap();
+        let mut asm = StageAssembler::new(&c, 0, &slots, true, None).unwrap();
         let mut frags = Vec::new();
         for ki in 0..3 {
             frags.push((dirty_name.clone(), ki, full(1.0)));
             frags.push((clean_name.clone(), ki, full(2.0)));
         }
         asm.absorb(0, frags).unwrap();
-        let s1 = asm.finalize_step(2, "save/atom_write", None).unwrap();
+        let s1 = finalize(&mut asm, &step1, None);
         assert_eq!((s1.atoms_written, s1.atoms_skipped), (2, 0));
 
         // Step 2: patch a sub-range of the dirty param only.
-        asm.begin_step(&step2).unwrap();
+        asm.begin_step();
         let patch = Fragment {
             param_offset: 1,
             data: vec![9.0; 2],
@@ -815,9 +1058,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let s2 = asm
-            .finalize_step(2, "save/atom_write", Some(&step1))
-            .unwrap();
+        let s2 = finalize(&mut asm, &step2, Some(&step1));
         assert_eq!((s2.atoms_written, s2.atoms_skipped), (1, 1));
         assert!(s2.bytes_linked > 0);
         assert_eq!(s2.metas.len(), 2, "manifest lists linked atoms too");
@@ -854,8 +1095,9 @@ mod tests {
         let parallel = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero0);
         let c = common(parallel);
         let name = "final_layernorm.weight".to_string();
+        let slots = slots_of(&c, &[&name]);
         let dir = tmp("incr_partial");
-        let mut asm = StageAssembler::new(&dir, &c, 0, std::slice::from_ref(&name), true).unwrap();
+        let mut asm = StageAssembler::new(&c, 0, &slots, true, None).unwrap();
         let patch = Fragment {
             param_offset: 0,
             data: vec![1.0; 2],
@@ -865,9 +1107,10 @@ mod tests {
             (0..3).map(|ki| (name.clone(), ki, patch.clone())).collect(),
         )
         .unwrap();
-        let err = asm.finalize_step(1, "save/atom_write", None).unwrap_err();
+        let err = asm
+            .finalize_step(&dir, &Group::new(true), 1, "save/atom_write", None)
+            .unwrap_err();
         assert!(err.to_string().contains("contributed"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A small atom is a single-write file (write 0, fsync 1, rename 2,

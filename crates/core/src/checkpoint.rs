@@ -81,6 +81,12 @@ impl OptimShard {
     pub fn range(&self) -> std::ops::Range<usize> {
         self.layout.rank_range(self.dp)
     }
+
+    /// The three state chunks, indexed as atoms are: `[fp32, exp_avg,
+    /// exp_avg_sq]`.
+    pub fn keys(&self) -> [&[f32]; 3] {
+        [&self.fp32, &self.exp_avg, &self.exp_avg_sq]
+    }
 }
 
 /// A borrowed [`OptimShard`]: what [`save_optim_states`] writes, so the
@@ -326,6 +332,27 @@ mod tests {
         std::fs::copy(&src, &dst).unwrap();
         assert!(matches!(
             load_model_states(&dir, 1, 0),
+            Err(UcpError::Inconsistent(_))
+        ));
+
+        // An optimizer chunk under another rank's name: whoever asked for
+        // zero index 1 must not be handed index 0's elements.
+        let layout = FlatLayout::build(&[("p".to_string(), Shape::new([10]))], 4, 2);
+        let chunk = vec![0.0; layout.chunk];
+        let shard = OptimShard {
+            dp: 0,
+            layout,
+            fp32: chunk.clone(),
+            exp_avg: chunk.clone(),
+            exp_avg_sq: chunk,
+        };
+        save_optim_states(&dir, &common(), 0, 0, &shard, false).unwrap();
+        let src = layout::optim_states_path(&dir, 0, 0, 0);
+        let dst = layout::optim_states_path(&dir, 1, 0, 0);
+        std::fs::create_dir_all(dst.parent().unwrap()).unwrap();
+        std::fs::copy(&src, &dst).unwrap();
+        assert!(matches!(
+            load_optim_states(&dir, 1, 0, 0),
             Err(UcpError::Inconsistent(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

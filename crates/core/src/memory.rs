@@ -3,21 +3,21 @@
 //! A [`MemoryCheckpoint`] is a universal checkpoint that never touches
 //! disk: per-parameter atom tensors plus a manifest, assembled from the
 //! optimizer shards peers replicated into RAM ([`HotShard`]). It owns no
-//! transformation of its own: assembly is [`crate::convert`]'s one
-//! consolidation with the shards as its chunk source and a map as its
-//! atom sink, and loading is [`crate::load`]'s one plan executor with
-//! that map as its atom source — so a rank resumed from peer memory
-//! reconstructs bitwise-identical state to one resumed from the converted
-//! disk checkpoint, under *any* target parallelism strategy.
+//! transformation of its own: assembly is [`crate::convert`]'s chunk feed
+//! into the one [`crate::assemble::StageAssembler`] with the shards as its
+//! chunk source, finished into a map instead of files, and loading is
+//! [`crate::load`]'s one plan executor with that map as its atom source —
+//! so a rank resumed from peer memory reconstructs bitwise-identical state
+//! to one resumed from the converted disk checkpoint, under *any* target
+//! parallelism strategy.
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
 use ucp_parallel::ParallelConfig;
 use ucp_tensor::Tensor;
 
 use crate::checkpoint::{CommonState, OptimShard};
-use crate::convert::{consolidate, ChunkSource, ConvertOptions};
+use crate::convert::{assemble_stages, ChunkSource, ConvertOptions};
 use crate::load::{execute_plan, gen_ucp_metadata, AtomSource, RankState};
 use crate::manifest::UcpManifest;
 use crate::{Result, UcpError};
@@ -71,7 +71,7 @@ impl MemoryCheckpoint {
 
         // Index shards by coordinate, rejecting mixed steps, duplicates,
         // and out-of-range coordinates up front; a missing coordinate
-        // surfaces from the consolidation's lookup.
+        // surfaces from the chunk feed's lookup.
         let mut by_coord: BTreeMap<(usize, usize, usize), OptimShard> = BTreeMap::new();
         for s in shards {
             if s.common.iteration != common.iteration {
@@ -94,20 +94,21 @@ impl MemoryCheckpoint {
             }
         }
 
-        let atoms = Mutex::new(BTreeMap::new());
-        let (manifest, _) = consolidate(
+        let mut atoms = BTreeMap::new();
+        let (manifest, _) = assemble_stages(
             &common,
             &ChunkSource::Memory(&by_coord),
             &ConvertOptions::default(),
-            &|meta, atom| {
-                atoms.lock().insert(meta.name.clone(), atom);
-                Ok(0)
+            |asm| {
+                let mut metas = Vec::new();
+                for (meta, atom) in asm.into_tensors()? {
+                    atoms.insert(meta.name.clone(), atom);
+                    metas.push(meta);
+                }
+                Ok((metas, 0))
             },
         )?;
-        Ok(MemoryCheckpoint {
-            manifest,
-            atoms: atoms.into_inner(),
-        })
+        Ok(MemoryCheckpoint { manifest, atoms })
     }
 
     /// The checkpoint's manifest.

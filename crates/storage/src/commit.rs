@@ -128,9 +128,7 @@ impl Group {
 
     /// The staged skeleton: create `dest`'s parent directories, register
     /// the member and let `fill` produce `<dest>.tmp`. A destination
-    /// staged twice keeps one member, the later (offline convert
-    /// consolidates a tied embedding on both pipeline-end stages and the
-    /// last stage's copy wins).
+    /// staged twice keeps one member, the later.
     fn add(
         &self,
         dest: &Path,

@@ -9,8 +9,7 @@
 //! - **Spans** (`Begin`/`End`) — every phase timed by a [`crate::Span`]
 //!   guard, under its metric path (`save/persist`, `convert/total`,
 //!   `load/read`), plus the trace-only ones: compute phases (`step`,
-//!   `forward`) and per-work-item spans (`extract`, `union:<pattern>`,
-//!   `read_entry`).
+//!   `forward`) and per-work-item spans (`extract`, `read_entry`).
 //! - **Collectives** — one event per collective call per rank, carrying
 //!   `enter ≤ ready ≤ exit` timestamps so *wait time* (blocked on peers,
 //!   `ready − enter`) is separable from *transfer/reduce time*
@@ -60,7 +59,7 @@ pub enum TraceCat {
     Compute,
     /// Checkpoint phases (snapshot, persist, drain, publish).
     Checkpoint,
-    /// Conversion work items (extract, union, strip-padding).
+    /// Conversion phases and work items (per-chunk extract).
     Convert,
     /// Universal-load phases.
     Load,
@@ -180,6 +179,9 @@ struct ThreadBuffer {
     pid: u64,
     tid: u64,
     label: String,
+    /// The tracer's session generation when the buffer was bound; a
+    /// binding from before the last [`Tracer::take_session`] is stale.
+    generation: u64,
     events: Mutex<Vec<TraceEvent>>,
 }
 
@@ -201,6 +203,10 @@ pub struct Tracer {
     seq: AtomicU64,
     next_tid: AtomicU64,
     epoch: Instant,
+    /// Bumped by `take_session` under the `buffers` lock. It guards no
+    /// data of its own (the buffers sit behind the mutex), so relaxed
+    /// loads suffice: a thread ordered after a take sees the new value.
+    generation: AtomicU64,
     buffers: Mutex<Vec<Arc<ThreadBuffer>>>,
 }
 
@@ -269,6 +275,7 @@ impl Tracer {
             seq: AtomicU64::new(0),
             next_tid: AtomicU64::new(0),
             epoch: Instant::now(),
+            generation: AtomicU64::new(0),
             buffers: Mutex::new(Vec::new()),
         }
     }
@@ -292,7 +299,7 @@ impl Tracer {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Wipe all recorded events and thread bindings, then enable.
+    /// Wipe all recorded events, then enable.
     pub fn start(&self) {
         self.take_session();
         self.set_enabled(true);
@@ -322,16 +329,16 @@ impl Tracer {
     }
 
     fn bind(&self, pid: u64, label: &str) -> Arc<ThreadBuffer> {
+        let mut buffers = self.buffers.lock().unwrap_or_else(PoisonError::into_inner);
         let buf = Arc::new(ThreadBuffer {
             pid,
             tid: self.next_tid.fetch_add(1, Ordering::Relaxed),
             label: label.to_string(),
+            generation: self.generation.load(Ordering::Relaxed),
             events: Mutex::new(Vec::new()),
         });
-        self.buffers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&buf));
+        buffers.push(Arc::clone(&buf));
+        drop(buffers);
         let id = self.identity();
         TLS_BUFFERS.with(|tls| {
             let mut tls = tls.borrow_mut();
@@ -344,7 +351,10 @@ impl Tracer {
     /// The current thread's buffer, auto-binding unbound threads as
     /// driver threads (worker pools, background writers) — whether or not
     /// the tracer is still enabled: an event that passed the enabled check
-    /// must land somewhere even if recording stops a moment later.
+    /// must land somewhere even if recording stops a moment later. A
+    /// binding older than the last `take_session` points at a drained
+    /// buffer the tracer no longer holds; it is renewed under the same
+    /// pid and label.
     fn buffer(&self) -> Arc<ThreadBuffer> {
         let id = self.identity();
         let existing = TLS_BUFFERS.with(|tls| {
@@ -353,7 +363,11 @@ impl Tracer {
                 .find(|(tid, _)| *tid == id)
                 .map(|(_, b)| Arc::clone(b))
         });
-        existing.unwrap_or_else(|| self.bind(DRIVER_PID, "worker"))
+        match existing {
+            Some(b) if b.generation == self.generation.load(Ordering::Relaxed) => b,
+            Some(stale) => self.bind(stale.pid, &stale.label),
+            None => self.bind(DRIVER_PID, "worker"),
+        }
     }
 
     fn push(&self, kind: EventKind) {
@@ -441,12 +455,15 @@ impl Tracer {
         });
     }
 
-    /// Drain every thread's buffer into a merged [`TraceSession`] and
-    /// forget all thread bindings. Safe while threads are still running
-    /// (they re-register lazily as driver threads on their next event).
+    /// Drain every thread's buffer into a merged [`TraceSession`]. Safe
+    /// while threads are still running: a thread bound before the take
+    /// re-binds lazily, under its pid and label, on its next event.
     pub fn take_session(&self) -> TraceSession {
-        let buffers: Vec<Arc<ThreadBuffer>> =
-            std::mem::take(&mut *self.buffers.lock().unwrap_or_else(PoisonError::into_inner));
+        let buffers: Vec<Arc<ThreadBuffer>> = {
+            let mut held = self.buffers.lock().unwrap_or_else(PoisonError::into_inner);
+            self.generation.fetch_add(1, Ordering::Relaxed);
+            std::mem::take(&mut *held)
+        };
         let mut tracks: Vec<ThreadTrack> = buffers
             .iter()
             .map(|b| ThreadTrack {
@@ -1375,5 +1392,21 @@ mod tests {
             });
         });
         assert_eq!(t.take_session().event_count(), 1);
+    }
+
+    #[test]
+    fn a_bound_thread_keeps_recording_after_take_session() {
+        // The thread's binding outlives the buffer `take_session` drained:
+        // its next event must reach the next session, under the pid and
+        // label it registered with, instead of the orphaned buffer.
+        let t = Tracer::new();
+        t.register(2, "rank2");
+        t.mark(TraceCat::Compute, "first");
+        assert_eq!(t.take_session().event_count(), 1);
+        t.mark(TraceCat::Compute, "second");
+        let session = t.take_session();
+        assert_eq!(session.event_count(), 1);
+        let track = &session.tracks[0];
+        assert_eq!((track.pid, track.label.as_str()), (2, "rank2"));
     }
 }

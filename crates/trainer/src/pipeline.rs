@@ -63,7 +63,8 @@ use ucp_collectives::exchange::{EpochLease, Mesh};
 use ucp_core::assemble::{build_manifest, StageAssembler, StageAtoms};
 use ucp_core::checkpoint::CommonState;
 use ucp_core::ops::{extract_flat, Fragment};
-use ucp_parallel::{ParallelConfig, RankCoord};
+use ucp_parallel::{ParallelConfig, ParamSlot, RankCoord};
+use ucp_storage::commit::Group;
 use ucp_storage::layout as disk;
 use ucp_storage::retention::InFlightGuard;
 
@@ -93,8 +94,9 @@ pub enum PipeMsg {
         zi: usize,
         /// Sender's common state (the assembler derives patterns from it).
         common: Box<CommonState>,
-        /// Stage parameter names, in flat-layout slot order.
-        params: Vec<String>,
+        /// The stage's flat-layout slots (name, shard shape, length): what
+        /// the assembler is built from and checks its patterns against.
+        params: Vec<ParamSlot>,
         /// `(param, state-key index, fragment)` triples. Filtered to the
         /// snapshot's dirty ranges — possibly empty, but always sent, so
         /// the assembler's receive schedule never depends on dirtiness.
@@ -329,10 +331,9 @@ pub(crate) fn run_writer(
     {
         let _sp = ucp_telemetry::span("save/exchange");
         let shard = &snapshot.shard;
-        let keys: [&[f32]; 3] = [&shard.fp32, &shard.exp_avg, &shard.exp_avg_sq];
         let mut fragments = Vec::new();
         let mut sent_elems: u64 = 0;
-        for (ki, chunk) in keys.into_iter().enumerate() {
+        for (ki, chunk) in shard.keys().into_iter().enumerate() {
             for (name, frag) in extract_flat(&shard.layout, shard.dp, chunk) {
                 for part in filter_dirty(&name, frag, snapshot.dirty.as_ref()) {
                     sent_elems += part.data.len() as u64;
@@ -341,7 +342,6 @@ pub(crate) fn run_writer(
             }
         }
         ucp_telemetry::count("save/exchange_bytes", sent_elems * 4);
-        let params: Vec<String> = shard.layout.slots.iter().map(|s| s.name.clone()).collect();
         lease
             .send(
                 assembler_rank(&p, snapshot.pp),
@@ -349,7 +349,7 @@ pub(crate) fn run_writer(
                     tp: snapshot.tp,
                     zi: shard.dp,
                     common: Box::new(snapshot.common.clone()),
-                    params,
+                    params: shard.layout.slots.clone(),
                     fragments,
                 },
             )
@@ -360,7 +360,7 @@ pub(crate) fn run_writer(
     // — ascending tp, so replicated copies verify against the tp-0 one —
     // then publish the stage's atoms: dirty ones rewritten from the
     // patched buffers, clean ones hard-linked from the previous step, all
-    // of them durable (one group commit) when `finalize_step` returns.
+    // of them durable when the stage's group commits.
     if rank == assembler_rank(&p, snapshot.pp) {
         // Consecutive steps patch the same carried buffers, so they must
         // finalize in step order: wait for this rank's previous writer
@@ -381,10 +381,14 @@ pub(crate) fn run_writer(
             Arc::clone(chains.entry(snapshot.pp).or_default())
         };
         let mut state = chain.inner.lock();
+        // The carried assembler goes back only once this step's atoms are
+        // committed: a failed step leaves its buffers patched but
+        // unpublished, and a later step must not hard-link around that.
+        let mut asm = state.asm.take();
         {
             let _sp = ucp_telemetry::span("save/assemble");
-            if let Some(asm) = state.asm.as_mut() {
-                asm.begin_step(&universal).map_err(TrainError::Ucp)?;
+            if let Some(asm) = asm.as_mut() {
+                asm.begin_step();
             }
             let zero = p.dp * p.sp;
             for tp in 0..p.tp {
@@ -410,10 +414,10 @@ pub(crate) fn run_writer(
                             "save pipeline: expected a contribution".into(),
                         ));
                     };
-                    let a = match &mut state.asm {
+                    let a = match &mut asm {
                         Some(a) => a,
-                        None => state.asm.insert(
-                            StageAssembler::new(&universal, &common, snapshot.pp, &params, true)
+                        None => asm.insert(
+                            StageAssembler::new(&common, snapshot.pp, &params, true, None)
                                 .map_err(TrainError::Ucp)?,
                         ),
                     };
@@ -424,13 +428,21 @@ pub(crate) fn run_writer(
         let atoms = {
             let _sp = ucp_telemetry::span("save/atoms");
             let link_from = state.prev.as_ref().map(|prev| prev.dir.clone());
-            let asm = state
-                .asm
-                .as_mut()
-                .ok_or_else(|| TrainError::Config("save pipeline: stage has no ranks".into()))?;
+            let mut asm =
+                asm.ok_or_else(|| TrainError::Config("save pipeline: stage has no ranks".into()))?;
+            // The stage's writes and hard links become durable together.
+            let group = Group::new(true);
             let atoms = asm
-                .finalize_step(ATOM_WRITE_WORKERS, "save/atom_write", link_from.as_deref())
+                .finalize_step(
+                    &universal,
+                    &group,
+                    ATOM_WRITE_WORKERS,
+                    "save/atom_write",
+                    link_from.as_deref(),
+                )
                 .map_err(TrainError::Ucp)?;
+            group.commit().map_err(|e| TrainError::Ucp(e.into()))?;
+            state.asm = Some(asm);
             // Rotate the hard-link source: this step's atoms must survive
             // retention pruning until the *next* step finalizes against them.
             state.prev = Some(PrevStep {

@@ -4,12 +4,22 @@
 //! have produced — same atoms, same manifest, same bytes. Resuming from a
 //! pipeline-published tree therefore needs no convert pass and lands on
 //! exactly the state the offline path would load.
+//!
+//! The pipeline, the offline converter and the RAM hot tier are three
+//! feeds of one assembler, so agreeing with each other proves little; each
+//! is also held to [`naive`], Algorithm 1 composed from the Table 2
+//! operators with no code in common.
+
+#[path = "support/naive.rs"]
+mod naive;
 
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::core::load::{LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
-use ucp_repro::core::{HotShard, MemoryCheckpoint, UcpError};
+use ucp_repro::core::{
+    HotShard, MemoryCheckpoint, ParamPattern, UcpError, UcpSpec, UcpSpecBuilder,
+};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
@@ -64,19 +74,10 @@ fn plan(
     }
 }
 
-/// The third producer of a universal checkpoint: the RAM hot tier. Hot
-/// shards rebuilt from `off`'s native step files must assemble into a
-/// checkpoint whose `load_rank` is bitwise-equal to the offline-converted
-/// tree's, for every rank of a TP1 and a TP2·DP2 target, against both
-/// disk read strategies — and malformed shard sets must be refused with a
-/// typed error.
-fn assert_memory_matches_disk(
-    name: &str,
-    off: &std::path::Path,
-    step: u64,
-    source: ParallelConfig,
-) {
-    let step_dir = layout::step_dir(off, step);
+/// Every rank's native optimizer shard of `dir`'s `step`, as the hot tier
+/// would hold them.
+fn hot_shards(dir: &std::path::Path, step: u64, source: ParallelConfig) -> Vec<HotShard> {
+    let step_dir = layout::step_dir(dir, step);
     let mut shards = Vec::new();
     for pp in 0..source.pp {
         for tp in 0..source.tp {
@@ -91,9 +92,37 @@ fn assert_memory_matches_disk(
             }
         }
     }
+    shards
+}
+
+/// What a single-rank load of `ram` delivers, as atoms.
+fn ram_atoms(ram: &MemoryCheckpoint, like: &naive::Atoms) -> naive::Atoms {
+    let single = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1);
+    naive::rank_atoms(&ram.load_rank(&single, 0, 1).unwrap(), like)
+}
+
+/// The third producer of a universal checkpoint: the RAM hot tier. Hot
+/// shards rebuilt from `off`'s native step files must assemble into a
+/// checkpoint that holds the naive reference's atoms and whose `load_rank`
+/// is bitwise-equal to the offline-converted tree's, for every rank of a
+/// TP1 and a TP2·DP2 target, against both disk read strategies — and
+/// malformed shard sets must be refused with a typed error.
+fn assert_memory_matches_disk(
+    name: &str,
+    off: &std::path::Path,
+    step: u64,
+    source: ParallelConfig,
+    reference: &naive::Atoms,
+) {
+    let shards = hot_shards(off, step, source);
 
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let ram = MemoryCheckpoint::assemble(shards.clone()).unwrap();
+    naive::assert_atoms_eq(
+        &format!("{name} step {step}: RAM tier vs naive"),
+        &ram_atoms(&ram, reference),
+        reference,
+    );
     for target in [
         ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
         ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
@@ -154,7 +183,8 @@ fn assert_memory_matches_disk(
 ///    pass anywhere — yields losses identical to resuming off the
 ///    offline-converted tree;
 /// 5. the same native shards assembled in RAM load bitwise-equal to the
-///    offline-converted tree ([`assert_memory_matches_disk`]).
+///    offline-converted tree ([`assert_memory_matches_disk`]);
+/// 6. all three hold exactly the naive reference's atoms.
 fn assert_born_universal(name: &str, model: ModelConfig, source: ParallelConfig, dtype: DType) {
     assert_born_universal_every(name, model, source, dtype, 2);
 }
@@ -184,7 +214,13 @@ fn assert_born_universal_every(
     assert_eq!(pipe_run.losses, off_run.losses, "{name}: training diverged");
     for &step in &steps {
         convert_to_universal(&off, step, &ConvertOptions::default()).unwrap();
-        assert_memory_matches_disk(name, &off, step, source);
+        let reference = naive::naive_atoms(&layout::step_dir(&off, step), None);
+        naive::assert_atoms_eq(
+            &format!("{name} step {step}: offline convert vs naive"),
+            &naive::tree_atoms(&layout::universal_dir(&off, step)),
+            &reference,
+        );
+        assert_memory_matches_disk(name, &off, step, source, &reference);
     }
 
     // At per-iteration cadence the pipeline patches dirty atoms in carried
@@ -256,8 +292,8 @@ fn born_universal_tp2_dp2() {
 
 #[test]
 fn born_universal_tp2_pp2_tied() {
-    // Tied embeddings under PP>1: only the last stage may write the shared
-    // atom, matching offline last-wins deduplication.
+    // Tied embeddings under PP>1: only the last stage writes the shared
+    // atom, in the pipeline and offline alike.
     assert_born_universal(
         "tp2_pp2_tied",
         ModelConfig::gpt3_tiny_tied(),
@@ -323,6 +359,127 @@ fn born_universal_every_iteration_moe() {
         DType::F32,
         1,
     );
+}
+
+/// One cell of the Fig. 6–10 property in its small form: a source saved
+/// under `tp`·`pp`·`zero` with the given ZeRO `alignment`, every save of a
+/// two-step run consolidated by all three feeds — the pipeline (the second
+/// save patches the first's buffers), the offline converter, the RAM tier
+/// — and each result compared bitwise with the naive reference. With
+/// `rules` the offline converter and the reference both take the user
+/// spec; the pipeline and the RAM tier have no such input and sit out.
+fn assert_feeds_match_naive(
+    name: &str,
+    model: &ModelConfig,
+    (tp, pp, zero, alignment): (usize, usize, usize, usize),
+    rules: Option<&UcpSpec>,
+) {
+    let ctx = format!("{name} tp{tp} pp{pp} zero{zero} align{alignment}");
+    let source = ParallelConfig::new(tp, pp, zero, 1, ZeroStage::Zero1);
+    let pipe = scratch(&format!("mx_{name}_{tp}_{zero}_{alignment}_pipe"));
+    let off = scratch(&format!("mx_{name}_{tp}_{zero}_{alignment}_off"));
+    let cell_plan = |dir: &std::path::Path| {
+        let mut plan = plan(dir, model, source, DType::F32, 29, 1);
+        plan.until_iteration = 2;
+        plan.config.alignment = alignment;
+        plan.config.global_batch = 2 * zero;
+        plan.config.micro_batch = 2;
+        plan
+    };
+    train_run(&cell_plan(&off)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    if rules.is_none() {
+        train_run_overlapped(&cell_plan(&pipe)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    }
+    let opts = ConvertOptions {
+        spec_override: rules.cloned(),
+        ..ConvertOptions::default()
+    };
+    for step in [1, 2] {
+        let reference = naive::naive_atoms(&layout::step_dir(&off, step), rules);
+        convert_to_universal(&off, step, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let offline = layout::universal_dir(&off, step);
+        naive::assert_atoms_eq(
+            &format!("{ctx} step {step}: offline"),
+            &naive::tree_atoms(&offline),
+            &reference,
+        );
+        if rules.is_some() {
+            continue;
+        }
+        assert_eq!(
+            tree_bytes(&layout::universal_dir(&pipe, step)),
+            tree_bytes(&offline),
+            "{ctx} step {step}: pipeline tree differs from offline convert"
+        );
+        let ram = MemoryCheckpoint::assemble(hot_shards(&off, step, source)).unwrap();
+        naive::assert_atoms_eq(
+            &format!("{ctx} step {step}: RAM tier"),
+            &ram_atoms(&ram, &reference),
+            &reference,
+        );
+    }
+    std::fs::remove_dir_all(&pipe).ok();
+    std::fs::remove_dir_all(&off).ok();
+}
+
+/// tp ∈ {1, 2, 4} × zero ∈ {1, 2, 3} × alignment ∈ {1, 8} for one model
+/// (two layers keep a cell cheap; every parameter kind is still present).
+fn assert_matrix(name: &str, mut model: ModelConfig, pp: usize, rules: Option<&UcpSpec>) {
+    model.num_layers = 2;
+    for tp in [1, 2, 4] {
+        for zero in [1, 2, 3] {
+            for alignment in [1, 8] {
+                assert_feeds_match_naive(name, &model, (tp, pp, zero, alignment), rules);
+            }
+        }
+    }
+}
+
+#[test]
+fn matrix_gpt3_tiny() {
+    assert_matrix("gpt", ModelConfig::gpt3_tiny(), 1, None);
+}
+
+#[test]
+fn matrix_llama_tiny_grouped_gqa() {
+    // Eight query heads over four KV heads: grouped QKV that still splits
+    // four ways.
+    let mut model = ModelConfig::llama_tiny();
+    model.num_heads = 8;
+    model.num_kv_heads = 4;
+    assert_matrix("llama", model, 1, None);
+}
+
+#[test]
+fn matrix_padded_vocab() {
+    assert_matrix("padded", ModelConfig::gpt3_tiny_padded_vocab(), 1, None);
+}
+
+#[test]
+fn matrix_tied_embeddings_pp2() {
+    assert_matrix("tied", ModelConfig::gpt3_tiny_tied(), 2, None);
+}
+
+#[test]
+fn matrix_moe_tiny() {
+    let mut model = ModelConfig::moe_tiny();
+    model.num_heads = 8;
+    model.num_kv_heads = 4;
+    assert_matrix("moe", model, 1, None);
+}
+
+#[test]
+fn matrix_params_to_average_rule() {
+    // A user rule turns the replicated layernorms into `params_to_average`:
+    // the mean of in-sync copies, through the f64 accumulator.
+    let rules = UcpSpecBuilder::new()
+        .rule("layers.*.input_layernorm.weight", ParamPattern::ToAverage)
+        .rule(
+            "layers.*.post_attention_layernorm.weight",
+            ParamPattern::ToAverage,
+        )
+        .build();
+    assert_matrix("avg", ModelConfig::gpt3_tiny(), 1, Some(&rules));
 }
 
 #[test]

@@ -60,18 +60,10 @@ fn convert_then_inspect_then_plan() {
 }
 
 #[test]
-fn convert_with_spill_and_no_verify() {
-    let dir = make_checkpoint("spill");
+fn convert_with_no_verify() {
+    let dir = make_checkpoint("no_verify");
     let dir_s = dir.to_string_lossy().to_string();
-    commands::convert(&flags(&[
-        "--dir",
-        &dir_s,
-        "--step",
-        "2",
-        "--spill",
-        "--no-verify",
-    ]))
-    .unwrap();
+    commands::convert(&flags(&["--dir", &dir_s, "--step", "2", "--no-verify"])).unwrap();
     assert!(layout::universal_dir(&dir, 2)
         .join("manifest.ucpt")
         .is_file());

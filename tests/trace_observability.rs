@@ -40,7 +40,6 @@ fn recorded_trace() -> &'static str {
         train_run_overlapped(&plan).unwrap();
         let opts = ConvertOptions {
             workers: 2,
-            spill_fragments: false,
             verify_replicas: false,
             spec_override: None,
         };

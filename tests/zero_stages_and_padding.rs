@@ -178,63 +178,29 @@ fn alignment_can_differ_between_source_and_target() {
 }
 
 #[test]
-fn spill_mode_matches_in_memory_conversion() {
-    // The memory-bounded conversion (fragments persisted between Extract
-    // and Union) must produce byte-identical atoms.
-    let parallel = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1);
-    let dir_a = checkpoint_with(parallel, "spill_a", 59);
-    let dir_b = checkpoint_with(parallel, "spill_b", 59);
-    convert_to_universal(&dir_a, 2, &ConvertOptions::default()).unwrap();
-    convert_to_universal(
-        &dir_b,
-        2,
-        &ConvertOptions {
-            spill_fragments: true,
-            ..ConvertOptions::default()
-        },
-    )
-    .unwrap();
-    let ua = layout::universal_dir(&dir_a, 2);
-    let ub = layout::universal_dir(&dir_b, 2);
-    for name in ["embedding.word_embeddings.weight", "lm_head.weight"] {
-        for file in layout::AtomFile::ALL {
-            let a = std::fs::read(layout::atom_path(&ua, name, file)).unwrap();
-            let b = std::fs::read(layout::atom_path(&ub, name, file)).unwrap();
-            assert_eq!(a, b, "{name} {} differs under spill mode", file.file_name());
-        }
-    }
-    // No temp fragments left behind.
-    assert!(!ub.join("_extract_tmp").exists());
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
-}
-
-#[test]
 fn single_worker_conversion_matches_parallel() {
     let parallel = ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1);
     let dir_a = checkpoint_with(parallel, "workers_a", 60);
     let dir_b = checkpoint_with(parallel, "workers_b", 60);
-    convert_to_universal(
-        &dir_a,
-        2,
-        &ConvertOptions {
-            workers: 1,
+    let convert = |dir: &std::path::Path, workers: usize| {
+        let opts = ConvertOptions {
+            workers,
             ..ConvertOptions::default()
-        },
-    )
-    .unwrap();
-    convert_to_universal(
-        &dir_b,
-        2,
-        &ConvertOptions {
-            workers: 8,
-            ..ConvertOptions::default()
-        },
-    )
-    .unwrap();
-    let a = layout::dir_size_bytes(&layout::universal_dir(&dir_a, 2));
-    let b = layout::dir_size_bytes(&layout::universal_dir(&dir_b, 2));
-    assert_eq!(a, b);
+        };
+        convert_to_universal(dir, 2, &opts).unwrap().0
+    };
+    let manifest = convert(&dir_a, 1);
+    assert_eq!(convert(&dir_b, 8), manifest);
+    let ua = layout::universal_dir(&dir_a, 2);
+    let ub = layout::universal_dir(&dir_b, 2);
+    assert_eq!(layout::dir_size_bytes(&ua), layout::dir_size_bytes(&ub));
+    for atom in &manifest.params {
+        for file in layout::AtomFile::ALL {
+            let a = std::fs::read(layout::atom_path(&ua, &atom.name, file)).unwrap();
+            let b = std::fs::read(layout::atom_path(&ub, &atom.name, file)).unwrap();
+            assert_eq!(a, b, "{} {} differs", atom.name, file.file_name());
+        }
+    }
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
 }
