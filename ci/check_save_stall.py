@@ -14,7 +14,7 @@ assembly spans and atom counters are present and non-zero) and merges
 both runs' stall numbers into BENCH_ci.json when asked.
 
 With --cadence the script instead gates a BENCH_cadence.json sweep
-(`ucp bench --cadence`): per-iteration checkpointing (--save-every 1)
+(`figures --experiment cadence`): per-iteration checkpointing (--save-every 1)
 must not stall training more per save than the coarsest cadence does
 (same 10% + absolute slack budget), and the MoE run's steady-state
 per-save exchange volume must collapse below half of a full-model save —

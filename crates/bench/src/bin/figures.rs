@@ -3,6 +3,7 @@
 //! ```text
 //! figures --experiment all [--fast]
 //! figures --experiment fig6          # also emits Table 3
+//! figures --experiment cadence       # the --save-every sweep CI gates
 //! ```
 //!
 //! Text renderings go to stdout; machine-readable CSV/TXT artifacts are
@@ -10,6 +11,7 @@
 //! efficiency figures additionally land as `BENCH_fig*.json` in the
 //! `ucp-metrics-v1` schema shared with `ucp --metrics-out`.
 
+use ucp_bench::cadence;
 use ucp_bench::correctness::{
     elastic_demo, fig10, fig6, fig7, fig8, fig9, CurveSet, Schedule, Table3,
 };
@@ -17,24 +19,38 @@ use ucp_bench::efficiency::{fig11, fig12};
 use ucp_bench::load_scaling::fig13;
 use ucp_bench::report::{curves_to_csv, write_artifact};
 
+/// Every experiment `--experiment` accepts, in the order `all` runs them.
+const EXPERIMENTS: [&str; 10] = [
+    "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "elastic", "cadence",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: figures --experiment <fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|all> [--fast]"
+        "usage: figures --experiment <{}|all> [--fast]",
+        EXPERIMENTS.join("|")
     );
     std::process::exit(2)
+}
+
+/// Write one artifact under the results directory. CI gates read these
+/// files, so one that cannot be written fails the run here rather than
+/// one step later as a missing file.
+fn emit(name: &str, contents: &str) {
+    match write_artifact(name, contents) {
+        Ok(path) => println!("  wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("error: could not write {name}: {e}");
+            std::process::exit(1)
+        }
+    }
 }
 
 fn emit_curves(name: &str, set: &CurveSet) {
     println!("{}", set.render());
     let mut curves = vec![set.baseline.clone()];
     curves.extend(set.resumed.iter().cloned());
-    match write_artifact(&format!("{name}.csv"), &curves_to_csv(&curves)) {
-        Ok(path) => println!("  wrote {}\n", path.display()),
-        Err(e) => eprintln!("  could not write {name}.csv: {e}"),
-    }
-    if let Err(e) = write_artifact(&format!("{name}.txt"), &set.render()) {
-        eprintln!("  could not write {name}.txt: {e}");
-    }
+    emit(&format!("{name}.csv"), &curves_to_csv(&curves));
+    emit(&format!("{name}.txt"), &set.render());
 }
 
 fn run(which: &str, fast: bool) {
@@ -44,9 +60,7 @@ fn run(which: &str, fast: bool) {
             emit_curves("fig6", &set);
             let table = Table3::from_curves(&set, Schedule::new(fast));
             println!("{}", table.render());
-            if let Err(e) = write_artifact("table3.txt", &table.render()) {
-                eprintln!("  could not write table3.txt: {e}");
-            }
+            emit("table3.txt", &table.render());
         }
         "fig7" => emit_curves("fig7", &fig7(fast)),
         "fig8" => emit_curves("fig8", &fig8(fast)),
@@ -56,38 +70,31 @@ fn run(which: &str, fast: bool) {
         "fig11" => {
             let r = fig11();
             println!("{}", r.render());
-            if let Err(e) = write_artifact("fig11.txt", &r.render()) {
-                eprintln!("  could not write fig11.txt: {e}");
-            }
-            if let Err(e) = write_artifact("BENCH_fig11.json", &r.to_report().to_json()) {
-                eprintln!("  could not write BENCH_fig11.json: {e}");
-            }
+            emit("fig11.txt", &r.render());
+            emit("BENCH_fig11.json", &r.to_report().to_json());
         }
         "fig12" => {
             let r = fig12();
             println!("{}", r.render());
-            if let Err(e) = write_artifact("fig12.txt", &r.render()) {
-                eprintln!("  could not write fig12.txt: {e}");
-            }
-            if let Err(e) = write_artifact("BENCH_fig12.json", &r.to_report().to_json()) {
-                eprintln!("  could not write BENCH_fig12.json: {e}");
-            }
+            emit("fig12.txt", &r.render());
+            emit("BENCH_fig12.json", &r.to_report().to_json());
         }
         "fig13" => {
             let r = fig13(fast);
             println!("{}", r.render());
-            if let Err(e) = write_artifact("fig13.txt", &r.render()) {
-                eprintln!("  could not write fig13.txt: {e}");
-            }
+            emit("fig13.txt", &r.render());
             // BENCH_load.json feeds the CI read-amplification gate.
-            if let Err(e) = write_artifact("BENCH_load.json", &r.to_report().to_json()) {
-                eprintln!("  could not write BENCH_load.json: {e}");
-            }
+            emit("BENCH_load.json", &r.to_report().to_json());
+        }
+        "cadence" => {
+            let r = cadence::run(fast);
+            println!("{}", r.render());
+            emit("cadence.txt", &r.render());
+            // BENCH_cadence.json feeds the CI per-iteration cadence gate.
+            emit("BENCH_cadence.json", &r.to_report().to_json());
         }
         "all" => {
-            for exp in [
-                "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "elastic",
-            ] {
+            for exp in EXPERIMENTS {
                 run(exp, fast);
             }
         }

@@ -281,6 +281,29 @@ mod tests {
         assert!((span.total_secs - 0.08).abs() < 1e-9);
     }
 
+    /// What `ci/check_save_stall.py --cadence` reads, from a real `--fast`
+    /// sweep: per (model, cadence) cell the blocking span and the counters
+    /// its table and assertions index, for both models at both endpoints.
+    #[test]
+    fn fast_sweep_reports_every_cell_the_gate_reads() {
+        let report = run(true).to_report();
+        for model in ["dense", "moe"] {
+            for every in [1, ITERS] {
+                let key = format!("cadence/{model}/every{every}");
+                let span = report
+                    .span(&format!("{key}/blocking"))
+                    .unwrap_or_else(|| panic!("no {key}/blocking span"));
+                assert_eq!(span.count, ITERS / every, "{key}");
+                assert_eq!(report.counter(&format!("{key}/saves")), Some(ITERS / every));
+                let bytes = report.counter(&format!("{key}/exchange_bytes"));
+                assert!(bytes.is_some_and(|b| b > 0), "{key}: {bytes:?}");
+                for name in ["mesh_reuse", "atoms_skipped"] {
+                    assert!(report.counter(&format!("{key}/{name}")).is_some(), "{key}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn per_save_normalization_divides_by_saves() {
         let result = sample();

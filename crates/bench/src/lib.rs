@@ -11,12 +11,9 @@ pub mod cadence;
 pub mod correctness;
 pub mod efficiency;
 pub mod load_scaling;
-pub mod micro;
-pub mod perfgate;
 pub mod report;
 
 pub use cadence::{CadenceResult, CadenceRow};
 pub use correctness::{fig10, fig6, fig7, fig8, fig9, CurveSet, Table3};
 pub use efficiency::{fig11, fig12, Fig11Result, Fig12Result};
 pub use load_scaling::{fig13, Fig13Result, ScaleRow};
-pub use perfgate::{check, render_markdown, GateRow, MetricSpec, DEFAULT_TOLERANCE};

@@ -40,7 +40,8 @@ USAGE:
   ucp plan --dir <ckpt-base> --step N --tp T --pp P --dp D [--sp S] [--zero Z] --rank R
       Print the GenUcpMetadata load plan for one target rank.
   ucp verify --dir <ckpt-base> [--step N]
-      Read every checkpoint file and verify all checksums.
+      Check one step the way fsck does — every file its configuration or
+      manifest implies is present and checksum-clean — and change nothing.
   ucp prune --dir <ckpt-base> --keep-last K [--keep-every N]
       Remove old checkpoint steps per the retention policy.
   ucp fsck --dir <ckpt-base> [--no-repair] [--json]
@@ -92,23 +93,6 @@ USAGE:
       threshold; violations are named in the output and the exit code is
       non-zero when any is breached. --json emits the machine-readable
       ucp-status-v1 report instead.
-  ucp bench [--fast] [--out <BENCH_ops.json>]
-      Run the hot-path microbenchmark (CRC kernels, section-range read,
-      fig13 ranged load) and write a ucp-metrics-v1 report (default
-      BENCH_ops.json). --fast shrinks payloads and skips the fig13 probe
-      for quick local iteration; CI gates on full runs.
-  ucp bench --cadence [--fast] [--out <BENCH_cadence.json>]
-      Sweep --save-every in {1, 2, 4, 8} over dense and MoE overlapped
-      training runs, measuring per-save blocking stall and dirty-filtered
-      exchange bytes, and write a ucp-metrics-v1 report (default
-      BENCH_cadence.json). --fast keeps only the cadence endpoints
-      (1 and 8). CI gates the report with check_save_stall.py --cadence.
-  ucp bench --check [--baseline <path>] [--current <path>] [--tolerance T]
-      Compare a current microbench report (default BENCH_ops.json)
-      against the committed baseline (default results/BENCH_baseline.json)
-      and exit non-zero when any gated metric regresses beyond the noise
-      tolerance (default 0.25). Prints a baseline-vs-current markdown
-      table; CI appends it to the job summary.
   ucp help
       Show this message.
 
@@ -193,19 +177,6 @@ pub struct Parsed {
     /// `--report-out` (chaos): write the machine-readable chaos report
     /// here.
     pub report_out: Option<PathBuf>,
-    /// `--fast` (bench): shrink payloads and skip the fig13 probe.
-    pub fast: bool,
-    /// `--out` (bench): where to write the microbench report.
-    pub out: Option<PathBuf>,
-    /// `--check` (bench): compare current vs. baseline instead of running.
-    pub check: bool,
-    /// `--cadence` (bench): run the checkpoint-cadence sweep instead of
-    /// the microbench.
-    pub cadence: bool,
-    /// `--baseline` (bench --check): committed baseline report path.
-    pub baseline: Option<PathBuf>,
-    /// `--current` (bench --check): current report path.
-    pub current: Option<PathBuf>,
     /// `--metrics` (status): ucp-metrics-v1 report to join into the
     /// health report.
     pub metrics: Option<PathBuf>,
@@ -276,12 +247,6 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             "--targets" => p.targets = Some(value(&mut i)?),
             "--deadline-ms" => p.deadline_ms = Some(parse_num(&value(&mut i)?)?),
             "--report-out" => p.report_out = Some(PathBuf::from(value(&mut i)?)),
-            "--fast" => p.fast = true,
-            "--out" => p.out = Some(PathBuf::from(value(&mut i)?)),
-            "--check" => p.check = true,
-            "--cadence" => p.cadence = true,
-            "--baseline" => p.baseline = Some(PathBuf::from(value(&mut i)?)),
-            "--current" => p.current = Some(PathBuf::from(value(&mut i)?)),
             "--metrics" => p.metrics = Some(PathBuf::from(value(&mut i)?)),
             "--max-stale-steps" => p.max_stale_steps = Some(parse_num(&value(&mut i)?)?),
             "--max-recovery-ms" => p.max_recovery_ms = Some(parse_num(&value(&mut i)?)?),
@@ -440,30 +405,6 @@ mod tests {
         let p = parse(&sv(&["--dir", "/c"])).unwrap();
         assert!(p.hot_replicas.is_none() && p.faults_per_cell.is_none());
         assert!(parse(&sv(&["--hot-replicas", "two"])).is_err());
-    }
-
-    #[test]
-    fn parses_bench_flags() {
-        let p = parse(&sv(&[
-            "--check",
-            "--baseline",
-            "results/BENCH_baseline.json",
-            "--current",
-            "BENCH_ops.json",
-            "--tolerance",
-            "0.3",
-        ]))
-        .unwrap();
-        assert!(p.check);
-        assert_eq!(
-            p.baseline.unwrap(),
-            PathBuf::from("results/BENCH_baseline.json")
-        );
-        assert_eq!(p.current.unwrap(), PathBuf::from("BENCH_ops.json"));
-        assert_eq!(p.tolerance, Some(0.3));
-        let p = parse(&sv(&["--fast", "--out", "/tmp/b.json"])).unwrap();
-        assert!(p.fast && !p.check);
-        assert_eq!(p.out.unwrap(), PathBuf::from("/tmp/b.json"));
     }
 
     #[test]

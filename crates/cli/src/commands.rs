@@ -43,9 +43,8 @@ pub fn dispatch(cmd: &str, p: &Parsed) -> Result<(), String> {
         "diff" => diff,
         "trace" => trace,
         "chaos" => chaos,
-        "bench" => bench,
         "status" => crate::status::status,
-        other => return Err(format!("unknown command '{other}'")),
+        other => return Err(format!("unknown command '{other}'\n{}", crate::args::USAGE)),
     };
     let trace_out = match cmd {
         "trace" if p.trace_in.is_some() => None,
@@ -417,51 +416,33 @@ pub fn plan(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `ucp verify`: read every file of a checkpoint step (native and
-/// universal trees) and verify all container checksums.
+/// `ucp verify`: check one step's native and universal trees the way
+/// `ucp fsck` does — every file the step's own configuration or manifest
+/// implies is present and checksum-clean — and change nothing.
 pub fn verify(p: &Parsed) -> Result<(), String> {
     let dir = require_dir(p)?;
     let step = resolve_step(&dir, p.step)?;
-    let mut checked = 0usize;
-    let mut failures = Vec::new();
-    for root in [
-        layout::step_dir(&dir, step),
-        layout::universal_dir(&dir, step),
-    ] {
-        if !root.is_dir() {
-            continue;
-        }
-        let mut stack = vec![root];
-        while let Some(d) = stack.pop() {
-            let entries = std::fs::read_dir(&d).map_err(|e| e.to_string())?;
-            for e in entries.flatten() {
-                let path = e.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if path.extension().is_some_and(|x| x == "ucpt") {
-                    checked += 1;
-                    if let Err(err) = Container::read_file(&path) {
-                        failures.push(format!("{}: {err}", path.display()));
-                    }
-                }
-            }
-        }
-    }
-    if checked == 0 {
+    let report = ucp_core::fsck::check_step(&dir, step);
+    if report.steps_checked.is_empty() && report.universal_checked.is_empty() {
         return Err(format!("no checkpoint files found for step {step}"));
     }
-    if failures.is_empty() {
-        println!("ok: {checked} files verified at step {step}");
-        Ok(())
-    } else {
-        for f in &failures {
-            eprintln!("CORRUPT {f}");
-        }
-        Err(format!(
-            "{} of {checked} files failed verification",
-            failures.len()
-        ))
+    if report.clean() {
+        println!(
+            "ok: {} files verified at step {step}",
+            report.files_verified
+        );
+        return Ok(());
     }
+    let problems: Vec<String> = report
+        .problems
+        .iter()
+        .map(|p| format!("{}: {}", p.path, p.detail))
+        .collect();
+    Err(format!(
+        "step {step} failed verification ({} files verified):\n  {}",
+        report.files_verified,
+        problems.join("\n  ")
+    ))
 }
 
 /// `ucp fsck`: verify and repair a checkpoint tree. Exits non-zero when
@@ -731,63 +712,6 @@ pub fn diff(p: &Parsed) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("{differing} differences found"))
-    }
-}
-
-/// `ucp bench`: run the hot-path microbenchmark, with `--cadence` the
-/// checkpoint-cadence sweep, or with `--check` compare a current report
-/// against the committed baseline.
-///
-/// The run modes write `ucp-metrics-v1` reports (default `BENCH_ops.json`
-/// / `BENCH_cadence.json`); the check mode derives the gated metrics (CRC
-/// GB/s, section-range read GB/s, fig13 load wall time) from both
-/// reports, prints a baseline-vs-current markdown table, and fails when
-/// any metric regresses beyond the noise tolerance (default 25%).
-pub fn bench(p: &Parsed) -> Result<(), String> {
-    if p.cadence {
-        let result = ucp_bench::cadence::run(p.fast);
-        print!("{}", result.render());
-        let out = p.out.clone().unwrap_or_else(|| "BENCH_cadence.json".into());
-        ucp_storage::commit::atomic_write(&out, result.to_report().to_json().as_bytes())
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
-        println!("cadence report written to {}", out.display());
-        return Ok(());
-    }
-    if p.check {
-        let baseline_path = p
-            .baseline
-            .clone()
-            .unwrap_or_else(|| "results/BENCH_baseline.json".into());
-        let current_path = p.current.clone().unwrap_or_else(|| "BENCH_ops.json".into());
-        let read = |path: &std::path::Path| -> Result<ucp_telemetry::Report, String> {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            ucp_telemetry::Report::from_json(&text)
-                .map_err(|e| format!("parsing {}: {e}", path.display()))
-        };
-        let baseline = read(&baseline_path)?;
-        let current = read(&current_path)?;
-        let tolerance = p.tolerance.unwrap_or(ucp_bench::DEFAULT_TOLERANCE);
-        let (rows, ok) = ucp_bench::check(&baseline, &current, tolerance);
-        print!("{}", ucp_bench::render_markdown(&rows));
-        if ok {
-            println!("perf gate: PASS (tolerance {}%)", tolerance * 100.0);
-            Ok(())
-        } else {
-            Err(format!(
-                "perf gate: FAIL — metric regressed beyond {}% tolerance \
-                 (baseline {})",
-                tolerance * 100.0,
-                baseline_path.display()
-            ))
-        }
-    } else {
-        let report = ucp_bench::micro::run(p.fast);
-        let out = p.out.clone().unwrap_or_else(|| "BENCH_ops.json".into());
-        ucp_storage::commit::atomic_write(&out, report.to_json().as_bytes())
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
-        println!("microbench report written to {}", out.display());
-        Ok(())
     }
 }
 

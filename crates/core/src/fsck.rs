@@ -299,6 +299,22 @@ fn check_journal(base: &Path, opts: &FsckOptions, report: &mut FsckReport) -> Re
     Ok(())
 }
 
+/// Verify one step — its native tree, its universal tree, or both,
+/// whichever exist — for checksums and completeness. Reports only: no
+/// quarantine, no `.tmp` sweep, no marker or journal pass.
+pub fn check_step(base: &Path, step: u64) -> FsckReport {
+    let mut report = FsckReport::default();
+    if layout::step_dir(base, step).is_dir() {
+        report.steps_checked.push(step);
+        check_native_step(base, step, &mut report);
+    }
+    if layout::universal_dir(base, step).is_dir() {
+        report.universal_checked.push(step);
+        check_universal_step(base, step, &mut report);
+    }
+    report
+}
+
 /// Run fsck over the checkpoint tree at `base`.
 pub fn fsck(base: &Path, opts: &FsckOptions) -> Result<FsckReport> {
     let _sp = ucp_telemetry::span("fsck/total");

@@ -458,13 +458,6 @@ impl Container {
         encode(w, VERSION, &self.header, &self.section_refs())
     }
 
-    /// Serialize in the legacy v1 layout (whole-payload CRCs, no block
-    /// table). Kept so format-compatibility tests and tooling can produce
-    /// v1 files; new files should use [`Container::write_to`].
-    pub fn write_to_v1<W: Write>(&self, w: &mut W) -> Result<()> {
-        encode(w, VERSION_V1, &self.header, &self.section_refs())
-    }
-
     /// Deserialize from a reader, verifying all checksums. Accepts both
     /// the current v2 layout and legacy v1 files. One forward pass.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Container> {
@@ -852,6 +845,12 @@ mod tests {
         c
     }
 
+    /// The legacy v1 layout, which has a reader but no production writer:
+    /// the shared encoder at the old version number.
+    fn write_v1(c: &Container, w: &mut Vec<u8>) -> Result<()> {
+        encode(w, VERSION_V1, &c.header, &c.section_refs())
+    }
+
     /// A container big enough that sections span many CRC blocks.
     fn big_sample() -> Container {
         let rng = DetRng::new(9);
@@ -884,7 +883,7 @@ mod tests {
     fn v1_files_still_read_back() {
         let c = sample();
         let mut buf = Vec::new();
-        c.write_to_v1(&mut buf).unwrap();
+        write_v1(&c, &mut buf).unwrap();
         let back = Container::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(back.header, c.header);
         for (orig, read) in c.sections.iter().zip(&back.sections) {
@@ -927,7 +926,7 @@ mod tests {
     fn v1_corruption_is_detected() {
         let c = sample();
         let mut buf = Vec::new();
-        c.write_to_v1(&mut buf).unwrap();
+        write_v1(&c, &mut buf).unwrap();
         let idx = buf.len() - 10;
         buf[idx] ^= 0x01;
         match Container::read_from(&mut buf.as_slice()) {
@@ -1073,7 +1072,7 @@ mod tests {
     fn range_read_of_v1_section_falls_back_to_full_verify() {
         let c = big_sample();
         let mut buf = Vec::new();
-        c.write_to_v1(&mut buf).unwrap();
+        write_v1(&c, &mut buf).unwrap();
         let mut cur = std::io::Cursor::new(&buf);
         let index = ContainerIndex::read_from(&mut cur).unwrap();
         let full: Vec<f32> = c.sections[0].tensor.flatten().as_slice().to_vec();
@@ -1227,7 +1226,7 @@ mod tests {
         }
         let (mut v2, mut v1) = (Vec::new(), Vec::new());
         c.write_to(&mut v2).unwrap();
-        c.write_to_v1(&mut v1).unwrap();
+        write_v1(&c, &mut v1).unwrap();
         assert_positioned_matches_seek(&v2, "v2");
         assert_positioned_matches_seek(&v1, "v1");
     }
@@ -1430,7 +1429,7 @@ mod tests {
                 c.push("w", t);
                 let mut buf = Vec::new();
                 if v1 {
-                    c.write_to_v1(&mut buf).unwrap();
+                    write_v1(&c, &mut buf).unwrap();
                 } else {
                     c.write_to(&mut buf).unwrap();
                 }
@@ -1491,7 +1490,7 @@ mod tests {
 
     #[test]
     fn byte_flip_fuzz_never_panics() {
-        for writer in [Container::write_to, Container::write_to_v1] {
+        for writer in [Container::write_to, write_v1] {
             let c = sample();
             let mut buf = Vec::new();
             writer(&c, &mut buf).unwrap();
@@ -1521,7 +1520,7 @@ mod tests {
         c.write_to(&mut v2).unwrap();
         assert_eq!((v2.len(), crc32c(&v2)), (246, 0x86fe_229f));
         let mut v1 = Vec::new();
-        c.write_to_v1(&mut v1).unwrap();
+        write_v1(&c, &mut v1).unwrap();
         assert_eq!((v1.len(), crc32c(&v1)), (222, 0x64a9_fd0f));
     }
 

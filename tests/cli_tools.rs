@@ -6,7 +6,7 @@ use ucp_cli::args::{parse, Parsed};
 use ucp_cli::commands;
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout;
+use ucp_repro::storage::layout::{self, AtomFile};
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -92,6 +92,18 @@ fn missing_dir_and_step_errors() {
     std::fs::remove_dir_all(&empty).ok();
 }
 
+/// The tool does not link the evaluation harness: `bench` is as unknown
+/// as any other word, and the error carries the usage text.
+#[test]
+fn bench_is_not_a_subcommand() {
+    let err = commands::dispatch("bench", &flags(&[])).unwrap_err();
+    assert!(err.contains("unknown command 'bench'"), "{err}");
+    assert!(
+        err.contains("USAGE:") && !err.contains("ucp bench"),
+        "{err}"
+    );
+}
+
 #[test]
 fn verify_passes_then_detects_corruption() {
     let dir = make_checkpoint("verify");
@@ -107,6 +119,32 @@ fn verify_passes_then_detects_corruption() {
     std::fs::write(&victim, bytes).unwrap();
     let err = commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap_err();
     assert!(err.contains("failed verification"), "{err}");
+    assert!(err.contains("dp00_mp00_000/optim_states.ucpt"), "{err}");
+
+    // A file that is gone is as bad as one that is corrupt: an optimizer
+    // shard the step's own parallel configuration implies...
+    std::fs::remove_file(&victim).unwrap();
+    let err = commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap_err();
+    assert!(err.contains("dp00_mp00_000/optim_states.ucpt"), "{err}");
+
+    // ...and, with the native tree out of the way, an atom file the
+    // universal manifest lists.
+    std::fs::remove_dir_all(layout::step_dir(&dir, 2)).unwrap();
+    commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap();
+    let universal = layout::universal_dir(&dir, 2);
+    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    let atom = layout::atom_path(&universal, &manifest.params[0].name, AtomFile::ExpAvg);
+    std::fs::remove_file(&atom).unwrap();
+    let err = commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap_err();
+    let atom_rel = atom.strip_prefix(&dir).unwrap().display().to_string();
+    assert!(err.contains(&atom_rel), "{err}");
+
+    // A step with neither tree is still its own error.
+    let err = commands::verify(&flags(&["--dir", &dir_s, "--step", "7"])).unwrap_err();
+    assert!(
+        err.contains("no checkpoint files found for step 7"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -136,7 +174,6 @@ fn fsck_clean_tree_succeeds_and_corrupt_tree_fails() {
 
 #[test]
 fn failed_command_still_writes_its_metrics_and_trace() {
-    use ucp_repro::storage::layout::AtomFile;
     use ucp_repro::telemetry::{Json, Report};
 
     let dir = make_checkpoint("err_report");

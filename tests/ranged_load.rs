@@ -3,6 +3,9 @@
 //! v1 containers, share bytes across DP replicas through the session atom
 //! cache, and stay fsck-clean on both container versions.
 
+#[path = "support/v1_container.rs"]
+mod v1_container;
+
 use std::sync::Mutex;
 
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
@@ -201,9 +204,7 @@ fn downgrade_containers_to_v1(dir: &std::path::Path) -> usize {
             converted += downgrade_containers_to_v1(&path);
         } else if path.extension().is_some_and(|e| e == "ucpt") {
             let c = Container::read_file(&path).unwrap();
-            let mut bytes = Vec::new();
-            c.write_to_v1(&mut bytes).unwrap();
-            std::fs::write(&path, bytes).unwrap();
+            std::fs::write(&path, v1_container::encode_v1(&c)).unwrap();
             converted += 1;
         }
     }
