@@ -17,8 +17,9 @@ With --cadence the script instead gates a BENCH_cadence.json sweep
 (`figures --experiment cadence`): per-iteration checkpointing (--save-every 1)
 must not stall training more per save than the coarsest cadence does
 (same 10% + absolute slack budget), and the MoE run's steady-state
-per-save exchange volume must collapse below half of a full-model save —
-the dirty filter really has to drop frozen experts.
+per-save exchange volume and written atom volume must each collapse below
+half of a full-model save — the dirty filter really has to drop frozen
+experts, and their sub-atoms really have to be hard-linked, not rewritten.
 
 Usage: check_save_stall.py baseline.json pipeline.json table.md [BENCH_ci.json]
        check_save_stall.py --cadence BENCH_cadence.json table.md [BENCH_ci.json]
@@ -37,8 +38,9 @@ PIPELINE_SPANS = ("save/exchange", "save/assemble", "save/atoms", "save/manifest
                   "save/publish_universal")
 REL_SLACK = 1.10  # pipeline blocking may be at most 10% over baseline...
 ABS_SLACK = 0.25  # ...plus this many seconds, since tiny CI runs are noise-bound
-# --cadence: steady-state per-save exchange bytes of the MoE every=1 run
-# must land below this fraction of one full-model save.
+# --cadence: steady-state per-save exchange bytes, and written atom bytes,
+# of the MoE every=1 run must each land below this fraction of one
+# full-model save.
 MOE_STEADY_MAX = 0.50
 
 
@@ -72,6 +74,7 @@ def cadence_cells(spans, counters):
         assert cell.get("saves", 0) > 0, f"{model} every={every}: no saves recorded"
         cell["blocking_per_save"] = span / cell["saves"]
         cell["bytes_per_save"] = cell["exchange_bytes"] / cell["saves"]
+        cell["written_per_save"] = cell["universal_bytes"] / cell["saves"]
     return cells
 
 
@@ -82,12 +85,14 @@ def cadence_main(report_path, table_path, merge_path=None):
     models = sorted({m for m, _ in cells})
     assert "moe" in models and "dense" in models, f"models in sweep: {models}"
 
-    rows = ["| model | every | saves | block/save (s) | bytes/save | mesh reuse | atoms skipped |",
-            "|---|---|---|---|---|---|---|"]
+    rows = ["| model | every | saves | block/save (s) | bytes/save | written/save "
+            "| mesh reuse | atoms skipped |",
+            "|---|---|---|---|---|---|---|---|"]
     for model, every in sorted(cells):
         c = cells[(model, every)]
         rows.append(f"| {model} | {every} | {c['saves']} | {c['blocking_per_save']:.6f} "
-                    f"| {c['bytes_per_save']:.0f} | {c['mesh_reuse']} | {c['atoms_skipped']} |")
+                    f"| {c['bytes_per_save']:.0f} | {c['written_per_save']:.0f} "
+                    f"| {c['mesh_reuse']} | {c['atoms_skipped']} |")
 
     failures = []
     for model in models:
@@ -106,22 +111,30 @@ def cadence_main(report_path, table_path, merge_path=None):
             failures.append(line)
 
     # MoE incremental volume: the coarsest cadence takes exactly one save,
-    # which exchanges the full model (every block dirty after the first
-    # optimizer steps). Subtract that first full save from the every=1
-    # total to get the steady-state incremental per-save volume.
+    # which exchanges and writes the full model (every block dirty after
+    # the first optimizer steps). Subtract that first full save from the
+    # every=1 total to get the steady-state incremental per-save volume.
     moe1 = cells[("moe", 1)]
-    full_bytes = cells[("moe", sorted(e for m, e in cells if m == "moe")[-1])]["exchange_bytes"]
+    moe_full = cells[("moe", sorted(e for m, e in cells if m == "moe")[-1])]
     assert moe1["saves"] > 1, "moe every=1 took a single save; nothing incremental to gate"
-    steady = (moe1["exchange_bytes"] - full_bytes) / (moe1["saves"] - 1)
-    ratio = steady / full_bytes
-    rows.append(f"| **moe steady-state** | 1 | — | — | **{steady:.0f} "
-                f"({ratio * 100:.1f}% of full)** | — | — |")
-    print(f"moe: steady-state {steady:.0f} B/save vs full save {full_bytes} B "
-          f"({ratio * 100:.1f}%, limit {MOE_STEADY_MAX * 100:.0f}%)")
-    if ratio >= MOE_STEADY_MAX:
-        failures.append(f"moe steady-state exchange is {ratio * 100:.1f}% of a full save "
-                        f"(limit {MOE_STEADY_MAX * 100:.0f}%): the dirty filter is not "
-                        f"dropping frozen experts")
+
+    def steady_state(field, what, why):
+        full_bytes = moe_full[field]
+        steady = (moe1[field] - full_bytes) / (moe1["saves"] - 1)
+        ratio = steady / full_bytes
+        print(f"moe: steady-state {what} {steady:.0f} B/save vs full save {full_bytes} B "
+              f"({ratio * 100:.1f}%, limit {MOE_STEADY_MAX * 100:.0f}%)")
+        if ratio >= MOE_STEADY_MAX:
+            failures.append(f"moe steady-state {what} is {ratio * 100:.1f}% of a full save "
+                            f"(limit {MOE_STEADY_MAX * 100:.0f}%): {why}")
+        return steady, full_bytes, f"**{steady:.0f} ({ratio * 100:.1f}% of full)**"
+
+    steady, full_bytes, exchange_cell = steady_state(
+        "exchange_bytes", "exchange", "the dirty filter is not dropping frozen experts")
+    _, _, written_cell = steady_state(
+        "universal_bytes", "written atom volume",
+        "clean experts' sub-atoms are rewritten, not hard-linked")
+    rows.append(f"| **moe steady-state** | 1 | — | — | {exchange_cell} | {written_cell} | — | — |")
     if moe1["atoms_skipped"] == 0:
         failures.append("moe every=1 never hard-linked a clean atom")
 

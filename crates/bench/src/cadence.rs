@@ -1,7 +1,7 @@
 //! Checkpoint-cadence sweep: what does `--save-every 1` actually cost?
 //!
 //! Runs short overlapped training runs at save cadences {1, 2, 4, 8} over
-//! a dense model and an MoE model, and measures the two quantities the
+//! a dense model and an MoE model, and measures the quantities the
 //! per-iteration pipeline is built to keep flat:
 //!
 //! * **blocking stall per save** — the `save/snapshot` + `save/drain` +
@@ -12,8 +12,12 @@
 //!   (`save/exchange_bytes`). Dense models re-exchange everything; MoE
 //!   models route only top-k experts per step, so frozen experts drop out
 //!   and the steady-state per-save volume collapses.
+//! * **written atom bytes per save** — what the stage assemblers staged
+//!   fresh (`save/universal_bytes`); the rest of the tree is hard links. An
+//!   expert weight is stored as one sub-atom per expert, so the MoE volume
+//!   follows the exchange volume down instead of staying a full tree.
 //!
-//! `ci/check_save_stall.py --cadence` gates both on the emitted
+//! `ci/check_save_stall.py --cadence` gates all three on the emitted
 //! `BENCH_cadence.json` (shared `ucp-metrics-v1` schema).
 
 use ucp_model::ModelConfig;
@@ -45,6 +49,8 @@ pub struct CadenceRow {
     pub blocking_secs: f64,
     /// Dirty-filtered all-to-all volume across all saves (bytes).
     pub exchange_bytes: u64,
+    /// Atom bytes written fresh across all saves (the rest is hard links).
+    pub universal_bytes: u64,
     /// Universal atoms written fresh across all saves.
     pub atoms_written: u64,
     /// Universal atoms hard-linked clean from the prior step.
@@ -62,6 +68,11 @@ impl CadenceRow {
     /// Exchange bytes per checkpoint.
     pub fn bytes_per_save(&self) -> u64 {
         self.exchange_bytes / self.saves.max(1)
+    }
+
+    /// Atom bytes written per checkpoint.
+    pub fn written_per_save(&self) -> u64 {
+        self.universal_bytes / self.saves.max(1)
     }
 }
 
@@ -82,12 +93,13 @@ impl CadenceResult {
             self.iters
         );
         out.push_str(&format!(
-            "{:<7} {:>6} {:>6} {:>14} {:>14} {:>12} {:>14} {:>10}\n",
+            "{:<7} {:>6} {:>6} {:>14} {:>14} {:>14} {:>12} {:>14} {:>10}\n",
             "model",
             "every",
             "saves",
             "block/save(s)",
             "bytes/save",
+            "written/save",
             "mesh reuse",
             "atoms w/s",
             "skipped%"
@@ -100,12 +112,13 @@ impl CadenceResult {
                 100.0 * r.atoms_skipped as f64 / atoms as f64
             };
             out.push_str(&format!(
-                "{:<7} {:>6} {:>6} {:>14.6} {:>14} {:>12} {:>14} {:>9.1}%\n",
+                "{:<7} {:>6} {:>6} {:>14.6} {:>14} {:>14} {:>12} {:>14} {:>9.1}%\n",
                 r.model,
                 r.every,
                 r.saves,
                 r.blocking_per_save(),
                 r.bytes_per_save(),
+                r.written_per_save(),
                 r.mesh_reuse,
                 format!("{}/{}", r.atoms_written, r.atoms_skipped),
                 skipped_pct,
@@ -113,7 +126,8 @@ impl CadenceResult {
         }
         out.push_str(
             "(per-save blocking must stay flat as cadence tightens; MoE steady-state \
-             bytes/save must collapse as frozen experts drop out of the exchange)\n",
+             bytes/save and written/save must collapse as frozen experts drop out of \
+             the exchange and their sub-atoms are hard-linked; atoms count sub-atoms)\n",
         );
         out
     }
@@ -144,6 +158,7 @@ impl CadenceResult {
             for (name, value) in [
                 ("saves", r.saves),
                 ("exchange_bytes", r.exchange_bytes),
+                ("universal_bytes", r.universal_bytes),
                 ("atoms_written", r.atoms_written),
                 ("atoms_skipped", r.atoms_skipped),
                 ("mesh_reuse", r.mesh_reuse),
@@ -211,6 +226,7 @@ fn run_cell(label: &'static str, model: &ModelConfig, every: u64) -> CadenceRow 
         // `save/drain` may be absent; missing blocking spans count as 0.
         blocking_secs: BLOCKING_SPANS.iter().map(|s| span_secs(s)).sum(),
         exchange_bytes: counter("save/exchange_bytes"),
+        universal_bytes: counter("save/universal_bytes"),
         atoms_written: counter("save/atoms_written"),
         atoms_skipped: counter("save/atoms_skipped"),
         mesh_reuse: counter("save/mesh_reuse"),
@@ -246,6 +262,7 @@ mod tests {
                     saves: 8,
                     blocking_secs: 0.08,
                     exchange_bytes: 4000,
+                    universal_bytes: 6000,
                     atoms_written: 70,
                     atoms_skipped: 10,
                     mesh_reuse: 7,
@@ -256,6 +273,7 @@ mod tests {
                     saves: 1,
                     blocking_secs: 0.01,
                     exchange_bytes: 1000,
+                    universal_bytes: 2000,
                     atoms_written: 10,
                     atoms_skipped: 0,
                     mesh_reuse: 0,
@@ -295,8 +313,10 @@ mod tests {
                     .unwrap_or_else(|| panic!("no {key}/blocking span"));
                 assert_eq!(span.count, ITERS / every, "{key}");
                 assert_eq!(report.counter(&format!("{key}/saves")), Some(ITERS / every));
-                let bytes = report.counter(&format!("{key}/exchange_bytes"));
-                assert!(bytes.is_some_and(|b| b > 0), "{key}: {bytes:?}");
+                for name in ["exchange_bytes", "universal_bytes"] {
+                    let bytes = report.counter(&format!("{key}/{name}"));
+                    assert!(bytes.is_some_and(|b| b > 0), "{key}/{name}: {bytes:?}");
+                }
                 for name in ["mesh_reuse", "atoms_skipped"] {
                     assert!(report.counter(&format!("{key}/{name}")).is_some(), "{key}");
                 }
@@ -310,6 +330,7 @@ mod tests {
         let every1 = &result.rows[0];
         assert!((every1.blocking_per_save() - 0.01).abs() < 1e-9);
         assert_eq!(every1.bytes_per_save(), 500);
+        assert_eq!(every1.written_per_save(), 750);
         let render = result.render();
         assert!(render.contains("moe"), "render lists the model:\n{render}");
         assert!(render.contains("every"), "render has the header:\n{render}");

@@ -3,11 +3,11 @@
 use ucp_core::checkpoint::{load_model_states, load_optim_states};
 use ucp_core::convert::{convert_to_universal, ConvertOptions};
 use ucp_core::language::UcpSpec;
-use ucp_core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
+use ucp_core::load::{gen_ucp_metadata, read_atom, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_core::manifest::UcpManifest;
 use ucp_model::ModelConfig;
 use ucp_parallel::{ParallelConfig, ZeroStage};
-use ucp_storage::{layout, retention, Container, Device};
+use ucp_storage::{layout, retention, Device};
 use ucp_trainer::{
     supervise, train_run_overlapped, Persist, ResumeMode, SavePolicy, SupervisorOptions,
     TrainConfig, TrainPlan,
@@ -337,6 +337,18 @@ pub fn inspect(p: &Parsed) -> Result<(), String> {
         println!("universal checkpoint {}", universal.display());
         println!("  source          {}", manifest.source_label);
         println!("  atoms           {}", manifest.params.len());
+        // A split parameter is one atom stored as sub-atoms, not many.
+        let split: Vec<_> = manifest.params.iter().filter(|a| a.parts() > 1).collect();
+        if !split.is_empty() {
+            let parts: usize = split.iter().map(|a| a.parts()).sum();
+            println!(
+                "  split atoms     {} (stored as {parts} sub-atoms)",
+                split.len()
+            );
+            for a in split {
+                println!("    {:<50} {} in {} parts", a.name, a.shape, a.parts());
+            }
+        }
         println!("  total bytes     {}", layout::dir_size_bytes(&universal));
         let mut by_pattern: std::collections::BTreeMap<&'static str, usize> = Default::default();
         for a in &manifest.params {
@@ -678,16 +690,15 @@ pub fn diff(p: &Parsed) -> Result<(), String> {
             continue;
         }
         for file in layout::AtomFile::ALL {
-            let ta = Container::read_file(&layout::atom_path(&a_dir, &atom.name, file))
-                .map_err(|e| e.to_string())?;
-            let tb = Container::read_file(&layout::atom_path(&b_dir, &atom.name, file))
-                .map_err(|e| e.to_string())?;
-            let (ta, tb) = (
-                ta.get(file.state_key()).ok_or("missing section")?,
-                tb.get(file.state_key()).ok_or("missing section")?,
-            );
+            // Whole tensors, however each tree stores them: a split tree
+            // and an unsplit one of the same state are identical.
+            let read = |dir: &std::path::Path, meta: &ucp_core::manifest::AtomMeta| {
+                read_atom(dir, &meta.name, meta.parts(), file, &Device::unlimited())
+                    .map_err(|e| format!("{} [{}]: {e}", meta.name, file.state_key()))
+            };
+            let (ta, tb) = (read(&a_dir, atom)?, read(&b_dir, other)?);
             compared += 1;
-            let delta = ta.max_abs_diff(tb).unwrap_or(f32::INFINITY);
+            let delta = ta.max_abs_diff(&tb).unwrap_or(f32::INFINITY);
             if f64::from(delta) > tol {
                 println!(
                     "differs {} [{}]: max |Δ| = {delta:e}",

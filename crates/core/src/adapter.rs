@@ -60,6 +60,7 @@ fn publish_atoms<'t>(
             name: spec.name,
             shape: spec.shape,
             pattern: ParamPattern::Unique,
+            parts: None,
         };
         for file in AtomFile::ALL {
             let t = tensor_of(&meta.name, file)?;
@@ -74,11 +75,10 @@ fn publish_atoms<'t>(
             }
             stage_atom(
                 &group,
-                &universal,
+                &layout::atom_path(&universal, &meta.name, file),
                 &meta,
-                file,
                 t.dtype(),
-                t.as_slice(),
+                &[(file, t.as_slice())],
                 "convert/atom_write",
             )?;
         }

@@ -24,7 +24,9 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use ucp_model::{param_specs, LayerRole, Partition, ShardSegment};
@@ -42,32 +44,36 @@ use crate::pattern::{FragmentSpec, ParamPattern};
 use crate::util::par_map;
 use crate::{Result, UcpError};
 
-/// Serialize one atom checkpoint (header + single state section) into
-/// `atoms`, the group its step commits as one. This is the only encoder
-/// of atom files: the offline converter, the adapters and the save
-/// pipeline all stage through it, which is what makes their on-disk trees
-/// byte-identical. `data` is borrowed from wherever the consolidated
-/// values live. Returns the encoded size; the staging latency is recorded
-/// under `span_path`.
+/// Serialize one atom file at `path` — a header and one section per state
+/// in `states` — into `atoms`, the group its step commits as one. This is
+/// the only encoder of atom files: the offline converter, the adapters and
+/// the save pipeline all stage through it, which is what makes their
+/// on-disk trees byte-identical. `meta` describes what the file holds: a
+/// whole parameter, of which a file carries one state, or one sub-atom of a
+/// split one (the parameter's name and pattern, the part's shape), whose
+/// single file carries all three. Each state's values are borrowed from
+/// wherever the consolidated ones live. Returns the encoded size; the
+/// staging latency is recorded under `span_path`.
 pub fn stage_atom(
     atoms: &Group,
-    universal_dir: &Path,
+    path: &Path,
     meta: &AtomMeta,
-    file: AtomFile,
     dtype: DType,
-    data: &[f32],
+    states: &[(AtomFile, &[f32])],
     span_path: &str,
 ) -> Result<u64> {
     let header = serde_json::to_string(meta)?;
-    let sections = [SectionRef {
-        name: file.state_key(),
-        dtype,
-        dims: meta.shape.dims(),
-        data,
-    }];
-    let path = layout::atom_path(universal_dir, &meta.name, file);
+    let sections: Vec<SectionRef<'_>> = states
+        .iter()
+        .map(|&(file, data)| SectionRef {
+            name: file.state_key(),
+            dtype,
+            dims: meta.shape.dims(),
+            data,
+        })
+        .collect();
     let _sp = ucp_telemetry::span(span_path);
-    container::stage_file(atoms, &path, &header, &sections)?;
+    container::stage_file(atoms, path, &header, &sections)?;
     Ok(container::encoded_len(&header, &sections) as u64)
 }
 
@@ -85,15 +91,15 @@ pub fn write_atom_file(
         name: name.to_string(),
         shape: atom.shape().clone(),
         pattern: pattern.clone(),
+        parts: None,
     };
     let group = Group::new(true);
     let bytes = stage_atom(
         &group,
-        universal_dir,
+        &layout::atom_path(universal_dir, name, file),
         &meta,
-        file,
         atom.dtype(),
-        atom.as_slice(),
+        &[(file, atom.as_slice())],
         span_path,
     )?;
     group.commit()?;
@@ -146,12 +152,14 @@ pub fn commit_universal(
 /// accounting (the publisher merges these across stages). Manifest entries
 /// cover *every* parameter the stage owns — skipped (clean) atoms are
 /// published as hard links to the prior universal step's files and appear
-/// in the manifest exactly like rewritten ones.
+/// in the manifest exactly like rewritten ones. The counts are of atoms as
+/// stored: a split parameter is one manifest entry and `parts` atoms.
 #[derive(Debug, Clone)]
 pub struct StageAtoms {
-    /// Manifest entries for the atoms this stage published.
+    /// Manifest entries for the parameters this stage published.
     pub metas: Vec<AtomMeta>,
-    /// Atom checkpoints written (one per rewritten parameter).
+    /// Atoms written: one per rewritten unsplit parameter (three files),
+    /// one per rewritten sub-atom of a split one (one file).
     pub atoms_written: usize,
     /// Clean atoms reused from the prior step via hard links.
     pub atoms_skipped: usize,
@@ -208,6 +216,12 @@ struct ParamBuilder {
     /// True consolidated shape (padding already absent).
     shape: Shape,
     pattern: ParamPattern,
+    /// Sub-atoms the parameter is stored as
+    /// ([`ucp_model::ParamSpec::blocks`]): equal slices of the leading
+    /// dimension, each `part_len` consecutive elements of a consolidated
+    /// buffer. 1 = one atom.
+    parts: usize,
+    part_len: usize,
     /// Owned by a different pipeline stage (a tied embedding belongs to the
     /// last stage): absorbed for completeness accounting, never published.
     skip: bool,
@@ -221,17 +235,32 @@ struct ParamBuilder {
     /// Elements received per `[key][tp]` *this step*; a not-yet-complete
     /// builder is complete at `shard_len` each.
     got: [Vec<usize>; 3],
-    /// Received at least one fragment since the last `begin_step`.
-    touched: bool,
+    /// Per sub-atom: a fragment landed in it since the last `begin_step`.
+    touched: Vec<bool>,
     /// The consolidated buffers held a full image at some finalize — from
     /// then on, steps may patch partially (dirty fragments only) and an
-    /// untouched step can reuse the previously published atom files.
+    /// untouched sub-atom can reuse its previously published files.
     complete: bool,
+    /// Encoded size of one (sub-)atom's files, known once one has been
+    /// staged: every part has the same header and dimensions. What a hard
+    /// link is accounted as, without a `stat` per linked file.
+    atom_bytes: OnceLock<u64>,
 }
 
 impl ParamBuilder {
-    fn new(shape: Shape, pattern: ParamPattern, skip: bool, tp: usize) -> Result<ParamBuilder> {
+    fn new(
+        shape: Shape,
+        pattern: ParamPattern,
+        skip: bool,
+        tp: usize,
+        parts: usize,
+    ) -> Result<ParamBuilder> {
         let numel = shape.num_elements();
+        if parts == 0 || shape.dims().first().is_none_or(|d| d % parts != 0) {
+            return Err(UcpError::Inconsistent(format!(
+                "shape {shape} does not split into {parts} leading-dimension blocks"
+            )));
+        }
         type MkAcc = fn(usize, usize) -> KeyAcc;
         let replicate: MkAcc = |n, _| KeyAcc::Replicate(vec![0.0; n]);
         let (shard_shape, segments, mk): (Shape, Vec<Vec<ShardSegment>>, MkAcc) = match &pattern {
@@ -275,15 +304,35 @@ impl ParamBuilder {
         Ok(ParamBuilder {
             shape,
             pattern,
+            parts,
+            part_len: numel / parts,
             skip,
             shard_len: shard_shape.num_elements(),
             shard_shape,
             segments,
             keys: [mk(numel, tp), mk(numel, tp), mk(numel, tp)],
             got: [vec![0; tp], vec![0; tp], vec![0; tp]],
-            touched: false,
+            touched: vec![false; parts],
             complete: false,
+            atom_bytes: OnceLock::new(),
         })
+    }
+
+    /// The parameter's manifest entry.
+    fn meta(&self, name: &str) -> AtomMeta {
+        AtomMeta {
+            name: name.to_string(),
+            shape: self.shape.clone(),
+            pattern: self.pattern.clone(),
+            parts: (self.parts > 1).then_some(self.parts),
+        }
+    }
+
+    /// Mark the sub-atoms the consolidated elements `dst` lie in.
+    fn touch(touched: &mut [bool], part_len: usize, dst: Range<usize>) {
+        if !dst.is_empty() {
+            touched[dst.start / part_len..=(dst.end - 1) / part_len].fill(true);
+        }
     }
 
     /// A flat-layout slot comes from a file header or a peer, and the
@@ -323,11 +372,15 @@ impl ParamBuilder {
                 self.shard_len
             )));
         }
+        let mut touch = |dst| Self::touch(&mut self.touched, self.part_len, dst);
         match &mut self.keys[ki] {
-            KeyAcc::Scatter(buf) => scatter_segments(&self.segments[tp], param_offset, data, buf),
+            KeyAcc::Scatter(buf) => {
+                scatter_segments(&self.segments[tp], param_offset, data, buf, touch)
+            }
             KeyAcc::Replicate(buf) => {
                 if tp == 0 {
                     buf[param_offset..end].copy_from_slice(data);
+                    touch(param_offset..end);
                 } else if verify {
                     for (i, (a, b)) in buf[param_offset..end].iter().zip(data).enumerate() {
                         if a.to_bits() != b.to_bits() {
@@ -340,18 +393,27 @@ impl ParamBuilder {
                     }
                 }
             }
-            KeyAcc::Average(bufs) => bufs[tp][param_offset..end].copy_from_slice(data),
+            KeyAcc::Average(bufs) => {
+                bufs[tp][param_offset..end].copy_from_slice(data);
+                touch(param_offset..end);
+            }
         }
         self.got[ki][tp] += data.len();
-        self.touched = true;
         Ok(())
     }
 }
 
 /// Copy a flat shard fragment into the consolidated buffer through the
-/// shard's run map. Runs are ascending in shard offset; padding runs
-/// (`src_offset == None`) have no bytes in the consolidated tensor.
-fn scatter_segments(segments: &[ShardSegment], fs: usize, data: &[f32], buf: &mut [f32]) {
+/// shard's run map, reporting each destination range to `landed`. Runs are
+/// ascending in shard offset; padding runs (`src_offset == None`) have no
+/// bytes in the consolidated tensor.
+fn scatter_segments(
+    segments: &[ShardSegment],
+    fs: usize,
+    data: &[f32],
+    buf: &mut [f32],
+    mut landed: impl FnMut(Range<usize>),
+) {
     let fe = fs + data.len();
     for seg in segments {
         let ss = seg.shard_offset;
@@ -367,6 +429,7 @@ fn scatter_segments(segments: &[ShardSegment], fs: usize, data: &[f32], buf: &mu
         if let Some(src) = seg.src_offset {
             let dst = src + (lo - ss);
             buf[dst..dst + (hi - lo)].copy_from_slice(&data[lo - fs..hi - fs]);
+            landed(dst..dst + (hi - lo));
         }
     }
 }
@@ -382,10 +445,14 @@ fn scatter_segments(segments: &[ShardSegment], fs: usize, data: &[f32], buf: &mu
 /// For per-iteration cadence the assembler persists across saves: call
 /// [`StageAssembler::begin_step`], absorb only the *dirty* fragments (the
 /// consolidated buffers retain last step's image, so partial contributions
-/// patch it), then [`StageAssembler::finalize_step`]. A parameter that
-/// received no fragments at all is clean; its three atom files are
-/// published as hard links to the previous universal step's files instead
-/// of being rewritten, so save bytes scale with what actually changed.
+/// patch it), then [`StageAssembler::finalize_step`]. An atom that
+/// received no fragments at all is clean; its files are published as hard
+/// links to the previous universal step's instead of being rewritten, so
+/// save bytes scale with what actually changed. A parameter whose spec has
+/// [`ucp_model::ParamSpec::blocks`] > 1 (a MoE expert weight) is stored as
+/// that many sub-atoms — one file each, holding the three states — each
+/// clean or rewritten on its own: a step that routed tokens to three
+/// experts rewrites three files.
 pub struct StageAssembler {
     tp_degree: usize,
     verify_replicas: bool,
@@ -426,7 +493,8 @@ impl StageAssembler {
             let skip = matches!(spec.role, LayerRole::SharedEmbedding)
                 && parallel.pp > 1
                 && pp + 1 != parallel.pp;
-            let builder = ParamBuilder::new(spec.shape.clone(), pattern, skip, parallel.tp)?;
+            let builder =
+                ParamBuilder::new(spec.shape.clone(), pattern, skip, parallel.tp, spec.blocks)?;
             builder.check_slot(slot)?;
             builders.insert(name.clone(), builder);
         }
@@ -445,7 +513,7 @@ impl StageAssembler {
     pub fn begin_step(&mut self) {
         self.last_tp = 0;
         for b in self.params.values_mut() {
-            b.touched = false;
+            b.touched.fill(false);
             for per_tp in &mut b.got {
                 per_tp.iter_mut().for_each(|g| *g = 0);
             }
@@ -572,7 +640,7 @@ impl StageAssembler {
     }
 
     /// Verify coverage, then stage this step's atoms under
-    /// `universal_dir` into `atoms`: touched parameters are rewritten from
+    /// `universal_dir` into `atoms`: touched (sub-)atoms are rewritten from
     /// the patched consolidated buffers; clean ones (complete from an
     /// earlier step, no fragments this step) are hard linked from
     /// `link_from` — the previous universal step's directory — instead of
@@ -595,40 +663,56 @@ impl StageAssembler {
             self.params.iter().filter(|(_, b)| !b.skip).collect();
         let published = par_map(entries.len(), workers, |i| {
             let (name, b) = entries[i];
-            let meta = AtomMeta {
-                name: (*name).clone(),
-                shape: b.shape.clone(),
-                pattern: b.pattern.clone(),
+            let mut out = StageAtoms {
+                metas: vec![b.meta(name)],
+                atoms_written: 0,
+                atoms_skipped: 0,
+                bytes_written: 0,
+                bytes_linked: 0,
             };
             // Clean atom with a prior image on disk: reuse it. (Defensive:
             // if no prior directory was supplied, fall back to rewriting —
             // the retained buffers hold the same bits.)
-            if b.complete && !b.touched {
-                if let Some(prev) = link_from {
+            let prev = link_from.filter(|_| b.complete);
+            let clean = |part: usize| prev.filter(|_| !b.touched[part]);
+            // What a file of a part holds: the parameter itself, or its
+            // slice of the leading dimension.
+            let split = b.parts > 1;
+            let part_meta = AtomMeta {
+                shape: b.shape.with_dim(0, b.shape.dims()[0] / b.parts),
+                parts: None,
+                ..out.metas[0].clone()
+            };
+            let states = (0..b.parts)
+                .any(|part| clean(part).is_none())
+                .then(|| b.keys.each_ref().map(KeyAcc::state));
+            for part in 0..b.parts {
+                let files = |dir| layout::atom_files(dir, name, split.then_some(part));
+                if let Some(prev) = clean(part) {
                     let _sp = ucp_telemetry::span("save/atom_link");
-                    let mut linked = 0u64;
-                    for file in AtomFile::ALL {
-                        let src = layout::atom_path(prev, name, file);
-                        let dst = layout::atom_path(universal_dir, name, file);
-                        linked += std::fs::metadata(&src)?.len();
-                        atoms.link(&src, &dst)?;
+                    for ((src, _), (dst, _)) in files(prev).iter().zip(files(universal_dir)) {
+                        atoms.link(src, &dst)?;
                     }
-                    return Ok((meta, 0u64, linked));
+                    out.atoms_skipped += 1;
+                    out.bytes_linked += b.atom_bytes.get().copied().unwrap_or(0);
+                    continue;
                 }
+                let states = states.as_ref().expect("a rewritten part has its states");
+                let slice = |file: &AtomFile| {
+                    let state = &states[*file as usize];
+                    (*file, &state[part * b.part_len..][..b.part_len])
+                };
+                let mut bytes = 0;
+                for (path, holds) in files(universal_dir) {
+                    let sections: Vec<_> = holds.iter().map(slice).collect();
+                    bytes +=
+                        stage_atom(atoms, &path, &part_meta, DType::F32, &sections, span_path)?;
+                }
+                b.atom_bytes.get_or_init(|| bytes);
+                out.atoms_written += 1;
+                out.bytes_written += bytes;
             }
-            let mut bytes = 0u64;
-            for (file, key) in AtomFile::ALL.into_iter().zip(&b.keys) {
-                bytes += stage_atom(
-                    atoms,
-                    universal_dir,
-                    &meta,
-                    file,
-                    DType::F32,
-                    &key.state(),
-                    span_path,
-                )?;
-            }
-            Ok((meta, bytes, 0u64))
+            Ok(out)
         })?;
         // Every parameter now has a full image in the buffers: later
         // steps may patch partially.
@@ -642,22 +726,20 @@ impl StageAssembler {
             bytes_written: 0,
             bytes_linked: 0,
         };
-        for (meta, bytes, linked) in published {
-            if bytes > 0 || linked == 0 {
-                out.atoms_written += 1;
-                out.bytes_written += bytes;
-            } else {
-                out.atoms_skipped += 1;
-                out.bytes_linked += linked;
-            }
-            out.metas.push(meta);
+        for param in published {
+            out.metas.extend(param.metas);
+            out.atoms_written += param.atoms_written;
+            out.atoms_skipped += param.atoms_skipped;
+            out.bytes_written += param.bytes_written;
+            out.bytes_linked += param.bytes_linked;
         }
         Ok(out)
     }
 
     /// Verify coverage, then hand the consolidated buffers over as
     /// in-memory atoms `[fp32, exp_avg, exp_avg_sq]` — moved, not cloned —
-    /// for every parameter this stage owns.
+    /// for every parameter this stage owns. Whole tensors: the sub-atom
+    /// split is a property of the on-disk tree.
     pub fn into_tensors(self) -> Result<Vec<(AtomMeta, [Tensor; 3])>> {
         self.check_coverage()?;
         let mut out = Vec::new();
@@ -672,6 +754,7 @@ impl StageAssembler {
                 name,
                 shape: b.shape,
                 pattern: b.pattern,
+                parts: None,
             };
             out.push((meta, [w?, m?, v?]));
         }
@@ -985,7 +1068,7 @@ mod tests {
         // Drive the Average accumulator directly: three "TP" copies whose
         // mean is not exactly representable; must bitwise-match union_tp.
         let shape = Shape::new([4]);
-        let mut b = ParamBuilder::new(shape.clone(), ParamPattern::ToAverage, false, 3).unwrap();
+        let mut b = ParamBuilder::new(shape.clone(), ParamPattern::ToAverage, false, 3, 1).unwrap();
         let copies = [
             vec![0.1f32, 1.7, -2.3, 0.0],
             vec![0.3, -0.9, 5.5, 1.0],
@@ -1087,6 +1170,106 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
     }
 
+    /// A parameter with `blocks` > 1 is published as that many sub-atoms,
+    /// and a later step rewrites only those a fragment landed in — here half
+    /// of one expert, from one of two TP ranks — and links the rest.
+    #[test]
+    fn split_param_rewrites_only_the_sub_atoms_a_fragment_landed_in() {
+        use std::os::unix::fs::MetadataExt;
+        let mut c = common(ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1));
+        c.model = ModelConfig::moe_tiny();
+        let experts = c.model.num_experts;
+        let name = "layers.0.moe.experts.dense_4h_to_h.weight";
+        let spec = param_specs(&c.model)
+            .into_iter()
+            .find(|s| s.name == name)
+            .unwrap();
+        assert_eq!(spec.blocks, experts);
+        let slots = slots_of(&c, &[name]);
+        let shard_len = slots[0].len;
+        let base = tmp("split");
+        let (step1, step2) = (base.join("s1_universal"), base.join("s2_universal"));
+
+        // Step 1: both TP shards of a random tensor, moments scaled.
+        let full = Tensor::randn(spec.shape.clone(), 1.0, &DetRng::new(3));
+        let mut shards: Vec<Vec<f32>> = (0..2)
+            .map(|r| spec.partition.shard(&full, 2, r).into_vec())
+            .collect();
+        let feed = |asm: &mut StageAssembler, tp: usize, at: usize, data: &[f32]| {
+            let frags = [1.0f32, 0.5, 0.25].iter().enumerate().map(|(ki, scale)| {
+                let data = data.iter().map(|v| v * scale).collect();
+                let frag = Fragment {
+                    param_offset: at,
+                    data,
+                };
+                (name.to_string(), ki, frag)
+            });
+            asm.absorb(tp, frags.collect()).unwrap();
+        };
+        let finalize = |asm: &mut StageAssembler, dir: &Path, prev: Option<&Path>| {
+            let group = Group::new(true);
+            let stage = asm
+                .finalize_step(dir, &group, 2, "save/atom_write", prev)
+                .unwrap();
+            group.commit().unwrap();
+            stage
+        };
+        let mut asm = StageAssembler::new(&c, 0, &slots, true, None).unwrap();
+        for (tp, shard) in shards.iter().enumerate() {
+            feed(&mut asm, tp, 0, shard);
+        }
+        let s1 = finalize(&mut asm, &step1, None);
+        assert_eq!((s1.atoms_written, s1.atoms_skipped), (experts, 0));
+        assert_eq!(s1.metas.len(), 1, "one manifest entry for the parameter");
+        assert_eq!(s1.metas[0].parts, Some(experts));
+        assert_eq!(s1.metas[0].shape, spec.shape);
+
+        // Step 2: TP rank 1's half of expert 5 changes.
+        let (dirty, per_expert) = (5, shard_len / experts);
+        let patch = vec![9.0f32; per_expert];
+        shards[1][dirty * per_expert..][..per_expert].copy_from_slice(&patch);
+        asm.begin_step();
+        feed(&mut asm, 1, dirty * per_expert, &patch);
+        let s2 = finalize(&mut asm, &step2, Some(&step1));
+        assert_eq!((s2.atoms_written, s2.atoms_skipped), (1, experts - 1));
+        assert_eq!(s2.bytes_linked, (experts as u64 - 1) * s2.bytes_written);
+        assert_eq!(s2.metas, s1.metas);
+
+        let tensors: Vec<Tensor> = shards
+            .iter()
+            .map(|s| Tensor::from_vec(s.clone(), slots[0].shape.clone()).unwrap())
+            .collect();
+        let want = spec.partition.unshard(&tensors);
+        let part_len = want.num_elements() / experts;
+        for part in 0..experts {
+            // One file per sub-atom, whichever state is asked for.
+            let at = |dir: &Path| layout::atom_part_path(dir, name, AtomFile::Fp32, Some(part));
+            assert_eq!(layout::atom_files(&step2, name, Some(part)).len(), 1);
+            let (old, new) = (
+                std::fs::metadata(at(&step1)).unwrap(),
+                std::fs::metadata(at(&step2)).unwrap(),
+            );
+            if part == dirty {
+                assert_eq!(new.nlink(), 1, "part {part}: a rewrite is a fresh file");
+            } else {
+                assert_eq!(new.ino(), old.ino(), "part {part}: clean, hard linked");
+            }
+            let c = Container::read_file(&at(&step2)).unwrap();
+            let header: AtomMeta = serde_json::from_str(&c.header).unwrap();
+            assert_eq!(header.shape, spec.shape.with_dim(0, 1));
+            assert_eq!((header.name.as_str(), header.parts), (name, None));
+            assert_eq!(c.sections.len(), 3, "a sub-atom holds all three states");
+            for (file, scale) in AtomFile::ALL.into_iter().zip([1.0f32, 0.5, 0.25]) {
+                let got = c.get(file.state_key()).unwrap().as_slice().to_vec();
+                let slice = &want.as_slice()[part * part_len..][..part_len];
+                let expect: Vec<f32> = slice.iter().map(|v| v * scale).collect();
+                assert_eq!(got, expect, "part {part} {}", file.state_key());
+            }
+        }
+        assert!(!layout::atom_path(&step2, name, AtomFile::Fp32).exists());
+        std::fs::remove_dir_all(&base).ok();
+    }
+
     #[test]
     fn first_step_must_be_fully_covered_even_if_touched() {
         // Partial coverage on a never-complete builder is an error — the
@@ -1163,6 +1346,7 @@ mod tests {
             name: n.into(),
             shape: Shape::new([2]),
             pattern: ParamPattern::Unique,
+            parts: None,
         };
         let m = build_manifest(&c, vec![meta("b"), meta("a"), meta("b")]);
         assert_eq!(m.iteration, 6);

@@ -1,5 +1,5 @@
-//! A load-session cache of atom-checkpoint contents, keyed by
-//! `(parameter, atom file)` and filled by verified section-range reads.
+//! A load-session cache of atom-checkpoint contents, keyed by atom file
+//! and state section and filled by verified section-range reads.
 //!
 //! The ranged load path asks for exactly the element runs a rank's shard
 //! needs. This cache turns those requests into positioned, block-aligned
@@ -41,18 +41,21 @@ use crate::{Result, UcpError};
 #[derive(Default)]
 struct Intervals(BTreeMap<usize, Vec<f32>>);
 
-/// One atom section's cached intervals, plus the container index needed to
-/// fetch more of it (built on first touch).
+/// One atom file's cached intervals per state section
+/// ([`AtomFile::ALL`] order: a whole parameter's file holds one state, a
+/// sub-atom's all three), plus the container index needed to fetch more of
+/// them (built on first touch, so a file's head is read once).
 #[derive(Default)]
 struct AtomEntry {
     index: Option<ContainerIndex>,
-    cached: Intervals,
+    cached: [Intervals; 3],
 }
 
-/// Atom entries keyed by (parameter name, atom file kind), each behind
+/// Atom entries keyed by file — (parameter, sub-atom, state), the state
+/// left out for a sub-atom, whose one file holds all three — each behind
 /// its own lock so concurrent workers fetching different atoms never
 /// serialize on each other.
-type EntryMap = HashMap<(String, AtomFile), Arc<Mutex<AtomEntry>>>;
+type EntryMap = HashMap<(String, Option<usize>, Option<AtomFile>), Arc<Mutex<AtomEntry>>>;
 
 /// Shared cache of atom contents for one load session over one universal
 /// directory; [`crate::load::LoadSession`] owns it and loads every rank of
@@ -73,11 +76,11 @@ impl AtomCache {
         }
     }
 
-    /// Copy `runs` of `file` for parameter `name` into `dst`, reading
-    /// whatever is not cached yet. A run is `(offset in dst, element range
-    /// of the flattened atom)`. Returns the section dtype.
-    /// `expected_shape` is checked against the section header before
-    /// anything is read.
+    /// Copy `runs` of `file` for parameter `name` — of its sub-atom `part`
+    /// when the parameter is split — into `dst`, reading whatever is not
+    /// cached yet. A run is `(offset in dst, element range of the flattened
+    /// (sub-)atom)`. Returns the section dtype. `expected_shape` is checked
+    /// against the section header before anything is read.
     ///
     /// A fetch that is one contiguous piece reads exactly its block-aligned
     /// range. A fetch left with several gaps is a strided shard — the gaps
@@ -90,19 +93,29 @@ impl AtomCache {
     pub fn fetch(
         &self,
         name: &str,
+        part: Option<usize>,
         file: AtomFile,
         expected_shape: &Shape,
         runs: &[(usize, Range<usize>)],
         dst: &mut [f32],
     ) -> Result<DType> {
-        let entry = self.entry(name, file);
+        let entry = {
+            let key = (name.to_string(), part, part.is_none().then_some(file));
+            let mut map = self.entries.lock().expect("atom cache poisoned");
+            Arc::clone(map.entry(key).or_default())
+        };
+        // What messages call the atom: a sub-atom goes by its part number.
+        let atom = || match part {
+            Some(part) => format!("{name} part {part:03}"),
+            None => name.to_string(),
+        };
         let mut entry = entry.lock().expect("atom cache entry poisoned");
         let key = file.state_key();
         // The fetch's file handle, opened on the first byte it needs from
         // disk: one open and one throttle clock per fetch that touches
         // disk, none on a cache hit.
         let open = || -> Result<Throttled<File>> {
-            let path = layout::atom_path(&self.universal, name, file);
+            let path = layout::atom_part_path(&self.universal, name, file, part);
             Ok(self.device.reader(container::open_file(&path)?))
         };
         let mut handle = None;
@@ -111,14 +124,17 @@ impl AtomCache {
             entry.index = Some(ContainerIndex::read_head(handle.insert(open()?))?);
         }
         let AtomEntry { index, cached } = &mut *entry;
+        let cached = &mut cached[file as usize];
         let info = index
             .as_ref()
             .and_then(|index| index.get(key))
-            .ok_or_else(|| UcpError::Inconsistent(format!("atom {name} missing {key}")))?;
+            .ok_or_else(|| UcpError::Inconsistent(format!("atom {} missing {key}", atom())))?;
         if &info.shape != expected_shape {
             return Err(UcpError::Inconsistent(format!(
-                "atom {name} has shape {}, expected {}",
-                info.shape, expected_shape
+                "atom {} has shape {}, expected {}",
+                atom(),
+                info.shape,
+                expected_shape
             )));
         }
         let total = info.num_elements();
@@ -143,8 +159,10 @@ impl AtomCache {
             }
             if r.end > total {
                 return Err(UcpError::Inconsistent(format!(
-                    "atom {name} {key}: range {}..{} out of bounds for {total} elements",
-                    r.start, r.end
+                    "atom {} {key}: range {}..{} out of bounds for {total} elements",
+                    atom(),
+                    r.start,
+                    r.end
                 )));
             }
             needed_bytes += (r.end - r.start) as u64 * esize;
@@ -203,8 +221,9 @@ impl AtomCache {
                 }
                 if verified? == Verified::Whole && info.crc_block != 0 {
                     eprintln!(
-                        "warning: atom {name} {key}: block CRCs disagree but the \
-                         whole-payload CRC holds; served from a whole-section read"
+                        "warning: atom {} {key}: block CRCs disagree but the \
+                         whole-payload CRC holds; served from a whole-section read",
+                        atom()
                     );
                     if ucp_telemetry::enabled() {
                         ucp_telemetry::count("load/ranged_fallback", 1);
@@ -235,11 +254,6 @@ impl AtomCache {
             cached.gather(r, &mut dst[*offset..*offset + r.len()]);
         }
         Ok(dtype)
-    }
-
-    fn entry(&self, name: &str, file: AtomFile) -> Arc<Mutex<AtomEntry>> {
-        let mut map = self.entries.lock().expect("atom cache poisoned");
-        Arc::clone(map.entry((name.to_string(), file)).or_default())
     }
 }
 

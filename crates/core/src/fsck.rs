@@ -6,7 +6,8 @@
 //! `model_states` / `optim_states` file the checkpoint's own parallel
 //! configuration implies exists and reads back with valid CRCs; per
 //! universal step it verifies the manifest and all three atom files of
-//! every indexed parameter. Incomplete or corrupt step trees are
+//! every indexed parameter — the one file of every sub-atom, for a
+//! parameter the manifest lists as split. Incomplete or corrupt step trees are
 //! quarantined (renamed to `<name>.corrupt`) so loaders and retention
 //! never touch them, leftover `.tmp` staging files from interrupted
 //! commits are swept, and a dangling `latest` marker is repointed at the
@@ -15,7 +16,6 @@
 use std::path::Path;
 
 use serde::Serialize;
-use ucp_storage::layout::AtomFile;
 use ucp_storage::{layout, Container};
 
 use crate::checkpoint::load_model_states;
@@ -152,8 +152,12 @@ fn check_universal_step(base: &Path, step: u64, report: &mut FsckReport) -> bool
     };
     let mut sound = true;
     for atom in &manifest.params {
-        for file in AtomFile::ALL {
-            sound &= verify_container(base, &layout::atom_path(&dir, &atom.name, file), report);
+        // Three files, or one per sub-atom: a missing or damaged sub-atom
+        // is reported under its own file name.
+        for part in atom.part_ids() {
+            for (path, _) in layout::atom_files(&dir, &atom.name, part) {
+                sound &= verify_container(base, &path, report);
+            }
         }
     }
     sound

@@ -15,6 +15,11 @@
 //! cache instead of re-reading, so each atom byte is read once per session.
 //! `LoadOptions { ranged: false }` (CLI `--no-ranged-load`) falls back to
 //! reading whole atom files.
+//!
+//! A parameter the manifest lists with `parts` is stored as that many
+//! sub-atom files; the plan is the same element runs, cut at sub-atom
+//! boundaries and fetched from the file each piece lies in
+//! ([`runs_by_part`]), and the whole-file path concatenates the parts.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -44,6 +49,10 @@ pub struct LoadEntry {
     pub name: Arc<str>,
     /// Consolidated shape of the atom.
     pub full_shape: Shape,
+    /// Files per state the atom is stored as
+    /// ([`crate::manifest::AtomMeta::parts`]): equal slices of the leading
+    /// dimension; 1 = one file.
+    pub parts: usize,
     /// How the target's TP degree slices the atom.
     pub partition: Partition,
     /// Pieces of this parameter that land in this rank's ZeRO chunk
@@ -196,11 +205,12 @@ pub(crate) enum AtomSource<'a> {
 
 impl AtomSource<'_> {
     /// One whole atom tensor, for the full-read strategy.
-    fn atom(&self, name: &str, file: AtomFile) -> Result<Cow<'_, Tensor>> {
+    fn atom(&self, entry: &LoadEntry, file: AtomFile) -> Result<Cow<'_, Tensor>> {
+        let name: &str = &entry.name;
         match self {
             AtomSource::Disk {
                 universal, opts, ..
-            } => read_atom(universal, name, file, &opts.device).map(Cow::Owned),
+            } => read_atom(universal, name, entry.parts, file, &opts.device).map(Cow::Owned),
             AtomSource::Memory(atoms) => atoms
                 .get(name)
                 .map(|states| Cow::Borrowed(&states[file as usize]))
@@ -262,6 +272,15 @@ pub fn gen_ucp_metadata(
                 spec.name, atom.shape, spec.shape
             )));
         }
+        // The tree says how it is split, not the spec: one written before
+        // the split existed, or by a foreign adapter, lists whole atoms.
+        let parts = atom.parts();
+        if parts == 0 || atom.shape.dims().first().is_none_or(|d| d % parts != 0) {
+            return Err(UcpError::Inconsistent(format!(
+                "atom {} of shape {} cannot be stored as {parts} leading-dimension parts",
+                spec.name, atom.shape
+            )));
+        }
         let fragments = layout
             .fragments_of(slot)
             .into_iter()
@@ -270,6 +289,7 @@ pub fn gen_ucp_metadata(
         entries.push(LoadEntry {
             name: Arc::from(spec.name.as_str()),
             full_shape: spec.shape.clone(),
+            parts,
             partition: spec.partition.clone(),
             fragments,
         });
@@ -291,24 +311,42 @@ fn validate_target(model: &ModelConfig, target: &ParallelConfig) -> Result<()> {
     Ok(())
 }
 
-fn read_atom(universal_dir: &Path, name: &str, file: AtomFile, device: &Device) -> Result<Tensor> {
-    let path = layout::atom_path(universal_dir, name, file);
-    let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-    let mut r = device.reader(container::open(&path)?);
-    let c = Container::read_from(&mut r)?;
-    if let Some(t) = t {
-        ucp_telemetry::observe(
-            "load/atom_read_ns",
-            t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
-        if let Ok(meta) = std::fs::metadata(&path) {
-            ucp_telemetry::count("load/bytes_read", meta.len());
-            ucp_telemetry::count("load/bytes_needed", meta.len());
+/// Read one whole atom tensor from a universal tree: the parameter's one
+/// file, or — for a parameter stored as `parts` sub-atoms — every part's,
+/// concatenated along the leading dimension.
+pub fn read_atom(
+    universal_dir: &Path,
+    name: &str,
+    parts: usize,
+    file: AtomFile,
+    device: &Device,
+) -> Result<Tensor> {
+    let read = |part: Option<usize>| -> Result<Tensor> {
+        let path = layout::atom_part_path(universal_dir, name, file, part);
+        let t = ucp_telemetry::enabled().then(std::time::Instant::now);
+        let mut r = device.reader(container::open(&path)?);
+        let c = Container::read_from(&mut r)?;
+        if let Some(t) = t {
+            ucp_telemetry::observe(
+                "load/atom_read_ns",
+                t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            );
+            if let Ok(meta) = std::fs::metadata(&path) {
+                ucp_telemetry::count("load/bytes_read", meta.len());
+                ucp_telemetry::count("load/bytes_needed", meta.len());
+            }
         }
+        c.get(file.state_key()).cloned().ok_or_else(|| {
+            UcpError::Inconsistent(format!("atom {name} missing {}", file.state_key()))
+        })
+    };
+    if parts == 1 {
+        return read(None);
     }
-    c.get(file.state_key())
-        .cloned()
-        .ok_or_else(|| UcpError::Inconsistent(format!("atom {name} missing {}", file.state_key())))
+    let tensors = (0..parts)
+        .map(|part| read(Some(part)))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Tensor::concat(&tensors.iter().collect::<Vec<_>>(), 0)?)
 }
 
 /// One entry's windows of the rank's `[fp32, exp_avg, exp_avg_sq]` chunks
@@ -403,7 +441,7 @@ fn read_entry_full(
     windows: &mut Windows<'_>,
 ) -> Result<Tensor> {
     let shard = |file: AtomFile| -> Result<Tensor> {
-        let atom = source.atom(&entry.name, file)?;
+        let atom = source.atom(entry, file)?;
         if atom.shape() != &entry.full_shape {
             return Err(UcpError::Inconsistent(format!(
                 "atom {} has shape {}, expected {}",
@@ -454,13 +492,7 @@ fn read_entry_ranged(
         .filter_map(|s| s.src_offset.map(|o| (s.shard_offset, o..o + s.len)))
         .collect();
     let mut shard_flat = vec![0.0f32; shard_shape.num_elements()];
-    let dtype = cache.fetch(
-        &entry.name,
-        AtomFile::Fp32,
-        &entry.full_shape,
-        &shard_runs,
-        &mut shard_flat,
-    )?;
+    let dtype = fetch_runs(cache, entry, AtomFile::Fp32, &shard_runs, &mut shard_flat)?;
     // An fp32 atom's shard is already the tensor; only a 16-bit atom's
     // needs its dtype tag (a quantizing copy of exactly-representable values).
     let mut shard_fp32 = Tensor::from_vec(shard_flat, shard_shape)?;
@@ -473,11 +505,62 @@ fn read_entry_ranged(
     let runs = fragment_runs(&segments, &entry.fragments);
     if !runs.is_empty() {
         for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
-            let window = &mut *windows[file as usize];
-            cache.fetch(&entry.name, file, &entry.full_shape, &runs, window)?;
+            fetch_runs(cache, entry, file, &runs, windows[file as usize])?;
         }
     }
     Ok(shard_fp32)
+}
+
+/// Copy `runs` — `(offset in dst, element range of the flattened atom)` —
+/// of `entry`'s `file` state out of the cache into `dst`: one fetch of the
+/// atom's file, or one per sub-atom file the runs reach.
+fn fetch_runs(
+    cache: &AtomCache,
+    entry: &LoadEntry,
+    file: AtomFile,
+    runs: &[(usize, Range<usize>)],
+    dst: &mut [f32],
+) -> Result<DType> {
+    let name: &str = &entry.name;
+    if entry.parts == 1 {
+        return cache.fetch(name, None, file, &entry.full_shape, runs, dst);
+    }
+    let dim0 = entry.full_shape.dims()[0];
+    let part_shape = entry.full_shape.with_dim(0, dim0 / entry.parts);
+    let mut dtype = None;
+    for (part, runs) in runs_by_part(runs, part_shape.num_elements()) {
+        dtype = Some(cache.fetch(name, Some(part), file, &part_shape, &runs, dst)?);
+    }
+    match dtype {
+        Some(dtype) => Ok(dtype),
+        // Nothing to copy: part 0's header still names the dtype.
+        None => cache.fetch(name, Some(0), file, &part_shape, &[], dst),
+    }
+}
+
+/// Cut atom-element runs at the boundaries of `part_len`-element sub-atoms:
+/// per sub-atom reached, the pieces that lie in it as `(offset in dst,
+/// element range of *that sub-atom*)`. Together the pieces copy exactly
+/// what `runs` would copy out of the concatenated atom.
+fn runs_by_part(
+    runs: &[(usize, Range<usize>)],
+    part_len: usize,
+) -> BTreeMap<usize, Vec<(usize, Range<usize>)>> {
+    let mut by_part: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+    for (offset, r) in runs {
+        let mut lo = r.start;
+        while lo < r.end {
+            let part = lo / part_len;
+            let hi = r.end.min((part + 1) * part_len);
+            let base = part * part_len;
+            by_part
+                .entry(part)
+                .or_default()
+                .push((offset + (lo - r.start), lo - base..hi - base));
+            lo = hi;
+        }
+    }
+    by_part
 }
 
 /// Intersect this rank's ZeRO fragments (shard-space) with the shard's
@@ -516,5 +599,51 @@ fn scatter(window: &mut [f32], shard_flat: &[f32], fragments: &[FlatFragment]) {
     for f in fragments {
         let at = f.chunk_offset - base;
         window[at..at + f.len].copy_from_slice(&shard_flat[f.param_offset..f.param_offset + f.len]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// "Cut the runs at sub-atom boundaries, fetch each piece from its
+        /// part" copies exactly what the runs copy out of the concatenated
+        /// atom — every element of every run once, nothing else — and no
+        /// piece reaches outside its part.
+        #[test]
+        fn prop_runs_cut_at_part_boundaries_equal_slicing_the_whole(
+            part_len in 1usize..12,
+            parts in 1usize..7,
+            picks in prop::collection::vec((0usize..1000, 0usize..1000), 0..10),
+        ) {
+            let total = part_len * parts;
+            let atom: Vec<f32> = (0..total).map(|i| i as f32).collect();
+            // Arbitrary runs (overlaps and empties included), packed end
+            // to end in `dst` as a shard's runs are.
+            let mut runs = Vec::new();
+            let mut filled = 0;
+            for (a, b) in picks {
+                let (lo, hi) = (a % (total + 1), b % (total + 1));
+                let r = lo.min(hi)..lo.max(hi);
+                runs.push((filled, r.clone()));
+                filled += r.len();
+            }
+            let mut want = vec![-1.0f32; filled];
+            for (offset, r) in &runs {
+                want[*offset..*offset + r.len()].copy_from_slice(&atom[r.clone()]);
+            }
+            let mut got = vec![-1.0f32; filled];
+            for (part, pieces) in runs_by_part(&runs, part_len) {
+                prop_assert!(part < parts);
+                let file = &atom[part * part_len..(part + 1) * part_len];
+                for (offset, r) in pieces {
+                    prop_assert!(!r.is_empty() && r.end <= part_len);
+                    got[offset..offset + r.len()].copy_from_slice(&file[r]);
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
     }
 }

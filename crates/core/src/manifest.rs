@@ -12,7 +12,7 @@ use crate::pattern::ParamPattern;
 use crate::Result;
 
 /// Metadata of one atom checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct AtomMeta {
     /// Canonical parameter name (also the atom directory name).
     pub name: String,
@@ -20,6 +20,45 @@ pub struct AtomMeta {
     pub shape: Shape,
     /// The source-side pattern this atom was consolidated from.
     pub pattern: ParamPattern,
+    /// `Some(n)`: the parameter is stored as `n` sub-atoms, equal slices of
+    /// its leading dimension in one three-section file each
+    /// ([`layout::atom_part_path`]), not as one whole file per state. Absent from the JSON when `None`, so the manifest and
+    /// headers of a tree with no split parameter are what they were before
+    /// the field existed — and a reader that predates it ignores the field
+    /// and fails on the whole-parameter file it cannot find.
+    pub parts: Option<usize>,
+}
+
+impl AtomMeta {
+    /// Number of pieces each state is stored in: the sub-atom count, or 1
+    /// when unsplit.
+    pub fn parts(&self) -> usize {
+        self.parts.unwrap_or(1)
+    }
+
+    /// The `part` of [`layout::atom_part_path`] for each of those pieces:
+    /// `None` alone when unsplit, else every sub-atom in order.
+    pub fn part_ids(&self) -> Vec<Option<usize>> {
+        match self.parts {
+            Some(parts) => (0..parts).map(Some).collect(),
+            None => vec![None],
+        }
+    }
+}
+
+/// Derived, but for `parts`, which is left out when `None`.
+impl Serialize for AtomMeta {
+    fn to_value(&self) -> serde::Value {
+        let mut fields = vec![
+            ("name".to_string(), self.name.to_value()),
+            ("shape".to_string(), self.shape.to_value()),
+            ("pattern".to_string(), self.pattern.to_value()),
+        ];
+        if let Some(parts) = self.parts {
+            fields.push(("parts".to_string(), parts.to_value()));
+        }
+        serde::Value::Object(fields)
+    }
 }
 
 /// The universal checkpoint's top-level manifest.
@@ -41,7 +80,9 @@ pub struct UcpManifest {
     /// `tp2_pp2_dp2_sp1_z1`), informational only — targets never depend on
     /// it, which is the whole point.
     pub source_label: String,
-    /// Atom index.
+    /// Atom index, sorted by name ([`crate::assemble::build_manifest`]
+    /// writes it so, [`UcpManifest::load`] restores it): [`UcpManifest::atom`]
+    /// searches it.
     pub params: Vec<AtomMeta>,
 }
 
@@ -49,9 +90,14 @@ impl UcpManifest {
     /// Current manifest version.
     pub const VERSION: u32 = 1;
 
-    /// Look up an atom by name.
+    /// Look up an atom by name: a binary search of the sorted index, so a
+    /// load plan's one lookup per owned parameter is not quadratic.
     pub fn atom(&self, name: &str) -> Option<&AtomMeta> {
-        self.params.iter().find(|a| a.name == name)
+        let at = self
+            .params
+            .binary_search_by(|a| a.name.as_str().cmp(name))
+            .ok()?;
+        Some(&self.params[at])
     }
 
     /// Persist to `manifest.ucpt` inside the universal directory,
@@ -67,7 +113,11 @@ impl UcpManifest {
     /// Read from a universal directory.
     pub fn load(universal_dir: &Path) -> Result<UcpManifest> {
         let c = Container::read_file(&layout::manifest_path(universal_dir))?;
-        Ok(serde_json::from_str(&c.header)?)
+        let mut manifest: UcpManifest = serde_json::from_str(&c.header)?;
+        // A no-op on every tree this crate wrote; a hand-assembled index
+        // must not make `atom` miss an entry that is there.
+        manifest.params.sort_by(|a, b| a.name.cmp(&b.name));
+        Ok(manifest)
     }
 }
 
@@ -90,11 +140,13 @@ mod tests {
                     name: "embedding.word_embeddings.weight".into(),
                     shape: Shape::new([256, 32]),
                     pattern: ParamPattern::Fragment(FragmentSpec::Dim { dim: 0 }),
+                    parts: None,
                 },
                 AtomMeta {
                     name: "final_layernorm.weight".into(),
                     shape: Shape::new([32]),
                     pattern: ParamPattern::Replicated,
+                    parts: None,
                 },
             ],
         }
@@ -115,6 +167,39 @@ mod tests {
     fn atom_lookup() {
         let m = sample();
         assert!(m.atom("final_layernorm.weight").is_some());
+        assert!(m.atom("embedding.word_embeddings.weight").is_some());
         assert!(m.atom("nope").is_none());
+    }
+
+    /// The split is one optional field: an unsplit entry serializes to the
+    /// three fields it always had (what keeps old trees byte-identical and
+    /// lets this reader load them), a split one adds `parts`.
+    #[test]
+    fn parts_field_is_absent_unless_split() {
+        let mut meta = sample().params.remove(1);
+        let plain = serde_json::to_string(&meta).unwrap();
+        assert_eq!(
+            plain,
+            r#"{"name":"final_layernorm.weight","shape":[32],"pattern":"Replicated"}"#
+        );
+        let back: AtomMeta = serde_json::from_str(&plain).unwrap();
+        assert_eq!((back.parts, back.parts()), (None, 1));
+        meta.parts = Some(8);
+        let split = serde_json::to_string(&meta).unwrap();
+        assert!(split.ends_with(r#","parts":8}"#), "{split}");
+        assert_eq!(serde_json::from_str::<AtomMeta>(&split).unwrap(), meta);
+    }
+
+    #[test]
+    fn load_sorts_a_hand_assembled_index() {
+        let dir = std::env::temp_dir().join("ucp_manifest_unsorted");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut m = sample();
+        m.params.reverse();
+        m.save(&dir).unwrap();
+        let back = UcpManifest::load(&dir).unwrap();
+        assert_eq!(back.params, sample().params);
+        assert!(back.atom("embedding.word_embeddings.weight").is_some());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

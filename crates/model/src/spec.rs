@@ -307,6 +307,11 @@ pub struct ParamSpec {
     pub partition: Partition,
     /// Pipeline assignment.
     pub role: LayerRole,
+    /// Independently-updated blocks along the leading dimension — the
+    /// experts of a MoE expert weight, which a step updates only where the
+    /// router sent tokens. Dirty tracking and the universal tree's sub-atom
+    /// split are granular to it; 1 for every other parameter.
+    pub blocks: usize,
 }
 
 impl ParamSpec {
@@ -347,6 +352,8 @@ pub fn param_specs(cfg: &ModelConfig) -> Vec<ParamSpec> {
     let out_std = 0.02 / (2.0 * cfg.num_layers as f32).sqrt();
     let mut specs = Vec::new();
 
+    // `ParamSpec::blocks` of the specs pushed next.
+    let blocks = std::cell::Cell::new(1);
     let mut push =
         |name: String, shape: Shape, init: Init, partition: Partition, role: LayerRole| {
             specs.push(ParamSpec {
@@ -355,6 +362,7 @@ pub fn param_specs(cfg: &ModelConfig) -> Vec<ParamSpec> {
                 init,
                 partition,
                 role,
+                blocks: blocks.get(),
             });
         };
 
@@ -495,6 +503,9 @@ pub fn param_specs(cfg: &ModelConfig) -> Vec<ParamSpec> {
                     },
                 ),
             };
+            // One block per expert: TP splits a later dimension, so expert
+            // `e` is slice `e` of the leading one in every shard.
+            blocks.set(cfg.num_experts);
             push(
                 p("moe.experts.dense_h_to_4h.weight"),
                 Shape::new([cfg.num_experts, w1_rows, h]),
@@ -509,6 +520,7 @@ pub fn param_specs(cfg: &ModelConfig) -> Vec<ParamSpec> {
                 Partition::Shard { dim: 2 },
                 role,
             );
+            blocks.set(1);
         } else {
             match cfg.mlp {
                 MlpKind::Gelu => {
@@ -636,6 +648,11 @@ mod tests {
         );
         let w2 = find_spec(&specs, "layers.0.moe.experts.dense_4h_to_h.weight").unwrap();
         assert_eq!(w2.partition, Partition::Shard { dim: 2 });
+        // Only the expert weights are blocked, one block per expert.
+        for s in &specs {
+            let experts = s.name.contains(".moe.experts.");
+            assert_eq!(s.blocks, if experts { 8 } else { 1 }, "{}", s.name);
+        }
     }
 
     #[test]

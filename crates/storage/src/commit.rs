@@ -35,9 +35,9 @@
 //! (in effect) at any write, link, fsync, rename or directory sync and
 //! assert recovery.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -83,6 +83,9 @@ struct Staged {
     /// member, and ordered so a commit passes its gates in the same order
     /// however many threads staged.
     members: BTreeMap<PathBuf, bool>,
+    /// Parent directories this group has already created: a step's atoms
+    /// share a few directories, and each is made once, not once a member.
+    dirs: BTreeSet<PathBuf>,
     /// An injected crash struck one of the group's operations.
     crashed: bool,
 }
@@ -126,9 +129,9 @@ impl Group {
         self.staged.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The staged skeleton: create `dest`'s parent directories, register
-    /// the member and let `fill` produce `<dest>.tmp`. A destination
-    /// staged twice keeps one member, the later.
+    /// The staged skeleton: create `dest`'s parent directories (once per
+    /// group), register the member and let `fill` produce `<dest>.tmp`. A
+    /// destination staged twice keeps one member, the later.
     fn add(
         &self,
         dest: &Path,
@@ -136,14 +139,12 @@ impl Group {
         fill: impl FnOnce(&Path) -> Result<()>,
     ) -> Result<()> {
         if let Some(parent) = parent_of(dest) {
-            fs::create_dir_all(parent)?;
+            if !self.lock().dirs.contains(parent) {
+                fs::create_dir_all(parent)?;
+                self.lock().dirs.insert(parent.to_path_buf());
+            }
         }
         let tmp = tmp_path(dest);
-        // A stale staging file — an earlier member for `dest`, or debris
-        // of an interrupted attempt — would make a fresh hard link fail,
-        // and if it *is* a hard link, truncating it in place would reach
-        // the published file it shares an inode with.
-        let _ = fs::remove_file(&tmp);
         self.lock().members.insert(dest.to_path_buf(), written);
         let result = fill(&tmp);
         if result.as_ref().is_err_and(is_crash) {
@@ -165,7 +166,9 @@ impl Group {
     ) -> Result<()> {
         let _write_span = ucp_telemetry::span("storage/write");
         self.add(dest, true, |tmp| {
-            let file = File::create(tmp)?;
+            let file = create_fresh(tmp, |tmp| {
+                File::options().write(true).create_new(true).open(tmp)
+            })?;
             let mut w = BufWriter::new(FaultWriter::new(&file, tmp));
             fill(&mut w)?;
             w.flush()?;
@@ -183,7 +186,7 @@ impl Group {
     pub fn link(&self, src: &Path, dest: &Path) -> Result<()> {
         self.add(dest, false, |tmp| {
             fault::gate("commit.link", tmp)?;
-            Ok(fs::hard_link(src, tmp)?)
+            Ok(create_fresh(tmp, |tmp| fs::hard_link(src, tmp))?)
         })
     }
 
@@ -223,6 +226,23 @@ impl Drop for Group {
                 let _ = fs::remove_file(tmp_path(dest));
             }
         }
+    }
+}
+
+/// Create the staging file `tmp` with `create`, which must fail with
+/// `AlreadyExists` rather than reuse a file that is there. A stale one — an
+/// earlier member for the same destination, or debris of an interrupted
+/// attempt — is unlinked and the creation retried: it would make a hard
+/// link fail, and if it *is* a hard link, truncating it in place would
+/// reach the published file it shares an inode with. The common case, no
+/// stale file, costs no unlink.
+fn create_fresh<T>(tmp: &Path, create: impl Fn(&Path) -> io::Result<T>) -> io::Result<T> {
+    match create(tmp) {
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+            fs::remove_file(tmp)?;
+            create(tmp)
+        }
+        done => done,
     }
 }
 

@@ -18,8 +18,16 @@
 //!   zero/<param_name>/fp32.ucpt
 //!   zero/<param_name>/exp_avg.ucpt
 //!   zero/<param_name>/exp_avg_sq.ucpt
+//!   zero/<split_param>/<part>.ucpt               a parameter the manifest lists
+//!                                                with `parts: E` has E sub-atoms
+//!                                                instead (000.ucpt, 001.ucpt, ...)
 //! <base>/latest_universal                        text file
 //! ```
+//!
+//! A sub-atom is one atom-format container holding slice `<part>` of the
+//! parameter's leading dimension (one MoE expert) for all three states —
+//! sections `fp32`, `exp_avg`, `exp_avg_sq` — so a save rewrites only the
+//! parts a step touched, one new file each, and hard-links the rest.
 
 use std::path::{Path, PathBuf};
 
@@ -88,7 +96,46 @@ impl AtomFile {
 
 /// Path of one atom file.
 pub fn atom_path(universal_dir: &Path, param: &str, file: AtomFile) -> PathBuf {
-    atom_dir(universal_dir, param).join(file.file_name())
+    atom_part_path(universal_dir, param, file, None)
+}
+
+/// Path of the file holding state `file` of a parameter that may be
+/// split: the whole parameter's `file` for `None`, or sub-atom `part`'s one
+/// file, which holds all three states as sections. Both live in the
+/// parameter's one atom directory.
+pub fn atom_part_path(
+    universal_dir: &Path,
+    param: &str,
+    file: AtomFile,
+    part: Option<usize>,
+) -> PathBuf {
+    let dir = atom_dir(universal_dir, param);
+    match part {
+        None => dir.join(file.file_name()),
+        Some(part) => dir.join(format!("{part:03}.ucpt")),
+    }
+}
+
+/// The files one atom is stored in, each with the states it holds: a whole
+/// parameter's (`part: None`) three files of one state each, or sub-atom
+/// `part`'s single file of all three.
+pub fn atom_files(
+    universal_dir: &Path,
+    param: &str,
+    part: Option<usize>,
+) -> Vec<(PathBuf, &'static [AtomFile])> {
+    let states_per_file = if part.is_some() {
+        AtomFile::ALL.len()
+    } else {
+        1
+    };
+    AtomFile::ALL
+        .chunks(states_per_file)
+        .map(|states| {
+            let path = atom_part_path(universal_dir, param, states[0], part);
+            (path, states)
+        })
+        .collect()
 }
 
 /// Manifest path of a universal checkpoint.
@@ -194,6 +241,24 @@ mod tests {
             atom_path(&ud, "layers.0.mlp.weight", AtomFile::ExpAvg),
             Path::new("/ckpt/global_step100_universal/zero/layers.0.mlp.weight/exp_avg.ucpt")
         );
+        let part = Path::new("/ckpt/global_step100_universal/zero/layers.0.moe.experts.w/007.ucpt");
+        for file in AtomFile::ALL {
+            assert_eq!(
+                atom_part_path(&ud, "layers.0.moe.experts.w", file, Some(7)),
+                part
+            );
+        }
+        assert_eq!(
+            atom_files(&ud, "layers.0.moe.experts.w", Some(7)),
+            vec![(part.to_path_buf(), &AtomFile::ALL[..])]
+        );
+        let whole = atom_files(&ud, "layers.0.mlp.weight", None);
+        assert_eq!(whole.len(), 3);
+        assert_eq!(
+            whole[1].0,
+            atom_path(&ud, "layers.0.mlp.weight", AtomFile::ExpAvg)
+        );
+        assert_eq!(whole[1].1, [AtomFile::ExpAvg]);
     }
 
     #[test]

@@ -18,20 +18,75 @@
 //! f64→f32 gradient cast, so an element whose f64 gradient underflows the
 //! cast is conservatively dirty (a lost skip, never a lost write).
 //!
-//! Granularity: one block per MoE expert for `.moe.experts.` parameters
-//! (their flat slot is `[E, rows, cols]`, contiguous per expert — the
-//! top-k router leaves unrouted experts' gradients exactly zero), one
-//! block per parameter otherwise.
+//! Granularity: [`ucp_model::ParamSpec::blocks`] blocks per parameter —
+//! one per MoE expert for the expert weights (their flat slot is
+//! `[E, rows, cols]`, contiguous per expert — the top-k router leaves
+//! unrouted experts' gradients exactly zero), one block otherwise. The
+//! same field splits the parameter into sub-atoms on disk, so a clean
+//! block here is a hard-linked file there.
 
 use std::collections::HashMap;
 
-use ucp_model::ModelConfig;
-use ucp_parallel::FlatLayout;
+use ucp_model::{param_specs, ModelConfig};
+use ucp_parallel::{FlatLayout, ParamSlot};
 
 /// Dirty ranges per parameter, in the parameter's shard-flat coordinates
 /// (the same space as [`ucp_core::ops::Fragment::param_offset`]). Sorted,
 /// non-overlapping, non-empty. A parameter absent from the map is clean.
 pub type DirtyMap = HashMap<String, Vec<(usize, usize)>>;
+
+/// One piece of a ZeRO rank's chunk that a [`DirtyMap`] marks dirty.
+pub(crate) struct DirtyPiece<'a> {
+    /// The parameter it belongs to.
+    pub slot: &'a ParamSlot,
+    /// Where it starts in the parameter's flattened shard.
+    pub param_offset: usize,
+    /// Where it starts in the rank's chunk.
+    pub chunk_offset: usize,
+    /// Elements.
+    pub len: usize,
+}
+
+/// Intersect `dirty`'s parameter-space ranges with ZeRO rank `dp`'s
+/// fragments of `layout`: the only elements of that rank's chunk lazy Adam
+/// touched since the tracker was drained, in slot, then fragment, then
+/// range order. `None` dirty info is everything (a full save); a parameter
+/// absent from the map is clean everywhere and contributes nothing.
+pub(crate) fn dirty_pieces<'a>(
+    layout: &'a FlatLayout,
+    dp: usize,
+    dirty: Option<&DirtyMap>,
+) -> Vec<DirtyPiece<'a>> {
+    let mut pieces = Vec::new();
+    for slot in &layout.slots {
+        let whole = [(0, slot.len)];
+        let ranges = match dirty {
+            None => &whole[..],
+            Some(map) => match map.get(&slot.name) {
+                Some(ranges) => ranges,
+                None => continue,
+            },
+        };
+        for f in layout.fragments_of(slot) {
+            if f.dp_rank != dp {
+                continue;
+            }
+            for &(lo, len) in ranges {
+                let start = lo.max(f.param_offset);
+                let end = (lo + len).min(f.param_offset + f.len);
+                if start < end {
+                    pieces.push(DirtyPiece {
+                        slot,
+                        param_offset: start,
+                        chunk_offset: f.chunk_offset + (start - f.param_offset),
+                        len: end - start,
+                    });
+                }
+            }
+        }
+    }
+    pieces
+}
 
 struct SlotDirt {
     name: String,
@@ -54,17 +109,20 @@ impl DirtyTracker {
     /// dirty so the first save after construction (or restart) sends the
     /// complete state.
     pub fn new(layout: &FlatLayout, model: &ModelConfig) -> DirtyTracker {
-        let experts = model.num_experts.max(1);
+        let spec_blocks: HashMap<String, usize> = param_specs(model)
+            .into_iter()
+            .map(|spec| (spec.name, spec.blocks))
+            .collect();
         let slots = layout
             .slots
             .iter()
             .map(|s| {
-                let block = if experts > 1
-                    && s.name.contains(".moe.experts.")
-                    && s.len % experts == 0
-                    && s.len > 0
-                {
-                    s.len / experts
+                // The spec's blocks are slices of the leading dimension;
+                // they are the shard's too as long as TP left it whole.
+                let split = spec_blocks.get(&s.name).copied().unwrap_or(1);
+                let leading = s.shape.dims().first().copied().unwrap_or(0);
+                let block = if split > 1 && s.len > 0 && leading % split == 0 {
+                    s.len / split
                 } else {
                     s.len.max(1)
                 };
@@ -147,11 +205,15 @@ mod tests {
     use super::*;
     use ucp_tensor::Shape;
 
+    /// A dense parameter and an expert weight of [`moe_cfg`] (two
+    /// experts, three elements each).
+    const EXPERTS: &str = "layers.0.moe.experts.dense_4h_to_h.weight";
+
     fn layout() -> FlatLayout {
         FlatLayout::build(
             &[
                 ("a.weight".to_string(), Shape::new([4])),
-                ("layers.0.moe.experts.w_in".to_string(), Shape::new([2, 3])),
+                (EXPERTS.to_string(), Shape::new([2, 3, 1])),
             ],
             1,
             1,
@@ -171,7 +233,7 @@ mod tests {
         let map = t.take();
         assert_eq!(map["a.weight"], vec![(0, 4)]);
         // Adjacent dirty expert blocks merge into one range.
-        assert_eq!(map["layers.0.moe.experts.w_in"], vec![(0, 6)]);
+        assert_eq!(map[EXPERTS], vec![(0, 6)]);
         assert!(t.take().is_empty(), "take resets to clean");
     }
 
@@ -183,11 +245,11 @@ mod tests {
         // Gradient hits only expert 1 of the MoE slot (flat offsets 4..10
         // are the expert param; expert 1 is its second half).
         let mut flat = vec![0.0f64; l.total_len];
-        flat[l.slot("layers.0.moe.experts.w_in").unwrap().offset + 4] = 0.5;
+        flat[l.slot(EXPERTS).unwrap().offset + 4] = 0.5;
         t.observe_grads(&flat);
         let map = t.take();
         assert!(!map.contains_key("a.weight"));
-        assert_eq!(map["layers.0.moe.experts.w_in"], vec![(3, 3)]);
+        assert_eq!(map[EXPERTS], vec![(3, 3)]);
     }
 
     #[test]

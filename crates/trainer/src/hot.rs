@@ -41,7 +41,7 @@ use ucp_core::checkpoint::CommonState;
 use ucp_core::{HotShard, MemoryCheckpoint};
 use ucp_storage::crc::crc32c_f32;
 
-use crate::dirty::DirtyMap;
+use crate::dirty::{dirty_pieces, DirtyMap};
 
 /// Replica generations retained per (bank, source) slot. Two steps keep
 /// the previous save recoverable while the current one is being
@@ -383,30 +383,14 @@ impl HotTier {
     }
 }
 
-/// Intersect the dirty tracker's parameter-space ranges with this rank's
-/// ZeRO fragments, yielding sorted `(chunk_offset, len)` runs — the only
-/// elements of the chunk lazy Adam touched since the last drain.
+/// The [`dirty_pieces`] of this rank's chunk as sorted, merged
+/// `(chunk_offset, len)` runs.
 fn dirty_chunk_runs(shard: &HotShard, dirty: &DirtyMap) -> Vec<(usize, usize)> {
-    let layout = &shard.shard.layout;
-    let zi = shard.shard.dp;
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    for slot in &layout.slots {
-        let Some(ranges) = dirty.get(&slot.name) else {
-            continue;
-        };
-        for f in layout.fragments_of(slot) {
-            if f.dp_rank != zi {
-                continue;
-            }
-            for &(lo, len) in ranges {
-                let a = lo.max(f.param_offset);
-                let b = (lo + len).min(f.param_offset + f.len);
-                if a < b {
-                    runs.push((f.chunk_offset + (a - f.param_offset), b - a));
-                }
-            }
-        }
-    }
+    let mut runs: Vec<(usize, usize)> =
+        dirty_pieces(&shard.shard.layout, shard.shard.dp, Some(dirty))
+            .iter()
+            .map(|piece| (piece.chunk_offset, piece.len))
+            .collect();
     runs.sort_unstable();
     // Merge adjacent runs so the payload header stays small.
     let mut merged: Vec<(usize, usize)> = Vec::with_capacity(runs.len());

@@ -61,14 +61,14 @@ use std::time::Duration;
 
 use ucp_collectives::exchange::{EpochLease, Mesh};
 use ucp_core::assemble::{build_manifest, StageAssembler, StageAtoms};
-use ucp_core::checkpoint::CommonState;
-use ucp_core::ops::{extract_flat, Fragment};
+use ucp_core::checkpoint::{CommonState, OptimShard};
+use ucp_core::ops::Fragment;
 use ucp_parallel::{ParallelConfig, ParamSlot, RankCoord};
 use ucp_storage::commit::Group;
 use ucp_storage::layout as disk;
 use ucp_storage::retention::InFlightGuard;
 
-use crate::dirty::DirtyMap;
+use crate::dirty::{dirty_pieces, DirtyMap};
 use crate::snapshot::CheckpointSnapshot;
 use crate::TrainError;
 
@@ -273,32 +273,21 @@ impl SavePipelines {
     }
 }
 
-/// Intersect one extracted fragment with its parameter's dirty ranges.
-/// `None` dirty info keeps the whole fragment (full save); a parameter
-/// absent from the map is clean everywhere and contributes nothing.
-fn filter_dirty(name: &str, frag: Fragment, dirty: Option<&DirtyMap>) -> Vec<Fragment> {
-    let Some(map) = dirty else {
-        return vec![frag];
-    };
-    let Some(ranges) = map.get(name) else {
-        return Vec::new();
-    };
-    let f_lo = frag.param_offset;
-    let f_hi = f_lo + frag.data.len();
+/// `Extract` restricted to what is dirty: [`dirty_pieces`] of `shard`'s
+/// chunk, each copied out once per state key as `(param, state-key index,
+/// fragment)`. What [`ucp_core::ops::extract_flat`] would return, sliced
+/// to the dirty ranges.
+fn extract_dirty(shard: &OptimShard, dirty: Option<&DirtyMap>) -> Vec<(String, usize, Fragment)> {
+    let keys = shard.keys();
     let mut out = Vec::new();
-    for &(lo, len) in ranges {
-        let hi = lo + len;
-        if lo <= f_lo && hi >= f_hi {
-            // One range covers the whole fragment: forward it unsliced.
-            return vec![frag];
-        }
-        let s = lo.max(f_lo);
-        let e = hi.min(f_hi);
-        if s < e {
-            out.push(Fragment {
-                param_offset: s,
-                data: frag.data[s - f_lo..e - f_lo].to_vec(),
-            });
+    for piece in dirty_pieces(&shard.layout, shard.dp, dirty) {
+        let run = piece.chunk_offset..piece.chunk_offset + piece.len;
+        for (ki, key) in keys.iter().enumerate() {
+            let fragment = Fragment {
+                param_offset: piece.param_offset,
+                data: key[run.clone()].to_vec(),
+            };
+            out.push((piece.slot.name.clone(), ki, fragment));
         }
     }
     out
@@ -324,24 +313,16 @@ pub(crate) fn run_writer(
     let step = snapshot.common.iteration;
     let universal = disk::universal_dir(base, step);
 
-    // Every rank: extract this chunk's flat fragments, keep the dirty
-    // sub-ranges, and contribute them to the stage's assembler. The
+    // Every rank: extract the dirty sub-ranges of this chunk's flat
+    // fragments and contribute them to the stage's assembler. The
     // contribution is sent even when everything is clean — the assembler
     // counts arrivals, not bytes.
     {
         let _sp = ucp_telemetry::span("save/exchange");
         let shard = &snapshot.shard;
-        let mut fragments = Vec::new();
-        let mut sent_elems: u64 = 0;
-        for (ki, chunk) in shard.keys().into_iter().enumerate() {
-            for (name, frag) in extract_flat(&shard.layout, shard.dp, chunk) {
-                for part in filter_dirty(&name, frag, snapshot.dirty.as_ref()) {
-                    sent_elems += part.data.len() as u64;
-                    fragments.push((name.clone(), ki, part));
-                }
-            }
-        }
-        ucp_telemetry::count("save/exchange_bytes", sent_elems * 4);
+        let fragments = extract_dirty(shard, snapshot.dirty.as_ref());
+        let sent_elems: usize = fragments.iter().map(|(_, _, f)| f.data.len()).sum();
+        ucp_telemetry::count("save/exchange_bytes", sent_elems as u64 * 4);
         lease
             .send(
                 assembler_rank(&p, snapshot.pp),
@@ -584,36 +565,70 @@ mod tests {
             .expect("dropping the first writer fires its done signal");
     }
 
+    /// `extract_dirty` against the Table-2 operator: for every state key,
+    /// `extract_flat`'s fragments sliced to the dirty ranges, nothing else.
     #[test]
-    fn filter_dirty_intersects_fragments_with_ranges() {
-        let frag = |off: usize, data: &[f32]| Fragment {
-            param_offset: off,
-            data: data.to_vec(),
-        };
-        // No dirty info: everything passes through.
-        let full = filter_dirty("p", frag(2, &[1.0, 2.0, 3.0]), None);
-        assert_eq!(full.len(), 1);
-        assert_eq!(full[0].param_offset, 2);
-
+    fn extract_dirty_is_extract_flat_sliced_to_the_dirty_ranges() {
+        use ucp_core::ops::extract_flat;
+        use ucp_parallel::FlatLayout;
+        use ucp_tensor::Shape;
+        // Three slots over two ZeRO ranks: "p" straddles the chunk
+        // boundary, "q" is clean, "w" is dirty whole.
+        let layout = FlatLayout::build(
+            &[
+                ("p".to_string(), Shape::new([10])),
+                ("q".to_string(), Shape::new([3])),
+                ("w".to_string(), Shape::new([5])),
+            ],
+            4,
+            2,
+        );
         let mut map = DirtyMap::new();
-        map.insert("p".to_string(), vec![(0, 3), (5, 2)]);
-        // Clean parameter: nothing survives.
-        assert!(filter_dirty("q", frag(0, &[1.0; 4]), Some(&map)).is_empty());
-        // Fragment [2, 8) against dirty [0, 3) ∪ [5, 7): two slices.
-        let parts = filter_dirty("p", frag(2, &[2.0, 3.0, 4.0, 5.0, 6.0, 7.0]), Some(&map));
-        assert_eq!(parts.len(), 2);
-        assert_eq!(
-            (parts[0].param_offset, parts[0].data.as_slice()),
-            (2, &[2.0f32][..])
-        );
-        assert_eq!(
-            (parts[1].param_offset, parts[1].data.as_slice()),
-            (5, &[5.0f32, 6.0][..])
-        );
-        // A range covering the whole fragment forwards it unsliced.
-        map.insert("w".to_string(), vec![(0, 100)]);
-        let whole = filter_dirty("w", frag(10, &[1.0; 5]), Some(&map));
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].data.len(), 5);
+        map.insert("p".to_string(), vec![(0, 3), (5, 4)]);
+        map.insert("w".to_string(), vec![(0, 5)]);
+        for dp in 0..2 {
+            let chunk = |scale: f32| -> Vec<f32> {
+                layout.rank_range(dp).map(|i| i as f32 * scale).collect()
+            };
+            let shard = OptimShard {
+                dp,
+                layout: layout.clone(),
+                fp32: chunk(1.0),
+                exp_avg: chunk(0.5),
+                exp_avg_sq: chunk(0.25),
+            };
+            for dirty in [None, Some(&map)] {
+                let mut want = Vec::new();
+                for (ki, key) in shard.keys().into_iter().enumerate() {
+                    for (name, frag) in extract_flat(&layout, dp, key) {
+                        let whole = vec![(0, usize::MAX / 2)];
+                        let ranges = match dirty {
+                            None => &whole,
+                            Some(map) => match map.get(&name) {
+                                Some(ranges) => ranges,
+                                None => continue,
+                            },
+                        };
+                        let (f_lo, f_hi) = (frag.param_offset, frag.param_offset + frag.data.len());
+                        for &(lo, len) in ranges {
+                            let (s, e) = (lo.max(f_lo), (lo + len).min(f_hi));
+                            if s < e {
+                                let data = frag.data[s - f_lo..e - f_lo].to_vec();
+                                want.push((name.clone(), ki, s, data));
+                            }
+                        }
+                    }
+                }
+                let mut got: Vec<_> = extract_dirty(&shard, dirty)
+                    .into_iter()
+                    .map(|(name, ki, f)| (name, ki, f.param_offset, f.data))
+                    .collect();
+                let by_key = |a: &(String, usize, usize, Vec<f32>)| (a.1, a.0.clone(), a.2);
+                got.sort_by_key(by_key);
+                want.sort_by_key(by_key);
+                assert!(!want.is_empty());
+                assert_eq!(got, want, "dp {dp} dirty {}", dirty.is_some());
+            }
+        }
     }
 }

@@ -100,7 +100,15 @@ fn main() {
     );
     println!("  atom index (first 8):");
     for atom in manifest.params.iter().take(8) {
-        println!("    {:<50} {} {}", atom.name, atom.shape, atom.pattern);
+        // A split parameter (a MoE expert weight) is still one atom: its
+        // entry says how many sub-atom files each state is stored as.
+        let parts = atom
+            .parts
+            .map_or(String::new(), |n| format!(" in {n} parts"));
+        println!(
+            "    {:<50} {} {}{parts}",
+            atom.name, atom.shape, atom.pattern
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

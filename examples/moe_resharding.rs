@@ -64,8 +64,11 @@ fn main() {
         .atom("layers.0.moe.experts.dense_h_to_4h.weight")
         .unwrap();
     println!(
-        "  atom {} shape {} pattern {}",
-        moe_atom.name, moe_atom.shape, moe_atom.pattern
+        "  atom {} shape {} pattern {}, stored as {} sub-atoms (one per expert)",
+        moe_atom.name,
+        moe_atom.shape,
+        moe_atom.pattern,
+        moe_atom.parts()
     );
 
     // Target: expert FFN dimension split across TP=2.

@@ -12,17 +12,22 @@
 
 #[path = "support/naive.rs"]
 mod naive;
+#[path = "support/tree.rs"]
+mod tree;
 
+use tree::tree_bytes;
+use ucp_repro::core::assemble::write_atom_file;
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::fsck::{fsck, FsckOptions};
+use ucp_repro::core::fsck::{check_step, fsck, FsckOptions};
 use ucp_repro::core::load::{LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
+use ucp_repro::core::manifest::UcpManifest;
 use ucp_repro::core::{
-    HotShard, MemoryCheckpoint, ParamPattern, UcpError, UcpSpec, UcpSpecBuilder,
+    HotShard, MemoryCheckpoint, ParamPattern, RankState, UcpError, UcpSpec, UcpSpecBuilder,
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout;
+use ucp_repro::storage::layout::{self, AtomFile};
 use ucp_repro::tensor::DType;
 use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
 
@@ -31,28 +36,6 @@ fn scratch(name: &str) -> std::path::PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Every file under `dir` as (relative path, bytes), sorted by path.
-fn tree_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else {
-            continue;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else {
-                let rel = p.strip_prefix(dir).unwrap().to_string_lossy().into_owned();
-                out.push((rel, std::fs::read(&p).unwrap()));
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
 }
 
 fn plan(
@@ -101,6 +84,24 @@ fn ram_atoms(ram: &MemoryCheckpoint, like: &naive::Atoms) -> naive::Atoms {
     naive::rank_atoms(&ram.load_rank(&single, 0, 1).unwrap(), like)
 }
 
+/// Two loads delivered the same rank state, bit for bit.
+fn assert_states_eq(ctx: &str, a: &RankState, b: &RankState) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(a.layout, b.layout, "{ctx}");
+    assert_eq!(bits(&a.fp32), bits(&b.fp32), "{ctx}: fp32");
+    assert_eq!(bits(&a.exp_avg), bits(&b.exp_avg), "{ctx}: exp_avg");
+    assert_eq!(
+        bits(&a.exp_avg_sq),
+        bits(&b.exp_avg_sq),
+        "{ctx}: exp_avg_sq"
+    );
+    assert_eq!(a.model_params.len(), b.model_params.len(), "{ctx}");
+    for ((na, ta), (nb, tb)) in a.model_params.iter().zip(&b.model_params) {
+        assert_eq!(na, nb, "{ctx}: param order");
+        assert!(ta.bitwise_eq(tb), "{ctx}: model param {na}");
+    }
+}
+
 /// The third producer of a universal checkpoint: the RAM hot tier. Hot
 /// shards rebuilt from `off`'s native step files must assemble into a
 /// checkpoint that holds the naive reference's atoms and whose `load_rank`
@@ -116,7 +117,6 @@ fn assert_memory_matches_disk(
 ) {
     let shards = hot_shards(off, step, source);
 
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let ram = MemoryCheckpoint::assemble(shards.clone()).unwrap();
     naive::assert_atoms_eq(
         &format!("{name} step {step}: RAM tier vs naive"),
@@ -140,19 +140,7 @@ fn assert_memory_matches_disk(
                 );
                 let a = ram.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
                 let b = disk.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                assert_eq!(a.layout, b.layout, "{ctx}");
-                assert_eq!(bits(&a.fp32), bits(&b.fp32), "{ctx}: fp32");
-                assert_eq!(bits(&a.exp_avg), bits(&b.exp_avg), "{ctx}: exp_avg");
-                assert_eq!(
-                    bits(&a.exp_avg_sq),
-                    bits(&b.exp_avg_sq),
-                    "{ctx}: exp_avg_sq"
-                );
-                assert_eq!(a.model_params.len(), b.model_params.len(), "{ctx}");
-                for ((na, ta), (nb, tb)) in a.model_params.iter().zip(&b.model_params) {
-                    assert_eq!(na, nb, "{ctx}: param order");
-                    assert!(ta.bitwise_eq(tb), "{ctx}: model param {na}");
-                }
+                assert_states_eq(&ctx, &a, &b);
             }
         }
     }
@@ -480,6 +468,177 @@ fn matrix_params_to_average_rule() {
         )
         .build();
     assert_matrix("avg", ModelConfig::gpt3_tiny(), 1, Some(&rules));
+}
+
+/// The cadence sweep's sparse MoE — 32 experts routed top-1 over four
+/// tokens, so a step reaches a few experts per layer — with heads that
+/// still split four ways and two layers for a PP2 target.
+fn moe_sparse() -> ModelConfig {
+    let mut model = ModelConfig::moe_tiny();
+    model.num_heads = 8;
+    model.num_kv_heads = 4;
+    model.num_layers = 2;
+    model.num_experts = 32;
+    model.top_k = 1;
+    model.max_seq_len = 4;
+    model
+}
+
+/// Two saves of a sparse MoE, pipeline and sync-plus-offline-convert, both
+/// with `global_batch` 2: the trees of steps 1 and 2 under `pipe` and
+/// `off`, and the run's source strategy.
+fn moe_two_steps(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, ParallelConfig) {
+    let source = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1);
+    let (pipe, off) = (
+        scratch(&format!("{tag}_pipe")),
+        scratch(&format!("{tag}_off")),
+    );
+    let two_steps = |dir: &std::path::Path| {
+        let mut plan = plan(dir, &moe_sparse(), source, DType::F32, 29, 1);
+        plan.until_iteration = 2;
+        plan.config.global_batch = 2;
+        plan.config.micro_batch = 1;
+        plan
+    };
+    train_run_overlapped(&two_steps(&pipe)).unwrap();
+    train_run(&two_steps(&off)).unwrap();
+    for step in [1, 2] {
+        convert_to_universal(&off, step, &ConvertOptions::default()).unwrap();
+    }
+    (pipe, off, source)
+}
+
+#[test]
+fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
+    use std::os::unix::fs::MetadataExt;
+    let (pipe, off, source) = moe_two_steps("moe_parts");
+    // Which experts step 2 changed, from the naive reference alone: slice
+    // `e` of any of the three states differs between the two steps.
+    let before = naive::naive_atoms(&layout::step_dir(&off, 1), None);
+    let after = naive::naive_atoms(&layout::step_dir(&off, 2), None);
+    let (step1, step2) = (
+        layout::universal_dir(&pipe, 1),
+        layout::universal_dir(&pipe, 2),
+    );
+    let manifest = UcpManifest::load(&step2).unwrap();
+    let split: Vec<_> = manifest.params.iter().filter(|a| a.parts() > 1).collect();
+    assert_eq!(split.len(), 4, "two expert weights in each of two layers");
+    let (mut rewritten, mut linked) = (0, 0);
+    for atom in split {
+        assert_eq!(atom.parts, Some(32), "{}", atom.name);
+        let part_len = atom.shape.num_elements() / 32;
+        for part in 0..32 {
+            let slice = |atoms: &naive::Atoms, ki: usize| {
+                let flat = atoms[&atom.name][ki].as_slice()[part * part_len..][..part_len].to_vec();
+                flat.into_iter().map(f32::to_bits).collect::<Vec<u32>>()
+            };
+            let dirty = (0..3).any(|ki| slice(&before, ki) != slice(&after, ki));
+            let at = |dir: &std::path::Path| {
+                let files = layout::atom_files(dir, &atom.name, Some(part));
+                assert_eq!(files.len(), 1, "a sub-atom is one file");
+                std::fs::metadata(&files[0].0).unwrap()
+            };
+            let ctx = format!("{} part {part}", atom.name);
+            if dirty {
+                assert_eq!(at(&step2).nlink(), 1, "{ctx}: changed, so rewritten");
+            } else {
+                assert_eq!(
+                    at(&step2).ino(),
+                    at(&step1).ino(),
+                    "{ctx}: clean, so linked"
+                );
+            }
+            *(if dirty { &mut rewritten } else { &mut linked }) += 1;
+        }
+    }
+    assert!(
+        rewritten > 0 && linked > rewritten,
+        "sparse routing: {rewritten} sub-atoms rewritten, {linked} linked"
+    );
+
+    // The split tree loads bitwise-equal through the ranged and the
+    // whole-file path, and equal to the RAM tier's whole tensors, under
+    // every fan-out target.
+    let ram = MemoryCheckpoint::assemble(hot_shards(&off, 2, source)).unwrap();
+    let whole_file = LoadOptions {
+        ranged: false,
+        ..LoadOptions::default()
+    };
+    let ranged = LoadSession::open(&pipe, 2, LoadOptions::default()).unwrap();
+    let whole = LoadSession::open(&pipe, 2, whole_file).unwrap();
+    for target in [
+        ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+        ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
+        ParallelConfig::new(4, 1, 2, 1, ZeroStage::Zero1),
+        ParallelConfig::new(1, 1, 8, 1, ZeroStage::Zero3),
+    ] {
+        for rank in 0..target.world_size() {
+            let ctx = format!("target {} rank {rank}", target.label());
+            let a = ranged.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+            let b = whole.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+            let c = ram.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+            assert_states_eq(&format!("{ctx}: ranged vs whole-file"), &a, &b);
+            assert_states_eq(&format!("{ctx}: disk vs RAM"), &a, &c);
+        }
+    }
+    std::fs::remove_dir_all(&pipe).ok();
+    std::fs::remove_dir_all(&off).ok();
+}
+
+#[test]
+fn tree_written_before_the_split_still_loads() {
+    // The same state as the split tree, laid out as every tree was before
+    // sub-atoms existed: one file per state and parameter, a manifest with
+    // no `parts` field anywhere.
+    let (pipe, off, _) = moe_two_steps("moe_unsplit");
+    let old = scratch("moe_unsplit_old");
+    let split_dir = layout::universal_dir(&off, 2);
+    let old_dir = layout::universal_dir(&old, 2);
+    let mut manifest = UcpManifest::load(&split_dir).unwrap();
+    for (atom, tensors) in manifest
+        .params
+        .iter_mut()
+        .zip(naive::tree_atoms(&split_dir))
+    {
+        assert_eq!(atom.name, tensors.0);
+        atom.parts = None;
+        for (file, tensor) in AtomFile::ALL.into_iter().zip(tensors.1) {
+            write_atom_file(&old_dir, &atom.name, &atom.pattern, file, tensor, "t").unwrap();
+        }
+    }
+    manifest.save(&old_dir).unwrap();
+    let header = ucp_repro::storage::Container::read_file(&layout::manifest_path(&old_dir))
+        .unwrap()
+        .header;
+    assert!(
+        !header.contains("parts"),
+        "an unsplit manifest names no parts"
+    );
+    let report = check_step(&old, 2);
+    assert!(report.clean(), "{:?}", report.problems);
+
+    for ranged in [true, false] {
+        let opts = LoadOptions {
+            ranged,
+            ..LoadOptions::default()
+        };
+        let new = LoadSession::open(&off, 2, opts.clone()).unwrap();
+        let unsplit = LoadSession::open(&old, 2, opts).unwrap();
+        for target in [
+            ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
+            ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
+        ] {
+            for rank in 0..target.world_size() {
+                let ctx = format!("ranged {ranged} target {} rank {rank}", target.label());
+                let a = new.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+                let b = unsplit.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+                assert_states_eq(&ctx, &a, &b);
+            }
+        }
+    }
+    for dir in [pipe, off, old] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

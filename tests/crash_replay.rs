@@ -17,17 +17,24 @@
 //! - after `fsck` quarantines partial trees, simply retrying the
 //!   interrupted operation converges.
 
+#[path = "support/tree.rs"]
+mod tree;
+
 use std::collections::BTreeSet;
 
+use tree::tree_bytes;
 use ucp_repro::core::adapter::{save_litsim_checkpoint, LitSimAdapter, SourceAdapter};
-use ucp_repro::core::assemble::{commit_universal, write_atom_file};
+use ucp_repro::core::assemble::{commit_universal, write_atom_file, StageAssembler};
+use ucp_repro::core::checkpoint::{CommonState, OptimShard};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
+use ucp_repro::core::ops::Fragment;
 use ucp_repro::core::{fsck, FsckOptions, ParamPattern, UcpManifest};
 use ucp_repro::model::{param_specs, ModelConfig};
-use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::commit::Group;
+use ucp_repro::parallel::{FlatLayout, ParallelConfig, ZeroStage};
+use ucp_repro::storage::commit::{self, Group};
 use ucp_repro::storage::io::fault;
 use ucp_repro::storage::layout::{self, AtomFile};
+use ucp_repro::storage::Container;
 use ucp_repro::tensor::{DetRng, Tensor};
 use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
 
@@ -481,6 +488,176 @@ fn overlapped_mid_run_kill_resumes_from_published_marker() {
         &kinds,
         &[
             "data write",
+            "commit.fsync",
+            "commit.rename",
+            "commit.dirsync",
+        ],
+    );
+}
+
+#[test]
+fn link_heavy_save_crash_replay_sweeps_commit_link() {
+    // One stage of a one-layer MoE — two expert weights of eight sub-atoms
+    // each, eight small parameters — saved twice by a carried assembler.
+    // The second save touches a single expert, so it is almost all hard
+    // links: 23 linked atoms, one rewritten. Every kill point of that save
+    // is swept, on one worker so index `k` names the same operation in
+    // every run.
+    let mut model = ModelConfig::moe_tiny();
+    model.num_layers = 1;
+    let common = CommonState {
+        iteration: 1,
+        seed: 91,
+        data_cursor: 8,
+        adam_step: 1,
+        model: model.clone(),
+        parallel: ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
+        params_to_average: vec![],
+    };
+    let rng = DetRng::new(91);
+    let mut params: Vec<(String, Tensor)> = param_specs(&model)
+        .into_iter()
+        .map(|s| {
+            (
+                s.name.clone(),
+                Tensor::randn(s.shape, 1.0, &rng.derive(&s.name)),
+            )
+        })
+        .collect();
+    params.sort_by(|a, b| a.0.cmp(&b.0));
+    let shapes: Vec<_> = params
+        .iter()
+        .map(|(n, t)| (n.clone(), t.shape().clone()))
+        .collect();
+    let layout = FlatLayout::build(&shapes, 8, 1);
+    let fp32 = layout.flatten(|name| &params.iter().find(|(n, _)| n == name).unwrap().1);
+    let shard = OptimShard {
+        dp: 0,
+        exp_avg: fp32.iter().map(|v| v * 0.5).collect(),
+        exp_avg_sq: fp32.iter().map(|v| v * 0.25).collect(),
+        fp32,
+        layout,
+    };
+    let touched = "layers.0.moe.experts.dense_4h_to_h.weight";
+    let per_expert = shard.layout.slot(touched).unwrap().len / model.num_experts;
+
+    // Save 2's state: expert 3 of one weight patched, in all three keys.
+    let patch_at = 3 * per_expert;
+    let patch_value = |ki: usize| 7.0 + ki as f32;
+    let mut patched = shard.clone();
+    let at = patched.layout.slot(touched).unwrap().offset + patch_at;
+    let OptimShard {
+        fp32,
+        exp_avg,
+        exp_avg_sq,
+        ..
+    } = &mut patched;
+    for (ki, key) in [fp32, exp_avg, exp_avg_sq].into_iter().enumerate() {
+        key[at..at + per_expert].fill(patch_value(ki));
+    }
+
+    // A save by a new assembler: the whole chunk in, every atom rewritten.
+    let full_save = |chunk: &OptimShard, base: &std::path::Path, step: u64| {
+        let mut asm = StageAssembler::new(&common, 0, &chunk.layout.slots, true, None).unwrap();
+        asm.absorb_chunks(&[(0, chunk)], 1).unwrap();
+        let group = Group::new(true);
+        let staged = asm
+            .finalize_step(&layout::universal_dir(base, step), &group, 1, "t", None)
+            .unwrap();
+        assert_eq!((staged.atoms_written, staged.atoms_skipped), (24, 0));
+        group.commit().unwrap();
+        asm
+    };
+    // Save 2 by save 1's carried assembler: the patch in, one sub-atom
+    // rewritten, the rest hard-linked from save 1.
+    let linked_save = |asm: &mut StageAssembler, base: &std::path::Path| -> Result<(), String> {
+        asm.begin_step();
+        let patch = (0..3)
+            .map(|ki| {
+                let frag = Fragment {
+                    param_offset: patch_at,
+                    data: vec![patch_value(ki); per_expert],
+                };
+                (touched.to_string(), ki, frag)
+            })
+            .collect();
+        asm.absorb(0, patch).map_err(|e| e.to_string())?;
+        let group = Group::new(true);
+        let prev = layout::universal_dir(base, 1);
+        let staged = asm
+            .finalize_step(&layout::universal_dir(base, 2), &group, 1, "t", Some(&prev))
+            .map_err(|e| e.to_string())?;
+        assert_eq!((staged.atoms_written, staged.atoms_skipped), (1, 23));
+        group.commit().map_err(|e| e.to_string())
+    };
+
+    // Calibration: the kill points of save 2, and both trees as they
+    // must end up.
+    let cal = scratch("links_cal");
+    let mut asm = full_save(&shard, &cal, 1);
+    let armed = fault::arm(fault::FaultPlan::count_only(&cal));
+    linked_save(&mut asm, &cal).unwrap();
+    let total = armed.hits();
+    drop(armed);
+    let want1 = tree_bytes(&layout::universal_dir(&cal, 1));
+    let want2 = tree_bytes(&layout::universal_dir(&cal, 2));
+    assert_eq!(want1.len(), want2.len());
+    std::fs::remove_dir_all(&cal).ok();
+    assert!(
+        total < 200,
+        "sweep is exhaustive below 200 points, save 2 has {total}"
+    );
+
+    let mut kinds = BTreeSet::new();
+    for k in 0..total {
+        let dir = scratch(&format!("links_k{k}"));
+        let mut asm = full_save(&shard, &dir, 1);
+        let err = {
+            let _armed = fault::arm(fault::FaultPlan::kill_at(k, &dir));
+            linked_save(&mut asm, &dir).unwrap_err()
+        };
+        kinds.insert(kill_kind(&err));
+        // A failed step's assembler is dropped, never patched further.
+        drop(asm);
+
+        // The crash reached nothing already published: save 1 is intact,
+        // and whatever save 2 made visible is a complete file.
+        let (step1, step2) = (
+            layout::universal_dir(&dir, 1),
+            layout::universal_dir(&dir, 2),
+        );
+        assert_eq!(tree_bytes(&step1), want1, "kill {k}: save 1 damaged");
+        for (rel, _) in tree_bytes(&step2) {
+            let path = step2.join(&rel);
+            if !commit::is_tmp(&path) {
+                Container::read_file(&path)
+                    .unwrap_or_else(|e| panic!("kill {k}: {rel} visible but unreadable: {e}"));
+            }
+        }
+
+        // The restarted process saves step 2 again, in full (its assembler
+        // is new), over the debris. Staging files the crash left are hard
+        // links to save 1's inodes: the retry must replace them, not write
+        // through them.
+        full_save(&patched, &dir, 2);
+        assert_eq!(
+            tree_bytes(&step1),
+            want1,
+            "kill {k}: retry wrote through a link"
+        );
+        assert_eq!(
+            tree_bytes(&step2),
+            want2,
+            "kill {k}: retry did not converge"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_kinds_hit(
+        "link-heavy save",
+        &kinds,
+        &[
+            "data write",
+            "commit.link",
             "commit.fsync",
             "commit.rename",
             "commit.dirsync",

@@ -180,6 +180,72 @@ fn corrupt_universal_step_is_quarantined() {
 }
 
 #[test]
+fn damaged_or_missing_sub_atom_is_reported_by_name() {
+    // A MoE tree stores each expert weight as one sub-atom file per
+    // expert; fsck walks every one of them, not only `<state>.ucpt`.
+    let dir = scratch("sub_atom");
+    train_run(&TrainPlan {
+        config: TrainConfig::quick(
+            ModelConfig::moe_tiny(),
+            ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
+            55,
+        ),
+        until_iteration: 2,
+        resume: ResumeMode::Fresh,
+        checkpoint_every: Some(2),
+        checkpoint_dir: Some(dir.clone()),
+    })
+    .unwrap();
+    convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
+    let clean = fsck(&dir, &FsckOptions { repair: false }).unwrap();
+    assert!(clean.clean(), "{:?}", clean.problems);
+
+    let universal = layout::universal_dir(&dir, 2);
+    let flipped = layout::atom_part_path(
+        &universal,
+        "layers.1.moe.experts.dense_h_to_4h.weight",
+        layout::AtomFile::ExpAvg,
+        Some(5),
+    );
+    let missing = layout::atom_part_path(
+        &universal,
+        "layers.3.moe.experts.dense_4h_to_h.weight",
+        layout::AtomFile::Fp32,
+        Some(2),
+    );
+    corrupt(&flipped);
+    std::fs::remove_file(&missing).unwrap();
+    let report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
+    let named: Vec<&str> = report.problems.iter().map(|p| p.path.as_str()).collect();
+    assert_eq!(
+        named,
+        [
+            "global_step2_universal/zero/layers.1.moe.experts.dense_h_to_4h.weight/005.ucpt",
+            "global_step2_universal/zero/layers.3.moe.experts.dense_4h_to_h.weight/002.ucpt",
+            // ... and the marker that names the now-incomplete tree.
+            "latest_universal",
+        ],
+        "{:?}",
+        report.problems
+    );
+    assert!(
+        report.problems[0].detail.contains("checksum"),
+        "{}",
+        report.problems[0].detail
+    );
+    // Every other file of the tree still verified: one bad sub-atom does
+    // not hide the rest.
+    assert_eq!(report.files_verified, clean.files_verified - 2);
+
+    let repaired = fsck(&dir, &FsckOptions::default()).unwrap();
+    assert_eq!(
+        repaired.quarantined,
+        vec!["global_step2_universal.corrupt".to_string()]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn quarantined_trees_are_never_deleted_by_prune() {
     let dir = make_tree("prune_interop");
     corrupt(&layout::optim_states_path(

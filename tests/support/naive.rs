@@ -74,20 +74,51 @@ pub fn naive_atoms(step_dir: &Path, rules: Option<&UcpSpec>) -> Atoms {
     atoms
 }
 
-/// Read a universal tree's atom files back as [`Atoms`].
+/// Read a universal tree's atom files back as [`Atoms`]. A parameter the
+/// manifest lists with `parts: n` is read as the tree must hold it — `n`
+/// files, each one slice of the leading dimension for all three states,
+/// holding the parameter's name and pattern — and joined here, file by
+/// file, with no call into the loader; comparing the result with
+/// [`naive_atoms`] is what holds every producer's split to the naive
+/// reference byte for byte.
 pub fn tree_atoms(universal_dir: &Path) -> Atoms {
-    use ucp_repro::core::manifest::UcpManifest;
-    use ucp_repro::storage::layout::{atom_path, AtomFile};
+    use ucp_repro::core::manifest::{AtomMeta, UcpManifest};
+    use ucp_repro::storage::layout::{atom_part_path, AtomFile};
     use ucp_repro::storage::Container;
     let manifest = UcpManifest::load(universal_dir).unwrap();
-    let read = |name: &str, file: AtomFile| {
-        let c = Container::read_file(&atom_path(universal_dir, name, file)).unwrap();
-        c.get(file.state_key()).unwrap().clone()
+    let read = |atom: &AtomMeta, file: AtomFile| {
+        let Some(parts) = atom.parts else {
+            let path = atom_part_path(universal_dir, &atom.name, file, None);
+            let c = Container::read_file(&path).unwrap();
+            assert_eq!(c.sections.len(), 1, "{path:?}");
+            return c.get(file.state_key()).unwrap().clone();
+        };
+        let rows = atom.shape.dims()[0] / parts;
+        let slices: Vec<Tensor> = (0..parts)
+            .map(|part| {
+                let path = universal_dir
+                    .join("zero")
+                    .join(&atom.name)
+                    .join(format!("{part:03}.ucpt"));
+                assert_eq!(
+                    path,
+                    atom_part_path(universal_dir, &atom.name, file, Some(part))
+                );
+                let c = Container::read_file(&path).unwrap();
+                let header: AtomMeta = serde_json::from_str(&c.header).unwrap();
+                assert_eq!(header.name, atom.name, "{path:?}");
+                assert_eq!(header.pattern, atom.pattern, "{path:?}");
+                assert_eq!(header.shape, atom.shape.with_dim(0, rows), "{path:?}");
+                assert_eq!(c.sections.len(), 3, "{path:?}");
+                c.get(file.state_key()).unwrap().clone()
+            })
+            .collect();
+        Tensor::concat(&slices.iter().collect::<Vec<_>>(), 0).unwrap()
     };
     manifest
         .params
         .iter()
-        .map(|a| (a.name.clone(), AtomFile::ALL.map(|f| read(&a.name, f))))
+        .map(|a| (a.name.clone(), AtomFile::ALL.map(|f| read(a, f))))
         .collect()
 }
 
