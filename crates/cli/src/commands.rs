@@ -4,7 +4,7 @@ use ucp_core::checkpoint::{load_model_states, load_optim_states};
 use ucp_core::convert::{convert_to_universal, ConvertOptions};
 use ucp_core::language::UcpSpec;
 use ucp_core::load::{gen_ucp_metadata, read_atom, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
-use ucp_core::manifest::UcpManifest;
+use ucp_core::manifest::{AtomMeta, UcpManifest};
 use ucp_model::ModelConfig;
 use ucp_parallel::{ParallelConfig, ZeroStage};
 use ucp_storage::{layout, retention, Device};
@@ -689,16 +689,22 @@ pub fn diff(p: &Parsed) -> Result<(), String> {
             differing += 1;
             continue;
         }
-        for file in layout::AtomFile::ALL {
-            // Whole tensors, however each tree stores them: a split tree
-            // and an unsplit one of the same state are identical.
-            let read = |dir: &std::path::Path, meta: &ucp_core::manifest::AtomMeta| {
-                read_atom(dir, &meta.name, meta.parts(), file, &Device::unlimited())
-                    .map_err(|e| format!("{} [{}]: {e}", meta.name, file.state_key()))
-            };
-            let (ta, tb) = (read(&a_dir, atom)?, read(&b_dir, other)?);
+        // Whole tensors, however each tree stores them: a split tree, an
+        // unsplit one and a version-1 one of the same state are identical.
+        let read = |dir: &std::path::Path, m: &UcpManifest, meta: &AtomMeta| {
+            read_atom(
+                dir,
+                m.version,
+                &meta.name,
+                meta.parts(),
+                &Device::unlimited(),
+            )
+            .map_err(|e| format!("{}: {e}", meta.name))
+        };
+        let (ta, tb) = (read(&a_dir, &a, atom)?, read(&b_dir, &b, other)?);
+        for (file, (ta, tb)) in layout::AtomFile::ALL.into_iter().zip(ta.iter().zip(&tb)) {
             compared += 1;
-            let delta = ta.max_abs_diff(&tb).unwrap_or(f32::INFINITY);
+            let delta = ta.max_abs_diff(tb).unwrap_or(f32::INFINITY);
             if f64::from(delta) > tol {
                 println!(
                     "differs {} [{}]: max |Δ| = {delta:e}",

@@ -40,10 +40,11 @@ pub trait SourceAdapter {
 }
 
 /// Algorithm 1's tail for a consolidated foreign source, shared by every
-/// adapter: `tensor_of(param, file)` is already the atom (each parameter
-/// is uniquely owned — the `unique_params` pattern), so each is staged by
-/// the one atom encoder and the tree is published by the one commit tail,
-/// exactly like a native conversion.
+/// adapter: `tensor_of(param, state)` is already that state of the atom
+/// (each parameter is uniquely owned — the `unique_params` pattern), so
+/// each parameter's three are staged as one atom file by the one atom
+/// encoder and the tree is published by the one commit tail, exactly like
+/// a native conversion.
 fn publish_atoms<'t>(
     base: &Path,
     step: u64,
@@ -62,6 +63,7 @@ fn publish_atoms<'t>(
             pattern: ParamPattern::Unique,
             parts: None,
         };
+        let mut states = Vec::with_capacity(AtomFile::ALL.len());
         for file in AtomFile::ALL {
             let t = tensor_of(&meta.name, file)?;
             if t.shape() != &meta.shape {
@@ -73,15 +75,15 @@ fn publish_atoms<'t>(
                     meta.shape
                 )));
             }
-            stage_atom(
-                &group,
-                &layout::atom_path(&universal, &meta.name, file),
-                &meta,
-                t.dtype(),
-                &[(file, t.as_slice())],
-                "convert/atom_write",
-            )?;
+            states.push((file, t.dtype(), t.as_slice()));
         }
+        stage_atom(
+            &group,
+            &layout::atom_path(&universal, &meta.name, AtomFile::Fp32),
+            &meta,
+            &states,
+            "convert/atom_write",
+        )?;
         atoms.push(meta);
     }
     let mut manifest = build_manifest(common, atoms);
@@ -422,8 +424,6 @@ mod tests {
         let atom =
             Container::read_file(&layout::atom_path(&universal, name, AtomFile::Fp32)).unwrap();
         assert!(atom.get("fp32").unwrap().bitwise_eq(orig));
-        let atom =
-            Container::read_file(&layout::atom_path(&universal, name, AtomFile::ExpAvg)).unwrap();
         assert!(atom.get("exp_avg").unwrap().bitwise_eq(m));
         std::fs::remove_dir_all(&base).ok();
     }

@@ -49,24 +49,22 @@ use crate::{Result, UcpError};
 /// the only encoder of atom files: the offline converter, the adapters and
 /// the save pipeline all stage through it, which is what makes their
 /// on-disk trees byte-identical. `meta` describes what the file holds: a
-/// whole parameter, of which a file carries one state, or one sub-atom of a
-/// split one (the parameter's name and pattern, the part's shape), whose
-/// single file carries all three. Each state's values are borrowed from
+/// whole parameter, or one sub-atom of a split one (the parameter's name
+/// and pattern, the part's shape). Each state's values are borrowed from
 /// wherever the consolidated ones live. Returns the encoded size; the
 /// staging latency is recorded under `span_path`.
 pub fn stage_atom(
     atoms: &Group,
     path: &Path,
     meta: &AtomMeta,
-    dtype: DType,
-    states: &[(AtomFile, &[f32])],
+    states: &[(AtomFile, DType, &[f32])],
     span_path: &str,
 ) -> Result<u64> {
     let header = serde_json::to_string(meta)?;
     let sections: Vec<SectionRef<'_>> = states
         .iter()
-        .map(|&(file, data)| SectionRef {
-            name: file.state_key(),
+        .map(|&(state, dtype, data)| SectionRef {
+            name: state.state_key(),
             dtype,
             dims: meta.shape.dims(),
             data,
@@ -77,8 +75,11 @@ pub fn stage_atom(
     Ok(container::encoded_len(&header, &sections) as u64)
 }
 
-/// [`stage_atom`] and commit of a single atom file on its own: durable
-/// when this returns.
+/// [`stage_atom`] and commit of a lone atom file holding the one state
+/// `file`, durable when this returns: the smallest atom write there is,
+/// which is what a write probe times. A tree's atoms hold all three
+/// states and commit as their step's group
+/// ([`StageAssembler::finalize_step`]).
 pub fn write_atom_file(
     universal_dir: &Path,
     name: &str,
@@ -98,8 +99,7 @@ pub fn write_atom_file(
         &group,
         &layout::atom_path(universal_dir, name, file),
         &meta,
-        atom.dtype(),
-        &[(file, atom.as_slice())],
+        &[(file, atom.dtype(), atom.as_slice())],
         span_path,
     )?;
     group.commit()?;
@@ -158,8 +158,8 @@ pub fn commit_universal(
 pub struct StageAtoms {
     /// Manifest entries for the parameters this stage published.
     pub metas: Vec<AtomMeta>,
-    /// Atoms written: one per rewritten unsplit parameter (three files),
-    /// one per rewritten sub-atom of a split one (one file).
+    /// Atoms written, one file each: one per rewritten unsplit parameter,
+    /// one per rewritten sub-atom of a split one.
     pub atoms_written: usize,
     /// Clean atoms reused from the prior step via hard links.
     pub atoms_skipped: usize,
@@ -239,9 +239,9 @@ struct ParamBuilder {
     touched: Vec<bool>,
     /// The consolidated buffers held a full image at some finalize — from
     /// then on, steps may patch partially (dirty fragments only) and an
-    /// untouched sub-atom can reuse its previously published files.
+    /// untouched sub-atom can reuse its previously published file.
     complete: bool,
-    /// Encoded size of one (sub-)atom's files, known once one has been
+    /// Encoded size of one (sub-)atom's file, known once one has been
     /// staged: every part has the same header and dimensions. What a hard
     /// link is accounted as, without a `stat` per linked file.
     atom_bytes: OnceLock<u64>,
@@ -446,13 +446,13 @@ fn scatter_segments(
 /// [`StageAssembler::begin_step`], absorb only the *dirty* fragments (the
 /// consolidated buffers retain last step's image, so partial contributions
 /// patch it), then [`StageAssembler::finalize_step`]. An atom that
-/// received no fragments at all is clean; its files are published as hard
-/// links to the previous universal step's instead of being rewritten, so
+/// received no fragments at all is clean; its file is published as a hard
+/// link to the previous universal step's instead of being rewritten, so
 /// save bytes scale with what actually changed. A parameter whose spec has
 /// [`ucp_model::ParamSpec::blocks`] > 1 (a MoE expert weight) is stored as
-/// that many sub-atoms — one file each, holding the three states — each
-/// clean or rewritten on its own: a step that routed tokens to three
-/// experts rewrites three files.
+/// that many sub-atoms — one file each, like any atom — each clean or
+/// rewritten on its own: a step that routed tokens to three experts
+/// rewrites three files.
 pub struct StageAssembler {
     tp_degree: usize,
     verify_replicas: bool,
@@ -675,8 +675,8 @@ impl StageAssembler {
             // the retained buffers hold the same bits.)
             let prev = link_from.filter(|_| b.complete);
             let clean = |part: usize| prev.filter(|_| !b.touched[part]);
-            // What a file of a part holds: the parameter itself, or its
-            // slice of the leading dimension.
+            // What a part's file holds: the parameter itself, or its slice
+            // of the leading dimension.
             let split = b.parts > 1;
             let part_meta = AtomMeta {
                 shape: b.shape.with_dim(0, b.shape.dims()[0] / b.parts),
@@ -687,27 +687,29 @@ impl StageAssembler {
                 .any(|part| clean(part).is_none())
                 .then(|| b.keys.each_ref().map(KeyAcc::state));
             for part in 0..b.parts {
-                let files = |dir| layout::atom_files(dir, name, split.then_some(part));
+                // One file whatever the state, in a tree written today.
+                let id = split.then_some(part);
+                let file =
+                    |dir| layout::atom_file(dir, layout::TREE_VERSION, name, id, AtomFile::Fp32);
                 if let Some(prev) = clean(part) {
                     let _sp = ucp_telemetry::span("save/atom_link");
-                    for ((src, _), (dst, _)) in files(prev).iter().zip(files(universal_dir)) {
-                        atoms.link(src, &dst)?;
-                    }
+                    atoms.link(&file(prev), &file(universal_dir))?;
                     out.atoms_skipped += 1;
                     out.bytes_linked += b.atom_bytes.get().copied().unwrap_or(0);
                     continue;
                 }
                 let states = states.as_ref().expect("a rewritten part has its states");
-                let slice = |file: &AtomFile| {
-                    let state = &states[*file as usize];
-                    (*file, &state[part * b.part_len..][..b.part_len])
-                };
-                let mut bytes = 0;
-                for (path, holds) in files(universal_dir) {
-                    let sections: Vec<_> = holds.iter().map(slice).collect();
-                    bytes +=
-                        stage_atom(atoms, &path, &part_meta, DType::F32, &sections, span_path)?;
-                }
+                let sections = AtomFile::ALL.map(|state| {
+                    let values = &states[state as usize][part * b.part_len..][..b.part_len];
+                    (state, DType::F32, values)
+                });
+                let bytes = stage_atom(
+                    atoms,
+                    &file(universal_dir),
+                    &part_meta,
+                    &sections,
+                    span_path,
+                )?;
                 b.atom_bytes.get_or_init(|| bytes);
                 out.atoms_written += 1;
                 out.bytes_written += bytes;
@@ -924,13 +926,11 @@ mod tests {
                 ) {
                     expect = strip_padding(&expect, &spec.shape).unwrap();
                 }
-                let written = Container::read_file(&layout::atom_path(&dir, &spec.name, file))
-                    .unwrap()
-                    .get(file.state_key())
-                    .unwrap()
-                    .clone();
+                let atom =
+                    Container::read_file(&layout::atom_path(&dir, &spec.name, file)).unwrap();
+                assert_eq!(atom.sections.len(), 3, "an atom holds all three states");
                 assert!(
-                    written.bitwise_eq(&expect),
+                    atom.get(file.state_key()).unwrap().bitwise_eq(&expect),
                     "{} key {ki}: files diverge from offline union",
                     spec.name
                 );
@@ -1094,7 +1094,7 @@ mod tests {
     fn incremental_step_links_clean_atoms_and_patches_dirty_ones() {
         use std::os::unix::fs::MetadataExt;
         // Two single-TP params; step 2 touches only one of them. The clean
-        // one must come back as hard links to step 1's files; the dirty one
+        // one must come back as a hard link to step 1's file; the dirty one
         // must be rewritten with the patch applied.
         let parallel = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero0);
         let c = common(parallel);
@@ -1146,23 +1146,20 @@ mod tests {
         assert!(s2.bytes_linked > 0);
         assert_eq!(s2.metas.len(), 2, "manifest lists linked atoms too");
 
+        // Clean atom: same inode as step 1, two names.
+        let src = layout::atom_path(&step1, &clean_name, AtomFile::Fp32);
+        let dst = layout::atom_path(&step2, &clean_name, AtomFile::Fp32);
+        assert_eq!(
+            std::fs::metadata(&src).unwrap().ino(),
+            std::fs::metadata(&dst).unwrap().ino(),
+            "clean atom must be hard linked"
+        );
+        // Dirty atom: fresh file with the patch applied on the retained
+        // image, in every state.
+        let dirty =
+            Container::read_file(&layout::atom_path(&step2, &dirty_name, AtomFile::Fp32)).unwrap();
         for file in AtomFile::ALL {
-            // Clean atom: same inode as step 1, two names.
-            let src = layout::atom_path(&step1, &clean_name, file);
-            let dst = layout::atom_path(&step2, &clean_name, file);
-            assert_eq!(
-                std::fs::metadata(&src).unwrap().ino(),
-                std::fs::metadata(&dst).unwrap().ino(),
-                "clean atom must be hard linked"
-            );
-            // Dirty atom: fresh file with the patch applied on the
-            // retained image.
-            let t = Container::read_file(&layout::atom_path(&step2, &dirty_name, file))
-                .unwrap()
-                .get(file.state_key())
-                .unwrap()
-                .clone();
-            let got = t.as_slice().to_vec();
+            let got = dirty.get(file.state_key()).unwrap().as_slice().to_vec();
             assert_eq!(got[0], 1.0);
             assert_eq!(&got[1..3], &[9.0, 9.0]);
             assert!(got[3..].iter().all(|&v| v == 1.0));
@@ -1242,9 +1239,9 @@ mod tests {
         let want = spec.partition.unshard(&tensors);
         let part_len = want.num_elements() / experts;
         for part in 0..experts {
-            // One file per sub-atom, whichever state is asked for.
-            let at = |dir: &Path| layout::atom_part_path(dir, name, AtomFile::Fp32, Some(part));
-            assert_eq!(layout::atom_files(&step2, name, Some(part)).len(), 1);
+            let at = |dir: &Path| {
+                layout::atom_file(dir, layout::TREE_VERSION, name, Some(part), AtomFile::Fp32)
+            };
             let (old, new) = (
                 std::fs::metadata(at(&step1)).unwrap(),
                 std::fs::metadata(at(&step2)).unwrap(),

@@ -1,5 +1,5 @@
 //! A load-session cache of atom-checkpoint contents, keyed by atom file
-//! and state section and filled by verified section-range reads.
+//! and filled by verified section-range reads.
 //!
 //! The ranged load path asks for exactly the element runs a rank's shard
 //! needs. This cache turns those requests into positioned, block-aligned
@@ -42,35 +42,39 @@ use crate::{Result, UcpError};
 struct Intervals(BTreeMap<usize, Vec<f32>>);
 
 /// One atom file's cached intervals per state section
-/// ([`AtomFile::ALL`] order: a whole parameter's file holds one state, a
-/// sub-atom's all three), plus the container index needed to fetch more of
-/// them (built on first touch, so a file's head is read once).
+/// ([`AtomFile::ALL`] order), plus the container index needed to fetch
+/// more of them (built on first touch, so an atom's head is read once per
+/// session, not once a state).
 #[derive(Default)]
 struct AtomEntry {
     index: Option<ContainerIndex>,
     cached: [Intervals; 3],
 }
 
-/// Atom entries keyed by file — (parameter, sub-atom, state), the state
-/// left out for a sub-atom, whose one file holds all three — each behind
-/// its own lock so concurrent workers fetching different atoms never
-/// serialize on each other.
-type EntryMap = HashMap<(String, Option<usize>, Option<AtomFile>), Arc<Mutex<AtomEntry>>>;
+/// Atom entries keyed by file ([`layout::atom_file`]: one per (sub-)atom;
+/// one per state in a version-1 tree), each behind its own lock so
+/// concurrent workers fetching different atoms never serialize on each
+/// other.
+type EntryMap = HashMap<PathBuf, Arc<Mutex<AtomEntry>>>;
 
 /// Shared cache of atom contents for one load session over one universal
 /// directory; [`crate::load::LoadSession`] owns it and loads every rank of
 /// a target through it.
 pub struct AtomCache {
     universal: PathBuf,
+    /// The tree's format version ([`crate::manifest::UcpManifest::version`]).
+    version: u32,
     device: Device,
     entries: Mutex<EntryMap>,
 }
 
 impl AtomCache {
-    /// An empty cache over `universal_dir`, reading through `device`.
-    pub fn new(universal_dir: &Path, device: Device) -> AtomCache {
+    /// An empty cache over `universal_dir`, a tree of format `version`,
+    /// reading through `device`.
+    pub fn new(universal_dir: &Path, version: u32, device: Device) -> AtomCache {
         AtomCache {
             universal: universal_dir.to_path_buf(),
+            version,
             device,
             entries: Mutex::default(),
         }
@@ -99,10 +103,13 @@ impl AtomCache {
         runs: &[(usize, Range<usize>)],
         dst: &mut [f32],
     ) -> Result<DType> {
+        let path = layout::atom_file(&self.universal, self.version, name, part, file);
         let entry = {
-            let key = (name.to_string(), part, part.is_none().then_some(file));
             let mut map = self.entries.lock().expect("atom cache poisoned");
-            Arc::clone(map.entry(key).or_default())
+            match map.get(&path) {
+                Some(entry) => Arc::clone(entry),
+                None => Arc::clone(map.entry(path.clone()).or_default()),
+            }
         };
         // What messages call the atom: a sub-atom goes by its part number.
         let atom = || match part {
@@ -114,10 +121,8 @@ impl AtomCache {
         // The fetch's file handle, opened on the first byte it needs from
         // disk: one open and one throttle clock per fetch that touches
         // disk, none on a cache hit.
-        let open = || -> Result<Throttled<File>> {
-            let path = layout::atom_part_path(&self.universal, name, file, part);
-            Ok(self.device.reader(container::open_file(&path)?))
-        };
+        let open =
+            || -> Result<Throttled<File>> { Ok(self.device.reader(container::open_file(&path)?)) };
         let mut handle = None;
 
         if entry.index.is_none() {

@@ -19,7 +19,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use ucp_model::{ModelConfig, ParamStore};
 use ucp_parallel::{FlatLayout, ParallelConfig};
-use ucp_storage::{container, layout, Container, SectionRef};
+use ucp_storage::{container, layout, Container, ContainerIndex, SectionRef};
 use ucp_tensor::{DType, Tensor};
 
 use crate::{Result, UcpError};
@@ -201,6 +201,16 @@ pub fn save_optim_states<'a>(
     Ok(container::write_file(&path, &header, &sections, durable)?)
 }
 
+/// The run's common state, from the header of the (0, 0, 0)
+/// optimizer-states file alone (every optimizer header carries it): the
+/// file's head is read, no payload.
+pub fn read_common_state(step_dir: &Path) -> Result<CommonState> {
+    let mut file = container::open_file(&layout::optim_states_path(step_dir, 0, 0, 0))?;
+    let index = ContainerIndex::read_head(&mut file)?;
+    let header: OptimStatesHeader = serde_json::from_str(&index.header)?;
+    Ok(header.common)
+}
+
 /// Read one (dp, tp, pp) rank's optimizer-states file.
 pub fn load_optim_states(
     step_dir: &Path,
@@ -298,6 +308,13 @@ mod tests {
         let (c, back) = load_optim_states(&dir, 1, 0, 1).unwrap();
         assert_eq!(c.iteration, 100);
         assert_eq!(back, shard);
+        // The header alone yields the same common state.
+        let first = OptimShard {
+            dp: 0,
+            ..shard.clone()
+        };
+        save_optim_states(&dir, &common(), 0, 0, &first, false).unwrap();
+        assert_eq!(read_common_state(&dir).unwrap(), common());
         assert_eq!(back.range(), layout.chunk..2 * layout.chunk);
 
         // Writing from the borrowed shard produces the same file as the

@@ -12,8 +12,8 @@
 //!    mean for `params_to_average`, sub-pattern-aware placement for
 //!    `fragment_params` — with alignment padding dropped on the way
 //!    (`StripPadding`).
-//! 3. Write one atom checkpoint per parameter (`fp32` / `exp_avg` /
-//!    `exp_avg_sq` files, §3.1) plus the manifest.
+//! 3. Write one atom checkpoint per parameter (one file holding the
+//!    `fp32` / `exp_avg` / `exp_avg_sq` records, §3.1) plus the manifest.
 //!
 //! Step 2's body is [`StageAssembler`], the same one the born-universal
 //! save pipeline streams into. [`assemble_stages`] is its feed from whole
@@ -27,12 +27,11 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use ucp_storage::commit::Group;
 use ucp_storage::layout;
 
 use crate::assemble::{build_manifest, commit_universal, StageAssembler};
-use crate::checkpoint::{load_optim_states, CommonState, OptimShard};
+use crate::checkpoint::{load_optim_states, read_common_state, CommonState, OptimShard};
 use crate::manifest::{AtomMeta, UcpManifest};
 use crate::util::par_map;
 use crate::{Result, UcpError};
@@ -78,13 +77,7 @@ pub struct ConvertStats {
 /// Where a stage's ZeRO chunks come from.
 pub(crate) enum ChunkSource<'a> {
     /// Native optimizer-states files under a step directory.
-    Files {
-        step_dir: &'a Path,
-        /// The (0, 0, 0) shard the caller already read for its
-        /// `CommonState`, handed to whoever extracts that coordinate so no
-        /// file is opened twice.
-        first: Mutex<Option<OptimShard>>,
-    },
+    Files(&'a Path),
     /// Shards already in RAM (the hot tier), keyed `(tp, pp, zero index)`.
     Memory(&'a BTreeMap<(usize, usize, usize), OptimShard>),
 }
@@ -94,12 +87,7 @@ impl ChunkSource<'_> {
     /// `zi` (the file header is checked on load, the map is keyed by it).
     fn chunk(&self, zi: usize, tp: usize, pp: usize) -> Result<Cow<'_, OptimShard>> {
         match self {
-            ChunkSource::Files { step_dir, first } => {
-                if (zi, tp, pp) == (0, 0, 0) {
-                    if let Some(shard) = first.lock().take() {
-                        return Ok(Cow::Owned(shard));
-                    }
-                }
+            ChunkSource::Files(step_dir) => {
                 Ok(Cow::Owned(load_optim_states(step_dir, zi, tp, pp)?.1))
             }
             ChunkSource::Memory(shards) => {
@@ -184,13 +172,10 @@ pub fn convert_to_universal(
     let universal = layout::universal_dir(base, step);
     std::fs::create_dir_all(&universal)?;
 
-    // Every optimizer header carries the run's common state; the shard
-    // read for it is handed on to the extract phase.
-    let (common, first) = load_optim_states(&step_dir, 0, 0, 0)?;
-    let source = ChunkSource::Files {
-        step_dir: &step_dir,
-        first: Mutex::new(Some(first)),
-    };
+    // Only a header is read here: every chunk, the first included, is
+    // read by the extract phase's workers, side by side.
+    let common = read_common_state(&step_dir)?;
+    let source = ChunkSource::Files(&step_dir);
     // One group across the stages: the whole tree becomes durable in one
     // commit, staged through the same encoder as a born-universal save's.
     let atoms = Group::new(true);

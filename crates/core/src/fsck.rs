@@ -5,13 +5,13 @@
 //! and checksum-clean. Concretely, per native step it verifies that every
 //! `model_states` / `optim_states` file the checkpoint's own parallel
 //! configuration implies exists and reads back with valid CRCs; per
-//! universal step it verifies the manifest and all three atom files of
-//! every indexed parameter — the one file of every sub-atom, for a
-//! parameter the manifest lists as split. Incomplete or corrupt step trees are
-//! quarantined (renamed to `<name>.corrupt`) so loaders and retention
-//! never touch them, leftover `.tmp` staging files from interrupted
-//! commits are swept, and a dangling `latest` marker is repointed at the
-//! newest surviving complete step.
+//! universal step it verifies the manifest and the atom file of every
+//! indexed parameter — of every sub-atom, for a parameter the manifest
+//! lists as split; all three per-state files in a version-1 tree.
+//! Incomplete or corrupt step trees are quarantined (renamed to
+//! `<name>.corrupt`) so loaders and retention never touch them, leftover
+//! `.tmp` staging files from interrupted commits are swept, and a dangling
+//! `latest` marker is repointed at the newest surviving complete step.
 
 use std::path::Path;
 
@@ -152,10 +152,15 @@ fn check_universal_step(base: &Path, step: u64, report: &mut FsckReport) -> bool
     };
     let mut sound = true;
     for atom in &manifest.params {
-        // Three files, or one per sub-atom: a missing or damaged sub-atom
-        // is reported under its own file name.
+        // One file per (sub-)atom — a missing or damaged sub-atom is
+        // reported under its own file name — or, in a version-1 tree, one
+        // per state: the states' files, each once.
         for part in atom.part_ids() {
-            for (path, _) in layout::atom_files(&dir, &atom.name, part) {
+            let mut files = layout::AtomFile::ALL
+                .map(|state| layout::atom_file(&dir, manifest.version, &atom.name, part, state))
+                .to_vec();
+            files.dedup();
+            for path in files {
                 sound &= verify_container(base, &path, report);
             }
         }

@@ -16,10 +16,12 @@
 //! `LoadOptions { ranged: false }` (CLI `--no-ranged-load`) falls back to
 //! reading whole atom files.
 //!
-//! A parameter the manifest lists with `parts` is stored as that many
-//! sub-atom files; the plan is the same element runs, cut at sub-atom
-//! boundaries and fetched from the file each piece lies in
-//! ([`runs_by_part`]), and the whole-file path concatenates the parts.
+//! An atom is one file holding its three states as sections. A parameter
+//! the manifest lists with `parts` is stored as that many sub-atom files;
+//! the plan is the same element runs, cut at sub-atom boundaries and
+//! fetched from the file each piece lies in ([`runs_by_part`]), and the
+//! whole-file path ([`read_atom`]) reads each file once and concatenates
+//! the parts.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -49,7 +51,7 @@ pub struct LoadEntry {
     pub name: Arc<str>,
     /// Consolidated shape of the atom.
     pub full_shape: Shape,
-    /// Files per state the atom is stored as
+    /// Files the atom is stored as
     /// ([`crate::manifest::AtomMeta::parts`]): equal slices of the leading
     /// dimension; 1 = one file.
     pub parts: usize,
@@ -152,7 +154,7 @@ impl LoadSession {
         let universal = layout::universal_dir(base, step);
         let manifest = UcpManifest::load(&universal)?;
         Ok(LoadSession {
-            cache: AtomCache::new(&universal, opts.device),
+            cache: AtomCache::new(&universal, manifest.version, opts.device),
             universal,
             manifest,
             opts,
@@ -181,6 +183,7 @@ impl LoadSession {
             plan,
             &AtomSource::Disk {
                 universal: &self.universal,
+                version: self.manifest.version,
                 opts: &self.opts,
                 cache: &self.cache,
             },
@@ -190,10 +193,11 @@ impl LoadSession {
 
 /// Where [`execute_plan`] takes its atoms from.
 pub(crate) enum AtomSource<'a> {
-    /// A universal directory on disk, read as `opts` says through the
-    /// session's shared cache.
+    /// A universal directory on disk — a tree of format `version` — read
+    /// as `opts` says through the session's shared cache.
     Disk {
         universal: &'a Path,
+        version: u32,
         opts: &'a LoadOptions,
         cache: &'a AtomCache,
     },
@@ -204,19 +208,19 @@ pub(crate) enum AtomSource<'a> {
 }
 
 impl AtomSource<'_> {
-    /// One whole atom tensor, for the full-read strategy.
-    fn atom(&self, entry: &LoadEntry, file: AtomFile) -> Result<Cow<'_, Tensor>> {
+    /// One whole atom, all three states, for the full-read strategy.
+    fn atom(&self, entry: &LoadEntry) -> Result<Cow<'_, [Tensor; 3]>> {
         let name: &str = &entry.name;
         match self {
             AtomSource::Disk {
-                universal, opts, ..
-            } => read_atom(universal, name, entry.parts, file, &opts.device).map(Cow::Owned),
-            AtomSource::Memory(atoms) => atoms
-                .get(name)
-                .map(|states| Cow::Borrowed(&states[file as usize]))
-                .ok_or_else(|| {
-                    UcpError::Inconsistent(format!("hot checkpoint has no atom for {name}"))
-                }),
+                universal,
+                version,
+                opts,
+                ..
+            } => read_atom(universal, *version, name, entry.parts, &opts.device).map(Cow::Owned),
+            AtomSource::Memory(atoms) => atoms.get(name).map(Cow::Borrowed).ok_or_else(|| {
+                UcpError::Inconsistent(format!("hot checkpoint has no atom for {name}"))
+            }),
         }
     }
 }
@@ -311,42 +315,63 @@ fn validate_target(model: &ModelConfig, target: &ParallelConfig) -> Result<()> {
     Ok(())
 }
 
-/// Read one whole atom tensor from a universal tree: the parameter's one
-/// file, or — for a parameter stored as `parts` sub-atoms — every part's,
-/// concatenated along the leading dimension.
+/// Read one whole atom — `[fp32, exp_avg, exp_avg_sq]` — from a universal
+/// tree of format `version`: the parameter's one file, decoded once for
+/// all three states, or — for a parameter stored as `parts` sub-atoms —
+/// every part's, concatenated along the leading dimension. (A version-1
+/// tree's atom is three files; each is still read once.)
 pub fn read_atom(
     universal_dir: &Path,
+    version: u32,
     name: &str,
     parts: usize,
-    file: AtomFile,
     device: &Device,
-) -> Result<Tensor> {
-    let read = |part: Option<usize>| -> Result<Tensor> {
-        let path = layout::atom_part_path(universal_dir, name, file, part);
+) -> Result<[Tensor; 3]> {
+    let read_file = |path: &Path| -> Result<Container> {
         let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-        let mut r = device.reader(container::open(&path)?);
+        let mut r = device.reader(container::open(path)?);
         let c = Container::read_from(&mut r)?;
         if let Some(t) = t {
             ucp_telemetry::observe(
                 "load/atom_read_ns",
                 t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             );
-            if let Ok(meta) = std::fs::metadata(&path) {
+            if let Ok(meta) = std::fs::metadata(path) {
                 ucp_telemetry::count("load/bytes_read", meta.len());
                 ucp_telemetry::count("load/bytes_needed", meta.len());
             }
         }
-        c.get(file.state_key()).cloned().ok_or_else(|| {
-            UcpError::Inconsistent(format!("atom {name} missing {}", file.state_key()))
-        })
+        Ok(c)
+    };
+    let read = |part: Option<usize>| -> Result<[Tensor; 3]> {
+        // Consecutive states that share a file share its one read.
+        let mut open: Option<(PathBuf, Container)> = None;
+        let [w, m, v] = AtomFile::ALL.map(|state| -> Result<Tensor> {
+            let path = layout::atom_file(universal_dir, version, name, part, state);
+            if open.as_ref().is_none_or(|(at, _)| *at != path) {
+                let c = read_file(&path)?;
+                open = Some((path, c));
+            }
+            let (_, c) = open.as_mut().expect("opened above");
+            let key = state.state_key();
+            let at = (c.sections.iter())
+                .position(|s| s.name == key)
+                .ok_or_else(|| UcpError::Inconsistent(format!("atom {name} missing {key}")))?;
+            Ok(c.sections.swap_remove(at).tensor)
+        });
+        Ok([w?, m?, v?])
     };
     if parts == 1 {
         return read(None);
     }
-    let tensors = (0..parts)
+    let by_part = (0..parts)
         .map(|part| read(Some(part)))
         .collect::<Result<Vec<_>>>()?;
-    Ok(Tensor::concat(&tensors.iter().collect::<Vec<_>>(), 0)?)
+    let [w, m, v] = [0, 1, 2].map(|ki| {
+        let slices: Vec<&Tensor> = by_part.iter().map(|states| &states[ki]).collect();
+        Tensor::concat(&slices, 0)
+    });
+    Ok([w?, m?, v?])
 }
 
 /// One entry's windows of the rank's `[fp32, exp_avg, exp_avg_sq]` chunks
@@ -432,36 +457,38 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
     })
 }
 
-/// Full-read strategy: take each whole atom (decoding its container, or
-/// borrowing it from RAM), then slice out this rank's TP shard in memory.
+/// Full-read strategy: take the whole atom (decoding its file — all three
+/// states, whichever this rank's chunk needs — or borrowing it from RAM),
+/// then slice out this rank's TP shard in memory.
 fn read_entry_full(
     plan: &LoadPlan,
     entry: &LoadEntry,
     source: &AtomSource<'_>,
     windows: &mut Windows<'_>,
 ) -> Result<Tensor> {
-    let shard = |file: AtomFile| -> Result<Tensor> {
-        let atom = source.atom(entry, file)?;
-        if atom.shape() != &entry.full_shape {
+    let atom = source.atom(entry)?;
+    let shard = |state: AtomFile| -> Result<Tensor> {
+        let whole = &atom[state as usize];
+        if whole.shape() != &entry.full_shape {
             return Err(UcpError::Inconsistent(format!(
                 "atom {} has shape {}, expected {}",
                 entry.name,
-                atom.shape(),
+                whole.shape(),
                 entry.full_shape
             )));
         }
-        Ok(entry.partition.shard(&atom, plan.target.tp, plan.coord.tp))
+        Ok(entry.partition.shard(whole, plan.target.tp, plan.coord.tp))
     };
     // Model copy always needs the fp32 shard of every owned parameter;
-    // the optimizer moments are only read when this rank's chunk
+    // the optimizer moments are only sliced when this rank's chunk
     // intersects the parameter.
     let shard_fp32 = shard(AtomFile::Fp32)?;
     if !entry.fragments.is_empty() {
         scatter(windows[0], shard_fp32.as_slice(), &entry.fragments);
-        for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
+        for state in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
             scatter(
-                windows[file as usize],
-                shard(file)?.as_slice(),
+                windows[state as usize],
+                shard(state)?.as_slice(),
                 &entry.fragments,
             );
         }
@@ -512,7 +539,7 @@ fn read_entry_ranged(
 }
 
 /// Copy `runs` — `(offset in dst, element range of the flattened atom)` —
-/// of `entry`'s `file` state out of the cache into `dst`: one fetch of the
+/// of `entry`'s `file` state out of the cache into `dst`: one fetch from the
 /// atom's file, or one per sub-atom file the runs reach.
 fn fetch_runs(
     cache: &AtomCache,

@@ -9,34 +9,32 @@ use ucp_storage::{layout, Container};
 use ucp_tensor::Shape;
 
 use crate::pattern::ParamPattern;
-use crate::Result;
+use crate::{Result, UcpError};
 
 /// Metadata of one atom checkpoint.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct AtomMeta {
-    /// Canonical parameter name (also the atom directory name).
+    /// Canonical parameter name (also the stem of the atom's file name:
+    /// [`UcpManifest::load`] accepts only one plain path component).
     pub name: String,
     /// Full, consolidated shape (padding already stripped).
     pub shape: Shape,
     /// The source-side pattern this atom was consolidated from.
     pub pattern: ParamPattern,
     /// `Some(n)`: the parameter is stored as `n` sub-atoms, equal slices of
-    /// its leading dimension in one three-section file each
-    /// ([`layout::atom_part_path`]), not as one whole file per state. Absent from the JSON when `None`, so the manifest and
-    /// headers of a tree with no split parameter are what they were before
-    /// the field existed — and a reader that predates it ignores the field
-    /// and fails on the whole-parameter file it cannot find.
+    /// its leading dimension in one file each ([`layout::atom_file`]), not
+    /// as one whole file. Absent from the JSON when `None`.
     pub parts: Option<usize>,
 }
 
 impl AtomMeta {
-    /// Number of pieces each state is stored in: the sub-atom count, or 1
+    /// Number of files the atom is stored in: the sub-atom count, or 1
     /// when unsplit.
     pub fn parts(&self) -> usize {
         self.parts.unwrap_or(1)
     }
 
-    /// The `part` of [`layout::atom_part_path`] for each of those pieces:
+    /// The `part` of [`layout::atom_file`] for each of those files:
     /// `None` alone when unsplit, else every sub-atom in order.
     pub fn part_ids(&self) -> Vec<Option<usize>> {
         match self.parts {
@@ -64,7 +62,8 @@ impl Serialize for AtomMeta {
 /// The universal checkpoint's top-level manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UcpManifest {
-    /// Manifest format version.
+    /// Format version of the tree this manifest indexes: where
+    /// [`layout::atom_file`] finds its atoms.
     pub version: u32,
     /// Completed training iterations at checkpoint time.
     pub iteration: u64,
@@ -87,8 +86,8 @@ pub struct UcpManifest {
 }
 
 impl UcpManifest {
-    /// Current manifest version.
-    pub const VERSION: u32 = 1;
+    /// The version this crate writes: [`layout::TREE_VERSION`].
+    pub const VERSION: u32 = layout::TREE_VERSION;
 
     /// Look up an atom by name: a binary search of the sorted index, so a
     /// load plan's one lookup per owned parameter is not quadratic.
@@ -110,10 +109,28 @@ impl UcpManifest {
         Ok(())
     }
 
-    /// Read from a universal directory.
+    /// Read from a universal directory. The manifest is outside input
+    /// that readers turn into paths, so this is where it is checked: a
+    /// version this reader does not know, or an atom name that is not one
+    /// plain file-name component, is refused before any path is built.
     pub fn load(universal_dir: &Path) -> Result<UcpManifest> {
         let c = Container::read_file(&layout::manifest_path(universal_dir))?;
         let mut manifest: UcpManifest = serde_json::from_str(&c.header)?;
+        if manifest.version > UcpManifest::VERSION {
+            return Err(UcpError::Inconsistent(format!(
+                "manifest version {} is newer than this reader's {}",
+                manifest.version,
+                UcpManifest::VERSION
+            )));
+        }
+        for atom in &manifest.params {
+            let name = atom.name.as_str();
+            if matches!(name, "" | "." | "..") || name.contains(['/', '\0']) {
+                return Err(UcpError::Inconsistent(format!(
+                    "manifest atom name {name:?} is not a plain file name"
+                )));
+            }
+        }
         // A no-op on every tree this crate wrote; a hand-assembled index
         // must not make `atom` miss an entry that is there.
         manifest.params.sort_by(|a, b| a.name.cmp(&b.name));
@@ -171,9 +188,9 @@ mod tests {
         assert!(m.atom("nope").is_none());
     }
 
-    /// The split is one optional field: an unsplit entry serializes to the
-    /// three fields it always had (what keeps old trees byte-identical and
-    /// lets this reader load them), a split one adds `parts`.
+    /// The split is one optional field: an unsplit entry serializes to
+    /// three fields (so a tree written whole, by a foreign adapter or
+    /// before the field existed, loads), a split one adds `parts`.
     #[test]
     fn parts_field_is_absent_unless_split() {
         let mut meta = sample().params.remove(1);
@@ -188,6 +205,51 @@ mod tests {
         let split = serde_json::to_string(&meta).unwrap();
         assert!(split.ends_with(r#","parts":8}"#), "{split}");
         assert_eq!(serde_json::from_str::<AtomMeta>(&split).unwrap(), meta);
+    }
+
+    /// What `load` makes of `m` once it is on disk.
+    fn reload(tag: &str, m: &UcpManifest) -> Result<UcpManifest> {
+        let dir = std::env::temp_dir().join(format!("ucp_manifest_{tag}"));
+        std::fs::remove_dir_all(&dir).ok();
+        m.save(&dir).unwrap();
+        let back = UcpManifest::load(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        back
+    }
+
+    #[test]
+    fn atom_name_that_is_not_a_plain_file_name_is_refused() {
+        for (i, bad) in ["", ".", "..", "../../etc/x", "a/b", "/abs", "nul\0byte"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut m = sample();
+            m.params[0].name = bad.into();
+            match reload(&format!("badname{i}"), &m) {
+                Err(UcpError::Inconsistent(msg)) => {
+                    assert!(msg.contains("not a plain file name"), "{bad:?}: {msg}")
+                }
+                other => panic!("{bad:?} must be Inconsistent, got {other:?}"),
+            }
+        }
+        // Dots and leading dots inside a component are ordinary names.
+        let mut m = sample();
+        m.params[0].name = "..a.b..".into();
+        assert!(reload("dotted", &m).is_ok());
+    }
+
+    #[test]
+    fn version_newer_than_this_reader_is_refused_older_is_kept() {
+        let mut m = sample();
+        m.version = UcpManifest::VERSION + 1;
+        match reload("newer", &m) {
+            Err(UcpError::Inconsistent(msg)) => assert!(msg.contains("newer"), "{msg}"),
+            other => panic!("a newer version must be Inconsistent, got {other:?}"),
+        }
+        // A version-1 manifest loads and keeps its version: it is what
+        // sends readers to the per-parameter directories.
+        m.version = 1;
+        assert_eq!(reload("older", &m).unwrap().version, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! A step's atoms are one group because the fsyncs, issued one file at a
 //! time, are latency a writer thread sleeps through: issued together from
 //! a few threads the filesystem journal serves them from a handful of
-//! commits, and a directory with three atoms in it is synced once.
+//! commits, and the one directory a step's atoms share is synced once.
 //!
 //! `Group::add` is the one staged skeleton; what fills the staging file —
 //! written bytes ([`Group::stage`]) or a hard link ([`Group::link`]) — is

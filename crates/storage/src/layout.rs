@@ -15,19 +15,24 @@
 //! ```text
 //! <base>/global_step<N>_universal/
 //!   manifest.ucpt                                training state + param index
-//!   zero/<param_name>/fp32.ucpt
-//!   zero/<param_name>/exp_avg.ucpt
-//!   zero/<param_name>/exp_avg_sq.ucpt
-//!   zero/<split_param>/<part>.ucpt               a parameter the manifest lists
+//!   zero/<param_name>.ucpt                       one atom: sections fp32,
+//!                                                exp_avg, exp_avg_sq
+//!   zero/<split_param>.ucpt.<part>               a parameter the manifest lists
 //!                                                with `parts: E` has E sub-atoms
-//!                                                instead (000.ucpt, 001.ucpt, ...)
+//!                                                instead (.000, .001, ...)
 //! <base>/latest_universal                        text file
 //! ```
 //!
-//! A sub-atom is one atom-format container holding slice `<part>` of the
-//! parameter's leading dimension (one MoE expert) for all three states —
-//! sections `fp32`, `exp_avg`, `exp_avg_sq` — so a save rewrites only the
-//! parts a step touched, one new file each, and hard-links the rest.
+//! Every (sub-)atom is one atom-format container holding all three states
+//! of a parameter — or of slice `<part>` of its leading dimension (one MoE
+//! expert) — as the sections `fp32`, `exp_avg`, `exp_avg_sq`, and all of a
+//! step's atoms share the one flat `zero/` directory: a save creates one
+//! inode per atom it rewrites and hard-links the rest ([`atom_file`]).
+//!
+//! Trees written before manifest version [`TREE_VERSION`] keep a directory
+//! per parameter — `zero/<param>/{fp32,exp_avg,exp_avg_sq}.ucpt`, one
+//! section each, and `zero/<split_param>/<part>.ucpt` — and are still read
+//! (never written) through the same [`atom_file`].
 
 use std::path::{Path, PathBuf};
 
@@ -55,12 +60,8 @@ pub fn optim_states_path(step_dir: &Path, dp: usize, tp: usize, pp: usize) -> Pa
     ))
 }
 
-/// Directory holding one parameter's atom checkpoint.
-pub fn atom_dir(universal_dir: &Path, param: &str) -> PathBuf {
-    universal_dir.join("zero").join(param)
-}
-
-/// The three files of an atom checkpoint (paper §3.1).
+/// The three states of an atom checkpoint (paper §3.1) — the paper's three
+/// object files per parameter, stored as three sections of the atom's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomFile {
     /// fp32 master weights.
@@ -72,19 +73,10 @@ pub enum AtomFile {
 }
 
 impl AtomFile {
-    /// All three atom files.
+    /// All three states, in section order.
     pub const ALL: [AtomFile; 3] = [AtomFile::Fp32, AtomFile::ExpAvg, AtomFile::ExpAvgSq];
 
-    /// File name inside the atom directory.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            AtomFile::Fp32 => "fp32.ucpt",
-            AtomFile::ExpAvg => "exp_avg.ucpt",
-            AtomFile::ExpAvgSq => "exp_avg_sq.ucpt",
-        }
-    }
-
-    /// DeepSpeed state key this file corresponds to.
+    /// DeepSpeed state key — and section name — of this state.
     pub fn state_key(self) -> &'static str {
         match self {
             AtomFile::Fp32 => "fp32",
@@ -94,48 +86,38 @@ impl AtomFile {
     }
 }
 
-/// Path of one atom file.
-pub fn atom_path(universal_dir: &Path, param: &str, file: AtomFile) -> PathBuf {
-    atom_part_path(universal_dir, param, file, None)
-}
+/// Universal-tree format version this crate writes, recorded in the
+/// manifest: one three-section file per (sub-)atom in a flat `zero/`.
+pub const TREE_VERSION: u32 = 2;
 
-/// Path of the file holding state `file` of a parameter that may be
-/// split: the whole parameter's `file` for `None`, or sub-atom `part`'s one
-/// file, which holds all three states as sections. Both live in the
-/// parameter's one atom directory.
-pub fn atom_part_path(
+/// The file of a tree of format `version` that holds `state` of parameter
+/// `param` — of its sub-atom `part` when the parameter is split.
+///
+/// From [`TREE_VERSION`] on that is one file per `(param, part)`, whatever
+/// the state. The names are injective without escaping: a whole
+/// parameter's file ends in `.ucpt` and a sub-atom's in its part number,
+/// which follows the last `.`, so no two `(param, part)` share a name and
+/// none is a staging name (`.tmp`). Older trees keep a directory per
+/// parameter with one single-section file per state, or one file per
+/// sub-atom; nothing writes them any more.
+pub fn atom_file(
     universal_dir: &Path,
+    version: u32,
     param: &str,
-    file: AtomFile,
     part: Option<usize>,
+    state: AtomFile,
 ) -> PathBuf {
-    let dir = atom_dir(universal_dir, param);
-    match part {
-        None => dir.join(file.file_name()),
-        Some(part) => dir.join(format!("{part:03}.ucpt")),
-    }
+    universal_dir.join(match (version >= TREE_VERSION, part) {
+        (true, None) => format!("zero/{param}.ucpt"),
+        (true, Some(part)) => format!("zero/{param}.ucpt.{part:03}"),
+        (false, None) => format!("zero/{param}/{}.ucpt", state.state_key()),
+        (false, Some(part)) => format!("zero/{param}/{part:03}.ucpt"),
+    })
 }
 
-/// The files one atom is stored in, each with the states it holds: a whole
-/// parameter's (`part: None`) three files of one state each, or sub-atom
-/// `part`'s single file of all three.
-pub fn atom_files(
-    universal_dir: &Path,
-    param: &str,
-    part: Option<usize>,
-) -> Vec<(PathBuf, &'static [AtomFile])> {
-    let states_per_file = if part.is_some() {
-        AtomFile::ALL.len()
-    } else {
-        1
-    };
-    AtomFile::ALL
-        .chunks(states_per_file)
-        .map(|states| {
-            let path = atom_part_path(universal_dir, param, states[0], part);
-            (path, states)
-        })
-        .collect()
+/// [`atom_file`] of an unsplit parameter in a tree this crate writes.
+pub fn atom_path(universal_dir: &Path, param: &str, file: AtomFile) -> PathBuf {
+    atom_file(universal_dir, TREE_VERSION, param, None, file)
 }
 
 /// Manifest path of a universal checkpoint.
@@ -237,28 +219,57 @@ mod tests {
             Path::new("/ckpt/global_step100/zero/dp03_mp01_000/optim_states.ucpt")
         );
         let ud = universal_dir(base, 100);
-        assert_eq!(
-            atom_path(&ud, "layers.0.mlp.weight", AtomFile::ExpAvg),
-            Path::new("/ckpt/global_step100_universal/zero/layers.0.mlp.weight/exp_avg.ucpt")
-        );
-        let part = Path::new("/ckpt/global_step100_universal/zero/layers.0.moe.experts.w/007.ucpt");
-        for file in AtomFile::ALL {
+        let whole = Path::new("/ckpt/global_step100_universal/zero/layers.0.mlp.weight.ucpt");
+        let part = Path::new("/ckpt/global_step100_universal/zero/layers.0.moe.experts.w.ucpt.007");
+        for state in AtomFile::ALL {
+            assert_eq!(atom_path(&ud, "layers.0.mlp.weight", state), whole);
             assert_eq!(
-                atom_part_path(&ud, "layers.0.moe.experts.w", file, Some(7)),
+                atom_file(&ud, TREE_VERSION, "layers.0.moe.experts.w", Some(7), state),
                 part
             );
         }
+        // A version-1 tree: a directory per parameter.
         assert_eq!(
-            atom_files(&ud, "layers.0.moe.experts.w", Some(7)),
-            vec![(part.to_path_buf(), &AtomFile::ALL[..])]
+            atom_file(&ud, 1, "layers.0.mlp.weight", None, AtomFile::ExpAvg),
+            Path::new("/ckpt/global_step100_universal/zero/layers.0.mlp.weight/exp_avg.ucpt")
         );
-        let whole = atom_files(&ud, "layers.0.mlp.weight", None);
-        assert_eq!(whole.len(), 3);
-        assert_eq!(
-            whole[1].0,
-            atom_path(&ud, "layers.0.mlp.weight", AtomFile::ExpAvg)
-        );
-        assert_eq!(whole[1].1, [AtomFile::ExpAvg]);
+        for state in AtomFile::ALL {
+            assert_eq!(
+                atom_file(&ud, 1, "layers.0.moe.experts.w", Some(7), state),
+                Path::new("/ckpt/global_step100_universal/zero/layers.0.moe.experts.w/007.ucpt")
+            );
+        }
+    }
+
+    /// No two `(param, part)` share a file, however adversarial the names:
+    /// ones that embed another's suffix, part numbers past three digits,
+    /// names that look like staging files.
+    #[test]
+    fn atom_file_names_are_injective_and_never_staging_names() {
+        let ud = Path::new("/u");
+        let names = [
+            "w",
+            "w.ucpt",
+            "w.ucpt.007",
+            "w.ucpt.7",
+            "w.007",
+            "w.tmp",
+            "w.ucpt.tmp",
+            "w.ucpt.ucpt",
+            "w.ucpt.1000",
+        ];
+        let parts = [None, Some(0), Some(7), Some(1000), Some(10007)];
+        let mut seen = std::collections::BTreeMap::new();
+        for name in names {
+            for part in parts {
+                let path = atom_file(ud, TREE_VERSION, name, part, AtomFile::Fp32);
+                assert_eq!(path.parent(), Some(Path::new("/u/zero")), "{path:?}");
+                assert!(!crate::commit::is_tmp(&path), "{path:?}");
+                if let Some(other) = seen.insert(path.clone(), (name, part)) {
+                    panic!("{:?} and {other:?} share {path:?}", (name, part));
+                }
+            }
+        }
     }
 
     #[test]
@@ -336,9 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn atom_files_enumerate() {
+    fn atom_states_enumerate() {
         assert_eq!(AtomFile::ALL.len(), 3);
-        assert_eq!(AtomFile::Fp32.file_name(), "fp32.ucpt");
         assert_eq!(AtomFile::ExpAvgSq.state_key(), "exp_avg_sq");
     }
 

@@ -101,7 +101,7 @@ fn main() {
     println!("  atom index (first 8):");
     for atom in manifest.params.iter().take(8) {
         // A split parameter (a MoE expert weight) is still one atom: its
-        // entry says how many sub-atom files each state is stored as.
+        // entry says how many sub-atom files it is stored as.
         let parts = atom
             .parts
             .map_or(String::new(), |n| format!(" in {n} parts"));

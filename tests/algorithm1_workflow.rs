@@ -106,10 +106,11 @@ fn atoms_cover_every_parameter_with_correct_shapes() {
     for s in &specs {
         let atom = manifest.atom(&s.name).expect("atom for every param");
         assert_eq!(atom.shape, s.shape, "{}", s.name);
+        let path = layout::atom_path(&universal, &s.name, layout::AtomFile::Fp32);
+        assert!(path.is_file(), "missing {}", path.display());
+        let c = Container::read_file(&path).unwrap();
+        assert_eq!(c.sections.len(), 3, "{}", s.name);
         for file in layout::AtomFile::ALL {
-            let path = layout::atom_path(&universal, &s.name, file);
-            assert!(path.is_file(), "missing {}", path.display());
-            let c = Container::read_file(&path).unwrap();
             let t = c.get(file.state_key()).unwrap();
             assert_eq!(t.shape(), &s.shape, "{} {}", s.name, file.state_key());
         }

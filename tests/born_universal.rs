@@ -14,9 +14,10 @@
 mod naive;
 #[path = "support/tree.rs"]
 mod tree;
+#[path = "support/v1_tree.rs"]
+mod v1_tree;
 
 use tree::tree_bytes;
-use ucp_repro::core::assemble::write_atom_file;
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::fsck::{check_step, fsck, FsckOptions};
@@ -102,6 +103,31 @@ fn assert_states_eq(ctx: &str, a: &RankState, b: &RankState) {
     }
 }
 
+/// The inode budget of a universal tree: `manifest.ucpt` and one flat
+/// `zero/` holding one regular file per (sub-)atom the manifest lists —
+/// no directory per parameter, no file per state.
+fn assert_one_inode_per_atom(ctx: &str, universal: &std::path::Path) {
+    let names = |dir: &std::path::Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(universal), ["manifest.ucpt", "zero"], "{ctx}");
+    let zero = universal.join("zero");
+    let atoms: usize = (UcpManifest::load(universal).unwrap().params.iter())
+        .map(|a| a.parts())
+        .sum();
+    let files = names(&zero);
+    assert_eq!(files.len(), atoms, "{ctx}: one file per (sub-)atom");
+    for file in files {
+        let meta = std::fs::symlink_metadata(zero.join(&file)).unwrap();
+        assert!(meta.is_file(), "{ctx}: zero/{file} is not a regular file");
+    }
+}
+
 /// The third producer of a universal checkpoint: the RAM hot tier. Hot
 /// shards rebuilt from `off`'s native step files must assemble into a
 /// checkpoint that holds the naive reference's atoms and whose `load_rank`
@@ -165,7 +191,8 @@ fn assert_memory_matches_disk(
 ///
 /// 1. an overlapped run publishes `latest_universal` at save time;
 /// 2. its universal trees are bitwise-equal to offline conversion of an
-///    identical synchronous run, at every saved step;
+///    identical synchronous run, at every saved step, and each is one flat
+///    directory of one file per atom ([`assert_one_inode_per_atom`]);
 /// 3. the pipeline-written repository is fsck-clean;
 /// 4. a reconfigured resume straight off the pipeline tree — no convert
 ///    pass anywhere — yields losses identical to resuming off the
@@ -216,6 +243,10 @@ fn assert_born_universal_every(
     // offline path rebuilds each step from its native files alone. Byte
     // equality at every step is the incremental path's soundness proof.
     for &step in &steps {
+        for dir in [&pipe, &off] {
+            let ctx = format!("{name} step {step} under {dir:?}");
+            assert_one_inode_per_atom(&ctx, &layout::universal_dir(dir, step));
+        }
         let a = tree_bytes(&layout::universal_dir(&pipe, step));
         let b = tree_bytes(&layout::universal_dir(&off, step));
         assert!(!a.is_empty(), "{name} step {step}: empty universal tree");
@@ -534,9 +565,9 @@ fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
             };
             let dirty = (0..3).any(|ki| slice(&before, ki) != slice(&after, ki));
             let at = |dir: &std::path::Path| {
-                let files = layout::atom_files(dir, &atom.name, Some(part));
-                assert_eq!(files.len(), 1, "a sub-atom is one file");
-                std::fs::metadata(&files[0].0).unwrap()
+                let (name, part) = (&atom.name, Some(part));
+                let file = layout::atom_file(dir, layout::TREE_VERSION, name, part, AtomFile::Fp32);
+                std::fs::metadata(file).unwrap()
             };
             let ctx = format!("{} part {part}", atom.name);
             if dirty {
@@ -587,56 +618,78 @@ fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
 
 #[test]
 fn tree_written_before_the_split_still_loads() {
-    // The same state as the split tree, laid out as every tree was before
-    // sub-atoms existed: one file per state and parameter, a manifest with
-    // no `parts` field anywhere.
-    let (pipe, off, _) = moe_two_steps("moe_unsplit");
-    let old = scratch("moe_unsplit_old");
-    let split_dir = layout::universal_dir(&off, 2);
-    let old_dir = layout::universal_dir(&old, 2);
-    let mut manifest = UcpManifest::load(&split_dir).unwrap();
-    for (atom, tensors) in manifest
-        .params
-        .iter_mut()
-        .zip(naive::tree_atoms(&split_dir))
-    {
-        assert_eq!(atom.name, tensors.0);
+    // The same state as the split tree in the two layouts version-1
+    // manifests index, written by the fixture: a directory per parameter
+    // with one file per state and no `parts` anywhere (every tree before
+    // sub-atoms existed), and the same with each expert weight as one
+    // three-section file per expert. Both load bitwise-equal to the tree
+    // written today, both ways; fsck verifies them; `ucp diff` calls each
+    // identical to it.
+    let (pipe, off, _) = moe_two_steps("moe_v1");
+    let new_dir = layout::universal_dir(&off, 2);
+    let manifest = UcpManifest::load(&new_dir).unwrap();
+    assert_eq!(manifest.version, UcpManifest::VERSION);
+    let atoms: Vec<_> = naive::tree_atoms(&new_dir).into_values().collect();
+    let mut unsplit = manifest.clone();
+    for atom in &mut unsplit.params {
         atom.parts = None;
-        for (file, tensor) in AtomFile::ALL.into_iter().zip(tensors.1) {
-            write_atom_file(&old_dir, &atom.name, &atom.pattern, file, tensor, "t").unwrap();
-        }
     }
-    manifest.save(&old_dir).unwrap();
-    let header = ucp_repro::storage::Container::read_file(&layout::manifest_path(&old_dir))
-        .unwrap()
-        .header;
-    assert!(
-        !header.contains("parts"),
-        "an unsplit manifest names no parts"
-    );
-    let report = check_step(&old, 2);
-    assert!(report.clean(), "{:?}", report.problems);
+    let mut old_bases = Vec::new();
+    for (tag, manifest, files_per_param) in [("unsplit", &unsplit, 3), ("split", &manifest, 32)] {
+        let old = scratch(&format!("moe_v1_{tag}"));
+        let old_dir = layout::universal_dir(&old, 2);
+        v1_tree::write_v1_tree(&old_dir, manifest, &atoms);
+        let expert = old_dir.join("zero/layers.0.moe.experts.dense_4h_to_h.weight");
+        assert_eq!(
+            std::fs::read_dir(&expert).unwrap().count(),
+            files_per_param,
+            "{tag}"
+        );
+        let back = UcpManifest::load(&old_dir).unwrap();
+        assert_eq!(back.version, 1, "{tag}");
+        let header = ucp_repro::storage::Container::read_file(&layout::manifest_path(&old_dir))
+            .unwrap()
+            .header;
+        assert_eq!(header.contains("parts"), tag == "split", "{tag}");
 
-    for ranged in [true, false] {
-        let opts = LoadOptions {
-            ranged,
-            ..LoadOptions::default()
-        };
-        let new = LoadSession::open(&off, 2, opts.clone()).unwrap();
-        let unsplit = LoadSession::open(&old, 2, opts).unwrap();
-        for target in [
-            ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
-            ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
-        ] {
-            for rank in 0..target.world_size() {
-                let ctx = format!("ranged {ranged} target {} rank {rank}", target.label());
-                let a = new.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                let b = unsplit.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                assert_states_eq(&ctx, &a, &b);
+        let report = check_step(&old, 2);
+        assert!(report.clean(), "{tag}: {:?}", report.problems);
+        let files: usize = (back.params.iter()).map(|a| a.parts.unwrap_or(3)).sum();
+        assert_eq!(report.files_verified, 1 + files, "{tag}: manifest + atoms");
+
+        for ranged in [true, false] {
+            let opts = LoadOptions {
+                ranged,
+                ..LoadOptions::default()
+            };
+            let new = LoadSession::open(&off, 2, opts.clone()).unwrap();
+            let v1 = LoadSession::open(&old, 2, opts).unwrap();
+            for target in [
+                ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
+                ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
+            ] {
+                for rank in 0..target.world_size() {
+                    let ctx = format!(
+                        "{tag} ranged {ranged} target {} rank {rank}",
+                        target.label()
+                    );
+                    let a = new.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+                    let b = v1.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
+                    assert_states_eq(&ctx, &a, &b);
+                }
             }
         }
+
+        let flags: Vec<String> = ["--dir", "--other"]
+            .into_iter()
+            .zip([&new_dir, &old_dir])
+            .flat_map(|(flag, dir)| [flag.to_string(), dir.to_string_lossy().into_owned()])
+            .collect();
+        ucp_cli::commands::diff(&ucp_cli::args::parse(&flags).unwrap())
+            .unwrap_or_else(|e| panic!("{tag}: ucp diff: {e}"));
+        old_bases.push(old);
     }
-    for dir in [pipe, off, old] {
+    for dir in [pipe, off].into_iter().chain(old_bases) {
         std::fs::remove_dir_all(&dir).ok();
     }
 }

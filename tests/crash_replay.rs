@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use tree::tree_bytes;
 use ucp_repro::core::adapter::{save_litsim_checkpoint, LitSimAdapter, SourceAdapter};
-use ucp_repro::core::assemble::{commit_universal, write_atom_file, StageAssembler};
+use ucp_repro::core::assemble::{commit_universal, stage_atom, StageAssembler};
 use ucp_repro::core::checkpoint::{CommonState, OptimShard};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::ops::Fragment;
@@ -209,9 +209,10 @@ fn commit_tail_points(manifest: &UcpManifest) -> u64 {
 /// A producer stages every atom, then commits them as one group: after the
 /// (parallel, so unordered) data writes its gates lie in three contiguous
 /// blocks — one `commit.fsync` per atom file, one `commit.rename` per atom
-/// file, one `commit.dirsync` per atom directory — followed by the commit
-/// tail. An even spread can step over a block, so the sweep adds the
-/// middle of each and checks it crashed where the layout says.
+/// file, one `commit.dirsync` for the one flat directory they share —
+/// followed by the commit tail. An even spread can step over a block, so
+/// the sweep adds the middle of each and checks it crashed where the
+/// layout says.
 fn sweep_universal_producer(
     tag: &str,
     seed: &std::path::Path,
@@ -228,13 +229,13 @@ fn sweep_universal_producer(
         std::fs::remove_dir_all(&cal).ok();
         (hits, manifest)
     };
-    let dirs = manifest.params.len() as u64;
-    let files = dirs * AtomFile::ALL.len() as u64;
-    let dirsync_block = total - commit_tail_points(&manifest) - dirs;
+    // One file per atom (no parameter of these models is split).
+    let files = manifest.params.len() as u64;
+    let dirsync = total - commit_tail_points(&manifest) - 1;
     let blocks = [
-        ("commit.fsync", dirsync_block - 2 * files + files / 2),
-        ("commit.rename", dirsync_block - files + files / 2),
-        ("commit.dirsync", dirsync_block + dirs / 2),
+        ("commit.fsync", dirsync - 2 * files + files / 2),
+        ("commit.rename", dirsync - files + files / 2),
+        ("commit.dirsync", dirsync),
     ];
 
     let mut kill_points = kill_indices(total, 12);
@@ -351,34 +352,39 @@ fn convert_crash_replay_sweeps_kill_points() {
             .map_err(|e| e.to_string())
     });
 
-    // As members of one group the adapter's atoms pass every gate a lone
-    // `write_atom_file` of the same tensor does — its data writes, its
-    // fsync, its rename — except that a directory holding three atom files
-    // is synced once, not three times; the tail is the shared commit tail.
+    // As members of one group the adapter's atoms pass every gate the
+    // same atom staged and committed on its own does — its data writes,
+    // its fsync, its rename — except that the directory they all share is
+    // synced once, not once an atom; the tail is the shared commit tail.
     // The counts add up exactly.
     let reference = scratch("lit_ref");
     let manifest = LitSimAdapter.convert(&ckpt, &empty, 2).unwrap();
     let armed = fault::arm(fault::FaultPlan::count_only(&reference));
     let universal = layout::universal_dir(&reference, 2);
     for (name, w, m, v) in &states {
-        for (file, t) in AtomFile::ALL.into_iter().zip([w, m, v]) {
-            write_atom_file(
-                &universal,
-                name,
-                &ParamPattern::Unique,
-                file,
-                t.clone(),
-                "t",
-            )
-            .unwrap();
-        }
+        let meta = manifest.atom(name).unwrap();
+        assert_eq!(meta.pattern, ParamPattern::Unique);
+        let sections: Vec<_> = AtomFile::ALL
+            .into_iter()
+            .zip([w, m, v])
+            .map(|(state, t)| (state, t.dtype(), t.as_slice()))
+            .collect();
+        let alone = Group::new(true);
+        let path = layout::atom_path(&universal, &meta.name, AtomFile::Fp32);
+        stage_atom(&alone, &path, meta, &sections, "t").unwrap();
+        alone.commit().unwrap();
     }
     commit_universal(&reference, 2, Group::new(true), &manifest).unwrap();
-    let (files, dirs) = (3 * states.len() as u64, states.len() as u64);
+    let atoms = states.len() as u64;
     assert_eq!(
         total,
-        armed.hits() - files + dirs,
-        "adapter atoms skipped commit gates a lone write_atom_file passes"
+        armed.hits() - atoms + 1,
+        "adapter atoms skipped commit gates a lone atom write passes"
+    );
+    assert_eq!(
+        tree_bytes(&universal),
+        tree_bytes(&layout::universal_dir(&empty, 2)),
+        "the adapter's tree is its atoms written one by one"
     );
     drop(armed);
     for dir in [src, empty, reference] {

@@ -87,11 +87,12 @@ fn corrupted_atom_fails_load() {
 fn missing_atom_fails_load_with_clear_error() {
     let dir = make_checkpoint("missing_atom");
     convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
-    let victim = layout::atom_dir(
+    let victim = layout::atom_path(
         &layout::universal_dir(&dir, 2),
         "layers.3.mlp.dense_h_to_4h.weight",
+        layout::AtomFile::Fp32,
     );
-    std::fs::remove_dir_all(&victim).unwrap();
+    std::fs::remove_file(&victim).unwrap();
     let err = train_run(&TrainPlan {
         config: TrainConfig::quick(
             ModelConfig::gpt3_tiny(),

@@ -182,7 +182,7 @@ fn corrupt_universal_step_is_quarantined() {
 #[test]
 fn damaged_or_missing_sub_atom_is_reported_by_name() {
     // A MoE tree stores each expert weight as one sub-atom file per
-    // expert; fsck walks every one of them, not only `<state>.ucpt`.
+    // expert; fsck walks every one of them, not only `<param>.ucpt`.
     let dir = scratch("sub_atom");
     train_run(&TrainPlan {
         config: TrainConfig::quick(
@@ -201,18 +201,12 @@ fn damaged_or_missing_sub_atom_is_reported_by_name() {
     assert!(clean.clean(), "{:?}", clean.problems);
 
     let universal = layout::universal_dir(&dir, 2);
-    let flipped = layout::atom_part_path(
-        &universal,
-        "layers.1.moe.experts.dense_h_to_4h.weight",
-        layout::AtomFile::ExpAvg,
-        Some(5),
-    );
-    let missing = layout::atom_part_path(
-        &universal,
-        "layers.3.moe.experts.dense_4h_to_h.weight",
-        layout::AtomFile::Fp32,
-        Some(2),
-    );
+    let sub_atom = |param: &str, part: usize| {
+        let state = layout::AtomFile::Fp32;
+        layout::atom_file(&universal, layout::TREE_VERSION, param, Some(part), state)
+    };
+    let flipped = sub_atom("layers.1.moe.experts.dense_h_to_4h.weight", 5);
+    let missing = sub_atom("layers.3.moe.experts.dense_4h_to_h.weight", 2);
     corrupt(&flipped);
     std::fs::remove_file(&missing).unwrap();
     let report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
@@ -220,8 +214,8 @@ fn damaged_or_missing_sub_atom_is_reported_by_name() {
     assert_eq!(
         named,
         [
-            "global_step2_universal/zero/layers.1.moe.experts.dense_h_to_4h.weight/005.ucpt",
-            "global_step2_universal/zero/layers.3.moe.experts.dense_4h_to_h.weight/002.ucpt",
+            "global_step2_universal/zero/layers.1.moe.experts.dense_h_to_4h.weight.ucpt.005",
+            "global_step2_universal/zero/layers.3.moe.experts.dense_4h_to_h.weight.ucpt.002",
             // ... and the marker that names the now-incomplete tree.
             "latest_universal",
         ],

@@ -69,9 +69,10 @@ fn universal_checkpoint_of(
         checkpoint_dir: Some(dir.clone()),
     })
     .unwrap();
-    // Convert takes the run metadata and each slice's flat layout from
-    // the optimizer shards it extracts: one open per optimizer-states
-    // file, and no model-states file.
+    // Convert takes the run metadata from the head of the first
+    // optimizer-states file and each slice's flat layout from the shards
+    // it extracts: one open per optimizer-states file plus that head
+    // read, and no model-states file.
     let rec = ucp_repro::telemetry::global();
     rec.reset();
     rec.set_enabled(true);
@@ -80,8 +81,8 @@ fn universal_checkpoint_of(
     rec.set_enabled(false);
     assert_eq!(
         opens,
-        Some(parallel.world_size() as u64),
-        "{name}: convert must open each optimizer file exactly once"
+        Some(parallel.world_size() as u64 + 1),
+        "{name}: convert must read each optimizer file exactly once"
     );
     dir
 }
@@ -248,20 +249,12 @@ fn v1_atoms_fall_back_to_whole_section_reads() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every fp32 atom container under `dir`, largest payload first.
-fn fp32_atoms(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let mut found = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for entry in std::fs::read_dir(&d).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.file_name().is_some_and(|n| n == "fp32.ucpt") {
-                found.push(path);
-            }
-        }
-    }
+/// Every atom container of the universal tree `dir`, largest first.
+fn atom_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut found: Vec<_> = std::fs::read_dir(dir.join("zero"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
     found.sort_by_key(|p| std::cmp::Reverse(std::fs::metadata(p).unwrap().len()));
     found
 }
@@ -281,9 +274,9 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
         })
         .collect();
 
-    // Damage a block-*table* entry of the biggest fp32 atom; the payload
-    // itself stays intact.
-    let atom = fp32_atoms(&universal).into_iter().next().unwrap();
+    // Damage a block-*table* entry of the biggest atom's fp32 section;
+    // the payload itself stays intact.
+    let atom = atom_files(&universal).into_iter().next().unwrap();
     let mut bytes = std::fs::read(&atom).unwrap();
     let index =
         ucp_repro::storage::ContainerIndex::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
@@ -430,6 +423,36 @@ fn a_session_reads_each_atom_once_for_a_whole_tp_target() {
         assert_eq!(report.counter("load/bytes_read").unwrap_or(0), 0);
         assert!(report.counter("load/cache_hits").unwrap_or(0) > 0);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn whole_file_load_reads_each_atom_file_once() {
+    // An atom's file holds its three states: the whole-file strategy
+    // decodes it once for all of them — also for a MoE tree's sub-atoms —
+    // so a rank that needs every atom reads the tree's atom bytes once.
+    let _g = serial();
+    let source = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
+    let dir = universal_checkpoint_of(ModelConfig::moe_tiny(), source, "wholefile", DType::F32);
+    let universal = layout::universal_dir(&dir, 2);
+    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    assert!(manifest.params.iter().any(|a| a.parts() > 1));
+    let whole_file = LoadOptions {
+        ranged: false,
+        ..LoadOptions::default()
+    };
+    let session = LoadSession::open(&dir, 2, whole_file).unwrap();
+    let rec = ucp_repro::telemetry::global();
+    rec.reset();
+    rec.set_enabled(true);
+    let single = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1);
+    session.load_rank(&single, 0, DEFAULT_ALIGNMENT).unwrap();
+    let report = rec.report("whole_file");
+    rec.set_enabled(false);
+    assert_eq!(
+        report.counter("load/bytes_read"),
+        Some(layout::dir_size_bytes(&universal.join("zero")))
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -74,51 +74,61 @@ pub fn naive_atoms(step_dir: &Path, rules: Option<&UcpSpec>) -> Atoms {
     atoms
 }
 
-/// Read a universal tree's atom files back as [`Atoms`]. A parameter the
-/// manifest lists with `parts: n` is read as the tree must hold it — `n`
-/// files, each one slice of the leading dimension for all three states,
-/// holding the parameter's name and pattern — and joined here, file by
-/// file, with no call into the loader; comparing the result with
-/// [`naive_atoms`] is what holds every producer's split to the naive
-/// reference byte for byte.
+/// Read a universal tree's atom files back as [`Atoms`], as the tree must
+/// hold them: every atom one file in the flat `zero/` directory holding
+/// the three states as sections; a parameter the manifest lists with
+/// `parts: n` as `n` such files, each one slice of the leading dimension
+/// under the parameter's name and pattern — joined here, file by file,
+/// from paths spelled out by hand and with no call into the loader.
+/// Comparing the result with [`naive_atoms`] is what holds every
+/// producer's layout and split to the naive reference byte for byte.
 pub fn tree_atoms(universal_dir: &Path) -> Atoms {
     use ucp_repro::core::manifest::{AtomMeta, UcpManifest};
-    use ucp_repro::storage::layout::{atom_part_path, AtomFile};
+    use ucp_repro::storage::layout::{atom_file, AtomFile, TREE_VERSION};
     use ucp_repro::storage::Container;
     let manifest = UcpManifest::load(universal_dir).unwrap();
-    let read = |atom: &AtomMeta, file: AtomFile| {
+    assert_eq!(manifest.version, TREE_VERSION);
+    let zero = universal_dir.join("zero");
+    // One (sub-)atom file: `[fp32, exp_avg, exp_avg_sq]` and its header.
+    let read = |atom: &AtomMeta, part: Option<usize>, file_name: String| {
+        let path = zero.join(file_name);
+        for state in AtomFile::ALL {
+            let by_layout = atom_file(universal_dir, TREE_VERSION, &atom.name, part, state);
+            assert_eq!(path, by_layout);
+        }
+        let c = Container::read_file(&path).unwrap();
+        let header: AtomMeta = serde_json::from_str(&c.header).unwrap();
+        assert_eq!(c.sections.len(), 3, "{path:?}");
+        let states = AtomFile::ALL.map(|state| c.get(state.state_key()).unwrap().clone());
+        (header, states)
+    };
+    let whole = |atom: &AtomMeta| {
         let Some(parts) = atom.parts else {
-            let path = atom_part_path(universal_dir, &atom.name, file, None);
-            let c = Container::read_file(&path).unwrap();
-            assert_eq!(c.sections.len(), 1, "{path:?}");
-            return c.get(file.state_key()).unwrap().clone();
+            let (header, states) = read(atom, None, format!("{}.ucpt", atom.name));
+            assert_eq!(&header, atom);
+            return states;
         };
         let rows = atom.shape.dims()[0] / parts;
-        let slices: Vec<Tensor> = (0..parts)
+        let slices: Vec<[Tensor; 3]> = (0..parts)
             .map(|part| {
-                let path = universal_dir
-                    .join("zero")
-                    .join(&atom.name)
-                    .join(format!("{part:03}.ucpt"));
-                assert_eq!(
-                    path,
-                    atom_part_path(universal_dir, &atom.name, file, Some(part))
-                );
-                let c = Container::read_file(&path).unwrap();
-                let header: AtomMeta = serde_json::from_str(&c.header).unwrap();
-                assert_eq!(header.name, atom.name, "{path:?}");
-                assert_eq!(header.pattern, atom.pattern, "{path:?}");
-                assert_eq!(header.shape, atom.shape.with_dim(0, rows), "{path:?}");
-                assert_eq!(c.sections.len(), 3, "{path:?}");
-                c.get(file.state_key()).unwrap().clone()
+                let name = format!("{}.ucpt.{part:03}", atom.name);
+                let (header, states) = read(atom, Some(part), name);
+                assert_eq!(header.name, atom.name);
+                assert_eq!(header.pattern, atom.pattern);
+                assert_eq!(header.shape, atom.shape.with_dim(0, rows));
+                assert_eq!(header.parts, None);
+                states
             })
             .collect();
-        Tensor::concat(&slices.iter().collect::<Vec<_>>(), 0).unwrap()
+        [0, 1, 2].map(|ki| {
+            let of_state: Vec<&Tensor> = slices.iter().map(|s| &s[ki]).collect();
+            Tensor::concat(&of_state, 0).unwrap()
+        })
     };
     manifest
         .params
         .iter()
-        .map(|a| (a.name.clone(), AtomFile::ALL.map(|f| read(a, f))))
+        .map(|a| (a.name.clone(), whole(a)))
         .collect()
 }
 
