@@ -82,7 +82,7 @@ fn bench_container(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("decode", elems), &encoded, |b, bytes| {
-            b.iter(|| Container::read_from(&mut bytes.as_slice()).unwrap())
+            b.iter(|| Container::read_from(&mut std::io::Cursor::new(&bytes)).unwrap())
         });
     }
     group.finish();

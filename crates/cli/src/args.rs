@@ -12,7 +12,8 @@ USAGE:
   ucp load --dir <ckpt-base> --step N --tp T --pp P --dp D [--sp S] [--rank R]
       [--workers W] [--mibps M] [--no-ranged-load]
       Execute the universal load for one rank (or all ranks when --rank is
-      omitted), optionally through a simulated fixed-bandwidth device. By
+      omitted), optionally through a simulated fixed-bandwidth device of
+      M >= 1 MiB/s (0 is rejected). By
       default only the block-aligned byte ranges each rank's shard needs
       are read, with a session atom cache shared across ranks;
       --no-ranged-load reads whole atom files instead (the pre-v2
@@ -238,7 +239,10 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             "--seed" => p.seed = Some(parse_num(&value(&mut i)?)?),
             "--overlapped" => p.overlapped = true,
             "--no-universal-save" => p.no_universal_save = true,
-            "--mibps" => p.mibps = Some(parse_num(&value(&mut i)?)?),
+            "--mibps" => match parse_num(&value(&mut i)?)? {
+                0 => return Err("--mibps must be >= 1 (omit it for an unthrottled load)".into()),
+                m => p.mibps = Some(m),
+            },
             "--no-ranged-load" => p.no_ranged_load = true,
             "--no-repair" => p.no_repair = true,
             "--json" => p.json = true,
@@ -441,5 +445,12 @@ mod tests {
         assert!(parse(&sv(&["--bogus"])).is_err());
         assert!(parse(&sv(&["--step"])).is_err());
         assert!(parse(&sv(&["--step", "abc"])).is_err());
+    }
+
+    #[test]
+    fn rejects_zero_mibps_naming_the_flag() {
+        let err = parse(&sv(&["--mibps", "0"])).unwrap_err();
+        assert!(err.contains("--mibps"), "{err}");
+        assert_eq!(parse(&sv(&["--mibps", "1"])).unwrap().mibps, Some(1));
     }
 }

@@ -224,7 +224,7 @@ impl AtomCache {
                     (start, vals) = (0, vec![0.0f32; total]);
                     verified = info.read_range_at(r, 0..total, &mut scratch, &mut vals);
                 }
-                if verified? == Verified::Whole && info.crc_block != 0 {
+                if verified? == Verified::Whole {
                     eprintln!(
                         "warning: atom {} {key}: block CRCs disagree but the \
                          whole-payload CRC holds; served from a whole-section read",

@@ -211,14 +211,15 @@ pub fn read_common_state(step_dir: &Path) -> Result<CommonState> {
     Ok(header.common)
 }
 
-/// Read one (dp, tp, pp) rank's optimizer-states file.
+/// Read one (dp, tp, pp) rank's optimizer-states file; its three sections
+/// become the shard's buffers without a copy.
 pub fn load_optim_states(
     step_dir: &Path,
     dp: usize,
     tp: usize,
     pp: usize,
 ) -> Result<(CommonState, OptimShard)> {
-    let c = Container::read_file(&layout::optim_states_path(step_dir, dp, tp, pp))?;
+    let mut c = Container::read_file(&layout::optim_states_path(step_dir, dp, tp, pp))?;
     let header: OptimStatesHeader = serde_json::from_str(&c.header)?;
     if header.dp != dp || header.tp != tp || header.pp != pp {
         return Err(UcpError::Inconsistent(format!(
@@ -226,10 +227,18 @@ pub fn load_optim_states(
             header.dp, header.tp, header.pp
         )));
     }
-    let take = |key: &str| -> Result<Vec<f32>> {
-        c.get(key)
-            .map(|t| t.as_slice().to_vec())
-            .ok_or_else(|| UcpError::Inconsistent(format!("missing section {key}")))
+    let expected = header.layout.chunk;
+    let mut take = |key: &str| -> Result<Vec<f32>> {
+        let at = (c.sections.iter().position(|s| s.name == key))
+            .ok_or_else(|| UcpError::Inconsistent(format!("missing section {key}")))?;
+        let values = c.sections.swap_remove(at).tensor.into_vec();
+        if values.len() != expected {
+            return Err(UcpError::Inconsistent(format!(
+                "section {key} has {} elements, layout chunk is {expected}",
+                values.len()
+            )));
+        }
+        Ok(values)
     };
     let shard = OptimShard {
         dp,
@@ -238,19 +247,6 @@ pub fn load_optim_states(
         exp_avg: take("exp_avg")?,
         exp_avg_sq: take("exp_avg_sq")?,
     };
-    let expected = shard.layout.chunk;
-    for (key, buf) in [
-        ("fp32", &shard.fp32),
-        ("exp_avg", &shard.exp_avg),
-        ("exp_avg_sq", &shard.exp_avg_sq),
-    ] {
-        if buf.len() != expected {
-            return Err(UcpError::Inconsistent(format!(
-                "section {key} has {} elements, layout chunk is {expected}",
-                buf.len()
-            )));
-        }
-    }
     Ok((header.common, shard))
 }
 

@@ -25,6 +25,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::io::{Cursor, Read};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -329,17 +330,21 @@ pub fn read_atom(
 ) -> Result<[Tensor; 3]> {
     let read_file = |path: &Path| -> Result<Container> {
         let t = ucp_telemetry::enabled().then(std::time::Instant::now);
-        let mut r = device.reader(container::open(path)?);
-        let c = Container::read_from(&mut r)?;
+        // The file crosses the metered handle once, whole; the index and
+        // every verified section read are then served from memory.
+        let file = container::open_file(path)?;
+        let mut bytes = Vec::with_capacity(file.metadata().map_or(0, |m| m.len() as usize));
+        let mut r = device.reader(file);
+        r.read_to_end(&mut bytes)?;
+        let c = Container::read_from(&mut Cursor::new(&bytes))?;
         if let Some(t) = t {
             ucp_telemetry::observe(
                 "load/atom_read_ns",
                 t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             );
-            if let Ok(meta) = std::fs::metadata(path) {
-                ucp_telemetry::count("load/bytes_read", meta.len());
-                ucp_telemetry::count("load/bytes_needed", meta.len());
-            }
+            // The whole file is both read and needed: read amplification 1.
+            ucp_telemetry::count("load/bytes_read", r.bytes_transferred());
+            ucp_telemetry::count("load/bytes_needed", bytes.len() as u64);
         }
         Ok(c)
     };

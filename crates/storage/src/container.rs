@@ -12,6 +12,7 @@
 //!   payload_len u64 | crc_block u32
 //!   payload bytes (dtype-encoded)
 //!   crc32c u32 × ceil(payload_len / crc_block)    (the block-CRC table)
+//!   crc32c u32                                    (the whole payload)
 //! per section (v1, legacy):
 //!   name_len u16 | name bytes
 //!   dtype u8 | rank u8 | dims u64 × rank
@@ -24,15 +25,20 @@
 //! payloads are stored in their logical dtype, so a bf16 model copy costs
 //! two bytes per element while the fp32 master costs four.
 //!
-//! v2 replaces v1's single whole-payload checksum with a table of per-block
-//! CRCs at a fixed block size recorded in the file. Every payload byte is
-//! still covered (full reads verify every block in the same single hashing
-//! pass v1 used), and in addition an arbitrary *byte range* of a section
-//! can be integrity-checked by reading only the blocks it touches — the
-//! primitive behind [`ContainerIndex::read_section_range`], which lets a
-//! loading rank fetch exactly the slice of an atom it needs. v1 files
-//! remain fully readable; range reads of v1 sections fall back to reading
-//! and verifying the whole section before slicing.
+//! v2 adds to v1's whole-payload checksum a table of per-block CRCs at a
+//! fixed block size recorded in the file, so an arbitrary *byte range* of
+//! a section can be integrity-checked by reading only the blocks it
+//! touches. Nothing writes v1 any more; v1 files remain fully readable.
+//!
+//! Every payload byte anyone reads comes back through one body,
+//! [`SectionInfo::read_range_at`]: positioned reads of the block-aligned
+//! span and its table slice, one hashing pass. Ranged loads ask it for
+//! the slice of an atom they need; whole-container reads
+//! ([`Container::read_file`], which `fsck`, `ucp verify`, native loads and
+//! manifests use) parse the [`ContainerIndex`] and ask it for each section
+//! whole, demanding every checksum the section carries
+//! ([`SectionInfo::read_all_at`]). A range read of a v1 section reads and
+//! verifies the whole section before slicing.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -42,7 +48,7 @@ use std::path::Path;
 use ucp_tensor::{DType, Shape, Tensor};
 
 use crate::commit;
-use crate::crc::{crc32c, BlockCrc, Crc32c};
+use crate::crc::{crc32c, BlockCrc};
 use crate::io::ReadAt;
 use crate::{Result, StorageError};
 
@@ -55,9 +61,6 @@ const VERSION_V1: u32 = 1;
 /// Cap on the declared header length; any larger value is corruption,
 /// not a header we should try to allocate.
 const MAX_HEADER_LEN: usize = 256 * 1024 * 1024;
-
-/// Block size for streaming payloads through the CRC hasher.
-const CRC_BLOCK: usize = 64 * 1024;
 
 /// Elements encoded per chunk when streaming a section payload out: the
 /// writer never materializes a payload-sized buffer, only this much.
@@ -113,14 +116,19 @@ pub struct RangeScratch {
     table: Vec<u8>,
 }
 
-/// How a range read vouched for the bytes it returned.
+/// Which checksums held over the bytes a range read returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verified {
-    /// Every block the range touches matched its block-table entry.
+    /// All of them: the table entry of every block the range touches and,
+    /// on a whole-section read, the trailing whole-payload CRC (a v1
+    /// section's only checksum).
+    All,
+    /// A whole-section read whose blocks all matched their table entries
+    /// but whose trailing whole-payload CRC did not: only that word is
+    /// damaged.
     Blocks,
-    /// The whole payload matched the trailing whole-payload CRC: v1
-    /// sections (which have nothing else), and whole-section reads of a v2
-    /// section whose block table disagreed with intact data.
+    /// A whole-section read whose payload matched the whole-payload CRC
+    /// but not some block-table entry: only the table is damaged.
     Whole,
 }
 
@@ -169,11 +177,6 @@ pub fn open_file(path: &Path) -> std::io::Result<File> {
     File::open(path)
 }
 
-/// [`open_file`] behind a buffer, for the forward-streaming full reads.
-pub fn open(path: &Path) -> std::io::Result<BufReader<File>> {
-    Ok(BufReader::new(open_file(path)?))
-}
-
 /// A section to write, borrowed from wherever its values live — an
 /// in-memory [`Container`], a parameter store, a live optimizer buffer —
 /// so persisting never copies a payload first.
@@ -189,16 +192,12 @@ pub struct SectionRef<'a> {
     pub data: &'a [f32],
 }
 
-/// The one UCPT encoder: preamble, then per section its metadata, the
-/// payload streamed in fixed-size chunks, and the checksum trailer.
-fn encode<W: Write + ?Sized>(
-    w: &mut W,
-    version: u32,
-    header: &str,
-    sections: &[SectionRef<'_>],
-) -> Result<()> {
+/// The one UCPT encoder (current version): preamble, then per section its
+/// metadata, the payload streamed in fixed-size chunks, and the checksum
+/// trailer.
+fn encode<W: Write + ?Sized>(w: &mut W, header: &str, sections: &[SectionRef<'_>]) -> Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
+    w.write_all(&VERSION.to_le_bytes())?;
     let header = header.as_bytes();
     w.write_all(&(header.len() as u32).to_le_bytes())?;
     w.write_all(header)?;
@@ -226,16 +225,13 @@ fn encode<W: Write + ?Sized>(
         }
         let payload_len = (s.data.len() * s.dtype.size_bytes()) as u64;
         w.write_all(&payload_len.to_le_bytes())?;
-        if version >= 2 {
-            w.write_all(&RANGE_CRC_BLOCK.to_le_bytes())?;
-        }
+        w.write_all(&RANGE_CRC_BLOCK.to_le_bytes())?;
         // Stream the payload: each chunk of elements is written out and
-        // fed to the hashers in a single pass — the block-CRC table and
+        // fed to the hasher in a single pass — the block-CRC table and
         // the whole-payload CRC come out of the same traversal that wrote
         // the bytes. A 16-bit chunk is encoded into the scratch buffer
         // first; a little-endian fp32 chunk goes out as it lies in memory.
-        let mut block = BlockCrc::new(RANGE_CRC_BLOCK as usize);
-        let mut whole = Crc32c::new();
+        let mut crc = BlockCrc::new(RANGE_CRC_BLOCK as usize);
         for values in s.data.chunks(ENCODE_CHUNK_ELEMS) {
             let in_place = match s.dtype {
                 DType::F32 => f32_le_bytes(values),
@@ -247,24 +243,15 @@ fn encode<W: Write + ?Sized>(
                 &scratch
             });
             w.write_all(bytes)?;
-            if version >= 2 {
-                block.update(bytes);
-            } else {
-                whole.update(bytes);
-            }
+            crc.update(bytes);
         }
-        // The trailer goes out as one write. v2: the block table, then a
+        // The trailer goes out as one write: the block table, then a
         // whole-payload CRC independent of it — the redundancy that lets
-        // a reader with a damaged table fall back to a verified
-        // whole-section read ([`ContainerIndex::read_section_lenient`]).
+        // a loader with a damaged table fall back to a verified
+        // whole-section read ([`SectionInfo::read_range_at`]).
+        let (table, whole) = crc.finish();
         scratch.clear();
-        let whole = if version >= 2 {
-            let (table, whole) = block.finish();
-            scratch.extend(table.iter().flat_map(|crc| crc.to_le_bytes()));
-            whole
-        } else {
-            whole.finish()
-        };
+        scratch.extend(table.iter().flat_map(|crc| crc.to_le_bytes()));
         scratch.extend_from_slice(&whole.to_le_bytes());
         w.write_all(&scratch)?;
     }
@@ -293,7 +280,7 @@ pub fn stage_file(
     header: &str,
     sections: &[SectionRef<'_>],
 ) -> Result<()> {
-    group.stage(path, |w| encode(w, VERSION, header, sections))
+    group.stage(path, |w| encode(w, header, sections))
 }
 
 /// Write `header` and `sections` to `path` as a current-version container,
@@ -306,7 +293,7 @@ pub fn write_file(
     sections: &[SectionRef<'_>],
     durable: bool,
 ) -> Result<()> {
-    commit::publish(path, durable, |w| encode(w, VERSION, header, sections))
+    commit::publish(path, durable, |w| encode(w, header, sections))
 }
 
 /// Parse the file preamble — magic, version, the length-capped and
@@ -455,85 +442,14 @@ impl Container {
 
     /// Serialize into a writer (current v2 layout, block-CRC tables).
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
-        encode(w, VERSION, &self.header, &self.section_refs())
+        encode(w, &self.header, &self.section_refs())
     }
 
-    /// Deserialize from a reader, verifying all checksums. Accepts both
-    /// the current v2 layout and legacy v1 files. One forward pass.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Container> {
-        let (version, header, count) = parse_preamble(r)?;
-        // Do not trust `count` for the allocation either; grow on demand.
-        let mut sections = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let info = parse_section_meta(r, version)?;
-            let name = info.name;
-            let payload_len = info.payload_len as usize;
-            // Stream the payload through the hashers in fixed-size blocks:
-            // checksums are computed in the same pass as the read, and the
-            // buffer only grows as real file bytes arrive, so a corrupt
-            // length can never force a giant up-front allocation. v1 hashes
-            // the whole payload into one checksum; v2 feeds the combined
-            // [`BlockCrc`] hasher, which yields the per-block table *and*
-            // the whole-payload CRC without rescanning the payload.
-            let mut payload = Vec::with_capacity(payload_len.min(1 << 20));
-            let mut block = [0u8; CRC_BLOCK];
-            let mut remaining = payload_len;
-            let mut whole_hasher = Crc32c::new();
-            let mut block_hasher =
-                (info.crc_block > 0).then(|| BlockCrc::new(info.crc_block as usize));
-            let timing = ucp_telemetry::enabled();
-            let mut crc_ns = 0u64;
-            while remaining > 0 {
-                let n = CRC_BLOCK.min(remaining);
-                r.read_exact(&mut block[..n])?;
-                let t = timing.then(std::time::Instant::now);
-                match &mut block_hasher {
-                    None => whole_hasher.update(&block[..n]),
-                    Some(h) => h.update(&block[..n]),
-                }
-                if let Some(t) = t {
-                    crc_ns += t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                }
-                payload.extend_from_slice(&block[..n]);
-                remaining -= n;
-            }
-            if timing {
-                ucp_telemetry::observe("storage/crc_ns", crc_ns);
-                ucp_telemetry::count("storage/crc_bytes", payload_len as u64);
-            }
-            match block_hasher {
-                None => {
-                    let crc = read_u32(r)?;
-                    if whole_hasher.finish() != crc {
-                        return Err(StorageError::ChecksumMismatch { what: name });
-                    }
-                }
-                Some(h) => {
-                    let (computed_table, computed_whole) = h.finish();
-                    for (i, computed) in computed_table.iter().enumerate() {
-                        let stored = read_u32(r)?;
-                        if stored != *computed {
-                            return Err(StorageError::ChecksumMismatch {
-                                what: format!("{name} (block {i})"),
-                            });
-                        }
-                    }
-                    let whole = read_u32(r)?;
-                    if computed_whole != whole {
-                        return Err(StorageError::ChecksumMismatch {
-                            what: format!("{name} (whole payload)"),
-                        });
-                    }
-                }
-            }
-            let values = (info.dtype.decode(&payload, info.shape.num_elements()))
-                .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
-            let tensor = Tensor::from_vec(values, info.shape)
-                .map_err(|e| StorageError::Malformed(e.to_string()))?
-                .cast(info.dtype);
-            sections.push(Section { name, tensor });
-        }
-        Ok(Container { header, sections })
+    /// Deserialize from a seekable reader, verifying every checksum
+    /// ([`ContainerIndex::read_container`]). Accepts both the current v2
+    /// layout and legacy v1 files.
+    pub fn read_from<R: Read + Seek>(r: &mut R) -> Result<Container> {
+        ContainerIndex::read_head(r)?.read_container(&mut SeekAt(r))
     }
 
     /// Write to a file path (creating parent directories). The container
@@ -553,9 +469,11 @@ impl Container {
         write_file(path, &self.header, &self.section_refs(), true)
     }
 
-    /// Read from a file path.
+    /// Read from a file path through positioned reads, verifying every
+    /// checksum.
     pub fn read_file(path: &Path) -> Result<Container> {
-        Container::read_from(&mut open(path)?)
+        let mut file = open_file(path)?;
+        ContainerIndex::read_head(&mut file)?.read_container(&mut file)
     }
 }
 
@@ -584,36 +502,22 @@ impl SectionInfo {
         self.shape.num_elements()
     }
 
-    /// Payload bytes a [`ContainerIndex::read_section_range`] of `elems`
-    /// will fetch from disk: the block-aligned span covering the range
-    /// (v2), or the whole payload (v1).
-    pub fn range_read_bytes(&self, elems: &Range<usize>) -> u64 {
-        if elems.start >= elems.end {
-            return 0;
-        }
-        let esize = self.dtype.size_bytes() as u64;
-        if self.crc_block == 0 {
-            return self.payload_len;
-        }
-        let cb = self.crc_block as u64;
-        let bstart = elems.start as u64 * esize / cb * cb;
-        let bend = (elems.end as u64 * esize).div_ceil(cb) * cb;
-        bend.min(self.payload_len) - bstart
-    }
-
     /// Read elements `elems` of this section into `out` through positioned
-    /// reads, verifying integrity of exactly what is read — the one ranged
-    /// read body.
+    /// reads, verifying integrity of exactly what is read — the one payload
+    /// read body — and report which checksums held.
     ///
     /// The kernel is asked for two things, once each: the block-aligned
     /// payload span covering the range and the CRC-table slice for those
-    /// blocks. Corruption outside the span goes unread and undetected,
-    /// corruption inside it is [`StorageError::ChecksumMismatch`]. A v1
-    /// section has no table, so its span is the whole payload, checked
-    /// against the whole-payload CRC. A read that covers the whole section
-    /// takes that trailing CRC along with the table: if a block disagrees
-    /// the payload is already in hand, and the independent whole-payload
-    /// CRC settles whether the data or only the table is damaged.
+    /// blocks. One [`BlockCrc`] pass over the span yields its block CRCs
+    /// and its whole CRC. Corruption outside the span goes unread and
+    /// undetected; a block inside it that disagrees with its table entry is
+    /// [`StorageError::ChecksumMismatch`]. A v1 section has no table, so
+    /// its span is the whole payload, checked against the whole-payload
+    /// CRC. A read that covers the whole section takes that trailing CRC
+    /// along with the table and checks both: a mismatch on one side only
+    /// is reported as [`Verified::Blocks`] or [`Verified::Whole`] (the
+    /// independent CRC vouches for the payload), on both sides it is an
+    /// error. Loaders accept either; [`SectionInfo::read_all_at`] does not.
     pub fn read_range_at<A: ReadAt>(
         &self,
         r: &mut A,
@@ -631,15 +535,17 @@ impl SectionInfo {
                 out.len()
             )));
         }
-        if elems.is_empty() {
-            return Ok(Verified::Blocks);
+        // An empty range of a non-empty section reads nothing; an empty
+        // section's whole read still checks its trailing CRC.
+        if elems.is_empty() && total > 0 {
+            return Ok(Verified::All);
         }
         let esize = self.dtype.size_bytes();
         let payload_len = self.payload_len as usize;
         let v1 = self.crc_block == 0;
         let whole = v1 || elems.len() == total;
         let cb = if v1 {
-            payload_len
+            payload_len.max(1)
         } else {
             self.crc_block as usize
         };
@@ -666,16 +572,21 @@ impl SectionInfo {
             self.payload_offset + self.payload_len + (b0 * 4) as u64,
         )?;
         let (table, whole_crc) = scratch.table.split_at(table_len);
-        let bad_block = (data.chunks(cb).zip(table.chunks_exact(4)))
-            .position(|(block, stored)| crc32c(block).to_le_bytes() != stored);
-        let verified = match bad_block {
-            None if !v1 => Verified::Blocks,
-            _ if whole && crc32c(data).to_le_bytes() == whole_crc => Verified::Whole,
-            Some(i) => {
+        let mut crc = BlockCrc::new(cb);
+        crc.update(data);
+        let (blocks, computed_whole) = crc.finish();
+        let bad_block = (blocks.iter().zip(table.chunks_exact(4)))
+            .position(|(computed, stored)| computed.to_le_bytes() != stored);
+        let whole_held = whole.then(|| computed_whole.to_le_bytes() == whole_crc);
+        let verified = match (bad_block, whole_held) {
+            (None, None | Some(true)) => Verified::All,
+            (None, Some(false)) if !v1 => Verified::Blocks,
+            (Some(_), Some(true)) => Verified::Whole,
+            (Some(i), _) => {
                 let what = format!("{name} (block {})", b0 + i);
                 return Err(StorageError::ChecksumMismatch { what });
             }
-            None => {
+            (None, Some(false)) => {
                 let what = format!("{name} (whole payload)");
                 return Err(StorageError::ChecksumMismatch { what });
             }
@@ -693,6 +604,36 @@ impl SectionInfo {
         }
         Ok(verified)
     }
+
+    /// Read the whole section into `out` ([`SectionInfo::read_range_at`]),
+    /// demanding every checksum it carries: each block-table entry *and*
+    /// the trailing whole-payload CRC of a v2 section, the one CRC of a v1
+    /// section. What `fsck`, `ucp verify` and native loads judge a file by.
+    pub fn read_all_at<A: ReadAt>(
+        &self,
+        r: &mut A,
+        scratch: &mut RangeScratch,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let damaged = match self.read_range_at(r, 0..self.num_elements(), scratch, out)? {
+            Verified::All => return Ok(()),
+            Verified::Blocks => "whole payload",
+            Verified::Whole => "block table",
+        };
+        let what = format!("{} ({damaged})", self.name);
+        Err(StorageError::ChecksumMismatch { what })
+    }
+}
+
+/// Values read from a section as a tensor of its shape and dtype (they are
+/// already exact in it, so an fp32 section skips the copying cast).
+fn section_tensor(values: Vec<f32>, shape: Shape, dtype: DType) -> Result<Tensor> {
+    let tensor =
+        Tensor::from_vec(values, shape).map_err(|e| StorageError::Malformed(e.to_string()))?;
+    Ok(match dtype {
+        DType::F32 => tensor,
+        DType::F16 | DType::BF16 => tensor.cast(dtype),
+    })
 }
 
 /// A container's header and section index, read by *skipping* payloads —
@@ -756,17 +697,12 @@ impl ContainerIndex {
 
     /// Read the index from a file.
     pub fn read_file(path: &Path) -> Result<ContainerIndex> {
-        ContainerIndex::read_from(&mut open(path)?)
+        ContainerIndex::read_head(&mut open_file(path)?)
     }
 
     /// Find a section by name.
     pub fn get(&self, name: &str) -> Option<&SectionInfo> {
         self.sections.iter().find(|s| s.name == name)
-    }
-
-    fn section(&self, name: &str) -> Result<&SectionInfo> {
-        self.get(name)
-            .ok_or_else(|| StorageError::Malformed(format!("container has no section {name}")))
     }
 
     /// [`ContainerIndex::read_from`] through a small read-ahead over an
@@ -777,21 +713,36 @@ impl ContainerIndex {
         ContainerIndex::read_from(&mut BufReader::with_capacity(INDEX_READAHEAD, r))
     }
 
-    /// Read elements `elems` of `section` from the same reader the index
-    /// was built from, verifying integrity of exactly what is read
-    /// ([`SectionInfo::read_range_at`] behind a seek per read). Returns a
-    /// 1-D tensor of `elems.len()` values in the section dtype.
-    pub fn read_section_range<R: Read + Seek>(
-        &self,
-        r: &mut R,
-        section: &str,
-        elems: Range<usize>,
-    ) -> Result<Tensor> {
-        self.read_section_range_with(r, section, elems, &mut RangeScratch::default())
+    /// Every section this index describes, read whole from `r` — the file
+    /// it was built from — by [`SectionInfo::read_all_at`]: each straight
+    /// into the values it decodes to, every checksum demanded. The index
+    /// has already proved the file holds each payload, so no buffer is
+    /// sized from a length the file does not back.
+    pub fn read_container<A: ReadAt>(self, r: &mut A) -> Result<Container> {
+        let mut scratch = RangeScratch::default();
+        let sections = (self.sections.into_iter())
+            .map(|info| {
+                let mut values = vec![0.0f32; info.num_elements()];
+                info.read_all_at(r, &mut scratch, &mut values)?;
+                let tensor = section_tensor(values, info.shape, info.dtype)?;
+                Ok(Section {
+                    name: info.name,
+                    tensor,
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(Container {
+            header: self.header,
+            sections,
+        })
     }
 
-    /// [`ContainerIndex::read_section_range`] with caller-owned scratch
-    /// buffers, so repeated calls reuse the same allocations.
+    /// Read elements `elems` of `section` from the same reader the index
+    /// was built from, verifying integrity of exactly what is read
+    /// ([`SectionInfo::read_range_at`] behind a seek per read) with
+    /// caller-owned scratch buffers, so repeated calls reuse the same
+    /// allocations. Returns a 1-D tensor of `elems.len()` values in the
+    /// section dtype.
     pub fn read_section_range_with<R: Read + Seek>(
         &self,
         r: &mut R,
@@ -799,14 +750,14 @@ impl ContainerIndex {
         elems: Range<usize>,
         scratch: &mut RangeScratch,
     ) -> Result<Tensor> {
-        let info = self.section(section)?;
+        let info = (self.get(section)).ok_or_else(|| {
+            StorageError::Malformed(format!("container has no section {section}"))
+        })?;
         // Out-of-bounds ranges get no allocation; the body rejects them.
         let n = elems.len().min(info.num_elements());
         let mut values = vec![0.0f32; n];
         info.read_range_at(&mut SeekAt(r), elems, scratch, &mut values)?;
-        let tensor = Tensor::from_vec(values, Shape::new([n]))
-            .map_err(|e| StorageError::Malformed(e.to_string()))?;
-        Ok(tensor.cast(info.dtype))
+        section_tensor(values, Shape::new([n]), info.dtype)
     }
 }
 
@@ -845,10 +796,47 @@ mod tests {
         c
     }
 
-    /// The legacy v1 layout, which has a reader but no production writer:
-    /// the shared encoder at the old version number.
+    /// The legacy v1 layout, which has a reader but no production writer,
+    /// written by hand from the layout table in the module doc — sharing
+    /// no code with [`encode`], so the v1 reader is held to an
+    /// independent writer.
     fn write_v1(c: &Container, w: &mut Vec<u8>) -> Result<()> {
-        encode(w, VERSION_V1, &c.header, &c.section_refs())
+        w.extend_from_slice(MAGIC);
+        w.extend(1u32.to_le_bytes());
+        w.extend((c.header.len() as u32).to_le_bytes());
+        w.extend(c.header.as_bytes());
+        w.extend(crc32c(c.header.as_bytes()).to_le_bytes());
+        w.extend((c.sections.len() as u32).to_le_bytes());
+        for s in &c.sections {
+            let (dtype, dims) = (s.tensor.dtype(), s.tensor.shape().dims());
+            w.extend((s.name.len() as u16).to_le_bytes());
+            w.extend(s.name.as_bytes());
+            w.extend([dtype.tag(), dims.len() as u8]);
+            for d in dims {
+                w.extend((*d as u64).to_le_bytes());
+            }
+            let mut payload = Vec::new();
+            dtype.encode(s.tensor.as_slice(), &mut payload);
+            w.extend((payload.len() as u64).to_le_bytes());
+            w.extend(&payload);
+            w.extend(crc32c(&payload).to_le_bytes());
+        }
+        Ok(())
+    }
+
+    /// A full read of the container encoded in `buf`.
+    fn read(buf: &[u8]) -> Result<Container> {
+        Container::read_from(&mut std::io::Cursor::new(buf))
+    }
+
+    /// A range read of `section` through `index` and a fresh scratch.
+    fn read_range<R: Read + Seek>(
+        index: &ContainerIndex,
+        r: &mut R,
+        section: &str,
+        elems: Range<usize>,
+    ) -> Result<Tensor> {
+        index.read_section_range_with(r, section, elems, &mut RangeScratch::default())
     }
 
     /// A container big enough that sections span many CRC blocks.
@@ -869,7 +857,7 @@ mod tests {
         let mut buf = Vec::new();
         c.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), c.encoded_len());
-        let back = Container::read_from(&mut buf.as_slice()).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back.header, c.header);
         assert_eq!(back.sections.len(), 3);
         for (orig, read) in c.sections.iter().zip(&back.sections) {
@@ -884,7 +872,7 @@ mod tests {
         let c = sample();
         let mut buf = Vec::new();
         write_v1(&c, &mut buf).unwrap();
-        let back = Container::read_from(&mut buf.as_slice()).unwrap();
+        let back = read(&buf).unwrap();
         assert_eq!(back.header, c.header);
         for (orig, read) in c.sections.iter().zip(&back.sections) {
             assert!(orig.tensor.bitwise_eq(&read.tensor), "{}", orig.name);
@@ -916,7 +904,7 @@ mod tests {
         // Flip one payload byte somewhere after the header.
         let idx = buf.len() - 10;
         buf[idx] ^= 0x01;
-        match Container::read_from(&mut buf.as_slice()) {
+        match read(&buf) {
             Err(StorageError::ChecksumMismatch { .. }) | Err(StorageError::Malformed(_)) => {}
             other => panic!("corruption not detected: {other:?}"),
         }
@@ -929,7 +917,7 @@ mod tests {
         write_v1(&c, &mut buf).unwrap();
         let idx = buf.len() - 10;
         buf[idx] ^= 0x01;
-        match Container::read_from(&mut buf.as_slice()) {
+        match read(&buf) {
             Err(StorageError::ChecksumMismatch { .. }) | Err(StorageError::Malformed(_)) => {}
             other => panic!("corruption not detected: {other:?}"),
         }
@@ -937,7 +925,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = Container::read_from(&mut &b"NOPE"[..]).unwrap_err();
+        let err = read(b"NOPE").unwrap_err();
         assert!(matches!(err, StorageError::BadMagic));
     }
 
@@ -947,10 +935,7 @@ mod tests {
         let mut buf = Vec::new();
         c.write_to(&mut buf).unwrap();
         buf[4..8].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
-            Err(StorageError::BadVersion(3))
-        ));
+        assert!(matches!(read(&buf), Err(StorageError::BadVersion(3))));
         assert!(matches!(
             ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
             Err(StorageError::BadVersion(3))
@@ -963,7 +948,7 @@ mod tests {
         let mut buf = Vec::new();
         c.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(Container::read_from(&mut buf.as_slice()).is_err());
+        assert!(read(&buf).is_err());
     }
 
     #[test]
@@ -1036,7 +1021,7 @@ mod tests {
         let idx = 4 + 4 + 4 + c.header.len() + 4 + 4 + 2 + "a.weight".len() + 1 + 1 + 16 + 8 + 4;
         buf[idx] ^= 1;
         assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
+            read(&buf),
             Err(StorageError::ChecksumMismatch { .. })
         ));
         assert!(ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).is_ok());
@@ -1056,9 +1041,7 @@ mod tests {
             let total = s.tensor.num_elements();
             let full: Vec<f32> = s.tensor.flatten().as_slice().to_vec();
             for range in [0..total, 0..1, total - 1..total, 3..total / 2, 0..0] {
-                let t = index
-                    .read_section_range(&mut cur, &s.name, range.clone())
-                    .unwrap();
+                let t = read_range(&index, &mut cur, &s.name, range.clone()).unwrap();
                 assert_eq!(t.num_elements(), range.len());
                 assert_eq!(t.dtype(), s.tensor.dtype());
                 for (got, want) in t.as_slice().iter().zip(&full[range.clone()]) {
@@ -1076,7 +1059,7 @@ mod tests {
         let mut cur = std::io::Cursor::new(&buf);
         let index = ContainerIndex::read_from(&mut cur).unwrap();
         let full: Vec<f32> = c.sections[0].tensor.flatten().as_slice().to_vec();
-        let t = index.read_section_range(&mut cur, "w", 5..25).unwrap();
+        let t = read_range(&index, &mut cur, "w", 5..25).unwrap();
         for (got, want) in t.as_slice().iter().zip(&full[5..25]) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
@@ -1088,7 +1071,7 @@ mod tests {
         let mut cur = std::io::Cursor::new(&bad);
         let index = ContainerIndex::read_from(&mut cur).unwrap();
         assert!(matches!(
-            index.read_section_range(&mut cur, "w", 5..25),
+            read_range(&index, &mut cur, "w", 5..25),
             Err(StorageError::ChecksumMismatch { .. })
         ));
     }
@@ -1104,16 +1087,16 @@ mod tests {
         buf[info.payload_offset as usize + info.payload_len as usize - 1] ^= 1;
         let mut cur = std::io::Cursor::new(&buf);
         // A range confined to the first block still reads clean...
-        let t = index.read_section_range(&mut cur, "w", 0..10).unwrap();
+        let t = read_range(&index, &mut cur, "w", 0..10).unwrap();
         assert_eq!(t.num_elements(), 10);
         // ...while a range touching the corrupt block errors, and the full
         // read errors too.
         let total = info.num_elements();
         assert!(matches!(
-            index.read_section_range(&mut cur, "w", total - 1..total),
+            read_range(&index, &mut cur, "w", total - 1..total),
             Err(StorageError::ChecksumMismatch { .. })
         ));
-        assert!(Container::read_from(&mut buf.as_slice()).is_err());
+        assert!(read(&buf).is_err());
     }
 
     #[test]
@@ -1128,16 +1111,14 @@ mod tests {
         buf[table_off] ^= 1;
         let mut cur = std::io::Cursor::new(&buf);
         assert!(matches!(
-            index.read_section_range(&mut cur, "w", 0..10),
+            read_range(&index, &mut cur, "w", 0..10),
             Err(StorageError::ChecksumMismatch { .. })
         ));
         // The full read verifies the table too.
-        assert!(Container::read_from(&mut buf.as_slice()).is_err());
+        assert!(read(&buf).is_err());
         // Ranges entirely inside later blocks are unaffected.
         let cb = info.crc_block as usize / 4;
-        let t = index
-            .read_section_range(&mut cur, "w", 2 * cb..3 * cb)
-            .unwrap();
+        let t = read_range(&index, &mut cur, "w", 2 * cb..3 * cb).unwrap();
         assert_eq!(t.num_elements(), cb);
     }
 
@@ -1154,7 +1135,7 @@ mod tests {
         // mismatch against the whole-payload CRC and yields the right bytes.
         let table_off = (info.payload_offset + info.payload_len) as usize;
         buf[table_off] ^= 1;
-        assert!(Container::read_from(&mut buf.as_slice()).is_err());
+        assert!(read(&buf).is_err());
         let (mut scratch, mut out) = (RangeScratch::default(), vec![0.0; total]);
         let mut cur = std::io::Cursor::new(&buf);
         let how = info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch, &mut out);
@@ -1195,9 +1176,7 @@ mod tests {
             for range in ranges {
                 let mut out = vec![f32::NAN; range.len()];
                 let how = info.read_range_at(&mut file, range.clone(), &mut scratch, &mut out);
-                let v1_read = info.crc_block == 0 && !range.is_empty();
-                let want = [Verified::Blocks, Verified::Whole][v1_read as usize];
-                assert_eq!(how.unwrap(), want, "{tag} {} {range:?}", info.name);
+                assert_eq!(how.unwrap(), Verified::All, "{tag} {} {range:?}", info.name);
                 let seek = index
                     .read_section_range_with(&mut cur, &info.name, range, &mut scratch)
                     .unwrap();
@@ -1241,14 +1220,20 @@ mod tests {
         let table_bytes = info.payload_len.div_ceil(info.crc_block as u64) * 4;
         let whole_off = (info.payload_offset + info.payload_len + table_bytes) as usize;
         buf[whole_off] ^= 1;
-        // The strict full read verifies the trailing CRC...
+        // The strict full read verifies the trailing CRC, and a whole-section
+        // read reports that only the blocks held...
         assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
+            read(&buf),
             Err(StorageError::ChecksumMismatch { .. })
         ));
+        let (mut scratch, mut out) = (RangeScratch::default(), vec![0.0; info.num_elements()]);
+        let mut cur = std::io::Cursor::new(&buf);
+        let how = info.read_range_at(&mut SeekAt(&mut cur), 0..out.len(), &mut scratch, &mut out);
+        assert_eq!(how.unwrap(), Verified::Blocks);
+        assert_eq!(out, c.sections[0].tensor.as_slice());
         // ...while ranged reads never touch it.
         let mut cur = std::io::Cursor::new(&buf);
-        let t = index.read_section_range(&mut cur, "w", 0..10).unwrap();
+        let t = read_range(&index, &mut cur, "w", 0..10).unwrap();
         assert_eq!(t.num_elements(), 10);
     }
 
@@ -1259,31 +1244,11 @@ mod tests {
         c.write_to(&mut buf).unwrap();
         let mut cur = std::io::Cursor::new(&buf);
         let index = ContainerIndex::read_from(&mut cur).unwrap();
-        assert!(index
-            .read_section_range(&mut cur, "a.weight", 0..13)
-            .is_err());
-        assert!(index.read_section_range(&mut cur, "nope", 0..1).is_err());
+        assert!(read_range(&index, &mut cur, "a.weight", 0..13).is_err());
+        assert!(read_range(&index, &mut cur, "nope", 0..1).is_err());
         #[allow(clippy::reversed_empty_ranges)]
         let reversed = 5..2;
-        assert!(index
-            .read_section_range(&mut cur, "a.weight", reversed)
-            .is_err());
-    }
-
-    #[test]
-    fn range_read_bytes_accounting() {
-        let c = big_sample();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        let info = index.get("w").unwrap();
-        let cb = info.crc_block as u64;
-        // One element in the middle of a block costs exactly one block.
-        assert_eq!(info.range_read_bytes(&(100..101)), cb);
-        // The full section costs the whole payload (last block short).
-        let total = info.num_elements();
-        assert_eq!(info.range_read_bytes(&(0..total)), info.payload_len);
-        assert_eq!(info.range_read_bytes(&(7..7)), 0);
+        assert!(read_range(&index, &mut cur, "a.weight", reversed).is_err());
     }
 
     /// Hand-rolled container bytes with attacker-controlled geometry:
@@ -1318,10 +1283,7 @@ mod tests {
         c.write_to(&mut buf).unwrap();
         // header_len lives at bytes 8..12.
         buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
-            Err(StorageError::Malformed(_))
-        ));
+        assert!(matches!(read(&buf), Err(StorageError::Malformed(_))));
         assert!(matches!(
             ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
             Err(StorageError::Malformed(_))
@@ -1331,10 +1293,7 @@ mod tests {
     #[test]
     fn shape_overflow_is_malformed_not_panic() {
         let buf = raw_container(&[u64::MAX, u64::MAX], 16);
-        assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
-            Err(StorageError::Malformed(_))
-        ));
+        assert!(matches!(read(&buf), Err(StorageError::Malformed(_))));
         // Dims that fit a usize each but not multiplied, over a payload,
         // block table and trailing CRC that really are 16 + 4 + 4 bytes:
         // the skip-seek stays inside the file, so only the checked dims
@@ -1342,10 +1301,7 @@ mod tests {
         // `num_elements()` in the first range read.
         let mut buf = raw_container(&[1 << 40, 1 << 40], 16);
         buf.extend_from_slice(&[0u8; 16 + 4 + 4]);
-        assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
-            Err(StorageError::Malformed(_))
-        ));
+        assert!(matches!(read(&buf), Err(StorageError::Malformed(_))));
         assert!(matches!(
             ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
             Err(StorageError::Malformed(_))
@@ -1354,14 +1310,12 @@ mod tests {
 
     #[test]
     fn huge_payload_len_hits_eof_not_oom() {
-        // A "valid" terabyte-scale section on a tiny file: the streamed
-        // read must fail at EOF after at most one block, never allocate
-        // the declared size up front.
+        // A "valid" terabyte-scale section on a tiny file: the full read
+        // must fail with a typed error and never allocate the declared
+        // size. The index's truncation check fires before any payload
+        // buffer is sized, so the error is `Malformed`.
         let buf = raw_container(&[1 << 38], 4 << 38);
-        assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
-            Err(StorageError::Io(_))
-        ));
+        assert!(matches!(read(&buf), Err(StorageError::Malformed(_))));
     }
 
     #[test]
@@ -1371,10 +1325,7 @@ mod tests {
         // preamble) with an out-of-bounds value.
         let n = buf.len();
         buf[n - 4..].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            Container::read_from(&mut buf.as_slice()),
-            Err(StorageError::Malformed(_))
-        ));
+        assert!(matches!(read(&buf), Err(StorageError::Malformed(_))));
         assert!(matches!(
             ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
             Err(StorageError::Malformed(_))
@@ -1433,15 +1384,14 @@ mod tests {
                 } else {
                     c.write_to(&mut buf).unwrap();
                 }
-                let full = Container::read_from(&mut buf.as_slice()).unwrap();
+                let full = read(&buf).unwrap();
                 let full: Vec<f32> = full.sections[0].tensor.flatten().as_slice().to_vec();
                 let mut cur = std::io::Cursor::new(&buf);
                 let index = ContainerIndex::read_from(&mut cur).unwrap();
                 let start = ((pick * total as f64) as usize).min(total);
                 let len = ((span * (total - start + 1) as f64) as usize).min(total - start);
                 for range in [start..start + len, 0..0, 0..total] {
-                    let got = index
-                        .read_section_range(&mut cur, "w", range.clone())
+                    let got = read_range(&index, &mut cur, "w", range.clone())
                         .unwrap();
                     prop_assert_eq!(got.num_elements(), range.len());
                     prop_assert_eq!(got.dtype(), dtype);
@@ -1474,11 +1424,11 @@ mod tests {
                 let bad_block = byte / info.crc_block as usize;
                 let mut cur = std::io::Cursor::new(&buf);
                 // Any range covering the corrupt element must error...
-                let bad = index.read_section_range(&mut cur, "w", byte / 4..byte / 4 + 1);
+                let bad = read_range(&index, &mut cur, "w", byte / 4..byte / 4 + 1);
                 prop_assert!(matches!(bad, Err(StorageError::ChecksumMismatch { .. })));
                 // ...while ranges confined to other blocks stay readable.
                 let clean_block = if bad_block == 0 { 1 } else { 0 };
-                let clean = index.read_section_range(
+                let clean = read_range(&index,
                     &mut cur,
                     "w",
                     clean_block * cb_elems..(clean_block + 1) * cb_elems,
@@ -1500,11 +1450,11 @@ mod tests {
                 // Any single corrupt byte must produce Ok or a typed error —
                 // never a panic or an absurd allocation — from the full
                 // read, the index, and a range read through that index.
-                let _ = Container::read_from(&mut mutated.as_slice());
+                let _ = read(&mutated);
                 let mut cur = std::io::Cursor::new(&mutated);
                 if let Ok(index) = ContainerIndex::read_from(&mut cur) {
                     let first = &index.sections[0];
-                    let _ = index.read_section_range(&mut cur, &first.name, 0..1);
+                    let _ = read_range(&index, &mut cur, &first.name, 0..1);
                 }
             }
         }
@@ -1548,7 +1498,7 @@ mod tests {
             let at = info.payload_offset as usize;
             assert!(buf[at..at + want.len()] == want[..], "{}", info.name);
         }
-        let back = Container::read_from(&mut buf.as_slice()).unwrap();
+        let back = read(&buf).unwrap();
         for (orig, read) in c.sections.iter().zip(&back.sections) {
             assert!(orig.tensor.bitwise_eq(&read.tensor), "{}", orig.name);
         }
@@ -1563,7 +1513,7 @@ mod tests {
             data: &[1.0, 2.0],
         };
         assert!(matches!(
-            encode(&mut Vec::new(), VERSION, "{}", &[section]),
+            encode(&mut Vec::new(), "{}", &[section]),
             Err(StorageError::Malformed(_))
         ));
     }

@@ -24,10 +24,11 @@ impl Device {
         Device::default()
     }
 
-    /// Device with a read bandwidth of `mibps` MiB/s.
+    /// Device with a read bandwidth of `mibps` MiB/s (saturating: a rate
+    /// too large for a `u64` of bytes/s is as good as unlimited).
     pub fn with_mibps(mibps: u64) -> Device {
         Device {
-            read_bps: Some(mibps * 1024 * 1024),
+            read_bps: Some(mibps.saturating_mul(1024 * 1024)),
         }
     }
 
@@ -106,8 +107,10 @@ impl<T> Throttled<T> {
             return Ok(n);
         };
         let start = *self.started.get_or_insert_with(Instant::now);
-        let ideal = Duration::from_secs_f64(self.bytes as f64 / bps as f64);
-        if let Some(pause) = ideal.checked_sub(start.elapsed()) {
+        // A rate of 0 has no schedule to keep: its quotient is not finite,
+        // which `try_from_secs_f64` refuses, so nothing is paced.
+        let ideal = Duration::try_from_secs_f64(self.bytes as f64 / bps as f64).ok();
+        if let Some(pause) = ideal.and_then(|ideal| ideal.checked_sub(start.elapsed())) {
             std::thread::sleep(pause);
             ucp_telemetry::observe(
                 "io/throttle_sleep_ns",
@@ -418,6 +421,28 @@ mod tests {
             "expected >= 40ms of throttle sleep, got {} ns",
             sleep.sum
         );
+    }
+
+    /// Drain 64 KiB through `dev` and check nothing paced it.
+    fn drains_unpaced(dev: Device) {
+        let payload = vec![0u8; 64 * 1024];
+        let (start, mut r) = (Instant::now(), dev.reader(&payload[..]));
+        std::io::copy(&mut r, &mut std::io::sink()).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(1), "{dev:?}");
+        assert_eq!(r.bytes_transferred(), 64 * 1024);
+    }
+
+    #[test]
+    fn zero_rate_paces_nothing_instead_of_panicking() {
+        // bytes / 0 is not finite: no schedule to keep.
+        drains_unpaced(Device::with_mibps(0));
+    }
+
+    #[test]
+    fn huge_rate_saturates_instead_of_overflowing() {
+        // 2^44 MiB/s is 2^64 bytes/s, one past u64::MAX.
+        assert_eq!(Device::with_mibps(1 << 44).read_bps, Some(u64::MAX));
+        drains_unpaced(Device::with_mibps(u64::MAX));
     }
 
     #[test]

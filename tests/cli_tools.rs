@@ -7,6 +7,7 @@ use ucp_cli::commands;
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout::{self, AtomFile};
+use ucp_repro::storage::ContainerIndex;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -111,15 +112,24 @@ fn verify_passes_then_detects_corruption() {
     commands::convert(&flags(&["--dir", &dir_s])).unwrap();
     commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap();
 
-    // Flip a byte in one optimizer file.
+    // Flip one byte of one optimizer file: a payload byte, the first
+    // block-table entry (payload intact), and the last section's trailing
+    // whole-payload CRC each fail the step; restored, it verifies again.
     let victim = layout::optim_states_path(&layout::step_dir(&dir, 2), 0, 0, 0);
-    let mut bytes = std::fs::read(&victim).unwrap();
-    let n = bytes.len();
-    bytes[n - 8] ^= 0x20;
-    std::fs::write(&victim, bytes).unwrap();
-    let err = commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap_err();
-    assert!(err.contains("failed verification"), "{err}");
-    assert!(err.contains("dp00_mp00_000/optim_states.ucpt"), "{err}");
+    let clean = std::fs::read(&victim).unwrap();
+    let index = ContainerIndex::read_file(&victim).unwrap();
+    let first = &index.sections[0];
+    let table = (first.payload_offset + first.payload_len) as usize;
+    for at in [first.payload_offset as usize + 5, table, clean.len() - 2] {
+        let mut bytes = clean.clone();
+        bytes[at] ^= 0x20;
+        std::fs::write(&victim, bytes).unwrap();
+        let err = commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap_err();
+        assert!(err.contains("failed verification"), "byte {at}: {err}");
+        assert!(err.contains("dp00_mp00_000/optim_states.ucpt"), "{err}");
+        std::fs::write(&victim, &clean).unwrap();
+        commands::verify(&flags(&["--dir", &dir_s, "--step", "2"])).unwrap();
+    }
 
     // A file that is gone is as bad as one that is corrupt: an optimizer
     // shard the step's own parallel configuration implies...

@@ -6,7 +6,7 @@ use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::{fsck, FsckOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout;
+use ucp_repro::storage::{layout, ContainerIndex};
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -39,6 +39,23 @@ fn corrupt(path: &std::path::Path) {
     let mut bytes = std::fs::read(path).unwrap();
     let idx = bytes.len() * 3 / 4;
     bytes[idx] ^= 0x40;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Flip one checksum byte of the first section of `path`, its payload
+/// untouched: the first block-table entry, or with `trailing` the
+/// whole-payload CRC after the table.
+fn damage_checksum(path: &std::path::Path, trailing: bool) {
+    let index = ContainerIndex::read_file(path).unwrap();
+    let s = &index.sections[0];
+    let table = s.payload_offset + s.payload_len;
+    let at = if trailing {
+        table + s.payload_len.div_ceil(s.crc_block as u64) * 4
+    } else {
+        table
+    };
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[at as usize] ^= 0x01;
     std::fs::write(path, bytes).unwrap();
 }
 
@@ -235,6 +252,45 @@ fn damaged_or_missing_sub_atom_is_reported_by_name() {
     assert_eq!(
         repaired.quarantined,
         vec!["global_step2_universal.corrupt".to_string()]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn damaged_checksum_with_intact_payload_fails_its_step() {
+    // A loader serves a section whose data matches one of its two
+    // checksums; fsck judges a file by every checksum it carries. One
+    // damaged checksum per file: a block-table entry of a native optimizer
+    // file and of a universal atom file, and the trailing whole-payload
+    // CRC of an optimizer file of the other step.
+    let dir = make_tree("damaged_checksum");
+    convert_to_universal(&dir, 4, &ConvertOptions::default()).unwrap();
+    let native_table = layout::optim_states_path(&layout::step_dir(&dir, 4), 0, 0, 0);
+    let atom_table = layout::atom_path(
+        &layout::universal_dir(&dir, 4),
+        "final_layernorm.weight",
+        layout::AtomFile::Fp32,
+    );
+    let native_whole = layout::optim_states_path(&layout::step_dir(&dir, 2), 1, 0, 0);
+    damage_checksum(&native_table, false);
+    damage_checksum(&atom_table, false);
+    damage_checksum(&native_whole, true);
+    let report = fsck(&dir, &FsckOptions::default()).unwrap();
+    for path in [&native_table, &atom_table, &native_whole] {
+        let rel = path.strip_prefix(&dir).unwrap().display().to_string();
+        let problem = report.problems.iter().find(|p| p.path == rel);
+        let problem = problem.unwrap_or_else(|| panic!("{rel} not reported: {report:?}"));
+        assert!(problem.detail.contains("checksum"), "{}", problem.detail);
+    }
+    let mut quarantined = report.quarantined.clone();
+    quarantined.sort();
+    assert_eq!(
+        quarantined,
+        [
+            "global_step2.corrupt",
+            "global_step4.corrupt",
+            "global_step4_universal.corrupt"
+        ]
     );
     std::fs::remove_dir_all(&dir).ok();
 }

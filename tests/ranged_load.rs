@@ -449,10 +449,12 @@ fn whole_file_load_reads_each_atom_file_once() {
     session.load_rank(&single, 0, DEFAULT_ALIGNMENT).unwrap();
     let report = rec.report("whole_file");
     rec.set_enabled(false);
-    assert_eq!(
-        report.counter("load/bytes_read"),
-        Some(layout::dir_size_bytes(&universal.join("zero")))
-    );
+    // Bytes counted are bytes the device handles transferred, and they are
+    // the tree's atom bytes, each once; every one of them was needed.
+    let atoms = layout::dir_size_bytes(&universal.join("zero"));
+    assert_eq!(report.counter("load/bytes_read"), Some(atoms));
+    assert_eq!(report.counter("io/bytes_read"), Some(atoms));
+    assert_eq!(report.counter("load/bytes_needed"), Some(atoms));
     std::fs::remove_dir_all(&dir).ok();
 }
 
