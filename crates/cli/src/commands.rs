@@ -13,7 +13,7 @@ use ucp_trainer::{
     TrainConfig, TrainPlan,
 };
 
-use serde_json::Value;
+use serde::Serialize;
 
 use crate::args::Parsed;
 use crate::resolve_step;
@@ -985,7 +985,8 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
                             t0.elapsed().as_secs_f64()
                         )
                     } else {
-                        format!("FAILED: {}", to_json_or_debug(&cell.to_value()))
+                        let line = serde_json::to_string(&cell).map_err(|e| e.to_string())?;
+                        format!("FAILED: {line}")
                     }
                 );
                 cells.push(cell);
@@ -993,40 +994,19 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
         }
     }
 
-    let report = Value::Object(vec![
-        ("schema".into(), Value::String("ucp-chaos-v1".into())),
-        (
-            "model".into(),
-            match &p.model {
-                Some(m) => Value::String(m.clone()),
-                None => Value::Null,
-            },
-        ),
-        ("source".into(), Value::String(source.label())),
-        ("iters".into(), Value::UInt(iters)),
-        ("save_every".into(), Value::UInt(save_every)),
-        (
-            "deadline_ms".into(),
-            Value::UInt(deadline.as_millis() as u64),
-        ),
-        (
-            "hot_replicas".into(),
-            match p.hot_replicas {
-                Some(k) => Value::UInt(k as u64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "faults_per_cell".into(),
-            Value::UInt(faults_per_cell as u64),
-        ),
-        (
-            "cells".into(),
-            Value::Array(cells.iter().map(ChaosCell::to_value).collect()),
-        ),
-        ("total".into(), Value::UInt(cells.len() as u64)),
-        ("failed".into(), Value::UInt(failed as u64)),
-    ]);
+    let report = ChaosReport {
+        schema: "ucp-chaos-v1".to_string(),
+        model: p.model.clone(),
+        source: source.label(),
+        iters,
+        save_every,
+        deadline_ms: deadline.as_millis() as u64,
+        hot_replicas: p.hot_replicas,
+        faults_per_cell,
+        total: cells.len(),
+        failed,
+        cells,
+    };
     if let Some(path) = &p.report_out {
         let text = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         ucp_storage::commit::atomic_write(path, text.as_bytes())
@@ -1034,17 +1014,33 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
         println!("chaos report written to {}", path.display());
     }
     if failed > 0 {
-        return Err(format!("{failed}/{} chaos cell(s) failed", cells.len()));
+        return Err(format!("{failed}/{} chaos cell(s) failed", report.total));
     }
     println!(
         "all {} chaos cell(s) recovered and match bitwise",
-        cells.len()
+        report.total
     );
     Ok(())
 }
 
-/// One cell of the chaos matrix, reported as `ucp-chaos-v1` JSON.
-#[derive(Debug, Default)]
+/// The `ucp-chaos-v1` report of one chaos sweep.
+#[derive(Debug, Serialize)]
+struct ChaosReport {
+    schema: String,
+    model: Option<String>,
+    source: String,
+    iters: u64,
+    save_every: u64,
+    deadline_ms: u64,
+    hot_replicas: Option<usize>,
+    faults_per_cell: usize,
+    cells: Vec<ChaosCell>,
+    total: usize,
+    failed: usize,
+}
+
+/// One cell of the chaos matrix.
+#[derive(Debug, Default, Serialize)]
 struct ChaosCell {
     kill_step: u64,
     kind: String,
@@ -1060,47 +1056,6 @@ struct ChaosCell {
     bitwise_equal: bool,
     fsck_clean: bool,
     ok: bool,
-}
-
-impl ChaosCell {
-    fn to_value(&self) -> Value {
-        let opt_u64 = |v: Option<u64>| match v {
-            Some(n) => Value::UInt(n),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("kill_step".into(), Value::UInt(self.kill_step)),
-            ("kind".into(), Value::String(self.kind.clone())),
-            ("target".into(), Value::String(self.target.clone())),
-            ("survived".into(), Value::Bool(self.survived)),
-            (
-                "error".into(),
-                match &self.error {
-                    Some(e) => Value::String(e.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("restarts".into(), Value::UInt(self.restarts as u64)),
-            ("resume_step".into(), opt_u64(self.resume_step)),
-            ("lost_steps".into(), opt_u64(self.lost_steps)),
-            ("recovery_ms".into(), opt_u64(self.recovery_ms)),
-            (
-                "recovery_source".into(),
-                match &self.recovery_source {
-                    Some(s) => Value::String(s.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("faults".into(), Value::UInt(self.faults as u64)),
-            ("bitwise_equal".into(), Value::Bool(self.bitwise_equal)),
-            ("fsck_clean".into(), Value::Bool(self.fsck_clean)),
-            ("ok".into(), Value::Bool(self.ok)),
-        ])
-    }
-}
-
-fn to_json_or_debug(v: &Value) -> String {
-    serde_json::to_string(v).unwrap_or_else(|e| format!("<unprintable: {e}>"))
 }
 
 /// Parse a `TPxPPxDP[xSP]` topology triple like `1x1x2`.

@@ -23,13 +23,17 @@
 
 use std::path::Path;
 
+use serde::{Deserialize, Serialize};
 use ucp_storage::{journal, layout};
-use ucp_telemetry::{Json, Report};
+use ucp_telemetry::Report;
 
 use crate::args::Parsed;
 
+/// Schema tag of the `ucp status --json` document.
+pub const SCHEMA: &str = "ucp-status-v1";
+
 /// One armed-and-breached SLO threshold.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Violation {
     /// The flag that armed the threshold (e.g. `max-stale-steps`).
     pub threshold: String,
@@ -37,27 +41,39 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// The joined health report.
-#[derive(Debug, Clone, Default)]
+/// The run journal's hygiene.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct JournalHealth {
+    /// Complete records in the run journal.
+    pub records: usize,
+    /// Journal ends mid-line (crash debris; healed on next append).
+    pub torn_tail: bool,
+    /// Complete journal lines that do not parse (corruption).
+    pub malformed: usize,
+}
+
+/// The joined health report; its JSON form is the `ucp-status-v1`
+/// document.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatusReport {
+    /// [`SCHEMA`].
+    pub schema: String,
+    /// The checkpoint root reported on.
+    pub dir: String,
     /// Newest native step per the `latest` marker (journal fallback).
     pub latest_native: Option<u64>,
     /// Newest universal step per `latest_universal` (journal fallback).
     pub latest_universal: Option<u64>,
     /// Steps the universal checkpoint lags the newest native save.
     pub stale_steps: u64,
-    /// Complete records in the run journal.
-    pub journal_records: usize,
-    /// Journal ends mid-line (crash debris; healed on next append).
-    pub journal_torn_tail: bool,
-    /// Complete journal lines that do not parse (corruption).
-    pub journal_malformed: usize,
+    /// Run-journal hygiene.
+    pub journal: JournalHealth,
     /// Recovery cycles the journal records.
     pub recoveries: u64,
     /// Watchdog fires the journal records.
     pub watchdog_fires: u64,
     /// Retention prunes the journal records.
-    pub prunes: u64,
+    pub retention_prunes: u64,
     /// Worst journal-recorded recovery wall time.
     pub max_recovery_ms: Option<u64>,
     /// Recoveries the hot tier served from surviving RAM replicas.
@@ -86,8 +102,10 @@ pub struct StatusReport {
     /// p99 of save/snapshot_pool_wait_us — µs a checkpoint boundary spent
     /// waiting for a reusable snapshot buffer.
     pub snapshot_pool_wait_p99_us: Option<f64>,
-    /// Breached thresholds (empty ⇒ healthy under the armed SLOs).
+    /// Breached thresholds.
     pub violations: Vec<Violation>,
+    /// No threshold breached: healthy under the armed SLOs.
+    pub healthy: bool,
 }
 
 /// Gather the health indicators for the tree at `dir`, joining the
@@ -95,15 +113,19 @@ pub struct StatusReport {
 pub fn gather(dir: &Path, metrics: Option<&Report>, p: &Parsed) -> Result<StatusReport, String> {
     let journal = journal::read(dir).map_err(|e| format!("reading journal: {e}"))?;
     let mut r = StatusReport {
+        schema: SCHEMA.to_string(),
+        dir: dir.display().to_string(),
         latest_native: layout::read_latest(dir).or_else(|| journal.last_step("native_persisted")),
         latest_universal: layout::read_latest_universal(dir)
             .or_else(|| journal.last_step("universal_published")),
-        journal_records: journal.records.len(),
-        journal_torn_tail: journal.torn_tail,
-        journal_malformed: journal.malformed,
+        journal: JournalHealth {
+            records: journal.records.len(),
+            torn_tail: journal.torn_tail,
+            malformed: journal.malformed,
+        },
         recoveries: journal.of_kind("recovery_begin").count() as u64,
         watchdog_fires: journal.of_kind("watchdog").count() as u64,
-        prunes: journal.of_kind("retention_prune").count() as u64,
+        retention_prunes: journal.of_kind("retention_prune").count() as u64,
         ..StatusReport::default()
     };
     r.stale_steps = r
@@ -165,12 +187,12 @@ pub fn gather(dir: &Path, metrics: Option<&Report>, p: &Parsed) -> Result<Status
             .map(|h| h.quantile(0.99) as f64);
     }
 
-    if r.journal_malformed > 0 {
+    if r.journal.malformed > 0 {
         r.violations.push(Violation {
             threshold: "journal-integrity".into(),
             detail: format!(
                 "{} malformed journal record(s); run `ucp fsck`",
-                r.journal_malformed
+                r.journal.malformed
             ),
         });
     }
@@ -209,6 +231,7 @@ pub fn gather(dir: &Path, metrics: Option<&Report>, p: &Parsed) -> Result<Status
             });
         }
     }
+    r.healthy = r.violations.is_empty();
     Ok(r)
 }
 
@@ -221,12 +244,12 @@ fn fmt_opt<T: std::fmt::Display>(v: &Option<T>) -> String {
 
 impl StatusReport {
     /// Render the markdown health table plus the SLO verdict table.
-    pub fn to_markdown(&self, dir: &Path, p: &Parsed) -> String {
+    pub fn to_markdown(&self, p: &Parsed) -> String {
         fn row(out: &mut String, k: &str, v: String) {
             out.push_str(&format!("| {k} | {v} |\n"));
         }
         let mut out = String::new();
-        out.push_str(&format!("# ucp status: {}\n\n", dir.display()));
+        out.push_str(&format!("# ucp status: {}\n\n", self.dir));
         out.push_str("| indicator | value |\n|---|---|\n");
         row(&mut out, "latest native step", fmt_opt(&self.latest_native));
         row(
@@ -242,12 +265,12 @@ impl StatusReport {
         row(
             &mut out,
             "journal records",
-            self.journal_records.to_string(),
+            self.journal.records.to_string(),
         );
         row(
             &mut out,
             "journal integrity",
-            match (self.journal_malformed, self.journal_torn_tail) {
+            match (self.journal.malformed, self.journal.torn_tail) {
                 (0, false) => "clean".into(),
                 (0, true) => "torn tail (crash debris; self-heals)".into(),
                 (n, _) => format!("{n} malformed record(s)"),
@@ -255,7 +278,11 @@ impl StatusReport {
         );
         row(&mut out, "recoveries", self.recoveries.to_string());
         row(&mut out, "watchdog fires", self.watchdog_fires.to_string());
-        row(&mut out, "retention prunes", self.prunes.to_string());
+        row(
+            &mut out,
+            "retention prunes",
+            self.retention_prunes.to_string(),
+        );
         row(
             &mut out,
             "worst recovery_ms",
@@ -364,72 +391,8 @@ impl StatusReport {
     }
 
     /// Machine-readable `ucp-status-v1` JSON.
-    pub fn to_json(&self, dir: &Path) -> Json {
-        fn opt_num(v: Option<u64>) -> Json {
-            v.map(|n| Json::Num(n as f64)).unwrap_or(Json::Null)
-        }
-        Json::obj(vec![
-            ("schema", Json::Str("ucp-status-v1".into())),
-            ("dir", Json::Str(dir.display().to_string())),
-            ("latest_native", opt_num(self.latest_native)),
-            ("latest_universal", opt_num(self.latest_universal)),
-            ("stale_steps", Json::Num(self.stale_steps as f64)),
-            (
-                "journal",
-                Json::obj(vec![
-                    ("records", Json::Num(self.journal_records as f64)),
-                    ("torn_tail", Json::Bool(self.journal_torn_tail)),
-                    ("malformed", Json::Num(self.journal_malformed as f64)),
-                ]),
-            ),
-            ("recoveries", Json::Num(self.recoveries as f64)),
-            ("watchdog_fires", Json::Num(self.watchdog_fires as f64)),
-            ("retention_prunes", Json::Num(self.prunes as f64)),
-            ("max_recovery_ms", opt_num(self.max_recovery_ms)),
-            ("peer_recoveries", Json::Num(self.peer_recoveries as f64)),
-            ("disk_fallbacks", Json::Num(self.disk_fallbacks as f64)),
-            ("hot_replications", Json::Num(self.hot_replications as f64)),
-            (
-                "last_recovery_source",
-                self.last_recovery_source
-                    .clone()
-                    .map(Json::Str)
-                    .unwrap_or(Json::Null),
-            ),
-            ("last_fsck_problems", opt_num(self.last_fsck_problems)),
-            (
-                "save_stall_p99_ms",
-                self.save_stall_p99_ms.map(Json::Num).unwrap_or(Json::Null),
-            ),
-            (
-                "read_amplification",
-                self.read_amplification.map(Json::Num).unwrap_or(Json::Null),
-            ),
-            ("atoms_written", opt_num(self.atoms_written)),
-            ("atoms_skipped", opt_num(self.atoms_skipped)),
-            ("mesh_reuse", opt_num(self.mesh_reuse)),
-            (
-                "snapshot_pool_wait_p99_us",
-                self.snapshot_pool_wait_p99_us
-                    .map(Json::Num)
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "violations",
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| {
-                            Json::obj(vec![
-                                ("threshold", Json::Str(v.threshold.clone())),
-                                ("detail", Json::Str(v.detail.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("healthy", Json::Bool(self.violations.is_empty())),
-        ])
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("a derived Serialize cannot fail")
     }
 }
 
@@ -447,9 +410,9 @@ pub fn status(p: &Parsed) -> Result<(), String> {
     };
     let report = gather(&dir, metrics.as_ref(), p)?;
     if p.json {
-        println!("{}", report.to_json(&dir).pretty());
+        println!("{}", report.to_json());
     } else {
-        print!("{}", report.to_markdown(&dir, p));
+        print!("{}", report.to_markdown(p));
     }
     if report.violations.is_empty() {
         Ok(())
@@ -469,6 +432,7 @@ pub fn status(p: &Parsed) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use ucp_storage::journal::JournalEvent;
 
     fn temp_base(tag: &str) -> std::path::PathBuf {
@@ -610,9 +574,9 @@ mod tests {
         assert_eq!(r.disk_fallbacks, 1);
         assert_eq!(r.last_recovery_source.as_deref(), Some("disk"));
         assert!(r.violations.is_empty());
-        let md = r.to_markdown(&base, &p);
+        let md = r.to_markdown(&p);
         assert!(md.contains("1 / 1 (1 replication wave(s))"), "{md}");
-        let doc = r.to_json(&base);
+        let doc: Value = serde_json::from_str(&r.to_json()).unwrap();
         assert_eq!(doc.get("peer_recoveries").unwrap().as_u64(), Some(1));
         assert_eq!(doc.get("disk_fallbacks").unwrap().as_u64(), Some(1));
         assert_eq!(
@@ -653,7 +617,7 @@ mod tests {
         assert_eq!(r.atoms_skipped, Some(15));
         assert_eq!(r.mesh_reuse, Some(7));
         assert!(r.snapshot_pool_wait_p99_us.unwrap() >= 250.0);
-        let md = r.to_markdown(&base, &p);
+        let md = r.to_markdown(&p);
         assert!(md.contains("5 / 15 (75.0% skipped)"), "{md}");
         let names: Vec<_> = r.violations.iter().map(|v| v.threshold.as_str()).collect();
         assert_eq!(names, vec!["max-save-stall-ms", "max-read-amp"]);
@@ -684,7 +648,7 @@ mod tests {
         };
         let r = gather(&base, None, &p).unwrap();
         assert!(r.violations.is_empty());
-        assert!(r.to_markdown(&base, &p).contains("no data"));
+        assert!(r.to_markdown(&p).contains("no data"));
         let _ = std::fs::remove_dir_all(&base);
     }
 
@@ -703,6 +667,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_journal_line_is_a_violation_not_an_abort() {
+        let base = temp_base("nested");
+        journal::append(&base, &JournalEvent::SaveStarted { step: 1 }).unwrap();
+        ucp_storage::commit::append_line(&journal::journal_path(&base), &"[".repeat(100_000))
+            .unwrap();
+        journal::append(&base, &JournalEvent::NativePersisted { step: 1 }).unwrap();
+        let p = Parsed {
+            dir: Some(base.clone()),
+            ..Parsed::default()
+        };
+        let r = gather(&base, None, &p).unwrap();
+        assert_eq!((r.journal.records, r.journal.malformed), (2, 1));
+        assert_eq!(r.violations[0].threshold, "journal-integrity");
+        assert!(status(&p).unwrap_err().contains("journal-integrity"));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
     fn json_report_carries_the_verdict() {
         let base = temp_base("json");
         layout::write_latest(&base, 8).unwrap();
@@ -712,17 +694,26 @@ mod tests {
             ..Parsed::default()
         };
         let r = gather(&base, None, &p).unwrap();
-        let doc = r.to_json(&base);
+        let text = r.to_json();
+        let doc: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("ucp-status-v1"));
         assert_eq!(doc.get("stale_steps").unwrap().as_u64(), Some(8));
-        assert_eq!(doc.get("healthy"), Some(&Json::Bool(false)));
-        let violations = doc.get("violations").unwrap().as_arr().unwrap();
+        assert_eq!(doc.get("healthy").and_then(Value::as_bool), Some(false));
+        assert_eq!(
+            doc.get("journal")
+                .and_then(|j| j.get("records"))
+                .and_then(Value::as_u64),
+            Some(0)
+        );
+        // An unknown quantity is `null`, not a missing member.
+        assert_eq!(doc.get("latest_universal"), Some(&Value::Null));
+        let violations = doc.get("violations").unwrap().as_array().unwrap();
         assert_eq!(
             violations[0].get("threshold").unwrap().as_str(),
             Some("max-stale-steps")
         );
-        // The pretty form reparses to the same document.
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        // The document reads back to the same report.
+        assert_eq!(serde_json::from_str::<StatusReport>(&text).unwrap(), r);
         let _ = std::fs::remove_dir_all(&base);
     }
 }

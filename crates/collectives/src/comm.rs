@@ -201,13 +201,25 @@ impl Comm {
         if self.state.is_dead(dst) {
             return Err(CommError::PeerDead { peer: dst });
         }
-        self.senders[dst].send(payload).map_err(|_| {
-            if self.state.is_dead(dst) {
-                CommError::PeerDead { peer: dst }
-            } else {
-                CommError::Disconnected { peer: dst }
+        self.senders[dst]
+            .send(payload)
+            .map_err(|_| self.closed(dst))
+    }
+
+    /// The error for a channel to `peer` found closed: [`CommError::PeerDead`]
+    /// when the peer is known dead or the cluster is poisoned (its ranks are
+    /// unwinding, as the poll in [`Comm::recv_raw`] reports them), else
+    /// [`CommError::Disconnected`].
+    fn closed(&self, peer: usize) -> CommError {
+        if self.state.is_dead(peer) {
+            CommError::PeerDead { peer }
+        } else if self.state.is_poisoned() {
+            CommError::PeerDead {
+                peer: self.state.first_dead().unwrap_or(peer),
             }
-        })
+        } else {
+            CommError::Disconnected { peer }
+        }
     }
 
     /// Raw channel receive: no trace edge (see [`Comm::send_raw`]).
@@ -232,13 +244,7 @@ impl Comm {
             }
             match self.receivers[src].recv_timeout(tick) {
                 Ok(p) => return Ok(p),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(if self.state.is_dead(src) {
-                        CommError::PeerDead { peer: src }
-                    } else {
-                        CommError::Disconnected { peer: src }
-                    });
-                }
+                Err(RecvTimeoutError::Disconnected) => return Err(self.closed(src)),
                 Err(RecvTimeoutError::Timeout) => {
                     let waited = start.elapsed();
                     if waited >= deadline {

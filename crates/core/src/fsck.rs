@@ -74,7 +74,7 @@ impl FsckReport {
 
     /// Machine-readable report.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
+        serde_json::to_string_pretty(self).expect("a derived Serialize cannot fail")
     }
 }
 

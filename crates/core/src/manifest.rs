@@ -239,6 +239,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_header_is_a_json_error_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join("ucp_manifest_nested");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        Container::new("[".repeat(100_000))
+            .write_file_durable(&layout::manifest_path(&dir))
+            .unwrap();
+        let got = UcpManifest::load(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(got, Err(UcpError::Json(_))), "{got:?}");
+    }
+
+    #[test]
     fn version_newer_than_this_reader_is_refused_older_is_kept() {
         let mut m = sample();
         m.version = UcpManifest::VERSION + 1;

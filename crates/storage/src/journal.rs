@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use ucp_telemetry::Json;
+use serde::{Serialize, Value};
 
 use crate::{commit, Result};
 
@@ -148,93 +148,90 @@ impl JournalEvent {
         }
     }
 
-    fn to_json(&self, t_ms: u64) -> Json {
-        let mut fields: Vec<(&str, Json)> = vec![
-            ("kind", Json::Str(self.kind().to_string())),
-            ("t_ms", Json::Num(t_ms as f64)),
-        ];
-        match self {
+    /// The record as one JSON object: `kind`, `t_ms`, then the event's
+    /// fields.
+    fn to_json(&self, t_ms: u64) -> Value {
+        let fields: Vec<(&str, Value)> = match self {
             JournalEvent::SaveStarted { step }
             | JournalEvent::NativePersisted { step }
-            | JournalEvent::UniversalPublished { step } => {
-                fields.push(("step", Json::Num(*step as f64)));
-            }
-            JournalEvent::RecoveryBegin { rank, step, cause } => {
-                fields.push(("rank", Json::Num(*rank as f64)));
-                fields.push(("step", Json::Num(*step as f64)));
-                fields.push(("cause", Json::Str(cause.clone())));
-            }
+            | JournalEvent::UniversalPublished { step }
+            | JournalEvent::HotRecoveryBegin { step } => vec![("step", step.to_value())],
+            JournalEvent::RecoveryBegin { rank, step, cause } => vec![
+                ("rank", rank.to_value()),
+                ("step", step.to_value()),
+                ("cause", cause.to_value()),
+            ],
             JournalEvent::RecoveryEnd {
                 resume_step,
                 lost_steps,
                 recovery_ms,
                 parallel,
                 source,
-            } => {
-                fields.push((
-                    "resume_step",
-                    match resume_step {
-                        Some(s) => Json::Num(*s as f64),
-                        None => Json::Null,
-                    },
-                ));
-                fields.push(("lost_steps", Json::Num(*lost_steps as f64)));
-                fields.push(("recovery_ms", Json::Num(*recovery_ms as f64)));
-                fields.push(("parallel", Json::Str(parallel.clone())));
-                fields.push(("source", Json::Str(source.clone())));
-            }
-            JournalEvent::HotReplicated { step, ranks, bytes } => {
-                fields.push(("step", Json::Num(*step as f64)));
-                fields.push(("ranks", Json::Num(*ranks as f64)));
-                fields.push(("bytes", Json::Num(*bytes as f64)));
-            }
-            JournalEvent::HotRecoveryBegin { step } => {
-                fields.push(("step", Json::Num(*step as f64)));
-            }
+            } => vec![
+                ("resume_step", resume_step.to_value()),
+                ("lost_steps", lost_steps.to_value()),
+                ("recovery_ms", recovery_ms.to_value()),
+                ("parallel", parallel.to_value()),
+                ("source", source.to_value()),
+            ],
+            JournalEvent::HotReplicated { step, ranks, bytes } => vec![
+                ("step", step.to_value()),
+                ("ranks", ranks.to_value()),
+                ("bytes", bytes.to_value()),
+            ],
             JournalEvent::HotRecoveryEnd {
                 served_ranks,
                 fallback,
-            } => {
-                fields.push((
-                    "served_ranks",
-                    Json::Arr(served_ranks.iter().map(|r| Json::Num(*r as f64)).collect()),
-                ));
-                fields.push(("fallback", Json::Bool(*fallback)));
-            }
-            JournalEvent::Watchdog { rank, step, detail } => {
-                fields.push(("rank", Json::Num(*rank as f64)));
-                fields.push(("step", Json::Num(*step as f64)));
-                fields.push(("detail", Json::Str(detail.clone())));
-            }
+            } => vec![
+                ("served_ranks", served_ranks.to_value()),
+                ("fallback", fallback.to_value()),
+            ],
+            JournalEvent::Watchdog { rank, step, detail } => vec![
+                ("rank", rank.to_value()),
+                ("step", step.to_value()),
+                ("detail", detail.to_value()),
+            ],
             JournalEvent::RetentionPrune {
                 removed,
                 bytes_reclaimed,
-            } => {
-                fields.push((
-                    "removed",
-                    Json::Arr(removed.iter().map(|s| Json::Num(*s as f64)).collect()),
-                ));
-                fields.push(("bytes_reclaimed", Json::Num(*bytes_reclaimed as f64)));
-            }
+            } => vec![
+                ("removed", removed.to_value()),
+                ("bytes_reclaimed", bytes_reclaimed.to_value()),
+            ],
             JournalEvent::Fsck {
                 problems,
                 quarantined,
                 repair,
-            } => {
-                fields.push(("problems", Json::Num(*problems as f64)));
-                fields.push(("quarantined", Json::Num(*quarantined as f64)));
-                fields.push(("repair", Json::Bool(*repair)));
-            }
-            JournalEvent::Other { .. } => {}
-        }
-        Json::obj(fields)
+            } => vec![
+                ("problems", problems.to_value()),
+                ("quarantined", quarantined.to_value()),
+                ("repair", repair.to_value()),
+            ],
+            JournalEvent::Other { .. } => vec![],
+        };
+        let head = [("kind", self.kind().to_value()), ("t_ms", t_ms.to_value())];
+        Value::Object(
+            head.into_iter()
+                .chain(fields)
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
-    fn from_json(doc: &Json) -> Option<JournalEvent> {
+    /// The event a record object holds; `None` when a field its `kind`
+    /// needs is missing or not of its type (a `step` of `2.5` included).
+    fn from_json(doc: &Value) -> Option<JournalEvent> {
         let kind = doc.get("kind")?.as_str()?;
-        let step = || doc.get("step").and_then(Json::as_u64);
-        let rank = || doc.get("rank").and_then(Json::as_u64).map(|r| r as usize);
-        let text = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
+        let int = |k: &str| doc.get(k).and_then(Value::as_u64);
+        let step = || int("step");
+        let rank = || int("rank").and_then(|r| usize::try_from(r).ok());
+        let text = |k: &str| doc.get(k).and_then(Value::as_str).map(str::to_string);
+        let flag = |k: &str| doc.get(k).and_then(Value::as_bool).unwrap_or(false);
+        let ints = |k: &str| {
+            doc.get(k)
+                .and_then(Value::as_array)
+                .map(|items| items.iter().filter_map(Value::as_u64))
+        };
         Some(match kind {
             "save_started" => JournalEvent::SaveStarted { step: step()? },
             "native_persisted" => JournalEvent::NativePersisted { step: step()? },
@@ -245,9 +242,9 @@ impl JournalEvent {
                 cause: text("cause")?,
             },
             "recovery_end" => JournalEvent::RecoveryEnd {
-                resume_step: doc.get("resume_step").and_then(Json::as_u64),
-                lost_steps: doc.get("lost_steps").and_then(Json::as_u64)?,
-                recovery_ms: doc.get("recovery_ms").and_then(Json::as_u64)?,
+                resume_step: int("resume_step"),
+                lost_steps: int("lost_steps")?,
+                recovery_ms: int("recovery_ms")?,
                 parallel: text("parallel")?,
                 // Records written before the hot tier existed carry no
                 // source; every recovery then was served from disk.
@@ -255,19 +252,13 @@ impl JournalEvent {
             },
             "hot_replicated" => JournalEvent::HotReplicated {
                 step: step()?,
-                ranks: doc.get("ranks").and_then(Json::as_u64)?,
-                bytes: doc.get("bytes").and_then(Json::as_u64)?,
+                ranks: int("ranks")?,
+                bytes: int("bytes")?,
             },
             "hot_recovery_begin" => JournalEvent::HotRecoveryBegin { step: step()? },
             "hot_recovery_end" => JournalEvent::HotRecoveryEnd {
-                served_ranks: doc
-                    .get("served_ranks")
-                    .and_then(Json::as_arr)?
-                    .iter()
-                    .filter_map(Json::as_u64)
-                    .map(|r| r as usize)
-                    .collect(),
-                fallback: matches!(doc.get("fallback"), Some(Json::Bool(true))),
+                served_ranks: ints("served_ranks")?.map(|r| r as usize).collect(),
+                fallback: flag("fallback"),
             },
             "watchdog" => JournalEvent::Watchdog {
                 rank: rank()?,
@@ -275,18 +266,13 @@ impl JournalEvent {
                 detail: text("detail")?,
             },
             "retention_prune" => JournalEvent::RetentionPrune {
-                removed: doc
-                    .get("removed")
-                    .and_then(Json::as_arr)?
-                    .iter()
-                    .filter_map(Json::as_u64)
-                    .collect(),
-                bytes_reclaimed: doc.get("bytes_reclaimed").and_then(Json::as_u64)?,
+                removed: ints("removed")?.collect(),
+                bytes_reclaimed: int("bytes_reclaimed")?,
             },
             "fsck" => JournalEvent::Fsck {
-                problems: doc.get("problems").and_then(Json::as_u64)?,
-                quarantined: doc.get("quarantined").and_then(Json::as_u64)?,
-                repair: matches!(doc.get("repair"), Some(Json::Bool(true))),
+                problems: int("problems")?,
+                quarantined: int("quarantined")?,
+                repair: flag("repair"),
             },
             other => JournalEvent::Other {
                 kind: other.to_string(),
@@ -348,7 +334,8 @@ pub fn append(base: &Path, event: &JournalEvent) -> Result<()> {
 
 /// [`append`] with an explicit timestamp (tests, replays).
 pub fn append_at(base: &Path, t_ms: u64, event: &JournalEvent) -> Result<()> {
-    commit::append_line(&journal_path(base), &event.to_json(t_ms).compact())
+    let line = serde_json::to_string(&event.to_json(t_ms)).expect("a Value always serializes");
+    commit::append_line(&journal_path(base), &line)
 }
 
 /// Read the journal under `base`. A missing file is an empty journal; a
@@ -378,10 +365,10 @@ pub fn read_path(path: &Path) -> Result<Journal> {
         offset += nl + 1;
         journal.valid_bytes = offset as u64;
         let text = String::from_utf8_lossy(line);
-        match Json::parse(text.trim()) {
+        match serde_json::from_str::<Value>(text.trim()) {
             Ok(doc) => match JournalEvent::from_json(&doc) {
                 Some(event) => journal.records.push(JournalRecord {
-                    t_ms: doc.get("t_ms").and_then(Json::as_u64).unwrap_or(0),
+                    t_ms: doc.get("t_ms").and_then(Value::as_u64).unwrap_or(0),
                     event,
                 }),
                 None => journal.malformed += 1,
@@ -563,6 +550,34 @@ mod tests {
         let journal = read(&base).unwrap();
         assert_eq!(journal.malformed, 1);
         assert_eq!(journal.records.len(), 2);
+        assert!(!journal.torn_tail);
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn non_integer_field_is_malformed_not_truncated() {
+        let base = temp_base("fraction");
+        append_at(&base, 1, &JournalEvent::SaveStarted { step: 1 }).unwrap();
+        commit::append_line(
+            &journal_path(&base),
+            r#"{"kind":"save_started","t_ms":2,"step":2.5}"#,
+        )
+        .unwrap();
+        let journal = read(&base).unwrap();
+        assert_eq!(journal.records.len(), 1);
+        assert_eq!(journal.malformed, 1);
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn deeply_nested_line_is_malformed_not_a_stack_overflow() {
+        let base = temp_base("nested");
+        append_at(&base, 1, &JournalEvent::SaveStarted { step: 1 }).unwrap();
+        commit::append_line(&journal_path(&base), &"[".repeat(100_000)).unwrap();
+        append_at(&base, 3, &JournalEvent::NativePersisted { step: 1 }).unwrap();
+        let journal = read(&base).unwrap();
+        assert_eq!(journal.records.len(), 2);
+        assert_eq!(journal.malformed, 1);
         assert!(!journal.torn_tail);
         std::fs::remove_dir_all(&base).ok();
     }

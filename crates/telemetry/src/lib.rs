@@ -1,4 +1,4 @@
-//! Zero-dependency telemetry for the UCP hot paths.
+//! Telemetry for the UCP hot paths.
 //!
 //! Three primitives, one report:
 //!
@@ -49,7 +49,6 @@
 
 pub mod fleet;
 pub mod hist;
-pub mod json;
 pub mod recorder;
 pub mod report;
 pub mod span;
@@ -57,7 +56,6 @@ pub mod trace;
 
 pub use fleet::RankSnapshot;
 pub use hist::Histogram;
-pub use json::Json;
 pub use recorder::{global, Recorder};
 pub use report::{BucketStat, CounterStat, HistStat, Report, SpanStat, SCHEMA};
 pub use span::Span;

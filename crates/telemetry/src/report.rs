@@ -2,19 +2,21 @@
 //! the bench harness, and CI's perf-smoke artifact.
 //!
 //! A [`Report`] is plain data — span timings, counters, histograms — with
-//! a deterministic JSON form (sorted keys, stable field set, `schema`
-//! version tag) and a Prometheus text rendering for scrape-style
-//! consumers. Reports merge, so a multi-command run (train → convert →
-//! load) can accumulate into one artifact.
+//! a deterministic JSON form (fields in declaration order, stable field
+//! set, `schema` version tag, integers exact to `u64::MAX`) and a
+//! Prometheus text rendering for scrape-style consumers. Reports merge,
+//! so a multi-command run (train → convert → load) can accumulate into
+//! one artifact.
+
+use serde::{Deserialize, Serialize, Value};
 
 use crate::hist::Histogram;
-use crate::json::Json;
 
 /// Schema tag embedded in every JSON report.
 pub const SCHEMA: &str = "ucp-metrics-v1";
 
 /// Aggregated timing of one span path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanStat {
     /// Slash-separated phase path (e.g. `convert/extract`).
     pub path: String,
@@ -29,7 +31,7 @@ pub struct SpanStat {
 }
 
 /// A monotonic counter's final value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterStat {
     /// Counter name (e.g. `convert/bytes_written`).
     pub name: String,
@@ -41,7 +43,7 @@ pub struct CounterStat {
 /// counted by earlier buckets (per-bucket counts). This is only the
 /// storage shape — [`Report::to_prometheus`] converts to the standard
 /// cumulative `_bucket`/`_sum`/`_count` series real scrapers expect.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BucketStat {
     /// Inclusive upper bound.
     pub le: u64,
@@ -50,7 +52,7 @@ pub struct BucketStat {
 }
 
 /// A histogram's summary and non-empty buckets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistStat {
     /// Histogram name (e.g. `load/atom_read_ns`).
     pub name: String,
@@ -113,6 +115,16 @@ impl HistStat {
     pub fn quantile(&self, q: f64) -> u64 {
         self.to_histogram().quantile(q)
     }
+}
+
+/// The `ucp-metrics-v1` document: a [`Report`] under its schema tag.
+#[derive(Serialize, Deserialize)]
+struct ReportDoc {
+    schema: String,
+    label: String,
+    spans: Vec<SpanStat>,
+    counters: Vec<CounterStat>,
+    histograms: Vec<HistStat>,
 }
 
 /// A full metrics report.
@@ -200,139 +212,43 @@ impl Report {
 
     /// Deterministic pretty-printed JSON document.
     pub fn to_json(&self) -> String {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("path", Json::Str(s.path.clone())),
-                    ("count", Json::Num(s.count as f64)),
-                    ("total_secs", Json::Num(round6(s.total_secs))),
-                    ("min_secs", Json::Num(round6(s.min_secs))),
-                    ("max_secs", Json::Num(round6(s.max_secs))),
-                ])
-            })
-            .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("name", Json::Str(c.name.clone())),
-                    ("value", Json::Num(c.value as f64)),
-                ])
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| {
-                Json::obj(vec![
-                    ("name", Json::Str(h.name.clone())),
-                    ("count", Json::Num(h.count as f64)),
-                    ("sum", Json::Num(h.sum as f64)),
-                    ("min", Json::Num(h.min as f64)),
-                    ("max", Json::Num(h.max as f64)),
-                    (
-                        "buckets",
-                        Json::Arr(
-                            h.buckets
-                                .iter()
-                                .map(|b| {
-                                    Json::obj(vec![
-                                        ("le", Json::Num(b.le as f64)),
-                                        ("count", Json::Num(b.count as f64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            ("schema", Json::Str(SCHEMA.to_string())),
-            ("label", Json::Str(self.label.clone())),
-            ("spans", Json::Arr(spans)),
-            ("counters", Json::Arr(counters)),
-            ("histograms", Json::Arr(histograms)),
-        ]);
-        let mut text = doc.pretty();
+        let doc = ReportDoc {
+            schema: SCHEMA.to_string(),
+            label: self.label.clone(),
+            spans: self
+                .spans
+                .iter()
+                .map(|s| SpanStat {
+                    total_secs: round6(s.total_secs),
+                    min_secs: round6(s.min_secs),
+                    max_secs: round6(s.max_secs),
+                    ..s.clone()
+                })
+                .collect(),
+            counters: self.counters.clone(),
+            histograms: self.histograms.clone(),
+        };
+        let mut text = serde_json::to_string_pretty(&doc).expect("a derived Serialize cannot fail");
         text.push('\n');
         text
     }
 
     /// Parse a JSON report (accepts any `ucp-metrics-v1` document).
     pub fn from_json(text: &str) -> Result<Report, String> {
-        let doc = Json::parse(text)?;
+        let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let schema = doc
             .get("schema")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or("missing schema field")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema '{schema}'"));
         }
-        let label = doc
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let field = |v: &Json, k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or(format!("missing numeric field '{k}'"))
-        };
-        let ffield = |v: &Json, k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or(format!("missing numeric field '{k}'"))
-        };
-        let sfield = |v: &Json, k: &str| -> Result<String, String> {
-            Ok(v.get(k)
-                .and_then(Json::as_str)
-                .ok_or(format!("missing string field '{k}'"))?
-                .to_string())
-        };
-        let mut spans = Vec::new();
-        for s in doc.get("spans").and_then(Json::as_arr).unwrap_or(&[]) {
-            spans.push(SpanStat {
-                path: sfield(s, "path")?,
-                count: field(s, "count")?,
-                total_secs: ffield(s, "total_secs")?,
-                min_secs: ffield(s, "min_secs")?,
-                max_secs: ffield(s, "max_secs")?,
-            });
-        }
-        let mut counters = Vec::new();
-        for c in doc.get("counters").and_then(Json::as_arr).unwrap_or(&[]) {
-            counters.push(CounterStat {
-                name: sfield(c, "name")?,
-                value: field(c, "value")?,
-            });
-        }
-        let mut histograms = Vec::new();
-        for h in doc.get("histograms").and_then(Json::as_arr).unwrap_or(&[]) {
-            let mut buckets = Vec::new();
-            for b in h.get("buckets").and_then(Json::as_arr).unwrap_or(&[]) {
-                buckets.push(BucketStat {
-                    le: field(b, "le")?,
-                    count: field(b, "count")?,
-                });
-            }
-            histograms.push(HistStat {
-                name: sfield(h, "name")?,
-                count: field(h, "count")?,
-                sum: field(h, "sum")?,
-                min: field(h, "min")?,
-                max: field(h, "max")?,
-                buckets,
-            });
-        }
+        let doc = ReportDoc::from_value(&doc).map_err(|e| e.to_string())?;
         Ok(Report {
-            label,
-            spans,
-            counters,
-            histograms,
+            label: doc.label,
+            spans: doc.spans,
+            counters: doc.counters,
+            histograms: doc.histograms,
         })
     }
 
@@ -474,10 +390,24 @@ mod tests {
     }
 
     #[test]
+    fn integers_beyond_f64_precision_roundtrip_exactly() {
+        let big = (1u64 << 53) + 1;
+        let mut r = sample();
+        r.counters[0].value = big;
+        r.histograms[0].sum = big;
+        let text = r.to_json();
+        assert!(text.contains("9007199254740993"), "{text}");
+        let back = Report::from_json(&text).unwrap();
+        assert_eq!(back.counter("convert/bytes_written"), Some(big));
+        assert_eq!(back.hist("load/atom_read_ns").unwrap().sum, big);
+    }
+
+    #[test]
     fn from_json_rejects_wrong_schema() {
         assert!(Report::from_json(r#"{"schema": "other", "label": ""}"#).is_err());
         assert!(Report::from_json("not json").is_err());
         assert!(Report::from_json("{}").is_err());
+        assert!(Report::from_json(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

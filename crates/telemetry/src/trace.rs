@@ -43,8 +43,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
+use serde::{Serialize, Value};
+
 use crate::hist::Histogram;
-use crate::json::Json;
+use crate::report::BucketStat;
 
 /// Chrome pid used for threads that are not cluster ranks (the driver
 /// process and its worker pools). Rank pids are the rank ids themselves.
@@ -108,6 +110,13 @@ impl TraceCat {
             "recovery" => TraceCat::Recovery,
             _ => return None,
         })
+    }
+}
+
+/// Serialized as its Chrome `cat` string.
+impl Serialize for TraceCat {
+    fn to_value(&self) -> Value {
+        text(self.as_str())
     }
 }
 
@@ -571,8 +580,13 @@ pub struct TraceSession {
     pub tracks: Vec<ThreadTrack>,
 }
 
-fn num(v: u64) -> Json {
-    Json::Num(v as f64)
+/// A JSON object with `pairs` in order.
+fn obj(pairs: Vec<(&str, Value)>) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn text(s: &str) -> Value {
+    Value::String(s.to_string())
 }
 
 impl TraceSession {
@@ -596,7 +610,7 @@ impl TraceSession {
     /// exact nanosecond clock and the causal sequence number ride along in
     /// `args` so [`TraceSession::from_chrome_json`] is lossless.
     pub fn to_chrome_json(&self) -> String {
-        let mut events: Vec<Json> = Vec::new();
+        let mut events: Vec<Value> = Vec::new();
         let mut named_pids: BTreeSet<u64> = BTreeSet::new();
         for track in &self.tracks {
             if named_pids.insert(track.pid) {
@@ -605,44 +619,41 @@ impl TraceSession {
                 } else {
                     format!("rank {}", track.pid)
                 };
-                events.push(Json::obj(vec![
-                    ("name", Json::Str("process_name".into())),
-                    ("ph", Json::Str("M".into())),
-                    ("pid", num(track.pid)),
-                    ("tid", num(track.tid)),
-                    ("args", Json::obj(vec![("name", Json::Str(name))])),
+                events.push(obj(vec![
+                    ("name", text("process_name")),
+                    ("ph", text("M")),
+                    ("pid", Value::UInt(track.pid)),
+                    ("tid", Value::UInt(track.tid)),
+                    ("args", obj(vec![("name", Value::String(name))])),
                 ]));
             }
-            events.push(Json::obj(vec![
-                ("name", Json::Str("thread_name".into())),
-                ("ph", Json::Str("M".into())),
-                ("pid", num(track.pid)),
-                ("tid", num(track.tid)),
-                (
-                    "args",
-                    Json::obj(vec![("name", Json::Str(track.label.clone()))]),
-                ),
+            events.push(obj(vec![
+                ("name", text("thread_name")),
+                ("ph", text("M")),
+                ("pid", Value::UInt(track.pid)),
+                ("tid", Value::UInt(track.tid)),
+                ("args", obj(vec![("name", text(&track.label))])),
             ]));
             for ev in &track.events {
                 events.extend(chrome_event(track, ev));
             }
         }
-        let doc = Json::obj(vec![
-            ("displayTimeUnit", Json::Str("ms".into())),
-            ("traceEvents", Json::Arr(events)),
+        let doc = obj(vec![
+            ("displayTimeUnit", text("ms")),
+            ("traceEvents", Value::Array(events)),
         ]);
-        let mut text = doc.pretty();
-        text.push('\n');
-        text
+        let mut out = serde_json::to_string_pretty(&doc).expect("a Value always serializes");
+        out.push('\n');
+        out
     }
 
     /// Parse a Chrome Trace Format document produced by
     /// [`TraceSession::to_chrome_json`] back into a session.
     pub fn from_chrome_json(text: &str) -> Result<TraceSession, String> {
-        let doc = Json::parse(text)?;
+        let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let events = doc
             .get("traceEvents")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_array)
             .ok_or("missing traceEvents array")?;
         let mut labels: BTreeMap<(u64, u64), String> = BTreeMap::new();
         // Per-(pid, tid) open-span stacks for matching E to B.
@@ -651,32 +662,32 @@ impl TraceSession {
         for ev in events {
             let ph = ev
                 .get("ph")
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .ok_or("event missing ph")?;
             let pid = ev
                 .get("pid")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("event missing pid")?;
             let tid = ev
                 .get("tid")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("event missing tid")?;
             let key = (pid, tid);
-            let name = ev.get("name").and_then(Json::as_str).unwrap_or("");
+            let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
             let args = ev.get("args");
-            let arg_u64 = |k: &str| args.and_then(|a| a.get(k)).and_then(Json::as_u64);
+            let arg_u64 = |k: &str| args.and_then(|a| a.get(k)).and_then(Value::as_u64);
             let ts_ns = arg_u64("ts_ns").unwrap_or_else(|| {
-                (ev.get("ts").and_then(Json::as_f64).unwrap_or(0.0) * 1000.0).round() as u64
+                (ev.get("ts").and_then(Value::as_f64).unwrap_or(0.0) * 1000.0).round() as u64
             });
             let seq = arg_u64("seq").unwrap_or(0);
             let cat = ev
                 .get("cat")
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .and_then(TraceCat::parse);
             match ph {
                 "M" => {
                     if name == "thread_name" {
-                        if let Some(l) = args.and_then(|a| a.get("name")).and_then(Json::as_str) {
+                        if let Some(l) = args.and_then(|a| a.get("name")).and_then(Value::as_str) {
                             labels.insert(key, l.to_string());
                         }
                     }
@@ -689,7 +700,7 @@ impl TraceSession {
                         name: name.to_string(),
                         group: args
                             .and_then(|a| a.get("group"))
-                            .and_then(Json::as_str)
+                            .and_then(Value::as_str)
                             .map(str::to_string),
                         bytes: arg_u64("bytes"),
                         ready_ns: arg_u64("ready_ns"),
@@ -908,17 +919,17 @@ struct PendingBegin {
 }
 
 /// Render one [`TraceEvent`] as Chrome trace event objects.
-fn chrome_event(track: &ThreadTrack, ev: &TraceEvent) -> Vec<Json> {
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
-    let base = |ph: &str, name: &str, cat: TraceCat, ts_ns: u64, args: Vec<(&str, Json)>| {
-        Json::obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("cat", Json::Str(cat.as_str().to_string())),
-            ("ph", Json::Str(ph.to_string())),
-            ("ts", us(ts_ns)),
+fn chrome_event(track: &ThreadTrack, ev: &TraceEvent) -> Vec<Value> {
+    let num = Value::UInt;
+    let base = |ph: &str, name: &str, cat: TraceCat, ts_ns: u64, args: Vec<(&str, Value)>| {
+        obj(vec![
+            ("name", text(name)),
+            ("cat", text(cat.as_str())),
+            ("ph", text(ph)),
+            ("ts", Value::Float(ts_ns as f64 / 1000.0)),
             ("pid", num(track.pid)),
             ("tid", num(track.tid)),
-            ("args", Json::obj(args)),
+            ("args", obj(args)),
         ])
     };
     match &ev.kind {
@@ -951,7 +962,7 @@ fn chrome_event(track: &ThreadTrack, ev: &TraceEvent) -> Vec<Json> {
                 vec![
                     ("seq", num(ev.seq)),
                     ("ts_ns", num(ev.ts_ns)),
-                    ("group", Json::Str(group.clone())),
+                    ("group", text(group)),
                     ("bytes", num(*bytes)),
                     ("ready_ns", num(*ready_ns)),
                     ("wait_ns", num(ready_ns.saturating_sub(ev.ts_ns))),
@@ -978,8 +989,8 @@ fn chrome_event(track: &ThreadTrack, ev: &TraceEvent) -> Vec<Json> {
                     ("bytes", num(*bytes)),
                 ],
             );
-            if let Json::Obj(m) = &mut e {
-                m.insert("s".into(), Json::Str("t".into()));
+            if let Value::Object(m) = &mut e {
+                m.push(("s".into(), text("t")));
             }
             vec![e]
         }
@@ -1058,7 +1069,7 @@ pub struct OpWait {
 }
 
 /// One segment of the approximate critical path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CritSegment {
     /// Phase name.
     pub name: String,
@@ -1086,77 +1097,93 @@ pub struct TraceSummary {
     pub critical_path: Vec<CritSegment>,
 }
 
+/// The `ucp-trace-summary-v1` document behind `ucp trace --summary --json`.
+#[derive(Serialize)]
+struct SummaryDoc {
+    schema: String,
+    ranks: Vec<RankRow>,
+    collectives: Vec<OpRow>,
+    stragglers: Vec<StragglerRow>,
+    critical_path: Vec<CritSegment>,
+}
+
+/// A [`RankSummary`] as the summary document reports it.
+#[derive(Serialize)]
+struct RankRow {
+    pid: u64,
+    wall_ns: u64,
+    busy_ns: u64,
+    collective_ns: u64,
+    wait_ns: u64,
+    busy_pct: f64,
+    wait_pct: f64,
+    collectives: u64,
+    events: u64,
+}
+
+/// An [`OpWait`] as the summary document reports it.
+#[derive(Serialize)]
+struct OpRow {
+    op: String,
+    count: u64,
+    bytes: u64,
+    total_wait_ns: u64,
+    total_comm_ns: u64,
+    wait_buckets: Vec<BucketStat>,
+}
+
+/// One entry of [`TraceSummary::stragglers`].
+#[derive(Serialize)]
+struct StragglerRow {
+    pid: u64,
+    wait_ns: u64,
+}
+
 impl TraceSummary {
-    /// Machine-readable JSON rendering (deterministic key order).
+    /// Machine-readable JSON rendering (fields in declaration order).
     pub fn to_json(&self) -> String {
-        let ranks = self
-            .ranks
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("pid", num(r.pid)),
-                    ("wall_ns", num(r.wall_ns)),
-                    ("busy_ns", num(r.busy_ns)),
-                    ("collective_ns", num(r.collective_ns)),
-                    ("wait_ns", num(r.wait_ns)),
-                    ("busy_pct", Json::Num(round2(r.busy_pct()))),
-                    ("wait_pct", Json::Num(round2(r.wait_pct()))),
-                    ("collectives", num(r.collectives)),
-                    ("events", num(r.events)),
-                ])
-            })
-            .collect();
-        let ops = self
-            .ops
-            .iter()
-            .map(|o| {
-                Json::obj(vec![
-                    ("op", Json::Str(o.op.clone())),
-                    ("count", num(o.count)),
-                    ("bytes", num(o.bytes)),
-                    ("total_wait_ns", num(o.total_wait_ns)),
-                    ("total_comm_ns", num(o.total_comm_ns)),
-                    (
-                        "wait_buckets",
-                        Json::Arr(
-                            o.wait_hist
-                                .nonzero_buckets()
-                                .into_iter()
-                                .map(|(le, count)| {
-                                    Json::obj(vec![("le", num(le)), ("count", num(count))])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let stragglers = self
-            .stragglers
-            .iter()
-            .map(|&(pid, wait)| Json::obj(vec![("pid", num(pid)), ("wait_ns", num(wait))]))
-            .collect();
-        let path = self
-            .critical_path
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("name", Json::Str(s.name.clone())),
-                    ("cat", Json::Str(s.cat.as_str().to_string())),
-                    ("pid", num(s.pid)),
-                    ("start_ns", num(s.start_ns)),
-                    ("dur_ns", num(s.dur_ns)),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            ("schema", Json::Str("ucp-trace-summary-v1".into())),
-            ("ranks", Json::Arr(ranks)),
-            ("collectives", Json::Arr(ops)),
-            ("stragglers", Json::Arr(stragglers)),
-            ("critical_path", Json::Arr(path)),
-        ]);
-        let mut text = doc.pretty();
+        let doc = SummaryDoc {
+            schema: "ucp-trace-summary-v1".to_string(),
+            ranks: self
+                .ranks
+                .iter()
+                .map(|r| RankRow {
+                    pid: r.pid,
+                    wall_ns: r.wall_ns,
+                    busy_ns: r.busy_ns,
+                    collective_ns: r.collective_ns,
+                    wait_ns: r.wait_ns,
+                    busy_pct: round2(r.busy_pct()),
+                    wait_pct: round2(r.wait_pct()),
+                    collectives: r.collectives,
+                    events: r.events,
+                })
+                .collect(),
+            collectives: self
+                .ops
+                .iter()
+                .map(|o| OpRow {
+                    op: o.op.clone(),
+                    count: o.count,
+                    bytes: o.bytes,
+                    total_wait_ns: o.total_wait_ns,
+                    total_comm_ns: o.total_comm_ns,
+                    wait_buckets: o
+                        .wait_hist
+                        .nonzero_buckets()
+                        .into_iter()
+                        .map(|(le, count)| BucketStat { le, count })
+                        .collect(),
+                })
+                .collect(),
+            stragglers: self
+                .stragglers
+                .iter()
+                .map(|&(pid, wait_ns)| StragglerRow { pid, wait_ns })
+                .collect(),
+            critical_path: self.critical_path.clone(),
+        };
+        let mut text = serde_json::to_string_pretty(&doc).expect("a derived Serialize cannot fail");
         text.push('\n');
         text
     }
@@ -1281,6 +1308,10 @@ mod tests {
         assert!(TraceSession::from_chrome_json(text)
             .unwrap_err()
             .contains("E without B"));
+        let nested = format!(r#"{{"traceEvents": {}"#, "[".repeat(100_000));
+        assert!(TraceSession::from_chrome_json(&nested)
+            .unwrap_err()
+            .contains("recursion limit"));
     }
 
     #[test]
@@ -1360,7 +1391,7 @@ mod tests {
         assert_eq!(s.critical_path[0].name, "step");
         assert_eq!(s.critical_path[0].dur_ns, 1000);
         // Summary JSON parses back as JSON.
-        assert!(Json::parse(&s.to_json()).is_ok());
+        assert!(serde_json::from_str::<Value>(&s.to_json()).is_ok());
     }
 
     #[test]

@@ -1,13 +1,22 @@
 //! Golden-file tests: the JSON and Prometheus renderings of a fixed
 //! report must match the committed artifacts byte-for-byte, so any
-//! schema drift is an explicit, reviewed diff.
+//! schema drift is an explicit, reviewed diff. `report.json` is
+//! `serde_json`'s rendering: fields in declaration order, an integral
+//! float printed as `1.0`.
 //!
-//! To regenerate after an intentional schema change:
-//! `UCP_BLESS=1 cargo test -p ucp-telemetry --test golden`
+//! The `*_sorted_keys.json` files were written by the hand-rolled codec
+//! that preceded `serde_json` (keys sorted, every number an `f64`,
+//! integral floats printed as integers). They are never re-blessed: they
+//! hold the promise that files written before the switch still read back
+//! to the same values.
+//!
+//! To regenerate `report.json` and `report.prom` after an intentional
+//! schema change: `UCP_BLESS=1 cargo test -p ucp-telemetry --test golden`
 
 use std::path::PathBuf;
 
-use ucp_telemetry::{BucketStat, CounterStat, HistStat, Report, SpanStat};
+use ucp_telemetry::trace::{EventKind, ThreadTrack, TraceEvent, DRIVER_PID};
+use ucp_telemetry::{BucketStat, CounterStat, HistStat, Report, SpanStat, TraceCat, TraceSession};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -109,13 +118,137 @@ fn prometheus_matches_golden_file() {
     check_or_bless("report.prom", &fixture().to_prometheus());
 }
 
+fn read_golden(name: &str) -> String {
+    let path = golden_dir().join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()))
+}
+
 #[test]
 fn golden_json_parses_back_to_the_fixture() {
-    let path = golden_dir().join("report.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-    let parsed = Report::from_json(&text).unwrap();
-    assert_eq!(parsed, fixture());
+    for name in ["report.json", "report_sorted_keys.json"] {
+        let parsed = Report::from_json(&read_golden(name)).unwrap();
+        assert_eq!(parsed, fixture(), "{name}");
+    }
+}
+
+fn event(ts_ns: u64, seq: u64, kind: EventKind) -> TraceEvent {
+    TraceEvent { ts_ns, seq, kind }
+}
+
+/// The session `trace_sorted_keys.json` was exported from: every event
+/// kind, two ranks and a `DRIVER_PID` thread.
+fn trace_fixture() -> TraceSession {
+    let step = |cat| EventKind::Begin {
+        cat,
+        name: "step".into(),
+    };
+    let collective = |exit_ns| EventKind::Collective {
+        op: "all_reduce".into(),
+        group: "0-1".into(),
+        bytes: 4096,
+        ready_ns: 2_250,
+        exit_ns,
+    };
+    TraceSession {
+        tracks: vec![
+            ThreadTrack {
+                pid: 0,
+                tid: 1,
+                label: "main".into(),
+                events: vec![
+                    event(1_000, 0, step(TraceCat::Compute)),
+                    event(1_500, 1, collective(3_001)),
+                    event(
+                        3_500,
+                        2,
+                        EventKind::Edge {
+                            send: true,
+                            peer: 1,
+                            bytes: 128,
+                        },
+                    ),
+                    event(
+                        4_000,
+                        3,
+                        EventKind::End {
+                            cat: TraceCat::Compute,
+                            name: "step".into(),
+                        },
+                    ),
+                    event(
+                        4_123,
+                        4,
+                        EventKind::Mark {
+                            cat: TraceCat::Checkpoint,
+                            name: "publish".into(),
+                        },
+                    ),
+                ],
+            },
+            ThreadTrack {
+                pid: 1,
+                tid: 2,
+                label: "main".into(),
+                events: vec![
+                    event(1_200, 5, collective(3_002)),
+                    event(
+                        3_600,
+                        6,
+                        EventKind::Edge {
+                            send: false,
+                            peer: 0,
+                            bytes: 128,
+                        },
+                    ),
+                ],
+            },
+            ThreadTrack {
+                pid: DRIVER_PID,
+                tid: 3,
+                label: "saver".into(),
+                events: vec![
+                    event(
+                        5_000,
+                        7,
+                        EventKind::Begin {
+                            cat: TraceCat::Checkpoint,
+                            name: "save/persist".into(),
+                        },
+                    ),
+                    event(
+                        7_250,
+                        8,
+                        EventKind::End {
+                            cat: TraceCat::Checkpoint,
+                            name: "save/persist".into(),
+                        },
+                    ),
+                ],
+            },
+        ],
+    }
+}
+
+#[test]
+fn sorted_key_trace_reads_back_to_its_session() {
+    let session = TraceSession::from_chrome_json(&read_golden("trace_sorted_keys.json")).unwrap();
+    assert_eq!(session, trace_fixture());
+    // Re-exported, it is a fixed point of the current codec.
+    let text = session.to_chrome_json();
+    assert_eq!(TraceSession::from_chrome_json(&text).unwrap(), session);
+}
+
+#[test]
+fn trace_clock_and_sequence_are_exact_u64() {
+    let mut session = trace_fixture();
+    let saver = &mut session.tracks[2];
+    saver.events[0].ts_ns = (1 << 53) + 1;
+    saver.events[0].seq = u64::MAX - 1;
+    saver.events[1].ts_ns = (1 << 53) + 3;
+    saver.events[1].seq = u64::MAX;
+    let text = session.to_chrome_json();
+    assert_eq!(TraceSession::from_chrome_json(&text).unwrap(), session);
 }
 
 #[test]

@@ -184,7 +184,8 @@ fn fsck_clean_tree_succeeds_and_corrupt_tree_fails() {
 
 #[test]
 fn failed_command_still_writes_its_metrics_and_trace() {
-    use ucp_repro::telemetry::{Json, Report};
+    use serde_json::Value;
+    use ucp_repro::telemetry::Report;
 
     let dir = make_checkpoint("err_report");
     let dir_s = dir.to_string_lossy().to_string();
@@ -220,8 +221,8 @@ fn failed_command_still_writes_its_metrics_and_trace() {
     assert_eq!(report.label, "load");
     // The phase that failed is in the report: the guard records on `?`.
     assert_eq!(report.span("load/total").unwrap().count, 1);
-    let doc = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-    assert!(doc.get("traceEvents").and_then(Json::as_arr).is_some());
+    let doc: Value = serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    assert!(doc.get("traceEvents").and_then(Value::as_array).is_some());
     assert!(commands::dispatch("no-such-command", &flags(&[])).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,11 +5,11 @@
 
 use std::sync::OnceLock;
 
+use serde_json::Value;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::telemetry::json::Json;
 use ucp_repro::telemetry::trace::{self, EventKind, TraceSession, DRIVER_PID};
 use ucp_repro::trainer::{train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
 
@@ -92,14 +92,14 @@ fn one_pid_per_rank_and_all_categories() {
 fn chrome_invariants_hold_in_raw_json() {
     // Validate the exported document independently of the parser: walk
     // the raw traceEvents and check per-(pid, tid) B/E balance.
-    let doc = Json::parse(recorded_trace()).unwrap();
-    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let doc: Value = serde_json::from_str(recorded_trace()).unwrap();
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
     let mut depth: std::collections::BTreeMap<(u64, u64), i64> = Default::default();
     let mut durations = 0usize;
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).unwrap();
-        let pid = ev.get("pid").and_then(Json::as_u64).unwrap();
-        let tid = ev.get("tid").and_then(Json::as_u64).unwrap();
+        let ph = ev.get("ph").and_then(Value::as_str).unwrap();
+        let pid = ev.get("pid").and_then(Value::as_u64).unwrap();
+        let tid = ev.get("tid").and_then(Value::as_u64).unwrap();
         match ph {
             "B" => {
                 *depth.entry((pid, tid)).or_default() += 1;
@@ -170,9 +170,9 @@ fn summary_reports_busy_wait_and_stragglers() {
     assert!(!summary.ops.is_empty(), "per-op wait table populated");
     assert!(!summary.critical_path.is_empty(), "critical path extracted");
     // The summary itself serializes.
-    let json = Json::parse(&summary.to_json()).unwrap();
+    let json: Value = serde_json::from_str(&summary.to_json()).unwrap();
     assert_eq!(
-        json.get("schema").and_then(Json::as_str),
+        json.get("schema").and_then(Value::as_str),
         Some("ucp-trace-summary-v1")
     );
 }
