@@ -96,14 +96,6 @@ impl CurveSet {
         }
         out
     }
-
-    /// Worst divergence across all targets.
-    pub fn worst_divergence(&self) -> f64 {
-        self.resumed
-            .iter()
-            .map(|c| crate::report::max_divergence(&self.baseline, c))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Build the experiment training config for a model + strategy.

@@ -370,13 +370,7 @@ pub fn inspect(p: &Parsed) -> Result<(), String> {
 pub fn plan(p: &Parsed) -> Result<(), String> {
     let dir = require_dir(p)?;
     let step = resolve_step(&dir, p.step)?;
-    let target = ParallelConfig::new(
-        p.tp.ok_or("--tp is required")?,
-        p.pp.ok_or("--pp is required")?,
-        p.dp.ok_or("--dp is required")?,
-        p.sp.unwrap_or(1),
-        ZeroStage::from_u8(p.zero.unwrap_or(1)).ok_or("--zero must be 0..=3")?,
-    );
+    let target = target_parallel(p)?;
     let rank = p.rank.ok_or("--rank is required")?;
     if rank >= target.world_size() {
         return Err(format!(
@@ -646,15 +640,7 @@ pub fn prune(p: &Parsed) -> Result<(), String> {
 /// `ucp spec`: print the derived pattern spec for a model preset — the
 /// JSON form of the UCP language, ready to be edited and extended.
 pub fn spec(p: &Parsed) -> Result<(), String> {
-    let model = match p.model.as_deref() {
-        Some("gpt3-tiny") => ModelConfig::gpt3_tiny(),
-        Some("gpt3-tiny-padded") => ModelConfig::gpt3_tiny_padded_vocab(),
-        Some("llama-tiny") => ModelConfig::llama_tiny(),
-        Some("bloom-tiny") => ModelConfig::bloom_tiny(),
-        Some("moe-tiny") => ModelConfig::moe_tiny(),
-        Some(other) => return Err(format!("unknown model preset '{other}'")),
-        None => return Err("--model is required".into()),
-    };
+    let model = model_preset(p.model.as_deref())?;
     let tp = p.tp.unwrap_or(2);
     model.validate(tp)?;
     let spec = UcpSpec::from_model(&model, tp, &[]);

@@ -7,6 +7,7 @@ use std::time::Duration;
 use crossbeam::channel::unbounded;
 
 use crate::comm::{ClusterState, Comm, Payload};
+use crate::CommError;
 
 /// Fallback watchdog deadline when neither [`ClusterOptions`] nor the
 /// `UCP_COMM_DEADLINE_MS` environment variable says otherwise. Generous on
@@ -47,9 +48,13 @@ pub struct RankFailure {
     /// That rank's last step reported via [`Comm::set_step`] (0 if never
     /// set).
     pub step: u64,
-    /// The panic payload, stringified (`"<non-string panic payload>"` for
-    /// exotic payload types).
+    /// The panic payload, stringified (a [`CommError`] payload by its
+    /// `Display`; `"<non-string panic payload>"` for other exotic types).
     pub payload: String,
+    /// The first watchdog timeout the cluster saw, if one fired: a hang
+    /// trips the deadline on the ranks blocked on it, and that timeout —
+    /// not the hung rank's own payload — is what names the hang.
+    pub timeout: Option<CommError>,
 }
 
 impl std::fmt::Display for RankFailure {
@@ -64,11 +69,15 @@ impl std::fmt::Display for RankFailure {
 
 impl std::error::Error for RankFailure {}
 
-fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
+type PanicPayload = Box<dyn std::any::Any + Send>;
+
+fn payload_string(payload: &PanicPayload) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
+    } else if let Some(e) = payload.downcast_ref::<CommError>() {
+        e.to_string()
     } else {
         "<non-string panic payload>".to_string()
     }
@@ -178,36 +187,25 @@ impl Cluster {
                             state.mark_dead(rank);
                         }
                         drop(comm);
-                        match out {
-                            Ok(v) => Ok(v),
-                            Err(payload) => Err(payload),
-                        }
+                        out
                     }),
                 ));
             }
             handles
                 .into_iter()
-                .map(|(rank, h)| {
-                    (
-                        rank,
-                        match h.join() {
-                            Ok(inner) => inner,
-                            // The spawn closure catches body panics, so a
-                            // join error means the harness itself died.
-                            Err(payload) => Err(payload),
-                        },
-                    )
-                })
+                // The spawn closure catches body panics, so a join error
+                // means the harness itself died.
+                .map(|(rank, h)| (rank, h.join().and_then(|inner| inner)))
                 .collect()
         })
         .expect("cluster scope");
 
         let mut results = Vec::with_capacity(world_size);
-        let mut failures: Vec<(usize, String)> = Vec::new();
+        let mut failures: Vec<(usize, PanicPayload)> = Vec::new();
         for (rank, outcome) in joined {
             match outcome {
                 Ok(v) => results.push(v),
-                Err(payload) => failures.push((rank, payload_string(payload.as_ref()))),
+                Err(payload) => failures.push((rank, payload)),
             }
         }
         if failures.is_empty() {
@@ -216,36 +214,30 @@ impl Cluster {
         // Attribute the failure to the root cause, not a casualty of the
         // poison cascade. Two signals, in order of trust:
         //
-        // 1. a payload that is NOT a secondary comm error — a rank that
-        //    panicked on its own (e.g. an injected fault) rather than
+        // 1. a payload that is NOT a peer-failure `CommError` — a rank
+        //    that panicked on its own (e.g. an injected fault) rather than
         //    because a peer vanished underneath it;
         // 2. the first rank marked dead. This alone is not enough: when a
         //    rank *hangs*, its peers trip the watchdog, panic on the typed
         //    error, and get marked dead before the hung rank unwinds.
-        let secondary = |m: &str| {
-            m.contains("PeerDead")
-                || m.contains("Timeout")
-                || m.contains("Disconnected")
-                || m.contains("peer rank")
-                || m.contains("watchdog")
-                || m.contains("is dead")
-                || m.contains("disconnected")
+        let secondary = |p: &PanicPayload| {
+            p.downcast_ref::<CommError>()
+                .is_some_and(CommError::is_peer_failure)
         };
         let first_dead = state.first_dead().unwrap_or(failures[0].0);
-        let primary: Vec<&(usize, String)> =
-            failures.iter().filter(|(_, m)| !secondary(m)).collect();
-        let (rank, payload) = primary
+        let is_primary = |(r, p): &(usize, PanicPayload)| !secondary(p) && *r == first_dead;
+        let at = failures
             .iter()
-            .find(|(r, _)| *r == first_dead)
-            .copied()
-            .or_else(|| primary.first().copied())
-            .or_else(|| failures.iter().find(|(r, _)| *r == first_dead))
-            .unwrap_or(&failures[0])
-            .clone();
+            .position(is_primary)
+            .or_else(|| failures.iter().position(|(_, p)| !secondary(p)))
+            .or_else(|| failures.iter().position(|(r, _)| *r == first_dead))
+            .unwrap_or(0);
+        let (rank, payload) = &failures[at];
         Err(RankFailure {
-            rank,
-            step: state.step_of(rank),
-            payload,
+            rank: *rank,
+            step: state.step_of(*rank),
+            payload: payload_string(payload),
+            timeout: state.first_timeout(),
         })
     }
 }
@@ -459,6 +451,65 @@ mod tests {
         assert_eq!(failure.rank, 1);
         assert_eq!(failure.step, 7);
         assert_eq!(failure.payload, "injected fault on rank 1");
+        assert_eq!(failure.timeout, None, "a panic is not a watchdog fire");
+    }
+
+    #[test]
+    fn peer_failure_payload_is_a_casualty_not_the_root_cause() {
+        // Rank 0 dies first, but on a typed peer-failure error: it is a
+        // casualty. Rank 1 panics on its own once the poison reaches it.
+        let failure = Cluster::try_run(2, |comm| {
+            comm.set_step(4);
+            if comm.rank() == 0 {
+                std::panic::panic_any(CommError::Timeout {
+                    peer: 1,
+                    waited_ms: 200,
+                });
+            }
+            while !comm.poisoned() {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            panic!("injected fault: rank 1 hung at step 4");
+        })
+        .unwrap_err();
+        assert_eq!(failure.rank, 1);
+        assert_eq!(failure.step, 4);
+        assert_eq!(failure.payload, "injected fault: rank 1 hung at step 4");
+    }
+
+    #[test]
+    fn hang_reports_the_hung_rank_and_the_first_timeout() {
+        let opts = ClusterOptions {
+            deadline: Duration::from_millis(200),
+        };
+        let failure = Cluster::try_run_with(3, &opts, |comm| {
+            if comm.rank() == 0 {
+                while !comm.poisoned() {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                panic!("rank 0 hung");
+            }
+            // Blocked ranks unwind on the typed error, as layer math does.
+            comm.recv(0).unwrap_or_else(|e| std::panic::panic_any(e));
+        })
+        .unwrap_err();
+        assert_eq!(failure.rank, 0);
+        assert_eq!(failure.payload, "rank 0 hung");
+        assert!(
+            matches!(failure.timeout, Some(CommError::Timeout { peer: 0, waited_ms }) if waited_ms >= 200),
+            "the watchdog's timeout is kept: {:?}",
+            failure.timeout
+        );
+    }
+
+    #[test]
+    fn comm_error_payload_renders_with_display() {
+        let failure = Cluster::try_run(1, |_| {
+            std::panic::panic_any(CommError::PeerDead { peer: 3 });
+        })
+        .unwrap_err();
+        assert_eq!(failure.rank, 0);
+        assert_eq!(failure.payload, "peer rank 3 is dead");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! collectives built on top of it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -12,7 +12,8 @@ use ucp_tensor::Tensor;
 use crate::{group::Group, CommError, Result};
 
 /// Shared failure-detection state of one cluster: which ranks are dead,
-/// whether the cluster is poisoned, and each rank's last reported step.
+/// whether the cluster is poisoned, the first watchdog timeout, and each
+/// rank's last reported step.
 ///
 /// A rank is *dead* once its body has panicked (marked before its channels
 /// drop, so peers see a typed [`CommError::PeerDead`] instead of a bare
@@ -25,6 +26,9 @@ pub(crate) struct ClusterState {
     /// First rank marked dead (`usize::MAX` = none); CAS'd once so the
     /// root cause survives cascades.
     first_dead: AtomicUsize,
+    /// The first [`CommError::Timeout`] any rank's watchdog raised; set
+    /// once, so the hang that started a cascade is the one reported.
+    timeout: OnceLock<CommError>,
     /// Last step each rank reported via [`Comm::set_step`].
     steps: Vec<AtomicU64>,
     /// Watchdog deadline for blocking receives.
@@ -37,6 +41,7 @@ impl ClusterState {
             dead: (0..world_size).map(|_| AtomicBool::new(false)).collect(),
             poisoned: AtomicBool::new(false),
             first_dead: AtomicUsize::new(usize::MAX),
+            timeout: OnceLock::new(),
             steps: (0..world_size).map(|_| AtomicU64::new(0)).collect(),
             deadline,
         }
@@ -51,7 +56,10 @@ impl ClusterState {
         self.poisoned.store(true, Ordering::SeqCst);
     }
 
-    pub(crate) fn poison(&self) {
+    /// Record a watchdog `timeout` (the first one wins) and poison the
+    /// cluster.
+    pub(crate) fn poison_on_timeout(&self, timeout: &CommError) {
+        let _ = self.timeout.set(timeout.clone());
         self.poisoned.store(true, Ordering::SeqCst);
     }
 
@@ -73,6 +81,11 @@ impl ClusterState {
 
     pub(crate) fn step_of(&self, rank: usize) -> u64 {
         self.steps[rank].load(Ordering::SeqCst)
+    }
+
+    /// The first watchdog timeout, if any fired.
+    pub(crate) fn first_timeout(&self) -> Option<CommError> {
+        self.timeout.get().cloned()
     }
 }
 
@@ -248,11 +261,12 @@ impl Comm {
                 Err(RecvTimeoutError::Timeout) => {
                     let waited = start.elapsed();
                     if waited >= deadline {
-                        self.state.poison();
-                        return Err(CommError::Timeout {
+                        let timeout = CommError::Timeout {
                             peer: src,
                             waited_ms: waited.as_millis() as u64,
-                        });
+                        };
+                        self.state.poison_on_timeout(&timeout);
+                        return Err(timeout);
                     }
                 }
             }

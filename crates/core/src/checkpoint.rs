@@ -117,16 +117,14 @@ impl<'a> From<&'a OptimShard> for OptimShardRef<'a> {
     }
 }
 
-/// Write a (tp, pp) slice's model-states file. `durable` adds an `fsync`
-/// before returning, so telemetry splits serialization (`storage/write`)
-/// from durability (`storage/fsync`).
+/// Write a (tp, pp) slice's model-states file: staged and renamed into
+/// place (atomic), not fsynced.
 pub fn save_model_states(
     step_dir: &Path,
     common: &CommonState,
     tp: usize,
     pp: usize,
     params: &ParamStore,
-    durable: bool,
 ) -> Result<()> {
     let header = serde_json::to_string(&ModelStatesHeader {
         common: common.clone(),
@@ -143,7 +141,7 @@ pub fn save_model_states(
         })
         .collect();
     let path = layout::model_states_path(step_dir, tp, pp);
-    Ok(container::write_file(&path, &header, &sections, durable)?)
+    Ok(container::write_file(&path, &header, &sections, false)?)
 }
 
 /// Read a model-states file: `(common, tp, pp, named shards)`.
@@ -167,7 +165,7 @@ pub fn load_model_states(
 }
 
 /// Write one (dp, tp, pp) rank's optimizer-states file from borrowed
-/// buffers (an `&OptimShard` converts). `durable` as in
+/// buffers (an `&OptimShard` converts); atomic, not fsynced, as
 /// [`save_model_states`].
 pub fn save_optim_states<'a>(
     step_dir: &Path,
@@ -175,7 +173,6 @@ pub fn save_optim_states<'a>(
     tp: usize,
     pp: usize,
     shard: impl Into<OptimShardRef<'a>>,
-    durable: bool,
 ) -> Result<()> {
     let shard = shard.into();
     let header = serde_json::to_string(&OptimStatesHeader {
@@ -198,7 +195,7 @@ pub fn save_optim_states<'a>(
         data,
     });
     let path = layout::optim_states_path(step_dir, shard.dp, tp, pp);
-    Ok(container::write_file(&path, &header, &sections, durable)?)
+    Ok(container::write_file(&path, &header, &sections, false)?)
 }
 
 /// The run's common state, from the header of the (0, 0, 0)
@@ -281,7 +278,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("a.weight", Tensor::randn([4, 2], 1.0, &rng.derive("a")));
         store.insert("b.weight", Tensor::randn([3], 1.0, &rng.derive("b")));
-        save_model_states(&dir, &common(), 1, 0, &store, false).unwrap();
+        save_model_states(&dir, &common(), 1, 0, &store).unwrap();
         let (c, params) = load_model_states(&dir, 1, 0).unwrap();
         assert_eq!(c, common());
         assert_eq!(params.len(), 2);
@@ -300,7 +297,7 @@ mod tests {
             exp_avg: vec![2.0; layout.chunk],
             exp_avg_sq: vec![3.0; layout.chunk],
         };
-        save_optim_states(&dir, &common(), 0, 1, &shard, false).unwrap();
+        save_optim_states(&dir, &common(), 0, 1, &shard).unwrap();
         let (c, back) = load_optim_states(&dir, 1, 0, 1).unwrap();
         assert_eq!(c.iteration, 100);
         assert_eq!(back, shard);
@@ -309,7 +306,7 @@ mod tests {
             dp: 0,
             ..shard.clone()
         };
-        save_optim_states(&dir, &common(), 0, 0, &first, false).unwrap();
+        save_optim_states(&dir, &common(), 0, 0, &first).unwrap();
         assert_eq!(read_common_state(&dir).unwrap(), common());
         assert_eq!(back.range(), layout.chunk..2 * layout.chunk);
 
@@ -337,7 +334,7 @@ mod tests {
     fn wrong_coordinates_detected() {
         let dir = tmp("coords");
         let store = ParamStore::new();
-        save_model_states(&dir, &common(), 0, 0, &store, false).unwrap();
+        save_model_states(&dir, &common(), 0, 0, &store).unwrap();
         // Copy the file to a wrong location and load from there.
         let src = layout::model_states_path(&dir, 0, 0);
         let dst = layout::model_states_path(&dir, 1, 0);
@@ -359,7 +356,7 @@ mod tests {
             exp_avg: chunk.clone(),
             exp_avg_sq: chunk,
         };
-        save_optim_states(&dir, &common(), 0, 0, &shard, false).unwrap();
+        save_optim_states(&dir, &common(), 0, 0, &shard).unwrap();
         let src = layout::optim_states_path(&dir, 0, 0, 0);
         let dst = layout::optim_states_path(&dir, 1, 0, 0);
         std::fs::create_dir_all(dst.parent().unwrap()).unwrap();

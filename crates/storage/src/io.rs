@@ -273,9 +273,26 @@ pub mod fault {
         Armed { _lock: lock }
     }
 
+    /// The payload of every injected crash: the kill point it struck.
+    #[derive(Debug)]
+    pub struct InjectedCrash {
+        /// The operation the crash struck (`"write"`, `"fsync"`, ...).
+        pub point: String,
+    }
+
+    impl std::fmt::Display for InjectedCrash {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "injected crash at kill point: {}", self.point)
+        }
+    }
+
+    impl std::error::Error for InjectedCrash {}
+
     /// The error every injected crash surfaces as.
     pub fn injected_crash(point: &str) -> std::io::Error {
-        std::io::Error::other(format!("injected crash at kill point: {point}"))
+        std::io::Error::other(InjectedCrash {
+            point: point.to_string(),
+        })
     }
 
     /// Whether `e` is an injected crash (vs a genuine I/O failure).
@@ -283,7 +300,7 @@ pub mod fault {
     /// deliberately not "injected" in this sense: they model a survivable
     /// failure, so error-path cleanup must treat them as real.
     pub fn is_injected(e: &std::io::Error) -> bool {
-        e.to_string().contains("injected crash at kill point")
+        e.get_ref().is_some_and(|inner| inner.is::<InjectedCrash>())
     }
 
     /// What a fatal strike surfaces as. A [`FaultPlan::full_disk`] strike
@@ -455,5 +472,18 @@ mod tests {
         let mut sink = Vec::new();
         r.read_to_end(&mut sink).unwrap();
         assert_eq!(r.bytes_transferred(), 1000);
+    }
+
+    #[test]
+    fn injected_crash_is_known_by_type_not_by_text() {
+        let crash = fault::injected_crash("commit.fsync");
+        assert!(fault::is_injected(&crash));
+        assert_eq!(
+            crash.to_string(),
+            "injected crash at kill point: commit.fsync"
+        );
+        // The same words from a genuine failure are not a crash.
+        let lookalike = std::io::Error::other(crash.to_string());
+        assert!(!fault::is_injected(&lookalike));
     }
 }

@@ -95,14 +95,6 @@ impl DetRng {
         (r * (2.0 * std::f64::consts::PI * u2).cos()) as f32
     }
 
-    /// The normal sample at absolute element index `i` of this stream,
-    /// without disturbing the cursor.
-    pub fn normal_at(&self, i: u64) -> f32 {
-        let mut rng = self.clone();
-        rng.seek(2 * i);
-        rng.next_normal()
-    }
-
     /// Fill `out` with normal samples for element indices
     /// `[start, start + out.len())` of this stream, scaled by `std`.
     pub fn fill_normal_range(&self, start: u64, std: f32, out: &mut [f32]) {

@@ -31,6 +31,9 @@ impl<'a> CommGroup<'a> {
     }
 }
 
+/// Layer math has no error channel: a failed collective unwinds the rank
+/// with the [`ucp_collectives::CommError`] itself as the panic payload, so
+/// the cluster can tell a peer-failure casualty from a root cause.
 impl GroupOps for CommGroup<'_> {
     fn size(&self) -> usize {
         self.group.size()
@@ -46,7 +49,7 @@ impl GroupOps for CommGroup<'_> {
         }
         self.comm
             .all_reduce_sum(&self.group, t)
-            .expect("all_reduce in layer math")
+            .unwrap_or_else(|e| std::panic::panic_any(e))
     }
 
     fn all_gather_cat(&self, t: &Tensor, dim: usize) -> Tensor {
@@ -56,7 +59,7 @@ impl GroupOps for CommGroup<'_> {
         let all = self
             .comm
             .all_gather_tensors(&self.group, t)
-            .expect("all_gather in layer math");
+            .unwrap_or_else(|e| std::panic::panic_any(e));
         let refs: Vec<&Tensor> = all.iter().collect();
         Tensor::concat(&refs, dim).expect("uniform gather shapes")
     }

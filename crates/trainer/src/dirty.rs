@@ -158,20 +158,6 @@ impl DirtyTracker {
         }
     }
 
-    /// Fraction of blocks currently dirty (telemetry/bench convenience).
-    pub fn dirty_fraction(&self) -> f64 {
-        let total: usize = self.slots.iter().map(|s| s.flags.len()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let dirty: usize = self
-            .slots
-            .iter()
-            .map(|s| s.flags.iter().filter(|&&f| f).count())
-            .sum();
-        dirty as f64 / total as f64
-    }
-
     /// Collect the accumulated dirty set as per-parameter ranges and reset
     /// every flag to clean — the caller owns shipping the returned map
     /// with the snapshot it was taken for.

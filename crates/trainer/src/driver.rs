@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ucp_collectives::{Cluster, ClusterOptions, Comm, RankFailure};
+use ucp_collectives::{Cluster, ClusterOptions, Comm};
 use ucp_core::convert::{convert_to_universal, ConvertOptions, ConvertStats};
 use ucp_core::load::{LoadOptions, LoadSession};
 use ucp_core::manifest::UcpManifest;
@@ -190,10 +190,7 @@ fn run_unsupervised(plan: &TrainPlan, policy: SavePolicy) -> Result<RunResult, T
         step_hook: None,
         hot: None,
     };
-    run_segment(plan, &segment).map_err(|e| match e {
-        SegmentError::Hard(e) => e,
-        SegmentError::Failure(failure) => TrainError::Config(failure.to_string()),
-    })
+    run_segment(plan, &segment)
 }
 
 /// Called by every rank before each iteration, with the iteration about to
@@ -210,14 +207,6 @@ pub(crate) struct Segment<'a> {
     pub step_hook: Option<StepHook<'a>>,
     /// Peer-replicate every save into this tier.
     pub hot: Option<&'a crate::hot::HotTier>,
-}
-
-/// Why a segment did not complete.
-pub(crate) enum SegmentError {
-    /// A rank died; recoverable under supervision.
-    Failure(RankFailure),
-    /// A non-failure error (bad config, unreadable checkpoint, ...).
-    Hard(TrainError),
 }
 
 /// Reject plans the step loop cannot run. `checkpoint_every: Some(0)`
@@ -239,9 +228,10 @@ fn validate_plan(plan: &TrainPlan) -> Result<(), TrainError> {
 /// The segment runner: one cluster fan-out, one step loop. Every entry
 /// point — the presets above and each segment of
 /// [`crate::supervisor::supervise`] — is this function under a different
-/// [`Segment`].
-pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResult, SegmentError> {
-    validate_plan(plan).map_err(SegmentError::Hard)?;
+/// [`Segment`]. A rank that dies comes back as [`TrainError::Rank`] —
+/// the one error the supervisor recovers from.
+pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResult, TrainError> {
+    validate_plan(plan)?;
     let world = plan.config.parallel.world_size();
     // Resolve the resume mode once, before the fan-out. A universal
     // resume opens one load session for all ranks: those needing the same
@@ -252,8 +242,8 @@ pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResu
         ResumeMode::Fresh => Start::Fresh,
         ResumeMode::Native { dir, step } => Start::Native(dir, *step),
         ResumeMode::Universal { dir, step } => {
-            session = LoadSession::open(dir, *step, LoadOptions::default())
-                .map_err(|e| SegmentError::Hard(TrainError::Ucp(e)))?;
+            session =
+                LoadSession::open(dir, *step, LoadOptions::default()).map_err(TrainError::Ucp)?;
             Start::Universal(UniversalSource::Session(&session))
         }
         ResumeMode::Hot { checkpoint } => {
@@ -319,7 +309,7 @@ pub(crate) fn run_segment(plan: &TrainPlan, seg: &Segment<'_>) -> Result<RunResu
             .collect();
         ucp_telemetry::global().absorb(&aggregate(&snapshots));
     }
-    collect_results(joined.map_err(SegmentError::Failure)?).map_err(SegmentError::Hard)
+    collect_results(joined.map_err(TrainError::Rank)?)
 }
 
 /// A rank's in-flight background writers. Dropped on any exit — error
@@ -362,7 +352,7 @@ struct RankRun<'a> {
 }
 
 impl RankRun<'_> {
-    fn run(&self, comm: &Comm) -> Result<RunResult, String> {
+    fn run(&self, comm: &Comm) -> Result<RunResult, TrainError> {
         let plan = self.plan;
         let local = &self.locals[comm.rank()];
         let t_load = Instant::now();
@@ -371,8 +361,7 @@ impl RankRun<'_> {
             Start::Fresh => RankEngine::fresh(cfg, comm),
             Start::Native(dir, step) => RankEngine::resume_native(cfg, comm, dir, *step),
             Start::Universal(source) => RankEngine::resume_universal_source(cfg, comm, source),
-        }
-        .map_err(|e| e.to_string())?;
+        }?;
         let load_secs = t_load.elapsed().as_secs_f64();
 
         let start_iteration = engine.iteration;
@@ -397,7 +386,7 @@ impl RankRun<'_> {
                 hook(comm, it);
             }
             let t_it = Instant::now();
-            let loss = engine.train_iteration().map_err(|e| e.to_string())?;
+            let loss = engine.train_iteration()?;
             local.count("rank/iterations", 1);
             local.observe("rank/step_us", t_it.elapsed().as_micros() as u64);
             losses.push((it + 1, loss));
@@ -423,7 +412,7 @@ impl RankRun<'_> {
             let _sp = ucp_telemetry::span("save/final_drain");
             // One at a time, so an error leaves the rest in the guard.
             while !writers.tail.is_empty() {
-                writers.tail.remove(0).wait().map_err(|e| e.to_string())?;
+                writers.tail.remove(0).wait()?;
             }
         }
         Ok(RunResult {
@@ -443,7 +432,7 @@ impl RankRun<'_> {
         dir: &Path,
         pool: &std::sync::Arc<SnapshotPool>,
         writers: &mut InFlight<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), TrainError> {
         let (rank, step) = (comm.rank(), engine.iteration);
         if rank == 0 {
             journal(dir, &JournalEvent::SaveStarted { step })?;
@@ -453,7 +442,7 @@ impl RankRun<'_> {
         // boundary, shared by the disk save and the RAM push.
         let dirty = match self.seg.policy.persist {
             Persist::Sync => {
-                engine.save_checkpoint(dir).map_err(|e| e.to_string())?;
+                engine.save_checkpoint(dir)?;
                 // The save barriers internally: when rank 0 returns, every
                 // rank's files and the `latest` marker are published.
                 if rank == 0 {
@@ -469,7 +458,7 @@ impl RankRun<'_> {
                     writers.tail.push(drained);
                 }
                 while writers.tail.len() > 2 {
-                    writers.tail.remove(0).wait().map_err(|e| e.to_string())?;
+                    writers.tail.remove(0).wait()?;
                 }
                 let snapshot = {
                     let _sp = ucp_telemetry::span("save/snapshot");
@@ -521,18 +510,16 @@ impl RankRun<'_> {
         comm: &Comm,
         prev: PendingSave,
         dir: &Path,
-    ) -> Result<PendingSave, String> {
+    ) -> Result<PendingSave, TrainError> {
         let step = prev.step;
         {
             let _sp = ucp_telemetry::span("save/drain");
-            prev.wait_persisted().map_err(|e| e.to_string())?;
+            prev.wait_persisted()?;
         }
         // The drained step's native files are complete on every rank:
         // publish `latest` now, so a crash later in the run loses one
         // interval, not the whole run.
-        engine
-            .publish_markers(dir, step, false)
-            .map_err(|e| e.to_string())?;
+        engine.publish_markers(dir, step, false)?;
         // Native marker durable (the publish barrier guarantees it on
         // every rank): clear the step's writer to publish the universal
         // marker whenever its manifest lands.
@@ -546,19 +533,18 @@ impl RankRun<'_> {
     }
 }
 
-/// Append a run-journal event under `dir`, mapping the error into the
-/// cluster closure's `String` error space.
-fn journal(dir: &Path, event: &JournalEvent) -> Result<(), String> {
-    ucp_storage::journal::append(dir, event).map_err(|e| e.to_string())
+/// Append a run-journal event under `dir`. The save boundaries and the
+/// supervisor's recovery steps both journal through here, so their
+/// records are totally ordered in one file.
+pub(crate) fn journal(dir: &Path, event: &JournalEvent) -> Result<(), TrainError> {
+    ucp_storage::journal::append(dir, event).map_err(|e| TrainError::Ucp(e.into()))
 }
 
-/// Merge per-rank results, surfacing the most informative error.
-fn collect_results(
-    results: Vec<std::result::Result<RunResult, String>>,
-) -> Result<RunResult, TrainError> {
+/// Merge per-rank results; on failure, the root-cause rank's error.
+fn collect_results(results: Vec<Result<RunResult, TrainError>>) -> Result<RunResult, TrainError> {
     let mut out: Option<RunResult> = None;
-    let mut errors: Vec<(usize, String)> = Vec::new();
-    for (rank, r) in results.into_iter().enumerate() {
+    let mut errors: Vec<TrainError> = Vec::new();
+    for r in results {
         match r {
             Ok(res) => {
                 if let Some(first) = &mut out {
@@ -568,20 +554,16 @@ fn collect_results(
                     out = Some(res);
                 }
             }
-            Err(msg) => errors.push((rank, msg)),
+            Err(e) => errors.push(e),
         }
     }
     if !errors.is_empty() {
-        // When one rank fails, its peers observe secondary peer-failure
-        // errors (disconnects, dead marks, watchdog timeouts); surface the
-        // root cause, not the symptom.
-        let secondary =
-            |m: &str| m.contains("disconnected") || m.contains("is dead") || m.contains("watchdog");
-        let (rank, msg) = errors
-            .iter()
-            .find(|(_, m)| !secondary(m))
-            .unwrap_or(&errors[0]);
-        return Err(TrainError::Config(format!("rank {rank}: {msg}")));
+        // When one rank fails, its peers observe peer-failure comm errors
+        // (disconnects, dead marks, watchdog timeouts); surface the root
+        // cause, not the symptom.
+        let secondary = |e: &TrainError| matches!(e, TrainError::Comm(c) if c.is_peer_failure());
+        let at = errors.iter().position(|e| !secondary(e)).unwrap_or(0);
+        return Err(errors.swap_remove(at));
     }
     Ok(out.expect("world_size >= 1"))
 }
@@ -792,11 +774,14 @@ mod tests {
             checkpoint_dir: None,
         })
         .unwrap_err();
-        let msg = err.to_string();
+        // The engine's typed error comes back unchanged from the rank.
         assert!(
-            msg.contains("convert it to a universal checkpoint"),
-            "{msg}"
+            matches!(err, TrainError::StrategyMismatch { .. }),
+            "{err:?}"
         );
+        assert!(err
+            .to_string()
+            .contains("convert it to a universal checkpoint"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

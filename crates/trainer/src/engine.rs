@@ -69,10 +69,6 @@ pub struct TrainConfig {
     pub alignment: usize,
     /// Pipeline execution schedule.
     pub schedule: PipelineSchedule,
-    /// `fsync` checkpoint files before a save is reported complete.
-    /// Telemetry then splits serialization (`storage/write`) from
-    /// durability (`storage/fsync`) in the save accounting.
-    pub durable_saves: bool,
 }
 
 impl TrainConfig {
@@ -95,7 +91,6 @@ impl TrainConfig {
             dtype: DType::BF16,
             alignment: 8,
             schedule: PipelineSchedule::Sequential,
-            durable_saves: false,
         }
     }
 
@@ -706,7 +701,6 @@ impl<'a> RankEngine<'a> {
                 exp_avg: self.adam.exp_avg.clone(),
                 exp_avg_sq: self.adam.exp_avg_sq.clone(),
             },
-            durable: self.cfg.durable_saves,
             dirty: Some(dirty),
         }
     }
@@ -774,7 +768,6 @@ impl<'a> RankEngine<'a> {
                 prev.shard.fp32.clone_from(&self.master);
                 prev.shard.exp_avg.clone_from(&self.adam.exp_avg);
                 prev.shard.exp_avg_sq.clone_from(&self.adam.exp_avg_sq);
-                prev.durable = self.cfg.durable_saves;
                 prev.dirty = Some(self.dirty.take());
             }
             None => *slot = Some(self.snapshot()),
@@ -786,7 +779,8 @@ impl<'a> RankEngine<'a> {
     /// step's `latest_universal` right after it (see
     /// `ucp_storage::layout::publish_step_markers` for the ordering
     /// invariant). The entry barrier is what upholds the commit ordering:
-    /// every rank's files for the step are durable before a marker lands.
+    /// every rank's files for the step are written and renamed into place
+    /// before a marker lands (native files are atomic, not fsynced).
     /// The overlapped save policy always passes `universal: false` — the
     /// born-universal pipeline publishes `latest_universal` from rank 0's
     /// background writer instead, keyed off this publish completing.
@@ -828,7 +822,6 @@ impl<'a> RankEngine<'a> {
                 exp_avg: &self.adam.exp_avg,
                 exp_avg_sq: &self.adam.exp_avg_sq,
             },
-            self.cfg.durable_saves,
         )?;
         let _publish_span = trace::span(TraceCat::Checkpoint, "publish");
         let world = Group::world(self.comm.world_size());

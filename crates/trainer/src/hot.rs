@@ -42,6 +42,7 @@ use ucp_core::{HotShard, MemoryCheckpoint};
 use ucp_storage::crc::crc32c_f32;
 
 use crate::dirty::{dirty_pieces, DirtyMap};
+use crate::TrainError;
 
 /// Replica generations retained per (bank, source) slot. Two steps keep
 /// the previous save recoverable while the current one is being
@@ -156,10 +157,13 @@ impl HotTier {
         shard: HotShard,
         dirty: &DirtyMap,
         deadline: Duration,
-    ) -> Result<u64, String> {
+    ) -> Result<u64, TrainError> {
         let (mesh, world, first) = {
             let mut s = self.state.lock().expect("hot tier poisoned");
-            let mesh = Arc::clone(s.mesh.as_ref().ok_or("hot tier: no active segment")?);
+            let mesh = s
+                .mesh
+                .clone()
+                .ok_or_else(|| TrainError::Config("hot tier: no active segment".into()))?;
             let first = !s.pushed_full[rank];
             s.pushed_full[rank] = true;
             (mesh, s.world, first)
@@ -197,17 +201,13 @@ impl HotTier {
         // first, then drain the wards — deadlock-free by construction.
         let lease = mesh.lease(rank, step);
         for to in self.holders_of(rank, world) {
-            lease
-                .send(to, msg.clone())
-                .map_err(|e| format!("hot push to rank {to}: {e:?}"))?;
+            lease.send(to, msg.clone()).map_err(TrainError::Comm)?;
         }
         // Self-install covers the holders-all-dead direction of the
         // placement guarantee: a surviving rank always serves itself.
         self.install(rank, rank, step, HotMsg::Full { shard, crc });
         for from in self.wards_of(rank, world) {
-            let incoming = lease
-                .recv_from(from, deadline)
-                .map_err(|e| format!("hot pull from rank {from}: {e:?}"))?;
+            let incoming = lease.recv_from(from, deadline).map_err(TrainError::Comm)?;
             self.install(rank, from, step, incoming);
         }
         lease.finish();

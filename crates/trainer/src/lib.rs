@@ -45,6 +45,10 @@ pub enum TrainError {
     Config(String),
     /// Communication failure.
     Comm(ucp_collectives::CommError),
+    /// A rank's body panicked and took its cluster down: the root-cause
+    /// rank, its step, its payload and any watchdog timeout. The one error
+    /// the supervisor recovers from.
+    Rank(ucp_collectives::RankFailure),
     /// Checkpoint/UCP failure.
     Ucp(ucp_core::UcpError),
     /// A native resume was attempted with a different parallelism strategy
@@ -62,6 +66,7 @@ impl std::fmt::Display for TrainError {
         match self {
             TrainError::Config(msg) => write!(f, "config: {msg}"),
             TrainError::Comm(e) => write!(f, "communication: {e}"),
+            TrainError::Rank(failure) => write!(f, "{failure}"),
             TrainError::Ucp(e) => write!(f, "checkpoint: {e}"),
             TrainError::StrategyMismatch {
                 checkpoint,

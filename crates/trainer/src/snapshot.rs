@@ -42,10 +42,6 @@ pub struct CheckpointSnapshot {
     pub model: Option<ParamStore>,
     /// This rank's optimizer chunk.
     pub shard: OptimShard,
-    /// `fsync` the files before reporting the save complete — telemetry
-    /// then splits serialization (`storage/write`) from durability
-    /// (`storage/fsync`).
-    pub durable: bool,
     /// Parameter ranges touched since the previous snapshot (shard-flat
     /// coordinates; see [`crate::dirty`]). `None` means unknown — the save
     /// pipeline then exchanges every fragment. `Some(map)` lets writers
@@ -78,7 +74,6 @@ impl CheckpointSnapshot {
             self.pp,
             self.model.as_ref(),
             (&self.shard).into(),
-            self.durable,
         )
     }
 }
@@ -95,14 +90,13 @@ pub(crate) fn persist_rank_files(
     pp: usize,
     model: Option<&ParamStore>,
     shard: OptimShardRef<'_>,
-    durable: bool,
 ) -> Result<(), TrainError> {
     let _sp = ucp_telemetry::span("save/persist");
     let step_dir = disk::step_dir(base, common.iteration);
     if let Some(model) = model {
-        save_model_states(&step_dir, common, tp, pp, model, durable).map_err(TrainError::Ucp)?;
+        save_model_states(&step_dir, common, tp, pp, model).map_err(TrainError::Ucp)?;
     }
-    save_optim_states(&step_dir, common, tp, pp, shard, durable).map_err(TrainError::Ucp)?;
+    save_optim_states(&step_dir, common, tp, pp, shard).map_err(TrainError::Ucp)?;
     ucp_telemetry::count("save/snapshots", 1);
     Ok(())
 }
@@ -369,7 +363,6 @@ mod tests {
                 exp_avg: vec![0.0; layout.chunk],
                 exp_avg_sq: vec![0.0; layout.chunk],
             },
-            durable: false,
             dirty: None,
         }
     }
@@ -424,27 +417,6 @@ mod tests {
         let step_dir = disk::step_dir(&base, 7);
         assert!(disk::model_states_path(&step_dir, 0, 0).is_file());
         assert!(disk::optim_states_path(&step_dir, 0, 0, 0).is_file());
-        std::fs::remove_dir_all(&base).ok();
-    }
-
-    #[test]
-    fn durable_persist_writes_identical_files() {
-        let base = std::env::temp_dir().join("ucp_snapshot_durable_test");
-        std::fs::remove_dir_all(&base).ok();
-        std::fs::create_dir_all(&base).unwrap();
-        let mut snap = snapshot(3);
-        snap.durable = true;
-        snap.persist(&base).unwrap();
-        let step_dir = disk::step_dir(&base, 3);
-        let durable_bytes = std::fs::read(disk::optim_states_path(&step_dir, 0, 0, 0)).unwrap();
-        let mut plain = snapshot(3);
-        plain.common.iteration = 4;
-        plain.persist(&base).unwrap();
-        let plain_bytes =
-            std::fs::read(disk::optim_states_path(&disk::step_dir(&base, 4), 0, 0, 0)).unwrap();
-        // fsync changes durability, never content; only the header's
-        // iteration differs between the two writes.
-        assert_eq!(durable_bytes.len(), plain_bytes.len());
         std::fs::remove_dir_all(&base).ok();
     }
 

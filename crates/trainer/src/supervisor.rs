@@ -31,9 +31,7 @@ use ucp_core::convert::ConvertOptions;
 use ucp_parallel::ParallelConfig;
 use ucp_storage::layout;
 
-use crate::driver::{
-    run_segment, ResumeMode, RunResult, SavePolicy, Segment, SegmentError, TrainPlan,
-};
+use crate::driver::{journal, run_segment, ResumeMode, RunResult, SavePolicy, Segment, TrainPlan};
 use crate::TrainError;
 
 /// What an injected fault does to its rank at the step boundary.
@@ -352,8 +350,7 @@ pub fn supervise(
                 report.segments.push(result);
                 return Ok(report);
             }
-            Err(SegmentError::Hard(e)) => return Err(e),
-            Err(SegmentError::Failure(failure)) => {
+            Err(TrainError::Rank(failure)) => {
                 let t_recover = Instant::now();
                 if ucp_telemetry::enabled() {
                     ucp_telemetry::count("recovery/failures", 1);
@@ -369,13 +366,13 @@ pub fn supervise(
                         "supervisor: no checkpoint_dir to recover from after: {failure}"
                     ))
                 })?;
-                if failure.payload.contains("watchdog") {
+                if let Some(timeout) = &failure.timeout {
                     journal(
                         &dir,
                         &ucp_storage::JournalEvent::Watchdog {
                             rank: failure.rank,
                             step: failure.step,
-                            detail: failure.payload.clone(),
+                            detail: timeout.to_string(),
                         },
                     )?;
                 }
@@ -486,15 +483,9 @@ pub fn supervise(
                     source,
                 });
             }
+            Err(e) => return Err(e),
         }
     }
-}
-
-/// Append a lifecycle event to the run journal under `dir`. The
-/// supervisor is single-threaded at the point of recovery, so these
-/// records are totally ordered with the driver's save events.
-fn journal(dir: &std::path::Path, event: &ucp_storage::JournalEvent) -> Result<(), TrainError> {
-    ucp_storage::journal::append(dir, event).map_err(|e| TrainError::Ucp(e.into()))
 }
 
 /// Point `current.resume` at the latest committed checkpoint under

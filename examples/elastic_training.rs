@@ -68,14 +68,8 @@ fn main() {
     })
     .map(|_| ())
     .unwrap_err();
-    let is_mismatch = matches!(
-        err,
-        TrainError::Config(ref m) if m.contains("convert it to a universal checkpoint")
-    ) || err
-        .to_string()
-        .contains("convert it to a universal checkpoint");
     println!("  native resume on 4 GPUs: REFUSED ({err})");
-    assert!(is_mismatch);
+    assert!(matches!(err, TrainError::StrategyMismatch { .. }));
 
     // UCP path: convert once, resume on the healthy half.
     convert_checkpoint(&dir, 10, &ConvertOptions::default()).expect("conversion");

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout;
+use ucp_repro::storage::{journal, layout, JournalEvent};
 use ucp_repro::trainer::supervisor::{supervise, FaultKind, RankFault, SupervisorOptions};
 use ucp_repro::trainer::{train_run, ResumeMode, SavePolicy, TrainConfig, TrainPlan};
 
@@ -136,6 +136,25 @@ fn recover_cell(
     assert_eq!(restart.parallel, target);
     assert_eq!(restart.resume_step, Some(expected_resume));
     assert_eq!(restart.lost_steps, kill_step - expected_resume);
+    // A hang trips the watchdog on the ranks blocked on it: exactly one
+    // `watchdog` record, naming the hung rank. A panic is seen as a dead
+    // peer within one tick — no watchdog fires.
+    let run_journal = journal::read(&dir).unwrap();
+    let watchdogs: Vec<_> = run_journal.of_kind("watchdog").map(|r| &r.event).collect();
+    match kind {
+        FaultKind::Hang => {
+            assert_eq!(watchdogs.len(), 1, "cell {label}: {watchdogs:?}");
+            let JournalEvent::Watchdog { rank, step, detail } = watchdogs[0] else {
+                unreachable!("of_kind(\"watchdog\") yields watchdog records");
+            };
+            assert_eq!((*rank, *step), (kill_rank, kill_step), "cell {label}");
+            assert!(
+                detail.starts_with("watchdog timeout"),
+                "cell {label}: {detail}"
+            );
+        }
+        _ => assert!(watchdogs.is_empty(), "cell {label}: {watchdogs:?}"),
+    }
 
     // Post-resume trajectory must be bitwise-equal to a
     // fault-free run resumed from the same committed

@@ -47,7 +47,7 @@ fn desync_checkpoint(dir: &std::path::Path, step: u64, parallel: ParallelConfig,
                 }
             }
             common.params_to_average = vec![NORM_PARAM.to_string()];
-            save_optim_states(&step_dir, &common, tp, 0, &shard, false).unwrap();
+            save_optim_states(&step_dir, &common, tp, 0, &shard).unwrap();
         }
         // Keep the model-states header in sync (it is the metadata source
         // for conversion).
@@ -57,7 +57,7 @@ fn desync_checkpoint(dir: &std::path::Path, step: u64, parallel: ParallelConfig,
         for (name, t) in params {
             store.insert(name, t);
         }
-        save_model_states(&step_dir, &common, tp, 0, &store, false).unwrap();
+        save_model_states(&step_dir, &common, tp, 0, &store).unwrap();
     }
 }
 
@@ -166,7 +166,7 @@ fn desynced_replicas_without_declaration_are_caught() {
             *v += 0.5;
         }
     }
-    save_optim_states(&step_dir, &common, 1, 0, &shard, false).unwrap();
+    save_optim_states(&step_dir, &common, 1, 0, &shard).unwrap();
 
     let err = convert_to_universal(
         &dir,
