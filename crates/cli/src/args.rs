@@ -16,8 +16,8 @@ USAGE:
       M >= 1 MiB/s (0 is rejected). By
       default only the block-aligned byte ranges each rank's shard needs
       are read, with a session atom cache shared across ranks;
-      --no-ranged-load reads whole atom files instead (the pre-v2
-      behavior). Prints bytes read vs. bytes needed and cache hit rates.
+      --no-ranged-load reads whole atom files instead (the reference
+      path). Prints bytes read vs. bytes needed and cache hit rates.
   ucp train --dir <ckpt-base> --model <preset> --tp T --pp P --dp D [--sp S]
       [--iters I] [--save-every K] [--seed S] [--overlapped]
       [--no-universal-save] [--hot-replicas K]

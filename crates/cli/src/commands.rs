@@ -675,19 +675,13 @@ pub fn diff(p: &Parsed) -> Result<(), String> {
             differing += 1;
             continue;
         }
-        // Whole tensors, however each tree stores them: a split tree, an
-        // unsplit one and a version-1 one of the same state are identical.
-        let read = |dir: &std::path::Path, m: &UcpManifest, meta: &AtomMeta| {
-            read_atom(
-                dir,
-                m.version,
-                &meta.name,
-                meta.parts(),
-                &Device::unlimited(),
-            )
-            .map_err(|e| format!("{}: {e}", meta.name))
+        // Whole tensors, however each tree stores them: a split tree and an
+        // unsplit one of the same state are identical.
+        let read = |dir: &std::path::Path, meta: &AtomMeta| {
+            read_atom(dir, &meta.name, meta.parts(), &Device::unlimited())
+                .map_err(|e| format!("{}: {e}", meta.name))
         };
-        let (ta, tb) = (read(&a_dir, &a, atom)?, read(&b_dir, &b, other)?);
+        let (ta, tb) = (read(&a_dir, atom)?, read(&b_dir, other)?);
         for (file, (ta, tb)) in layout::AtomFile::ALL.into_iter().zip(ta.iter().zip(&tb)) {
             compared += 1;
             let delta = ta.max_abs_diff(tb).unwrap_or(f32::INFINITY);

@@ -125,7 +125,7 @@ impl Cluster {
     /// [`RankFailure`] naming the first failed rank, its last reported
     /// step, and the original panic payload.
     ///
-    /// A panicking rank is marked dead in the shared [`ClusterState`]
+    /// A panicking rank is marked dead in the shared `ClusterState`
     /// *before* its channels drop, and the cluster is poisoned, so peers
     /// blocked in collectives unwind promptly with typed
     /// [`crate::CommError::PeerDead`] / [`crate::CommError::Timeout`]

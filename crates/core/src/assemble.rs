@@ -1,7 +1,7 @@
 //! Algorithm 1 (Extract → Union → StripPadding) as a streaming library: the
 //! one consolidation body in the workspace.
 //!
-//! A [`StageAssembler`] holds one [`ParamBuilder`] per parameter of a
+//! A [`StageAssembler`] holds one `ParamBuilder` per parameter of a
 //! pipeline stage and scatters every flat fragment it is fed straight into
 //! the consolidated true-shape buffer through the
 //! [`Partition::shard_segments`] run map. Alignment padding runs have no
@@ -14,10 +14,10 @@
 //! dirtiness ([`StageAssembler::absorb`]); a step's optimizer files and the
 //! hot tier's shards, whole chunks borrowed where they lie
 //! ([`StageAssembler::absorb_chunks`], driven by
-//! [`crate::convert::assemble_stages`]) — and two sinks: atom files staged
+//! `crate::convert::assemble_stages`) — and two sinks: atom files staged
 //! into the caller's [`Group`] ([`StageAssembler::finalize_step`]) or the
 //! buffers themselves ([`StageAssembler::into_tensors`]). Every producer
-//! moves the same f32 values through [`ParamBuilder::apply`] and encodes
+//! moves the same f32 values through `ParamBuilder::apply` and encodes
 //! them through [`stage_atom`], which is what makes their trees
 //! byte-identical. [`crate::ops`] keeps Table 2's operators by name;
 //! composed naively they are the oracle the tests hold this module to.
@@ -97,7 +97,7 @@ pub fn write_atom_file(
     let group = Group::new(true);
     let bytes = stage_atom(
         &group,
-        &layout::atom_path(universal_dir, name, file),
+        &layout::atom_file(universal_dir, name, None),
         &meta,
         &[(file, atom.dtype(), atom.as_slice())],
         span_path,
@@ -687,10 +687,8 @@ impl StageAssembler {
                 .any(|part| clean(part).is_none())
                 .then(|| b.keys.each_ref().map(KeyAcc::state));
             for part in 0..b.parts {
-                // One file whatever the state, in a tree written today.
                 let id = split.then_some(part);
-                let file =
-                    |dir| layout::atom_file(dir, layout::TREE_VERSION, name, id, AtomFile::Fp32);
+                let file = |dir| layout::atom_file(dir, name, id);
                 if let Some(prev) = clean(part) {
                     let _sp = ucp_telemetry::span("save/atom_link");
                     atoms.link(&file(prev), &file(universal_dir))?;
@@ -1239,9 +1237,7 @@ mod tests {
         let want = spec.partition.unshard(&tensors);
         let part_len = want.num_elements() / experts;
         for part in 0..experts {
-            let at = |dir: &Path| {
-                layout::atom_file(dir, layout::TREE_VERSION, name, Some(part), AtomFile::Fp32)
-            };
+            let at = |dir: &Path| layout::atom_file(dir, name, Some(part));
             let (old, new) = (
                 std::fs::metadata(at(&step1)).unwrap(),
                 std::fs::metadata(at(&step2)).unwrap(),

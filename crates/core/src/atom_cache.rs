@@ -51,10 +51,9 @@ struct AtomEntry {
     cached: [Intervals; 3],
 }
 
-/// Atom entries keyed by file ([`layout::atom_file`]: one per (sub-)atom;
-/// one per state in a version-1 tree), each behind its own lock so
-/// concurrent workers fetching different atoms never serialize on each
-/// other.
+/// Atom entries keyed by file ([`layout::atom_file`]: one per (sub-)atom),
+/// each behind its own lock so concurrent workers fetching different atoms
+/// never serialize on each other.
 type EntryMap = HashMap<PathBuf, Arc<Mutex<AtomEntry>>>;
 
 /// Shared cache of atom contents for one load session over one universal
@@ -62,19 +61,15 @@ type EntryMap = HashMap<PathBuf, Arc<Mutex<AtomEntry>>>;
 /// a target through it.
 pub struct AtomCache {
     universal: PathBuf,
-    /// The tree's format version ([`crate::manifest::UcpManifest::version`]).
-    version: u32,
     device: Device,
     entries: Mutex<EntryMap>,
 }
 
 impl AtomCache {
-    /// An empty cache over `universal_dir`, a tree of format `version`,
-    /// reading through `device`.
-    pub fn new(universal_dir: &Path, version: u32, device: Device) -> AtomCache {
+    /// An empty cache over `universal_dir`, reading through `device`.
+    pub fn new(universal_dir: &Path, device: Device) -> AtomCache {
         AtomCache {
             universal: universal_dir.to_path_buf(),
-            version,
             device,
             entries: Mutex::default(),
         }
@@ -103,7 +98,7 @@ impl AtomCache {
         runs: &[(usize, Range<usize>)],
         dst: &mut [f32],
     ) -> Result<DType> {
-        let path = layout::atom_file(&self.universal, self.version, name, part, file);
+        let path = layout::atom_file(&self.universal, name, part);
         let entry = {
             let mut map = self.entries.lock().expect("atom cache poisoned");
             match map.get(&path) {
@@ -144,13 +139,7 @@ impl AtomCache {
         }
         let total = info.num_elements();
         let dtype = info.dtype;
-        // Elements per CRC block; v1 sections have no block table, so the
-        // whole section is the fetch unit (cached in full on first touch).
-        let block_elems = if info.crc_block == 0 {
-            total.max(1)
-        } else {
-            info.crc_block as usize / dtype.size_bytes()
-        };
+        let block_elems = info.crc_block as usize / dtype.size_bytes();
         let esize = dtype.size_bytes() as u64;
 
         // Plan: align each requested range outward to block boundaries and

@@ -16,8 +16,8 @@
 //!    `fp32` / `exp_avg` / `exp_avg_sq` records, §3.1) plus the manifest.
 //!
 //! Step 2's body is [`StageAssembler`], the same one the born-universal
-//! save pipeline streams into. [`assemble_stages`] is its feed from whole
-//! chunks, written once over a [`ChunkSource`] (the step's optimizer files,
+//! save pipeline streams into. `assemble_stages` is its feed from whole
+//! chunks, written once over a `ChunkSource` (the step's optimizer files,
 //! or hot-tier shards already in RAM); the offline converter and
 //! [`crate::memory::MemoryCheckpoint`] differ only in the sink they finish
 //! each stage's assembler with.

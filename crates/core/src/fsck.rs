@@ -7,7 +7,7 @@
 //! configuration implies exists and reads back with valid CRCs; per
 //! universal step it verifies the manifest and the atom file of every
 //! indexed parameter — of every sub-atom, for a parameter the manifest
-//! lists as split; all three per-state files in a version-1 tree.
+//! lists as split.
 //! Incomplete or corrupt step trees are quarantined (renamed to
 //! `<name>.corrupt`) so loaders and retention never touch them, leftover
 //! `.tmp` staging files from interrupted commits are swept, and a dangling
@@ -152,17 +152,10 @@ fn check_universal_step(base: &Path, step: u64, report: &mut FsckReport) -> bool
     };
     let mut sound = true;
     for atom in &manifest.params {
-        // One file per (sub-)atom — a missing or damaged sub-atom is
-        // reported under its own file name — or, in a version-1 tree, one
-        // per state: the states' files, each once.
+        // One file per (sub-)atom: a missing or damaged sub-atom is
+        // reported under its own file name.
         for part in atom.part_ids() {
-            let mut files = layout::AtomFile::ALL
-                .map(|state| layout::atom_file(&dir, manifest.version, &atom.name, part, state))
-                .to_vec();
-            files.dedup();
-            for path in files {
-                sound &= verify_container(base, &path, report);
-            }
+            sound &= verify_container(base, &layout::atom_file(&dir, &atom.name, part), report);
         }
     }
     sound

@@ -55,7 +55,7 @@ pub use convert::{convert_to_universal, ConvertOptions, ConvertStats};
 pub use fsck::{fsck, FsckOptions, FsckProblem, FsckReport};
 pub use language::{UcpSpec, UcpSpecBuilder};
 pub use load::{gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState};
-pub use manifest::{AtomMeta, UcpManifest};
+pub use manifest::{AtomMeta, ManifestError, UcpManifest};
 pub use memory::{HotShard, MemoryCheckpoint};
 pub use pattern::{FragmentSpec, ParamPattern};
 
@@ -70,6 +70,8 @@ pub enum UcpError {
     Inconsistent(String),
     /// JSON (de)serialization failure.
     Json(serde_json::Error),
+    /// A manifest this reader refuses.
+    Manifest(manifest::ManifestError),
 }
 
 impl From<ucp_storage::StorageError> for UcpError {
@@ -103,6 +105,7 @@ impl std::fmt::Display for UcpError {
             UcpError::Tensor(e) => write!(f, "tensor: {e}"),
             UcpError::Inconsistent(msg) => write!(f, "inconsistent checkpoint: {msg}"),
             UcpError::Json(e) => write!(f, "metadata json: {e}"),
+            UcpError::Manifest(e) => write!(f, "manifest: {e}"),
         }
     }
 }

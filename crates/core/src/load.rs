@@ -19,9 +19,8 @@
 //! An atom is one file holding its three states as sections. A parameter
 //! the manifest lists with `parts` is stored as that many sub-atom files;
 //! the plan is the same element runs, cut at sub-atom boundaries and
-//! fetched from the file each piece lies in ([`runs_by_part`]), and the
-//! whole-file path ([`read_atom`]) reads each file once and concatenates
-//! the parts.
+//! fetched from the file each piece lies in, and the whole-file path
+//! ([`read_atom`]) reads each file once and concatenates the parts.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -155,7 +154,7 @@ impl LoadSession {
         let universal = layout::universal_dir(base, step);
         let manifest = UcpManifest::load(&universal)?;
         Ok(LoadSession {
-            cache: AtomCache::new(&universal, manifest.version, opts.device),
+            cache: AtomCache::new(&universal, opts.device),
             universal,
             manifest,
             opts,
@@ -184,7 +183,6 @@ impl LoadSession {
             plan,
             &AtomSource::Disk {
                 universal: &self.universal,
-                version: self.manifest.version,
                 opts: &self.opts,
                 cache: &self.cache,
             },
@@ -194,11 +192,10 @@ impl LoadSession {
 
 /// Where [`execute_plan`] takes its atoms from.
 pub(crate) enum AtomSource<'a> {
-    /// A universal directory on disk — a tree of format `version` — read
-    /// as `opts` says through the session's shared cache.
+    /// A universal directory on disk, read as `opts` says through the
+    /// session's shared cache.
     Disk {
         universal: &'a Path,
-        version: u32,
         opts: &'a LoadOptions,
         cache: &'a AtomCache,
     },
@@ -214,11 +211,8 @@ impl AtomSource<'_> {
         let name: &str = &entry.name;
         match self {
             AtomSource::Disk {
-                universal,
-                version,
-                opts,
-                ..
-            } => read_atom(universal, *version, name, entry.parts, &opts.device).map(Cow::Owned),
+                universal, opts, ..
+            } => read_atom(universal, name, entry.parts, &opts.device).map(Cow::Owned),
             AtomSource::Memory(atoms) => atoms.get(name).map(Cow::Borrowed).ok_or_else(|| {
                 UcpError::Inconsistent(format!("hot checkpoint has no atom for {name}"))
             }),
@@ -277,15 +271,11 @@ pub fn gen_ucp_metadata(
                 spec.name, atom.shape, spec.shape
             )));
         }
-        // The tree says how it is split, not the spec: one written before
-        // the split existed, or by a foreign adapter, lists whole atoms.
+        // The tree says how it is split, not the spec: one written by a
+        // foreign adapter lists whole atoms. A manifest built in memory
+        // has not been through `UcpManifest::load`'s check.
+        atom.check()?;
         let parts = atom.parts();
-        if parts == 0 || atom.shape.dims().first().is_none_or(|d| d % parts != 0) {
-            return Err(UcpError::Inconsistent(format!(
-                "atom {} of shape {} cannot be stored as {parts} leading-dimension parts",
-                spec.name, atom.shape
-            )));
-        }
         let fragments = layout
             .fragments_of(slot)
             .into_iter()
@@ -317,26 +307,25 @@ fn validate_target(model: &ModelConfig, target: &ParallelConfig) -> Result<()> {
 }
 
 /// Read one whole atom — `[fp32, exp_avg, exp_avg_sq]` — from a universal
-/// tree of format `version`: the parameter's one file, decoded once for
-/// all three states, or — for a parameter stored as `parts` sub-atoms —
-/// every part's, concatenated along the leading dimension. (A version-1
-/// tree's atom is three files; each is still read once.)
+/// tree: the parameter's one file, decoded once for all three states, or —
+/// for a parameter stored as `parts` sub-atoms — every part's, each read
+/// once, concatenated along the leading dimension.
 pub fn read_atom(
     universal_dir: &Path,
-    version: u32,
     name: &str,
     parts: usize,
     device: &Device,
 ) -> Result<[Tensor; 3]> {
-    let read_file = |path: &Path| -> Result<Container> {
+    let read = |part: Option<usize>| -> Result<[Tensor; 3]> {
+        let path = layout::atom_file(universal_dir, name, part);
         let t = ucp_telemetry::enabled().then(std::time::Instant::now);
         // The file crosses the metered handle once, whole; the index and
         // every verified section read are then served from memory.
-        let file = container::open_file(path)?;
+        let file = container::open_file(&path)?;
         let mut bytes = Vec::with_capacity(file.metadata().map_or(0, |m| m.len() as usize));
         let mut r = device.reader(file);
         r.read_to_end(&mut bytes)?;
-        let c = Container::read_from(&mut Cursor::new(&bytes))?;
+        let mut c = Container::read_from(&mut Cursor::new(&bytes))?;
         if let Some(t) = t {
             ucp_telemetry::observe(
                 "load/atom_read_ns",
@@ -346,18 +335,7 @@ pub fn read_atom(
             ucp_telemetry::count("load/bytes_read", r.bytes_transferred());
             ucp_telemetry::count("load/bytes_needed", bytes.len() as u64);
         }
-        Ok(c)
-    };
-    let read = |part: Option<usize>| -> Result<[Tensor; 3]> {
-        // Consecutive states that share a file share its one read.
-        let mut open: Option<(PathBuf, Container)> = None;
         let [w, m, v] = AtomFile::ALL.map(|state| -> Result<Tensor> {
-            let path = layout::atom_file(universal_dir, version, name, part, state);
-            if open.as_ref().is_none_or(|(at, _)| *at != path) {
-                let c = read_file(&path)?;
-                open = Some((path, c));
-            }
-            let (_, c) = open.as_mut().expect("opened above");
             let key = state.state_key();
             let at = (c.sections.iter())
                 .position(|s| s.name == key)

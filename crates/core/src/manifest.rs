@@ -27,11 +27,52 @@ pub struct AtomMeta {
     pub parts: Option<usize>,
 }
 
+/// Why [`UcpManifest::load`] refused a manifest: it indexes what no
+/// writer produces and no reader can serve.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManifestError {
+    /// A tree version other than [`UcpManifest::VERSION`].
+    Version(u32),
+    /// An atom name that is not one plain file-name component.
+    AtomName(String),
+    /// An atom listed twice.
+    DuplicateAtom(String),
+    /// An atom split into zero parts, or into parts that do not divide its
+    /// leading dimension: `(name, parts)`.
+    Parts(String, usize),
+}
+
+impl std::fmt::Display for ManifestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Version(v) => write!(f, "tree version {v}, not {}", UcpManifest::VERSION),
+            Self::AtomName(name) => write!(f, "atom name {name:?} is not a plain file name"),
+            Self::DuplicateAtom(name) => write!(f, "atom {name:?} is listed twice"),
+            Self::Parts(name, n) => write!(f, "atom {name:?} cannot be cut into {n} parts"),
+        }
+    }
+}
+
 impl AtomMeta {
     /// Number of files the atom is stored in: the sub-atom count, or 1
     /// when unsplit.
     pub fn parts(&self) -> usize {
         self.parts.unwrap_or(1)
+    }
+
+    /// Whether readers can build the atom's paths (its name is one plain
+    /// file-name component) and cut it as it says (a split is a positive
+    /// number of equal slices of the leading dimension).
+    pub fn check(&self) -> Result<()> {
+        let (name, dims) = (self.name.as_str(), self.shape.dims());
+        let error = if matches!(name, "" | "." | "..") || name.contains(['/', '\0']) {
+            ManifestError::AtomName(self.name.clone())
+        } else if (self.parts).is_some_and(|n| dims.first().is_none_or(|d| n == 0 || d % n != 0)) {
+            ManifestError::Parts(self.name.clone(), self.parts())
+        } else {
+            return Ok(());
+        };
+        Err(UcpError::Manifest(error))
     }
 
     /// The `part` of [`layout::atom_file`] for each of those files:
@@ -62,8 +103,8 @@ impl Serialize for AtomMeta {
 /// The universal checkpoint's top-level manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UcpManifest {
-    /// Format version of the tree this manifest indexes: where
-    /// [`layout::atom_file`] finds its atoms.
+    /// Format version of the tree this manifest indexes: the one
+    /// [`UcpManifest::load`] accepts, [`UcpManifest::VERSION`].
     pub version: u32,
     /// Completed training iterations at checkpoint time.
     pub iteration: u64,
@@ -86,8 +127,9 @@ pub struct UcpManifest {
 }
 
 impl UcpManifest {
-    /// The version this crate writes: [`layout::TREE_VERSION`].
-    pub const VERSION: u32 = layout::TREE_VERSION;
+    /// The one tree version written and read: one three-section file per
+    /// (sub-)atom in a flat `zero/` ([`layout::atom_file`]).
+    pub const VERSION: u32 = 2;
 
     /// Look up an atom by name: a binary search of the sorted index, so a
     /// load plan's one lookup per owned parameter is not quadratic.
@@ -110,30 +152,26 @@ impl UcpManifest {
     }
 
     /// Read from a universal directory. The manifest is outside input
-    /// that readers turn into paths, so this is where it is checked: a
-    /// version this reader does not know, or an atom name that is not one
-    /// plain file-name component, is refused before any path is built.
+    /// that readers turn into paths and load plans, so this is where it is
+    /// checked, before any path is built ([`ManifestError`]: a version, an
+    /// atom failing [`AtomMeta::check`], a name listed twice).
     pub fn load(universal_dir: &Path) -> Result<UcpManifest> {
         let c = Container::read_file(&layout::manifest_path(universal_dir))?;
         let mut manifest: UcpManifest = serde_json::from_str(&c.header)?;
-        if manifest.version > UcpManifest::VERSION {
-            return Err(UcpError::Inconsistent(format!(
-                "manifest version {} is newer than this reader's {}",
-                manifest.version,
-                UcpManifest::VERSION
-            )));
+        if manifest.version != UcpManifest::VERSION {
+            return Err(UcpError::Manifest(ManifestError::Version(manifest.version)));
         }
         for atom in &manifest.params {
-            let name = atom.name.as_str();
-            if matches!(name, "" | "." | "..") || name.contains(['/', '\0']) {
-                return Err(UcpError::Inconsistent(format!(
-                    "manifest atom name {name:?} is not a plain file name"
-                )));
-            }
+            atom.check()?;
         }
         // A no-op on every tree this crate wrote; a hand-assembled index
-        // must not make `atom` miss an entry that is there.
+        // must not make `atom` miss an entry that is there, nor find
+        // either of two.
         manifest.params.sort_by(|a, b| a.name.cmp(&b.name));
+        if let Some(twice) = manifest.params.windows(2).find(|w| w[0].name == w[1].name) {
+            let name = twice[0].name.clone();
+            return Err(UcpError::Manifest(ManifestError::DuplicateAtom(name)));
+        }
         Ok(manifest)
     }
 }
@@ -226,10 +264,8 @@ mod tests {
             let mut m = sample();
             m.params[0].name = bad.into();
             match reload(&format!("badname{i}"), &m) {
-                Err(UcpError::Inconsistent(msg)) => {
-                    assert!(msg.contains("not a plain file name"), "{bad:?}: {msg}")
-                }
-                other => panic!("{bad:?} must be Inconsistent, got {other:?}"),
+                Err(UcpError::Manifest(ManifestError::AtomName(name))) => assert_eq!(name, bad),
+                other => panic!("{bad:?} must be refused by name, got {other:?}"),
             }
         }
         // Dots and leading dots inside a component are ordinary names.
@@ -251,18 +287,19 @@ mod tests {
         assert!(matches!(got, Err(UcpError::Json(_))), "{got:?}");
     }
 
+    /// One tree version is read: an older one (0, 1) or a newer one (3)
+    /// is refused with the version it carries.
     #[test]
-    fn version_newer_than_this_reader_is_refused_older_is_kept() {
-        let mut m = sample();
-        m.version = UcpManifest::VERSION + 1;
-        match reload("newer", &m) {
-            Err(UcpError::Inconsistent(msg)) => assert!(msg.contains("newer"), "{msg}"),
-            other => panic!("a newer version must be Inconsistent, got {other:?}"),
+    fn every_other_tree_version_is_refused_by_number() {
+        assert_eq!(UcpManifest::VERSION, 2);
+        for v in [0, 1, 3] {
+            let mut m = sample();
+            m.version = v;
+            match reload(&format!("version{v}"), &m) {
+                Err(UcpError::Manifest(ManifestError::Version(got))) => assert_eq!(got, v),
+                other => panic!("version {v} must be refused, got {other:?}"),
+            }
         }
-        // A version-1 manifest loads and keeps its version: it is what
-        // sends readers to the per-parameter directories.
-        m.version = 1;
-        assert_eq!(reload("older", &m).unwrap().version, 1);
     }
 
     #[test]

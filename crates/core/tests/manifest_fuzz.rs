@@ -2,14 +2,16 @@
 //! a valid `manifest.ucpt` load the same manifest or fail with a typed
 //! error; damage to the JSON header itself (re-wrapped in a container
 //! whose checksum holds, so the parser sees it) loads or fails, and
-//! never panics.
+//! never panics. A well-formed index that no writer produces and no
+//! reader can serve is refused by what is wrong with it.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use ucp_core::manifest::{AtomMeta, UcpManifest};
+use ucp_core::manifest::{AtomMeta, ManifestError, UcpManifest};
 use ucp_core::pattern::{FragmentSpec, ParamPattern};
+use ucp_core::UcpError;
 use ucp_model::ModelConfig;
 use ucp_storage::{layout, Container};
 use ucp_tensor::Shape;
@@ -133,4 +135,61 @@ proptest! {
         let truncated = header.as_bytes()[..end].to_vec();
         prop_assert!(load_header("htrunc", String::from_utf8_lossy(&truncated).into_owned()).is_err());
     }
+}
+
+/// `sample()` with `edit` applied, saved and loaded back.
+fn reload(tag: &str, edit: impl FnOnce(&mut UcpManifest)) -> ucp_core::Result<UcpManifest> {
+    let mut m = sample();
+    edit(&mut m);
+    let dir = scratch(tag);
+    m.save(&dir).unwrap();
+    let got = UcpManifest::load(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    got
+}
+
+/// A split no writer produces and no load plan can cut — zero parts, or
+/// parts that do not divide the leading dimension (256) — and a name
+/// listed twice, of which a lookup would find either, are refused.
+#[test]
+fn unservable_splits_and_duplicate_names_are_refused() {
+    for parts in [0, 3, 512] {
+        match reload("parts", |m| m.params[0].parts = Some(parts)) {
+            Err(UcpError::Manifest(ManifestError::Parts(name, p))) => {
+                assert_eq!(
+                    (name.as_str(), p),
+                    ("embedding.word_embeddings.weight", parts)
+                )
+            }
+            other => panic!("parts {parts} must be refused, got {other:?}"),
+        }
+    }
+    assert!(reload("parts8", |m| m.params[0].parts = Some(8)).is_ok());
+    match reload("duplicate", |m| m.params.push(m.params[1].clone())) {
+        Err(UcpError::Manifest(ManifestError::DuplicateAtom(name))) => {
+            assert_eq!(name, "final_layernorm.weight")
+        }
+        other => panic!("a duplicate must be refused, got {other:?}"),
+    }
+}
+
+/// fsck's per-step check of a tree whose manifest splits an atom into zero
+/// parts: that atom names no file to verify while every load of it fails,
+/// so the step must not read as clean.
+#[test]
+fn a_zero_part_split_is_an_fsck_problem() {
+    let base = scratch("fsck_zero_parts");
+    let mut m = sample();
+    m.params[1].parts = Some(0);
+    m.save(&layout::universal_dir(&base, 2)).unwrap();
+    let report = ucp_core::fsck::check_step(&base, 2);
+    std::fs::remove_dir_all(&base).ok();
+    assert_eq!(
+        (report.universal_checked, report.files_verified),
+        (vec![2], 0)
+    );
+    assert_eq!(report.problems.len(), 1, "{:?}", report.problems);
+    assert!(report.problems[0]
+        .detail
+        .contains("cannot be cut into 0 parts"));
 }

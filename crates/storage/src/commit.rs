@@ -191,10 +191,10 @@ impl Group {
     }
 
     /// Make every staged member durable and visible: fsync the written
-    /// ones (`commit.fsync` each, up to [`SYNC_WIDTH`] at a time), rename
+    /// ones (`commit.fsync` each, up to `SYNC_WIDTH` at a time), rename
     /// all of them into place in path order (`commit.rename` each),
     /// then fsync each distinct parent directory once (`commit.dirsync`
-    /// each, again up to [`SYNC_WIDTH`] at a time).
+    /// each, again up to `SYNC_WIDTH` at a time).
     /// The durability cost — everything after the bytes are flushed — is
     /// recorded as one `storage/fsync` span per durable group.
     pub fn commit(mut self) -> Result<()> {

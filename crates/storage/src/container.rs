@@ -3,20 +3,16 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic "UCPT" | version u32
+//! magic "UCPT" | version u32 = 3
 //! header_len u32 | header JSON bytes | header crc32c u32
 //! section_count u32
-//! per section (v2, current):
-//!   name_len u16 | name bytes
-//!   dtype u8 | rank u8 | dims u64 × rank
-//!   payload_len u64 | crc_block u32
+//! per section:
+//!   name_len u16 | name bytes                      ┐
+//!   dtype u8 | rank u8 | dims u64 × rank           │ the section metadata
+//!   payload_len u64 | crc_block u32                ┘
 //!   payload bytes (dtype-encoded)
 //!   crc32c u32 × ceil(payload_len / crc_block)    (the block-CRC table)
 //!   crc32c u32                                    (the whole payload)
-//! per section (v1, legacy):
-//!   name_len u16 | name bytes
-//!   dtype u8 | rank u8 | dims u64 × rank
-//!   payload_len u64 | payload bytes | crc32c u32
 //! ```
 //!
 //! The JSON header carries structured metadata (model config, parallel
@@ -25,10 +21,18 @@
 //! payloads are stored in their logical dtype, so a bf16 model copy costs
 //! two bytes per element while the fp32 master costs four.
 //!
-//! v2 adds to v1's whole-payload checksum a table of per-block CRCs at a
-//! fixed block size recorded in the file, so an arbitrary *byte range* of
-//! a section can be integrity-checked by reading only the blocks it
-//! touches. Nothing writes v1 any more; v1 files remain fully readable.
+//! Each section carries a table of per-block CRCs at a fixed block size
+//! recorded in the file, so an arbitrary *byte range* of a section can be
+//! integrity-checked by reading only the blocks it touches, plus an
+//! independent CRC of the whole payload. Every one of those checksums is
+//! seeded by the section metadata: a table entry is the CRC-32C of the
+//! metadata bytes followed by its block, the trailing word that of the
+//! metadata followed by the whole payload. So any read that verifies a
+//! payload byte has also verified the name, dtype, shape and block size it
+//! decoded that byte with, and an empty section's trailing CRC still
+//! covers its metadata. A file of any other version is refused
+//! ([`StorageError::BadVersion`]); a file ending anywhere but after its
+//! last section is [`StorageError::Malformed`].
 //!
 //! Every payload byte anyone reads comes back through one body,
 //! [`SectionInfo::read_range_at`]: positioned reads of the block-aligned
@@ -37,8 +41,7 @@
 //! ([`Container::read_file`], which `fsck`, `ucp verify`, native loads and
 //! manifests use) parse the [`ContainerIndex`] and ask it for each section
 //! whole, demanding every checksum the section carries
-//! ([`SectionInfo::read_all_at`]). A range read of a v1 section reads and
-//! verifies the whole section before slicing.
+//! ([`SectionInfo::read_all_at`]).
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -48,15 +51,14 @@ use std::path::Path;
 use ucp_tensor::{DType, Shape, Tensor};
 
 use crate::commit;
-use crate::crc::{crc32c, BlockCrc};
+use crate::crc::{crc32c, BlockCrc, Crc32c};
 use crate::io::ReadAt;
 use crate::{Result, StorageError};
 
 const MAGIC: &[u8; 4] = b"UCPT";
-/// Current write version: per-section block-CRC tables.
-const VERSION: u32 = 2;
-/// Legacy version: one whole-payload CRC per section.
-const VERSION_V1: u32 = 1;
+/// The one version written and read: per-section block-CRC tables, every
+/// checksum seeded by the section metadata.
+const VERSION: u32 = 3;
 
 /// Cap on the declared header length; any larger value is corruption,
 /// not a header we should try to allocate.
@@ -68,7 +70,7 @@ const MAX_HEADER_LEN: usize = 256 * 1024 * 1024;
 /// syscall, small enough to stay cache-resident.
 const ENCODE_CHUNK_ELEMS: usize = 16 * 1024;
 
-/// CRC block size (bytes) new v2 sections are written with. Small enough
+/// CRC block size (bytes) new sections are written with. Small enough
 /// that a tensor-parallel slice of an inner dimension maps to whole blocks
 /// with little overshoot, at a table cost of 4 bytes per block (~1.6%).
 pub const RANGE_CRC_BLOCK: u32 = 256;
@@ -120,8 +122,7 @@ pub struct RangeScratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verified {
     /// All of them: the table entry of every block the range touches and,
-    /// on a whole-section read, the trailing whole-payload CRC (a v1
-    /// section's only checksum).
+    /// on a whole-section read, the trailing whole-payload CRC.
     All,
     /// A whole-section read whose blocks all matched their table entries
     /// but whose trailing whole-payload CRC did not: only that word is
@@ -192,9 +193,8 @@ pub struct SectionRef<'a> {
     pub data: &'a [f32],
 }
 
-/// The one UCPT encoder (current version): preamble, then per section its
-/// metadata, the payload streamed in fixed-size chunks, and the checksum
-/// trailer.
+/// The one UCPT encoder: preamble, then per section its metadata, the
+/// payload streamed in fixed-size chunks, and the checksum trailer.
 fn encode<W: Write + ?Sized>(w: &mut W, header: &str, sections: &[SectionRef<'_>]) -> Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -216,22 +216,24 @@ fn encode<W: Write + ?Sized>(w: &mut W, header: &str, sections: &[SectionRef<'_>
                 s.dims
             )));
         }
+        // The metadata goes out as one write, and its CRC seeds every
+        // checksum of the payload that follows.
         let name = s.name.as_bytes();
-        w.write_all(&(name.len() as u16).to_le_bytes())?;
-        w.write_all(name)?;
-        w.write_all(&[s.dtype.tag(), s.dims.len() as u8])?;
-        for d in s.dims {
-            w.write_all(&(*d as u64).to_le_bytes())?;
-        }
         let payload_len = (s.data.len() * s.dtype.size_bytes()) as u64;
-        w.write_all(&payload_len.to_le_bytes())?;
-        w.write_all(&RANGE_CRC_BLOCK.to_le_bytes())?;
+        scratch.clear();
+        scratch.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        scratch.extend_from_slice(name);
+        scratch.extend_from_slice(&[s.dtype.tag(), s.dims.len() as u8]);
+        scratch.extend(s.dims.iter().flat_map(|d| (*d as u64).to_le_bytes()));
+        scratch.extend_from_slice(&payload_len.to_le_bytes());
+        scratch.extend_from_slice(&RANGE_CRC_BLOCK.to_le_bytes());
+        w.write_all(&scratch)?;
         // Stream the payload: each chunk of elements is written out and
         // fed to the hasher in a single pass — the block-CRC table and
         // the whole-payload CRC come out of the same traversal that wrote
         // the bytes. A 16-bit chunk is encoded into the scratch buffer
         // first; a little-endian fp32 chunk goes out as it lies in memory.
-        let mut crc = BlockCrc::new(RANGE_CRC_BLOCK as usize);
+        let mut crc = BlockCrc::new(RANGE_CRC_BLOCK as usize, crc32c(&scratch));
         for values in s.data.chunks(ENCODE_CHUNK_ELEMS) {
             let in_place = match s.dtype {
                 DType::F32 => f32_le_bytes(values),
@@ -258,8 +260,8 @@ fn encode<W: Write + ?Sized>(w: &mut W, header: &str, sections: &[SectionRef<'_>
     Ok(())
 }
 
-/// Serialized size in bytes of a current-version container holding
-/// `header` and `sections` (what [`stage_file`] will write).
+/// Serialized size in bytes of a container holding `header` and
+/// `sections` (what [`stage_file`] will write).
 pub fn encoded_len(header: &str, sections: &[SectionRef<'_>]) -> usize {
     let mut n = 4 + 4 + 4 + header.len() + 4 + 4;
     for s in sections {
@@ -271,9 +273,9 @@ pub fn encoded_len(header: &str, sections: &[SectionRef<'_>]) -> usize {
     n
 }
 
-/// Stage `header` and `sections` into `group` as a current-version
-/// container at `path`; it becomes visible (and, for a durable group,
-/// durable) with the rest of the group at [`commit::Group::commit`].
+/// Stage `header` and `sections` into `group` as a container at `path`;
+/// it becomes visible (and, for a durable group, durable) with the rest of
+/// the group at [`commit::Group::commit`].
 pub fn stage_file(
     group: &commit::Group,
     path: &Path,
@@ -283,10 +285,10 @@ pub fn stage_file(
     group.stage(path, |w| encode(w, header, sections))
 }
 
-/// Write `header` and `sections` to `path` as a current-version container,
-/// staged to `<path>.tmp` and renamed into place ([`commit::publish`]), so
-/// readers see either the old file or the complete new one. `durable` adds
-/// the fsyncs that make it survive power loss.
+/// Write `header` and `sections` to `path` as a container, staged to
+/// `<path>.tmp` and renamed into place ([`commit::publish`]), so readers
+/// see either the old file or the complete new one. `durable` adds the
+/// fsyncs that make it survive power loss.
 pub fn write_file(
     path: &Path,
     header: &str,
@@ -298,15 +300,15 @@ pub fn write_file(
 
 /// Parse the file preamble — magic, version, the length-capped and
 /// CRC-checked JSON header, section count — leaving `r` at the first
-/// section. Returns `(version, header, section_count)`.
-fn parse_preamble<R: Read>(r: &mut R) -> Result<(u32, String, usize)> {
+/// section. Returns `(header, section_count)`.
+fn parse_preamble<R: Read>(r: &mut R) -> Result<(String, usize)> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(StorageError::BadMagic);
     }
     let version = read_u32(r)?;
-    if version != VERSION && version != VERSION_V1 {
+    if version != VERSION {
         return Err(StorageError::BadVersion(version));
     }
     let header_len = read_u32(r)? as usize;
@@ -324,15 +326,36 @@ fn parse_preamble<R: Read>(r: &mut R) -> Result<(u32, String, usize)> {
     }
     let header = String::from_utf8(header)
         .map_err(|_| StorageError::Malformed("header is not UTF-8".into()))?;
-    Ok((version, header, read_u32(r)? as usize))
+    Ok((header, read_u32(r)? as usize))
+}
+
+/// A reader that hashes every byte it passes on, so the metadata's CRC
+/// comes out of the one parse of it.
+struct Hashing<'a, R> {
+    r: &'a mut R,
+    crc: Crc32c,
+}
+
+impl<R: Read> Read for Hashing<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.r.read(buf)?;
+        self.crc.update(&buf[..n]);
+        Ok(n)
+    }
 }
 
 /// Parse one section's metadata, leaving `r` at its first payload byte.
 /// Everything a payload reader later computes with is validated here, once:
 /// the dims product and `payload_len == elements × dtype size` in checked
-/// arithmetic, and the declared CRC block size. `payload_offset` is left 0
-/// for the indexer, which alone knows where `r` stands in the file.
-fn parse_section_meta<R: Read>(r: &mut R, version: u32) -> Result<SectionInfo> {
+/// arithmetic, and the declared CRC block size — and the bytes are hashed
+/// into [`SectionInfo::meta_crc`], which every payload read checks them by.
+/// `payload_offset` is left 0 for the indexer, which alone knows where `r`
+/// stands in the file.
+fn parse_section_meta<R: Read>(r: &mut R) -> Result<SectionInfo> {
+    let r = &mut Hashing {
+        r,
+        crc: Crc32c::new(),
+    };
     let name_len = read_u16(r)? as usize;
     let name = read_bytes_bounded(r, name_len, "section name")?;
     let name = String::from_utf8(name)
@@ -363,13 +386,8 @@ fn parse_section_meta<R: Read>(r: &mut R, version: u32) -> Result<SectionInfo> {
             "section {name}: payload {payload_len} bytes, shape {shape} implies {expected}"
         )));
     }
-    let crc_block = if version >= 2 {
-        let b = read_u32(r)?;
-        check_crc_block(&name, b)?;
-        b
-    } else {
-        0
-    };
+    let crc_block = read_u32(r)?;
+    check_crc_block(&name, crc_block)?;
     Ok(SectionInfo {
         name,
         dtype,
@@ -377,6 +395,7 @@ fn parse_section_meta<R: Read>(r: &mut R, version: u32) -> Result<SectionInfo> {
         payload_len,
         payload_offset: 0,
         crc_block,
+        meta_crc: r.crc.finish(),
     })
 }
 
@@ -440,14 +459,13 @@ impl Container {
             .collect()
     }
 
-    /// Serialize into a writer (current v2 layout, block-CRC tables).
+    /// Serialize into a writer.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
         encode(w, &self.header, &self.section_refs())
     }
 
     /// Deserialize from a seekable reader, verifying every checksum
-    /// ([`ContainerIndex::read_container`]). Accepts both the current v2
-    /// layout and legacy v1 files.
+    /// ([`ContainerIndex::read_container`]).
     pub fn read_from<R: Read + Seek>(r: &mut R) -> Result<Container> {
         ContainerIndex::read_head(r)?.read_container(&mut SeekAt(r))
     }
@@ -491,9 +509,11 @@ pub struct SectionInfo {
     pub payload_len: u64,
     /// Absolute file offset of the first payload byte.
     pub payload_offset: u64,
-    /// CRC block size this section was written with (0 for v1 sections,
-    /// which carry a single whole-payload checksum instead of a table).
+    /// CRC block size this section was written with.
     pub crc_block: u32,
+    /// CRC-32C of the section's metadata bytes (`name_len` through
+    /// `crc_block`), the prefix every payload checksum continues.
+    pub meta_crc: u32,
 }
 
 impl SectionInfo {
@@ -509,15 +529,16 @@ impl SectionInfo {
     /// The kernel is asked for two things, once each: the block-aligned
     /// payload span covering the range and the CRC-table slice for those
     /// blocks. One [`BlockCrc`] pass over the span yields its block CRCs
-    /// and its whole CRC. Corruption outside the span goes unread and
-    /// undetected; a block inside it that disagrees with its table entry is
-    /// [`StorageError::ChecksumMismatch`]. A v1 section has no table, so
-    /// its span is the whole payload, checked against the whole-payload
-    /// CRC. A read that covers the whole section takes that trailing CRC
-    /// along with the table and checks both: a mismatch on one side only
-    /// is reported as [`Verified::Blocks`] or [`Verified::Whole`] (the
-    /// independent CRC vouches for the payload), on both sides it is an
-    /// error. Loaders accept either; [`SectionInfo::read_all_at`] does not.
+    /// and its whole CRC, each seeded by [`SectionInfo::meta_crc`].
+    /// Corruption outside the span goes unread and undetected; a block
+    /// inside it that disagrees with its table entry — in its bytes or in
+    /// the metadata it was decoded by — is
+    /// [`StorageError::ChecksumMismatch`]. A read that covers the whole
+    /// section takes the trailing whole-payload CRC along with the table
+    /// and checks both: a mismatch on one side only is reported as
+    /// [`Verified::Blocks`] or [`Verified::Whole`] (the independent CRC
+    /// vouches for the payload), on both sides it is an error. Loaders
+    /// accept either; [`SectionInfo::read_all_at`] does not.
     pub fn read_range_at<A: ReadAt>(
         &self,
         r: &mut A,
@@ -542,13 +563,8 @@ impl SectionInfo {
         }
         let esize = self.dtype.size_bytes();
         let payload_len = self.payload_len as usize;
-        let v1 = self.crc_block == 0;
-        let whole = v1 || elems.len() == total;
-        let cb = if v1 {
-            payload_len.max(1)
-        } else {
-            self.crc_block as usize
-        };
+        let whole = elems.len() == total;
+        let cb = self.crc_block as usize;
         let (b0, b1) = (elems.start * esize / cb, (elems.end * esize).div_ceil(cb));
         let span = b0 * cb..(b1 * cb).min(payload_len);
         // A little-endian fp32 span that is exactly the range lands in
@@ -563,7 +579,7 @@ impl SectionInfo {
             &mut scratch.data[..]
         };
         r.read_exact_at(data, self.payload_offset + span.start as u64)?;
-        let table_len = if v1 { 0 } else { (b1 - b0) * 4 };
+        let table_len = (b1 - b0) * 4;
         scratch
             .table
             .resize(table_len + if whole { 4 } else { 0 }, 0);
@@ -572,7 +588,7 @@ impl SectionInfo {
             self.payload_offset + self.payload_len + (b0 * 4) as u64,
         )?;
         let (table, whole_crc) = scratch.table.split_at(table_len);
-        let mut crc = BlockCrc::new(cb);
+        let mut crc = BlockCrc::new(cb, self.meta_crc);
         crc.update(data);
         let (blocks, computed_whole) = crc.finish();
         let bad_block = (blocks.iter().zip(table.chunks_exact(4)))
@@ -580,14 +596,10 @@ impl SectionInfo {
         let whole_held = whole.then(|| computed_whole.to_le_bytes() == whole_crc);
         let verified = match (bad_block, whole_held) {
             (None, None | Some(true)) => Verified::All,
-            (None, Some(false)) if !v1 => Verified::Blocks,
+            (None, Some(false)) => Verified::Blocks,
             (Some(_), Some(true)) => Verified::Whole,
             (Some(i), _) => {
                 let what = format!("{name} (block {})", b0 + i);
-                return Err(StorageError::ChecksumMismatch { what });
-            }
-            (None, Some(false)) => {
-                let what = format!("{name} (whole payload)");
                 return Err(StorageError::ChecksumMismatch { what });
             }
         };
@@ -607,8 +619,8 @@ impl SectionInfo {
 
     /// Read the whole section into `out` ([`SectionInfo::read_range_at`]),
     /// demanding every checksum it carries: each block-table entry *and*
-    /// the trailing whole-payload CRC of a v2 section, the one CRC of a v1
-    /// section. What `fsck`, `ucp verify` and native loads judge a file by.
+    /// the trailing whole-payload CRC. What `fsck`, `ucp verify` and native
+    /// loads judge a file by.
     pub fn read_all_at<A: ReadAt>(
         &self,
         r: &mut A,
@@ -641,8 +653,6 @@ fn section_tensor(values: Vec<f32>, shape: Shape, dtype: DType) -> Result<Tensor
 /// planning, and verified range reads over large checkpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerIndex {
-    /// Container format version the file was written with.
-    pub version: u32,
     /// JSON metadata header (checksum verified).
     pub header: String,
     /// Per-section metadata, in file order.
@@ -652,23 +662,17 @@ pub struct ContainerIndex {
 impl ContainerIndex {
     /// Read the index from a seekable reader.
     pub fn read_from<R: Read + Seek>(r: &mut R) -> Result<ContainerIndex> {
-        let (version, header, count) = parse_preamble(r)?;
+        let (header, count) = parse_preamble(r)?;
         let mut sections = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
-            let mut info = parse_section_meta(r, version)?;
+            let mut info = parse_section_meta(r)?;
             info.payload_offset = r.stream_position()?;
-            // Skip the payload and its checksum(s): v2 carries a per-block
-            // table plus a trailing whole-payload CRC, v1 just the whole
-            // CRC. A corrupt length must not wrap negative when cast for
-            // the relative seek.
-            let checksums = if info.crc_block > 0 {
-                (info.payload_len.div_ceil(info.crc_block as u64))
-                    .checked_mul(4)
-                    .and_then(|t| t.checked_add(4))
-            } else {
-                Some(4)
-            };
-            let skip = checksums
+            // Skip the payload, its block table and its trailing CRC. A
+            // corrupt length must not wrap negative when cast for the
+            // relative seek.
+            let skip = (info.payload_len.div_ceil(info.crc_block as u64))
+                .checked_mul(4)
+                .and_then(|table| table.checked_add(4))
                 .and_then(|c| info.payload_len.checked_add(c))
                 .and_then(|n| i64::try_from(n).ok())
                 .ok_or_else(|| {
@@ -682,17 +686,19 @@ impl ContainerIndex {
         }
         // Relative seeks past EOF succeed silently, so a truncated final
         // payload would otherwise index as present — verify the cursor
-        // never left the file.
+        // never left the file. Bytes after the last section mean the
+        // (unchecksummed) section count lost some.
         let pos = r.stream_position()?;
         let end = r.seek(SeekFrom::End(0))?;
-        if pos > end {
-            return Err(StorageError::Malformed("file truncated mid-section".into()));
+        if pos != end {
+            let what = if pos > end {
+                "file truncated mid-section".to_string()
+            } else {
+                format!("{} bytes after the last of {count} sections", end - pos)
+            };
+            return Err(StorageError::Malformed(what));
         }
-        Ok(ContainerIndex {
-            version,
-            header,
-            sections,
-        })
+        Ok(ContainerIndex { header, sections })
     }
 
     /// Read the index from a file.
@@ -796,32 +802,38 @@ mod tests {
         c
     }
 
-    /// The legacy v1 layout, which has a reader but no production writer,
-    /// written by hand from the layout table in the module doc — sharing
-    /// no code with [`encode`], so the v1 reader is held to an
-    /// independent writer.
-    fn write_v1(c: &Container, w: &mut Vec<u8>) -> Result<()> {
-        w.extend_from_slice(MAGIC);
-        w.extend(1u32.to_le_bytes());
+    /// `c` written by hand from the layout table in the module doc, at a
+    /// 256-byte CRC block — sharing no code with [`encode`], so the writer
+    /// and the reader are each held to an independent one.
+    fn write_by_hand(c: &Container) -> Vec<u8> {
+        let mut w = b"UCPT".to_vec();
+        w.extend(3u32.to_le_bytes());
         w.extend((c.header.len() as u32).to_le_bytes());
         w.extend(c.header.as_bytes());
         w.extend(crc32c(c.header.as_bytes()).to_le_bytes());
         w.extend((c.sections.len() as u32).to_le_bytes());
         for s in &c.sections {
             let (dtype, dims) = (s.tensor.dtype(), s.tensor.shape().dims());
-            w.extend((s.name.len() as u16).to_le_bytes());
-            w.extend(s.name.as_bytes());
-            w.extend([dtype.tag(), dims.len() as u8]);
-            for d in dims {
-                w.extend((*d as u64).to_le_bytes());
-            }
             let mut payload = Vec::new();
             dtype.encode(s.tensor.as_slice(), &mut payload);
-            w.extend((payload.len() as u64).to_le_bytes());
+            let mut meta = (s.name.len() as u16).to_le_bytes().to_vec();
+            meta.extend(s.name.as_bytes());
+            meta.extend([dtype.tag(), dims.len() as u8]);
+            for d in dims {
+                meta.extend((*d as u64).to_le_bytes());
+            }
+            meta.extend((payload.len() as u64).to_le_bytes());
+            meta.extend(256u32.to_le_bytes());
+            // Every checksum is the CRC of the metadata, then its bytes.
+            let seeded = |bytes: &[u8]| crc32c(&[&meta[..], bytes].concat()).to_le_bytes();
+            w.extend(&meta);
             w.extend(&payload);
-            w.extend(crc32c(&payload).to_le_bytes());
+            for block in payload.chunks(256) {
+                w.extend(seeded(block));
+            }
+            w.extend(seeded(&payload));
         }
-        Ok(())
+        w
     }
 
     /// A full read of the container encoded in `buf`.
@@ -868,21 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_read_back() {
-        let c = sample();
-        let mut buf = Vec::new();
-        write_v1(&c, &mut buf).unwrap();
-        let back = read(&buf).unwrap();
-        assert_eq!(back.header, c.header);
-        for (orig, read) in c.sections.iter().zip(&back.sections) {
-            assert!(orig.tensor.bitwise_eq(&read.tensor), "{}", orig.name);
-        }
-        let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(index.version, 1);
-        assert!(index.sections.iter().all(|s| s.crc_block == 0));
-    }
-
-    #[test]
     fn bf16_sections_are_half_size() {
         let rng = DetRng::new(2);
         let t = Tensor::randn([1000], 1.0, &rng.derive("t"));
@@ -910,16 +907,33 @@ mod tests {
         }
     }
 
+    /// A bf16 section whose dtype tag is flipped to F16 decodes the same
+    /// bytes as other values; the tag is metadata, so every checksum of
+    /// the payload now refuses it, through the full read and a range read.
     #[test]
-    fn v1_corruption_is_detected() {
-        let c = sample();
+    fn flipped_dtype_tag_is_a_checksum_mismatch_not_other_values() {
+        let mut c = Container::new("{}");
+        let t = Tensor::from_vec(vec![1.5, -2.25, 3.0, 0.125], Shape::new([4])).unwrap();
+        c.push("w", t.cast(DType::BF16));
         let mut buf = Vec::new();
-        write_v1(&c, &mut buf).unwrap();
-        let idx = buf.len() - 10;
-        buf[idx] ^= 0x01;
-        match read(&buf) {
-            Err(StorageError::ChecksumMismatch { .. }) | Err(StorageError::Malformed(_)) => {}
-            other => panic!("corruption not detected: {other:?}"),
+        c.write_to(&mut buf).unwrap();
+        // The tag follows the preamble, `name_len` and the one-byte name.
+        let tag = 4 + 4 + 4 + c.header.len() + 4 + 4 + 2 + 1;
+        assert_eq!(buf[tag], DType::BF16.tag());
+        buf[tag] ^= 0x03;
+        assert_eq!(DType::from_tag(buf[tag]), Some(DType::F16));
+        assert!(matches!(
+            read(&buf),
+            Err(StorageError::ChecksumMismatch { .. })
+        ));
+        let mut cur = std::io::Cursor::new(&buf);
+        let index = ContainerIndex::read_from(&mut cur).unwrap();
+        assert_eq!(index.sections[0].dtype, DType::F16, "the index trusts it");
+        for range in [0..4, 1..2] {
+            assert!(matches!(
+                read_range(&index, &mut cur, "w", range),
+                Err(StorageError::ChecksumMismatch { .. })
+            ));
         }
     }
 
@@ -929,26 +943,22 @@ mod tests {
         assert!(matches!(err, StorageError::BadMagic));
     }
 
+    /// One version is read: the legacy whole-CRC layout (1), the unseeded
+    /// block-table layout (2) and a newer one are each refused by name.
     #[test]
     fn unknown_version_rejected() {
         let c = sample();
         let mut buf = Vec::new();
         c.write_to(&mut buf).unwrap();
-        buf[4..8].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(read(&buf), Err(StorageError::BadVersion(3))));
-        assert!(matches!(
-            ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
-            Err(StorageError::BadVersion(3))
-        ));
-    }
-
-    #[test]
-    fn truncated_file_is_io_error() {
-        let c = sample();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(read(&buf).is_err());
+        assert_eq!(buf[4..8], VERSION.to_le_bytes());
+        for v in [1u32, 2, 4] {
+            buf[4..8].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(read(&buf), Err(StorageError::BadVersion(got)) if got == v));
+            assert!(matches!(
+                ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)),
+                Err(StorageError::BadVersion(got)) if got == v
+            ));
+        }
     }
 
     #[test]
@@ -986,7 +996,6 @@ mod tests {
         let mut buf = Vec::new();
         c.write_to(&mut buf).unwrap();
         let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(index.version, 2);
         assert_eq!(index.header, c.header);
         assert_eq!(index.sections.len(), c.sections.len());
         for (info, full) in index.sections.iter().zip(&c.sections) {
@@ -1049,31 +1058,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn range_read_of_v1_section_falls_back_to_full_verify() {
-        let c = big_sample();
-        let mut buf = Vec::new();
-        write_v1(&c, &mut buf).unwrap();
-        let mut cur = std::io::Cursor::new(&buf);
-        let index = ContainerIndex::read_from(&mut cur).unwrap();
-        let full: Vec<f32> = c.sections[0].tensor.flatten().as_slice().to_vec();
-        let t = read_range(&index, &mut cur, "w", 5..25).unwrap();
-        for (got, want) in t.as_slice().iter().zip(&full[5..25]) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        // Corrupt any payload byte: a v1 range read must fail even when
-        // the corruption is outside the requested range.
-        let info = index.get("w").unwrap();
-        let mut bad = buf.clone();
-        bad[info.payload_offset as usize + info.payload_len as usize - 1] ^= 1;
-        let mut cur = std::io::Cursor::new(&bad);
-        let index = ContainerIndex::read_from(&mut cur).unwrap();
-        assert!(matches!(
-            read_range(&index, &mut cur, "w", 5..25),
-            Err(StorageError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]
@@ -1154,7 +1138,8 @@ mod tests {
     /// Range reads of every section of the container encoded in `buf`: the
     /// positioned body over a real file against the seek adapter, bit for bit.
     fn assert_positioned_matches_seek(buf: &[u8], tag: &str) {
-        let path = std::env::temp_dir().join(format!("ucpt_positioned_{tag}.ucpt"));
+        let path =
+            std::env::temp_dir().join(format!("ucpt_positioned_{tag}_{}.ucpt", std::process::id()));
         std::fs::write(&path, buf).unwrap();
         let mut file = open_file(&path).unwrap();
         let index = ContainerIndex::read_head(&mut file).unwrap();
@@ -1203,11 +1188,9 @@ mod tests {
                 Tensor::randn([13, 31], 1.0, &rng).cast(dtype),
             );
         }
-        let (mut v2, mut v1) = (Vec::new(), Vec::new());
-        c.write_to(&mut v2).unwrap();
-        write_v1(&c, &mut v1).unwrap();
-        assert_positioned_matches_seek(&v2, "v2");
-        assert_positioned_matches_seek(&v1, "v1");
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        assert_positioned_matches_seek(&buf, "dtypes");
     }
 
     #[test]
@@ -1361,13 +1344,12 @@ mod tests {
         proptest! {
             /// A verified range read agrees byte-for-byte with slicing a
             /// full `Container::read_from`, over random shapes, dtypes
-            /// (including fp16/bf16), format versions, and ranges — with
-            /// the empty and full ranges checked on every case.
+            /// (including fp16/bf16) and ranges — with the empty and full
+            /// ranges checked on every case.
             #[test]
             fn prop_range_read_matches_full_read_slice(
                 dims in prop::collection::vec(1usize..12, 1..4),
                 dtype_sel in 0usize..3,
-                v1 in prop::bool::ANY,
                 pick in 0.0f64..1.0,
                 span in 0.0f64..1.0,
             ) {
@@ -1379,11 +1361,7 @@ mod tests {
                 let mut c = Container::new("{}");
                 c.push("w", t);
                 let mut buf = Vec::new();
-                if v1 {
-                    write_v1(&c, &mut buf).unwrap();
-                } else {
-                    c.write_to(&mut buf).unwrap();
-                }
+                c.write_to(&mut buf).unwrap();
                 let full = read(&buf).unwrap();
                 let full: Vec<f32> = full.sections[0].tensor.flatten().as_slice().to_vec();
                 let mut cur = std::io::Cursor::new(&buf);
@@ -1401,7 +1379,7 @@ mod tests {
                 }
             }
 
-            /// Flipping one random byte inside a v2 payload fails exactly
+            /// Flipping one random byte inside a payload fails exactly
             /// the range reads that cover the flipped block — ranges
             /// entirely outside it still load.
             #[test]
@@ -1438,40 +1416,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn byte_flip_fuzz_never_panics() {
-        for writer in [Container::write_to, write_v1] {
-            let c = sample();
-            let mut buf = Vec::new();
-            writer(&c, &mut buf).unwrap();
-            for i in 0..buf.len() {
-                let mut mutated = buf.clone();
-                mutated[i] ^= 0xFF;
-                // Any single corrupt byte must produce Ok or a typed error —
-                // never a panic or an absurd allocation — from the full
-                // read, the index, and a range read through that index.
-                let _ = read(&mutated);
-                let mut cur = std::io::Cursor::new(&mutated);
-                if let Ok(index) = ContainerIndex::read_from(&mut cur) {
-                    let first = &index.sections[0];
-                    let _ = read_range(&index, &mut cur, &first.name, 0..1);
+    /// What the container encoded in `bytes` reads back as, held to
+    /// `orig`, the container it was encoded from: the full read, and an
+    /// index read followed by a whole and a partial range read of every
+    /// section it lists, each yield `orig`'s values bit for bit or a typed
+    /// error. Returns whether the full read succeeded.
+    fn reads_original_or_fails(bytes: &[u8], orig: &Container, ctx: &str) -> bool {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let full = read(bytes);
+        if let Ok(back) = &full {
+            assert_eq!(back.header, orig.header, "{ctx}");
+            assert_eq!(back.sections.len(), orig.sections.len(), "{ctx}");
+            for (got, want) in back.sections.iter().zip(&orig.sections) {
+                assert_eq!(got.name, want.name, "{ctx}");
+                assert_eq!(got.tensor.dtype(), want.tensor.dtype(), "{ctx}");
+                assert!(got.tensor.bitwise_eq(&want.tensor), "{ctx}: {}", want.name);
+            }
+        }
+        let mut cur = std::io::Cursor::new(bytes);
+        if let Ok(index) = ContainerIndex::read_from(&mut cur) {
+            for info in &index.sections {
+                let total = info.num_elements();
+                for range in [0..total, total / 2..total] {
+                    let Ok(got) = read_range(&index, &mut cur, &info.name, range.clone()) else {
+                        continue;
+                    };
+                    let want = orig.get(&info.name);
+                    let want = want.unwrap_or_else(|| panic!("{ctx}: read {:?}", info.name));
+                    assert_eq!(got.dtype(), want.dtype(), "{ctx}: {}", info.name);
+                    let want = &want.as_slice()[range];
+                    assert_eq!(bits(got.as_slice()), bits(want), "{ctx}: {}", info.name);
                 }
             }
         }
+        full.is_ok()
     }
 
-    /// Format pin: the encoded bytes of `sample()` are fixed (constants
-    /// recorded before the shared encoder existed), so writer and reader
-    /// cannot drift together unnoticed.
+    /// Exhaustive single-byte substitution — every byte of `sample()`,
+    /// which holds fp32, bf16 and rank-0 sections, replaced by each of the
+    /// other 255 values — and every truncation: each reads back as the
+    /// original values or a typed error, never as other values, a panic or
+    /// an absurd allocation. A truncated file never reads.
+    #[test]
+    fn byte_substitutions_read_original_values_or_a_typed_error() {
+        let c = sample();
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        let mut mutated = buf.clone();
+        for i in 0..buf.len() {
+            for v in (0..=u8::MAX).filter(|&v| v != buf[i]) {
+                mutated[i] = v;
+                reads_original_or_fails(&mutated, &c, &format!("byte {i} = {v:#04x}"));
+            }
+            mutated[i] = buf[i];
+        }
+        for n in 0..buf.len() {
+            let ctx = format!("truncated to {n} bytes");
+            assert!(!reads_original_or_fails(&buf[..n], &c, &ctx), "{ctx}");
+            let index = ContainerIndex::read_from(&mut std::io::Cursor::new(&buf[..n]));
+            assert!(index.is_err(), "{ctx}");
+        }
+    }
+
+    /// Format pin: the encoder writes exactly what the layout table in the
+    /// module doc says ([`write_by_hand`]), and those bytes are fixed, so
+    /// writer and reader cannot drift together unnoticed.
     #[test]
     fn encoded_bytes_are_pinned() {
         let c = sample();
-        let mut v2 = Vec::new();
-        c.write_to(&mut v2).unwrap();
-        assert_eq!((v2.len(), crc32c(&v2)), (246, 0x86fe_229f));
-        let mut v1 = Vec::new();
-        write_v1(&c, &mut v1).unwrap();
-        assert_eq!((v1.len(), crc32c(&v1)), (222, 0x64a9_fd0f));
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        assert!(buf == write_by_hand(&c), "encoder departs from the layout");
+        assert_eq!((buf.len(), crc32c(&buf)), (246, 0xad87_af1e));
+        let big = big_sample();
+        let mut buf = Vec::new();
+        big.write_to(&mut buf).unwrap();
+        assert!(buf == write_by_hand(&big), "multi-block sections");
     }
 
     /// Sections longer than one encode chunk, in each dtype: the payload

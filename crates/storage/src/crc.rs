@@ -10,10 +10,10 @@
 //! `#[cfg(test)]` reference. (AArch64 has `crc32c*` instructions too; that
 //! kernel waits for a runner that can execute it.)
 //!
-//! A v2 section needs two checksums of every byte — its block's and the
-//! whole payload's. [`BlockCrc`] advances both registers over each word in
-//! one loop: the two dependency chains are independent, so on the hardware
-//! kernel the second hash hides in the first one's latency.
+//! A container section needs two checksums of every byte — its block's and
+//! the whole payload's. [`BlockCrc`] advances both registers over each word
+//! in one loop: the two dependency chains are independent, so on the
+//! hardware kernel the second hash hides in the first one's latency.
 
 /// The Castagnoli polynomial (reflected form).
 const POLY: u32 = 0x82F6_3B78;
@@ -191,15 +191,18 @@ pub fn crc32c_blocks(data: &[u8], block: usize) -> Vec<u32> {
     data.chunks(block.max(1)).map(crc32c).collect()
 }
 
-/// Single-pass combined hasher for the v2 section layout: reads each byte
-/// once and yields both the per-`block` CRC table and the independent
-/// whole-payload CRC. The container codec streams payloads through this in
-/// fixed-size chunks, so neither writing nor verifying a section ever
-/// materializes the payload just to hash it twice.
+/// Single-pass combined hasher for the container's section layout: reads
+/// each byte once and yields both the per-`block` CRC table and the
+/// independent whole-payload CRC. The container codec streams payloads
+/// through this in fixed-size chunks, so neither writing nor verifying a
+/// section ever materializes the payload just to hash it twice.
 #[derive(Debug)]
 pub struct BlockCrc {
     block: usize,
     fill: usize,
+    /// Register (pre-inversion) every block and the whole payload start
+    /// from: the state after the prefix.
+    seed: u32,
     /// Registers (pre-inversion) of the block in progress and of the
     /// whole payload.
     block_state: u32,
@@ -208,13 +211,18 @@ pub struct BlockCrc {
 }
 
 impl BlockCrc {
-    /// Hasher producing a table at `block`-byte granularity.
-    pub fn new(block: usize) -> BlockCrc {
+    /// Hasher producing a table at `block`-byte granularity, in which every
+    /// block's CRC and the whole CRC are those of the same bytes preceded
+    /// by a prefix whose CRC-32C is `prefix` (0: no prefix — the CRC of
+    /// nothing). The container passes a section's metadata CRC here, so
+    /// each checksum also covers the metadata.
+    pub fn new(block: usize, prefix: u32) -> BlockCrc {
         BlockCrc {
             block: block.max(1),
             fill: 0,
-            block_state: !0,
-            whole_state: !0,
+            seed: !prefix,
+            block_state: !prefix,
+            whole_state: !prefix,
             table: Vec::new(),
         }
     }
@@ -230,7 +238,7 @@ impl BlockCrc {
             self.fill += head.len();
             if self.fill == self.block {
                 self.table.push(!self.block_state);
-                self.block_state = !0;
+                self.block_state = self.seed;
                 self.fill = 0;
             }
             rest = tail;
@@ -353,7 +361,7 @@ mod tests {
     fn block_crc_single_pass_matches_two_pass() {
         let data: Vec<u8> = (0..=255).cycle().take(1000).collect();
         for chunking in [1usize, 7, 64, 256, 300, 1000] {
-            let mut h = BlockCrc::new(256);
+            let mut h = BlockCrc::new(256, 0);
             for chunk in data.chunks(chunking) {
                 h.update(chunk);
             }
@@ -361,7 +369,7 @@ mod tests {
             assert_eq!(table, crc32c_blocks(&data, 256), "chunking {chunking}");
             assert_eq!(whole, crc32c(&data), "chunking {chunking}");
         }
-        let (table, whole) = BlockCrc::new(256).finish();
+        let (table, whole) = BlockCrc::new(256, 0).finish();
         assert!(table.is_empty());
         assert_eq!(whole, 0);
     }
@@ -430,7 +438,7 @@ mod tests {
                 block in 1usize..512,
                 chunking in 1usize..300,
             ) {
-                let mut h = BlockCrc::new(block);
+                let mut h = BlockCrc::new(block, 0);
                 for chunk in data.chunks(chunking) {
                     h.update(chunk);
                 }

@@ -152,7 +152,7 @@ impl<T: Seek> Seek for Throttled<T> {
 /// (one per flushed buffer, not one per serializer call), the data fsync,
 /// the rename into place, and the parent-directory fsync. A test
 /// (or an operator, via the `UCP_FAULTS` environment variable) arms a
-/// [`FaultPlan`] naming which kill point should fail; when that point is
+/// [`fault::FaultPlan`] naming which kill point should fail; when that point is
 /// reached the operation returns an injected I/O error, leaving the
 /// on-disk state exactly as a crash at that instant would — torn `.tmp`
 /// files, missing renames, unsynced directories. The crash-replay

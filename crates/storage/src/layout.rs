@@ -28,11 +28,10 @@
 //! expert) — as the sections `fp32`, `exp_avg`, `exp_avg_sq`, and all of a
 //! step's atoms share the one flat `zero/` directory: a save creates one
 //! inode per atom it rewrites and hard-links the rest ([`atom_file`]).
-//!
-//! Trees written before manifest version [`TREE_VERSION`] keep a directory
-//! per parameter — `zero/<param>/{fp32,exp_avg,exp_avg_sq}.ucpt`, one
-//! section each, and `zero/<split_param>/<part>.ucpt` — and are still read
-//! (never written) through the same [`atom_file`].
+//! Each section's checksums are seeded by its metadata (see
+//! [`crate::container`]), so a section that verifies is the state its
+//! name says, in the dtype and shape its metadata says. This is the one
+//! tree layout; the manifest records its version.
 
 use std::path::{Path, PathBuf};
 
@@ -86,38 +85,24 @@ impl AtomFile {
     }
 }
 
-/// Universal-tree format version this crate writes, recorded in the
-/// manifest: one three-section file per (sub-)atom in a flat `zero/`.
-pub const TREE_VERSION: u32 = 2;
-
-/// The file of a tree of format `version` that holds `state` of parameter
-/// `param` — of its sub-atom `part` when the parameter is split.
+/// The file that holds all three states of parameter `param` — of its
+/// sub-atom `part` when the parameter is split.
 ///
-/// From [`TREE_VERSION`] on that is one file per `(param, part)`, whatever
-/// the state. The names are injective without escaping: a whole
-/// parameter's file ends in `.ucpt` and a sub-atom's in its part number,
-/// which follows the last `.`, so no two `(param, part)` share a name and
-/// none is a staging name (`.tmp`). Older trees keep a directory per
-/// parameter with one single-section file per state, or one file per
-/// sub-atom; nothing writes them any more.
-pub fn atom_file(
-    universal_dir: &Path,
-    version: u32,
-    param: &str,
-    part: Option<usize>,
-    state: AtomFile,
-) -> PathBuf {
-    universal_dir.join(match (version >= TREE_VERSION, part) {
-        (true, None) => format!("zero/{param}.ucpt"),
-        (true, Some(part)) => format!("zero/{param}.ucpt.{part:03}"),
-        (false, None) => format!("zero/{param}/{}.ucpt", state.state_key()),
-        (false, Some(part)) => format!("zero/{param}/{part:03}.ucpt"),
+/// The names are injective without escaping: a whole parameter's file
+/// ends in `.ucpt` and a sub-atom's in its part number, which follows the
+/// last `.`, so no two `(param, part)` share a name and none is a staging
+/// name (`.tmp`).
+pub fn atom_file(universal_dir: &Path, param: &str, part: Option<usize>) -> PathBuf {
+    universal_dir.join(match part {
+        None => format!("zero/{param}.ucpt"),
+        Some(part) => format!("zero/{param}.ucpt.{part:03}"),
     })
 }
 
-/// [`atom_file`] of an unsplit parameter in a tree this crate writes.
-pub fn atom_path(universal_dir: &Path, param: &str, file: AtomFile) -> PathBuf {
-    atom_file(universal_dir, TREE_VERSION, param, None, file)
+/// [`atom_file`] of an unsplit parameter. `file` is unused — every state
+/// lives in the one file — and stays only for callers that still name one.
+pub fn atom_path(universal_dir: &Path, param: &str, _file: AtomFile) -> PathBuf {
+    atom_file(universal_dir, param, None)
 }
 
 /// Manifest path of a universal checkpoint.
@@ -221,23 +206,10 @@ mod tests {
         let ud = universal_dir(base, 100);
         let whole = Path::new("/ckpt/global_step100_universal/zero/layers.0.mlp.weight.ucpt");
         let part = Path::new("/ckpt/global_step100_universal/zero/layers.0.moe.experts.w.ucpt.007");
+        assert_eq!(atom_file(&ud, "layers.0.mlp.weight", None), whole);
+        assert_eq!(atom_file(&ud, "layers.0.moe.experts.w", Some(7)), part);
         for state in AtomFile::ALL {
             assert_eq!(atom_path(&ud, "layers.0.mlp.weight", state), whole);
-            assert_eq!(
-                atom_file(&ud, TREE_VERSION, "layers.0.moe.experts.w", Some(7), state),
-                part
-            );
-        }
-        // A version-1 tree: a directory per parameter.
-        assert_eq!(
-            atom_file(&ud, 1, "layers.0.mlp.weight", None, AtomFile::ExpAvg),
-            Path::new("/ckpt/global_step100_universal/zero/layers.0.mlp.weight/exp_avg.ucpt")
-        );
-        for state in AtomFile::ALL {
-            assert_eq!(
-                atom_file(&ud, 1, "layers.0.moe.experts.w", Some(7), state),
-                Path::new("/ckpt/global_step100_universal/zero/layers.0.moe.experts.w/007.ucpt")
-            );
         }
     }
 
@@ -262,7 +234,7 @@ mod tests {
         let mut seen = std::collections::BTreeMap::new();
         for name in names {
             for part in parts {
-                let path = atom_file(ud, TREE_VERSION, name, part, AtomFile::Fp32);
+                let path = atom_file(ud, name, part);
                 assert_eq!(path.parent(), Some(Path::new("/u/zero")), "{path:?}");
                 assert!(!crate::commit::is_tmp(&path), "{path:?}");
                 if let Some(other) = seen.insert(path.clone(), (name, part)) {

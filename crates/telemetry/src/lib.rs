@@ -2,7 +2,7 @@
 //!
 //! Three primitives, one report:
 //!
-//! - **Spans** — one guard, [`span`], times a phase under an absolute
+//! - **Spans** — one guard, [`span()`], times a phase under an absolute
 //!   slash path (`convert/extract`). On drop it aggregates the elapsed
 //!   time by path (count / total / min / max) *and* brackets the scope on
 //!   the [`trace`] timeline under the same name, so a phase is one

@@ -29,7 +29,7 @@ pub struct Span<'a> {
 
 impl<'a> Span<'a> {
     /// Open a span over an explicit recorder and tracer (the globals'
-    /// spelling is [`crate::span`]).
+    /// spelling is [`crate::span()`]).
     #[inline]
     pub fn open(rec: &'a Recorder, tracer: &'a Tracer, path: &'a str) -> Span<'a> {
         let trace = if tracer.is_enabled() {

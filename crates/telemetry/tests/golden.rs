@@ -239,6 +239,30 @@ fn sorted_key_trace_reads_back_to_its_session() {
     assert_eq!(TraceSession::from_chrome_json(&text).unwrap(), session);
 }
 
+/// Every byte of the golden trace XORed with `0xFF` and with `0x03`, and
+/// every truncation: the loader returns a session or an error, never
+/// panics, and every session it returns can be summarized.
+#[test]
+fn damaged_traces_load_or_fail_and_summarize_without_panicking() {
+    let bytes = read_golden("trace_sorted_keys.json").into_bytes();
+    let try_load = |damaged: &[u8]| {
+        if let Ok(session) = TraceSession::from_chrome_json(&String::from_utf8_lossy(damaged)) {
+            session.summary();
+        }
+    };
+    let mut damaged = bytes.clone();
+    for i in 0..bytes.len() {
+        for mask in [0xFF, 0x03] {
+            damaged[i] = bytes[i] ^ mask;
+            try_load(&damaged);
+        }
+        damaged[i] = bytes[i];
+    }
+    for n in 0..bytes.len() {
+        try_load(&bytes[..n]);
+    }
+}
+
 #[test]
 fn trace_clock_and_sequence_are_exact_u64() {
     let mut session = trace_fixture();

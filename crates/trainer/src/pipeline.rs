@@ -45,7 +45,7 @@
 //! fixed cost that dominates at `checkpoint_every = 1`. Per-pair FIFO
 //! within a step and prompt `Disconnected` on a dead writer are preserved
 //! by the epoch demultiplexer. Likewise each stage's [`StageAssembler`]
-//! is carried across steps in a [`StageChain`]: consecutive saves patch
+//! is carried across steps in a `StageChain`: consecutive saves patch
 //! the consolidated buffers with just the dirty fragments and re-publish
 //! untouched atoms as hard links to the previous step's files, so save
 //! bytes scale with what training actually touched. Consecutive steps of

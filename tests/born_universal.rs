@@ -14,13 +14,11 @@
 mod naive;
 #[path = "support/tree.rs"]
 mod tree;
-#[path = "support/v1_tree.rs"]
-mod v1_tree;
 
 use tree::tree_bytes;
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::fsck::{check_step, fsck, FsckOptions};
+use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::core::load::{LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_repro::core::manifest::UcpManifest;
 use ucp_repro::core::{
@@ -28,7 +26,7 @@ use ucp_repro::core::{
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::layout::{self, AtomFile};
+use ucp_repro::storage::layout;
 use ucp_repro::tensor::DType;
 use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
 
@@ -566,8 +564,7 @@ fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
             let dirty = (0..3).any(|ki| slice(&before, ki) != slice(&after, ki));
             let at = |dir: &std::path::Path| {
                 let (name, part) = (&atom.name, Some(part));
-                let file = layout::atom_file(dir, layout::TREE_VERSION, name, part, AtomFile::Fp32);
-                std::fs::metadata(file).unwrap()
+                std::fs::metadata(layout::atom_file(dir, name, part)).unwrap()
             };
             let ctx = format!("{} part {part}", atom.name);
             if dirty {
@@ -614,84 +611,6 @@ fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
     }
     std::fs::remove_dir_all(&pipe).ok();
     std::fs::remove_dir_all(&off).ok();
-}
-
-#[test]
-fn tree_written_before_the_split_still_loads() {
-    // The same state as the split tree in the two layouts version-1
-    // manifests index, written by the fixture: a directory per parameter
-    // with one file per state and no `parts` anywhere (every tree before
-    // sub-atoms existed), and the same with each expert weight as one
-    // three-section file per expert. Both load bitwise-equal to the tree
-    // written today, both ways; fsck verifies them; `ucp diff` calls each
-    // identical to it.
-    let (pipe, off, _) = moe_two_steps("moe_v1");
-    let new_dir = layout::universal_dir(&off, 2);
-    let manifest = UcpManifest::load(&new_dir).unwrap();
-    assert_eq!(manifest.version, UcpManifest::VERSION);
-    let atoms: Vec<_> = naive::tree_atoms(&new_dir).into_values().collect();
-    let mut unsplit = manifest.clone();
-    for atom in &mut unsplit.params {
-        atom.parts = None;
-    }
-    let mut old_bases = Vec::new();
-    for (tag, manifest, files_per_param) in [("unsplit", &unsplit, 3), ("split", &manifest, 32)] {
-        let old = scratch(&format!("moe_v1_{tag}"));
-        let old_dir = layout::universal_dir(&old, 2);
-        v1_tree::write_v1_tree(&old_dir, manifest, &atoms);
-        let expert = old_dir.join("zero/layers.0.moe.experts.dense_4h_to_h.weight");
-        assert_eq!(
-            std::fs::read_dir(&expert).unwrap().count(),
-            files_per_param,
-            "{tag}"
-        );
-        let back = UcpManifest::load(&old_dir).unwrap();
-        assert_eq!(back.version, 1, "{tag}");
-        let header = ucp_repro::storage::Container::read_file(&layout::manifest_path(&old_dir))
-            .unwrap()
-            .header;
-        assert_eq!(header.contains("parts"), tag == "split", "{tag}");
-
-        let report = check_step(&old, 2);
-        assert!(report.clean(), "{tag}: {:?}", report.problems);
-        let files: usize = (back.params.iter()).map(|a| a.parts.unwrap_or(3)).sum();
-        assert_eq!(report.files_verified, 1 + files, "{tag}: manifest + atoms");
-
-        for ranged in [true, false] {
-            let opts = LoadOptions {
-                ranged,
-                ..LoadOptions::default()
-            };
-            let new = LoadSession::open(&off, 2, opts.clone()).unwrap();
-            let v1 = LoadSession::open(&old, 2, opts).unwrap();
-            for target in [
-                ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
-                ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
-            ] {
-                for rank in 0..target.world_size() {
-                    let ctx = format!(
-                        "{tag} ranged {ranged} target {} rank {rank}",
-                        target.label()
-                    );
-                    let a = new.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                    let b = v1.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                    assert_states_eq(&ctx, &a, &b);
-                }
-            }
-        }
-
-        let flags: Vec<String> = ["--dir", "--other"]
-            .into_iter()
-            .zip([&new_dir, &old_dir])
-            .flat_map(|(flag, dir)| [flag.to_string(), dir.to_string_lossy().into_owned()])
-            .collect();
-        ucp_cli::commands::diff(&ucp_cli::args::parse(&flags).unwrap())
-            .unwrap_or_else(|e| panic!("{tag}: ucp diff: {e}"));
-        old_bases.push(old);
-    }
-    for dir in [pipe, off].into_iter().chain(old_bases) {
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 #[test]

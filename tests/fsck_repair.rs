@@ -218,10 +218,7 @@ fn damaged_or_missing_sub_atom_is_reported_by_name() {
     assert!(clean.clean(), "{:?}", clean.problems);
 
     let universal = layout::universal_dir(&dir, 2);
-    let sub_atom = |param: &str, part: usize| {
-        let state = layout::AtomFile::Fp32;
-        layout::atom_file(&universal, layout::TREE_VERSION, param, Some(part), state)
-    };
+    let sub_atom = |param: &str, part: usize| layout::atom_file(&universal, param, Some(part));
     let flipped = sub_atom("layers.1.moe.experts.dense_h_to_4h.weight", 5);
     let missing = sub_atom("layers.3.moe.experts.dense_4h_to_h.weight", 2);
     corrupt(&flipped);

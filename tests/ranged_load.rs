@@ -1,21 +1,17 @@
 //! The fragment-ranged load path: byte-range reads must be
-//! indistinguishable from whole-file reads (bitwise), fall back cleanly on
-//! v1 containers, share bytes across DP replicas through the session atom
-//! cache, and stay fsck-clean on both container versions.
-
-#[path = "support/v1_container.rs"]
-mod v1_container;
+//! indistinguishable from whole-file reads (bitwise), fall back to a
+//! verified whole-section read when only a block table is damaged, and
+//! share bytes across DP replicas through the session atom cache.
 
 use std::sync::Mutex;
 
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
-use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::core::load::{
     gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState, DEFAULT_ALIGNMENT,
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
-use ucp_repro::storage::{layout, Container};
+use ucp_repro::storage::layout;
 use ucp_repro::tensor::DType;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
@@ -195,60 +191,6 @@ fn ranged_reads_match_under_reduced_precision_training() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrite every `.ucpt` file under `dir` as a version-1 container
-/// (whole-payload CRC, no block table), returning how many were converted.
-fn downgrade_containers_to_v1(dir: &std::path::Path) -> usize {
-    let mut converted = 0;
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            converted += downgrade_containers_to_v1(&path);
-        } else if path.extension().is_some_and(|e| e == "ucpt") {
-            let c = Container::read_file(&path).unwrap();
-            std::fs::write(&path, v1_container::encode_v1(&c)).unwrap();
-            converted += 1;
-        }
-    }
-    converted
-}
-
-#[test]
-fn v1_atoms_fall_back_to_whole_section_reads() {
-    let _g = serial();
-    let source = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1);
-    let dir = universal_checkpoint(source, "v1compat", DType::F32);
-
-    // The freshly converted (v2) tree is fsck-clean.
-    let report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
-    assert!(report.clean(), "v2 tree dirty: {:?}", report.problems);
-    assert!(report.files_verified > 0);
-
-    // Capture the expected state, then downgrade every atom to v1.
-    let universal = layout::universal_dir(&dir, 2);
-    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
-    let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
-    let before: Vec<RankState> = (0..target.world_size())
-        .map(|rank| {
-            let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-            load_plan(&dir, &plan, LoadOptions::default()).unwrap()
-        })
-        .collect();
-    let converted = downgrade_containers_to_v1(&universal);
-    assert!(converted > 0, "test premise: some atoms to downgrade");
-
-    // Ranged loads transparently fall back to whole-section reads on v1
-    // and produce the identical state; fsck still verifies the tree.
-    for (rank, expected) in before.iter().enumerate() {
-        let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
-        let loaded = load_plan(&dir, &plan, LoadOptions::default()).unwrap();
-        assert_states_identical(&loaded, expected, &format!("v1 fallback rank {rank}"));
-        check_equivalence(&dir, target);
-    }
-    let report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
-    assert!(report.clean(), "v1 tree dirty: {:?}", report.problems);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Every atom container of the universal tree `dir`, largest first.
 fn atom_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let mut found: Vec<_> = std::fs::read_dir(dir.join("zero"))
@@ -281,7 +223,7 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
     let index =
         ucp_repro::storage::ContainerIndex::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
     let info = index.get("fp32").unwrap().clone();
-    assert!(info.crc_block > 0, "test premise: v2 atom with a table");
+    assert!(info.crc_block > 0, "test premise: an atom with a table");
     let table_off = (info.payload_offset + info.payload_len) as usize;
     bytes[table_off] ^= 1;
     std::fs::write(&atom, &bytes).unwrap();

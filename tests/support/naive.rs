@@ -84,18 +84,15 @@ pub fn naive_atoms(step_dir: &Path, rules: Option<&UcpSpec>) -> Atoms {
 /// producer's layout and split to the naive reference byte for byte.
 pub fn tree_atoms(universal_dir: &Path) -> Atoms {
     use ucp_repro::core::manifest::{AtomMeta, UcpManifest};
-    use ucp_repro::storage::layout::{atom_file, AtomFile, TREE_VERSION};
+    use ucp_repro::storage::layout::{atom_file, AtomFile};
     use ucp_repro::storage::Container;
     let manifest = UcpManifest::load(universal_dir).unwrap();
-    assert_eq!(manifest.version, TREE_VERSION);
+    assert_eq!(manifest.version, UcpManifest::VERSION);
     let zero = universal_dir.join("zero");
     // One (sub-)atom file: `[fp32, exp_avg, exp_avg_sq]` and its header.
     let read = |atom: &AtomMeta, part: Option<usize>, file_name: String| {
         let path = zero.join(file_name);
-        for state in AtomFile::ALL {
-            let by_layout = atom_file(universal_dir, TREE_VERSION, &atom.name, part, state);
-            assert_eq!(path, by_layout);
-        }
+        assert_eq!(path, atom_file(universal_dir, &atom.name, part));
         let c = Container::read_file(&path).unwrap();
         let header: AtomMeta = serde_json::from_str(&c.header).unwrap();
         assert_eq!(c.sections.len(), 3, "{path:?}");
