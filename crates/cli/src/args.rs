@@ -44,7 +44,8 @@ USAGE:
       Check one step the way fsck does — every file its configuration or
       manifest implies is present and checksum-clean — and change nothing.
   ucp prune --dir <ckpt-base> --keep-last K [--keep-every N]
-      Remove old checkpoint steps per the retention policy.
+      Remove old checkpoint steps per the retention policy: keep the
+      newest K steps and every step divisible by N (K, N >= 1).
   ucp fsck --dir <ckpt-base> [--no-repair] [--json]
       Verify every checkpoint step (checksums + completeness), quarantine
       bad step trees to *.corrupt, sweep stale .tmp files, and repair

@@ -624,8 +624,14 @@ fn print_trace_summary(session: &ucp_telemetry::TraceSession, json: bool) -> Res
 pub fn prune(p: &Parsed) -> Result<(), String> {
     let dir = require_dir(p)?;
     let policy = retention::RetentionPolicy {
-        keep_last: p.keep_last.ok_or("--keep-last is required")?.max(1),
-        keep_every: p.keep_every,
+        keep_last: match p.keep_last.ok_or("--keep-last is required")? {
+            0 => return Err("--keep-last must be >= 1 (the newest step is never pruned)".into()),
+            n => n,
+        },
+        keep_every: match p.keep_every {
+            Some(0) => return Err("--keep-every must be >= 1 (omit it to keep no anchors)".into()),
+            every => every,
+        },
     };
     let report = retention::prune(&dir, &policy).map_err(|e| e.to_string())?;
     println!(
@@ -753,18 +759,8 @@ pub fn chaos(p: &Parsed) -> Result<(), String> {
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|s| match s {
-            "panic" => Ok((s.to_string(), FaultKind::Panic)),
-            "hang" => Ok((s.to_string(), FaultKind::Hang)),
-            _ => match s.strip_prefix("slow:") {
-                Some(ms) => ms
-                    .parse()
-                    .map(|ms| (s.to_string(), FaultKind::SlowMs(ms)))
-                    .map_err(|_| format!("bad slow ms in '{s}'")),
-                None => Err(format!("unknown fault kind '{s}'")),
-            },
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|s| Ok((s.to_string(), s.parse::<FaultKind>()?)))
+        .collect::<Result<_, String>>()?;
     let targets: Vec<ParallelConfig> = match p.targets.as_deref() {
         None => vec![source],
         Some(spec) => spec

@@ -245,7 +245,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Group, Payload};
+    use crate::Group;
     use ucp_tensor::Tensor;
 
     #[test]
@@ -265,13 +265,11 @@ mod tests {
         let out = Cluster::run(4, |comm| {
             let next = (comm.rank() + 1) % 4;
             let prev = (comm.rank() + 3) % 4;
-            comm.send(next, Payload::U64(comm.rank() as u64)).unwrap();
-            match comm.recv(prev).unwrap() {
-                Payload::U64(v) => v,
-                _ => unreachable!(),
-            }
+            comm.send_tensor(next, &Tensor::full([1], comm.rank() as f32))
+                .unwrap();
+            comm.recv_tensor(prev).unwrap().as_slice()[0]
         });
-        assert_eq!(out, vec![3, 0, 1, 2]);
+        assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -302,81 +300,23 @@ mod tests {
 
     #[test]
     fn all_gather_preserves_member_order() {
-        let out = Cluster::run(3, |comm| {
-            let g = Group::world(3);
-            let t = Tensor::full([1], comm.rank() as f32);
-            let all = comm.all_gather_tensors(&g, &t).unwrap();
-            all.iter().map(|t| t.as_slice()[0]).collect::<Vec<_>>()
-        });
-        for v in out {
-            assert_eq!(v, vec![0.0, 1.0, 2.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let out = Cluster::run(3, |comm| {
-            let g = Group::world(3);
-            let payload = Payload::U64(comm.rank() as u64 * 100);
-            match comm.broadcast(&g, 2, payload).unwrap() {
-                Payload::U64(v) => v,
-                _ => unreachable!(),
-            }
-        });
-        assert_eq!(out, vec![200, 200, 200]);
-    }
-
-    #[test]
-    fn reduce_scatter_chunks_the_sum() {
-        let out = Cluster::run(2, |comm| {
-            let g = Group::world(2);
-            let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [4]).unwrap();
-            comm.reduce_scatter_sum(&g, &t).unwrap()
-        });
-        assert_eq!(out[0].as_slice(), &[2.0, 4.0]);
-        assert_eq!(out[1].as_slice(), &[6.0, 8.0]);
-    }
-
-    #[test]
-    fn all_to_all_transposes_payloads() {
-        let out = Cluster::run(3, |comm| {
-            let g = Group::world(3);
-            let outgoing = (0..3)
-                .map(|dst| Payload::U64((comm.rank() * 10 + dst) as u64))
-                .collect();
-            comm.all_to_all(&g, outgoing)
+        // Member i contributes i + 1 elements, so a list out of order or
+        // cut short cannot pass for the right one.
+        let contribution = |rank: usize| {
+            let data = (0..=rank).map(|i| rank as f32 + 0.1 * i as f32).collect();
+            Tensor::from_vec(data, [rank + 1]).unwrap()
+        };
+        let out = Cluster::run(4, |comm| {
+            comm.all_gather_tensors(&Group::world(4), &contribution(comm.rank()))
                 .unwrap()
-                .into_iter()
-                .map(|p| match p {
-                    Payload::U64(v) => v,
-                    _ => unreachable!(),
-                })
-                .collect::<Vec<_>>()
         });
-        // Rank j receives value src*10 + j from every src, in src order.
-        assert_eq!(out[0], vec![0, 10, 20]);
-        assert_eq!(out[1], vec![1, 11, 21]);
-        assert_eq!(out[2], vec![2, 12, 22]);
-    }
-
-    #[test]
-    fn gather_and_scatter() {
-        let out = Cluster::run(2, |comm| {
-            let g = Group::world(2);
-            let t = Tensor::full([2], comm.rank() as f32);
-            let gathered = comm.gather_tensors(&g, 0, &t).unwrap();
-            let to_scatter = if comm.rank() == 0 {
-                Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0], [4]).unwrap()
-            } else {
-                Tensor::zeros([1])
-            };
-            let chunk = comm.scatter_chunks(&g, 0, &to_scatter).unwrap();
-            (gathered.map(|v| v.len()), chunk)
-        });
-        assert_eq!(out[0].0, Some(2));
-        assert_eq!(out[1].0, None);
-        assert_eq!(out[0].1.as_slice(), &[7.0, 8.0]);
-        assert_eq!(out[1].1.as_slice(), &[9.0, 10.0]);
+        let expected: Vec<Tensor> = (0..4).map(contribution).collect();
+        for gathered in &out {
+            assert_eq!(gathered.len(), expected.len());
+            for (got, want) in gathered.iter().zip(&expected) {
+                assert!(got.bitwise_eq(want), "{got:?} != {want:?}");
+            }
+        }
     }
 
     #[test]
@@ -603,6 +543,42 @@ mod tests {
         assert!(
             matches!(err, CommError::PeerDead { peer: 1 }),
             "expected PeerDead, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn mismatched_collectives_fail_on_the_payload_kind() {
+        // An SPMD violation: the leader reduces tensors, its peer f64s. The
+        // leader names the mismatch; the peer unwinds on a typed error, and
+        // neither waits out a forever-block.
+        let opts = ClusterOptions {
+            deadline: Duration::from_millis(200),
+        };
+        let started = Instant::now();
+        let out = Cluster::try_run_with(2, &opts, |comm| {
+            let g = Group::world(2);
+            if comm.rank() == 0 {
+                comm.all_reduce_sum(&g, &Tensor::full([2], 1.0)).map(|_| ())
+            } else {
+                comm.all_reduce_sum_f64(&g, &[1.0, 2.0]).map(|_| ())
+            }
+        })
+        .expect("no rank panicked");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "a mismatched collective blocked"
+        );
+        assert_eq!(
+            out[0],
+            Err(CommError::PayloadKindMismatch {
+                expected: "tensor",
+                got: "f64",
+            })
+        );
+        assert!(
+            out[1].as_ref().is_err_and(CommError::is_peer_failure),
+            "the peer unwinds on a typed error: {:?}",
+            out[1]
         );
     }
 

@@ -94,40 +94,32 @@ impl ClusterState {
 /// `F64` exists so gradient reduction can travel at full double precision:
 /// the trainer accumulates microbatch gradients in f64 and reduces in f64,
 /// making the result effectively independent of the data-parallel layout.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
+#[derive(Clone)]
+pub(crate) enum Payload {
     /// A tensor (shape + f32 values).
     Tensor(Tensor),
-    /// Raw f64 vector (gradient accumulators).
+    /// Member-ordered tensors (an all-gather's result).
+    Tensors(Vec<Tensor>),
+    /// Raw f64 vector (gradient accumulators; empty for a barrier).
     F64(Vec<f64>),
-    /// Raw u32 vector (token ids).
-    U32(Vec<u32>),
-    /// Opaque bytes (serialized control state).
-    Bytes(Vec<u8>),
-    /// A single integer (control messages, sizes).
-    U64(u64),
 }
 
 impl Payload {
     fn kind(&self) -> &'static str {
         match self {
             Payload::Tensor(_) => "tensor",
+            Payload::Tensors(_) => "tensors",
             Payload::F64(_) => "f64",
-            Payload::U32(_) => "u32",
-            Payload::Bytes(_) => "bytes",
-            Payload::U64(_) => "u64",
         }
     }
 
     /// Approximate wire size in bytes (element counts times element width;
     /// shape/enum overhead ignored). Used for trace attribution.
-    pub fn approx_bytes(&self) -> u64 {
+    fn approx_bytes(&self) -> u64 {
         match self {
             Payload::Tensor(t) => 4 * t.num_elements() as u64,
+            Payload::Tensors(ts) => ts.iter().map(|t| 4 * t.num_elements() as u64).sum(),
             Payload::F64(v) => 8 * v.len() as u64,
-            Payload::U32(v) => 4 * v.len() as u64,
-            Payload::Bytes(b) => b.len() as u64,
-            Payload::U64(_) => 8,
         }
     }
 }
@@ -274,15 +266,15 @@ impl Comm {
     }
 
     /// Send a payload to `dst`. Sending to self is allowed (buffered).
-    /// Records a trace send edge (pipeline activations and control traffic).
-    pub fn send(&self, dst: usize, payload: Payload) -> Result<()> {
+    /// Records a trace send edge (pipeline activations).
+    fn send(&self, dst: usize, payload: Payload) -> Result<()> {
         trace::edge(true, dst, payload.approx_bytes());
         self.send_raw(dst, payload)
     }
 
     /// Receive the next payload from `src` (blocking, FIFO per pair).
     /// Records a trace recv edge on arrival.
-    pub fn recv(&self, src: usize) -> Result<Payload> {
+    pub(crate) fn recv(&self, src: usize) -> Result<Payload> {
         let payload = self.recv_raw(src)?;
         trace::edge(false, src, payload.approx_bytes());
         Ok(payload)
@@ -315,15 +307,9 @@ impl Comm {
 
     // ---- Collectives ----------------------------------------------------
 
-    fn member_index(&self, group: &Group) -> Result<usize> {
-        group
-            .index_of(self.rank)
-            .ok_or(CommError::NotAMember { rank: self.rank })
-    }
-
     /// Gather every member's payload to the leader (in member order), apply
-    /// `reduce`, and broadcast the result back. The deterministic backbone
-    /// of every collective below.
+    /// `reduce`, and send the result back. The one body of every
+    /// collective below.
     ///
     /// Records one collective trace event per member under `op`: *enter* is
     /// the call, *ready* is when the rank stops waiting on its peers (the
@@ -339,146 +325,90 @@ impl Comm {
     where
         F: FnOnce(Vec<Payload>) -> Result<Payload>,
     {
-        self.member_index(group)?;
+        if !group.contains(self.rank) {
+            return Err(CommError::NotAMember { rank: self.rank });
+        }
         let mut span = self.trace_collective(op, group, payload.approx_bytes());
         let leader = group.leader();
-        if self.rank == leader {
-            let mut contributions = Vec::with_capacity(group.size());
-            for &m in group.members() {
-                if m == self.rank {
-                    contributions.push(payload.clone());
-                } else {
-                    contributions.push(self.recv_raw(m)?);
-                }
-            }
-            span.ready();
-            let result = reduce(contributions)?;
-            for &m in group.members() {
-                if m != self.rank {
-                    self.send_raw(m, result.clone())?;
-                }
-            }
-            Ok(result)
-        } else {
+        if self.rank != leader {
             self.send_raw(leader, payload)?;
             let result = self.recv_raw(leader)?;
             span.ready();
-            Ok(result)
+            return Ok(result);
         }
+        // The leader is the lowest member, so its own payload comes first.
+        let mut contributions = Vec::with_capacity(group.size());
+        contributions.push(payload);
+        for &m in &group.members()[1..] {
+            contributions.push(self.recv_raw(m)?);
+        }
+        span.ready();
+        let result = reduce(contributions)?;
+        for &m in &group.members()[1..] {
+            self.send_raw(m, result.clone())?;
+        }
+        Ok(result)
     }
 
     /// Barrier over a group.
     pub fn barrier(&self, group: &Group) -> Result<()> {
-        self.leader_reduce("barrier", group, Payload::U64(0), |_| Ok(Payload::U64(0)))?;
+        self.leader_reduce("barrier", group, Payload::F64(Vec::new()), |_| {
+            Ok(Payload::F64(Vec::new()))
+        })?;
         Ok(())
     }
 
-    /// Broadcast `payload` from `root` to all members; every member returns
-    /// the root's payload.
-    pub fn broadcast(&self, group: &Group, root: usize, payload: Payload) -> Result<Payload> {
-        self.member_index(group)?;
-        if !group.contains(root) {
-            return Err(CommError::InvalidGroup(format!(
-                "broadcast root {root} not in group"
-            )));
-        }
-        let mut span = self.trace_collective("broadcast", group, payload.approx_bytes());
-        if self.rank == root {
-            span.ready(); // the root never waits on peers
-            for &m in group.members() {
-                if m != self.rank {
-                    self.send_raw(m, payload.clone())?;
-                }
-            }
-            Ok(payload)
-        } else {
-            let result = self.recv_raw(root)?;
-            span.ready();
-            Ok(result)
-        }
-    }
-
-    /// All-gather: every member contributes a payload and receives the full
-    /// member-ordered list.
-    pub fn all_gather(&self, group: &Group, payload: Payload) -> Result<Vec<Payload>> {
-        self.member_index(group)?;
-        let mut span = self.trace_collective("all_gather", group, payload.approx_bytes());
-        let leader = group.leader();
-        if self.rank == leader {
-            let mut all = Vec::with_capacity(group.size());
-            for &m in group.members() {
-                if m == self.rank {
-                    all.push(payload.clone());
-                } else {
-                    all.push(self.recv_raw(m)?);
-                }
-            }
-            span.ready();
-            for &m in group.members() {
-                if m != self.rank {
-                    for p in &all {
-                        self.send_raw(m, p.clone())?;
-                    }
-                }
-            }
-            Ok(all)
-        } else {
-            self.send_raw(leader, payload)?;
-            let mut all = Vec::with_capacity(group.size());
-            for i in 0..group.size() {
-                all.push(self.recv_raw(leader)?);
-                if i == 0 {
-                    // The leader has everything once it starts streaming;
-                    // the rest of the loop is transfer, not peer wait.
-                    span.ready();
-                }
-            }
-            Ok(all)
-        }
-    }
-
-    /// All-gather tensors.
+    /// All-gather tensors: every member contributes one tensor and receives
+    /// the full member-ordered list.
     pub fn all_gather_tensors(&self, group: &Group, t: &Tensor) -> Result<Vec<Tensor>> {
-        self.all_gather(group, Payload::Tensor(t.clone()))?
-            .into_iter()
-            .map(|p| expect_payload!(p, Tensor, "tensor"))
-            .collect()
+        let out = self.leader_reduce(
+            "all_gather",
+            group,
+            Payload::Tensor(t.clone()),
+            |contribs| {
+                let tensors = contribs
+                    .into_iter()
+                    .map(|c| expect_payload!(c, Tensor, "tensor"))
+                    .collect::<Result<_>>()?;
+                Ok(Payload::Tensors(tensors))
+            },
+        )?;
+        expect_payload!(out, Tensors, "tensors")
     }
 
     /// Deterministic all-reduce (sum) of tensors with f64 accumulation in
     /// member order. All members receive the identical result.
     pub fn all_reduce_sum(&self, group: &Group, t: &Tensor) -> Result<Tensor> {
-        self.all_reduce_sum_named("all_reduce", group, t)
-    }
-
-    /// [`Comm::all_reduce_sum`] recorded under a caller-chosen trace op, so
-    /// derived collectives (reduce-scatter) attribute to their own name.
-    fn all_reduce_sum_named(&self, op: &'static str, group: &Group, t: &Tensor) -> Result<Tensor> {
-        let out = self.leader_reduce(op, group, Payload::Tensor(t.clone()), |contribs| {
-            let mut tensors = Vec::with_capacity(contribs.len());
-            for c in contribs {
-                tensors.push(expect_payload!(c, Tensor, "tensor")?);
-            }
-            let shape = tensors[0].shape().clone();
-            let mut acc = vec![0.0f64; shape.num_elements()];
-            for t in &tensors {
-                if t.shape() != &shape {
-                    return Err(CommError::InvalidGroup(format!(
-                        "all_reduce shape mismatch: {} vs {}",
-                        t.shape(),
-                        shape
-                    )));
+        let out = self.leader_reduce(
+            "all_reduce",
+            group,
+            Payload::Tensor(t.clone()),
+            |contribs| {
+                let mut tensors = Vec::with_capacity(contribs.len());
+                for c in contribs {
+                    tensors.push(expect_payload!(c, Tensor, "tensor")?);
                 }
-                for (a, v) in acc.iter_mut().zip(t.as_slice()) {
-                    *a += f64::from(*v);
+                let shape = tensors[0].shape().clone();
+                let mut acc = vec![0.0f64; shape.num_elements()];
+                for t in &tensors {
+                    if t.shape() != &shape {
+                        return Err(CommError::InvalidGroup(format!(
+                            "all_reduce shape mismatch: {} vs {}",
+                            t.shape(),
+                            shape
+                        )));
+                    }
+                    for (a, v) in acc.iter_mut().zip(t.as_slice()) {
+                        *a += f64::from(*v);
+                    }
                 }
-            }
-            let data: Vec<f32> = acc.into_iter().map(|v| v as f32).collect();
-            // Shape is preserved, so from_vec cannot fail.
-            Ok(Payload::Tensor(
-                Tensor::from_vec(data, shape).expect("shape preserved"),
-            ))
-        })?;
+                let data: Vec<f32> = acc.into_iter().map(|v| v as f32).collect();
+                // Shape is preserved, so from_vec cannot fail.
+                Ok(Payload::Tensor(
+                    Tensor::from_vec(data, shape).expect("shape preserved"),
+                ))
+            },
+        )?;
         expect_payload!(out, Tensor, "tensor")
     }
 
@@ -517,130 +447,5 @@ impl Comm {
     /// Deterministic sum of scalars across the group.
     pub fn all_reduce_scalar(&self, group: &Group, v: f64) -> Result<f64> {
         Ok(self.all_reduce_sum_f64(group, &[v])?[0])
-    }
-
-    /// Reduce-scatter over the flattened tensor: the full sum is computed
-    /// deterministically, and member `i` receives chunk `i` of the result
-    /// (the ZeRO-2 gradient-partitioning primitive). The flattened length
-    /// must be divisible by the group size.
-    pub fn reduce_scatter_sum(&self, group: &Group, t: &Tensor) -> Result<Tensor> {
-        let summed = self.all_reduce_sum_named("reduce_scatter", group, t)?;
-        let n = summed.num_elements();
-        let parts = group.size();
-        if n % parts != 0 {
-            return Err(CommError::InvalidGroup(format!(
-                "reduce_scatter: {n} elements not divisible by {parts} members"
-            )));
-        }
-        let idx = self.member_index(group)?;
-        let chunk = n / parts;
-        let flat = summed.flatten();
-        flat.narrow(0, idx * chunk, chunk)
-            .map_err(|e| CommError::InvalidGroup(e.to_string()))
-    }
-
-    /// All-to-all: member `i` provides one payload per member; member `j`
-    /// receives the list of payloads destined to it, in member order.
-    /// The sequence-parallel (Ulysses) attention primitive.
-    pub fn all_to_all(&self, group: &Group, outgoing: Vec<Payload>) -> Result<Vec<Payload>> {
-        let my_idx = self.member_index(group)?;
-        if outgoing.len() != group.size() {
-            return Err(CommError::InvalidGroup(format!(
-                "all_to_all: {} payloads for group of {}",
-                outgoing.len(),
-                group.size()
-            )));
-        }
-        let bytes = outgoing.iter().map(Payload::approx_bytes).sum();
-        let mut span = self.trace_collective("all_to_all", group, bytes);
-        // Send phase: deliver to each peer (self-delivery kept local).
-        let mut mine: Vec<Option<Payload>> = (0..group.size()).map(|_| None).collect();
-        for (j, payload) in outgoing.into_iter().enumerate() {
-            let dst = group.members()[j];
-            if dst == self.rank {
-                mine[my_idx] = Some(payload);
-            } else {
-                self.send_raw(dst, payload)?;
-            }
-        }
-        // Receive phase, in member order for determinism.
-        let mut first = true;
-        for (i, &src) in group.members().iter().enumerate() {
-            if src != self.rank {
-                mine[i] = Some(self.recv_raw(src)?);
-                if first {
-                    // Peers have arrived once the first incoming payload
-                    // lands; the remainder is transfer.
-                    span.ready();
-                    first = false;
-                }
-            }
-        }
-        Ok(mine.into_iter().map(|p| p.expect("filled above")).collect())
-    }
-
-    /// Gather tensors to `root` (member order); non-roots return `None`.
-    pub fn gather_tensors(
-        &self,
-        group: &Group,
-        root: usize,
-        t: &Tensor,
-    ) -> Result<Option<Vec<Tensor>>> {
-        self.member_index(group)?;
-        let mut span = self.trace_collective("gather", group, 4 * t.num_elements() as u64);
-        if self.rank == root {
-            let mut all = Vec::with_capacity(group.size());
-            for &m in group.members() {
-                if m == self.rank {
-                    all.push(t.clone());
-                } else {
-                    all.push(expect_payload!(self.recv_raw(m)?, Tensor, "tensor")?);
-                }
-            }
-            span.ready();
-            Ok(Some(all))
-        } else {
-            self.send_raw(root, Payload::Tensor(t.clone()))?;
-            span.ready(); // fire-and-forget: a non-root never waits
-            Ok(None)
-        }
-    }
-
-    /// Scatter equal flat chunks of a rank-1 tensor from `root`; member `i`
-    /// receives chunk `i`. Non-root members pass any tensor (ignored).
-    pub fn scatter_chunks(&self, group: &Group, root: usize, t: &Tensor) -> Result<Tensor> {
-        let idx = self.member_index(group)?;
-        let mut span = self.trace_collective("scatter", group, 4 * t.num_elements() as u64);
-        if self.rank == root {
-            span.ready(); // the root never waits on peers
-            let n = t.num_elements();
-            let parts = group.size();
-            if !n.is_multiple_of(parts) {
-                return Err(CommError::InvalidGroup(format!(
-                    "scatter: {n} elements not divisible by {parts} members"
-                )));
-            }
-            let chunk = n / parts;
-            let flat = t.flatten();
-            let mut my_chunk = None;
-            for (i, &m) in group.members().iter().enumerate() {
-                let piece = flat
-                    .narrow(0, i * chunk, chunk)
-                    .map_err(|e| CommError::InvalidGroup(e.to_string()))?;
-                if m == self.rank {
-                    my_chunk = Some(piece);
-                } else {
-                    self.send_raw(m, Payload::Tensor(piece))?;
-                }
-            }
-            // The root is always a member, so its chunk was filled; `idx`
-            // proves membership.
-            let _ = idx;
-            Ok(my_chunk.expect("root is a member"))
-        } else {
-            let result = expect_payload!(self.recv_raw(root)?, Tensor, "tensor")?;
-            span.ready();
-            Ok(result)
-        }
     }
 }

@@ -2,10 +2,14 @@
 //!
 //! The paper's substrate is a GPU cluster communicating over NCCL. Here a
 //! "rank" is an OS thread and communication happens over per-pair FIFO
-//! channels. Collectives are built on top of point-to-point messages with a
-//! gather-to-leader / broadcast structure: the lowest rank of a group
-//! receives every member's contribution *in rank order*, reduces with f64
-//! accumulation, and sends the result back. This makes every collective
+//! channels. [`Comm`] carries exactly what TP/PP/DP/SP/ZeRO training sends:
+//! point-to-point tensors (`send_tensor`/`recv_tensor`, pipeline
+//! activations) and four collectives — `barrier`, `all_gather_tensors`,
+//! `all_reduce_sum` (f32 tensors) and `all_reduce_sum_f64` (with its
+//! `all_reduce_scalar` shorthand). Every collective has one body: the
+//! lowest rank of a group receives every member's contribution *in rank
+//! order*, reduces it (sums with f64 accumulation, or packs the list for a
+//! gather), and sends the result back. This makes every collective
 //! bitwise deterministic and independent of thread scheduling — a property
 //! real GPU training lacks (the paper's Table 3 tolerates a ±0.02 loss band
 //! for exactly this reason) and which lets our tests assert far tighter.
@@ -13,8 +17,10 @@
 //! SPMD contract: all members of a group must call the same sequence of
 //! collectives on that group. Because each rank executes sequentially and
 //! channels between any pair are FIFO, matching operations pair up in
-//! program order; violating the contract deadlocks or mismatches payloads
-//! (caught by a payload-kind check).
+//! program order; violating the contract either mismatches payloads
+//! (caught by a payload-kind check: [`CommError::PayloadKindMismatch`]) or
+//! leaves a rank waiting until the watchdog deadline
+//! ([`CommError::Timeout`]).
 
 pub mod cluster;
 pub mod comm;
@@ -22,7 +28,7 @@ pub mod exchange;
 pub mod group;
 
 pub use cluster::{Cluster, ClusterOptions, RankFailure};
-pub use comm::{Comm, Payload};
+pub use comm::Comm;
 pub use group::Group;
 
 /// Errors surfaced by the communication layer.

@@ -40,29 +40,6 @@ proptest! {
             prop_assert_eq!(t.as_slice(), &expected[..]);
         }
     }
-
-    #[test]
-    fn reduce_scatter_tiles_the_all_reduce(
-        world in 1usize..5,
-        per in 1usize..8,
-    ) {
-        let len = world * per;
-        let out = Cluster::run(world, move |comm| {
-            let g = Group::world(comm.world_size());
-            let t = Tensor::from_vec(
-                (0..len).map(|i| (i + comm.rank()) as f32).collect(),
-                [len],
-            )
-            .unwrap();
-            let full = comm.all_reduce_sum(&g, &t).unwrap();
-            let chunk = comm.reduce_scatter_sum(&g, &t).unwrap();
-            (full, chunk)
-        });
-        for (rank, (full, chunk)) in out.iter().enumerate() {
-            let expect = &full.as_slice()[rank * per..(rank + 1) * per];
-            prop_assert_eq!(chunk.as_slice(), expect);
-        }
-    }
 }
 
 #[test]

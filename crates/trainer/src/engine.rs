@@ -781,9 +781,10 @@ impl<'a> RankEngine<'a> {
     /// invariant). The entry barrier is what upholds the commit ordering:
     /// every rank's files for the step are written and renamed into place
     /// before a marker lands (native files are atomic, not fsynced).
-    /// The overlapped save policy always passes `universal: false` — the
-    /// born-universal pipeline publishes `latest_universal` from rank 0's
-    /// background writer instead, keyed off this publish completing.
+    /// Both save policies pass `universal: false`: a sync save's universal
+    /// tree comes from an offline convert, and the born-universal pipeline
+    /// publishes `latest_universal` from rank 0's background writer,
+    /// keyed off this publish completing.
     pub fn publish_markers(
         &self,
         base: &Path,
@@ -801,14 +802,11 @@ impl<'a> RankEngine<'a> {
         Ok(())
     }
 
-    /// Write this rank's part of a native distributed checkpoint. Rank 0
-    /// additionally records the `latest` marker after a barrier.
+    /// Write this rank's part of a native distributed checkpoint, then
+    /// publish the `latest` marker ([`RankEngine::publish_markers`]).
     pub fn save_checkpoint(&self, base: &Path) -> Result<(), TrainError> {
-        let _save_span = trace::span(TraceCat::Checkpoint, "save");
         let zi = self.zero_index();
-        // Persist time only — the barriers below measure stragglers, not
-        // I/O. One model-states file per (tp, pp), written by the zi=0
-        // replica.
+        // One model-states file per (tp, pp), written by the zi=0 replica.
         crate::snapshot::persist_rank_files(
             base,
             &self.common_state(),
@@ -823,14 +821,6 @@ impl<'a> RankEngine<'a> {
                 exp_avg_sq: &self.adam.exp_avg_sq,
             },
         )?;
-        let _publish_span = trace::span(TraceCat::Checkpoint, "publish");
-        let world = Group::world(self.comm.world_size());
-        self.comm.barrier(&world).map_err(TrainError::Comm)?;
-        if self.comm.rank() == 0 {
-            disk::write_latest(base, self.iteration).map_err(|e| TrainError::Ucp(e.into()))?;
-        }
-        // Make the marker visible to everyone before proceeding.
-        self.comm.barrier(&world).map_err(TrainError::Comm)?;
-        Ok(())
+        self.publish_markers(base, self.iteration, false)
     }
 }

@@ -49,6 +49,25 @@ pub enum FaultKind {
     SlowMs(u64),
 }
 
+impl std::str::FromStr for FaultKind {
+    type Err = String;
+
+    /// Parse `panic` | `hang` | `slow:<ms>`.
+    fn from_str(s: &str) -> Result<FaultKind, String> {
+        match s {
+            "panic" => Ok(FaultKind::Panic),
+            "hang" => Ok(FaultKind::Hang),
+            _ => match s.strip_prefix("slow:") {
+                Some(ms) => ms
+                    .parse()
+                    .map(FaultKind::SlowMs)
+                    .map_err(|e| format!("bad slow ms {ms:?}: {e}")),
+                None => Err(format!("unknown fault kind {s:?}")),
+            },
+        }
+    }
+}
+
 /// One scheduled rank fault: `kind` fires on `rank` just before it
 /// executes training iteration `step` (0-based, i.e. after `step`
 /// iterations have completed). Each fault fires at most once per
@@ -94,19 +113,7 @@ impl RankFault {
                             .map_err(|e| format!("bad step {value:?}: {e}"))?,
                     )
                 }
-                "kind" => {
-                    let value = value.trim();
-                    kind = Some(match value {
-                        "panic" => FaultKind::Panic,
-                        "hang" => FaultKind::Hang,
-                        _ => match value.strip_prefix("slow:") {
-                            Some(ms) => FaultKind::SlowMs(
-                                ms.parse().map_err(|e| format!("bad slow ms {ms:?}: {e}"))?,
-                            ),
-                            None => return Err(format!("unknown fault kind {value:?}")),
-                        },
-                    })
-                }
+                "kind" => kind = Some(value.trim().parse::<FaultKind>()?),
                 other => return Err(format!("unknown fault field {other:?}")),
             }
         }

@@ -269,6 +269,18 @@ fn prune_respects_policy() {
     assert_eq!(ucp_repro::storage::retention::list_steps(&dir), vec![3]);
     // Missing policy flag errors.
     assert!(commands::prune(&flags(&["--dir", &dir_s])).is_err());
+    // A zero count is refused by name, not clamped or read as "off".
+    for (flag, args) in [
+        ("--keep-last", vec!["--dir", &dir_s, "--keep-last", "0"]),
+        (
+            "--keep-every",
+            vec!["--dir", &dir_s, "--keep-last", "1", "--keep-every", "0"],
+        ),
+    ] {
+        let err = commands::prune(&flags(&args)).unwrap_err();
+        assert!(err.contains(flag) && err.contains(">= 1"), "{err}");
+    }
+    assert_eq!(ucp_repro::storage::retention::list_steps(&dir), vec![3]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
