@@ -18,9 +18,10 @@
 //! Step 2's body is [`StageAssembler`], the same one the born-universal
 //! save pipeline streams into. `assemble_stages` is its feed from whole
 //! chunks, written once over a `ChunkSource` (the step's optimizer files,
-//! or hot-tier shards already in RAM); the offline converter and
-//! [`crate::memory::MemoryCheckpoint`] differ only in the sink they finish
-//! each stage's assembler with.
+//! or hot-tier shards already in RAM); the offline converter, the
+//! recovery convert ([`convert_to_memory`]) and
+//! [`crate::memory::MemoryCheckpoint::assemble`] differ only in the sink
+//! they finish each stage's assembler with.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -33,6 +34,7 @@ use ucp_storage::layout;
 use crate::assemble::{build_manifest, commit_universal, StageAssembler};
 use crate::checkpoint::{load_optim_states, read_common_state, CommonState, OptimShard};
 use crate::manifest::{AtomMeta, UcpManifest};
+use crate::memory::MemoryCheckpoint;
 use crate::util::par_map;
 use crate::{Result, UcpError};
 
@@ -78,8 +80,9 @@ pub struct ConvertStats {
 pub(crate) enum ChunkSource<'a> {
     /// Native optimizer-states files under a step directory.
     Files(&'a Path),
-    /// Shards already in RAM (the hot tier), keyed `(tp, pp, zero index)`.
-    Memory(&'a BTreeMap<(usize, usize, usize), OptimShard>),
+    /// Shards already in RAM (the hot tier), keyed `(tp, pp, zero index)`
+    /// and borrowed where they lie.
+    Memory(&'a BTreeMap<(usize, usize, usize), &'a OptimShard>),
 }
 
 impl ChunkSource<'_> {
@@ -90,11 +93,13 @@ impl ChunkSource<'_> {
             ChunkSource::Files(step_dir) => {
                 Ok(Cow::Owned(load_optim_states(step_dir, zi, tp, pp)?.1))
             }
-            ChunkSource::Memory(shards) => {
-                shards.get(&(tp, pp, zi)).map(Cow::Borrowed).ok_or_else(|| {
+            ChunkSource::Memory(shards) => shards
+                .get(&(tp, pp, zi))
+                .copied()
+                .map(Cow::Borrowed)
+                .ok_or_else(|| {
                     UcpError::Inconsistent(format!("no shard for (tp {tp}, pp {pp}, zero {zi})"))
-                })
-            }
+                }),
         }
     }
 }
@@ -161,11 +166,46 @@ pub(crate) fn assemble_stages(
 /// Convert the native distributed checkpoint at `base/global_step<step>`
 /// into a universal checkpoint at `base/global_step<step>_universal`.
 ///
-/// Returns the manifest and conversion statistics.
+/// Returns the manifest and conversion statistics. Each stage's buffers
+/// are dropped once its atoms are staged, so the whole tree is never held
+/// in RAM.
 pub fn convert_to_universal(
     base: &Path,
     step: u64,
     opts: &ConvertOptions,
+) -> Result<(UcpManifest, ConvertStats)> {
+    convert_step(base, step, opts, |_| Ok(()))
+}
+
+/// [`convert_to_universal`], keeping what it assembled: the same tree is
+/// written and published byte for byte, and the consolidated buffers are
+/// also returned — moved, not copied — as a [`MemoryCheckpoint`] serving
+/// the manifest the tree publishes. A recovery resumes from it without
+/// reading back the atoms it has just written.
+pub fn convert_to_memory(
+    base: &Path,
+    step: u64,
+    opts: &ConvertOptions,
+) -> Result<(MemoryCheckpoint, ConvertStats)> {
+    let mut atoms = BTreeMap::new();
+    let (manifest, stats) = convert_step(base, step, opts, |asm| {
+        for (meta, atom) in asm.into_tensors()? {
+            atoms.insert(meta.name, atom);
+        }
+        Ok(())
+    })?;
+    Ok((MemoryCheckpoint::new(manifest, atoms), stats))
+}
+
+/// The one convert body: Algorithm 1 over the step's optimizer files,
+/// every stage's atoms staged into one group and published by
+/// [`commit_universal`]. `keep` receives each stage's assembler after its
+/// atoms are staged.
+fn convert_step(
+    base: &Path,
+    step: u64,
+    opts: &ConvertOptions,
+    mut keep: impl FnMut(StageAssembler) -> Result<()>,
 ) -> Result<(UcpManifest, ConvertStats)> {
     let _total_span = ucp_telemetry::span("convert/total");
     let step_dir = layout::step_dir(base, step);
@@ -182,6 +222,7 @@ pub fn convert_to_universal(
     let (manifest, stats) = assemble_stages(&common, &source, opts, |mut asm| {
         let staged =
             asm.finalize_step(&universal, &atoms, opts.workers, "convert/atom_write", None)?;
+        keep(asm)?;
         Ok((staged.metas, staged.bytes_written))
     })?;
 

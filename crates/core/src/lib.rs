@@ -51,7 +51,7 @@ pub use assemble::{
 };
 pub use atom_cache::AtomCache;
 pub use checkpoint::{CommonState, OptimShard, OptimShardRef};
-pub use convert::{convert_to_universal, ConvertOptions, ConvertStats};
+pub use convert::{convert_to_memory, convert_to_universal, ConvertOptions, ConvertStats};
 pub use fsck::{fsck, FsckOptions, FsckProblem, FsckReport};
 pub use language::{UcpSpec, UcpSpecBuilder};
 pub use load::{gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState};

@@ -1,16 +1,19 @@
-//! In-memory universal checkpoints: the RAM-resident hot checkpoint tier.
+//! In-memory universal checkpoints: what every recovery resumes from.
 //!
-//! A [`MemoryCheckpoint`] is a universal checkpoint that never touches
-//! disk: per-parameter atom tensors plus a manifest, assembled from the
-//! optimizer shards peers replicated into RAM ([`HotShard`]). It owns no
-//! transformation of its own: assembly is [`crate::convert`]'s chunk feed
-//! into the one [`crate::assemble::StageAssembler`] with the shards as its
-//! chunk source, finished into a map instead of files, and loading is
-//! [`crate::load`]'s one plan executor with that map as its atom source —
-//! so a rank resumed from peer memory reconstructs bitwise-identical state
-//! to one resumed from the converted disk checkpoint, under *any* target
+//! A [`MemoryCheckpoint`] is a universal checkpoint served from RAM:
+//! per-parameter atom tensors plus a manifest. It has two producers, both
+//! [`crate::convert`]'s chunk feed into the one
+//! [`crate::assemble::StageAssembler`]: [`MemoryCheckpoint::assemble`]
+//! consolidates the optimizer shards peers replicated into RAM
+//! ([`HotShard`], the hot tier) and keeps the buffers instead of writing
+//! files, and [`crate::convert::convert_to_memory`] keeps the buffers of a
+//! disk convert after staging its atom files (the disk tier). Loading is
+//! [`crate::load`]'s one plan executor with the atom map as its source —
+//! so a rank resumed from memory reconstructs bitwise-identical state to
+//! one resumed from the converted disk checkpoint, under *any* target
 //! parallelism strategy.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use ucp_parallel::ParallelConfig;
@@ -50,20 +53,35 @@ impl HotShard {
 #[derive(Debug, Clone)]
 pub struct MemoryCheckpoint {
     manifest: UcpManifest,
-    /// Atom tensors per parameter, indexed `[fp32, exp_avg, exp_avg_sq]`.
+    /// Atom tensors per parameter, indexed `[fp32, exp_avg, exp_avg_sq]`:
+    /// whole parameters, also where the manifest lists a split one's
+    /// sub-atoms (a load from memory reads whole atoms).
     atoms: BTreeMap<String, [Tensor; 3]>,
 }
 
 impl MemoryCheckpoint {
+    /// A checkpoint serving `manifest` from `atoms`.
+    pub(crate) fn new(
+        manifest: UcpManifest,
+        atoms: BTreeMap<String, [Tensor; 3]>,
+    ) -> MemoryCheckpoint {
+        MemoryCheckpoint { manifest, atoms }
+    }
+
     /// Consolidate a complete set of hot shards — one per (tp, pp, zero)
-    /// coordinate of the source strategy — into per-parameter atoms: the
-    /// tensors [`crate::convert::convert_to_universal`] would write for
-    /// the same step.
-    pub fn assemble(shards: Vec<HotShard>) -> Result<MemoryCheckpoint> {
-        let first = shards
+    /// coordinate of the source strategy, owned or borrowed — into
+    /// per-parameter atoms: the tensors
+    /// [`crate::convert::convert_to_universal`] would write for the same
+    /// step. The shards are read where they lie, never copied.
+    pub fn assemble(
+        shards: impl IntoIterator<Item = impl Borrow<HotShard>>,
+    ) -> Result<MemoryCheckpoint> {
+        let shards: Vec<_> = shards.into_iter().collect();
+        let common = &shards
             .first()
-            .ok_or_else(|| UcpError::Inconsistent("hot assemble: no shards".into()))?;
-        let common = first.common.clone();
+            .ok_or_else(|| UcpError::Inconsistent("hot assemble: no shards".into()))?
+            .borrow()
+            .common;
         let src = common.parallel;
         // ZeRO partitions over the combined dp × sp group, matching the
         // native checkpoint layout.
@@ -72,8 +90,9 @@ impl MemoryCheckpoint {
         // Index shards by coordinate, rejecting mixed steps, duplicates,
         // and out-of-range coordinates up front; a missing coordinate
         // surfaces from the chunk feed's lookup.
-        let mut by_coord: BTreeMap<(usize, usize, usize), OptimShard> = BTreeMap::new();
-        for s in shards {
+        let mut by_coord: BTreeMap<(usize, usize, usize), &OptimShard> = BTreeMap::new();
+        for s in &shards {
+            let s = s.borrow();
             if s.common.iteration != common.iteration {
                 return Err(UcpError::Inconsistent(format!(
                     "hot assemble: mixed steps {} and {}",
@@ -87,7 +106,7 @@ impl MemoryCheckpoint {
                     src.label()
                 )));
             }
-            if by_coord.insert(coord, s.shard).is_some() {
+            if by_coord.insert(coord, &s.shard).is_some() {
                 return Err(UcpError::Inconsistent(format!(
                     "hot assemble: duplicate shard (tp, pp, zero) {coord:?}"
                 )));
@@ -96,7 +115,7 @@ impl MemoryCheckpoint {
 
         let mut atoms = BTreeMap::new();
         let (manifest, _) = assemble_stages(
-            &common,
+            common,
             &ChunkSource::Memory(&by_coord),
             &ConvertOptions::default(),
             |asm| {

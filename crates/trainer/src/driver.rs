@@ -41,10 +41,12 @@ pub enum ResumeMode {
         /// Step to resume from.
         step: u64,
     },
-    /// Resume from a peer-assembled in-memory universal checkpoint — the
-    /// hot tier's recovery path (constructed by the supervisor, never by
-    /// CLI parsing). Serves the same atoms as `Universal` for the same
-    /// step, without touching disk.
+    /// Resume from an in-memory universal checkpoint — the recovery path
+    /// of both tiers (constructed by the supervisor, never by CLI
+    /// parsing): the peer tier's assembly of surviving replicas, or the
+    /// disk tier's recovery convert, which keeps the atoms it published.
+    /// Serves the same atoms as `Universal` for the same step, without
+    /// reading them from disk.
     Hot {
         /// The consolidated checkpoint, shared across rank threads.
         checkpoint: std::sync::Arc<ucp_core::MemoryCheckpoint>,

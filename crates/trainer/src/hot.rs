@@ -26,11 +26,11 @@
 //! [`HotTier::try_recover`] for the newest step at which *every* source
 //! rank still has a CRC-valid replica in a surviving bank. If one exists,
 //! the shards are consolidated in memory ([`MemoryCheckpoint::assemble`] —
-//! the convert pass's own consolidation over shards in RAM, so the result
-//! is bitwise-identical to the disk checkpoint of the same step) and
-//! served to the restarted
-//! topology; otherwise recovery falls back to the latest committed disk
-//! checkpoint.
+//! the convert pass's own consolidation over shards in RAM, borrowed from
+//! the banks, so the result is bitwise-identical to the disk checkpoint of
+//! the same step and the banks are left as they were) and served to the
+//! restarted topology; otherwise recovery falls back to the latest
+//! committed disk checkpoint.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -69,10 +69,11 @@ enum HotMsg {
 }
 
 /// One installed replica: a source rank's shard at one step, plus the
-/// checksums it was verified against.
+/// checksums it was verified against. The shard is shared so that a delta
+/// install can take its base under the tier lock and copy it outside.
 struct Replica {
     step: u64,
-    shard: HotShard,
+    shard: Arc<HotShard>,
     crc: [u32; 3],
 }
 
@@ -168,11 +169,7 @@ impl HotTier {
             s.pushed_full[rank] = true;
             (mesh, s.world, first)
         };
-        let crc = [
-            crc32c_f32(&shard.shard.fp32),
-            crc32c_f32(&shard.shard.exp_avg),
-            crc32c_f32(&shard.shard.exp_avg_sq),
-        ];
+        let crc = shard_crc(&shard);
         let msg = if first {
             HotMsg::Full {
                 shard: shard.clone(),
@@ -217,56 +214,52 @@ impl HotTier {
     /// Install a received replica into `holder`'s bank, verifying the
     /// CRC end-to-end. A delta is patched onto the newest base replica of
     /// the same source; any checksum mismatch drops the replica and ticks
-    /// `hot/replica_rejected` instead of installing corrupt state.
+    /// `hot/replica_rejected` instead of installing corrupt state. Only
+    /// `holder`'s own thread writes its bank, so the tier lock is held
+    /// just to take the base and to insert: the copy, patch and checksum
+    /// run unlocked, and the ranks' installs of one wave proceed side by
+    /// side.
     fn install(&self, holder: usize, src: usize, step: u64, msg: HotMsg) {
-        let mut s = self.state.lock().expect("hot tier poisoned");
-        let replica = match msg {
-            HotMsg::Full { shard, crc } => {
-                let got = [
-                    crc32c_f32(&shard.shard.fp32),
-                    crc32c_f32(&shard.shard.exp_avg),
-                    crc32c_f32(&shard.shard.exp_avg_sq),
-                ];
-                if got != crc {
-                    ucp_telemetry::count("hot/replica_rejected", 1);
-                    return;
-                }
-                Replica { step, shard, crc }
-            }
+        let (shard, crc) = match msg {
+            HotMsg::Full { shard, crc } => (shard, crc),
             HotMsg::Delta {
                 common,
                 runs,
                 data,
                 crc,
             } => {
-                let Some(base) = s.banks[holder]
-                    .get(&src)
-                    .and_then(|v| v.last())
-                    .map(|r| r.shard.clone())
-                else {
+                let base = {
+                    let s = self.state.lock().expect("hot tier poisoned");
+                    s.banks[holder]
+                        .get(&src)
+                        .and_then(|v| v.last())
+                        .map(|r| Arc::clone(&r.shard))
+                };
+                let Some(base) = base else {
                     // No base to patch (e.g. the full push was rejected):
                     // the source's replica chain on this holder is broken
                     // until the next segment.
                     ucp_telemetry::count("hot/replica_rejected", 1);
                     return;
                 };
-                let mut shard = base;
+                let mut shard = HotShard::clone(&base);
                 shard.common = common;
                 patch_runs(&mut shard.shard.fp32, &runs, &data[0]);
                 patch_runs(&mut shard.shard.exp_avg, &runs, &data[1]);
                 patch_runs(&mut shard.shard.exp_avg_sq, &runs, &data[2]);
-                let got = [
-                    crc32c_f32(&shard.shard.fp32),
-                    crc32c_f32(&shard.shard.exp_avg),
-                    crc32c_f32(&shard.shard.exp_avg_sq),
-                ];
-                if got != crc {
-                    ucp_telemetry::count("hot/replica_rejected", 1);
-                    return;
-                }
-                Replica { step, shard, crc }
+                (shard, crc)
             }
         };
+        if shard_crc(&shard) != crc {
+            ucp_telemetry::count("hot/replica_rejected", 1);
+            return;
+        }
+        let replica = Replica {
+            step,
+            shard: Arc::new(shard),
+            crc,
+        };
+        let mut s = self.state.lock().expect("hot tier poisoned");
         let slot = s.banks[holder].entry(src).or_default();
         slot.retain(|r| r.step != step);
         slot.push(replica);
@@ -336,17 +329,12 @@ impl HotTier {
                     .and_then(|v| v.iter().find(|r| r.step == step))
                     .expect("holder chosen because it has the step");
                 // Guard against in-memory rot between install and serve.
-                let got = [
-                    crc32c_f32(&replica.shard.shard.fp32),
-                    crc32c_f32(&replica.shard.shard.exp_avg),
-                    crc32c_f32(&replica.shard.shard.exp_avg_sq),
-                ];
-                if got != replica.crc {
+                if shard_crc(&replica.shard) != replica.crc {
                     ucp_telemetry::count("hot/replica_rejected", 1);
                     valid = false;
                     break;
                 }
-                shards.push(replica.shard.clone());
+                shards.push(&*replica.shard);
                 served.push(holder);
             }
             if !valid {
@@ -381,6 +369,15 @@ impl HotTier {
             .map(|r| r.shard.payload_bytes())
             .sum()
     }
+}
+
+/// CRC-32C of a shard's `[fp32, exp_avg, exp_avg_sq]` chunks.
+fn shard_crc(shard: &HotShard) -> [u32; 3] {
+    [
+        crc32c_f32(&shard.shard.fp32),
+        crc32c_f32(&shard.shard.exp_avg),
+        crc32c_f32(&shard.shard.exp_avg_sq),
+    ]
 }
 
 /// The [`dirty_pieces`] of this rank's chunk as sorted, merged
@@ -498,6 +495,92 @@ mod tests {
         // K + 1 consecutive deaths starting at src wipe src's copies.
         let dead_k1: Vec<usize> = (0..=k).collect();
         assert!(!survives(&dead_k1, 0));
+    }
+
+    /// `steps` save boundaries of a fresh DP`world` gpt3-tiny run, each
+    /// rank training one iteration and then pushing into `tier`: a full
+    /// wave, then deltas.
+    fn replicate_waves(tier: &HotTier, world: usize, steps: u64) {
+        use ucp_model::ModelConfig;
+        use ucp_parallel::{ParallelConfig, ZeroStage};
+        let parallel = ParallelConfig::new(1, 1, world, 1, ZeroStage::Zero1);
+        let cfg = crate::TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 11);
+        tier.begin_segment(world);
+        ucp_collectives::Cluster::run(world, |comm| {
+            let mut engine = crate::RankEngine::fresh(cfg.clone(), comm).unwrap();
+            for step in 1..=steps {
+                engine.train_iteration().unwrap();
+                let dirty = engine.take_dirty();
+                let shard = engine.hot_shard();
+                tier.replicate(comm.rank(), step, shard, &dirty, Duration::from_secs(10))
+                    .unwrap();
+            }
+        });
+    }
+
+    /// Every state a checkpoint serves to the ranks of `target`, as bits.
+    fn served_bits(ckpt: &MemoryCheckpoint, target: &ucp_parallel::ParallelConfig) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for rank in 0..target.world_size() {
+            let state = ckpt
+                .load_rank(target, rank, ucp_core::load::DEFAULT_ALIGNMENT)
+                .unwrap();
+            let params = state.model_params.iter().map(|(_, t)| t.as_slice());
+            for xs in [&state.fp32[..], &state.exp_avg, &state.exp_avg_sq]
+                .into_iter()
+                .chain(params)
+            {
+                bits.extend(xs.iter().map(|x| x.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// Recovery reads the replicas where they lie: two recoveries in a row
+    /// serve bitwise-identical checkpoints from the same holders, and the
+    /// banks hold exactly what they held before.
+    #[test]
+    fn recovery_leaves_the_banks_as_they_were() {
+        let tier = HotTier::new(1);
+        replicate_waves(&tier, 2, 2);
+        let resident = tier.resident_bytes();
+        assert!(resident > 0);
+        let (first, served_first) = tier.try_recover().expect("a complete wave");
+        let (second, served_second) = tier.try_recover().expect("a complete wave");
+        assert_eq!(first.step(), 2, "the delta wave is the newest");
+        assert_eq!(served_first, served_second);
+        assert_eq!(first.manifest(), second.manifest());
+        let target = ucp_parallel::ParallelConfig::single();
+        assert_eq!(served_bits(&first, &target), served_bits(&second, &target));
+        assert_eq!(tier.resident_bytes(), resident);
+    }
+
+    /// A replica that rots after its install is still caught at serve
+    /// time: `hot/replica_rejected` ticks once and recovery returns
+    /// nothing, so the supervisor falls back to disk.
+    #[test]
+    fn a_replica_corrupted_after_install_is_rejected() {
+        let tier = HotTier::new(1);
+        replicate_waves(&tier, 2, 1);
+        {
+            // Source 1's own bank is the holder recovery prefers for it.
+            let mut s = tier.state.lock().unwrap();
+            let replica = s.banks[1].get_mut(&1).unwrap().last_mut().unwrap();
+            Arc::make_mut(&mut replica.shard).shard.fp32[0] += 1.0;
+        }
+        let rec = ucp_telemetry::global();
+        let rejected = || {
+            rec.report("hot")
+                .counter("hot/replica_rejected")
+                .unwrap_or(0)
+        };
+        rec.set_enabled(true);
+        let before = rejected();
+        let recovered = tier.try_recover();
+        let after = rejected();
+        rec.set_enabled(false);
+        assert!(recovered.is_none(), "a corrupt replica was served");
+        assert_eq!(after - before, 1);
     }
 
     #[test]

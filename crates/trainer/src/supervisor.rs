@@ -15,8 +15,9 @@
 //!   for the latest recoverable step, degrades the topology to the next
 //!   rung of a caller-provided ladder, converts the checkpoint to
 //!   universal form if the save policy did not already publish one, and
-//!   resumes — repeating until the plan completes or the restart budget
-//!   is exhausted.
+//!   resumes — from the converted atoms still in RAM when it converted —
+//!   repeating until the plan completes or the restart budget is
+//!   exhausted.
 //!
 //! Because resuming replays the loss trajectory deterministically, a
 //! supervised run that survives faults is bitwise-comparable to a
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ucp_collectives::{ClusterOptions, Comm, RankFailure};
-use ucp_core::convert::ConvertOptions;
+use ucp_core::convert::{convert_to_memory, ConvertOptions};
 use ucp_parallel::ParallelConfig;
 use ucp_storage::layout;
 
@@ -283,7 +284,8 @@ pub struct RestartEvent {
     /// Which tier served the resume state: `"peer"` when the hot tier
     /// assembled the checkpoint from surviving RAM replicas, `"disk"`
     /// when the run fell back to the latest committed checkpoint (or
-    /// restarted fresh).
+    /// restarted fresh) — also when that step was converted on the way
+    /// and the resume is served from the convert's atoms in RAM.
     pub source: String,
 }
 
@@ -496,34 +498,39 @@ pub fn supervise(
 }
 
 /// Point `current.resume` at the latest committed checkpoint under
-/// `dir`, converting it to universal form first if that has not happened
-/// yet. Returns the resume step (`None` → fresh restart).
+/// `dir`. A born-universal tree is resumed from disk as it stands. A
+/// sync-native step is converted to universal form first — the tree, its
+/// marker and its journal record are written and published exactly as
+/// the offline convert's — and the resume is served from the atoms the
+/// convert assembled, still in RAM, so the resumed ranks read back none of
+/// what was just written. Returns the resume step (`None` → fresh
+/// restart).
 fn recovery_resume(
     dir: &std::path::Path,
     current: &mut TrainPlan,
 ) -> Result<Option<u64>, TrainError> {
-    match layout::read_latest(dir) {
-        Some(step) => {
-            let universal = layout::universal_dir(dir, step);
-            if !layout::manifest_path(&universal).exists() {
-                let _sp = ucp_telemetry::span("recovery/convert");
-                crate::driver::convert_checkpoint(dir, step, &ConvertOptions::default())?;
-            } else {
-                // Born-universal tree: the save pipeline already published
-                // the atoms, so recovery skips the convert pass entirely.
-                ucp_telemetry::count("recovery/convert_skipped", 1);
-            }
-            current.resume = ResumeMode::Universal {
-                dir: dir.to_path_buf(),
-                step,
-            };
-            Ok(Some(step))
+    let Some(step) = layout::read_latest(dir) else {
+        current.resume = ResumeMode::Fresh;
+        return Ok(None);
+    };
+    let universal = layout::universal_dir(dir, step);
+    current.resume = if layout::manifest_path(&universal).exists() {
+        // Born-universal tree: the save pipeline already published the
+        // atoms, so recovery skips the convert pass entirely.
+        ucp_telemetry::count("recovery/convert_skipped", 1);
+        ResumeMode::Universal {
+            dir: dir.to_path_buf(),
+            step,
         }
-        None => {
-            current.resume = ResumeMode::Fresh;
-            Ok(None)
+    } else {
+        let _sp = ucp_telemetry::span("recovery/convert");
+        let (checkpoint, _) =
+            convert_to_memory(dir, step, &ConvertOptions::default()).map_err(TrainError::Ucp)?;
+        ResumeMode::Hot {
+            checkpoint: std::sync::Arc::new(checkpoint),
         }
-    }
+    };
+    Ok(Some(step))
 }
 
 #[cfg(test)]

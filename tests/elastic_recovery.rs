@@ -7,7 +7,7 @@
 //! that step, no collective may block past the watchdog deadline, and
 //! `ucp fsck` must find the tree clean after every recovery.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -17,6 +17,9 @@ use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::{journal, layout, JournalEvent};
 use ucp_repro::trainer::supervisor::{supervise, FaultKind, RankFault, SupervisorOptions};
 use ucp_repro::trainer::{train_run, ResumeMode, SavePolicy, TrainConfig, TrainPlan};
+
+#[path = "support/tree.rs"]
+mod tree;
 
 const ITERS: u64 = 6;
 const SAVE_EVERY: u64 = 2;
@@ -441,4 +444,130 @@ fn parse_faults_roundtrip_matches_env_syntax() {
             },
         ]
     );
+}
+
+/// Copy the directory tree `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap().flatten() {
+        let dest = to.join(e.file_name());
+        if e.path().is_dir() {
+            copy_tree(&e.path(), &dest);
+        } else {
+            std::fs::copy(e.path(), &dest).unwrap();
+        }
+    }
+}
+
+/// Disk recovery of a sync-native step converts it durably and resumes
+/// from the atoms the convert assembled, still in RAM: the resumed ranks
+/// read no checkpoint bytes (`load/bytes_read` stays 0), the universal
+/// tree left behind is byte-identical to an offline convert of the same
+/// step and fsck-clean, and the resumed losses are bitwise-equal to a
+/// reference resumed from that tree. The MoE cell publishes its expert
+/// weights as split sub-atoms, which the in-RAM checkpoint serves whole.
+#[test]
+fn disk_recovery_resumes_from_the_converted_atoms_in_ram() {
+    let _guard = test_guard();
+    let source = source_topology();
+    let target = degraded_targets()[0];
+    for (label, model) in [
+        ("dense", ModelConfig::gpt3_tiny()),
+        ("moe", ModelConfig::moe_tiny()),
+    ] {
+        let dir = tmp(&format!("in_ram_{label}"));
+        let plan = TrainPlan {
+            config: TrainConfig::quick(model.clone(), source, SEED),
+            until_iteration: ITERS,
+            resume: ResumeMode::Fresh,
+            checkpoint_every: Some(SAVE_EVERY),
+            checkpoint_dir: Some(dir.clone()),
+        };
+        let opts = SupervisorOptions {
+            deadline: DEADLINE,
+            hot_replicas: None,
+            max_restarts: 2,
+            ladder: vec![target],
+            faults: vec![RankFault {
+                rank: source.world_size() - 1,
+                step: 3,
+                kind: FaultKind::Panic,
+            }],
+            save: SavePolicy::default(),
+        };
+        let rec = ucp_repro::telemetry::global();
+        rec.reset();
+        rec.set_enabled(true);
+        let report = supervise(&plan, &opts);
+        let metrics = rec.report(label);
+        rec.set_enabled(false);
+        let report = report.unwrap_or_else(|e| panic!("{label} did not recover: {e}"));
+
+        assert_eq!(report.restarts.len(), 1, "{label}");
+        let restart = &report.restarts[0];
+        assert_eq!(restart.source, "disk", "{label}");
+        assert_eq!(restart.resume_step, Some(2), "{label}");
+        assert_eq!(metrics.counter("recovery/convert_skipped"), None, "{label}");
+        assert!(
+            metrics.counter("convert/atoms_written").unwrap_or(0) > 0,
+            "{label}: the recovery did not convert"
+        );
+        assert_eq!(
+            metrics.counter("load/bytes_read").unwrap_or(0),
+            0,
+            "{label}: the resumed ranks read atoms back from disk"
+        );
+
+        // The tree the recovery published is the offline convert's.
+        let offline = tmp(&format!("in_ram_{label}_offline"));
+        copy_tree(&layout::step_dir(&dir, 2), &layout::step_dir(&offline, 2));
+        ucp_repro::trainer::convert_checkpoint(
+            &offline,
+            2,
+            &ucp_repro::core::convert::ConvertOptions::default(),
+        )
+        .unwrap();
+        let published = tree::tree_bytes(&layout::universal_dir(&dir, 2));
+        assert!(!published.is_empty(), "{label}: no universal tree");
+        if label == "moe" {
+            assert!(
+                published
+                    .iter()
+                    .any(|(name, _)| name.ends_with(".ucpt.000")),
+                "{label}: no split sub-atom in the tree"
+            );
+        }
+        assert!(
+            published == tree::tree_bytes(&layout::universal_dir(&offline, 2)),
+            "{label}: the recovery's tree differs from an offline convert"
+        );
+        assert_eq!(layout::read_latest_universal(&dir), Some(2), "{label}");
+        let fsck_report = fsck(&dir, &FsckOptions { repair: false }).unwrap();
+        assert!(fsck_report.clean(), "{label}: {fsck_report:?}");
+
+        // Resumed from memory, bitwise-equal to a resume from the tree.
+        let reference = train_run(&TrainPlan {
+            config: TrainConfig::quick(model, target, SEED),
+            until_iteration: ITERS,
+            resume: ResumeMode::Universal {
+                dir: dir.clone(),
+                step: 2,
+            },
+            checkpoint_every: None,
+            checkpoint_dir: None,
+        })
+        .unwrap();
+        let resumed = &report.final_segment().losses;
+        assert_eq!(resumed.len(), reference.losses.len(), "{label}");
+        for ((ia, la), (ib, lb)) in resumed.iter().zip(&reference.losses) {
+            assert_eq!(ia, ib, "{label}");
+            assert_eq!(
+                la.to_bits(),
+                lb.to_bits(),
+                "{label} iteration {ia}: resumed {la} != reference {lb}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&offline);
+    }
 }
