@@ -6,7 +6,11 @@ and the newest committed results/BENCH_e2e_pr<N>_change.json (highest <N>
 in the file name), and holds the readings that do not depend on the runner
 to it, per workload, within 1e-3 relative:
 
-  end to end   write_amp, read_amp
+  end to end   write_amp, read_amp — each seed's reading against the
+               committed reading *for that seed* (the sets' `seeds` and
+               per-metric `values`): a count can depend on the seed (MoE
+               routing picks which expert sub-atoms a save rewrites), so
+               a ten-seed median is not what seed 1 should read
   per layer    storage.commit_points_per_save, core.fresh_bytes_per_save,
                core.atoms_linked_per_save
   checks       failed == 0 with run > 0 (how many checks run follows how
@@ -63,9 +67,18 @@ def compare(current, committed):
         checks = current["checks"][w]
         if checks["failed"] != 0 or checks["run"] <= 0:
             failures.append(f"{w} checks: {checks['failed']} failed of {checks['run']} run")
-        readings = [(m, sign, current["end_to_end"][w].get(m, {}).get("median"),
-                     committed["end_to_end"][w][m]["median"])
-                    for m, sign in GATED_E2E.items()]
+        readings = []
+        for m, sign in GATED_E2E.items():
+            now = current["end_to_end"][w].get(m, {}).get("values")
+            if now is None:
+                readings.append((m, sign, None, None))
+                continue
+            then = dict(zip(committed["seeds"], committed["end_to_end"][w][m]["values"]))
+            for seed, value in zip(current["seeds"], now):
+                if seed not in then:
+                    failures.append(f"{w} {m}: seed {seed} is not in the committed set")
+                else:
+                    readings.append((f"{m} (seed {seed})", sign, value, then[seed]))
         readings += [(m, sign, current["per_layer"].get(w, {}).get(m, {}).get("value"),
                       committed["per_layer"][w][m]["value"])
                      for m, sign in GATED_LAYER.items()]
@@ -148,9 +161,43 @@ def self_test():
         return edit
 
     failures, _ = doctored(scale_write_amp(1.01))
-    assert len(failures) == 1 and failures[0].startswith("moe_overlap_every1 write_amp:"), failures
+    assert len(failures) == len(parent["seeds"]), failures
+    assert all(f.startswith("moe_overlap_every1 write_amp (seed ") for f in failures), failures
     failures, improvements = doctored(scale_write_amp(0.99))
-    assert not failures and len(improvements) == 1, (failures, improvements)
+    assert not failures and len(improvements) == len(parent["seeds"]), (failures, improvements)
+
+    # A count that depends on the seed: each seed is held to its own
+    # committed reading, not to the median of all of them. A set of one
+    # seed, as CI makes it, that reads its own seed's value passes even
+    # where that value is far from the median...
+    def one_seed(data, seed, value):
+        one = copy.deepcopy(data)
+        for w in one["end_to_end"]:
+            for row in one["end_to_end"][w].values():
+                row["values"] = [row["values"][data["seeds"].index(seed)]]
+                row["median"] = row["values"][0]
+        one["seeds"] = [seed]
+        if value is not None:
+            row = one["end_to_end"]["moe_overlap_every1"]["write_amp"]
+            row["values"], row["median"] = [value], value
+        return one
+
+    spread = copy.deepcopy(change)
+    row = spread["end_to_end"]["moe_overlap_every1"]["write_amp"]
+    row["values"] = [1.30 + 0.002 * i for i in range(len(spread["seeds"]))]
+    row["median"] = sorted(row["values"])[len(row["values"]) // 2]
+    seed = spread["seeds"][0]
+    assert compare(one_seed(spread, seed, None), spread) == ([], []), \
+        compare(one_seed(spread, seed, None), spread)
+    # ...and one that reads the median instead of its own seed's value fails.
+    failures, _ = compare(one_seed(spread, seed, row["median"]), spread)
+    assert failures == [f"moe_overlap_every1 write_amp (seed {seed}): "
+                        f"{row['values'][0]:g} committed, {row['median']:g} now"], failures
+    # A seed the committed set does not hold cannot be judged.
+    stranger = one_seed(spread, seed, None)
+    stranger["seeds"] = [99]
+    failures, _ = compare(stranger, spread)
+    assert "moe_overlap_every1 write_amp: seed 99 is not in the committed set" in failures, failures
     failures, _ = doctored(lambda d: d["checks"]["dense_kill_recover"].update(failed=1))
     assert len(failures) == 1 and failures[0].startswith("dense_kill_recover checks:"), failures
     failures, _ = doctored(lambda d: d["end_to_end"].pop("reshard_load_fanout"))

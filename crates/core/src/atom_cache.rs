@@ -4,10 +4,17 @@
 //! The ranged load path asks for exactly the element runs a rank's shard
 //! needs. This cache turns those requests into positioned, block-aligned
 //! disk reads ([`ucp_storage::SectionInfo::read_range_at`]) and remembers
-//! the decoded values, so when several ranks of one load session need the
+//! what they verified, so when several ranks of one load session need the
 //! same atom — every DP replica of a (tp, pp) slice reads the same fp32
 //! shard, TP peers interleave their runs in the same rows — each byte is
 //! fetched once and served from memory afterwards.
+//!
+//! A fetch fills its interval once: the read allocates the interval's
+//! buffer and lands the span in it with no zeroing pass before, and the
+//! interval keeps the verified bytes as they lie in the file
+//! ([`ucp_storage::Payload`]: little-endian, in the section's dtype, so a
+//! 16-bit atom is cached at two bytes an element). A gather decodes them
+//! once, straight into the rank's destination (a `load::Fill`).
 //!
 //! Bookkeeping (telemetry counters, see `docs` in DESIGN.md):
 //!
@@ -29,17 +36,18 @@ use std::sync::{Arc, Mutex};
 use ucp_storage::container::{self, Verified};
 use ucp_storage::io::Throttled;
 use ucp_storage::layout::{self, AtomFile};
-use ucp_storage::{ContainerIndex, Device, RangeScratch, StorageError};
+use ucp_storage::{ContainerIndex, Device, Payload, RangeScratch, StorageError};
 use ucp_tensor::{DType, Shape};
 
+use crate::load::Fill;
 use crate::{Result, UcpError};
 
-/// Decoded, disjoint element intervals of one atom section: start element
-/// → values. Every boundary is CRC-block-aligned (or clamped to the section
-/// end), so uncovered gaps are block-aligned too and a fetch never re-reads
-/// cached bytes.
+/// Verified, disjoint element intervals of one atom section: start element
+/// → the payload bytes read for it. Every boundary is CRC-block-aligned (or
+/// clamped to the section end), so uncovered gaps are block-aligned too and
+/// a fetch never re-reads cached bytes.
 #[derive(Default)]
-struct Intervals(BTreeMap<usize, Vec<f32>>);
+struct Intervals(BTreeMap<usize, Payload>);
 
 /// One atom file's cached intervals per state section
 /// ([`AtomFile::ALL`] order), plus the container index needed to fetch
@@ -75,29 +83,29 @@ impl AtomCache {
         }
     }
 
-    /// Copy `runs` of `file` for parameter `name` — of its sub-atom `part`
-    /// when the parameter is split — into `dst`, reading whatever is not
-    /// cached yet. A run is `(offset in dst, element range of the flattened
-    /// (sub-)atom)`. Returns the section dtype. `expected_shape` is checked
-    /// against the section header before anything is read.
+    /// Make `ranges` — element ranges of the flattened (sub-)atom — of
+    /// `file` for parameter `name` (of its sub-atom `part` when the
+    /// parameter is split) resident in the cache, reading whatever is not
+    /// cached yet, and return the (sub-)atom's state to gather them from.
+    /// `expected_shape` is checked against the section header before
+    /// anything is read.
     ///
     /// A fetch that is one contiguous piece reads exactly its block-aligned
     /// range. A fetch left with several gaps is a strided shard — the gaps
-    /// between its runs are its TP peers' runs, and the session serves them
-    /// too — so it reads the span that covers the runs and one stride
-    /// either side, minus what is cached, and caches all of it: the peers
-    /// hit memory. Either way a piece is one data read, one table read and
-    /// one CRC pass straight into the interval that caches it, never more
-    /// than the section, and nothing unverified is ever served.
-    pub fn fetch(
+    /// between its ranges are its TP peers' runs, and the session serves
+    /// them too — so it reads the span that covers the ranges and one
+    /// stride either side, minus what is cached, and caches all of it: the
+    /// peers hit memory. Either way a piece is one data read, one table
+    /// read and one CRC pass into the fresh interval that caches it, never
+    /// more than the section, and nothing unverified is ever cached.
+    pub(crate) fn fetch(
         &self,
         name: &str,
         part: Option<usize>,
         file: AtomFile,
         expected_shape: &Shape,
-        runs: &[(usize, Range<usize>)],
-        dst: &mut [f32],
-    ) -> Result<DType> {
+        ranges: &[Range<usize>],
+    ) -> Result<CachedState> {
         let path = layout::atom_file(&self.universal, name, part);
         let entry = {
             let mut map = self.entries.lock().expect("atom cache poisoned");
@@ -111,7 +119,7 @@ impl AtomCache {
             Some(part) => format!("{name} part {part:03}"),
             None => name.to_string(),
         };
-        let mut entry = entry.lock().expect("atom cache entry poisoned");
+        let mut guard = entry.lock().expect("atom cache entry poisoned");
         let key = file.state_key();
         // The fetch's file handle, opened on the first byte it needs from
         // disk: one open and one throttle clock per fetch that touches
@@ -120,10 +128,10 @@ impl AtomCache {
             || -> Result<Throttled<File>> { Ok(self.device.reader(container::open_file(&path)?)) };
         let mut handle = None;
 
-        if entry.index.is_none() {
-            entry.index = Some(ContainerIndex::read_head(handle.insert(open()?))?);
+        if guard.index.is_none() {
+            guard.index = Some(ContainerIndex::read_head(handle.insert(open()?))?);
         }
-        let AtomEntry { index, cached } = &mut *entry;
+        let AtomEntry { index, cached } = &mut *guard;
         let cached = &mut cached[file as usize];
         let info = index
             .as_ref()
@@ -147,7 +155,7 @@ impl AtomCache {
         // pieces so adjacent/overlapping requests become one disk read.
         let (mut needed_bytes, mut hits, mut hit_bytes, mut misses) = (0u64, 0u64, 0u64, 0u64);
         let mut missing: Vec<Range<usize>> = Vec::new();
-        for (_, r) in runs {
+        for r in ranges {
             if r.start >= r.end {
                 continue;
             }
@@ -198,11 +206,8 @@ impl AtomCache {
             };
             let mut scratch = RangeScratch::default();
             for piece in pieces {
-                let mut start = piece.start;
-                let mut vals = vec![0.0f32; piece.len()];
-                let mut verified = info.read_range_at(r, piece.clone(), &mut scratch, &mut vals);
-                if matches!(verified, Err(StorageError::ChecksumMismatch { .. }))
-                    && piece.len() < total
+                let mut read = info.read_range_at(r, piece.clone(), &mut scratch);
+                if matches!(read, Err(StorageError::ChecksumMismatch { .. })) && piece.len() < total
                 {
                     // Graceful degradation: a block mismatch on part of a
                     // section may mean the *table* is damaged, not the
@@ -210,10 +215,10 @@ impl AtomCache {
                     // settles a mismatch against the independent
                     // whole-payload CRC; only if that fails too is the
                     // atom truly corrupt.
-                    (start, vals) = (0, vec![0.0f32; total]);
-                    verified = info.read_range_at(r, 0..total, &mut scratch, &mut vals);
+                    read = info.read_range_at(r, 0..total, &mut scratch);
                 }
-                if verified? == Verified::Whole {
+                let (payload, verified) = read?;
+                if verified == Verified::Whole {
                     eprintln!(
                         "warning: atom {} {key}: block CRCs disagree but the \
                          whole-payload CRC holds; served from a whole-section read",
@@ -223,14 +228,14 @@ impl AtomCache {
                         ucp_telemetry::count("load/ranged_fallback", 1);
                     }
                 }
-                if vals.len() == total {
+                if payload.elems().len() == total {
                     // The whole section supersedes every cached interval
                     // and every remaining piece.
                     cached.0.clear();
-                    cached.0.insert(0, vals);
+                    cached.0.insert(0, payload);
                     break;
                 }
-                cached.0.insert(start, vals);
+                cached.0.insert(payload.elems().start, payload);
             }
         }
         if ucp_telemetry::enabled() {
@@ -243,31 +248,52 @@ impl AtomCache {
             ucp_telemetry::count("load/cache_misses", misses);
             ucp_telemetry::count("load/cache_hit_bytes", hit_bytes);
         }
+        drop(guard);
+        Ok(CachedState { entry, file, dtype })
+    }
+}
 
-        for (offset, r) in runs.iter().filter(|(_, r)| !r.is_empty()) {
-            cached.gather(r, &mut dst[*offset..*offset + r.len()]);
-        }
-        Ok(dtype)
+/// One (sub-)atom state in a session's cache, as [`AtomCache::fetch`]
+/// left it: every range that fetch asked for is resident.
+pub(crate) struct CachedState {
+    entry: Arc<Mutex<AtomEntry>>,
+    file: AtomFile,
+    dtype: DType,
+}
+
+impl CachedState {
+    /// The section's dtype.
+    pub(crate) fn dtype(&self) -> DType {
+        self.dtype
+    }
+
+    /// Decode elements `r` out of the cached intervals onto the end of
+    /// `fill`. `r` must lie inside a range the fetch made resident (the
+    /// cache never drops an interval, and a whole-section read that
+    /// replaces some covers them all); a hole is an error, never a value.
+    pub(crate) fn gather(&self, r: Range<usize>, fill: &mut Fill<'_>) -> Result<()> {
+        let entry = self.entry.lock().expect("atom cache entry poisoned");
+        entry.cached[self.file as usize].gather(r, fill)
     }
 }
 
 impl Intervals {
     /// Cached intervals that may overlap `r`, ascending: from the last one
     /// starting at or before `r.start` to the last one starting inside `r`.
-    fn overlapping(&self, r: &Range<usize>) -> impl Iterator<Item = (usize, &[f32])> {
+    fn overlapping(&self, r: &Range<usize>) -> impl Iterator<Item = (usize, &Payload)> {
         let from = (self.0.range(..=r.start).next_back()).map_or(r.start, |(&start, _)| start);
-        (self.0.range(from..r.end)).map(|(&start, vals)| (start, &vals[..]))
+        (self.0.range(from..r.end)).map(|(&start, payload)| (start, payload))
     }
 
     /// Sub-ranges of `r` not covered by any cached interval.
     fn uncovered(&self, r: &Range<usize>) -> Vec<Range<usize>> {
         let mut gaps = Vec::new();
         let mut cursor = r.start;
-        for (start, vals) in self.overlapping(r) {
+        for (start, payload) in self.overlapping(r) {
             if start > cursor {
                 gaps.push(cursor..start);
             }
-            cursor = cursor.max(start + vals.len());
+            cursor = cursor.max(payload.elems().end);
         }
         if cursor < r.end {
             gaps.push(cursor..r.end);
@@ -275,43 +301,82 @@ impl Intervals {
         gaps
     }
 
-    /// Copy `r` out of the cached intervals into `out`. Callers only gather
-    /// ranges whose aligned cover was fetched above, so coverage is total.
-    fn gather(&self, r: &Range<usize>, out: &mut [f32]) {
-        for (start, vals) in self.overlapping(r) {
-            let lo = r.start.max(start);
-            let hi = r.end.min(start + vals.len());
-            if lo < hi {
-                out[lo - r.start..hi - r.start].copy_from_slice(&vals[lo - start..hi - start]);
+    /// Decode elements `r` out of the cached intervals onto the end of
+    /// `fill`, front to back. Elements no interval holds are an error, and
+    /// nothing is written for them.
+    fn gather(&self, r: Range<usize>, fill: &mut Fill<'_>) -> Result<()> {
+        let mut cursor = r.start;
+        for (start, payload) in self.overlapping(&r) {
+            if start > cursor {
+                break;
+            }
+            let hi = r.end.min(payload.elems().end);
+            if cursor < hi {
+                fill.decode(payload.dtype(), payload.bytes(cursor..hi))?;
+                cursor = hi;
             }
         }
+        if cursor < r.end {
+            return Err(UcpError::Inconsistent(format!(
+                "atom cache: elements {cursor}..{} were never fetched",
+                r.end
+            )));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::filled;
+    use ucp_storage::Container;
+    use ucp_tensor::Tensor;
 
+    /// A cache over one fp32 section holding `0.0, 1.0, ..`, with the
+    /// block-aligned spans `spans` (start, len in elements) fetched into it.
     fn intervals(spans: &[(usize, usize)]) -> Intervals {
-        let filled = |&(start, len)| (start, (start..start + len).map(|v| v as f32).collect());
-        Intervals(spans.iter().map(filled).collect())
+        let dir = std::env::temp_dir().join(format!("ucp_atom_cache_{}", std::process::id()));
+        let path = dir.join(format!("{spans:?}.ucpt"));
+        let values: Vec<f32> = (0..1024).map(|v| v as f32).collect();
+        let mut c = Container::new("{}");
+        c.push(
+            "fp32",
+            Tensor::from_vec(values, Shape::new([1024])).unwrap(),
+        );
+        c.write_file(&path).unwrap();
+        let mut file = container::open_file(&path).unwrap();
+        let index = ContainerIndex::read_head(&mut file).unwrap();
+        let mut scratch = RangeScratch::default();
+        let read = |&(start, len): &(usize, usize)| {
+            let (payload, _) =
+                (index.sections[0].read_range_at(&mut file, start..start + len, &mut scratch))
+                    .unwrap();
+            assert_eq!(payload.elems(), start..start + len, "block-aligned");
+            (start, payload)
+        };
+        let cached = Intervals(spans.iter().map(read).collect());
+        std::fs::remove_dir_all(&dir).ok();
+        cached
     }
 
     #[test]
     fn uncovered_finds_gaps_between_intervals() {
-        let e = intervals(&[(10, 10), (30, 10)]);
-        assert_eq!(e.uncovered(&(0..50)), vec![0..10, 20..30, 40..50]);
-        assert_eq!(e.uncovered(&(12..18)), Vec::<Range<usize>>::new());
-        assert_eq!(e.uncovered(&(15..35)), vec![20..30]);
-        assert_eq!(e.uncovered(&(40..45)), vec![40..45]);
+        let e = intervals(&[(64, 64), (192, 64)]);
+        assert_eq!(e.uncovered(&(0..320)), vec![0..64, 128..192, 256..320]);
+        assert_eq!(e.uncovered(&(70..100)), Vec::<Range<usize>>::new());
+        assert_eq!(e.uncovered(&(100..200)), vec![128..192]);
+        assert_eq!(e.uncovered(&(256..300)), vec![256..300]);
     }
 
     #[test]
-    fn gather_stitches_across_adjacent_intervals() {
-        let e = intervals(&[(0, 10), (10, 15), (40, 5)]);
-        assert_eq!(e.uncovered(&(5..25)), Vec::<Range<usize>>::new());
-        let mut got = vec![0.0; 15];
-        e.gather(&(5..20), &mut got);
-        assert_eq!(got, (5..20).map(|v| v as f32).collect::<Vec<_>>());
+    fn gather_stitches_across_adjacent_intervals_and_refuses_holes() {
+        let e = intervals(&[(0, 64), (64, 128), (256, 64)]);
+        assert_eq!(e.uncovered(&(5..150)), Vec::<Range<usize>>::new());
+        let gather = |r: Range<usize>| filled(r.len(), |fill| e.gather(r, fill)).map(|(v, ())| v);
+        let got = gather(5..150).unwrap();
+        assert_eq!(got, (5..150).map(|v| v as f32).collect::<Vec<_>>());
+        assert!(gather(150..260).is_err(), "192..256 was never fetched");
+        assert!(gather(300..330).is_err(), "past the last interval");
     }
 }

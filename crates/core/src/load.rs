@@ -21,10 +21,19 @@
 //! the plan is the same element runs, cut at sub-atom boundaries and
 //! fetched from the file each piece lies in, and the whole-file path
 //! ([`read_atom`]) reads each file once and concatenates the parts.
+//!
+//! Every destination a load builds — the rank's three flat chunks and each
+//! entry's fp32 shard — is a fresh buffer written front to back, each value
+//! exactly once, through a `Fill`: no zeroing pass runs before it. Only
+//! what no source backs is zeroed, explicitly, in its place: padding
+//! segments, the space between an entry's fragments and between entries'
+//! windows, and the chunk tail. Coverage is checked, not assumed: a buffer
+//! becomes values only after every one of its fills reported full.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Cursor, Read};
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -36,7 +45,7 @@ use ucp_storage::layout::{self, AtomFile};
 use ucp_storage::{container, Container, Device};
 use ucp_tensor::{DType, Shape, Tensor};
 
-use crate::atom_cache::AtomCache;
+use crate::atom_cache::{AtomCache, CachedState};
 use crate::manifest::UcpManifest;
 use crate::util::par_map;
 use crate::{Result, UcpError};
@@ -206,18 +215,181 @@ pub(crate) enum AtomSource<'a> {
 }
 
 impl AtomSource<'_> {
-    /// One whole atom, all three states, for the full-read strategy.
-    fn atom(&self, entry: &LoadEntry) -> Result<Cow<'_, [Tensor; 3]>> {
+    /// Where `entry`'s states are copied from: the session's cache on the
+    /// ranged path, else the whole atom — all three states, decoded from
+    /// its file or borrowed from RAM.
+    fn states(&self, entry: &LoadEntry) -> Result<States<'_>> {
         let name: &str = &entry.name;
-        match self {
+        Ok(match self {
+            AtomSource::Disk { opts, cache, .. } if opts.ranged => States::Cache(cache),
             AtomSource::Disk {
                 universal, opts, ..
-            } => read_atom(universal, name, entry.parts, &opts.device).map(Cow::Owned),
-            AtomSource::Memory(atoms) => atoms.get(name).map(Cow::Borrowed).ok_or_else(|| {
-                UcpError::Inconsistent(format!("hot checkpoint has no atom for {name}"))
-            }),
+            } => States::Whole(Cow::Owned(read_atom(
+                universal,
+                name,
+                entry.parts,
+                &opts.device,
+            )?)),
+            AtomSource::Memory(atoms) => {
+                States::Whole(Cow::Borrowed(atoms.get(name).ok_or_else(|| {
+                    UcpError::Inconsistent(format!("hot checkpoint has no atom for {name}"))
+                })?))
+            }
+        })
+    }
+}
+
+/// One entry's source of values, as [`AtomSource::states`] picks it.
+enum States<'a> {
+    /// Verified ranges fetched into the session's cache as needed.
+    Cache(&'a AtomCache),
+    /// The whole atom, `[fp32, exp_avg, exp_avg_sq]`.
+    Whole(Cow<'a, [Tensor; 3]>),
+}
+
+impl States<'_> {
+    /// Write `runs` of `entry`'s `file` state — atom-space runs in
+    /// destination order, tiling what `fill` is to receive — onto the end
+    /// of `fill`: padding runs as zeros, the rest copied out of the source.
+    /// Returns the state's dtype, or `None` when nothing was read to learn
+    /// it (every run padding, on the ranged path).
+    fn write(
+        &self,
+        entry: &LoadEntry,
+        file: AtomFile,
+        runs: &[ShardSegment],
+        fill: &mut Fill<'_>,
+    ) -> Result<Option<DType>> {
+        let atom = match self {
+            States::Cache(cache) => return fill_from_cache(cache, entry, file, runs, fill),
+            States::Whole(atom) => &atom[file as usize],
+        };
+        if atom.shape() != &entry.full_shape {
+            return Err(UcpError::Inconsistent(format!(
+                "atom {} has shape {}, expected {}",
+                entry.name,
+                atom.shape(),
+                entry.full_shape
+            )));
+        }
+        for run in runs {
+            match run.src_offset {
+                None => fill.zeros(run.len)?,
+                Some(src) => fill.values(&atom.as_slice()[src..src + run.len])?,
+            }
+        }
+        Ok(Some(atom.dtype()))
+    }
+}
+
+/// A fresh destination written front to back, each slot exactly once: the
+/// spare capacity of a new buffer, or a window of one handed out by
+/// [`Fill::window`]. Every operation writes each slot it advances over, and
+/// a window's slots are the window's to write, so once a fill and every
+/// window taken from it report [`Fill::finish`] without error, every slot
+/// of the buffer holds a value.
+pub(crate) struct Fill<'a> {
+    /// The slots not yet written or handed to a window, in order.
+    rest: &'a mut [MaybeUninit<f32>],
+}
+
+impl<'a> Fill<'a> {
+    /// A fill over `slots`, none of which need be initialised.
+    fn new(slots: &'a mut [MaybeUninit<f32>]) -> Fill<'a> {
+        Fill { rest: slots }
+    }
+
+    /// Take the next `n` slots off the front.
+    fn next(&mut self, n: usize) -> Result<&'a mut [MaybeUninit<f32>]> {
+        if n > self.rest.len() {
+            return Err(UcpError::Inconsistent(format!(
+                "load destination overrun: {n} values into {} slots",
+                self.rest.len()
+            )));
+        }
+        let (head, tail) = std::mem::take(&mut self.rest).split_at_mut(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    /// Write `values` into the next slots.
+    pub(crate) fn values(&mut self, values: &[f32]) -> Result<()> {
+        self.next(values.len())?.write_copy_of_slice(values);
+        Ok(())
+    }
+
+    /// Write `bytes` — little-endian, in `dtype` — decoded into the next
+    /// slots.
+    pub(crate) fn decode(&mut self, dtype: DType, bytes: &[u8]) -> Result<()> {
+        let n = bytes.len() / dtype.size_bytes();
+        dtype.decode_into(bytes, self.next(n)?);
+        Ok(())
+    }
+
+    /// Zero the next `n` slots: padding, which no source backs.
+    fn zeros(&mut self, n: usize) -> Result<()> {
+        for slot in self.next(n)? {
+            slot.write(0.0);
+        }
+        Ok(())
+    }
+
+    /// Hand the next `n` slots to a fill of their own.
+    fn window(&mut self, n: usize) -> Result<Fill<'a>> {
+        Ok(Fill::new(self.next(n)?))
+    }
+
+    /// `Ok` once every slot has been written or handed to a window.
+    fn finish(&self) -> Result<()> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(UcpError::Inconsistent(format!(
+                "load destination short: {n} slots left unwritten"
+            ))),
         }
     }
+}
+
+/// A NaN bit pattern no load writes: in debug builds every fresh
+/// destination holds it before the load, so a slot the load skipped
+/// survives into the [`RankState`] as this instead of as uninitialised
+/// memory, and [`execute_plan`] refuses it.
+#[cfg(debug_assertions)]
+const SENTINEL: u32 = 0x7fc0_dead;
+
+/// The first `len` slots of the spare capacity of `buf`, an empty buffer
+/// (reserving them), for a [`Fill`]. Debug builds write [`SENTINEL`] over
+/// them first.
+fn fresh_slots(buf: &mut Vec<f32>, len: usize) -> &mut [MaybeUninit<f32>] {
+    buf.reserve_exact(len);
+    let slots = &mut buf.spare_capacity_mut()[..len];
+    #[cfg(debug_assertions)]
+    for slot in slots.iter_mut() {
+        slot.write(f32::from_bits(SENTINEL));
+    }
+    slots
+}
+
+/// A fresh buffer of `len` values written front to back by `write` through
+/// a [`Fill`]: no zeroing pass, and an error — never a value nothing wrote
+/// — if `write` leaves a slot unwritten.
+pub(crate) fn filled<T>(
+    len: usize,
+    write: impl FnOnce(&mut Fill<'_>) -> Result<T>,
+) -> Result<(Vec<f32>, T)> {
+    let mut buf = Vec::new();
+    let out = {
+        let mut fill = Fill::new(fresh_slots(&mut buf, len));
+        let out = write(&mut fill)?;
+        fill.finish()?;
+        out
+    };
+    // SAFETY: `finish` found no slot of the fill's `len` left, and no window
+    // was taken from it, so every one of the first `len` slots of the spare
+    // capacity was written by a `Fill` operation, each of which writes
+    // every slot it advances over.
+    unsafe { buf.set_len(len) };
+    Ok((buf, out))
 }
 
 /// Compute the load plan for `rank` under `target` (the `GenUcpMetadata`
@@ -359,35 +531,42 @@ pub fn read_atom(
 
 /// One entry's windows of the rank's `[fp32, exp_avg, exp_avg_sq]` chunks
 /// ([`AtomFile::ALL`] order): where its fragments land.
-type Windows<'a> = [&'a mut [f32]; 3];
+type Windows<'a> = [Fill<'a>; 3];
 
-/// Split the rank's three chunks into one [`Windows`] per entry. A
-/// parameter's slot is contiguous in the flat space, so an entry's
-/// fragments occupy one span of the chunk and the spans ascend with the
-/// entries — disjoint windows, which the parallel read phase fills
+/// Split the rank's three chunk fills into one [`Windows`] per entry,
+/// zeroing what lies outside every window — the alignment padding between
+/// successive entries' windows and the chunk tail — as it walks each chunk
+/// front to back. A parameter's slot is contiguous in the flat space, so
+/// an entry's fragments occupy one span of the chunk and the spans ascend
+/// with the entries: disjoint windows, which the parallel read phase fills
 /// directly instead of returning pieces for a serial scatter.
 fn chunk_windows<'a>(
-    chunks: &'a mut [Vec<f32>; 3],
+    mut chunks: [Fill<'a>; 3],
     entries: &[LoadEntry],
 ) -> Result<Vec<Mutex<Windows<'a>>>> {
-    let mut rest = chunks.each_mut().map(|c| &mut c[..]);
     let mut taken = 0;
     let mut windows = Vec::with_capacity(entries.len());
     for entry in entries {
         let lo = entry.fragments.first().map_or(taken, |f| f.chunk_offset);
         let hi = (entry.fragments.last()).map_or(lo, |f| f.chunk_offset + f.len);
-        if lo < taken || hi < lo || hi - taken > rest[0].len() {
+        if lo < taken || hi < lo || hi - taken > chunks[0].rest.len() {
             return Err(UcpError::Inconsistent(format!(
                 "{}: fragments {lo}..{hi} are not an ascending window of the chunk",
                 entry.name
             )));
         }
-        windows.push(Mutex::new(rest.each_mut().map(|r| {
-            let (window, tail) = std::mem::take(r)[lo - taken..].split_at_mut(hi - lo);
-            *r = tail;
-            window
-        })));
+        let window = |chunk: &mut Fill<'a>| -> Result<Fill<'a>> {
+            chunk.zeros(lo - taken)?;
+            chunk.window(hi - lo)
+        };
+        let [a, b, c] = &mut chunks;
+        windows.push(Mutex::new([window(a)?, window(b)?, window(c)?]));
         taken = hi;
+    }
+    for chunk in &mut chunks {
+        let tail = chunk.rest.len();
+        chunk.zeros(tail)?;
+        chunk.finish()?;
     }
     Ok(windows)
 }
@@ -397,8 +576,9 @@ fn chunk_windows<'a>(
 pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<RankState> {
     let _total_span = ucp_telemetry::span("load/total");
     let chunk = plan.layout.chunk;
-    let mut chunks = [(); 3].map(|()| vec![0.0f32; chunk]);
-    let windows = chunk_windows(&mut chunks, &plan.entries)?;
+    let mut chunks: [Vec<f32>; 3] = Default::default();
+    let fills = chunks.each_mut().map(|c| Fill::new(fresh_slots(c, chunk)));
+    let windows = chunk_windows(fills, &plan.entries)?;
 
     // Read (parallel over entries): build each entry's fp32 shard and fill
     // its chunk windows. Per-entry busy time accumulates into
@@ -412,13 +592,7 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
         let _read_sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "read_entry");
         let t_busy = ucp_telemetry::enabled().then(std::time::Instant::now);
         let entry = &plan.entries[i];
-        let mut windows = windows[i].lock();
-        let shard_fp32 = match source {
-            AtomSource::Disk { opts, cache, .. } if opts.ranged => {
-                read_entry_ranged(plan, entry, cache, &mut windows)?
-            }
-            _ => read_entry_full(plan, entry, source, &mut windows)?,
-        };
+        let shard_fp32 = read_entry(plan, entry, source, &mut windows[i].lock())?;
         if let Some(t) = t_busy {
             ucp_telemetry::count(
                 "load/worker_busy_ns",
@@ -428,188 +602,203 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
         Ok((entry.name.clone(), shard_fp32))
     })?;
     drop(read_span);
+    // The audit: every window of every chunk written to its end.
+    for window in &windows {
+        window.lock().iter().try_for_each(Fill::finish)?;
+    }
     drop(windows);
+    for c in &mut chunks {
+        // SAFETY: `chunk_windows` walked each chunk's `chunk` slots front to
+        // back through a `Fill` and finished it, zeroing every slot outside
+        // the entries' windows and handing each other slot to exactly one
+        // window; the audit above found every window finished. A `Fill`
+        // writes each slot it advances over, so all `chunk` slots hold values.
+        unsafe { c.set_len(chunk) };
+    }
 
     let [fp32, exp_avg, exp_avg_sq] = chunks;
-    Ok(RankState {
+    let state = RankState {
         layout: Arc::clone(&plan.layout),
         fp32,
         exp_avg,
         exp_avg_sq,
         model_params,
-    })
+    };
+    #[cfg(debug_assertions)]
+    {
+        let bufs = [&state.fp32, &state.exp_avg, &state.exp_avg_sq];
+        let shards = state.model_params.iter().map(|(_, t)| t.as_slice());
+        for values in bufs.into_iter().map(|b| &b[..]).chain(shards) {
+            assert!(
+                values.iter().all(|v| v.to_bits() != SENTINEL),
+                "load left a destination slot unwritten"
+            );
+        }
+    }
+    Ok(state)
 }
 
-/// Full-read strategy: take the whole atom (decoding its file — all three
-/// states, whichever this rank's chunk needs — or borrowing it from RAM),
-/// then slice out this rank's TP shard in memory.
-fn read_entry_full(
+/// One entry: its fp32 shard (the model copy needs all of it), written
+/// front to back over the shard's segments, and its chunk windows — the fp32
+/// window from that shard, the moments' from the source, only the exact
+/// fragment intersections.
+fn read_entry(
     plan: &LoadPlan,
     entry: &LoadEntry,
     source: &AtomSource<'_>,
     windows: &mut Windows<'_>,
 ) -> Result<Tensor> {
-    let atom = source.atom(entry)?;
-    let shard = |state: AtomFile| -> Result<Tensor> {
-        let whole = &atom[state as usize];
-        if whole.shape() != &entry.full_shape {
-            return Err(UcpError::Inconsistent(format!(
-                "atom {} has shape {}, expected {}",
-                entry.name,
-                whole.shape(),
-                entry.full_shape
-            )));
-        }
-        Ok(entry.partition.shard(whole, plan.target.tp, plan.coord.tp))
-    };
-    // Model copy always needs the fp32 shard of every owned parameter;
-    // the optimizer moments are only sliced when this rank's chunk
-    // intersects the parameter.
-    let shard_fp32 = shard(AtomFile::Fp32)?;
-    if !entry.fragments.is_empty() {
-        scatter(windows[0], shard_fp32.as_slice(), &entry.fragments);
-        for state in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
-            scatter(
-                windows[state as usize],
-                shard(state)?.as_slice(),
-                &entry.fragments,
-            );
-        }
-    }
-    Ok(shard_fp32)
-}
-
-/// Ranged strategy: copy only the element runs the shard and fragments
-/// touch out of the session's atom cache, straight into the shard and the
-/// chunk windows.
-fn read_entry_ranged(
-    plan: &LoadPlan,
-    entry: &LoadEntry,
-    cache: &AtomCache,
-    windows: &mut Windows<'_>,
-) -> Result<Tensor> {
+    let states = source.states(entry)?;
     let segments = entry
         .partition
         .shard_segments(&entry.full_shape, plan.target.tp, plan.coord.tp);
     let shard_shape = entry
         .partition
         .shard_shape(&entry.full_shape, plan.target.tp);
-
-    // The model copy needs the whole fp32 shard: one run per segment with
-    // an on-disk source; padding segments stay zero.
-    let shard_runs: Vec<(usize, Range<usize>)> = segments
-        .iter()
-        .filter_map(|s| s.src_offset.map(|o| (s.shard_offset, o..o + s.len)))
-        .collect();
-    let mut shard_flat = vec![0.0f32; shard_shape.num_elements()];
-    let dtype = fetch_runs(cache, entry, AtomFile::Fp32, &shard_runs, &mut shard_flat)?;
+    let (shard_flat, dtype) = filled(shard_shape.num_elements(), |fill| {
+        states.write(entry, AtomFile::Fp32, &segments, fill)
+    })?;
+    let dtype = match (dtype, &states) {
+        (Some(dtype), _) => dtype,
+        // Every segment padding: the atom's header still names the dtype.
+        (None, States::Cache(cache)) => fetch_dtype(cache, entry)?,
+        (None, States::Whole(atom)) => atom[0].dtype(),
+    };
     // An fp32 atom's shard is already the tensor; only a 16-bit atom's
     // needs its dtype tag (a quantizing copy of exactly-representable values).
     let mut shard_fp32 = Tensor::from_vec(shard_flat, shard_shape)?;
     if dtype != DType::F32 {
         shard_fp32 = shard_fp32.cast(dtype);
     }
-    scatter(windows[0], shard_fp32.as_slice(), &entry.fragments);
 
-    // Moments: only the exact fragment intersections.
-    let runs = fragment_runs(&segments, &entry.fragments);
-    if !runs.is_empty() {
-        for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
-            fetch_runs(cache, entry, file, &runs, windows[file as usize])?;
-        }
+    let mut at = entry.fragments.first().map_or(0, |f| f.chunk_offset);
+    for f in &entry.fragments {
+        windows[0].zeros(f.chunk_offset - at)?;
+        windows[0].values(&shard_fp32.as_slice()[f.param_offset..f.param_offset + f.len])?;
+        at = f.chunk_offset + f.len;
+    }
+    let runs = window_runs(&segments, &entry.fragments);
+    for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
+        states.write(entry, file, &runs, &mut windows[file as usize])?;
     }
     Ok(shard_fp32)
 }
 
-/// Copy `runs` — `(offset in dst, element range of the flattened atom)` —
-/// of `entry`'s `file` state out of the cache into `dst`: one fetch from the
-/// atom's file, or one per sub-atom file the runs reach.
-fn fetch_runs(
+/// The shape of each of the files a split `entry` is stored as.
+fn part_shape(entry: &LoadEntry) -> Shape {
+    let dim0 = entry.full_shape.dims().first().copied().unwrap_or(1);
+    entry.full_shape.with_dim(0, dim0 / entry.parts)
+}
+
+/// The dtype of `entry`'s fp32 state, from the header of its (first)
+/// file, for a shard that copied nothing out of it.
+fn fetch_dtype(cache: &AtomCache, entry: &LoadEntry) -> Result<DType> {
+    let (part, shape) = match entry.parts {
+        1 => (None, entry.full_shape.clone()),
+        _ => (Some(0), part_shape(entry)),
+    };
+    let state = cache.fetch(&entry.name, part, AtomFile::Fp32, &shape, &[])?;
+    Ok(state.dtype())
+}
+
+/// [`States::write`] on the ranged path: fetch what `runs` reach — one
+/// fetch per (sub-)atom file, every range that lies in it at once, so the
+/// cache plans across them — then copy the runs out of the cache front to
+/// back, padding as zeros.
+fn fill_from_cache(
     cache: &AtomCache,
     entry: &LoadEntry,
     file: AtomFile,
-    runs: &[(usize, Range<usize>)],
-    dst: &mut [f32],
-) -> Result<DType> {
+    runs: &[ShardSegment],
+    fill: &mut Fill<'_>,
+) -> Result<Option<DType>> {
     let name: &str = &entry.name;
-    if entry.parts == 1 {
-        return cache.fetch(name, None, file, &entry.full_shape, runs, dst);
+    let (part_len, shape) = match entry.parts {
+        1 => (entry.full_shape.num_elements(), entry.full_shape.clone()),
+        _ => {
+            let shape = part_shape(entry);
+            (shape.num_elements(), shape)
+        }
+    };
+    let sources = || {
+        runs.iter()
+            .filter_map(|r| r.src_offset.map(|o| o..o + r.len))
+    };
+    let mut by_part: BTreeMap<usize, Vec<Range<usize>>> = BTreeMap::new();
+    for (part, r) in sources().flat_map(|r| cut_at_parts(r, part_len)) {
+        by_part.entry(part).or_default().push(r);
     }
-    let dim0 = entry.full_shape.dims()[0];
-    let part_shape = entry.full_shape.with_dim(0, dim0 / entry.parts);
-    let mut dtype = None;
-    for (part, runs) in runs_by_part(runs, part_shape.num_elements()) {
-        dtype = Some(cache.fetch(name, Some(part), file, &part_shape, &runs, dst)?);
+    let mut states = BTreeMap::new();
+    for (part, ranges) in by_part {
+        let file_part = (entry.parts > 1).then_some(part);
+        states.insert(part, cache.fetch(name, file_part, file, &shape, &ranges)?);
     }
-    match dtype {
-        Some(dtype) => Ok(dtype),
-        // Nothing to copy: part 0's header still names the dtype.
-        None => cache.fetch(name, Some(0), file, &part_shape, &[], dst),
-    }
-}
-
-/// Cut atom-element runs at the boundaries of `part_len`-element sub-atoms:
-/// per sub-atom reached, the pieces that lie in it as `(offset in dst,
-/// element range of *that sub-atom*)`. Together the pieces copy exactly
-/// what `runs` would copy out of the concatenated atom.
-fn runs_by_part(
-    runs: &[(usize, Range<usize>)],
-    part_len: usize,
-) -> BTreeMap<usize, Vec<(usize, Range<usize>)>> {
-    let mut by_part: BTreeMap<usize, Vec<_>> = BTreeMap::new();
-    for (offset, r) in runs {
-        let mut lo = r.start;
-        while lo < r.end {
-            let part = lo / part_len;
-            let hi = r.end.min((part + 1) * part_len);
-            let base = part * part_len;
-            by_part
-                .entry(part)
-                .or_default()
-                .push((offset + (lo - r.start), lo - base..hi - base));
-            lo = hi;
+    for run in runs {
+        match run.src_offset {
+            None => fill.zeros(run.len)?,
+            Some(src) => {
+                for (part, r) in cut_at_parts(src..src + run.len, part_len) {
+                    states[&part].gather(r, fill)?;
+                }
+            }
         }
     }
-    by_part
+    Ok(states.values().next().map(CachedState::dtype))
 }
 
-/// Intersect this rank's ZeRO fragments (shard-space) with the shard's
-/// source segments (atom-space): each overlap with an on-disk source
-/// becomes a `(window offset, atom element range)` run. Padding overlaps
-/// are dropped — the chunk buffers start zeroed, which is exactly what the
-/// full-read path scatters there.
-fn fragment_runs(
-    segments: &[ShardSegment],
-    fragments: &[FlatFragment],
-) -> Vec<(usize, Range<usize>)> {
-    let base = fragments.first().map_or(0, |f| f.chunk_offset);
-    let mut runs = Vec::new();
+/// Cut an atom-element range at the boundaries of `part_len`-element
+/// sub-atoms: per piece, the sub-atom it lies in and its element range of
+/// *that sub-atom*, in order. Together the pieces are exactly the range.
+fn cut_at_parts(r: Range<usize>, part_len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut lo = r.start;
+    std::iter::from_fn(move || {
+        if lo >= r.end {
+            return None;
+        }
+        let part = lo / part_len;
+        let hi = r.end.min((part + 1) * part_len);
+        let base = part * part_len;
+        let piece = (part, lo - base..hi - base);
+        lo = hi;
+        Some(piece)
+    })
+}
+
+/// The runs that fill an entry's chunk window front to back, in atom space
+/// like [`Partition::shard_segments`]: each fragment's overlap with each
+/// shard segment (a padding segment stays padding), and any space between
+/// fragments as padding. A run's `shard_offset` is its offset in the
+/// window.
+fn window_runs(segments: &[ShardSegment], fragments: &[FlatFragment]) -> Vec<ShardSegment> {
+    let mut runs: Vec<ShardSegment> = Vec::new();
+    let mut push = |src_offset, len| {
+        let shard_offset = runs.last().map_or(0, |r| r.shard_offset + r.len);
+        runs.push(ShardSegment {
+            shard_offset,
+            src_offset,
+            len,
+        });
+    };
+    // The chunk offset the runs so far reach.
+    let mut end = fragments.first().map_or(0, |f| f.chunk_offset);
     for f in fragments {
-        let fstart = f.param_offset;
-        let fend = f.param_offset + f.len;
+        if f.chunk_offset > end {
+            push(None, f.chunk_offset - end);
+        }
+        let (fstart, fend) = (f.param_offset, f.param_offset + f.len);
         for seg in segments {
             let lo = fstart.max(seg.shard_offset);
             let hi = fend.min(seg.shard_offset + seg.len);
-            if lo >= hi {
-                continue;
-            }
-            if let Some(src) = seg.src_offset {
-                let s = src + (lo - seg.shard_offset);
-                runs.push((f.chunk_offset - base + (lo - fstart), s..s + (hi - lo)));
+            if lo < hi {
+                push(
+                    seg.src_offset.map(|src| src + (lo - seg.shard_offset)),
+                    hi - lo,
+                );
             }
         }
+        end = f.chunk_offset + f.len;
     }
     runs
-}
-
-/// Copy `fragments` of the flattened shard into the entry's chunk window
-/// (which starts at its first fragment).
-fn scatter(window: &mut [f32], shard_flat: &[f32], fragments: &[FlatFragment]) {
-    let base = fragments.first().map_or(0, |f| f.chunk_offset);
-    for f in fragments {
-        let at = f.chunk_offset - base;
-        window[at..at + f.len].copy_from_slice(&shard_flat[f.param_offset..f.param_offset + f.len]);
-    }
 }
 
 #[cfg(test)]
@@ -631,29 +820,107 @@ mod tests {
             let total = part_len * parts;
             let atom: Vec<f32> = (0..total).map(|i| i as f32).collect();
             // Arbitrary runs (overlaps and empties included), packed end
-            // to end in `dst` as a shard's runs are.
-            let mut runs = Vec::new();
-            let mut filled = 0;
+            // to end in the destination as a shard's runs are.
+            let mut want = Vec::new();
+            let mut got = Vec::new();
             for (a, b) in picks {
                 let (lo, hi) = (a % (total + 1), b % (total + 1));
                 let r = lo.min(hi)..lo.max(hi);
-                runs.push((filled, r.clone()));
-                filled += r.len();
-            }
-            let mut want = vec![-1.0f32; filled];
-            for (offset, r) in &runs {
-                want[*offset..*offset + r.len()].copy_from_slice(&atom[r.clone()]);
-            }
-            let mut got = vec![-1.0f32; filled];
-            for (part, pieces) in runs_by_part(&runs, part_len) {
-                prop_assert!(part < parts);
-                let file = &atom[part * part_len..(part + 1) * part_len];
-                for (offset, r) in pieces {
-                    prop_assert!(!r.is_empty() && r.end <= part_len);
-                    got[offset..offset + r.len()].copy_from_slice(&file[r]);
+                want.extend_from_slice(&atom[r.clone()]);
+                for (part, piece) in cut_at_parts(r, part_len) {
+                    prop_assert!(part < parts);
+                    prop_assert!(!piece.is_empty() && piece.end <= part_len);
+                    let file = &atom[part * part_len..(part + 1) * part_len];
+                    got.extend_from_slice(&file[piece]);
                 }
             }
             prop_assert_eq!(got, want);
         }
+
+        /// An entry's window runs tile its window: each fragment's
+        /// elements, in order, taken from the segments that cover them,
+        /// with the space between fragments as padding.
+        #[test]
+        fn prop_window_runs_tile_the_window(
+            rows in 1usize..9,
+            cols in 1usize..9,
+            tp in 1usize..4,
+            r in 0usize..4,
+            cut in prop::collection::vec(0usize..100, 0..4),
+        ) {
+            let partition = Partition::PaddedShard { dim: 1, multiple: 1 };
+            let full = Shape::new([rows, cols]);
+            let r = r % tp;
+            let segments = partition.shard_segments(&full, tp, r);
+            let shard_len = partition.shard_shape(&full, tp).num_elements();
+            // The shard as values: an atom element's index, padding -1.
+            let mut shard = vec![-1.0f32; shard_len];
+            for seg in &segments {
+                if let Some(src) = seg.src_offset {
+                    for k in 0..seg.len {
+                        shard[seg.shard_offset + k] = (src + k) as f32;
+                    }
+                }
+            }
+            // Fragments: disjoint ascending pieces of the shard, placed in
+            // the chunk with a gap of 3 before each.
+            let mut bounds: Vec<usize> = cut.iter().map(|c| c % (shard_len + 1)).collect();
+            bounds.extend([0, shard_len]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let mut fragments = Vec::new();
+            let mut chunk_at = 5;
+            for w in bounds.windows(2) {
+                chunk_at += 3;
+                let len = w[1] - w[0];
+                fragments.push(FlatFragment { dp_rank: 0, param_offset: w[0], chunk_offset: chunk_at, len });
+                chunk_at += len;
+            }
+            let base = fragments.first().map_or(0, |f| f.chunk_offset);
+            let end = fragments.last().map_or(base, |f| f.chunk_offset + f.len);
+            let mut want = vec![-1.0f32; end - base];
+            for f in &fragments {
+                let at = f.chunk_offset - base;
+                want[at..at + f.len].copy_from_slice(&shard[f.param_offset..f.param_offset + f.len]);
+            }
+            let runs = window_runs(&segments, &fragments);
+            let mut got = Vec::new();
+            for run in &runs {
+                prop_assert_eq!(run.shard_offset, got.len());
+                match run.src_offset {
+                    None => got.extend(std::iter::repeat_n(-1.0f32, run.len)),
+                    Some(src) => got.extend((src..src + run.len).map(|i| i as f32)),
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A fill writes front to back, refuses to run past its end, and
+    /// finishes only when every slot was written or handed to a window
+    /// that finished in turn.
+    #[test]
+    fn fill_counts_every_slot_once() {
+        let (values, ()) = filled(7, |fill| {
+            fill.values(&[1.0, 2.0])?;
+            fill.zeros(2)?;
+            fill.decode(DType::BF16, &[0x80, 0x3f, 0x00, 0x40])?;
+            fill.values(&[5.0])
+        })
+        .unwrap();
+        assert_eq!(values, [1.0, 2.0, 0.0, 0.0, 1.0, 2.0, 5.0]);
+        assert!(filled(3, |fill| fill.values(&[1.0, 2.0])).is_err(), "short");
+        assert!(
+            filled(1, |fill| fill.values(&[1.0, 2.0])).is_err(),
+            "overrun"
+        );
+        let mut buf = Vec::new();
+        let mut fill = Fill::new(fresh_slots(&mut buf, 4));
+        fill.zeros(1).unwrap();
+        let mut window = fill.window(2).unwrap();
+        fill.zeros(1).unwrap();
+        assert!(fill.finish().is_ok());
+        window.values(&[3.0]).unwrap();
+        assert!(window.finish().is_err(), "a window is counted on its own");
     }
 }

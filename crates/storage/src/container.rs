@@ -36,12 +36,15 @@
 //!
 //! Every payload byte anyone reads comes back through one body,
 //! [`SectionInfo::read_range_at`]: positioned reads of the block-aligned
-//! span and its table slice, one hashing pass. Ranged loads ask it for
-//! the slice of an atom they need; whole-container reads
-//! ([`Container::read_file`], which `fsck`, `ucp verify`, native loads and
-//! manifests use) parse the [`ContainerIndex`] and ask it for each section
-//! whole, demanding every checksum the section carries
-//! ([`SectionInfo::read_all_at`]).
+//! span and its table slice, one hashing pass. The span lands in a buffer
+//! the read allocates and fills with nothing initialised first
+//! ([`ReadAt::append_exact_at`]), and comes back as a [`Payload`]: the
+//! verified bytes as they lie in the file, which each caller decodes once,
+//! straight into its own destination. Ranged loads ask it for the slice of
+//! an atom they need; whole-container reads ([`Container::read_file`],
+//! which `fsck`, `ucp verify`, native loads and manifests use) parse the
+//! [`ContainerIndex`] and ask it for each section whole, demanding every
+//! checksum the section carries ([`SectionInfo::read_all_at`]).
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -107,15 +110,50 @@ fn read_bytes_bounded<R: Read>(r: &mut R, len: usize, what: &str) -> Result<Vec<
     Ok(buf)
 }
 
-/// Reusable buffers for [`SectionInfo::read_range_at`]: one for
-/// block-aligned payload data that cannot land in the caller's `f32`
-/// storage directly (16-bit dtypes, ranges cut mid-block), one for the
-/// CRC-table slice. A caller issuing many range reads holds one of these
-/// and amortizes the allocations to the high-water mark of its largest read.
+/// The reusable buffer of [`SectionInfo::read_range_at`]: the CRC-table
+/// slice of each read. A caller issuing many range reads holds one of
+/// these and amortizes the allocation to the high-water mark of its
+/// largest read. (The payload span itself lands in a fresh [`Payload`].)
 #[derive(Debug, Default)]
 pub struct RangeScratch {
-    data: Vec<u8>,
     table: Vec<u8>,
+}
+
+/// Verified payload bytes of one section span, as they lie in the file —
+/// little-endian, in the section's dtype — in the buffer the read
+/// allocated and filled ([`SectionInfo::read_range_at`]).
+#[derive(Debug)]
+pub struct Payload {
+    dtype: DType,
+    /// The first element the bytes hold.
+    start: usize,
+    bytes: Vec<u8>,
+}
+
+impl Payload {
+    /// The section's dtype, which the bytes are encoded in.
+    pub fn dtype(&self) -> DType {
+        self.dtype
+    }
+
+    /// The section elements the bytes hold: the block-aligned span the
+    /// read covered.
+    pub fn elems(&self) -> Range<usize> {
+        self.start..self.start + self.bytes.len() / self.dtype.size_bytes()
+    }
+
+    /// The encoded bytes of `elems`, which must lie inside
+    /// [`Payload::elems`].
+    pub fn bytes(&self, elems: Range<usize>) -> &[u8] {
+        let esize = self.dtype.size_bytes();
+        &self.bytes[(elems.start - self.start) * esize..(elems.end - self.start) * esize]
+    }
+
+    /// The values of `elems`, decoded into a fresh buffer.
+    pub fn values(&self, elems: Range<usize>) -> Vec<f32> {
+        let n = elems.len();
+        (self.dtype.decode(self.bytes(elems), n)).expect("a payload holds its span's bytes")
+    }
 }
 
 /// Which checksums held over the bytes a range read returned.
@@ -133,28 +171,26 @@ pub enum Verified {
     Whole,
 }
 
-/// Any seekable reader as a [`ReadAt`]: seek, then `read_exact`.
+/// Any seekable reader as a [`ReadAt`]: seek, then read to the end of a
+/// [`Read::take`] of it.
 struct SeekAt<'a, R>(&'a mut R);
 
 impl<R: Read + Seek> ReadAt for SeekAt<'_, R> {
-    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        self.0.seek(SeekFrom::Start(offset))?;
-        self.0.read_exact(buf)
+    fn append_exact_at(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        offset: u64,
+    ) -> std::io::Result<()> {
+        crate::io::append_exact(&mut *self.0, buf, len, offset)
     }
 }
 
-/// `f32` storage viewed as bytes, so a little-endian fp32 payload is read
-/// straight into the values it decodes to.
-fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
-    // SAFETY: every bit pattern is a valid `f32` and `u8` has alignment 1;
-    // the byte length is exactly the slice's.
-    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), values.len() * 4) }
-}
-
-/// The mirror of [`f32_bytes_mut`] for the write side: on a little-endian
-/// target an fp32 payload *is* its values' memory, so it is written and
-/// hashed from there with no encode pass. `None` on a big-endian target,
-/// where the payload has to be encoded.
+/// The write side's byte view of fp32 values (the read side's mirror is
+/// [`DType::decode_into`]): on a little-endian target an fp32 payload *is*
+/// its values' memory, so it is written and hashed from there with no
+/// encode pass. `None` on a big-endian target, where the payload has to be
+/// encoded.
 pub(crate) fn f32_le_bytes(values: &[f32]) -> Option<&[u8]> {
     // SAFETY: `f32` has no padding and every byte of an initialized `f32`
     // is an initialized `u8`; `u8` has alignment 1; the byte length is
@@ -522,74 +558,77 @@ impl SectionInfo {
         self.shape.num_elements()
     }
 
-    /// Read elements `elems` of this section into `out` through positioned
-    /// reads, verifying integrity of exactly what is read — the one payload
-    /// read body — and report which checksums held.
+    /// Read the block-aligned payload span covering elements `elems`
+    /// through positioned reads into a buffer this read allocates, verifying
+    /// integrity of exactly what is read — the one payload read body — and
+    /// report which checksums held.
     ///
     /// The kernel is asked for two things, once each: the block-aligned
-    /// payload span covering the range and the CRC-table slice for those
-    /// blocks. One [`BlockCrc`] pass over the span yields its block CRCs
-    /// and its whole CRC, each seeded by [`SectionInfo::meta_crc`].
-    /// Corruption outside the span goes unread and undetected; a block
-    /// inside it that disagrees with its table entry — in its bytes or in
-    /// the metadata it was decoded by — is
-    /// [`StorageError::ChecksumMismatch`]. A read that covers the whole
-    /// section takes the trailing whole-payload CRC along with the table
-    /// and checks both: a mismatch on one side only is reported as
-    /// [`Verified::Blocks`] or [`Verified::Whole`] (the independent CRC
-    /// vouches for the payload), on both sides it is an error. Loaders
-    /// accept either; [`SectionInfo::read_all_at`] does not.
+    /// payload span covering the range, appended to a fresh buffer with
+    /// nothing initialised first, and the CRC-table slice for those blocks.
+    /// One [`BlockCrc`] pass over the span yields its block CRCs and its
+    /// whole CRC, each seeded by [`SectionInfo::meta_crc`]. Corruption
+    /// outside the span goes unread and undetected; a block inside it that
+    /// disagrees with its table entry — in its bytes or in the metadata it
+    /// was decoded by — is [`StorageError::ChecksumMismatch`], and its bytes
+    /// are dropped unserved. A read that covers the whole section takes the
+    /// trailing whole-payload CRC along with the table and checks both: a
+    /// mismatch on one side only is reported as [`Verified::Blocks`] or
+    /// [`Verified::Whole`] (the independent CRC vouches for the payload), on
+    /// both sides it is an error. Loaders accept either;
+    /// [`SectionInfo::read_all_at`] does not.
+    ///
+    /// The [`Payload`] holds the whole span — [`Payload::elems`] may reach
+    /// past `elems` on either side to the block boundaries — as encoded in
+    /// the file; the caller decodes what it needs into its destination.
     pub fn read_range_at<A: ReadAt>(
         &self,
         r: &mut A,
         elems: Range<usize>,
         scratch: &mut RangeScratch,
-        out: &mut [f32],
-    ) -> Result<Verified> {
+    ) -> Result<(Payload, Verified)> {
         let name = &self.name;
         let total = self.num_elements();
-        if elems.start > elems.end || elems.end > total || out.len() != elems.len() {
+        if elems.start > elems.end || elems.end > total {
             return Err(StorageError::Malformed(format!(
-                "section {name}: range {}..{} into {} values out of bounds for {total} elements",
-                elems.start,
-                elems.end,
-                out.len()
+                "section {name}: range {}..{} out of bounds for {total} elements",
+                elems.start, elems.end
             )));
         }
+        let dtype = self.dtype;
         // An empty range of a non-empty section reads nothing; an empty
         // section's whole read still checks its trailing CRC.
         if elems.is_empty() && total > 0 {
-            return Ok(Verified::All);
+            let (start, bytes) = (elems.start, Vec::new());
+            let payload = Payload {
+                dtype,
+                start,
+                bytes,
+            };
+            return Ok((payload, Verified::All));
         }
-        let esize = self.dtype.size_bytes();
+        let esize = dtype.size_bytes();
         let payload_len = self.payload_len as usize;
         let whole = elems.len() == total;
         let cb = self.crc_block as usize;
         let (b0, b1) = (elems.start * esize / cb, (elems.end * esize).div_ceil(cb));
         let span = b0 * cb..(b1 * cb).min(payload_len);
-        // A little-endian fp32 span that is exactly the range lands in
-        // `out`; anything else is staged in the scratch and decoded.
-        let direct = cfg!(target_endian = "little")
-            && self.dtype == DType::F32
-            && span.len() == out.len() * 4;
-        let data = if direct {
-            f32_bytes_mut(out)
-        } else {
-            scratch.data.resize(span.len(), 0);
-            &mut scratch.data[..]
-        };
-        r.read_exact_at(data, self.payload_offset + span.start as u64)?;
+        let mut bytes = Vec::new();
+        r.append_exact_at(
+            &mut bytes,
+            span.len(),
+            self.payload_offset + span.start as u64,
+        )?;
         let table_len = (b1 - b0) * 4;
-        scratch
-            .table
-            .resize(table_len + if whole { 4 } else { 0 }, 0);
-        r.read_exact_at(
+        scratch.table.clear();
+        r.append_exact_at(
             &mut scratch.table,
+            table_len + if whole { 4 } else { 0 },
             self.payload_offset + self.payload_len + (b0 * 4) as u64,
         )?;
         let (table, whole_crc) = scratch.table.split_at(table_len);
         let mut crc = BlockCrc::new(cb, self.meta_crc);
-        crc.update(data);
+        crc.update(&bytes);
         let (blocks, computed_whole) = crc.finish();
         let bad_block = (blocks.iter().zip(table.chunks_exact(4)))
             .position(|(computed, stored)| computed.to_le_bytes() != stored);
@@ -605,32 +644,27 @@ impl SectionInfo {
         };
         if ucp_telemetry::enabled() {
             ucp_telemetry::count("storage/range_reads", 1);
-            let bytes = span.len() + scratch.table.len();
-            ucp_telemetry::count("storage/range_bytes_read", bytes as u64);
+            let read = span.len() + scratch.table.len();
+            ucp_telemetry::count("storage/range_bytes_read", read as u64);
         }
-        if !direct {
-            let skip = elems.start * esize - span.start;
-            let values = (self.dtype.decode(&scratch.data[skip..], out.len()))
-                .ok_or_else(|| StorageError::Malformed(format!("section {name}: short payload")))?;
-            out.copy_from_slice(&values);
-        }
-        Ok(verified)
+        let start = span.start / esize;
+        let payload = Payload {
+            dtype,
+            start,
+            bytes,
+        };
+        Ok((payload, verified))
     }
 
-    /// Read the whole section into `out` ([`SectionInfo::read_range_at`]),
-    /// demanding every checksum it carries: each block-table entry *and*
-    /// the trailing whole-payload CRC. What `fsck`, `ucp verify` and native
-    /// loads judge a file by.
-    pub fn read_all_at<A: ReadAt>(
-        &self,
-        r: &mut A,
-        scratch: &mut RangeScratch,
-        out: &mut [f32],
-    ) -> Result<()> {
-        let damaged = match self.read_range_at(r, 0..self.num_elements(), scratch, out)? {
-            Verified::All => return Ok(()),
-            Verified::Blocks => "whole payload",
-            Verified::Whole => "block table",
+    /// Read the whole section ([`SectionInfo::read_range_at`]), demanding
+    /// every checksum it carries: each block-table entry *and* the trailing
+    /// whole-payload CRC. What `fsck`, `ucp verify` and native loads judge a
+    /// file by.
+    pub fn read_all_at<A: ReadAt>(&self, r: &mut A, scratch: &mut RangeScratch) -> Result<Payload> {
+        let damaged = match self.read_range_at(r, 0..self.num_elements(), scratch)? {
+            (payload, Verified::All) => return Ok(payload),
+            (_, Verified::Blocks) => "whole payload",
+            (_, Verified::Whole) => "block table",
         };
         let what = format!("{} ({damaged})", self.name);
         Err(StorageError::ChecksumMismatch { what })
@@ -720,16 +754,16 @@ impl ContainerIndex {
     }
 
     /// Every section this index describes, read whole from `r` — the file
-    /// it was built from — by [`SectionInfo::read_all_at`]: each straight
-    /// into the values it decodes to, every checksum demanded. The index
-    /// has already proved the file holds each payload, so no buffer is
-    /// sized from a length the file does not back.
+    /// it was built from — by [`SectionInfo::read_all_at`], every checksum
+    /// demanded, and decoded once into the values of a fresh tensor. The
+    /// index has already proved the file holds each payload, so no buffer
+    /// is sized from a length the file does not back.
     pub fn read_container<A: ReadAt>(self, r: &mut A) -> Result<Container> {
         let mut scratch = RangeScratch::default();
         let sections = (self.sections.into_iter())
             .map(|info| {
-                let mut values = vec![0.0f32; info.num_elements()];
-                info.read_all_at(r, &mut scratch, &mut values)?;
+                let payload = info.read_all_at(r, &mut scratch)?;
+                let values = payload.values(0..info.num_elements());
                 let tensor = section_tensor(values, info.shape, info.dtype)?;
                 Ok(Section {
                     name: info.name,
@@ -760,10 +794,9 @@ impl ContainerIndex {
             StorageError::Malformed(format!("container has no section {section}"))
         })?;
         // Out-of-bounds ranges get no allocation; the body rejects them.
-        let n = elems.len().min(info.num_elements());
-        let mut values = vec![0.0f32; n];
-        info.read_range_at(&mut SeekAt(r), elems, scratch, &mut values)?;
-        section_tensor(values, Shape::new([n]), info.dtype)
+        let (payload, _) = info.read_range_at(&mut SeekAt(r), elems.clone(), scratch)?;
+        let n = elems.len();
+        section_tensor(payload.values(elems), Shape::new([n]), info.dtype)
     }
 }
 
@@ -1120,17 +1153,18 @@ mod tests {
         let table_off = (info.payload_offset + info.payload_len) as usize;
         buf[table_off] ^= 1;
         assert!(read(&buf).is_err());
-        let (mut scratch, mut out) = (RangeScratch::default(), vec![0.0; total]);
+        let mut scratch = RangeScratch::default();
         let mut cur = std::io::Cursor::new(&buf);
-        let how = info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch, &mut out);
-        assert_eq!(how.unwrap(), Verified::Whole, "table damaged, not data");
-        assert_eq!(out, c.sections[0].tensor.as_slice());
+        let (payload, how) =
+            (info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch)).unwrap();
+        assert_eq!(how, Verified::Whole, "table damaged, not data");
+        assert_eq!(payload.values(0..total), c.sections[0].tensor.as_slice());
         // A damaged payload defeats the whole-payload CRC too.
         buf[table_off] ^= 1;
         buf[info.payload_offset as usize + 5] ^= 1;
         let mut cur = std::io::Cursor::new(&buf);
         assert!(matches!(
-            info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch, &mut out),
+            info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch),
             Err(StorageError::ChecksumMismatch { .. })
         ));
     }
@@ -1159,19 +1193,28 @@ mod tests {
                 2 * block..total,
             ];
             for range in ranges {
-                let mut out = vec![f32::NAN; range.len()];
-                let how = info.read_range_at(&mut file, range.clone(), &mut scratch, &mut out);
-                assert_eq!(how.unwrap(), Verified::All, "{tag} {} {range:?}", info.name);
+                let read = info.read_range_at(&mut file, range.clone(), &mut scratch);
+                let (payload, how) = read.unwrap();
+                assert_eq!(how, Verified::All, "{tag} {} {range:?}", info.name);
+                // The span is the range widened to whole blocks, no further.
+                let span = payload.elems();
+                assert!(
+                    span.start <= range.start && range.end <= span.end,
+                    "{range:?}"
+                );
+                assert!(span.start % block == 0 && (span.end % block == 0 || span.end == total));
+                assert!(range.is_empty() || span.len() < range.len() + 2 * block);
                 let seek = index
-                    .read_section_range_with(&mut cur, &info.name, range, &mut scratch)
+                    .read_section_range_with(&mut cur, &info.name, range.clone(), &mut scratch)
                     .unwrap();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out), bits(seek.as_slice()), "{tag} {}", info.name);
+                let got = payload.values(range);
+                assert_eq!(bits(&got), bits(seek.as_slice()), "{tag} {}", info.name);
             }
-            // Out of bounds, reversed, or a destination of the wrong length.
+            // Out of bounds or reversed.
             #[allow(clippy::reversed_empty_ranges)]
-            for (range, len) in [(0..total + 1, total + 1), (5..2, 0), (0..4, 3)] {
-                let bad = info.read_range_at(&mut file, range, &mut scratch, &mut vec![0.0; len]);
+            for range in [0..total + 1, 5..2] {
+                let bad = info.read_range_at(&mut file, range, &mut scratch);
                 assert!(matches!(bad, Err(StorageError::Malformed(_))));
             }
         }
@@ -1209,11 +1252,12 @@ mod tests {
             read(&buf),
             Err(StorageError::ChecksumMismatch { .. })
         ));
-        let (mut scratch, mut out) = (RangeScratch::default(), vec![0.0; info.num_elements()]);
+        let (mut scratch, total) = (RangeScratch::default(), info.num_elements());
         let mut cur = std::io::Cursor::new(&buf);
-        let how = info.read_range_at(&mut SeekAt(&mut cur), 0..out.len(), &mut scratch, &mut out);
-        assert_eq!(how.unwrap(), Verified::Blocks);
-        assert_eq!(out, c.sections[0].tensor.as_slice());
+        let (payload, how) =
+            (info.read_range_at(&mut SeekAt(&mut cur), 0..total, &mut scratch)).unwrap();
+        assert_eq!(how, Verified::Blocks);
+        assert_eq!(payload.values(0..total), c.sections[0].tensor.as_slice());
         // ...while ranged reads never touch it.
         let mut cur = std::io::Cursor::new(&buf);
         let t = read_range(&index, &mut cur, "w", 0..10).unwrap();

@@ -38,22 +38,52 @@ impl Device {
     }
 }
 
-/// Positioned exact reads: fill `buf` from `offset`, wherever the stream's
-/// cursor stands. The one primitive the ranged read path asks of a file.
+/// Positioned exact reads into fresh storage: append exactly `len` bytes,
+/// read from byte `offset`, to `buf`, wherever the stream's cursor stands.
+/// The one primitive the ranged read path asks of a file.
+///
+/// The bytes land in `buf`'s spare capacity with nothing initialised
+/// first ([`Read::read_to_end`] over a [`Read::take`] of the stream, which
+/// a `File` serves by reading straight into the uninitialised tail), so a
+/// buffer the read allocates is written once, by the read.
 pub trait ReadAt {
-    /// Read exactly `buf.len()` bytes starting at byte `offset`.
-    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+    /// Append exactly `len` bytes starting at byte `offset` to `buf`.
+    fn append_exact_at(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        offset: u64,
+    ) -> std::io::Result<()>;
+}
+
+/// [`ReadAt::append_exact_at`] over any seekable reader: seek, reserve,
+/// then read exactly `len` bytes onto the end of `buf`.
+pub(crate) fn append_exact<R: Read + Seek>(
+    mut r: R,
+    buf: &mut Vec<u8>,
+    len: usize,
+    offset: u64,
+) -> std::io::Result<()> {
+    r.seek(SeekFrom::Start(offset))?;
+    buf.reserve_exact(len);
+    let n = r.take(len as u64).read_to_end(buf)?;
+    if n != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("read {n} of {len} bytes at offset {offset}"),
+        ));
+    }
+    Ok(())
 }
 
 impl ReadAt for File {
-    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        #[cfg(unix)]
-        return std::os::unix::fs::FileExt::read_exact_at(self, buf, offset);
-        #[cfg(not(unix))]
-        {
-            self.seek(SeekFrom::Start(offset))?;
-            self.read_exact(buf)
-        }
+    fn append_exact_at(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        offset: u64,
+    ) -> std::io::Result<()> {
+        append_exact(&*self, buf, len, offset)
     }
 }
 
@@ -127,11 +157,18 @@ impl<R: Read> Read for Throttled<R> {
     }
 }
 
-/// A positioned read transfers exactly `buf.len()` bytes and is metered
-/// like any other read.
+/// A positioned read transfers exactly `len` bytes and is metered like any
+/// other read. It is forwarded to the inner stream's own positioned read,
+/// not served through [`Read`], whose default `read_buf` would zero the
+/// spare capacity before reading into it.
 impl<T: ReadAt> ReadAt for Throttled<T> {
-    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        self.transfer(|r| r.read_exact_at(buf, offset).map(|()| buf.len()))?;
+    fn append_exact_at(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        offset: u64,
+    ) -> std::io::Result<()> {
+        self.transfer(|r| r.append_exact_at(buf, len, offset).map(|()| len))?;
         Ok(())
     }
 }
@@ -472,6 +509,23 @@ mod tests {
         let mut sink = Vec::new();
         r.read_to_end(&mut sink).unwrap();
         assert_eq!(r.bytes_transferred(), 1000);
+    }
+
+    #[test]
+    fn throttled_positioned_read_appends_exactly_and_counts() {
+        let path = std::env::temp_dir().join(format!("ucp_io_append_{}", std::process::id()));
+        let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        std::fs::write(&path, &data).unwrap();
+        let mut r = Device::unlimited().reader(File::open(&path).unwrap());
+        let mut buf = vec![0xAA];
+        r.append_exact_at(&mut buf, 300, 650).unwrap();
+        assert_eq!(buf[0], 0xAA, "what the buffer held stays");
+        assert_eq!(&buf[1..], &data[650..950]);
+        assert_eq!(r.bytes_transferred(), 300);
+        // A read the file cannot back is an error, not a short buffer.
+        let short = r.append_exact_at(&mut Vec::new(), 60, 950);
+        assert_eq!(short.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod layout;
 pub mod retention;
 
 pub use container::{
-    Container, ContainerIndex, RangeScratch, Section, SectionInfo, SectionRef, Verified,
+    Container, ContainerIndex, Payload, RangeScratch, Section, SectionInfo, SectionRef, Verified,
     RANGE_CRC_BLOCK,
 };
 pub use io::{Device, ReadAt};

@@ -7,6 +7,8 @@
 //! master — matching the storage behaviour of mixed-precision training that
 //! §3.1 of the paper builds on.
 
+use std::mem::MaybeUninit;
+
 use half::{bf16, f16};
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +60,8 @@ impl DType {
         }
     }
 
-    /// Deserialize `count` elements from `bytes`.
+    /// Deserialize `count` elements from `bytes` into a fresh buffer
+    /// ([`DType::decode_into`] over its spare capacity).
     ///
     /// Returns `None` if `bytes` is shorter than `count * size_bytes`.
     pub fn decode(self, bytes: &[u8], count: usize) -> Option<Vec<f32>> {
@@ -67,24 +70,51 @@ impl DType {
             return None;
         }
         let mut out = Vec::with_capacity(count);
-        match self {
-            DType::F32 => {
-                for c in bytes[..need].chunks_exact(4) {
-                    out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-                }
-            }
-            DType::F16 => {
-                for c in bytes[..need].chunks_exact(2) {
-                    out.push(f16::from_le_bytes([c[0], c[1]]).to_f32());
-                }
-            }
-            DType::BF16 => {
-                for c in bytes[..need].chunks_exact(2) {
-                    out.push(bf16::from_le_bytes([c[0], c[1]]).to_f32());
-                }
-            }
-        }
+        self.decode_into(&bytes[..need], &mut out.spare_capacity_mut()[..count]);
+        // SAFETY: `decode_into` wrote every one of the `count` slots it was
+        // given, which are the first `count` of the spare capacity.
+        unsafe { out.set_len(count) };
         Some(out)
+    }
+
+    /// Decode `bytes` — little-endian, in this dtype — into `out`, one
+    /// value per slot, writing every slot once: `out` may be memory nothing
+    /// has initialised. A little-endian fp32 payload is copied as it lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not exactly `out.len()` elements long.
+    pub fn decode_into(self, bytes: &[u8], out: &mut [MaybeUninit<f32>]) {
+        let size = self.size_bytes();
+        assert_eq!(
+            bytes.len(),
+            out.len() * size,
+            "{self} decode: length mismatch"
+        );
+        let slots = out.iter_mut().zip(bytes.chunks_exact(size));
+        match self {
+            DType::F32 if cfg!(target_endian = "little") => {
+                // SAFETY: `MaybeUninit<u8>` has no validity invariant and
+                // alignment 1, and the view covers exactly `out`'s bytes
+                // (`f32` has no padding) for as long as it borrows `out`.
+                let view = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        out.as_mut_ptr().cast::<MaybeUninit<u8>>(),
+                        bytes.len(),
+                    )
+                };
+                view.write_copy_of_slice(bytes);
+            }
+            DType::F32 => slots.for_each(|(o, c)| {
+                o.write(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+            }),
+            DType::F16 => slots.for_each(|(o, c)| {
+                o.write(f16::from_le_bytes([c[0], c[1]]).to_f32());
+            }),
+            DType::BF16 => slots.for_each(|(o, c)| {
+                o.write(bf16::from_le_bytes([c[0], c[1]]).to_f32());
+            }),
+        }
     }
 
     /// Stable on-disk identifier.

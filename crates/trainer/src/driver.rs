@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ucp_collectives::{Cluster, ClusterOptions, Comm};
-use ucp_core::convert::{convert_to_universal, ConvertOptions, ConvertStats};
+use ucp_core::convert::{convert_to_memory, convert_to_universal, ConvertOptions, ConvertStats};
 use ucp_core::load::{LoadOptions, LoadSession};
 use ucp_core::manifest::UcpManifest;
 use ucp_storage::JournalEvent;
@@ -42,9 +42,10 @@ pub enum ResumeMode {
         step: u64,
     },
     /// Resume from an in-memory universal checkpoint — the recovery path
-    /// of both tiers (constructed by the supervisor, never by CLI
-    /// parsing): the peer tier's assembly of surviving replicas, or the
-    /// disk tier's recovery convert, which keeps the atoms it published.
+    /// of both tiers and the elastic hand-over (constructed by the
+    /// supervisor and [`run_elastic`], never by CLI parsing): the peer
+    /// tier's assembly of surviving replicas, or a convert that keeps the
+    /// atoms it published (the disk tier's, an elastic phase boundary's).
     /// Serves the same atoms as `Universal` for the same step, without
     /// reading them from disk.
     Hot {
@@ -628,7 +629,10 @@ pub struct ElasticPhase {
 /// checkpointing at the phase boundary and converting to a universal
 /// checkpoint so the next phase can resume under a different strategy —
 /// the paper's failure-resilience / elastic-capacity scenario as a single
-/// driver call. Returns the per-phase results.
+/// driver call. The convert writes and publishes the universal tree
+/// durably, and the next phase resumes from the atoms it assembled, in RAM
+/// ([`convert_to_memory`], [`ResumeMode::Hot`]), without reading them
+/// back. Returns the per-phase results.
 pub fn run_elastic(
     base: TrainConfig,
     phases: &[ElasticPhase],
@@ -645,10 +649,10 @@ pub fn run_elastic(
         let resume = match prev_boundary {
             None => ResumeMode::Fresh,
             Some(step) => {
-                convert_checkpoint(dir, step, &ConvertOptions::default())?;
-                ResumeMode::Universal {
-                    dir: dir.to_path_buf(),
-                    step,
+                let (checkpoint, _) = convert_to_memory(dir, step, &ConvertOptions::default())
+                    .map_err(TrainError::Ucp)?;
+                ResumeMode::Hot {
+                    checkpoint: std::sync::Arc::new(checkpoint),
                 }
             }
         };

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ucp_collectives::exchange::Mesh;
-use ucp_core::checkpoint::CommonState;
+use ucp_core::checkpoint::{CommonState, OptimShard};
 use ucp_core::{HotShard, MemoryCheckpoint};
 use ucp_storage::crc::crc32c_f32;
 
@@ -196,13 +196,19 @@ impl HotTier {
 
         // Sends never block (unbounded mesh channels): push everything
         // first, then drain the wards — deadlock-free by construction.
+        // Each holder but the last gets a copy; the last takes the message.
         let lease = mesh.lease(rank, step);
-        for to in self.holders_of(rank, world) {
+        let holders = self.holders_of(rank, world);
+        let (last, rest) = holders.split_last().expect("a tier has K >= 1 holders");
+        for &to in rest {
             lease.send(to, msg.clone()).map_err(TrainError::Comm)?;
         }
+        lease.send(*last, msg).map_err(TrainError::Comm)?;
         // Self-install covers the holders-all-dead direction of the
-        // placement guarantee: a surviving rank always serves itself.
-        self.install(rank, rank, step, HotMsg::Full { shard, crc });
+        // placement guarantee: a surviving rank always serves itself. Its
+        // tags were hashed from these very values a moment ago, so there is
+        // nothing to verify.
+        self.insert(rank, rank, step, shard, crc);
         for from in self.wards_of(rank, world) {
             let incoming = lease.recv_from(from, deadline).map_err(TrainError::Comm)?;
             self.install(rank, from, step, incoming);
@@ -213,12 +219,12 @@ impl HotTier {
 
     /// Install a received replica into `holder`'s bank, verifying the
     /// CRC end-to-end. A delta is patched onto the newest base replica of
-    /// the same source; any checksum mismatch drops the replica and ticks
+    /// the same source, building each new chunk in one pass ([`patched`]);
+    /// any checksum mismatch drops the replica and ticks
     /// `hot/replica_rejected` instead of installing corrupt state. Only
     /// `holder`'s own thread writes its bank, so the tier lock is held
-    /// just to take the base and to insert: the copy, patch and checksum
-    /// run unlocked, and the ranks' installs of one wave proceed side by
-    /// side.
+    /// just to take the base and to insert: the patch and checksum run
+    /// unlocked, and the ranks' installs of one wave proceed side by side.
     fn install(&self, holder: usize, src: usize, step: u64, msg: HotMsg) {
         let (shard, crc) = match msg {
             HotMsg::Full { shard, crc } => (shard, crc),
@@ -242,11 +248,18 @@ impl HotTier {
                     ucp_telemetry::count("hot/replica_rejected", 1);
                     return;
                 };
-                let mut shard = HotShard::clone(&base);
-                shard.common = common;
-                patch_runs(&mut shard.shard.fp32, &runs, &data[0]);
-                patch_runs(&mut shard.shard.exp_avg, &runs, &data[1]);
-                patch_runs(&mut shard.shard.exp_avg_sq, &runs, &data[2]);
+                let shard = HotShard {
+                    common,
+                    tp: base.tp,
+                    pp: base.pp,
+                    shard: OptimShard {
+                        dp: base.shard.dp,
+                        layout: base.shard.layout.clone(),
+                        fp32: patched(&base.shard.fp32, &runs, &data[0]),
+                        exp_avg: patched(&base.shard.exp_avg, &runs, &data[1]),
+                        exp_avg_sq: patched(&base.shard.exp_avg_sq, &runs, &data[2]),
+                    },
+                };
                 (shard, crc)
             }
         };
@@ -254,6 +267,12 @@ impl HotTier {
             ucp_telemetry::count("hot/replica_rejected", 1);
             return;
         }
+        self.insert(holder, src, step, shard, crc);
+    }
+
+    /// Put a verified replica into `holder`'s bank, keeping the newest
+    /// [`RETAIN_STEPS`] generations of its source.
+    fn insert(&self, holder: usize, src: usize, step: u64, shard: HotShard, crc: [u32; 3]) {
         let replica = Replica {
             step,
             shard: Arc::new(shard),
@@ -410,7 +429,25 @@ fn gather_runs(chunk: &[f32], runs: &[(usize, usize)]) -> Vec<f32> {
     out
 }
 
-/// Write the runs' values back into a chunk, in run order.
+/// `base` with the runs' values replaced by `data` (concatenated in run
+/// order), built in one pass: each element of the new chunk is written
+/// once, from the base outside the runs and from the payload inside them.
+fn patched(base: &[f32], runs: &[(usize, usize)], data: &[f32]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(base.len());
+    let mut off = 0;
+    for &(start, len) in runs {
+        out.extend_from_slice(&base[out.len()..start]);
+        out.extend_from_slice(&data[off..off + len]);
+        off += len;
+    }
+    out.extend_from_slice(&base[out.len()..]);
+    debug_assert_eq!(off, data.len());
+    out
+}
+
+/// Write the runs' values back into a chunk, in run order: the in-place
+/// reference the tests hold [`patched`] to.
+#[cfg(test)]
 fn patch_runs(chunk: &mut [f32], runs: &[(usize, usize)], data: &[f32]) {
     let mut off = 0;
     for &(start, len) in runs {
@@ -581,6 +618,24 @@ mod tests {
         rec.set_enabled(false);
         assert!(recovered.is_none(), "a corrupt replica was served");
         assert_eq!(after - before, 1);
+    }
+
+    #[test]
+    fn patched_equals_a_base_copy_patched_in_place() {
+        let base: Vec<f32> = (0..16).map(|i| i as f32 * 1.5).collect();
+        for runs in [
+            vec![],
+            vec![(0usize, 16usize)],
+            vec![(1, 3), (7, 2), (12, 4)],
+            vec![(15, 1)],
+        ] {
+            let data: Vec<f32> = (0..runs.iter().map(|r| r.1).sum::<usize>())
+                .map(|i| -(i as f32))
+                .collect();
+            let mut want = base.clone();
+            patch_runs(&mut want, &runs, &data);
+            assert_eq!(patched(&base, &runs, &data), want, "{runs:?}");
+        }
     }
 
     #[test]

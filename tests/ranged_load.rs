@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
+use ucp_repro::core::convert::{convert_to_memory, convert_to_universal, ConvertOptions};
 use ucp_repro::core::load::{
     gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState, DEFAULT_ALIGNMENT,
 };
@@ -112,10 +112,60 @@ fn load_plan(
     LoadSession::open(base, 2, opts)?.load_plan(plan)
 }
 
-/// Load every rank of `target` both ways and demand bitwise equality.
-fn check_equivalence(base: &std::path::Path, target: ParallelConfig) {
+/// Every value of `state` that no atom element backs — padding segments of
+/// the shards, the padding and alignment gaps of the chunks, the chunk
+/// tail — is `+0.0`, bit for bit. Returns how many shard values are
+/// padding.
+fn assert_padding_is_positive_zero(plan: &LoadPlan, state: &RankState, ctx: &str) -> usize {
+    let mut backed = vec![false; plan.layout.chunk];
+    let mut padding = 0;
+    for (entry, (name, shard)) in plan.entries.iter().zip(&state.model_params) {
+        let segments =
+            (entry.partition).shard_segments(&entry.full_shape, plan.target.tp, plan.coord.tp);
+        for seg in &segments {
+            let values = &shard.as_slice()[seg.shard_offset..seg.shard_offset + seg.len];
+            if seg.src_offset.is_none() {
+                padding += seg.len;
+                assert!(
+                    values.iter().all(|v| v.to_bits() == 0),
+                    "{ctx}: padding of shard {name} is not +0.0"
+                );
+            }
+            for f in &entry.fragments {
+                let lo = f.param_offset.max(seg.shard_offset);
+                let hi = (f.param_offset + f.len).min(seg.shard_offset + seg.len);
+                if lo < hi && seg.src_offset.is_some() {
+                    let at = f.chunk_offset + (lo - f.param_offset);
+                    backed[at..at + (hi - lo)].fill(true);
+                }
+            }
+        }
+    }
+    for (state_key, chunk) in [
+        ("fp32", &state.fp32),
+        ("exp_avg", &state.exp_avg),
+        ("exp_avg_sq", &state.exp_avg_sq),
+    ] {
+        for (i, v) in chunk.iter().enumerate().filter(|(i, _)| !backed[*i]) {
+            assert_eq!(
+                v.to_bits(),
+                0,
+                "{ctx}: {state_key} chunk slot {i} is not +0.0"
+            );
+        }
+    }
+    padding
+}
+
+/// Load every rank of `target` three ways — ranged, whole-file, and from
+/// the convert's atoms in RAM — and demand bitwise equality, with every
+/// padding value `+0.0`. Returns how many shard padding values the ranks
+/// hold.
+fn check_equivalence(base: &std::path::Path, target: ParallelConfig) -> usize {
     let universal = layout::universal_dir(base, 2);
     let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    let (memory, _) = convert_to_memory(base, 2, &ConvertOptions::default()).unwrap();
+    let mut padding = 0;
     for rank in 0..target.world_size() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
         let ranged = load_plan(
@@ -136,27 +186,45 @@ fn check_equivalence(base: &std::path::Path, target: ParallelConfig) {
             },
         )
         .unwrap();
+        let in_ram = memory.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
         let ctx = format!("target {} rank {rank}", target.label());
         assert_states_identical(&ranged, &full, &ctx);
+        assert_states_identical(&ranged, &in_ram, &format!("{ctx} (memory)"));
+        for (route, state) in [("ranged", &ranged), ("full", &full), ("memory", &in_ram)] {
+            padding += assert_padding_is_positive_zero(&plan, state, &format!("{ctx} {route}"));
+        }
     }
+    padding
 }
 
 #[test]
 fn ranged_reads_match_whole_file_reads_across_reshard_matrix() {
     let _g = serial();
     let source = ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1);
-    let dir = universal_checkpoint(source, "equiv", DType::F32);
-    for target in [
-        ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
-        ParallelConfig::new(1, 1, 4, 1, ZeroStage::Zero2),
-        ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
-        ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
-        ParallelConfig::new(4, 1, 1, 1, ZeroStage::Zero3),
-        ParallelConfig::new(1, 4, 1, 1, ZeroStage::Zero1),
+    for (model, name) in [
+        (ModelConfig::gpt3_tiny(), "equiv"),
+        (ModelConfig::gpt3_tiny_padded_vocab(), "equiv_padded"),
     ] {
-        check_equivalence(&dir, target);
+        let dir = universal_checkpoint_of(model, source, name, DType::F32);
+        let mut padding = 0;
+        for target in [
+            ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
+            ParallelConfig::new(1, 1, 4, 1, ZeroStage::Zero2),
+            ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
+            ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
+            ParallelConfig::new(4, 1, 1, 1, ZeroStage::Zero3),
+            ParallelConfig::new(1, 4, 1, 1, ZeroStage::Zero1),
+        ] {
+            padding += check_equivalence(&dir, target);
+        }
+        let padded = name == "equiv_padded";
+        assert_eq!(
+            padding > 0,
+            padded,
+            "{name}: {padding} shard padding values"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
