@@ -22,6 +22,12 @@
 //! fetched from the file each piece lies in, and the whole-file path
 //! ([`read_atom`]) reads each file once and concatenates the parts.
 //!
+//! A load source — a [`LoadSession`], or a
+//! [`crate::memory::MemoryCheckpoint`] — also builds each entry's fp32
+//! shard once per (TP degree, TP rank) and hands the same allocation to
+//! every DP replica after the first ([`RankState::model_params`]); each
+//! rank still copies its own chunk windows out of the source.
+//!
 //! Every destination a load builds — the rank's three flat chunks and each
 //! entry's fp32 shard — is a fresh buffer written front to back, each value
 //! exactly once, through a `Fill`: no zeroing pass runs before it. Only
@@ -31,7 +37,7 @@
 //! becomes values only after every one of its fills reported full.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Cursor, Read};
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -107,7 +113,11 @@ pub struct RankState {
     pub exp_avg_sq: Vec<f32>,
     /// fp32 parameter shards of the whole (tp, pp) slice, in flattening
     /// order (the trainer quantizes these into its bf16/fp16 model copy).
-    pub model_params: Vec<(Arc<str>, Tensor)>,
+    /// A shard depends only on the atom, the TP degree and the TP rank, so
+    /// the source a rank is loaded from builds it once: every DP replica of
+    /// the target, and any later load of the same slice from that source,
+    /// gets the same allocation.
+    pub model_params: Vec<(Arc<str>, Arc<Tensor>)>,
 }
 
 /// How a load executes its reads.
@@ -155,6 +165,7 @@ pub struct LoadSession {
     manifest: UcpManifest,
     opts: LoadOptions,
     cache: AtomCache,
+    shards: ShardTable,
 }
 
 impl LoadSession {
@@ -167,6 +178,7 @@ impl LoadSession {
             universal,
             manifest,
             opts,
+            shards: ShardTable::default(),
         })
     }
 
@@ -186,7 +198,7 @@ impl LoadSession {
     }
 
     /// `Load` alone: execute a precomputed plan (from [`gen_ucp_metadata`]
-    /// over this session's manifest) against the shared cache.
+    /// over this session's manifest) against the shared cache and shards.
     pub fn load_plan(&self, plan: &LoadPlan) -> Result<RankState> {
         execute_plan(
             plan,
@@ -195,7 +207,40 @@ impl LoadSession {
                 opts: &self.opts,
                 cache: &self.cache,
             },
+            &self.shards,
         )
+    }
+}
+
+/// The fp32 shards a load source has built, by (atom, TP degree, TP rank) —
+/// all a shard depends on — so each is built once per source. No lock is
+/// held while a shard is built: of two ranks that race to build the same
+/// one, the first insert wins and the other's tensor (bitwise equal) is
+/// dropped, so a rank never waits on another.
+#[derive(Debug, Default)]
+pub(crate) struct ShardTable(Mutex<HashMap<ShardKey, Arc<Tensor>>>);
+
+/// (atom name, target TP degree, TP rank).
+type ShardKey = (Arc<str>, usize, usize);
+
+impl Clone for ShardTable {
+    fn clone(&self) -> ShardTable {
+        ShardTable(Mutex::new(self.0.lock().clone()))
+    }
+}
+
+impl ShardTable {
+    /// The shard under `key`, built by `build` if no load has built it yet.
+    fn get_or_build(
+        &self,
+        key: ShardKey,
+        build: impl FnOnce() -> Result<Tensor>,
+    ) -> Result<Arc<Tensor>> {
+        if let Some(shard) = self.0.lock().get(&key) {
+            return Ok(Arc::clone(shard));
+        }
+        let built = Arc::new(build()?);
+        Ok(Arc::clone(self.0.lock().entry(key).or_insert(built)))
     }
 }
 
@@ -571,17 +616,23 @@ fn chunk_windows<'a>(
     Ok(windows)
 }
 
-/// `Load`: execute `plan` against `source`. The only builder of a
-/// [`RankState`], so every tier reconstructs a rank the same way.
-pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<RankState> {
+/// `Load`: execute `plan` against `source`, taking each fp32 shard from
+/// `shards` — the table the source owns — where a load already built it.
+/// The only builder of a [`RankState`], so every tier reconstructs a rank
+/// the same way.
+pub(crate) fn execute_plan(
+    plan: &LoadPlan,
+    source: &AtomSource<'_>,
+    shards: &ShardTable,
+) -> Result<RankState> {
     let _total_span = ucp_telemetry::span("load/total");
     let chunk = plan.layout.chunk;
     let mut chunks: [Vec<f32>; 3] = Default::default();
     let fills = chunks.each_mut().map(|c| Fill::new(fresh_slots(c, chunk)));
     let windows = chunk_windows(fills, &plan.entries)?;
 
-    // Read (parallel over entries): build each entry's fp32 shard and fill
-    // its chunk windows. Per-entry busy time accumulates into
+    // Read (parallel over entries): take or build each entry's fp32 shard
+    // and fill its chunk windows. Per-entry busy time accumulates into
     // `load/worker_busy_ns`; utilization is busy / (span × workers).
     let workers = match source {
         AtomSource::Disk { opts, .. } => opts.workers,
@@ -592,7 +643,7 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
         let _read_sp = ucp_telemetry::trace::span(ucp_telemetry::TraceCat::Load, "read_entry");
         let t_busy = ucp_telemetry::enabled().then(std::time::Instant::now);
         let entry = &plan.entries[i];
-        let shard_fp32 = read_entry(plan, entry, source, &mut windows[i].lock())?;
+        let shard_fp32 = read_entry(plan, entry, source, shards, &mut windows[i].lock())?;
         if let Some(t) = t_busy {
             ucp_telemetry::count(
                 "load/worker_busy_ns",
@@ -625,60 +676,66 @@ pub(crate) fn execute_plan(plan: &LoadPlan, source: &AtomSource<'_>) -> Result<R
         model_params,
     };
     #[cfg(debug_assertions)]
-    {
-        let bufs = [&state.fp32, &state.exp_avg, &state.exp_avg_sq];
-        let shards = state.model_params.iter().map(|(_, t)| t.as_slice());
-        for values in bufs.into_iter().map(|b| &b[..]).chain(shards) {
-            assert!(
-                values.iter().all(|v| v.to_bits() != SENTINEL),
-                "load left a destination slot unwritten"
-            );
-        }
+    for values in [&state.fp32, &state.exp_avg, &state.exp_avg_sq] {
+        assert_written(values);
     }
     Ok(state)
 }
 
-/// One entry: its fp32 shard (the model copy needs all of it), written
-/// front to back over the shard's segments, and its chunk windows — the fp32
-/// window from that shard, the moments' from the source, only the exact
-/// fragment intersections.
+/// Debug builds: refuse a fresh destination in which a [`SENTINEL`]
+/// survived the load.
+#[cfg(debug_assertions)]
+fn assert_written(values: &[f32]) {
+    assert!(
+        values.iter().all(|v| v.to_bits() != SENTINEL),
+        "load left a destination slot unwritten"
+    );
+}
+
+/// One entry: its fp32 shard (the model copy needs all of it) — taken from
+/// `shards`, or written front to back over the shard's segments and put
+/// there — and its three chunk windows, copied out of the source over the
+/// exact fragment intersections. On the ranged route a DP replica's fp32
+/// window is served from the bytes the shard's builder already fetched.
 fn read_entry(
     plan: &LoadPlan,
     entry: &LoadEntry,
     source: &AtomSource<'_>,
+    shards: &ShardTable,
     windows: &mut Windows<'_>,
-) -> Result<Tensor> {
+) -> Result<Arc<Tensor>> {
     let states = source.states(entry)?;
     let segments = entry
         .partition
         .shard_segments(&entry.full_shape, plan.target.tp, plan.coord.tp);
-    let shard_shape = entry
-        .partition
-        .shard_shape(&entry.full_shape, plan.target.tp);
-    let (shard_flat, dtype) = filled(shard_shape.num_elements(), |fill| {
-        states.write(entry, AtomFile::Fp32, &segments, fill)
+    let key = (Arc::clone(&entry.name), plan.target.tp, plan.coord.tp);
+    let shard_fp32 = shards.get_or_build(key, || {
+        let shard_shape = entry
+            .partition
+            .shard_shape(&entry.full_shape, plan.target.tp);
+        let (shard_flat, dtype) = filled(shard_shape.num_elements(), |fill| {
+            states.write(entry, AtomFile::Fp32, &segments, fill)
+        })?;
+        #[cfg(debug_assertions)]
+        assert_written(&shard_flat);
+        let dtype = match (dtype, &states) {
+            (Some(dtype), _) => dtype,
+            // Every segment padding: the atom's header still names the dtype.
+            (None, States::Cache(cache)) => fetch_dtype(cache, entry)?,
+            (None, States::Whole(atom)) => atom[0].dtype(),
+        };
+        // An fp32 atom's shard is already the tensor; only a 16-bit atom's
+        // needs its dtype tag (a quantizing copy of exactly-representable
+        // values).
+        let mut shard = Tensor::from_vec(shard_flat, shard_shape)?;
+        if dtype != DType::F32 {
+            shard = shard.cast(dtype);
+        }
+        Ok(shard)
     })?;
-    let dtype = match (dtype, &states) {
-        (Some(dtype), _) => dtype,
-        // Every segment padding: the atom's header still names the dtype.
-        (None, States::Cache(cache)) => fetch_dtype(cache, entry)?,
-        (None, States::Whole(atom)) => atom[0].dtype(),
-    };
-    // An fp32 atom's shard is already the tensor; only a 16-bit atom's
-    // needs its dtype tag (a quantizing copy of exactly-representable values).
-    let mut shard_fp32 = Tensor::from_vec(shard_flat, shard_shape)?;
-    if dtype != DType::F32 {
-        shard_fp32 = shard_fp32.cast(dtype);
-    }
 
-    let mut at = entry.fragments.first().map_or(0, |f| f.chunk_offset);
-    for f in &entry.fragments {
-        windows[0].zeros(f.chunk_offset - at)?;
-        windows[0].values(&shard_fp32.as_slice()[f.param_offset..f.param_offset + f.len])?;
-        at = f.chunk_offset + f.len;
-    }
     let runs = window_runs(&segments, &entry.fragments);
-    for file in [AtomFile::ExpAvg, AtomFile::ExpAvgSq] {
+    for file in AtomFile::ALL {
         states.write(entry, file, &runs, &mut windows[file as usize])?;
     }
     Ok(shard_fp32)
@@ -894,6 +951,35 @@ mod tests {
             }
             prop_assert_eq!(got, want);
         }
+    }
+
+    /// Two builders that race for one key both build, unlocked; the first
+    /// insert wins and both get its allocation. A key already built is
+    /// served without building.
+    #[test]
+    fn racing_shard_builders_share_the_first_insert() {
+        let table = ShardTable::default();
+        let key = || (Arc::<str>::from("w"), 2, 1);
+        let both_building = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            [1.0f32, 2.0]
+                .map(|v| {
+                    let (table, both_building) = (&table, &both_building);
+                    s.spawn(move || {
+                        table.get_or_build(key(), || {
+                            both_building.wait();
+                            Ok(Tensor::from_vec(vec![v], Shape::new([1]))?)
+                        })
+                    })
+                })
+                .map(|h| h.join().unwrap().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        let again = table.get_or_build(key(), || panic!("built twice")).unwrap();
+        assert!(Arc::ptr_eq(&a, &again));
+        let peer = (Arc::<str>::from("w"), 2, 0);
+        let peer = table.get_or_build(peer, || Ok(Tensor::from_vec(vec![3.0], Shape::new([1]))?));
+        assert!(!Arc::ptr_eq(&a, &peer.unwrap()));
     }
 
     /// A fill writes front to back, refuses to run past its end, and

@@ -11,7 +11,8 @@
 //! [`crate::load`]'s one plan executor with the atom map as its source —
 //! so a rank resumed from memory reconstructs bitwise-identical state to
 //! one resumed from the converted disk checkpoint, under *any* target
-//! parallelism strategy.
+//! parallelism strategy. Like a disk [`crate::LoadSession`], the checkpoint
+//! builds each fp32 shard once and its DP replicas share it.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -21,7 +22,7 @@ use ucp_tensor::Tensor;
 
 use crate::checkpoint::{CommonState, OptimShard};
 use crate::convert::{assemble_stages, ChunkSource, ConvertOptions};
-use crate::load::{execute_plan, gen_ucp_metadata, AtomSource, RankState};
+use crate::load::{execute_plan, gen_ucp_metadata, AtomSource, RankState, ShardTable};
 use crate::manifest::UcpManifest;
 use crate::{Result, UcpError};
 
@@ -57,6 +58,9 @@ pub struct MemoryCheckpoint {
     /// whole parameters, also where the manifest lists a split one's
     /// sub-atoms (a load from memory reads whole atoms).
     atoms: BTreeMap<String, [Tensor; 3]>,
+    /// The fp32 shards loads from this checkpoint have built, shared by
+    /// DP replicas.
+    shards: ShardTable,
 }
 
 impl MemoryCheckpoint {
@@ -65,7 +69,11 @@ impl MemoryCheckpoint {
         manifest: UcpManifest,
         atoms: BTreeMap<String, [Tensor; 3]>,
     ) -> MemoryCheckpoint {
-        MemoryCheckpoint { manifest, atoms }
+        MemoryCheckpoint {
+            manifest,
+            atoms,
+            shards: ShardTable::default(),
+        }
     }
 
     /// Consolidate a complete set of hot shards — one per (tp, pp, zero)
@@ -127,7 +135,7 @@ impl MemoryCheckpoint {
                 Ok((metas, 0))
             },
         )?;
-        Ok(MemoryCheckpoint { manifest, atoms })
+        Ok(MemoryCheckpoint::new(manifest, atoms))
     }
 
     /// The checkpoint's manifest.
@@ -148,6 +156,6 @@ impl MemoryCheckpoint {
         alignment: usize,
     ) -> Result<RankState> {
         let plan = gen_ucp_metadata(&self.manifest, target, rank, alignment)?;
-        execute_plan(&plan, &AtomSource::Memory(&self.atoms))
+        execute_plan(&plan, &AtomSource::Memory(&self.atoms), &self.shards)
     }
 }

@@ -567,7 +567,11 @@ impl SectionInfo {
     /// payload span covering the range, appended to a fresh buffer with
     /// nothing initialised first, and the CRC-table slice for those blocks.
     /// One [`BlockCrc`] pass over the span yields its block CRCs and its
-    /// whole CRC, each seeded by [`SectionInfo::meta_crc`]. Corruption
+    /// whole CRC, each seeded by [`SectionInfo::meta_crc`]: the span starts
+    /// on a block boundary, so the pass hashes it four blocks at a time on
+    /// four independent registers and folds the whole CRC from theirs,
+    /// leaving only a last run of fewer than four blocks to the
+    /// two-register path (see [`crate::crc`]). Corruption
     /// outside the span goes unread and undetected; a block inside it that
     /// disagrees with its table entry — in its bytes or in the metadata it
     /// was decoded by — is [`StorageError::ChecksumMismatch`], and its bytes
@@ -1566,6 +1570,39 @@ mod tests {
         for (orig, read) in c.sections.iter().zip(&back.sections) {
             assert!(orig.tensor.bitwise_eq(&read.tensor), "{}", orig.name);
         }
+    }
+
+    /// The encoder's bytes are pinned: a fixed container — an fp32 section
+    /// longer than one encode chunk, one that ends mid-block, a bf16 one,
+    /// an empty one and a scalar — hashes to a digest recorded from an
+    /// earlier build of the encoder. A checksum kernel that changed one
+    /// table entry or trailing CRC would change the digest.
+    #[test]
+    fn encoder_output_matches_the_recorded_digest() {
+        let values = |n: usize, salt: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| ((i * 2_654_435_761 + salt) % 100_003) as f32 / 997.0 - 50.0)
+                .collect()
+        };
+        let mut c = Container::new(r#"{"golden": true}"#);
+        let big = Tensor::from_vec(values(40_000, 1), Shape::new([40_000])).unwrap();
+        let odd = Tensor::from_vec(values(37 * 113, 2), Shape::new([37, 113])).unwrap();
+        let half = Tensor::from_vec(values(3001, 3), Shape::new([3001])).unwrap();
+        c.push("big", big);
+        c.push("odd", odd);
+        c.push("half", half.cast(DType::BF16));
+        c.push(
+            "empty",
+            Tensor::from_vec(Vec::new(), Shape::new([0])).unwrap(),
+        );
+        c.push("scalar", Tensor::scalar(-0.25));
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        // FNV-1a, 64-bit: independent of the CRC code under test.
+        let fnv = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((buf.len(), fnv), (185_791, 0xbbca_e617_3a5b_bd5d));
     }
 
     #[test]

@@ -11,9 +11,19 @@
 //! kernel waits for a runner that can execute it.)
 //!
 //! A container section needs two checksums of every byte — its block's and
-//! the whole payload's. [`BlockCrc`] advances both registers over each word
-//! in one loop: the two dependency chains are independent, so on the
-//! hardware kernel the second hash hides in the first one's latency.
+//! the whole payload's. The `crc32` instruction has a latency of several
+//! cycles but accepts a new one every cycle, so one register per loop
+//! leaves most of the unit idle. At a block boundary with at least four
+//! whole blocks ahead, [`BlockCrc`] runs four independent block registers
+//! side by side, one block each, and derives the whole-payload register
+//! from them instead of hashing the bytes a second time. CRC is affine in
+//! its register: after a block `b`, the whole register `w` becomes
+//! `Z(w) ^ r ^ Z(seed)`, where `r` is the block's own register (started at
+//! `seed`) and `Z` is the register after a block of zero bytes — a linear
+//! map, kept as four byte-indexed tables. Short tails, blocks entered
+//! mid-way and the sliced kernel advance the block and whole registers
+//! together over each word, as two chains. Either way every table entry
+//! and every whole CRC is the same value.
 
 /// The Castagnoli polynomial (reflected form).
 const POLY: u32 = 0x82F6_3B78;
@@ -116,6 +126,114 @@ fn update_pair_hw(_: u32, _: u32, _: &[u8]) -> Option<(u32, u32)> {
     None
 }
 
+/// The block size [`BlockCrc`] runs four lanes at: the container's. Blocks
+/// of any other size take the two-register path.
+const LANE_BLOCK: usize = crate::container::RANGE_CRC_BLOCK as usize;
+const _: () = assert!(
+    LANE_BLOCK.is_multiple_of(SLICE),
+    "a lane block is whole words"
+);
+
+/// Blocks the four-lane kernel hashes side by side.
+const LANES: usize = 4;
+
+/// The SSE4.2 four-lane kernel, or `None` where the instruction is missing.
+/// `groups` is a whole number of groups of [`LANES`] blocks of
+/// [`LANE_BLOCK`] bytes; for each block, in order, `each` receives its
+/// register, advanced from `seed` over that block alone. The four blocks of
+/// a group run as four independent chains.
+#[cfg(target_arch = "x86_64")]
+fn update_lanes_hw(seed: u32, groups: &[u8], each: impl FnMut(u32)) -> Option<()> {
+    use std::arch::x86_64::_mm_crc32_u64;
+
+    /// # Safety
+    /// The CPU must support SSE4.2.
+    #[target_feature(enable = "sse4.2")]
+    unsafe fn kernel(seed: u32, groups: &[u8], mut each: impl FnMut(u32)) {
+        fn words(block: &[u8]) -> impl Iterator<Item = u64> + '_ {
+            (block.chunks_exact(SLICE))
+                .map(|w| u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]))
+        }
+        for group in groups.chunks_exact(LANES * LANE_BLOCK) {
+            let (a, rest) = group.split_at(LANE_BLOCK);
+            let (b, rest) = rest.split_at(LANE_BLOCK);
+            let (c, d) = rest.split_at(LANE_BLOCK);
+            let mut r = [u64::from(seed); LANES];
+            for (((wa, wb), wc), wd) in words(a).zip(words(b)).zip(words(c)).zip(words(d)) {
+                r[0] = _mm_crc32_u64(r[0], wa);
+                r[1] = _mm_crc32_u64(r[1], wb);
+                r[2] = _mm_crc32_u64(r[2], wc);
+                r[3] = _mm_crc32_u64(r[3], wd);
+            }
+            // The instruction leaves the upper half of its result zero.
+            r.into_iter().for_each(|x| each(x as u32));
+        }
+    }
+
+    if !std::arch::is_x86_feature_detected!("sse4.2") {
+        return None;
+    }
+    // SAFETY: SSE4.2 was detected on the line above. The kernel reads
+    // `groups` only through `chunks_exact` groups of `LANES * LANE_BLOCK`
+    // bytes, splits each at `LANE_BLOCK` and `2 * LANE_BLOCK` and
+    // `3 * LANE_BLOCK`, and reads whole `SLICE`-byte words out of each
+    // `LANE_BLOCK`-byte block through `chunks_exact`: every read lies inside
+    // `groups`, and a trailing partial group is never touched.
+    unsafe { kernel(seed, groups, each) };
+    Some(())
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn update_lanes_hw(_: u32, _: &[u8], _: impl FnMut(u32)) -> Option<()> {
+    None
+}
+
+/// `Z`: the register after a block of zero bytes, as a function of the
+/// register before. Hashing zeros is linear over GF(2), so `Z(x)` is the
+/// XOR of one table entry per byte of `x`.
+struct ZeroOp([[u32; 256]; 4]);
+
+impl std::fmt::Debug for ZeroOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ZeroOp")
+    }
+}
+
+impl ZeroOp {
+    /// Tabulate `Z` for `block`-byte blocks: the sliced kernel gives the
+    /// image of each one-bit register, and every other entry is the XOR of
+    /// the images of its bits.
+    fn new(block: usize) -> ZeroOp {
+        let zeros = vec![0u8; block];
+        let mut t = [[0u32; 256]; 4];
+        for (k, table) in t.iter_mut().enumerate() {
+            let images: [u32; 8] =
+                std::array::from_fn(|bit| update_sliced(1 << (8 * k + bit), &zeros));
+            for b in 1..256usize {
+                table[b] = table[b & (b - 1)] ^ images[b.trailing_zeros() as usize];
+            }
+        }
+        ZeroOp(t)
+    }
+
+    /// `Z(x)`.
+    #[inline]
+    fn apply(&self, x: u32) -> u32 {
+        let [b0, b1, b2, b3] = x.to_le_bytes();
+        self.0[0][usize::from(b0)]
+            ^ self.0[1][usize::from(b1)]
+            ^ self.0[2][usize::from(b2)]
+            ^ self.0[3][usize::from(b3)]
+    }
+
+    /// `Z` at [`LANE_BLOCK`], built on first use.
+    fn lane_block() -> &'static ZeroOp {
+        use std::sync::OnceLock;
+        static OP: OnceLock<ZeroOp> = OnceLock::new();
+        OP.get_or_init(|| ZeroOp::new(LANE_BLOCK))
+    }
+}
+
 /// Advance the registers `a` and `b` over the same `bytes`, on the
 /// hardware kernel where there is one.
 #[inline]
@@ -186,16 +304,22 @@ pub fn crc32c_f32(values: &[f32]) -> u32 {
 /// Per-block checksums: one CRC-32C per `block`-byte chunk of `data` (the
 /// final chunk may be short; empty data yields an empty table). This is
 /// the checksum granularity that lets a reader verify an arbitrary byte
-/// range of a payload without hashing the rest of it.
+/// range of a payload without hashing the rest of it. It is the table of a
+/// [`BlockCrc`] with no prefix: the kernel containers use.
 pub fn crc32c_blocks(data: &[u8], block: usize) -> Vec<u32> {
-    data.chunks(block.max(1)).map(crc32c).collect()
+    let mut crc = BlockCrc::new(block, 0);
+    crc.update(data);
+    crc.finish().0
 }
 
 /// Single-pass combined hasher for the container's section layout: reads
 /// each byte once and yields both the per-`block` CRC table and the
 /// independent whole-payload CRC. The container codec streams payloads
 /// through this in fixed-size chunks, so neither writing nor verifying a
-/// section ever materializes the payload just to hash it twice.
+/// section ever materializes the payload just to hash it twice. At the
+/// container's block size, runs of four whole blocks go through the
+/// four-lane kernel and the whole register is folded from their registers
+/// (see the module docs).
 #[derive(Debug)]
 pub struct BlockCrc {
     block: usize,
@@ -208,6 +332,9 @@ pub struct BlockCrc {
     block_state: u32,
     whole_state: u32,
     table: Vec<u32>,
+    /// `Z` and `Z(seed)` where four lanes may run: the block size is
+    /// [`LANE_BLOCK`] (the hardware is asked on first use).
+    lanes: Option<(&'static ZeroOp, u32)>,
 }
 
 impl BlockCrc {
@@ -217,13 +344,19 @@ impl BlockCrc {
     /// nothing). The container passes a section's metadata CRC here, so
     /// each checksum also covers the metadata.
     pub fn new(block: usize, prefix: u32) -> BlockCrc {
+        let seed = !prefix;
+        let lanes = (block == LANE_BLOCK).then(|| {
+            let z = ZeroOp::lane_block();
+            (z, z.apply(seed))
+        });
         BlockCrc {
             block: block.max(1),
             fill: 0,
-            seed: !prefix,
-            block_state: !prefix,
-            whole_state: !prefix,
+            seed,
+            block_state: seed,
+            whole_state: seed,
             table: Vec::new(),
+            lanes,
         }
     }
 
@@ -232,6 +365,27 @@ impl BlockCrc {
     pub fn update(&mut self, bytes: &[u8]) {
         let mut rest = bytes;
         while !rest.is_empty() {
+            if let (0, Some((z, z_seed))) = (self.fill, self.lanes) {
+                let group = LANES * LANE_BLOCK;
+                let (groups, tail) = rest.split_at(rest.len() - rest.len() % group);
+                if !groups.is_empty() {
+                    let (seed, whole, table) = (self.seed, &mut self.whole_state, &mut self.table);
+                    table.reserve(groups.len() / LANE_BLOCK);
+                    // Fold each block into the whole register from the
+                    // register just computed, never from the stored table.
+                    let ran = update_lanes_hw(seed, groups, |r| {
+                        table.push(!r);
+                        *whole = z.apply(*whole) ^ r ^ z_seed;
+                    });
+                    match ran {
+                        Some(()) => {
+                            rest = tail;
+                            continue;
+                        }
+                        None => self.lanes = None,
+                    }
+                }
+            }
             let (head, tail) = rest.split_at((self.block - self.fill).min(rest.len()));
             (self.block_state, self.whole_state) =
                 update_pair(self.block_state, self.whole_state, head);
@@ -347,31 +501,69 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time table and whole CRC of `data` at `block`-byte
+    /// granularity, every checksum continuing a prefix whose CRC is
+    /// `prefix`: what [`BlockCrc`] must produce.
+    fn blocks_bytewise(data: &[u8], block: usize, prefix: u32) -> (Vec<u32>, u32) {
+        let table = (data.chunks(block))
+            .map(|b| !update_bytewise(!prefix, b))
+            .collect();
+        (table, !update_bytewise(!prefix, data))
+    }
+
     #[test]
     fn block_table_matches_oneshot_per_chunk() {
         let data: Vec<u8> = (0..=255).cycle().take(1000).collect();
         let table = crc32c_blocks(&data, 256);
         assert_eq!(table.len(), 4, "ceil(1000/256) blocks");
-        assert_eq!(table[0], crc32c(&data[..256]));
-        assert_eq!(table[3], crc32c(&data[768..]), "short final block");
+        assert_eq!(table[0], crc32c_bytewise(&data[..256]));
+        assert_eq!(table[3], crc32c_bytewise(&data[768..]), "short final block");
+        assert_eq!(table, blocks_bytewise(&data, 256, 0).0);
         assert!(crc32c_blocks(&[], 256).is_empty());
     }
 
     #[test]
-    fn block_crc_single_pass_matches_two_pass() {
-        let data: Vec<u8> = (0..=255).cycle().take(1000).collect();
-        for chunking in [1usize, 7, 64, 256, 300, 1000] {
-            let mut h = BlockCrc::new(256, 0);
-            for chunk in data.chunks(chunking) {
-                h.update(chunk);
+    fn block_crc_single_pass_matches_the_oracle() {
+        // 5 000 bytes: four-block groups at the lane block size, with
+        // chunkings that enter them on a boundary and after a partial block.
+        let data: Vec<u8> = (0..=255).cycle().take(5000).collect();
+        for block in [256, 300] {
+            let want = blocks_bytewise(&data, block, 0);
+            for chunking in [1usize, 7, 64, 256, 300, 1000, 1100, 5000] {
+                let mut h = BlockCrc::new(block, 0);
+                for chunk in data.chunks(chunking) {
+                    h.update(chunk);
+                }
+                assert_eq!(h.finish(), want, "block {block}, chunking {chunking}");
             }
-            let (table, whole) = h.finish();
-            assert_eq!(table, crc32c_blocks(&data, 256), "chunking {chunking}");
-            assert_eq!(whole, crc32c(&data), "chunking {chunking}");
         }
         let (table, whole) = BlockCrc::new(256, 0).finish();
         assert!(table.is_empty());
         assert_eq!(whole, 0);
+    }
+
+    /// Known answers for `Z`: the operator applied to `x` is the register
+    /// the sliced kernel (and the byte-wise oracle) reach from `x` over a
+    /// block of zero bytes.
+    #[test]
+    fn zero_operator_equals_hashing_a_block_of_zeros() {
+        let xs = [0, 1, 0x80, 0x8000_0000, !0, 0x1234_5678, 0xdead_beef];
+        for (block, op) in [(LANE_BLOCK, ZeroOp::lane_block()), (13, &ZeroOp::new(13))] {
+            let zeros = vec![0u8; block];
+            for x in xs {
+                assert_eq!(
+                    op.apply(x),
+                    update_sliced(x, &zeros),
+                    "block {block}, x {x:#x}"
+                );
+                assert_eq!(
+                    op.apply(x),
+                    update_bytewise(x, &zeros),
+                    "block {block}, x {x:#x}"
+                );
+            }
+        }
+        assert_eq!(ZeroOp::lane_block().apply(0), 0, "Z is linear");
     }
 
     #[test]
@@ -429,8 +621,7 @@ mod tests {
                 }
             }
 
-            /// The single-pass block hasher matches the per-chunk oracle —
-            /// and the two-pass `crc32c_blocks` + `crc32c` it replaces —
+            /// The single-pass block hasher matches the byte-wise oracle
             /// for any block size and any update chunking.
             #[test]
             fn prop_block_crc_matches_oracle(
@@ -442,12 +633,40 @@ mod tests {
                 for chunk in data.chunks(chunking) {
                     h.update(chunk);
                 }
-                let (table, whole) = h.finish();
-                let want: Vec<u32> = data.chunks(block).map(crc32c_bytewise).collect();
-                prop_assert_eq!(&table, &want);
-                prop_assert_eq!(whole, crc32c_bytewise(&data));
-                prop_assert_eq!(table, crc32c_blocks(&data, block));
-                prop_assert_eq!(whole, crc32c(&data));
+                let want = blocks_bytewise(&data, block, 0);
+                prop_assert_eq!(h.finish(), want.clone());
+                prop_assert_eq!(crc32c_blocks(&data, block), want.0);
+            }
+
+            /// At the lane block size and at another one (which takes the
+            /// two-register path throughout), payloads of 0 to 9 whole
+            /// blocks plus a tail, after a random prefix, fed in random
+            /// chunkings — some of which reach a run of four blocks part
+            /// way into a block — give the byte-wise oracle's table and
+            /// whole CRC.
+            #[test]
+            fn prop_block_crc_lanes_match_oracle(
+                at_lane_block in 0u8..2,
+                other_block in 1usize..600,
+                blocks in 0usize..10,
+                tail in 0usize..600,
+                seed in 0u64..u64::MAX,
+                prefix in 0u32..u32::MAX,
+                cuts in prop::collection::vec(0.0f64..1.0, 0..5),
+            ) {
+                let block = if at_lane_block == 1 { LANE_BLOCK } else { other_block };
+                let len = blocks * block + tail % block;
+                let data: Vec<u8> = (0..len)
+                    .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 29) as u8)
+                    .collect();
+                let mut at: Vec<usize> = cuts.iter().map(|f| (f * len as f64) as usize).collect();
+                at.extend([0, len]);
+                at.sort_unstable();
+                let mut h = BlockCrc::new(block, prefix);
+                for w in at.windows(2) {
+                    h.update(&data[w[0]..w[1]]);
+                }
+                prop_assert_eq!(h.finish(), blocks_bytewise(&data, block, prefix));
             }
         }
     }

@@ -155,7 +155,7 @@ fn reshard_roundtrip_is_bitwise_exact() {
                     per_param_shards
                         .entry(name.to_string())
                         .or_default()
-                        .push(t);
+                        .push(std::sync::Arc::unwrap_or_clone(t));
                 }
             }
             for (name, shards) in per_param_shards {

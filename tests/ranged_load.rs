@@ -3,14 +3,14 @@
 //! verified whole-section read when only a block table is damaged, and
 //! share bytes across DP replicas through the session atom cache.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ucp_repro::core::convert::{convert_to_memory, convert_to_universal, ConvertOptions};
 use ucp_repro::core::load::{
     gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState, DEFAULT_ALIGNMENT,
 };
 use ucp_repro::model::ModelConfig;
-use ucp_repro::parallel::{ParallelConfig, ZeroStage};
+use ucp_repro::parallel::{ParallelConfig, RankCoord, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::tensor::DType;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
@@ -323,6 +323,73 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
         load_plan(&dir, &plan, LoadOptions::default()).is_err(),
         "corrupt payload must fail the load"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Within one source — a ranged session, a whole-file session, the
+/// convert's atoms in RAM — every DP replica of a target gets the very
+/// shard allocation the first replica of its (tp, pp) slice built, TP
+/// peers never share one, and every rank is bitwise the rank a fresh
+/// session loads.
+#[test]
+fn dp_replicas_share_one_fp32_shard_per_tp_rank() {
+    let _g = serial();
+    let source = ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1);
+    let dir = universal_checkpoint(source, "shared_shards", DType::F32);
+    let universal = layout::universal_dir(&dir, 2);
+    let manifest = ucp_repro::core::manifest::UcpManifest::load(&universal).unwrap();
+    let (memory, _) = convert_to_memory(&dir, 2, &ConvertOptions::default()).unwrap();
+    for target in [
+        ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
+        ParallelConfig::new(1, 1, 4, 1, ZeroStage::Zero3),
+    ] {
+        let session = |ranged| {
+            let opts = LoadOptions {
+                ranged,
+                ..LoadOptions::with_workers(2)
+            };
+            LoadSession::open(&dir, 2, opts).unwrap()
+        };
+        let (ranged, whole) = (session(true), session(false));
+        let routes: [(&str, &dyn Fn(usize) -> RankState); 3] = [
+            ("ranged", &|rank| {
+                ranged.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap()
+            }),
+            ("whole", &|rank| {
+                whole.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap()
+            }),
+            ("memory", &|rank| {
+                memory.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap()
+            }),
+        ];
+        for (route, load) in routes {
+            let states: Vec<RankState> = (0..target.world_size()).map(load).collect();
+            for (rank, state) in states.iter().enumerate() {
+                let ctx = format!("{route} target {} rank {rank}", target.label());
+                let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
+                let fresh = load_plan(&dir, &plan, LoadOptions::default()).unwrap();
+                assert_states_identical(state, &fresh, &ctx);
+                let coord = target.coord(rank);
+                let first = target.rank_of(RankCoord { dp: 0, ..coord });
+                for ((name, shard), (_, built)) in
+                    state.model_params.iter().zip(&states[first].model_params)
+                {
+                    assert!(
+                        Arc::ptr_eq(shard, built),
+                        "{ctx}: shard {name} is not the one rank {first} built"
+                    );
+                }
+                if coord.tp > 0 {
+                    let peer = target.rank_of(RankCoord { tp: 0, ..coord });
+                    for ((name, shard), (_, other)) in
+                        state.model_params.iter().zip(&states[peer].model_params)
+                    {
+                        assert!(!Arc::ptr_eq(shard, other), "{ctx}: {name} shared across TP");
+                    }
+                }
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
