@@ -368,6 +368,13 @@ pub fn inspect(p: &Parsed) -> Result<(), String> {
 
 /// `ucp plan`: print the GenUcpMetadata plan for one target rank.
 pub fn plan(p: &Parsed) -> Result<(), String> {
+    print!("{}", plan_report(p)?);
+    Ok(())
+}
+
+/// The text `ucp plan` prints.
+pub fn plan_report(p: &Parsed) -> Result<String, String> {
+    use std::fmt::Write;
     let dir = require_dir(p)?;
     let step = resolve_step(&dir, p.step)?;
     let target = target_parallel(p)?;
@@ -383,7 +390,10 @@ pub fn plan(p: &Parsed) -> Result<(), String> {
     let plan =
         gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).map_err(|e| e.to_string())?;
     let coord = plan.coord;
-    println!(
+    let chunk = plan.layout.rank_range(coord.dp * target.sp + coord.sp);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "load plan for rank {rank} of {} (dp={}, pp={}, sp={}, tp={})",
         target.label(),
         coord.dp,
@@ -391,35 +401,34 @@ pub fn plan(p: &Parsed) -> Result<(), String> {
         coord.sp,
         coord.tp
     );
-    println!(
-        "  flat chunk: {} elements at [{}, {})",
-        plan.layout.chunk,
-        plan.layout
-            .rank_range(coord.dp * target.sp + coord.sp)
-            .start,
-        plan.layout.rank_range(coord.dp * target.sp + coord.sp).end,
+    let _ = writeln!(
+        out,
+        "  flat chunk: {} elements at [{}, {}) of {}",
+        plan.layout.chunk, chunk.start, chunk.end, plan.layout.total_len
     );
     let with_frags = plan
         .entries
         .iter()
         .filter(|e| !e.fragments.is_empty())
         .count();
-    println!(
+    let _ = writeln!(
+        out,
         "  {} parameters on this (tp, pp) slice; {} intersect this rank's chunk",
         plan.entries.len(),
         with_frags
     );
     for entry in plan.entries.iter().take(10) {
         let frag: usize = entry.fragments.iter().map(|f| f.len).sum();
-        println!(
+        let _ = writeln!(
+            out,
             "    {:<50} {} — {} elements into chunk",
             entry.name, entry.full_shape, frag
         );
     }
     if plan.entries.len() > 10 {
-        println!("    ... ({} more)", plan.entries.len() - 10);
+        let _ = writeln!(out, "    ... ({} more)", plan.entries.len() - 10);
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `ucp verify`: check one step's native and universal trees the way

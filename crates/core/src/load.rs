@@ -73,7 +73,7 @@ pub struct LoadEntry {
     /// How the target's TP degree slices the atom.
     pub partition: Partition,
     /// Pieces of this parameter that land in this rank's ZeRO chunk
-    /// (empty when another DP rank owns all of it).
+    /// (empty when another ZeRO partition owns all of it).
     pub fragments: Vec<FlatFragment>,
 }
 
@@ -85,8 +85,8 @@ pub struct LoadPlan {
     pub target: ParallelConfig,
     /// This rank's coordinate.
     pub coord: RankCoord,
-    /// Flat layout of this rank's (tp, pp) slice at the target DP degree,
-    /// shared (not cloned) into the loaded [`RankState`].
+    /// Flat layout of this rank's (tp, pp) slice at the target's ZeRO
+    /// degree (dp × sp), shared (not cloned) into the loaded [`RankState`].
     pub layout: Arc<FlatLayout>,
     /// Per-parameter instructions, in flattening order.
     pub entries: Vec<LoadEntry>,
@@ -467,14 +467,17 @@ pub fn gen_ucp_metadata(
         .collect();
     owned.sort_by(|a, b| a.0.name.cmp(&b.0.name));
 
+    // ZeRO partitions each (tp, pp) slice over the combined dp × sp group;
+    // this rank holds partition `dp · sp + sp`.
     let layout = Arc::new(FlatLayout::build(
         &owned
             .iter()
             .map(|(s, shape)| (s.name.clone(), shape.clone()))
             .collect::<Vec<_>>(),
         alignment,
-        target.dp,
+        target.dp * target.sp,
     ));
+    let zero_index = coord.dp * target.sp + coord.sp;
 
     let mut entries = Vec::with_capacity(owned.len());
     for ((spec, _), slot) in owned.iter().zip(&layout.slots) {
@@ -496,7 +499,7 @@ pub fn gen_ucp_metadata(
         let fragments = layout
             .fragments_of(slot)
             .into_iter()
-            .filter(|f| f.dp_rank == coord.dp)
+            .filter(|f| f.dp_rank == zero_index)
             .collect();
         entries.push(LoadEntry {
             name: Arc::from(spec.name.as_str()),

@@ -581,40 +581,6 @@ pub fn convert_checkpoint(
     convert_to_universal(dir, step, opts).map_err(TrainError::Ucp)
 }
 
-/// Train under `source`, checkpoint at `ckpt_step`, convert to UCP, and
-/// resume under `target` up to `until`: the paper's single-source →
-/// single-target experiment unit. Returns `(source run, target run)`.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_run(
-    source: TrainConfig,
-    target: TrainConfig,
-    dir: &Path,
-    ckpt_step: u64,
-    until: u64,
-) -> Result<(RunResult, RunResult), TrainError> {
-    let src_plan = TrainPlan {
-        config: source,
-        until_iteration: ckpt_step,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(ckpt_step),
-        checkpoint_dir: Some(dir.to_path_buf()),
-    };
-    let src_result = train_run(&src_plan)?;
-    convert_checkpoint(dir, ckpt_step, &ConvertOptions::default())?;
-    let tgt_plan = TrainPlan {
-        config: target,
-        until_iteration: until,
-        resume: ResumeMode::Universal {
-            dir: dir.to_path_buf(),
-            step: ckpt_step,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    };
-    let tgt_result = train_run(&tgt_plan)?;
-    Ok((src_result, tgt_result))
-}
-
 /// One phase of an elastic schedule: a parallelism strategy held until a
 /// target iteration.
 #[derive(Debug, Clone)]
@@ -788,35 +754,6 @@ mod tests {
         assert!(err
             .to_string()
             .contains("convert it to a universal checkpoint"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn universal_resume_across_strategies_continues_loss_curve() {
-        let dir = tmp("universal_resume");
-        let src = TrainConfig::quick(
-            ModelConfig::gpt3_tiny(),
-            ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1),
-            11,
-        );
-        let tgt = TrainConfig::quick(
-            ModelConfig::gpt3_tiny(),
-            ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
-            11,
-        );
-        // Uninterrupted source baseline for comparison.
-        let baseline = train_run(&TrainPlan::simple(src.clone(), 8)).unwrap();
-        let (src_run, tgt_run) = resume_run(src, tgt, &dir, 4, 8).unwrap();
-        assert_eq!(src_run.losses.len(), 4);
-        assert_eq!(tgt_run.start_iteration, 4);
-        // The resumed curve must continue the baseline.
-        for ((ia, la), (ib, lb)) in baseline.losses[4..].iter().zip(&tgt_run.losses) {
-            assert_eq!(ia, ib);
-            assert!(
-                (la - lb).abs() < 5e-3,
-                "iteration {ia}: baseline {la} vs UCP-resumed {lb}"
-            );
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -330,22 +330,9 @@ impl<'a> RankEngine<'a> {
     ) -> Result<RankEngine<'a>, TrainError> {
         cfg.validate().map_err(TrainError::Config)?;
         let coord = cfg.parallel.coord(comm.rank());
-        // The paper's loader partitions over the combined dp×sp group; map
-        // our coordinate onto the plan's dp axis.
-        let plan_parallel = ParallelConfig {
-            dp: cfg.zero_degree(),
-            sp: 1,
-            ..cfg.parallel
-        };
-        let plan_rank = plan_parallel.rank_of(RankCoord {
-            dp: coord.dp * cfg.parallel.sp + coord.sp,
-            pp: coord.pp,
-            sp: 0,
-            tp: coord.tp,
-        });
         let manifest = source.manifest().clone();
         let state = source
-            .load_rank(&plan_parallel, plan_rank, cfg.alignment)
+            .load_rank(&cfg.parallel, comm.rank(), cfg.alignment)
             .map_err(TrainError::Ucp)?;
         if manifest.model != cfg.model {
             return Err(TrainError::Config(

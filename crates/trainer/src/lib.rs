@@ -27,8 +27,8 @@ pub mod supervisor;
 pub use comm_group::CommGroup;
 pub use dirty::{DirtyMap, DirtyTracker};
 pub use driver::{
-    convert_checkpoint, resume_run, run_elastic, train_run, train_run_overlapped, ElasticPhase,
-    Persist, ResumeMode, RunResult, SavePolicy, TrainPlan,
+    convert_checkpoint, run_elastic, train_run, train_run_overlapped, ElasticPhase, Persist,
+    ResumeMode, RunResult, SavePolicy, TrainPlan,
 };
 pub use engine::{IterStats, PipelineSchedule, RankEngine, TrainConfig, UniversalSource};
 pub use hot::HotTier;

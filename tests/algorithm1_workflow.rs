@@ -6,6 +6,10 @@
 //! atoms must equal the mathematically-expected tensors exactly — no
 //! tolerance.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::language::UcpSpec;
@@ -18,27 +22,13 @@ use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::storage::Container;
 use ucp_repro::tensor::Tensor;
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_alg1_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ucp_repro::trainer::{train_run, TrainConfig};
 
 /// Train briefly and checkpoint, returning the checkpoint dir and step.
 fn make_checkpoint(parallel: ParallelConfig, name: &str) -> (std::path::PathBuf, u64) {
     let dir = scratch(name);
     let cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 99);
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 3,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(3),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 3, 3, &dir)).unwrap();
     (dir, 3)
 }
 

@@ -6,36 +6,33 @@
 //! exactly the state the offline path would load.
 //!
 //! The pipeline, the offline converter and the RAM hot tier are three
-//! feeds of one assembler, so agreeing with each other proves little; each
-//! is also held to [`naive`], Algorithm 1 composed from the Table 2
-//! operators with no code in common.
+//! feeds of one assembler, so agreeing with each other proves little; the
+//! first two are also held to [`naive`], Algorithm 1 composed from the
+//! Table 2 operators with no code in common, here, and the hot tier is held
+//! to it by `tests/any_to_any.rs`.
 
 #[path = "support/naive.rs"]
 mod naive;
 #[path = "support/tree.rs"]
 mod tree;
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use tree::tree_bytes;
-use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::fsck::{fsck, FsckOptions};
 use ucp_repro::core::load::{LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
 use ucp_repro::core::manifest::UcpManifest;
 use ucp_repro::core::{
-    HotShard, MemoryCheckpoint, ParamPattern, RankState, UcpError, UcpSpec, UcpSpecBuilder,
+    HotShard, MemoryCheckpoint, ParamPattern, UcpError, UcpSpec, UcpSpecBuilder,
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::tensor::DType;
-use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_born_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ucp_repro::trainer::{train_run, train_run_overlapped, TrainConfig, TrainPlan};
 
 fn plan(
     dir: &std::path::Path,
@@ -47,58 +44,7 @@ fn plan(
 ) -> TrainPlan {
     let mut cfg = TrainConfig::quick(model.clone(), parallel, seed);
     cfg.dtype = dtype;
-    TrainPlan {
-        config: cfg,
-        until_iteration: 4,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(every),
-        checkpoint_dir: Some(dir.to_path_buf()),
-    }
-}
-
-/// Every rank's native optimizer shard of `dir`'s `step`, as the hot tier
-/// would hold them.
-fn hot_shards(dir: &std::path::Path, step: u64, source: ParallelConfig) -> Vec<HotShard> {
-    let step_dir = layout::step_dir(dir, step);
-    let mut shards = Vec::new();
-    for pp in 0..source.pp {
-        for tp in 0..source.tp {
-            for zi in 0..source.dp * source.sp {
-                let (common, shard) = load_optim_states(&step_dir, zi, tp, pp).unwrap();
-                shards.push(HotShard {
-                    common,
-                    tp,
-                    pp,
-                    shard,
-                });
-            }
-        }
-    }
-    shards
-}
-
-/// What a single-rank load of `ram` delivers, as atoms.
-fn ram_atoms(ram: &MemoryCheckpoint, like: &naive::Atoms) -> naive::Atoms {
-    let single = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1);
-    naive::rank_atoms(&ram.load_rank(&single, 0, 1).unwrap(), like)
-}
-
-/// Two loads delivered the same rank state, bit for bit.
-fn assert_states_eq(ctx: &str, a: &RankState, b: &RankState) {
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(a.layout, b.layout, "{ctx}");
-    assert_eq!(bits(&a.fp32), bits(&b.fp32), "{ctx}: fp32");
-    assert_eq!(bits(&a.exp_avg), bits(&b.exp_avg), "{ctx}: exp_avg");
-    assert_eq!(
-        bits(&a.exp_avg_sq),
-        bits(&b.exp_avg_sq),
-        "{ctx}: exp_avg_sq"
-    );
-    assert_eq!(a.model_params.len(), b.model_params.len(), "{ctx}");
-    for ((na, ta), (nb, tb)) in a.model_params.iter().zip(&b.model_params) {
-        assert_eq!(na, nb, "{ctx}: param order");
-        assert!(ta.bitwise_eq(tb), "{ctx}: model param {na}");
-    }
+    saving(cfg, 4, every, dir)
 }
 
 /// The inode budget of a universal tree: `manifest.ucpt` and one flat
@@ -126,49 +72,17 @@ fn assert_one_inode_per_atom(ctx: &str, universal: &std::path::Path) {
     }
 }
 
-/// The third producer of a universal checkpoint: the RAM hot tier. Hot
-/// shards rebuilt from `off`'s native step files must assemble into a
-/// checkpoint that holds the naive reference's atoms and whose `load_rank`
-/// is bitwise-equal to the offline-converted tree's, for every rank of a
-/// TP1 and a TP2·DP2 target, against both disk read strategies — and
-/// malformed shard sets must be refused with a typed error.
-fn assert_memory_matches_disk(
+/// The third producer of a universal checkpoint, the RAM hot tier, refuses
+/// malformed shard sets — here `off`'s native shards of `step`, edited —
+/// with a typed error. (That well-formed sets assemble to the naive
+/// reference's atoms, `tests/any_to_any.rs` holds for every case it draws.)
+fn assert_memory_rejects_malformed_shards(
     name: &str,
     off: &std::path::Path,
     step: u64,
     source: ParallelConfig,
-    reference: &naive::Atoms,
 ) {
-    let shards = hot_shards(off, step, source);
-
-    let ram = MemoryCheckpoint::assemble(shards.clone()).unwrap();
-    naive::assert_atoms_eq(
-        &format!("{name} step {step}: RAM tier vs naive"),
-        &ram_atoms(&ram, reference),
-        reference,
-    );
-    for target in [
-        ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1),
-        ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
-    ] {
-        for ranged in [true, false] {
-            let opts = LoadOptions {
-                ranged,
-                ..LoadOptions::default()
-            };
-            let disk = LoadSession::open(off, step, opts).unwrap();
-            for rank in 0..target.world_size() {
-                let ctx = format!(
-                    "{name} step {step}: target {} rank {rank} ranged {ranged}",
-                    target.label()
-                );
-                let a = ram.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                let b = disk.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-                assert_states_eq(&ctx, &a, &b);
-            }
-        }
-    }
-
+    let shards = naive::hot_shards(&layout::step_dir(off, step));
     let reject = |what: &str, edit: &dyn Fn(&mut Vec<HotShard>)| {
         let mut bad = shards.clone();
         edit(&mut bad);
@@ -192,12 +106,13 @@ fn assert_memory_matches_disk(
 ///    identical synchronous run, at every saved step, and each is one flat
 ///    directory of one file per atom ([`assert_one_inode_per_atom`]);
 /// 3. the pipeline-written repository is fsck-clean;
-/// 4. a reconfigured resume straight off the pipeline tree — no convert
-///    pass anywhere — yields losses identical to resuming off the
-///    offline-converted tree;
-/// 5. the same native shards assembled in RAM load bitwise-equal to the
-///    offline-converted tree ([`assert_memory_matches_disk`]);
-/// 6. all three hold exactly the naive reference's atoms.
+/// 4. hence a reconfigured resume straight off the pipeline tree — no convert
+///    pass anywhere — lands on the state the offline path loads
+///    (`tests/any_to_any.rs` resumes born-universal trees under drawn
+///    layouts);
+/// 5. the offline-converted trees hold the naive reference's atoms, and
+///    the same native shards, edited, are refused by the RAM tier
+///    ([`assert_memory_rejects_malformed_shards`]).
 fn assert_born_universal(name: &str, model: ModelConfig, source: ParallelConfig, dtype: DType) {
     assert_born_universal_every(name, model, source, dtype, 2);
 }
@@ -227,13 +142,13 @@ fn assert_born_universal_every(
     assert_eq!(pipe_run.losses, off_run.losses, "{name}: training diverged");
     for &step in &steps {
         convert_to_universal(&off, step, &ConvertOptions::default()).unwrap();
-        let reference = naive::naive_atoms(&layout::step_dir(&off, step), None);
+        let reference = naive::naive_atoms(&naive::hot_shards(&layout::step_dir(&off, step)), None);
         naive::assert_atoms_eq(
             &format!("{name} step {step}: offline convert vs naive"),
             &naive::tree_atoms(&layout::universal_dir(&off, step)),
             &reference,
         );
-        assert_memory_matches_disk(name, &off, step, source, &reference);
+        assert_memory_rejects_malformed_shards(name, &off, step, source);
     }
 
     // At per-iteration cadence the pipeline patches dirty atoms in carried
@@ -264,33 +179,6 @@ fn assert_born_universal_every(
         report.markers_repaired.is_empty(),
         "{name}: marker named an incomplete step: {:?}",
         report.markers_repaired
-    );
-
-    // Reconfigure to a single rank and resume both trees universally. The
-    // pipeline tree resumes as-is; byte-equal trees must produce
-    // bit-identical losses.
-    let target = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1);
-    let resume = |dir: &std::path::Path| {
-        let mut cfg = TrainConfig::quick(model.clone(), target, seed);
-        cfg.dtype = dtype;
-        train_run(&TrainPlan {
-            config: cfg,
-            until_iteration: 6,
-            resume: ResumeMode::Universal {
-                dir: dir.to_path_buf(),
-                step: 4,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
-        .unwrap_or_else(|e| panic!("{name}: universal resume from {dir:?} failed: {e}"))
-    };
-    let ra = resume(&pipe);
-    let rb = resume(&off);
-    assert_eq!(ra.start_iteration, 4, "{name}");
-    assert_eq!(
-        ra.losses, rb.losses,
-        "{name}: no-convert resume diverged from offline-convert resume"
     );
 
     std::fs::remove_dir_all(&pipe).ok();
@@ -380,11 +268,11 @@ fn born_universal_every_iteration_moe() {
 
 /// One cell of the Fig. 6–10 property in its small form: a source saved
 /// under `tp`·`pp`·`zero` with the given ZeRO `alignment`, every save of a
-/// two-step run consolidated by all three feeds — the pipeline (the second
-/// save patches the first's buffers), the offline converter, the RAM tier
-/// — and each result compared bitwise with the naive reference. With
-/// `rules` the offline converter and the reference both take the user
-/// spec; the pipeline and the RAM tier have no such input and sit out.
+/// two-step run consolidated by the pipeline (the second save patches the
+/// first's buffers) and the offline converter, and each result compared
+/// bitwise with the naive reference. With `rules` the offline converter and
+/// the reference both take the user spec; the pipeline has no such input
+/// and sits out.
 fn assert_feeds_match_naive(
     name: &str,
     model: &ModelConfig,
@@ -412,7 +300,8 @@ fn assert_feeds_match_naive(
         ..ConvertOptions::default()
     };
     for step in [1, 2] {
-        let reference = naive::naive_atoms(&layout::step_dir(&off, step), rules);
+        let reference =
+            naive::naive_atoms(&naive::hot_shards(&layout::step_dir(&off, step)), rules);
         convert_to_universal(&off, step, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let offline = layout::universal_dir(&off, step);
         naive::assert_atoms_eq(
@@ -427,12 +316,6 @@ fn assert_feeds_match_naive(
             tree_bytes(&layout::universal_dir(&pipe, step)),
             tree_bytes(&offline),
             "{ctx} step {step}: pipeline tree differs from offline convert"
-        );
-        let ram = MemoryCheckpoint::assemble(hot_shards(&off, step, source)).unwrap();
-        naive::assert_atoms_eq(
-            &format!("{ctx} step {step}: RAM tier"),
-            &ram_atoms(&ram, &reference),
-            &reference,
         );
     }
     std::fs::remove_dir_all(&pipe).ok();
@@ -515,8 +398,8 @@ fn moe_sparse() -> ModelConfig {
 
 /// Two saves of a sparse MoE, pipeline and sync-plus-offline-convert, both
 /// with `global_batch` 2: the trees of steps 1 and 2 under `pipe` and
-/// `off`, and the run's source strategy.
-fn moe_two_steps(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, ParallelConfig) {
+/// `off`.
+fn moe_two_steps(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
     let source = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1);
     let (pipe, off) = (
         scratch(&format!("{tag}_pipe")),
@@ -534,17 +417,17 @@ fn moe_two_steps(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, Parallel
     for step in [1, 2] {
         convert_to_universal(&off, step, &ConvertOptions::default()).unwrap();
     }
-    (pipe, off, source)
+    (pipe, off)
 }
 
 #[test]
 fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
     use std::os::unix::fs::MetadataExt;
-    let (pipe, off, source) = moe_two_steps("moe_parts");
+    let (pipe, off) = moe_two_steps("moe_parts");
     // Which experts step 2 changed, from the naive reference alone: slice
     // `e` of any of the three states differs between the two steps.
-    let before = naive::naive_atoms(&layout::step_dir(&off, 1), None);
-    let after = naive::naive_atoms(&layout::step_dir(&off, 2), None);
+    let atoms = |step| naive::naive_atoms(&naive::hot_shards(&layout::step_dir(&off, step)), None);
+    let (before, after) = (atoms(1), atoms(2));
     let (step1, step2) = (
         layout::universal_dir(&pipe, 1),
         layout::universal_dir(&pipe, 2),
@@ -587,7 +470,7 @@ fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
     // The split tree loads bitwise-equal through the ranged and the
     // whole-file path, and equal to the RAM tier's whole tensors, under
     // every fan-out target.
-    let ram = MemoryCheckpoint::assemble(hot_shards(&off, 2, source)).unwrap();
+    let ram = MemoryCheckpoint::assemble(naive::hot_shards(&layout::step_dir(&off, 2))).unwrap();
     let whole_file = LoadOptions {
         ranged: false,
         ..LoadOptions::default()
@@ -605,8 +488,8 @@ fn moe_save_rewrites_exactly_the_experts_its_step_touched() {
             let a = ranged.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
             let b = whole.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
             let c = ram.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
-            assert_states_eq(&format!("{ctx}: ranged vs whole-file"), &a, &b);
-            assert_states_eq(&format!("{ctx}: disk vs RAM"), &a, &c);
+            naive::assert_states_eq(&format!("{ctx}: ranged vs whole-file"), &a, &b);
+            naive::assert_states_eq(&format!("{ctx}: disk vs RAM"), &a, &c);
         }
     }
     std::fs::remove_dir_all(&pipe).ok();
@@ -641,16 +524,12 @@ fn pruned_link_sources_leave_linked_atoms_readable() {
 
     // Resume from the surviving step: its linked atoms must read back.
     let target = ParallelConfig::new(1, 1, 1, 1, ZeroStage::Zero1);
-    let run = train_run(&TrainPlan {
-        config: TrainConfig::quick(model, target, seed),
-        until_iteration: 5,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 4,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
+    let run = train_run(&resuming(
+        TrainConfig::quick(model, target, seed),
+        5,
+        &dir,
+        4,
+    ))
     .unwrap();
     assert_eq!(run.start_iteration, 4);
     std::fs::remove_dir_all(&dir).ok();

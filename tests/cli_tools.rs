@@ -2,20 +2,17 @@
 //! `ds_to_universal.py` counterpart): convert, inspect, and plan against a
 //! real checkpoint.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use ucp_cli::args::{parse, Parsed};
 use ucp_cli::commands;
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout::{self, AtomFile};
 use ucp_repro::storage::ContainerIndex;
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_cli_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ucp_repro::trainer::{train_run, TrainConfig};
 
 fn make_checkpoint(name: &str) -> std::path::PathBuf {
     let dir = scratch(name);
@@ -24,14 +21,7 @@ fn make_checkpoint(name: &str) -> std::path::PathBuf {
         ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1),
         33,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     dir
 }
 
@@ -81,6 +71,29 @@ fn plan_rejects_out_of_range_rank() {
     ]))
     .unwrap_err();
     assert!(err.contains("out of range"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// ZeRO partitions over dp × sp: SP rank 1 of a DP1·SP2 target owns the
+/// second half of the layout, not a range past its end.
+#[test]
+fn plan_partitions_zero_over_dp_and_sp() {
+    let dir = make_checkpoint("plan_sp");
+    let dir_s = dir.to_string_lossy().to_string();
+    commands::convert(&flags(&["--dir", &dir_s])).unwrap();
+    let report = commands::plan_report(&flags(&[
+        "--dir", &dir_s, "--tp", "1", "--pp", "1", "--dp", "1", "--sp", "2", "--rank", "1",
+    ]))
+    .unwrap();
+    // "  flat chunk: {chunk} elements at [{start}, {end}) of {total}"
+    let line = report.lines().find(|l| l.contains("flat chunk")).unwrap();
+    let numbers: Vec<usize> = (line.split(|c: char| !c.is_ascii_digit()))
+        .filter_map(|n| n.parse().ok())
+        .collect();
+    let [chunk, start, end, total] = numbers[..] else {
+        panic!("{line}")
+    };
+    assert_eq!((start, end, total), (chunk, 2 * chunk, 2 * chunk), "{line}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -253,14 +266,7 @@ fn prune_respects_policy() {
         ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
         34,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 3,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(1),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 3, 1, &dir)).unwrap();
     assert_eq!(
         ucp_repro::storage::retention::list_steps(&dir),
         vec![1, 2, 3]
@@ -295,14 +301,7 @@ fn diff_detects_equal_and_different_checkpoints() {
             ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
             seed,
         );
-        train_run(&TrainPlan {
-            config: cfg,
-            until_iteration: 2,
-            resume: ResumeMode::Fresh,
-            checkpoint_every: Some(2),
-            checkpoint_dir: Some(dir.clone()),
-        })
-        .unwrap();
+        train_run(&saving(cfg, 2, 2, &dir)).unwrap();
         commands::convert(&flags(&["--dir", &dir.to_string_lossy()])).unwrap();
         dir
     };

@@ -20,6 +20,10 @@
 #[path = "support/tree.rs"]
 mod tree;
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use std::collections::BTreeSet;
 
 use tree::tree_bytes;
@@ -38,13 +42,6 @@ use ucp_repro::storage::Container;
 use ucp_repro::tensor::{DetRng, Tensor};
 use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
 
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_crash_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn config() -> TrainConfig {
     TrainConfig::quick(
         ModelConfig::gpt3_tiny(),
@@ -55,14 +52,7 @@ fn config() -> TrainConfig {
 
 /// Fresh run that commits a complete checkpoint at step 2.
 fn baseline(dir: &std::path::Path) {
-    train_run(&TrainPlan {
-        config: config(),
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.to_path_buf()),
-    })
-    .unwrap();
+    train_run(&saving(config(), 2, 2, dir)).unwrap();
 }
 
 /// The segment under fault: resume from step 2 and save step 4.
@@ -285,17 +275,8 @@ fn sweep_universal_producer(
             Some(2),
             "{tag} kill {k}"
         );
-        let resumed = train_run(&TrainPlan {
-            config: config(),
-            until_iteration: 4,
-            resume: ResumeMode::Universal {
-                dir: dir.clone(),
-                step: 2,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
-        .unwrap_or_else(|e| panic!("{tag} kill {k}: universal resume failed: {e}"));
+        let resumed = train_run(&resuming(config(), 4, &dir, 2))
+            .unwrap_or_else(|e| panic!("{tag} kill {k}: universal resume failed: {e}"));
         assert_eq!(resumed.start_iteration, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -394,13 +375,7 @@ fn convert_crash_replay_sweeps_kill_points() {
 
 #[test]
 fn overlapped_mid_run_kill_resumes_from_published_marker() {
-    let plan = |dir: &std::path::Path| TrainPlan {
-        config: config(),
-        until_iteration: 6,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.to_path_buf()),
-    };
+    let plan = |dir: &std::path::Path| saving(config(), 6, 2, dir);
     let total = {
         let cal = scratch("ovl_cal");
         let armed = fault::arm(fault::FaultPlan::count_only(&cal));
@@ -474,17 +449,8 @@ fn overlapped_mid_run_kill_resumes_from_published_marker() {
         if let Some(u) = latest_universal {
             let mut target = config();
             target.parallel = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
-            let resumed = train_run(&TrainPlan {
-                config: target,
-                until_iteration: u + 1,
-                resume: ResumeMode::Universal {
-                    dir: dir.clone(),
-                    step: u,
-                },
-                checkpoint_every: None,
-                checkpoint_dir: None,
-            })
-            .unwrap_or_else(|e| panic!("kill {k}: universal resume from {u} failed: {e}"));
+            let resumed = train_run(&resuming(target, u + 1, &dir, u))
+                .unwrap_or_else(|e| panic!("kill {k}: universal resume from {u} failed: {e}"));
             assert_eq!(resumed.start_iteration, u);
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -2,19 +2,16 @@
 //! consolidated checkpoint converts through the adapter and resumes under
 //! distributed strategies, preserving the model state bitwise.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, scratch};
 use ucp_repro::core::adapter::{save_litsim_checkpoint, LitSimAdapter, SourceAdapter};
 use ucp_repro::core::pattern::ParamPattern;
 use ucp_repro::model::{param_specs, ModelConfig};
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::tensor::{DetRng, Tensor};
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_xfw_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn fabricate(model: &ModelConfig, seed: u64) -> Vec<(String, Tensor, Tensor, Tensor)> {
     let rng = DetRng::new(seed);
@@ -55,16 +52,12 @@ fn foreign_checkpoint_trains_under_every_axis() {
         ParallelConfig::new(1, 2, 1, 1, ZeroStage::Zero1),
         ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero2),
     ] {
-        let run = train_run(&TrainPlan {
-            config: TrainConfig::quick(model.clone(), target, 41),
-            until_iteration: 52,
-            resume: ResumeMode::Universal {
-                dir: base.clone(),
-                step: 50,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
+        let run = train_run(&resuming(
+            TrainConfig::quick(model.clone(), target, 41),
+            52,
+            &base,
+            50,
+        ))
         .unwrap();
         assert_eq!(run.start_iteration, 50);
         assert!(run.losses.iter().all(|(_, l)| l.is_finite()));

@@ -7,7 +7,11 @@
 //! that step, no collective may block past the watchdog deadline, and
 //! `ucp fsck` must find the tree clean after every recovery.
 
-use std::path::{Path, PathBuf};
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -33,16 +37,6 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ucp_elastic_recovery_{name}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn source_topology() -> ParallelConfig {
@@ -88,14 +82,13 @@ fn recover_cell(
 ) {
     let source = source_topology();
     let kill_rank = source.world_size() - 1;
-    let dir = tmp(label);
-    let plan = TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
-        until_iteration: ITERS,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(SAVE_EVERY),
-        checkpoint_dir: Some(dir.clone()),
-    };
+    let dir = scratch(label);
+    let plan = saving(
+        TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
+        ITERS,
+        SAVE_EVERY,
+        &dir,
+    );
     let opts = SupervisorOptions {
         deadline: DEADLINE,
         hot_replicas: None,
@@ -162,16 +155,12 @@ fn recover_cell(
     // Post-resume trajectory must be bitwise-equal to a
     // fault-free run resumed from the same committed
     // checkpoint under the same degraded topology.
-    let reference = train_run(&TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), target, SEED),
-        until_iteration: ITERS,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: expected_resume,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
+    let reference = train_run(&resuming(
+        TrainConfig::quick(ModelConfig::gpt3_tiny(), target, SEED),
+        ITERS,
+        &dir,
+        expected_resume,
+    ))
     .unwrap();
     let resumed = &report.final_segment().losses;
     assert_eq!(resumed.len(), reference.losses.len());
@@ -264,16 +253,15 @@ fn supervised_overlapped_recovery_skips_the_convert() {
 #[test]
 fn kill_before_first_checkpoint_restarts_fresh() {
     let _guard = test_guard();
-    let dir = tmp("fresh_restart");
+    let dir = scratch("fresh_restart");
     let source = source_topology();
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
-    let plan = TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
-        until_iteration: 4,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(4),
-        checkpoint_dir: Some(dir.clone()),
-    };
+    let plan = saving(
+        TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
+        4,
+        4,
+        &dir,
+    );
     let opts = SupervisorOptions {
         deadline: DEADLINE,
         hot_replicas: None,
@@ -312,17 +300,16 @@ fn kill_before_first_checkpoint_restarts_fresh() {
 #[test]
 fn repeated_failures_walk_down_the_ladder() {
     let _guard = test_guard();
-    let dir = tmp("ladder_walk");
+    let dir = scratch("ladder_walk");
     let source = source_topology();
     let rung1 = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
     let rung2 = ParallelConfig::single();
-    let plan = TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
-        until_iteration: 8,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    };
+    let plan = saving(
+        TrainConfig::quick(ModelConfig::gpt3_tiny(), source, SEED),
+        8,
+        2,
+        &dir,
+    );
     let opts = SupervisorOptions {
         deadline: DEADLINE,
         hot_replicas: None,
@@ -354,16 +341,12 @@ fn repeated_failures_walk_down_the_ladder() {
     assert_eq!(last.losses.last().unwrap().0, 8);
     // Reference: fault-free single-rank run from the step-4 universal
     // checkpoint the second recovery produced.
-    let reference = train_run(&TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), rung2, SEED),
-        until_iteration: 8,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 4,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
+    let reference = train_run(&resuming(
+        TrainConfig::quick(ModelConfig::gpt3_tiny(), rung2, SEED),
+        8,
+        &dir,
+        4,
+    ))
     .unwrap();
     for ((ia, la), (ib, lb)) in last.losses.iter().zip(&reference.losses) {
         assert_eq!(ia, ib);
@@ -378,7 +361,7 @@ fn repeated_failures_walk_down_the_ladder() {
 #[test]
 fn recovery_counters_are_recorded() {
     let _guard = test_guard();
-    let dir = tmp("telemetry");
+    let dir = scratch("telemetry");
     let plan = TrainPlan {
         config: TrainConfig::quick(
             ModelConfig::gpt3_tiny(),
@@ -475,14 +458,13 @@ fn disk_recovery_resumes_from_the_converted_atoms_in_ram() {
         ("dense", ModelConfig::gpt3_tiny()),
         ("moe", ModelConfig::moe_tiny()),
     ] {
-        let dir = tmp(&format!("in_ram_{label}"));
-        let plan = TrainPlan {
-            config: TrainConfig::quick(model.clone(), source, SEED),
-            until_iteration: ITERS,
-            resume: ResumeMode::Fresh,
-            checkpoint_every: Some(SAVE_EVERY),
-            checkpoint_dir: Some(dir.clone()),
-        };
+        let dir = scratch(&format!("in_ram_{label}"));
+        let plan = saving(
+            TrainConfig::quick(model.clone(), source, SEED),
+            ITERS,
+            SAVE_EVERY,
+            &dir,
+        );
         let opts = SupervisorOptions {
             deadline: DEADLINE,
             hot_replicas: None,
@@ -519,7 +501,7 @@ fn disk_recovery_resumes_from_the_converted_atoms_in_ram() {
         );
 
         // The tree the recovery published is the offline convert's.
-        let offline = tmp(&format!("in_ram_{label}_offline"));
+        let offline = scratch(&format!("in_ram_{label}_offline"));
         copy_tree(&layout::step_dir(&dir, 2), &layout::step_dir(&offline, 2));
         ucp_repro::trainer::convert_checkpoint(
             &offline,
@@ -546,16 +528,12 @@ fn disk_recovery_resumes_from_the_converted_atoms_in_ram() {
         assert!(fsck_report.clean(), "{label}: {fsck_report:?}");
 
         // Resumed from memory, bitwise-equal to a resume from the tree.
-        let reference = train_run(&TrainPlan {
-            config: TrainConfig::quick(model, target, SEED),
-            until_iteration: ITERS,
-            resume: ResumeMode::Universal {
-                dir: dir.clone(),
-                step: 2,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
+        let reference = train_run(&resuming(
+            TrainConfig::quick(model, target, SEED),
+            ITERS,
+            &dir,
+            2,
+        ))
         .unwrap();
         let resumed = &report.final_segment().losses;
         assert_eq!(resumed.len(), reference.losses.len(), "{label}");

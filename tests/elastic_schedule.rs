@@ -2,6 +2,10 @@
 //! writes and publishes the universal tree durably, and the next phase
 //! resumes from the atoms that convert assembled, reading none back.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::scratch;
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
@@ -11,8 +15,7 @@ use ucp_repro::trainer::{
 
 #[test]
 fn phase_boundaries_resume_from_the_converted_atoms_in_ram() {
-    let dir = std::env::temp_dir().join(format!("ucp_elastic_schedule_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("elastic_schedule");
     let base = TrainConfig::quick(ModelConfig::gpt3_tiny(), ParallelConfig::single(), 17);
     let phases = [
         ElasticPhase {

@@ -1,18 +1,15 @@
 //! Failure injection: corruption, missing files, and truncation must be
 //! detected loudly, never silently absorbed into training state.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_fail_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn make_checkpoint(name: &str) -> std::path::PathBuf {
     let dir = scratch(name);
@@ -21,14 +18,7 @@ fn make_checkpoint(name: &str) -> std::path::PathBuf {
         ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
         21,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     dir
 }
 
@@ -163,16 +153,12 @@ fn resume_with_wrong_architecture_is_rejected() {
     let dir = make_checkpoint("wrong_arch");
     convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
     // Llama-tiny has different parameters entirely.
-    let err = train_run(&TrainPlan {
-        config: TrainConfig::quick(ModelConfig::llama_tiny(), ParallelConfig::single(), 21),
-        until_iteration: 4,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 2,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
+    let err = train_run(&resuming(
+        TrainConfig::quick(ModelConfig::llama_tiny(), ParallelConfig::single(), 21),
+        4,
+        &dir,
+        2,
+    ))
     .unwrap_err();
     assert!(err.to_string().contains("architecture differs"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
@@ -188,17 +174,7 @@ fn resume_with_indivisible_target_is_rejected() {
         ParallelConfig::new(1, 3, 1, 1, ZeroStage::Zero1),
         21,
     );
-    let err = train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 4,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 2,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
-    .unwrap_err();
+    let err = train_run(&resuming(cfg, 4, &dir, 2)).unwrap_err();
     assert!(err.to_string().contains("divisible"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

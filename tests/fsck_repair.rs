@@ -2,19 +2,16 @@
 //! quarantined to `*.corrupt`, stale `.tmp` staging files are swept, and
 //! dangling `latest` markers are repointed at the newest surviving step.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::{fsck, FsckOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::{layout, ContainerIndex};
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_fsck_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Two complete native steps (2 and 4); `latest` points at 4.
 fn make_tree(name: &str) -> std::path::PathBuf {
@@ -24,14 +21,7 @@ fn make_tree(name: &str) -> std::path::PathBuf {
         ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1),
         55,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 4,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 4, 2, &dir)).unwrap();
     dir
 }
 

@@ -18,7 +18,11 @@
 //!   `hot_recovery_end` lifecycle and attributes `recovery_end` to the
 //!   tier that actually served.
 
-use std::path::{Path, PathBuf};
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -42,26 +46,18 @@ fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_hot_tier_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn source_topology() -> ParallelConfig {
     // 4 ranks: TP2 x PP1 x DP2.
     ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1)
 }
 
 fn hot_plan(dir: &Path) -> TrainPlan {
-    TrainPlan {
-        config: TrainConfig::quick(ModelConfig::gpt3_tiny(), source_topology(), SEED),
-        until_iteration: ITERS,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(SAVE_EVERY),
-        checkpoint_dir: Some(dir.to_path_buf()),
-    }
+    saving(
+        TrainConfig::quick(ModelConfig::gpt3_tiny(), source_topology(), SEED),
+        ITERS,
+        SAVE_EVERY,
+        dir,
+    )
 }
 
 fn hot_opts(target: ParallelConfig, faults: Vec<RankFault>) -> SupervisorOptions {
@@ -144,7 +140,7 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
     .into_iter()
     .enumerate()
     {
-        let dir = tmp(&format!("peer_t{ti}"));
+        let dir = scratch(&format!("peer_t{ti}"));
         let rec = ucp_repro::telemetry::global();
         rec.reset();
         rec.set_enabled(true);
@@ -249,7 +245,7 @@ fn single_kill_recovers_from_peer_memory_bitwise() {
 fn double_fault_falls_back_to_disk_bitwise() {
     let _guard = test_guard();
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
-    let dir = tmp("double_fault");
+    let dir = scratch("double_fault");
     let rec = ucp_repro::telemetry::global();
     rec.reset();
     rec.set_enabled(true);
@@ -318,7 +314,7 @@ fn double_fault_falls_back_to_disk_bitwise() {
 fn replica_owner_dead_falls_back_to_disk() {
     let _guard = test_guard();
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
-    let dir = tmp("owner_dead");
+    let dir = scratch("owner_dead");
     // holders_of(3) = {0} with K=1 on 4 ranks: kill 3 and its holder 0.
     let report = supervise(
         &hot_plan(&dir),
@@ -354,7 +350,7 @@ fn replica_owner_dead_falls_back_to_disk() {
 fn wider_replication_absorbs_the_double_fault() {
     let _guard = test_guard();
     let target = ParallelConfig::new(1, 1, 4, 1, ZeroStage::Zero1);
-    let dir = tmp("k2_double");
+    let dir = scratch("k2_double");
     let mut opts = hot_opts(
         target,
         vec![
@@ -387,7 +383,7 @@ fn wider_replication_absorbs_the_double_fault() {
 fn kill_before_first_save_restarts_fresh() {
     let _guard = test_guard();
     let target = ParallelConfig::new(1, 1, 2, 1, ZeroStage::Zero1);
-    let dir = tmp("pre_save");
+    let dir = scratch("pre_save");
     let report = supervise(
         &hot_plan(&dir),
         &hot_opts(
@@ -422,7 +418,7 @@ fn kill_before_first_save_restarts_fresh() {
 #[test]
 fn invalid_replication_factors_are_rejected() {
     let _guard = test_guard();
-    let dir = tmp("bad_factor");
+    let dir = scratch("bad_factor");
     let plan = hot_plan(&dir);
     // K = 0 is a contradiction.
     let mut opts = hot_opts(ParallelConfig::single(), Vec::new());

@@ -4,6 +4,10 @@
 //!
 //! One test, one process: it owns the process-global recorder.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::scratch;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -62,9 +66,7 @@ fn every_recorded_name_is_in_the_design_registry() {
     let registry = registered(include_str!("../DESIGN.md"));
     assert!(registry.contains("save/persist") && registry.contains("fleet/ranks"));
 
-    let dir = std::env::temp_dir().join(format!("ucp_it_metric_registry_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("metric_registry");
 
     let rec = ucp_repro::telemetry::global();
     rec.reset();

@@ -5,18 +5,15 @@
 //! precision can resume under fp16 (or full fp32) — the low-precision copy
 //! is re-derived from the master at load time.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::tensor::DType;
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_mpt_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ucp_repro::trainer::{train_run, TrainConfig, TrainPlan};
 
 #[test]
 fn bf16_checkpoint_resumes_under_fp16_and_fp32() {
@@ -29,14 +26,7 @@ fn bf16_checkpoint_resumes_under_fp16_and_fp32() {
     );
     src.dtype = DType::BF16;
     let baseline = train_run(&TrainPlan::simple(src.clone(), 8)).unwrap();
-    train_run(&TrainPlan {
-        config: src.clone(),
-        until_iteration: 4,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(4),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(src.clone(), 4, 4, &dir)).unwrap();
     convert_to_universal(&dir, 4, &ConvertOptions::default()).unwrap();
 
     for (dtype, tol) in [
@@ -53,17 +43,7 @@ fn bf16_checkpoint_resumes_under_fp16_and_fp32() {
             91,
         );
         tgt.dtype = dtype;
-        let resumed = train_run(&TrainPlan {
-            config: tgt,
-            until_iteration: 8,
-            resume: ResumeMode::Universal {
-                dir: dir.clone(),
-                step: 4,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
-        .unwrap();
+        let resumed = train_run(&resuming(tgt, 8, &dir, 4)).unwrap();
         for ((ia, la), (ib, lb)) in baseline.losses[4..].iter().zip(&resumed.losses) {
             assert_eq!(ia, ib);
             assert!(
@@ -82,26 +62,9 @@ fn fp16_training_round_trips() {
     let mut cfg = TrainConfig::quick(ModelConfig::llama_tiny(), ParallelConfig::single(), 92);
     cfg.dtype = DType::F16;
     let full = train_run(&TrainPlan::simple(cfg.clone(), 6)).unwrap();
-    train_run(&TrainPlan {
-        config: cfg.clone(),
-        until_iteration: 3,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(3),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg.clone(), 3, 3, &dir)).unwrap();
     convert_to_universal(&dir, 3, &ConvertOptions::default()).unwrap();
-    let resumed = train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 6,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 3,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
-    .unwrap();
+    let resumed = train_run(&resuming(cfg, 6, &dir, 3)).unwrap();
     for ((ia, la), (ib, lb)) in full.losses[3..].iter().zip(&resumed.losses) {
         assert_eq!(ia, ib);
         assert!((la - lb).abs() < 2e-3, "iteration {ia}: {la} vs {lb}");

@@ -2,18 +2,15 @@
 //! checkpoints byte-identical to the synchronous path while blocking
 //! training for less time, and the results must convert/resume normally.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::scratch;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::trainer::{train_run, train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_overlap_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn plan(dir: &std::path::Path, seed: u64) -> TrainPlan {
     TrainPlan {

@@ -1,32 +1,29 @@
 //! Parallel atom loading must produce exactly the serial loader's state
 //! (the loading-efficiency extension the paper lists as future work).
 
+#[path = "support/naive.rs"]
+mod naive;
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::load::{
     gen_ucp_metadata, LoadOptions, LoadPlan, LoadSession, RankState, DEFAULT_ALIGNMENT,
 };
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, RankCoord, ZeroStage};
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run, TrainConfig};
 
 #[test]
 fn parallel_load_matches_serial_bitwise() {
-    let dir = std::env::temp_dir().join("ucp_it_parload");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("parload");
     let cfg = TrainConfig::quick(
         ModelConfig::gpt3_tiny(),
         ParallelConfig::new(2, 2, 2, 1, ZeroStage::Zero1),
         71,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     let (manifest, _) = convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
     // A private session (fresh atom cache) per worker count.
     let load = |workers: usize, plan: &LoadPlan| {
@@ -40,18 +37,8 @@ fn parallel_load_matches_serial_bitwise() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
         let serial = load(1, &plan);
         for workers in [2usize, 8] {
-            let parallel = load(workers, &plan);
-            assert_eq!(parallel.fp32, serial.fp32, "rank {rank} fp32");
-            assert_eq!(parallel.exp_avg, serial.exp_avg, "rank {rank} exp_avg");
-            assert_eq!(
-                parallel.exp_avg_sq, serial.exp_avg_sq,
-                "rank {rank} exp_avg_sq"
-            );
-            assert_eq!(parallel.model_params.len(), serial.model_params.len());
-            for ((na, ta), (nb, tb)) in parallel.model_params.iter().zip(&serial.model_params) {
-                assert_eq!(na, nb);
-                assert!(ta.bitwise_eq(tb), "rank {rank} param {na}");
-            }
+            let ctx = format!("rank {rank}, {workers} workers");
+            naive::assert_states_eq(&ctx, &load(workers, &plan), &serial);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -64,22 +51,13 @@ fn parallel_load_matches_serial_bitwise() {
 /// session build, on both disk routes.
 #[test]
 fn concurrent_dp_replicas_through_one_session_match_sequential_loads() {
-    let dir = std::env::temp_dir().join("ucp_it_parload_race");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("parload_race");
     let cfg = TrainConfig::quick(
         ModelConfig::gpt3_tiny(),
         ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
         71,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     convert_to_universal(&dir, 2, &ConvertOptions::default()).unwrap();
     let target = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero3);
     let open = |ranged| {
@@ -123,19 +101,7 @@ fn concurrent_dp_replicas_through_one_session_match_sequential_loads() {
                 });
                 for (rank, state) in replicas.into_iter().zip(&got) {
                     let ctx = format!("ranged {ranged}, rank {rank}");
-                    let w = &want[rank];
-                    assert_eq!(bits(&state.fp32), bits(&w.fp32), "{ctx} fp32");
-                    assert_eq!(bits(&state.exp_avg), bits(&w.exp_avg), "{ctx} exp_avg");
-                    assert_eq!(
-                        bits(&state.exp_avg_sq),
-                        bits(&w.exp_avg_sq),
-                        "{ctx} exp_avg_sq"
-                    );
-                    assert_eq!(state.model_params.len(), w.model_params.len(), "{ctx}");
-                    for ((na, ta), (nb, tb)) in state.model_params.iter().zip(&w.model_params) {
-                        assert_eq!(na, nb, "{ctx}");
-                        assert!(ta.bitwise_eq(tb), "{ctx}: param {na}");
-                    }
+                    naive::assert_states_eq(&ctx, state, &want[rank]);
                 }
                 for ((name, a), (_, b)) in got[0].model_params.iter().zip(&got[1].model_params) {
                     assert!(std::sync::Arc::ptr_eq(a, b), "tp {tp}: {name} not shared");
@@ -144,8 +110,4 @@ fn concurrent_dp_replicas_through_one_session_match_sequential_loads() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
 }

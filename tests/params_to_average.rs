@@ -10,6 +10,10 @@
 //! conversion must (a) average it, (b) not trip the replica-equality
 //! verifier, and (c) resume training with the averaged value.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use ucp_repro::core::checkpoint::{
     load_model_states, load_optim_states, save_model_states, save_optim_states,
 };
@@ -22,13 +26,6 @@ use ucp_repro::storage::Container;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
 const NORM_PARAM: &str = "layers.0.input_layernorm.weight";
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_avg_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Desynchronize `NORM_PARAM` across the two TP replicas of a saved
 /// checkpoint by ±`delta`, and mark it `params_to_average` in every header.
@@ -66,14 +63,7 @@ fn independently_updated_replicas_consolidate_to_mean() {
     let parallel = ParallelConfig::new(2, 1, 2, 1, ZeroStage::Zero1);
     let dir = scratch("mean");
     let cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 13);
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
 
     // Record the pre-desync value, then push replicas ±0.25 apart.
     let step_dir = layout::step_dir(&dir, 2);
@@ -149,14 +139,7 @@ fn desynced_replicas_without_declaration_are_caught() {
     let parallel = ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1);
     let dir = scratch("caught");
     let cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 14);
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     // Perturb only tp rank 1's replica, leaving params_to_average empty.
     let step_dir = layout::step_dir(&dir, 2);
     let (common, mut shard) = load_optim_states(&step_dir, 0, 1, 0).unwrap();

@@ -3,6 +3,12 @@
 //! verified whole-section read when only a block table is damaged, and
 //! share bytes across DP replicas through the session atom cache.
 
+#[path = "support/naive.rs"]
+mod naive;
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use std::sync::{Arc, Mutex};
 
 use ucp_repro::core::convert::{convert_to_memory, convert_to_universal, ConvertOptions};
@@ -13,7 +19,7 @@ use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, RankCoord, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::tensor::DType;
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run, TrainConfig};
 
 /// The convert-open and cache-accounting assertions read the global
 /// telemetry recorder, so the tests in this binary run one at a time.
@@ -21,13 +27,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_ranged_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Train, checkpoint at step 2, and convert; returns the base dir.
@@ -57,14 +56,7 @@ fn universal_checkpoint_of(
     let dir = scratch(name);
     let mut cfg = TrainConfig::quick(model, parallel, 71);
     cfg.dtype = dtype;
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     // Convert takes the run metadata from the head of the first
     // optimizer-states file and each slice's flat layout from the shards
     // it extracts: one open per optimizer-states file plus that head
@@ -83,25 +75,6 @@ fn universal_checkpoint_of(
     dir
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_states_identical(a: &RankState, b: &RankState, ctx: &str) {
-    assert_eq!(bits(&a.fp32), bits(&b.fp32), "{ctx}: fp32 chunk differs");
-    assert_eq!(bits(&a.exp_avg), bits(&b.exp_avg), "{ctx}: exp_avg differs");
-    assert_eq!(
-        bits(&a.exp_avg_sq),
-        bits(&b.exp_avg_sq),
-        "{ctx}: exp_avg_sq differs"
-    );
-    assert_eq!(a.model_params.len(), b.model_params.len(), "{ctx}");
-    for ((na, ta), (nb, tb)) in a.model_params.iter().zip(&b.model_params) {
-        assert_eq!(na, nb, "{ctx}: param order differs");
-        assert!(ta.bitwise_eq(tb), "{ctx}: model param {na} differs");
-    }
-}
-
 /// `Load` of a precomputed plan through a private session over step 2 of
 /// `base`: a fresh atom cache per call, so every read reaches the disk.
 fn load_plan(
@@ -110,51 +83,6 @@ fn load_plan(
     opts: LoadOptions,
 ) -> ucp_repro::core::Result<RankState> {
     LoadSession::open(base, 2, opts)?.load_plan(plan)
-}
-
-/// Every value of `state` that no atom element backs — padding segments of
-/// the shards, the padding and alignment gaps of the chunks, the chunk
-/// tail — is `+0.0`, bit for bit. Returns how many shard values are
-/// padding.
-fn assert_padding_is_positive_zero(plan: &LoadPlan, state: &RankState, ctx: &str) -> usize {
-    let mut backed = vec![false; plan.layout.chunk];
-    let mut padding = 0;
-    for (entry, (name, shard)) in plan.entries.iter().zip(&state.model_params) {
-        let segments =
-            (entry.partition).shard_segments(&entry.full_shape, plan.target.tp, plan.coord.tp);
-        for seg in &segments {
-            let values = &shard.as_slice()[seg.shard_offset..seg.shard_offset + seg.len];
-            if seg.src_offset.is_none() {
-                padding += seg.len;
-                assert!(
-                    values.iter().all(|v| v.to_bits() == 0),
-                    "{ctx}: padding of shard {name} is not +0.0"
-                );
-            }
-            for f in &entry.fragments {
-                let lo = f.param_offset.max(seg.shard_offset);
-                let hi = (f.param_offset + f.len).min(seg.shard_offset + seg.len);
-                if lo < hi && seg.src_offset.is_some() {
-                    let at = f.chunk_offset + (lo - f.param_offset);
-                    backed[at..at + (hi - lo)].fill(true);
-                }
-            }
-        }
-    }
-    for (state_key, chunk) in [
-        ("fp32", &state.fp32),
-        ("exp_avg", &state.exp_avg),
-        ("exp_avg_sq", &state.exp_avg_sq),
-    ] {
-        for (i, v) in chunk.iter().enumerate().filter(|(i, _)| !backed[*i]) {
-            assert_eq!(
-                v.to_bits(),
-                0,
-                "{ctx}: {state_key} chunk slot {i} is not +0.0"
-            );
-        }
-    }
-    padding
 }
 
 /// Load every rank of `target` three ways — ranged, whole-file, and from
@@ -188,10 +116,11 @@ fn check_equivalence(base: &std::path::Path, target: ParallelConfig) -> usize {
         .unwrap();
         let in_ram = memory.load_rank(&target, rank, DEFAULT_ALIGNMENT).unwrap();
         let ctx = format!("target {} rank {rank}", target.label());
-        assert_states_identical(&ranged, &full, &ctx);
-        assert_states_identical(&ranged, &in_ram, &format!("{ctx} (memory)"));
+        naive::assert_states_eq(&ctx, &ranged, &full);
+        naive::assert_states_eq(&format!("{ctx} (memory)"), &ranged, &in_ram);
         for (route, state) in [("ranged", &ranged), ("full", &full), ("memory", &in_ram)] {
-            padding += assert_padding_is_positive_zero(&plan, state, &format!("{ctx} {route}"));
+            let ctx = format!("{ctx} {route}");
+            padding += naive::assert_padding_is_positive_zero(&plan, state, &ctx);
         }
     }
     padding
@@ -244,17 +173,7 @@ fn ranged_reads_match_under_reduced_precision_training() {
         71,
     );
     target_cfg.dtype = DType::F16;
-    let run = train_run(&TrainPlan {
-        config: target_cfg,
-        until_iteration: 4,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 2,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
-    .unwrap();
+    let run = train_run(&resuming(target_cfg, 4, &dir, 2)).unwrap();
     assert!(run.losses.iter().all(|(_, l)| l.is_finite()));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -304,7 +223,7 @@ fn damaged_block_table_falls_back_to_whole_section_read() {
     for (rank, expected) in before.iter().enumerate() {
         let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
         let loaded = load_plan(&dir, &plan, LoadOptions::default()).unwrap();
-        assert_states_identical(&loaded, expected, &format!("table-fallback rank {rank}"));
+        naive::assert_states_eq(&format!("table-fallback rank {rank}"), &loaded, expected);
     }
     let report = rec.report("table_fallback");
     rec.set_enabled(false);
@@ -368,7 +287,7 @@ fn dp_replicas_share_one_fp32_shard_per_tp_rank() {
                 let ctx = format!("{route} target {} rank {rank}", target.label());
                 let plan = gen_ucp_metadata(&manifest, &target, rank, DEFAULT_ALIGNMENT).unwrap();
                 let fresh = load_plan(&dir, &plan, LoadOptions::default()).unwrap();
-                assert_states_identical(state, &fresh, &ctx);
+                naive::assert_states_eq(&ctx, state, &fresh);
                 let coord = target.coord(rank);
                 let first = target.rank_of(RankCoord { dp: 0, ..coord });
                 for ((name, shard), (_, built)) in

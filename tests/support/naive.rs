@@ -1,57 +1,130 @@
 //! Algorithm 1 composed naively from Table 2's named operators — the
-//! reference every production feed of `core::assemble::StageAssembler` is
-//! held to. It shares no code with `core::assemble` or `core::convert`:
-//! read every rank's optimizer shard, `union_flat` each parameter of each
-//! (tp, pp) slice from its `extract_flat` fragments, `union_tp` the slices
-//! by pattern, `strip_padding` to the true shape, index by name. It holds
-//! a whole step in memory several times over and is quadratic in the
-//! parameter count; it exists to be obviously right.
+//! reference every production feed of `core::assemble::StageAssembler` and
+//! every load of `core::load` is held to. It shares no code with
+//! `core::assemble`, `core::convert` or `core::load`: take every rank's
+//! optimizer shard, `union_flat` each parameter of each (tp, pp) slice from
+//! its `extract_flat` fragments, `union_tp` the slices by pattern,
+//! `strip_padding` to the true shape, index by name. The shards may come
+//! from a native step's files ([`hot_shards`]) or from the chunks a
+//! target's ranks were loaded with ([`loaded_shards`]): the same code
+//! consolidates both sides of a reshard. It holds a whole step in memory
+//! several times over; it exists to be obviously right.
+
+// Each test binary that includes this module uses a part of it.
+#![allow(dead_code)]
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ucp_repro::core::checkpoint::{load_optim_states, OptimShard};
+use ucp_repro::core::checkpoint::{load_optim_states, CommonState, OptimShard};
 use ucp_repro::core::language::UcpSpec;
+use ucp_repro::core::load::LoadPlan;
 use ucp_repro::core::ops::{extract_flat, strip_padding, union_flat, union_tp, Fragment};
-use ucp_repro::core::RankState;
+use ucp_repro::core::{HotShard, RankState};
 use ucp_repro::model::param_specs;
+use ucp_repro::parallel::ParallelConfig;
 use ucp_repro::tensor::Tensor;
 
 /// Consolidated `[fp32, exp_avg, exp_avg_sq]` per parameter name.
 pub type Atoms = BTreeMap<String, [Tensor; 3]>;
 
-/// Consolidate the native checkpoint in `step_dir`. A rule in `rules`
+/// Every rank's native optimizer shard of the step in `step_dir`, as the
+/// hot tier would hold them.
+pub fn hot_shards(step_dir: &Path) -> Vec<HotShard> {
+    let src = load_optim_states(step_dir, 0, 0, 0).unwrap().0.parallel;
+    let mut shards = Vec::new();
+    for pp in 0..src.pp {
+        for tp in 0..src.tp {
+            for zi in 0..src.dp * src.sp {
+                let (common, shard) = load_optim_states(step_dir, zi, tp, pp).unwrap();
+                shards.push(HotShard {
+                    common,
+                    tp,
+                    pp,
+                    shard,
+                });
+            }
+        }
+    }
+    shards
+}
+
+/// The chunks `states[rank]` that every rank of `target` was loaded with,
+/// as shards of a checkpoint saved under `target`: rank `r` holds ZeRO
+/// partition `dp · sp + sp` of its (tp, pp) slice. `common` is the
+/// source's run metadata.
+pub fn loaded_shards(
+    common: &CommonState,
+    target: ParallelConfig,
+    states: &[RankState],
+) -> Vec<HotShard> {
+    assert_eq!(states.len(), target.world_size());
+    let common = CommonState {
+        parallel: target,
+        ..common.clone()
+    };
+    (states.iter().enumerate())
+        .map(|(rank, state)| {
+            let c = target.coord(rank);
+            let shard = OptimShard {
+                dp: c.dp * target.sp + c.sp,
+                layout: (*state.layout).clone(),
+                fp32: state.fp32.clone(),
+                exp_avg: state.exp_avg.clone(),
+                exp_avg_sq: state.exp_avg_sq.clone(),
+            };
+            HotShard {
+                common: common.clone(),
+                tp: c.tp,
+                pp: c.pp,
+                shard,
+            }
+        })
+        .collect()
+}
+
+/// Consolidate one step from all of its ranks' shards. A rule in `rules`
 /// takes precedence over the pattern derived from the model.
-pub fn naive_atoms(step_dir: &Path, rules: Option<&UcpSpec>) -> Atoms {
-    let (common, _) = load_optim_states(step_dir, 0, 0, 0).unwrap();
+pub fn naive_atoms(shards: &[HotShard], rules: Option<&UcpSpec>) -> Atoms {
+    let common = &shards[0].common;
     let src = common.parallel;
+    let zero = src.dp * src.sp;
     let derived = UcpSpec::from_model(&common.model, src.tp, &common.params_to_average);
     let specs = param_specs(&common.model);
-    let keys: [fn(&OptimShard) -> &[f32]; 3] = [|s| &s.fp32, |s| &s.exp_avg, |s| &s.exp_avg_sq];
 
     let mut atoms = Atoms::new();
     for pp in 0..src.pp {
-        // slices[tp][name][key]: the (tp, pp) slice's shard tensors.
-        let slices: Vec<BTreeMap<String, Vec<Tensor>>> = (0..src.tp)
+        // slices[tp][name]: the (tp, pp) slice's three shard tensors.
+        let slices: Vec<BTreeMap<String, [Tensor; 3]>> = (0..src.tp)
             .map(|tp| {
-                let shards: Vec<OptimShard> = (0..src.dp * src.sp)
-                    .map(|zi| load_optim_states(step_dir, zi, tp, pp).unwrap().1)
+                let mut parts: Vec<&OptimShard> = (shards.iter())
+                    .filter(|s| (s.tp, s.pp) == (tp, pp))
+                    .map(|s| &s.shard)
                     .collect();
-                let slots = &shards[0].layout.slots;
-                slots
-                    .iter()
+                parts.sort_by_key(|s| s.dp);
+                // One shard per ZeRO partition, all of one layout that has
+                // exactly that many partitions.
+                let layout = &parts[0].layout;
+                let owners: Vec<usize> = parts.iter().map(|s| s.dp).collect();
+                assert_eq!(owners, (0..zero).collect::<Vec<_>>(), "tp {tp} pp {pp}");
+                assert_eq!(layout.dp, zero, "tp {tp} pp {pp}: partitions");
+                assert!(parts.iter().all(|s| &s.layout == layout));
+                // fragments[key][name]: every partition's pieces of `name`.
+                let mut fragments: [BTreeMap<String, Vec<Fragment>>; 3] = Default::default();
+                for s in &parts {
+                    for (ki, chunk) in s.keys().into_iter().enumerate() {
+                        for (name, fragment) in extract_flat(layout, s.dp, chunk) {
+                            fragments[ki].entry(name).or_default().push(fragment);
+                        }
+                    }
+                }
+                (layout.slots.iter())
                     .map(|slot| {
-                        let per_key = keys.map(|key| {
-                            let fragments: Vec<Fragment> = shards
-                                .iter()
-                                .flat_map(|s| extract_flat(&s.layout, s.dp, key(s)))
-                                .filter(|(name, _)| name == &slot.name)
-                                .map(|(_, fragment)| fragment)
-                                .collect();
-                            let flat = union_flat(slot.len, &fragments).unwrap();
-                            Tensor::from_vec(flat, slot.shape.clone()).unwrap()
+                        let per_key = [0, 1, 2].map(|ki| {
+                            let flat = union_flat(slot.len, &fragments[ki][&slot.name]);
+                            Tensor::from_vec(flat.unwrap(), slot.shape.clone()).unwrap()
                         });
-                        (slot.name.clone(), per_key.to_vec())
+                        (slot.name.clone(), per_key)
                     })
                     .collect()
             })
@@ -66,9 +139,13 @@ pub fn naive_atoms(step_dir: &Path, rules: Option<&UcpSpec>) -> Atoms {
                 let shards: Vec<Tensor> = slices.iter().map(|s| s[name][ki].clone()).collect();
                 strip_padding(&union_tp(pattern, &shards, true).unwrap(), shape).unwrap()
             });
-            // A tied embedding lives on both pipeline-end stages; its
-            // copies are kept in sync, so either is the atom.
-            atoms.insert(name.clone(), atom);
+            // A tied embedding lives on both pipeline-end stages, and its
+            // copies agree bit for bit.
+            if let Some(other) = atoms.insert(name.clone(), atom) {
+                for (ki, (a, b)) in other.iter().zip(&atoms[name]).enumerate() {
+                    assert!(a.bitwise_eq(b), "{name} key {ki}: stage copies differ");
+                }
+            }
         }
     }
     atoms
@@ -129,21 +206,6 @@ pub fn tree_atoms(universal_dir: &Path) -> Atoms {
         .collect()
 }
 
-/// The atoms a single-rank (TP1·PP1·DP1) load delivered: each flat slot
-/// is a whole parameter, re-padded where the target pads its vocabulary.
-pub fn rank_atoms(state: &RankState, like: &Atoms) -> Atoms {
-    let slots = &state.layout.slots;
-    slots
-        .iter()
-        .map(|slot| {
-            let shape = like[&slot.name][0].shape();
-            let atom = [&state.fp32, &state.exp_avg, &state.exp_avg_sq]
-                .map(|flat| strip_padding(&state.layout.unflatten_one(flat, slot), shape).unwrap());
-            (slot.name.clone(), atom)
-        })
-        .collect()
-}
-
 /// Bitwise equality of two atom sets, name by name and key by key.
 pub fn assert_atoms_eq(ctx: &str, got: &Atoms, want: &Atoms) {
     let names = |a: &Atoms| a.keys().cloned().collect::<Vec<_>>();
@@ -154,4 +216,63 @@ pub fn assert_atoms_eq(ctx: &str, got: &Atoms, want: &Atoms) {
             assert!(g.bitwise_eq(w), "{ctx}: {name} key {ki} diverges");
         }
     }
+}
+
+/// Two loads delivered the same rank state, bit for bit.
+pub fn assert_states_eq(ctx: &str, a: &RankState, b: &RankState) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(a.layout, b.layout, "{ctx}");
+    for (key, x, y) in [
+        ("fp32", &a.fp32, &b.fp32),
+        ("exp_avg", &a.exp_avg, &b.exp_avg),
+        ("exp_avg_sq", &a.exp_avg_sq, &b.exp_avg_sq),
+    ] {
+        assert_eq!(bits(x), bits(y), "{ctx}: {key}");
+    }
+    assert_eq!(a.model_params.len(), b.model_params.len(), "{ctx}");
+    for ((na, ta), (nb, tb)) in a.model_params.iter().zip(&b.model_params) {
+        assert_eq!(na, nb, "{ctx}: param order");
+        assert!(ta.bitwise_eq(tb), "{ctx}: model param {na}");
+    }
+}
+
+/// Every value of `state` that no atom element backs — padding segments of
+/// the shards, the padding and alignment gaps of the chunks, the chunk
+/// tail — is `+0.0`, bit for bit. Returns how many shard values are
+/// padding.
+pub fn assert_padding_is_positive_zero(plan: &LoadPlan, state: &RankState, ctx: &str) -> usize {
+    let mut backed = vec![false; plan.layout.chunk];
+    let mut padding = 0;
+    for (entry, (name, shard)) in plan.entries.iter().zip(&state.model_params) {
+        let segments =
+            (entry.partition).shard_segments(&entry.full_shape, plan.target.tp, plan.coord.tp);
+        for seg in &segments {
+            let values = &shard.as_slice()[seg.shard_offset..seg.shard_offset + seg.len];
+            if seg.src_offset.is_none() {
+                padding += seg.len;
+                assert!(
+                    values.iter().all(|v| v.to_bits() == 0),
+                    "{ctx}: padding of shard {name} is not +0.0"
+                );
+            }
+            for f in &entry.fragments {
+                let lo = f.param_offset.max(seg.shard_offset);
+                let hi = (f.param_offset + f.len).min(seg.shard_offset + seg.len);
+                if lo < hi && seg.src_offset.is_some() {
+                    let at = f.chunk_offset + (lo - f.param_offset);
+                    backed[at..at + (hi - lo)].fill(true);
+                }
+            }
+        }
+    }
+    for (state_key, chunk) in [
+        ("fp32", &state.fp32),
+        ("exp_avg", &state.exp_avg),
+        ("exp_avg_sq", &state.exp_avg_sq),
+    ] {
+        for (i, v) in chunk.iter().enumerate().filter(|(i, _)| !backed[*i]) {
+            assert_eq!(v.to_bits(), 0, "{ctx}: {state_key} slot {i} not +0.0");
+        }
+    }
+    padding
 }

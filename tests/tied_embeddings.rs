@@ -4,19 +4,16 @@
 //! shared-embedding group — a parameter that belongs to two stages at
 //! once, which the checkpoint machinery must treat as one logical atom.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_tied_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ucp_repro::trainer::{train_run, TrainConfig, TrainPlan};
 
 #[test]
 fn tied_model_has_no_lm_head_parameter() {
@@ -71,14 +68,7 @@ fn tied_replicas_stay_in_sync_across_stages() {
         ParallelConfig::new(1, 2, 1, 1, ZeroStage::Zero1),
         112,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 3,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(3),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 3, 3, &dir)).unwrap();
     let step_dir = layout::step_dir(&dir, 3);
     let extract_tied = |pp: usize| -> Vec<f32> {
         let (_, shard) = load_optim_states(&step_dir, 0, 0, pp).unwrap();
@@ -105,14 +95,7 @@ fn tied_checkpoint_converts_once_and_reshards() {
         113,
     );
     let baseline = train_run(&TrainPlan::simple(src.clone(), 6)).unwrap();
-    train_run(&TrainPlan {
-        config: src,
-        until_iteration: 3,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(3),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(src, 3, 3, &dir)).unwrap();
     let (manifest, _) = convert_to_universal(&dir, 3, &ConvertOptions::default()).unwrap();
     // One logical atom despite living on two stages; no lm_head atom.
     assert_eq!(
@@ -132,17 +115,7 @@ fn tied_checkpoint_converts_once_and_reshards() {
         ParallelConfig::new(1, 4, 1, 1, ZeroStage::Zero1),
     ] {
         let tgt = TrainConfig::quick(model.clone(), target, 113);
-        let resumed = train_run(&TrainPlan {
-            config: tgt,
-            until_iteration: 6,
-            resume: ResumeMode::Universal {
-                dir: dir.clone(),
-                step: 3,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
-        .unwrap();
+        let resumed = train_run(&resuming(tgt, 6, &dir, 3)).unwrap();
         for ((ia, la), (ib, lb)) in baseline.losses[3..].iter().zip(&resumed.losses) {
             assert_eq!(ia, ib);
             assert!(

@@ -3,6 +3,10 @@
 //! Chrome trace with one pid per rank and every event category, survive a
 //! lossless JSON round-trip, and yield a sane busy/wait summary.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use std::sync::OnceLock;
 
 use serde_json::Value;
@@ -11,7 +15,7 @@ use ucp_repro::core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_
 use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::telemetry::trace::{self, EventKind, TraceSession, DRIVER_PID};
-use ucp_repro::trainer::{train_run_overlapped, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run_overlapped, TrainConfig};
 
 const WORLD: usize = 4; // TP=2 × PP=2
 
@@ -21,18 +25,15 @@ const WORLD: usize = 4; // TP=2 × PP=2
 fn recorded_trace() -> &'static str {
     static TRACE: OnceLock<String> = OnceLock::new();
     TRACE.get_or_init(|| {
-        let dir = std::env::temp_dir().join("ucp_it_trace_observability");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("trace_observability");
 
         let parallel = ParallelConfig::new(2, 2, 1, 1, ZeroStage::Zero1);
-        let plan = TrainPlan {
-            config: TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 7),
-            until_iteration: 4,
-            resume: ResumeMode::Fresh,
-            checkpoint_every: Some(2),
-            checkpoint_dir: Some(dir.clone()),
-        };
+        let plan = saving(
+            TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 7),
+            4,
+            2,
+            &dir,
+        );
 
         let tracer = trace::global();
         tracer.start();

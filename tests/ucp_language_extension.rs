@@ -3,6 +3,10 @@
 //! user-written spec — authored as JSON, the language's textual form —
 //! overrides the derived pattern rules during conversion.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{saving, scratch};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::language::{UcpSpec, UcpSpecBuilder};
 use ucp_repro::core::pattern::ParamPattern;
@@ -10,25 +14,16 @@ use ucp_repro::model::ModelConfig;
 use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::storage::Container;
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
+use ucp_repro::trainer::{train_run, TrainConfig};
 
 fn make_checkpoint(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_lang_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch(name);
     let cfg = TrainConfig::quick(
         ModelConfig::gpt3_tiny(),
         ParallelConfig::new(2, 1, 1, 1, ZeroStage::Zero1),
         51,
     );
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     dir
 }
 

@@ -3,6 +3,10 @@
 //! atoms must be unpadded), and resume under TP degrees with *different*
 //! padded extents.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::pattern::{FragmentSpec, ParamPattern};
 use ucp_repro::model::{ModelConfig, Partition};
@@ -10,14 +14,7 @@ use ucp_repro::parallel::{ParallelConfig, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::storage::Container;
 use ucp_repro::tensor::{DetRng, Shape, Tensor};
-use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_vpad_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use ucp_repro::trainer::{train_run, TrainConfig, TrainPlan};
 
 #[test]
 fn padded_extent_math() {
@@ -97,14 +94,7 @@ fn atoms_are_stripped_and_resume_repads() {
         82,
     );
     let baseline = train_run(&TrainPlan::simple(src.clone(), 6)).unwrap();
-    train_run(&TrainPlan {
-        config: src,
-        until_iteration: 3,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(3),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(src, 3, 3, &dir)).unwrap();
     let (manifest, _) = convert_to_universal(&dir, 3, &ConvertOptions::default()).unwrap();
 
     // The atom is unpadded [250, H] and carries the padded-dim pattern.
@@ -132,17 +122,7 @@ fn atoms_are_stripped_and_resume_repads() {
             ParallelConfig::new(tp, 1, 1, 1, ZeroStage::Zero1),
             82,
         );
-        let resumed = train_run(&TrainPlan {
-            config: tgt,
-            until_iteration: 6,
-            resume: ResumeMode::Universal {
-                dir: dir.clone(),
-                step: 3,
-            },
-            checkpoint_every: None,
-            checkpoint_dir: None,
-        })
-        .unwrap();
+        let resumed = train_run(&resuming(tgt, 6, &dir, 3)).unwrap();
         for ((ia, la), (ib, lb)) in baseline.losses[3..].iter().zip(&resumed.losses) {
             assert_eq!(ia, ib);
             assert!(

@@ -1,6 +1,10 @@
 //! ZeRO-stage coverage and padding behaviour: the flat `fragment_params`
 //! path (parameters straddling DP chunk boundaries) and `StripPadding`.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::{resuming, saving, scratch};
 use ucp_repro::core::checkpoint::load_optim_states;
 use ucp_repro::core::convert::{convert_to_universal, ConvertOptions};
 use ucp_repro::core::load::{gen_ucp_metadata, LoadOptions, LoadSession, DEFAULT_ALIGNMENT};
@@ -9,24 +13,10 @@ use ucp_repro::parallel::{ParallelConfig, RankCoord, ZeroStage};
 use ucp_repro::storage::layout;
 use ucp_repro::trainer::{train_run, ResumeMode, TrainConfig, TrainPlan};
 
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ucp_it_zero_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn checkpoint_with(parallel: ParallelConfig, name: &str, seed: u64) -> std::path::PathBuf {
     let dir = scratch(name);
     let cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, seed);
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     dir
 }
 
@@ -117,14 +107,7 @@ fn alignment_padding_never_reaches_atoms() {
     let dir = scratch("padding");
     let mut cfg = TrainConfig::quick(ModelConfig::gpt3_tiny(), parallel, 57);
     cfg.alignment = 64;
-    train_run(&TrainPlan {
-        config: cfg,
-        until_iteration: 2,
-        resume: ResumeMode::Fresh,
-        checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
-    })
-    .unwrap();
+    train_run(&saving(cfg, 2, 2, &dir)).unwrap();
     let step_dir = layout::step_dir(&dir, 2);
     let (_, shard) = load_optim_states(&step_dir, 0, 0, 0).unwrap();
     assert_eq!(shard.layout.alignment, 64);
@@ -161,17 +144,7 @@ fn alignment_can_differ_between_source_and_target() {
         58,
     );
     target_cfg.alignment = 32;
-    let run = train_run(&TrainPlan {
-        config: target_cfg,
-        until_iteration: 4,
-        resume: ResumeMode::Universal {
-            dir: dir.clone(),
-            step: 2,
-        },
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    })
-    .unwrap();
+    let run = train_run(&resuming(target_cfg, 4, &dir, 2)).unwrap();
     assert_eq!(run.losses.len(), 2);
     assert!(run.losses.iter().all(|(_, l)| l.is_finite()));
     std::fs::remove_dir_all(&dir).ok();
